@@ -6,10 +6,24 @@ The strong-error surrogate for one path is the discrete space-time norm
     E_path = dt * h * sum_k sum_i |u_eps(t_k, x_i) - u_eff(t_k, x_i)|^2
 
 (time levels k = 1..N), both systems driven by the same Brownian increments.
-Sweep reports aggregate over paths: mean, Monte Carlo standard error, weak
-errors against fixed test functions, exclusion counts for diverged paths, and
-a log-log slope fit of the mean strong error against eps (reported as data,
-not gated)."""
+At each eps the heterogeneous generator is assembled once, and both systems
+step all paths in lockstep as the columns of one ensemble
+(``integrator.ThetaStepper``); the error integrals accumulate step by step,
+so no trajectory is stored. Sweep reports aggregate over paths: mean, Monte
+Carlo standard error, weak errors against fixed test functions, exclusion
+counts for diverged paths, and a log-log slope fit of the mean strong error
+against eps (reported as data, not gated).
+
+Failure policy:
+
+* A factorization is shared by every path at its (system, eps, phase), so a
+  ``LinearSolveError`` ends the sweep at once; the CLI reports it with exit
+  code 3.
+* A ``TrajectoryBlowup`` belongs to one path: that column is excluded with
+  its reason and a warning, and the other columns are stepped with unchanged
+  arithmetic. An eps level that excludes more than 20 % of its paths fails
+  the sweep with ``SweepFailure``.
+"""
 
 from __future__ import annotations
 
@@ -23,8 +37,8 @@ from .cell import CellSolution, solve_cell_problem
 from .config import RunConfig
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
-from .integrator import (Effective, Heterogeneous, SimResult,
-                         TrajectoryBlowup, brownian_increments, simulate)
+from .integrator import (Effective, Heterogeneous, SimResult, ThetaStepper,
+                         TrajectoryBlowup, brownian_increments, diverged_columns, simulate)
 from .kernel import Grid1D, KernelParams, OperatorMatrix, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS
 
@@ -108,24 +122,65 @@ def _run_pair(eps: float, rc: RunConfig, seed: int,
     return res_het, res_eff, dt
 
 
-def coupled_pair_error(eps: float, rc: RunConfig, seed: int,
-                       prepared: PreparedExperiment | None = None) -> PathOutcome:
-    """Strong and weak error integrals for one coupled path; diverged paths are
-    flagged for exclusion instead of propagating."""
+def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
+                   prepared: PreparedExperiment | None = None) -> list[PathOutcome]:
+    """Strong and weak error integrals of the coupled paths of ``seeds``.
+
+    Both systems step every seed as one column of an ensemble. A column that
+    diverges in either system is excluded with its reason and set to zero,
+    which leaves the arithmetic of the other columns unchanged.
+    """
     if prepared is None:
         prepared = prepare_experiment(rc)
+    cfg = rc.sim_config()
+    dt, n_steps = rc.resolve_dt(eps)
+    dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
+    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps,
+                          kernel_mode=rc.kernel_mode)
+    g_het = assemble_heterogeneous_generator(prepared.grid, params)
+    steppers = (ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
+                ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,
+                             generator=prepared.effective_generator))
+    u0 = np.repeat(cfg.initial_field().astype(complex)[:, None], len(seeds), axis=1)
+    states = [u0, u0]
+    psi_conj = np.conj(prepared.psi_values.T)
     n_psi = len(prepared.psi_names)
-    try:
-        res_het, res_eff, dt = _run_pair(eps, rc, seed, prepared)
-    except TrajectoryBlowup as exc:
-        warnings.warn(f"coupled path seed={seed} eps={eps} diverged: {exc}")
-        return PathOutcome(error=float("nan"), weak=np.full(n_psi, np.nan, dtype=complex),
-                           excluded=True, reason=str(exc))
-    h = prepared.grid.h
-    diff = res_het.trajectory[1:] - res_eff.trajectory[1:]
-    err = dt * h * float(np.sum(np.abs(diff) ** 2))
-    weak = dt * h * (diff @ np.conj(prepared.psi_values.T)).sum(axis=0)
-    return PathOutcome(error=err, weak=weak)
+    err = np.zeros(len(seeds))
+    weak = np.zeros((len(seeds), n_psi), dtype=complex)
+    reasons = [""] * len(seeds)
+    dead = np.zeros(len(seeds), dtype=bool)
+    for k in range(n_steps):
+        for i, stepper in enumerate(steppers):
+            states[i] = stepper.step(states[i], k, dw[k])
+            for j in np.flatnonzero(diverged_columns(states[i]) & ~dead):
+                reasons[j] = str(TrajectoryBlowup(k + 1, stepper.label))
+                dead[j] = True
+        if dead.any():
+            for state in states:
+                state[:, dead] = 0.0
+        diff = states[0] - states[1]
+        err += np.sum(diff.real ** 2 + diff.imag ** 2, axis=0)
+        weak += diff.T @ psi_conj
+
+    scale = dt * prepared.grid.h
+    outcomes = []
+    for j, seed in enumerate(seeds):
+        if dead[j]:
+            warnings.warn(f"coupled path seed={seed} eps={eps} diverged: {reasons[j]}")
+            outcomes.append(PathOutcome(error=float("nan"),
+                                        weak=np.full(n_psi, np.nan, dtype=complex),
+                                        excluded=True, reason=reasons[j]))
+        else:
+            outcomes.append(PathOutcome(error=float(scale * err[j]), weak=scale * weak[j]))
+    return outcomes
+
+
+def coupled_pair_error(eps: float, rc: RunConfig, seed: int,
+                       prepared: PreparedExperiment | None = None) -> PathOutcome:
+    """Strong and weak error integrals for one coupled path (the one-column
+    case of ``coupled_errors``); a diverged path is flagged for exclusion
+    instead of propagating."""
+    return coupled_errors(eps, rc, [seed], prepared)[0]
 
 
 def fit_loglog(eps_list: list[float], errors: list[float],
@@ -156,7 +211,7 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
     """Monte Carlo sweep over decreasing eps on coupled paths.
 
     Raises SweepFailure (with the partial report attached) when any eps level
-    excludes more than 20% of its paths.
+    excludes more than 20% of its paths, and lets LinearSolveError through.
     """
     eps_arr = list(map(float, eps_list))
     if len(eps_arr) < 1:
@@ -173,7 +228,7 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
     failure = None
     for eps in eps_arr:
         t0 = time.perf_counter()
-        outcomes = [coupled_pair_error(eps, rc, s, prepared) for s in seeds]
+        outcomes = coupled_errors(eps, rc, seeds, prepared)
         wall = time.perf_counter() - t0
         kept = [o for o in outcomes if not o.excluded]
         n_excl = len(outcomes) - len(kept)
@@ -188,7 +243,7 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
         else:
             errs = np.array([o.error for o in kept])
             strong.append(float(errs.mean()))
-            ses.append(float(errs.std(ddof=1) / np.sqrt(errs.size)) if errs.size > 1 else 0.0)
+            ses.append(monte_carlo_se(errs))
             weak_mat = np.stack([o.weak for o in kept])
             weaks.append([float(np.abs(weak_mat[:, j].mean()))
                           for j in range(len(prepared.psi_names))])

@@ -13,9 +13,15 @@ with the noise evaluated at the left endpoint (Ito).  The real potential
 diagonal is rebuilt every step and frozen at the theta point t_n + theta dt of
 the step (the midpoint for theta = 1/2, which preserves second-order temporal
 accuracy; each frozen step is still a Hermitian Cayley map, so norms are
-conserved when g = f = 0).  Factorizations are cached on the fractional part
-of the sampling time over eps, which cycles when dt / eps is rational (e.g.
-the dt = eps/8 sweep rule).
+conserved when g = f = 0).
+
+Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
+columns of an (n, P) array, and ``simulate`` is its one-column case. The
+implicit matrix does not depend on the path, so its factorization is shared
+by all columns and cached on the fractional part of the sampling time over
+eps, which cycles when dt / eps is rational (e.g. the dt = eps/8 sweep rule).
+The cache is bounded by LU_CACHE_BYTES, and a run whose phase does not cycle
+is warned about, since then most steps refactorize.
 
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
@@ -25,6 +31,7 @@ parent increment exactly.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +42,10 @@ from .effective import EffectiveCoefficients, assemble_effective_generator
 from .presets import FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta, get_v
 
 BLOWUP_LIMIT = 1e12
+# bytes of LU factors one stepper keeps (64 factors at n = 1024)
+LU_CACHE_BYTES = 1 << 30
+# shorter runs cannot tell a phase that never cycles from a long cycle
+PHASE_WARNING_MIN_STEPS = 16
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -46,7 +57,7 @@ class TrajectoryBlowup(RuntimeError):
 
 
 class LinearSolveError(RuntimeError):
-    """Raised when the implicit step cannot be solved; carries a condition estimate."""
+    """Raised when the implicit matrix cannot be factorized; names the system and phase."""
 
 
 @dataclass(frozen=True)
@@ -171,34 +182,67 @@ class SimResult:
     final: np.ndarray
 
 
+def generator_product(g_mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """G @ u for a complex (n, P) state.
+
+    A real G multiplies the real view of u (real and imaginary parts as
+    interleaved columns), so the n x n matrix is never converted to complex.
+    """
+    if np.iscomplexobj(g_mat):
+        return g_mat @ u
+    u = np.ascontiguousarray(u, dtype=complex)
+    return (g_mat @ u.view(np.float64)).view(np.complex128)
+
+
+def diverged_columns(u: np.ndarray) -> np.ndarray:
+    """Mask of the columns of an (n, P) state that are non-finite or exceed
+    BLOWUP_LIMIT in magnitude."""
+    return ~np.isfinite(u).all(axis=0) | (np.abs(u).max(axis=0) > BLOWUP_LIMIT)
+
+
+def _implicit_lu(g_mat: np.ndarray, dt: float, theta_s: float,
+                 v_diag: np.ndarray | None) -> tuple:
+    """LU factors of I + i theta dt (G + diag(v))."""
+    n = g_mat.shape[0]
+    lhs = np.eye(n, dtype=complex) + 1j * theta_s * dt * g_mat
+    if v_diag is not None:
+        lhs[np.diag_indices(n)] += 1j * theta_s * dt * v_diag
+    try:
+        return lu_factor(lhs)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"implicit factorization failed: {exc}") from exc
+
+
+def _theta_update(g_mat: np.ndarray, u: np.ndarray, dt: float, dw: np.ndarray,
+                  theta_s: float, v_diag: np.ndarray | None, f_vec: np.ndarray | None,
+                  noise: NoiseModel | None, lu: tuple) -> np.ndarray:
+    """The theta-scheme update of the (n, P) state u; ``dw`` holds one
+    increment per column and ``lu`` factors the implicit matrix."""
+    hu = generator_product(g_mat, u)
+    if v_diag is not None:
+        hu += v_diag[:, None] * u
+    rhs = u - 1j * (1.0 - theta_s) * dt * hu
+    gu = None if noise is None else noise.apply(u)
+    if gu is not None:
+        rhs -= 1j * gu * dw
+    if f_vec is not None:
+        rhs -= 1j * f_vec[:, None] * dt
+    return lu_solve(lu, rhs, check_finite=False)
+
+
 def theta_step(u: np.ndarray, generator: OperatorMatrix | np.ndarray, dt: float,
                dW: float, *, v_diag: np.ndarray | None = None,
                f_vec: np.ndarray | None = None, theta_scheme: float = 0.5,
                noise: NoiseModel | None = None) -> np.ndarray:
-    """One theta-scheme step; convenience entry point that factorizes on the fly.
+    """One theta-scheme step of a single state; factorizes on the fly.
 
-    ``simulate`` uses the same update with cached factorizations.
+    Applies the update that ``ThetaStepper`` applies to every column.
     """
     g_mat = generator.entries if isinstance(generator, OperatorMatrix) else np.asarray(generator)
-    n = g_mat.shape[0]
-    hu = g_mat @ u
-    if v_diag is not None:
-        hu = hu + v_diag * u
-    rhs = u - 1j * (1.0 - theta_scheme) * dt * hu
-    if noise is not None:
-        gu = noise.apply(u)
-        if gu is not None:
-            rhs = rhs - 1j * gu * dW
-    if f_vec is not None:
-        rhs = rhs - 1j * f_vec * dt
-    lhs = np.eye(n, dtype=complex) + 1j * theta_scheme * dt * g_mat
-    if v_diag is not None:
-        lhs[np.diag_indices(n)] += 1j * theta_scheme * dt * v_diag
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(lhs))
-        raise LinearSolveError(f"implicit step failed (cond ~ {cond:.2e}): {exc}") from exc
+    lu = _implicit_lu(g_mat, dt, theta_scheme, v_diag)
+    u = np.asarray(u, dtype=complex)[:, None]
+    return _theta_update(g_mat, u, dt, np.array([dW]), theta_scheme, v_diag, f_vec,
+                         noise, lu)[:, 0]
 
 
 def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.ndarray:
@@ -211,54 +255,99 @@ def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.nd
     raise TypeError("system must be Heterogeneous(eps) or Effective(coeffs)")
 
 
+class ThetaStepper:
+    """Theta-scheme steps of one system for an ensemble of paths held as the
+    columns of an (n, P) complex array.
+
+    The implicit matrix depends on the system, dt and the potential's phase,
+    never on the path, so each phase is factorized once and each step makes
+    one ``lu_solve`` with P right-hand sides. Factors are cached on the phase
+    and dropped oldest first once they hold more than LU_CACHE_BYTES;
+    ``hits`` and ``misses`` count the lookups.
+    """
+
+    def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
+                 n_steps: int, generator: OperatorMatrix | np.ndarray | None = None):
+        if generator is None:
+            self.g_mat = _build_generator(system, cfg)
+        else:
+            self.g_mat = (generator.entries if isinstance(generator, OperatorMatrix)
+                          else np.asarray(generator))
+        self.cfg, self.dt = cfg, dt
+        self.hits = self.misses = 0
+        self._factors: dict[float | None, tuple] = {}
+        self._factor_bytes = 0
+        self._phases = None
+        if not isinstance(system, Heterogeneous):
+            self.label = "effective system"
+            return
+        eps = system.epsilon
+        self.label = f"heterogeneous system at eps={eps:g}"
+        if cfg.v_spec.is_zero:
+            return
+        # frozen-coefficient diagonal, sampled at the theta point of the step
+        # (midpoint for theta = 1/2, which keeps second-order accuracy in
+        # time); the Ito left-point rule applies to the noise term only
+        theta_s = cfg.theta_scheme
+        self._phases = [((k * dt + theta_s * dt) / eps) % 1.0 for k in range(n_steps)]
+        self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
+        self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
+        distinct = len({round(tau, 12) for tau in self._phases})
+        if n_steps >= PHASE_WARNING_MIN_STEPS and 2 * distinct > n_steps:
+            warnings.warn(
+                f"{self.label}: the potential phase t/eps does not cycle within the run "
+                f"(dt/eps = {dt / eps:g}), so {distinct} of {n_steps} steps factorize the "
+                "implicit matrix; dt = eps/k with a small integer k reuses the factors")
+
+    def _factors_at(self, k: int) -> tuple:
+        """(LU factors, potential diagonal or None) for step k."""
+        tau = None if self._phases is None else self._phases[k]
+        key = None if tau is None else round(tau, 12)
+        entry = self._factors.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry
+        self.misses += 1
+        v_diag = None if tau is None else self._amp * self.cfg.v_spec.sample(self._y_frac, tau)
+        try:
+            lu = _implicit_lu(self.g_mat, self.dt, self.cfg.theta_scheme, v_diag)
+        except LinearSolveError as exc:
+            raise LinearSolveError(f"{self.label}, phase {key}: {exc}") from exc
+        size = lu[0].nbytes
+        while self._factors and self._factor_bytes + size > LU_CACHE_BYTES:
+            self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0][0].nbytes
+        self._factors[key] = (lu, v_diag)
+        self._factor_bytes += size
+        return lu, v_diag
+
+    def step(self, u: np.ndarray, k: int, dw: np.ndarray) -> np.ndarray:
+        """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
+        Brownian increment of each column."""
+        lu, v_diag = self._factors_at(k)
+        cfg = self.cfg
+        f_vec = cfg.f_spec.sample(k * self.dt, cfg.grid.nodes)
+        return _theta_update(self.g_mat, u, self.dt, dw, cfg.theta_scheme, v_diag, f_vec,
+                             cfg.noise, lu)
+
+
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,
              *, store_trajectory: bool = True, snapshot_every: int | None = None,
              generator: OperatorMatrix | np.ndarray | None = None) -> SimResult:
     """Integrate one trajectory over [0, T] on the given Brownian path.
 
-    The heterogeneous system applies the eps^{(1-alpha)/2} potential
-    amplification exactly as written (the factor grows as eps -> 0).
-    Divergence (non-finite values or magnitudes beyond 1e12) raises
-    TrajectoryBlowup with the failing step index.
+    This is the one-column case of ``ThetaStepper``. The heterogeneous system
+    applies the eps^{(1-alpha)/2} potential amplification exactly as written
+    (the factor grows as eps -> 0). Divergence (non-finite values or
+    magnitudes beyond 1e12) raises TrajectoryBlowup with the failing step index.
     """
-    grid, alpha = cfg.grid, cfg.alpha
+    grid = cfg.grid
     n, h = grid.n, grid.h
-    dt, n_steps = path.dt, path.n_steps
-    if abs(n_steps * dt - cfg.T) > 1e-10 * max(1.0, cfg.T):
-        raise ValueError(f"path covers {n_steps * dt}, config horizon is {cfg.T}")
+    n_steps = path.n_steps
+    if abs(n_steps * path.dt - cfg.T) > 1e-10 * max(1.0, cfg.T):
+        raise ValueError(f"path covers {n_steps * path.dt}, config horizon is {cfg.T}")
+    stepper = ThetaStepper(system, cfg, path.dt, n_steps, generator)
 
-    if generator is None:
-        g_mat = _build_generator(system, cfg)
-    else:
-        g_mat = generator.entries if isinstance(generator, OperatorMatrix) else np.asarray(generator)
-
-    het = isinstance(system, Heterogeneous)
-    has_potential = het and not cfg.v_spec.is_zero
-    if has_potential:
-        eps = system.epsilon
-        amp = eps ** ((1.0 - alpha) / 2.0)
-        y_frac = np.mod(grid.nodes / eps, 1.0)
-
-    identity = np.eye(n, dtype=complex)
-    theta_s = cfg.theta_scheme
-    lu_cache: dict[float | None, tuple] = {}
-
-    def factorized(v_diag: np.ndarray | None, key):
-        if key in lu_cache:
-            return lu_cache[key]
-        lhs = identity + 1j * theta_s * dt * g_mat
-        if v_diag is not None:
-            lhs[np.diag_indices(n)] += 1j * theta_s * dt * v_diag
-        try:
-            fac = lu_factor(lhs)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"implicit factorization failed: {exc}") from exc
-        if len(lu_cache) >= 64:
-            lu_cache.pop(next(iter(lu_cache)))
-        lu_cache[key] = fac
-        return fac
-
-    u = cfg.initial_field().astype(complex)
+    u = cfg.initial_field().astype(complex)[:, None]
     times = np.linspace(0.0, cfg.T, n_steps + 1)
     norm2 = np.empty(n_steps + 1)
     re_mass = np.empty(n_steps + 1)
@@ -275,34 +364,12 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
         if snapshot_every is not None and k % snapshot_every == 0:
             snapshots[k] = state.copy()
 
-    record(0, u)
+    record(0, u[:, 0])
     for k in range(n_steps):
-        t_n = k * dt
-        if has_potential:
-            # frozen-coefficient diagonal, sampled at the theta point of the
-            # step (midpoint for theta = 1/2, which keeps second-order accuracy
-            # in time); the Ito left-point rule applies to the noise term only
-            tau = ((t_n + theta_s * dt) / eps) % 1.0
-            key = round(tau, 12)
-            v_diag = amp * cfg.v_spec.sample(y_frac, tau)
-        else:
-            key, v_diag = None, None
-
-        hu = g_mat @ u
-        if v_diag is not None:
-            hu = hu + v_diag * u
-        rhs = u - 1j * (1.0 - theta_s) * dt * hu
-        gu = cfg.noise.apply(u)
-        if gu is not None:
-            rhs = rhs - 1j * gu * path.increments[k]
-        f_vec = cfg.f_spec.sample(t_n, grid.nodes)
-        if f_vec is not None:
-            rhs = rhs - 1j * f_vec * dt
-
-        u = lu_solve(factorized(v_diag, key), rhs)
-        if not np.all(np.isfinite(u.view(float))) or float(np.max(np.abs(u))) > BLOWUP_LIMIT:
+        u = stepper.step(u, k, path.increments[k:k + 1])
+        if diverged_columns(u)[0]:
             raise TrajectoryBlowup(k + 1)
-        record(k + 1, u)
+        record(k + 1, u[:, 0])
 
     return SimResult(times=times, norm2=norm2, re_mass=re_mass, im_mass=im_mass,
-                     trajectory=traj, snapshots=snapshots, final=u)
+                     trajectory=traj, snapshots=snapshots, final=u[:, 0])

@@ -211,6 +211,19 @@ class TestCliCommands:
         # the partial report is still written for inspection
         assert (out / "sweep.csv").exists()
 
+    def test_sweep_failed_factorization_exit_code(self, tmp_path, capsys, monkeypatch):
+        from nshom import integrator
+
+        def singular(a):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(integrator, "lu_factor", singular)
+        cfg = self._small_cfg(tmp_path)
+        code = main(["sweep", "--eps", "1/2", "--paths", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "singular")])
+        assert code == 3
+        assert "factorization failed" in capsys.readouterr().err
+
     def test_validate_passes_and_dumps_matrices(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)
         dump = tmp_path / "mats"

@@ -4,16 +4,19 @@ corrector-reconstruction diagnostic."""
 import numpy as np
 import pytest
 
+from nshom import harness, integrator
 from nshom.config import RunConfig
 from nshom.harness import (
     SweepFailure,
     corrector_residual,
+    coupled_errors,
     coupled_pair_error,
     eps_sweep,
     fit_loglog,
     monte_carlo_se,
     prepare_experiment,
 )
+from nshom.integrator import LinearSolveError
 
 SMALL = {
     "alpha": 1.5,
@@ -114,6 +117,73 @@ class TestSweep:
         report = excinfo.value.report
         assert report is not None
         assert any(x > 0 for x in report.excluded)
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    def test_sweep_matches_per_path_pairs(self, theta):
+        rc = make_config(grid={"n": 32}, theta_preset={"name": theta, "params": {}},
+                         v_preset="sin2pi_y_one_plus_sin2pi_tau")
+        prepared = prepare_experiment(rc)
+        eps_list, n_paths = [0.5, 0.25], 3
+        report = eps_sweep(eps_list, n_paths, rc, prepared=prepared)
+        for i, eps in enumerate(eps_list):
+            pairs = [coupled_pair_error(eps, rc, s, prepared) for s in report.seeds]
+            assert report.strong_err[i] == pytest.approx(
+                np.mean([p.error for p in pairs]), rel=1e-10)
+            weak = np.abs(np.mean([p.weak for p in pairs], axis=0))
+            np.testing.assert_allclose(report.weak_err[i], weak, rtol=1e-10)
+
+    def test_cyclic_sweep_factorizes_eight_plus_one_per_eps(self, prepared_default,
+                                                            monkeypatch):
+        rc, prepared = prepared_default  # dt = eps / 8: eight potential phases
+        counts = {"factor": 0, "assemble": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(integrator, "lu_factor", counting("factor", integrator.lu_factor))
+        monkeypatch.setattr(harness, "assemble_heterogeneous_generator",
+                            counting("assemble", harness.assemble_heterogeneous_generator))
+        for eps in (0.5, 0.25, 0.125):
+            counts.update(factor=0, assemble=0)
+            coupled_errors(eps, rc, [0, 1, 2, 3], prepared)
+            assert counts == {"factor": 8 + 1, "assemble": 1}, eps
+
+    def test_failed_factorization_ends_the_sweep(self, prepared_default, monkeypatch):
+        rc, prepared = prepared_default
+
+        def singular(a):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(integrator, "lu_factor", singular)
+        with pytest.raises(LinearSolveError, match="eps=0.5, phase .*singular matrix"):
+            eps_sweep([0.5, 0.25], 4, rc, prepared=prepared)
+
+    def test_diverged_column_is_excluded_and_others_unchanged(self, prepared_default,
+                                                              monkeypatch):
+        rc, prepared = prepared_default
+        seeds = [0, 1, 2]
+        baseline = coupled_errors(0.25, rc, seeds, prepared)
+        real_increments = harness.brownian_increments
+
+        def huge_for_seed_one(seed, n_steps, dt):
+            path = real_increments(seed, n_steps, dt)
+            if seed == 1:
+                path.increments = path.increments * 1e20
+            return path
+
+        monkeypatch.setattr(harness, "brownian_increments", huge_for_seed_one)
+        with pytest.warns(UserWarning, match="seed=1 eps=0.25 diverged"):
+            outcomes = coupled_errors(0.25, rc, seeds, prepared)
+        assert [o.excluded for o in outcomes] == [False, True, False]
+        assert "diverged at step 1" in outcomes[1].reason
+        for j in (0, 2):
+            assert outcomes[j].error == baseline[j].error
+            assert np.array_equal(outcomes[j].weak, baseline[j].weak)
 
 
 class TestFitAndEstimators:

@@ -3,7 +3,9 @@ under the theta scheme, Ito identity bookkeeping, and self-convergence."""
 
 import numpy as np
 import pytest
+from scipy import linalg
 
+from nshom import integrator
 from nshom.effective import EffectiveCoefficients
 from nshom.integrator import (
     BrownianPath,
@@ -11,8 +13,10 @@ from nshom.integrator import (
     Heterogeneous,
     NoiseModel,
     SimConfig,
+    ThetaStepper,
     TrajectoryBlowup,
     brownian_increments,
+    generator_product,
     simulate,
     theta_step,
 )
@@ -246,3 +250,96 @@ class TestItoIdentity:
         e1 = np.sqrt(np.mean(diffs[1]))
         order = np.log2(e0 / e1)
         assert order >= 0.4, f"observed strong order {order}"
+
+
+def reference_norm2(g_mat, cfg, path, eps=None):
+    """Discrete norms of a plain single-path theta loop, the reference for
+    simulate: complex G @ u, one factorization per potential phase and the
+    potential sampled at every step (forcing left out)."""
+    dt, theta_s, n = path.dt, cfg.theta_scheme, cfg.grid.n
+    u = cfg.initial_field().astype(complex)
+    norms = [cfg.grid.h * np.sum(np.abs(u) ** 2)]
+    factors = {}
+    for k in range(path.n_steps):
+        key, v_diag = None, np.zeros(n)
+        if eps is not None:
+            tau = ((k * dt + theta_s * dt) / eps) % 1.0
+            key = round(tau, 12)
+            v_diag = eps ** ((1.0 - cfg.alpha) / 2.0) * cfg.v_spec.sample(
+                np.mod(cfg.grid.nodes / eps, 1.0), tau)
+        rhs = u - 1j * (1.0 - theta_s) * dt * (g_mat.astype(complex) @ u + v_diag * u)
+        gu = cfg.noise.apply(u)
+        if gu is not None:
+            rhs = rhs - 1j * gu * path.increments[k]
+        if key not in factors:
+            factors[key] = linalg.lu_factor(
+                np.eye(n) + 1j * theta_s * dt * (g_mat + np.diag(v_diag)))
+        u = linalg.lu_solve(factors[key], rhs)
+        norms.append(cfg.grid.h * np.sum(np.abs(u) ** 2))
+    return np.array(norms)
+
+
+class TestEnsembleStepper:
+    def test_real_view_product_matches_complex_product(self, frac_gen):
+        rng = np.random.default_rng(3)
+        g_mat = frac_gen.entries
+        u = rng.standard_normal((g_mat.shape[0], 5)) + 1j * rng.standard_normal((g_mat.shape[0], 5))
+        expected = g_mat.astype(complex) @ u
+        np.testing.assert_allclose(generator_product(g_mat, u), expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+        # a column-major state (as lu_solve returns it) gives the same product
+        assert np.array_equal(generator_product(g_mat, np.asfortranarray(u)),
+                              generator_product(g_mat, u))
+
+    @pytest.mark.parametrize("system", ["het", "eff"])
+    def test_simulate_matches_single_path_reference(self, grid, frac_gen, system):
+        if system == "het":
+            eps = 0.25
+            cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, noise=NoiseModel("bounded", 0.5),
+                            v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+            sim_system = Heterogeneous(eps)
+        else:
+            eps = None
+            cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, noise=NoiseModel("linear", 0.5))
+            sim_system = Effective(UNIT)
+        path = brownian_increments(6, 64, 0.5 / 64)
+        res = simulate(sim_system, cfg, path, generator=frac_gen, store_trajectory=False)
+        np.testing.assert_allclose(res.norm2, reference_norm2(frac_gen.entries, cfg, path, eps),
+                                   rtol=1e-12)
+
+    def test_cyclic_phase_factorizes_once_per_phase(self, grid, frac_gen):
+        eps = 0.25
+        dt = eps / 8.0
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt,
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, 64, generator=frac_gen)
+        u = cfg.initial_field().astype(complex)[:, None]
+        for k in range(64):
+            u = stepper.step(u, k, np.zeros(1))
+        assert (stepper.misses, stepper.hits) == (8, 56)
+
+    def test_cache_bound_refactorizes_without_changing_results(self, grid, frac_gen,
+                                                               monkeypatch):
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, noise=NoiseModel("bounded", 0.5),
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        path = brownian_increments(2, 16, 0.5 / 16)
+        unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+        calls = []
+        real_factor = integrator.lu_factor
+        monkeypatch.setattr(integrator, "lu_factor",
+                            lambda a: calls.append(1) or real_factor(a))
+        # room for three of the eight phases: a cycle longer than the cache
+        # misses on every step
+        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
+        bounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+        assert len(calls) == path.n_steps
+        assert np.array_equal(bounded.trajectory, unbounded.trajectory)
+
+    def test_noncycling_phase_warns_once(self, grid, frac_gen):
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        path = brownian_increments(0, 16, 1.0 / 32.0)
+        with pytest.warns(UserWarning, match="does not cycle") as caught:
+            simulate(Heterogeneous(0.3), cfg, path, generator=frac_gen)
+        assert sum("does not cycle" in str(w.message) for w in caught) == 1
