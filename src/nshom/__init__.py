@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .kernel import (
     Grid1D,
-    Field,
     KernelParams,
     OperatorMatrix,
     gamma,
@@ -25,7 +24,6 @@ from .cell import (
 )
 from .effective import (
     EffectiveCoefficients,
-    ZetaField,
     compute_effective_coefficients,
     compute_zeta,
     apply_restricted_divergence,
@@ -43,11 +41,11 @@ from .integrator import (
 )
 
 __all__ = [
-    "Grid1D", "Field", "KernelParams", "OperatorMatrix",
+    "Grid1D", "KernelParams", "OperatorMatrix",
     "gamma", "rho", "dstar_apply", "assemble_heterogeneous_generator", "pv_oracle",
     "CellGrid", "CellSolution", "periodized_kernel_weight", "assemble_cell_form",
     "solve_cell_problem", "solve_periodic_poisson",
-    "EffectiveCoefficients", "ZetaField", "compute_effective_coefficients",
+    "EffectiveCoefficients", "compute_effective_coefficients",
     "compute_zeta", "apply_restricted_divergence", "assemble_effective_generator",
     "NoiseModel", "BrownianPath", "SimConfig", "Heterogeneous", "Effective",
     "brownian_increments", "theta_step", "simulate",

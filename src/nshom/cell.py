@@ -29,10 +29,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .kernel import _check_alpha, _phi2
+from .kernel import (KERNEL_MODES, _centered_difference, _check_alpha, _theta_matrix,
+                     pair_weights_even, same_cell_coeff)
 from .presets import ThetaSpec, VSpec
-
-KERNEL_MODES = ("periodized", "cell_truncated")
 
 
 class CellSolveError(RuntimeError):
@@ -76,7 +75,6 @@ class CellSolution:
     n_images: int
     theta_name: str
     residual: float
-    slice_deviation: float
     xi: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -108,12 +106,6 @@ def _psi_odd(s: np.ndarray, alpha: float) -> np.ndarray:
     return 4.0 * np.sign(s) * np.abs(s) ** ((3.0 - alpha) / 2.0) / ((1.0 - alpha) * (3.0 - alpha))
 
 
-def _q_even(d: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Cell-pair integral of |y-eta|^{-1-alpha} in difference-quotient form."""
-    d = np.asarray(d, dtype=float)
-    return (_phi2(d + h, alpha) - 2.0 * _phi2(d, alpha) + _phi2(d - h, alpha)) / d ** 2
-
-
 def _q_odd_near(d: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """Cell-pair integral of (eta-y) gamma(y,eta) divided by the nodal distance."""
     d = np.asarray(d, dtype=float)
@@ -132,13 +124,13 @@ def _even_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) 
     w = np.zeros(m)
     if kernel_mode == "cell_truncated":
         d = np.arange(1, m) * h
-        w[1:] = _q_even(d, h, alpha)
+        w[1:] = pair_weights_even(d, h, alpha)
         return w
     kk = np.arange(-n_images, n_images + 1)
     half = m // 2
     for delta in range(1, half + 1):
         d0 = delta * h
-        val = float(np.sum(_q_even(d0 + kk, h, alpha)))
+        val = float(np.sum(pair_weights_even(d0 + kk, h, alpha)))
         val += h * h * ((n_images + 0.5 + d0) ** (-alpha)
                         + (n_images + 0.5 - d0) ** (-alpha)) / alpha
         w[delta] = val
@@ -172,22 +164,6 @@ def _odd_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -
     return w
 
 
-def _theta_cell_matrix(theta: ThetaSpec, grid: CellGrid) -> np.ndarray | None:
-    if theta.constant is not None:
-        if theta.constant <= 0.0:
-            raise ValueError("Theta must be strictly positive")
-        return None
-    y = grid.y
-    tm = theta.sample(y[:, None], y[None, :])
-    dev = float(np.max(np.abs(tm - tm.T)))
-    if dev > 1e-10 * max(1.0, float(np.max(np.abs(tm)))):
-        raise ValueError(f"theta preset {theta.name!r} is not symmetric (max dev {dev:.2e})")
-    tm = 0.5 * (tm + tm.T)
-    if float(tm.min()) <= 0.0:
-        raise ValueError("Theta must be strictly positive on the cell grid")
-    return tm
-
-
 def _offset_matrix(w: np.ndarray, kernel_mode: str) -> np.ndarray:
     """Expand offset weights to a full (m, m) matrix W[j, l] = w[offset(j, l)]."""
     m = w.size
@@ -196,15 +172,6 @@ def _offset_matrix(w: np.ndarray, kernel_mode: str) -> np.ndarray:
         idx = (j[None, :] - j[:, None]) % m
         return w[idx]
     return w[np.abs(j[None, :] - j[:, None])]
-
-
-def _periodic_centered_difference(m: int) -> np.ndarray:
-    h = 1.0 / m
-    p = np.zeros((m, m))
-    j = np.arange(m)
-    p[j, (j + 1) % m] = 1.0 / (2.0 * h)
-    p[j, (j - 1) % m] = -1.0 / (2.0 * h)
-    return p
 
 
 def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
@@ -220,16 +187,12 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
     m, h = grid.m, 1.0 / grid.m
     w_off = _even_offset_weights(m, alpha, grid.n_images, kernel_mode)
     w = _offset_matrix(w_off, kernel_mode)
-    tm = _theta_cell_matrix(theta, grid)
-    if tm is not None:
-        w = w * tm
-        theta_diag = np.diag(tm).copy()
-    else:
-        w = w * theta.constant
-        theta_diag = np.full(m, theta.constant)
+    tm = _theta_matrix(theta, grid.y)
+    w *= theta.constant if tm is None else tm
+    theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
     dg = np.diag(w.sum(axis=1))
-    p = _periodic_centered_difference(m)
-    c = 2.0 * _phi2(h, alpha) * (p.T * theta_diag) @ p
+    p = _centered_difference(m, h, periodic=True)
+    c = same_cell_coeff(h, alpha) * (p.T * theta_diag) @ p
     a = 2.0 * (dg - w) + c
     return 0.5 * (a + a.T)
 
@@ -252,47 +215,42 @@ def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid,
         j = np.arange(m)
         signed = j[None, :] - j[:, None]
         w1 = np.sign(signed) * w_off[np.abs(signed)]
-    tm = _theta_cell_matrix(theta, grid)
-    if tm is None:
-        tm = np.full((m, m), theta.constant)
-    b = 2.0 * np.sum(tm * w1, axis=1)
-    theta_diag = np.diag(tm)
+    tm = _theta_matrix(theta, grid.y)
+    b = 2.0 * np.sum(w1 * (theta.constant if tm is None else tm), axis=1)
+    theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm)
     b += _psi_even(h, alpha) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
     return b
+
+
+def solve_bordered(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve a chi + lam = b subject to sum(chi) = 0 through the bordered
+    (Lagrange) system; returns (chi, lam)."""
+    m = a.shape[0]
+    bordered = np.zeros((m + 1, m + 1))
+    bordered[:m, :m] = a
+    bordered[:m, m] = 1.0
+    bordered[m, :m] = 1.0
+    try:
+        sol = np.linalg.solve(bordered, np.concatenate([b, [0.0]]))
+    except np.linalg.LinAlgError as exc:
+        raise CellSolveError(f"constrained cell solve failed: {exc}") from exc
+    return sol[:m], sol[m]
 
 
 def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid,
                        kernel_mode: str = "periodized",
                        v_spec: VSpec | None = None) -> CellSolution:
-    """Solve the mean-zero corrector problem per tau slice.
+    """Solve the mean-zero corrector problem once and repeat it over tau.
 
-    Theta carries no tau argument, so the slices coincide; they are still
-    solved independently and the largest cross-slice deviation is recorded.
-    When ``v_spec`` is given the auxiliary corrector xi is computed with the
-    spectral periodic Poisson solver and attached.
+    Theta carries no tau argument, so every tau slice of chi is the same
+    column. When ``v_spec`` is given the auxiliary corrector xi is computed
+    with the spectral periodic Poisson solver and attached.
     """
     a = assemble_cell_form(theta, alpha, grid, kernel_mode)
     b = assemble_cell_rhs(theta, alpha, grid, kernel_mode)
-    m = grid.m
-    bordered = np.zeros((m + 1, m + 1))
-    bordered[:m, :m] = a
-    bordered[:m, m] = 1.0
-    bordered[m, :m] = 1.0
-    rhs = np.concatenate([b, [0.0]])
-
-    slices = []
-    residual = 0.0
-    for _ in range(grid.m_tau):
-        try:
-            sol = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise CellSolveError(f"constrained cell solve failed: {exc}") from exc
-        chi_s, lam = sol[:m], sol[m]
-        res = float(np.linalg.norm(a @ chi_s + lam - b) / max(1.0, np.linalg.norm(b)))
-        residual = max(residual, res)
-        slices.append(chi_s)
-    chi = np.stack(slices, axis=1)
-    slice_dev = float(np.max(np.abs(chi - chi[:, :1]))) if grid.m_tau > 1 else 0.0
+    chi_col, lam = solve_bordered(a, b)
+    residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
+    chi = np.repeat(chi_col[:, None], grid.m_tau, axis=1)
     chi = chi - chi.mean(axis=0, keepdims=True)
     if residual > 1e-8:
         raise CellSolveError(f"cell solve residual {residual:.2e} exceeds 1e-8 "
@@ -302,10 +260,9 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid,
     if v_spec is not None:
         xi = solve_periodic_poisson(v_spec, alpha, grid)
 
-    return CellSolution(chi=chi, alpha=alpha, kernel_mode=kernel_mode, m=m,
+    return CellSolution(chi=chi, alpha=alpha, kernel_mode=kernel_mode, m=grid.m,
                         m_tau=grid.m_tau, n_images=grid.n_images,
-                        theta_name=theta.name, residual=residual,
-                        slice_deviation=slice_dev, xi=xi)
+                        theta_name=theta.name, residual=residual, xi=xi)
 
 
 @lru_cache(maxsize=64)

@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cell import (CellGrid, CellSolveError, poisson_residual, solve_cell_problem,
-                   solve_periodic_poisson)
+from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residual,
+                   solve_bordered, solve_cell_problem, solve_periodic_poisson)
 from .config import ConfigError, RunConfig, load_config
-from .effective import compute_effective_coefficients
-from .harness import SweepFailure, SweepReport, corrector_residual, eps_sweep
+from .effective import EffectiveCoefficients
+from .harness import (SweepFailure, SweepReport, corrector_residual, eps_sweep,
+                      solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, NoiseModel,
                          SimConfig, TrajectoryBlowup, brownian_increments, simulate)
 from .kernel import (Grid1D, KernelParams, PVConvergenceError,
@@ -44,11 +45,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_fraction(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """A positive finite number written as a decimal or as num/den."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        value = float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"not a number or fraction: {text!r}") from None
+    if not (np.isfinite(value) and value > 0.0):
+        raise _UsageError(f"expected a positive finite value, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _default_out(command: str, rc: RunConfig, suffix: str = "") -> Path:
@@ -84,10 +96,7 @@ def _cmd_cell(args) -> int:
     out = Path(args.out) if args.out else _default_out("cell", rc)
     out.mkdir(parents=True, exist_ok=True)
     grid = rc.cell_grid()
-    sol = solve_cell_problem(rc.theta_spec(), rc.alpha, grid,
-                             rc.kernel_mode, v_spec=rc.v_spec())
-    coeffs = compute_effective_coefficients(rc.theta_spec(), rc.v_spec(), sol,
-                                            rc.alpha, grid)
+    sol, coeffs = solve_coefficients(rc, with_xi=True)
     yy = np.repeat(grid.y, grid.m_tau)
     tt = np.tile(grid.tau, grid.m)
     _write_csv(out / "chi.csv", ["y", "tau", "value"], [yy, tt, sol.chi.ravel()])
@@ -99,7 +108,6 @@ def _cmd_cell(args) -> int:
         "m": sol.m, "m_tau": sol.m_tau, "n_images": sol.n_images,
         "theta": sol.theta_name,
         "residual": sol.residual,
-        "slice_deviation": sol.slice_deviation,
         "max_abs_mean": sol.mean_abs,
         "chi_l2": float(np.linalg.norm(sol.chi[:, 0]) / np.sqrt(sol.m)),
         "effective_coefficients": coeffs.to_dict(),
@@ -113,9 +121,7 @@ def _cmd_cell(args) -> int:
 def _cmd_coefficients(args) -> int:
     rc = load_config(args.config)
     cell_grid = rc.cell_grid()
-    sol = solve_cell_problem(rc.theta_spec(), rc.alpha, cell_grid, rc.kernel_mode)
-    coeffs = compute_effective_coefficients(rc.theta_spec(), rc.v_spec(), sol,
-                                            rc.alpha, cell_grid)
+    sol, coeffs = solve_coefficients(rc)
     payload = {
         "alpha": rc.alpha,
         "kernel_mode": rc.kernel_mode,
@@ -123,8 +129,7 @@ def _cmd_coefficients(args) -> int:
         "xi2": coeffs.xi2,
         "xi3": coeffs.xi3,
         "grid": {"m": cell_grid.m, "m_tau": cell_grid.m_tau, "n_images": cell_grid.n_images},
-        "tolerances": {"cell_residual": sol.residual,
-                       "slice_deviation": sol.slice_deviation},
+        "tolerances": {"cell_residual": sol.residual},
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     out = Path(args.out) if args.out else _default_out("coefficients", rc)
@@ -139,11 +144,7 @@ def _build_system(rc: RunConfig, system: str, eps: float | None):
         if eps is None:
             raise _UsageError("--eps is required for the heterogeneous system")
         return Heterogeneous(eps)
-    cell_grid = rc.cell_grid()
-    sol = solve_cell_problem(rc.theta_spec(), rc.alpha, cell_grid, rc.kernel_mode)
-    coeffs = compute_effective_coefficients(rc.theta_spec(), rc.v_spec(), sol,
-                                            rc.alpha, cell_grid)
-    return Effective(coeffs)
+    return Effective(solve_coefficients(rc)[1])
 
 
 def _cmd_simulate(args) -> int:
@@ -158,7 +159,7 @@ def _cmd_simulate(args) -> int:
 
     cfg = rc.sim_config()
     path = brownian_increments(seed, n_steps, dt)
-    snap_every = args.snap_every if args.snap_every else max(1, n_steps // 4)
+    snap_every = args.snap_every or max(1, n_steps // 4)
     res = simulate(system, cfg, path, store_trajectory=False, snapshot_every=snap_every)
 
     _write_csv(out / "norms.csv", ["t", "norm2", "re_mass", "im_mass"],
@@ -266,17 +267,11 @@ def _validate_checks(rc: RunConfig) -> list[tuple[str, bool, str]]:
     checks.append(("constant-coefficient corrector vanishes", chi_norm < 1e-10,
                    f"|chi| {chi_norm:.1e}"))
 
-    from .cell import assemble_cell_form
     a = assemble_cell_form(get_theta("cosine_product"), alpha, cg)
     chi_star = np.cos(2 * np.pi * cg.y) - 0.5 * np.sin(4 * np.pi * cg.y)
     chi_star -= chi_star.mean()
-    b_star = a @ chi_star
-    bordered = np.zeros((cg.m + 1, cg.m + 1))
-    bordered[:cg.m, :cg.m] = a
-    bordered[:cg.m, cg.m] = 1.0
-    bordered[cg.m, :cg.m] = 1.0
-    sol_vec = np.linalg.solve(bordered, np.concatenate([b_star, [0.0]]))
-    rec = float(np.linalg.norm(sol_vec[:cg.m] - chi_star) / np.linalg.norm(chi_star))
+    chi_rec, _ = solve_bordered(a, a @ chi_star)
+    rec = float(np.linalg.norm(chi_rec - chi_star) / np.linalg.norm(chi_star))
     checks.append(("manufactured corrector recovery", rec < 1e-8, f"rel L2 {rec:.1e}"))
 
     worst_p = 0.0
@@ -297,7 +292,6 @@ def _validate_checks(rc: RunConfig) -> list[tuple[str, bool, str]]:
     sigma, T = 0.5, 1.0
     cfg_n = SimConfig(grid=sgrid, alpha=alpha, T=T, noise=NoiseModel("linear", sigma))
     path_n = brownian_increments(1, 128, T / 128)
-    from .effective import EffectiveCoefficients
     res_n = simulate(Effective(EffectiveCoefficients.from_values(1.0)), cfg_n, path_n,
                      store_trajectory=False)
     rel = abs(res_n.norm2[-1] / (res_n.norm2[0] * np.exp(sigma ** 2 * T)) - 1.0)
@@ -361,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--system", choices=("het", "eff"), required=True)
     p.add_argument("--eps", help="scale parameter, e.g. 1/8 (heterogeneous only)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--snap-every", type=int, dest="snap_every")
+    p.add_argument("--snap-every", type=_positive_int, dest="snap_every")
     p.add_argument("--config")
     p.add_argument("--out")
 
@@ -411,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .kernel import Grid1D
+from .kernel import Grid1D, KernelParams
 from .cell import CellGrid
 from .integrator import NoiseModel, SimConfig
 from . import presets
@@ -131,42 +131,35 @@ class RunConfig:
 
     # --- validation and hashing ------------------------------------------
     def validate(self) -> None:
+        """Build the typed objects, which check their own fields, and check
+        what no type owns: schema version, integer sizes, dt rule, zero-mean
+        potential."""
         d = self.data
         if d["schema_version"] != 1:
             raise ConfigError(f"unsupported schema_version {d['schema_version']!r}")
-        if not 1.0 < float(d["alpha"]) < 2.0:
-            raise ConfigError(f"alpha must lie strictly in (1, 2), got {d['alpha']}")
-        if int(d["grid"]["n"]) < 4:
+        sizes = {"grid.n": d["grid"]["n"], "seed": d["seed"],
+                 **{f"cell.{k}": v for k, v in d["cell"].items()}}
+        for key, value in sizes.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if d["grid"]["n"] < 4:
             raise ConfigError("grid.n must be at least 4")
-        cell = d["cell"]
-        if int(cell["m"]) < 8 or int(cell["m_tau"]) < 1 or int(cell["n_images"]) < 1:
-            raise ConfigError("cell grid requires m >= 8, m_tau >= 1, n_images >= 1")
-        if d["kernel_mode"] not in ("periodized", "cell_truncated"):
-            raise ConfigError(f"unknown kernel_mode {d['kernel_mode']!r}")
-        if not 0.0 <= float(d["theta_scheme"]) <= 1.0:
-            raise ConfigError("theta_scheme must lie in [0, 1]")
-        if float(d["T"]) <= 0.0:
-            raise ConfigError("horizon T must be positive")
-        if not isinstance(d["seed"], int):
-            raise ConfigError("seed must be an integer")
 
-        try:
-            theta = self.theta_spec()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"theta preset: {exc}") from exc
-        if theta.lower <= 0.0:
-            raise ConfigError("theta preset must have a positive lower bound")
-
-        for getter, label in ((self.f_spec, "forcing"), (self.h_spec, "initial datum")):
+        builders = (
+            ("theta preset", self.theta_spec),
+            ("potential preset", self.v_spec),
+            ("cell", self.cell_grid),
+            ("kernel", lambda: KernelParams(alpha=self.alpha, theta=self.theta_spec(),
+                                            kernel_mode=self.kernel_mode)),
+            ("simulation", self.sim_config),
+        )
+        for label, build in builders:
             try:
-                getter()
-            except KeyError as exc:
-                raise ConfigError(f"{label} preset: {exc}") from exc
+                build()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{label}: {exc}") from exc
 
-        try:
-            v = self.v_spec()
-        except KeyError as exc:
-            raise ConfigError(f"potential preset: {exc}") from exc
+        v = self.v_spec()
         if not v.is_zero:
             worst = v.max_y_mean()
             if worst > 1e-12:
@@ -174,12 +167,6 @@ class RunConfig:
                     f"potential preset {v.name!r} has nonzero spatial mean "
                     f"(max |mean over y| = {worst:.2e}); the oscillating potential "
                     "must average to zero over the fast spatial variable")
-
-        g = d["g"]
-        if g["kind"] not in ("zero", "linear", "bounded"):
-            raise ConfigError(f"unknown noise kind {g['kind']!r}")
-        if float(g["sigma"]) < 0.0:
-            raise ConfigError("noise sigma must be nonnegative")
 
         rule = d["dt_rule"]
         if not isinstance(rule, dict) or "kind" not in rule:

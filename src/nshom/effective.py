@@ -55,13 +55,6 @@ class EffectiveCoefficients:
                    provenance={"source": "explicit"})
 
 
-@dataclass
-class ZetaField:
-    """Domain-average of the two-point adjoint field, one value per grid node."""
-
-    values: np.ndarray
-
-
 def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
                                    chi: CellSolution, alpha: float,
                                    grid: CellGrid) -> EffectiveCoefficients:
@@ -190,18 +183,17 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     return _restricted_divergence_cached(grid.n, float(alpha))
 
 
-def compute_zeta(u: np.ndarray, grid: Grid1D, alpha: float) -> ZetaField:
+def compute_zeta(u: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
     """zeta(x_i) = (1/|D|) int_D -(u(z) - u(x_i)) gamma(x_i, z) dz with |D| = 2."""
     u = np.asarray(u)
     if u.shape[-1] != grid.n:
         raise ValueError("field length does not match the grid")
-    return ZetaField(values=zeta_matrix(grid, alpha) @ u)
+    return zeta_matrix(grid, alpha) @ u
 
 
-def apply_restricted_divergence(zeta: ZetaField | np.ndarray, grid: Grid1D,
-                                alpha: float) -> np.ndarray:
+def apply_restricted_divergence(zeta: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
     """Principal-value field int_D (zeta(x) + zeta(z)) gamma(x, z) dz on the grid."""
-    vals = zeta.values if isinstance(zeta, ZetaField) else np.asarray(zeta)
+    vals = np.asarray(zeta)
     if vals.shape[-1] != grid.n:
         raise ValueError("zeta length does not match the grid")
     return restricted_divergence_matrix(grid, alpha) @ vals

@@ -96,11 +96,21 @@ class SweepReport:
     notes: dict = field(default_factory=dict)
 
 
+def solve_coefficients(rc: RunConfig, with_xi: bool = False
+                       ) -> tuple[CellSolution, EffectiveCoefficients]:
+    """Corrector solve on the configured cell grid and the three effective
+    coefficients from it; ``with_xi`` also attaches the potential corrector."""
+    cell_grid = rc.cell_grid()
+    cell = solve_cell_problem(rc.theta_spec(), rc.alpha, cell_grid, rc.kernel_mode,
+                              v_spec=rc.v_spec() if with_xi else None)
+    coeffs = compute_effective_coefficients(rc.theta_spec(), rc.v_spec(), cell,
+                                            rc.alpha, cell_grid)
+    return cell, coeffs
+
+
 def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
     grid = rc.grid()
-    cell = solve_cell_problem(rc.theta_spec(), rc.alpha, rc.cell_grid(), rc.kernel_mode)
-    coeffs = compute_effective_coefficients(rc.theta_spec(), rc.v_spec(), cell,
-                                            rc.alpha, rc.cell_grid())
+    cell, coeffs = solve_coefficients(rc)
     geff = assemble_effective_generator(coeffs, grid, rc.alpha)
     names = [name for name, _ in PSI_PRESETS]
     psis = np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS])

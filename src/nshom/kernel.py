@@ -100,17 +100,6 @@ class Grid1D:
 
 
 @dataclass
-class Field:
-    """Complex state on the grid at one instant of simulation time."""
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def norm_sq(self, grid: Grid1D) -> float:
-        return float(grid.h * np.sum(np.abs(self.values) ** 2))
-
-
-@dataclass
 class KernelParams:
     """Fractional order, coefficient preset, scale parameter, and cell-kernel mode."""
 
@@ -163,27 +152,32 @@ def same_cell_coeff(h: float, alpha: float) -> float:
     return 2.0 * _phi2(h, alpha)
 
 
-def _centered_difference(n: int, h: float) -> np.ndarray:
-    """Rows approximating u' by (u_{i+1} - u_{i-1}) / 2h with zero exterior values."""
+def _centered_difference(n: int, h: float, periodic: bool = False) -> np.ndarray:
+    """Rows approximating u' by (u_{i+1} - u_{i-1}) / 2h; the neighbours wrap
+    around when ``periodic``, otherwise the exterior values are zero."""
     p = np.zeros((n, n))
-    idx = np.arange(n)
-    p[idx[:-1], idx[:-1] + 1] = 1.0 / (2.0 * h)
-    p[idx[1:], idx[1:] - 1] = -1.0 / (2.0 * h)
+    i = np.arange(n)
+    p[i[:-1], i[1:]] = 1.0 / (2.0 * h)
+    p[i[1:], i[:-1]] = -1.0 / (2.0 * h)
+    if periodic:
+        p[0, -1], p[-1, 0] = -1.0 / (2.0 * h), 1.0 / (2.0 * h)
     return p
 
 
-def _theta_matrix(params: KernelParams, x: np.ndarray) -> np.ndarray | None:
-    """Sample Theta(x/eps mod 1, z/eps mod 1) on the grid; None when Theta == 1."""
-    if params.theta.constant == 1.0:
+def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
+    """Theta(y_i, y_j) at the fast-variable points y, symmetrized and checked
+    positive; None when Theta is constant (callers multiply by the constant)."""
+    if theta.constant is not None:
+        if theta.constant <= 0.0:
+            raise ValueError("Theta must be strictly positive")
         return None
-    y = np.mod(x / params.epsilon, 1.0)
-    tm = params.theta.sample(y[:, None], y[None, :])
+    tm = theta.sample(y[:, None], y[None, :])
     dev = float(np.max(np.abs(tm - tm.T)))
     if dev > 1e-10 * max(1.0, float(np.max(np.abs(tm)))):
-        raise ValueError(f"theta preset {params.theta.name!r} is not symmetric (max dev {dev:.2e})")
+        raise ValueError(f"theta preset {theta.name!r} is not symmetric (max dev {dev:.2e})")
     tm = 0.5 * (tm + tm.T)
     if float(tm.min()) <= 0.0:
-        raise ValueError("theta must be strictly positive on the grid")
+        raise ValueError("Theta must be strictly positive on the grid")
     return tm
 
 
@@ -229,12 +223,9 @@ def _assembly_pieces(grid: Grid1D, params: KernelParams):
     col = np.concatenate(([0.0], q2))
     w = toeplitz(col)
 
-    tm = _theta_matrix(params, x)
-    if tm is not None:
-        w = w * tm
-        theta_diag = np.diag(tm).copy()
-    else:
-        theta_diag = np.ones(n)
+    tm = _theta_matrix(params.theta, np.mod(x / params.epsilon, 1.0))
+    w *= params.theta.constant if tm is None else tm
+    theta_diag = np.full(n, params.theta.constant) if tm is None else np.diag(tm).copy()
 
     ext = np.array([exterior_weight(xi, params, margin=h / 2.0) for xi in x])
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from nshom import cell
 from nshom.cell import (
     CellGrid,
     assemble_cell_form,
@@ -125,13 +126,47 @@ class TestCorrectorSolve:
     def test_constant_theta_gives_zero_corrector(self):
         sol = solve_cell_problem(get_theta("one"), ALPHA, CellGrid(m=128, m_tau=4))
         assert np.linalg.norm(sol.chi[:, 0]) < 1e-10
-        assert sol.slice_deviation == 0.0
+        assert all(np.array_equal(sol.chi[:, k], sol.chi[:, 0]) for k in range(4))
 
     def test_mean_zero_every_slice(self):
         sol = solve_cell_problem(get_theta("cosine_product"), ALPHA,
                                  CellGrid(m=96, m_tau=3))
         assert sol.mean_abs < 1e-14
-        assert sol.slice_deviation < 1e-12
+        assert all(np.array_equal(sol.chi[:, k], sol.chi[:, 0]) for k in range(3))
+
+    def test_one_bordered_solve_for_all_slices(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(cell.np.linalg, "solve", counting)
+        solve_cell_problem(get_theta("cosine_sum"), ALPHA, CellGrid(m=64, m_tau=4))
+        assert calls == [(65, 65)]
+
+    @pytest.mark.parametrize("theta_name", ["cosine_product", "cosine_sum"])
+    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
+    def test_matches_per_slice_bordered_loop(self, theta_name, mode):
+        # independent reference: the bordered Lagrange system written out and
+        # solved once per tau slice, then centered per slice
+        grid = CellGrid(m=64, m_tau=3)
+        theta = get_theta(theta_name)
+        a = assemble_cell_form(theta, ALPHA, grid, mode)
+        b = assemble_cell_rhs(theta, ALPHA, grid, mode)
+        m = grid.m
+        bordered = np.zeros((m + 1, m + 1))
+        bordered[:m, :m] = a
+        bordered[:m, m] = 1.0
+        bordered[m, :m] = 1.0
+        rhs = np.concatenate([b, [0.0]])
+        ref = np.stack([np.linalg.solve(bordered, rhs)[:m] for _ in range(grid.m_tau)], axis=1)
+        ref = ref - ref.mean(axis=0, keepdims=True)
+        sol = solve_cell_problem(theta, ALPHA, grid, mode)
+        assert np.array_equal(sol.chi, ref)
+        assert sol.chi.shape == (m, grid.m_tau)
+        assert sol.chi.flags.writeable and sol.chi.flags.c_contiguous
 
     def test_manufactured_solution_recovery(self):
         grid = CellGrid(m=256, m_tau=1)

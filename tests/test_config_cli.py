@@ -39,6 +39,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="grid.m"):
             RunConfig.from_dict({"grid": {"m": 10}})
 
+    @pytest.mark.parametrize("user", [{"grid": {"n": "abc"}}, {"grid": {"n": 256.7}},
+                                      {"seed": True}, {"cell": {"m_tau": 2.0}}])
+    def test_non_integer_sizes_rejected(self, user):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RunConfig.from_dict(user)
+
     def test_nonzero_mean_potential_rejected(self):
         with pytest.raises(ConfigError, match="zero"):
             RunConfig.from_dict({"v_preset": "one_plus_cos"})
@@ -104,6 +110,25 @@ class TestCliBasics:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv, config, code", [
+        (["simulate", "--system", "het", "--eps", "abc"], {}, 1),
+        (["simulate", "--system", "het", "--eps", "1/0"], {}, 1),
+        (["simulate", "--system", "het", "--eps", "0"], {}, 1),
+        (["simulate", "--system", "eff", "--snap-every", "-3"], {}, 1),
+        (["sweep", "--eps", "1/2", "--paths", "1"], {}, 2),
+        (["sweep", "--eps", "1/4,1/2", "--paths", "2"], {}, 2),
+        (["coefficients"], {"grid": {"n": "abc"}}, 2),
+        (["coefficients"], {"grid": {"n": 256.7}}, 2),
+        (["coefficients"], {"seed": True}, 2),
+    ])
+    def test_invalid_input_exit_code_without_traceback(self, argv, config, code,
+                                                       tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 32}, "cell": {"m": 32, "m_tau": 2},
+                                   "T": 0.25, **config}))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCliCommands:

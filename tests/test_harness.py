@@ -1,10 +1,13 @@
 """Coupled-pair errors, sweep aggregation, exclusion policy, and the
 corrector-reconstruction diagnostic."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nshom import harness, integrator
+from nshom import cell, harness, integrator
 from nshom.config import RunConfig
 from nshom.harness import (
     SweepFailure,
@@ -184,6 +187,25 @@ class TestEnsemble:
         for j in (0, 2):
             assert outcomes[j].error == baseline[j].error
             assert np.array_equal(outcomes[j].weak, baseline[j].weak)
+
+
+def test_perfbench_tracer_sees_one_cell_solve():
+    # the benchmark's tracer wraps nshom at its call-site names; a refactor
+    # that moves those calls would silently blind it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install_nshom()
+    try:
+        harness.solve_coefficients(make_config(cell={"m": 32, "m_tau": 4, "n_images": 4}))
+    finally:
+        tracer.restore()
+    assert tracer.calls["cell.solve"] == 1
+    assert tracer.calls["cell.problem"] == 1
+    assert tracer.calls["effective.coefficients"] == 1
+    assert harness.solve_cell_problem is cell.solve_cell_problem and cell.np is np
 
 
 class TestFitAndEstimators:

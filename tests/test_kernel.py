@@ -199,15 +199,6 @@ class TestGeneratorAssembly:
         assert np.all(orders >= 1.0), f"observed orders {orders}"
 
 
-class TestFieldType:
-    def test_discrete_norm(self):
-        from nshom.kernel import Field
-        grid = Grid1D.make(32)
-        f = Field(values=np.full(grid.n, 2.0 + 0j), time=0.5)
-        assert f.norm_sq(grid) == pytest.approx(grid.h * grid.n * 4.0, rel=1e-15)
-        assert f.time == 0.5
-
-
 class TestExteriorWeight:
     def test_constant_theta_matches_rho(self):
         params = KernelParams(alpha=1.5, theta=get_theta("one"))
