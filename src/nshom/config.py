@@ -41,6 +41,8 @@ DEFAULTS: dict = {
 # parameters are preset-specific, and dt_rule is a variant record whose keys
 # depend on its kind (validated separately).
 _FREE_FORM = {("theta_preset", "params"), ("dt_rule",)}
+# the numeric keys each dt_rule kind requires
+_DT_RULE_KEYS = {"fixed": ("dt",), "eps_over": ("factor", "default_dt")}
 
 
 def _merge_strict(base: dict, user: dict, path: tuple = ()) -> dict:
@@ -171,19 +173,16 @@ class RunConfig:
         rule = d["dt_rule"]
         if not isinstance(rule, dict) or "kind" not in rule:
             raise ConfigError("dt_rule must be an object with a 'kind'")
-        if rule["kind"] == "fixed":
-            allowed = {"kind", "dt"}
-            if float(rule.get("dt", 0.0)) <= 0.0:
-                raise ConfigError("fixed dt_rule requires positive 'dt'")
-        elif rule["kind"] == "eps_over":
-            allowed = {"kind", "factor", "default_dt"}
-            if float(rule.get("factor", 0.0)) <= 0.0:
-                raise ConfigError("eps_over dt_rule requires positive 'factor'")
-            if float(rule.get("default_dt", 0.0)) <= 0.0:
-                raise ConfigError("eps_over dt_rule requires positive 'default_dt'")
-        else:
-            raise ConfigError(f"unknown dt_rule kind {rule['kind']!r}")
-        stray = set(rule) - allowed
+        kind = rule["kind"]
+        if not isinstance(kind, str) or kind not in _DT_RULE_KEYS:
+            raise ConfigError(f"unknown dt_rule kind {kind!r}")
+        for key in _DT_RULE_KEYS[kind]:
+            value = rule.get(key)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value) or value <= 0):
+                raise ConfigError(f"{kind} dt_rule requires a finite positive number "
+                                  f"{key!r}, got {value!r}")
+        stray = set(rule) - {"kind", *_DT_RULE_KEYS[kind]}
         if stray:
             raise ConfigError(f"unknown dt_rule keys {sorted(stray)}")
 

@@ -293,7 +293,11 @@ class ThetaStepper:
         self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
         self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
         distinct = len({round(tau, 12) for tau in self._phases})
-        if n_steps >= PHASE_WARNING_MIN_STEPS and 2 * distinct > n_steps:
+        # with dt = eps/k the phase cycles every k steps, however few of
+        # those cycles fit into the run
+        steps_per_period = eps / dt
+        cycles = abs(steps_per_period - round(steps_per_period)) <= 1e-9 * steps_per_period
+        if n_steps >= PHASE_WARNING_MIN_STEPS and 2 * distinct > n_steps and not cycles:
             warnings.warn(
                 f"{self.label}: the potential phase t/eps does not cycle within the run "
                 f"(dt/eps = {dt / eps:g}), so {distinct} of {n_steps} steps factorize the "

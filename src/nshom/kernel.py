@@ -37,6 +37,9 @@ from scipy.linalg import toeplitz
 from .presets import ThetaSpec
 
 KERNEL_MODES = ("periodized", "cell_truncated")
+# entries of one (nodes, quadrature points) block of the exterior weight,
+# 2 MiB of float64; n = 256 at eps = 1/16 fits in one block
+EXTERIOR_BLOCK_ENTRIES = 1 << 18
 
 
 class PVConvergenceError(RuntimeError):
@@ -181,37 +184,75 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
     return tm
 
 
-def exterior_weight(x: float, params: KernelParams, margin: float = 0.0) -> float:
+def _exterior_rule(d_min: float, length: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre rule on [0, length] in the exterior
+    distance t beyond the boundary.
+
+    A panel [a, b] is no longer than a + d_min, its left end's distance to the
+    nearest node, so the kernel's singularity lies at least one panel length
+    away (grading that doubles from d_min), and no longer than eps/4, a
+    quarter period of Theta in the fast variable.
+    """
+    edges = [0.0]
+    while edges[-1] < length:
+        a = edges[-1]
+        edges.append(min(length, a + min(a + d_min, eps / 4.0)))
+    edges = np.array(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    # computed here, not at import: the eigenvalue solve behind it costs a
+    # constant-Theta run about 0.6 MiB of peak memory
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
+
+
+def exterior_weight(x: float | np.ndarray, params: KernelParams,
+                    margin: float = 0.0) -> float | np.ndarray:
     """Theta-weighted kernel mass of the complement of (-1 + margin, 1 - margin).
 
     With margin = 0 this is the exterior integral
     int_{D^c} Theta^eps(x, z) |z-x|^{-1-alpha} dz; the assembly passes
     margin = h/2 so the half-width boundary strips not covered by any node cell
     are charged to the diagonal under the exterior-zero convention.
+
+    ``x`` is a scalar or an array of nodes; the result has its shape. For a
+    non-constant Theta each side is integrated over distances [d, d + L],
+    L = min(4, max(10 eps, 0.5)), with one Gauss-Legendre rule shared by all
+    nodes (graded to the smallest node distance of the call), and beyond
+    d + L Theta is replaced by its mean over the fast variable.
     """
     alpha = params.alpha
+    xs = np.asarray(x, dtype=float)
+    right, left = 1.0 - margin - xs, 1.0 - margin + xs
+    if not (np.all(right > 0.0) and np.all(left > 0.0)):
+        raise ValueError(f"exterior weight needs x strictly inside (-1 + {margin}, 1 - {margin})")
     if params.theta.constant is not None:
         c = params.theta.constant
-        return c * ((1.0 - margin - x) ** (-alpha) + (1.0 - margin + x) ** (-alpha)) / alpha
-
-    eps = params.epsilon
-    y_here = np.mod(x / eps, 1.0)
-    # Theta averaged over the fast variable; used beyond the resolved range,
-    # where the oscillation cancels to O(eps) under the decaying kernel.
-    eta = (np.arange(256) + 0.5) / 256
-    theta_bar = float(np.mean(params.theta.sample(y_here, eta)))
-
-    def side(sign: float, dist: float) -> float:
-        def integrand(s):
-            z = x + sign * s
-            th = params.theta.sample(y_here, np.mod(z / eps, 1.0))
-            return float(th) * s ** (-1.0 - alpha)
-
-        cut = dist + min(4.0, max(10.0 * eps, 0.5))
-        val, _ = integrate.quad(integrand, dist, cut, limit=300)
-        return val + theta_bar * cut ** (-alpha) / alpha
-
-    return side(+1.0, 1.0 - margin - x) + side(-1.0, 1.0 - margin + x)
+        # scalar powers: numpy's vectorized power can differ in the last bit
+        ext = np.array([c * (r ** (-alpha) + l ** (-alpha)) / alpha
+                        for r, l in zip(right.ravel().tolist(), left.ravel().tolist())])
+    else:
+        eps = params.epsilon
+        y = np.mod(xs.reshape(-1, 1) / eps, 1.0)
+        # Theta averaged over the fast variable; used beyond the resolved range,
+        # where the oscillation cancels to O(eps) under the decaying kernel.
+        eta = (np.arange(256) + 0.5) / 256
+        theta_bar = np.mean(params.theta.sample(y, eta), axis=1)
+        length = min(4.0, max(10.0 * eps, 0.5))
+        t, w = _exterior_rule(min(right.min(), left.min()), length, eps)
+        edge = 1.0 - margin
+        ext = np.zeros(xs.size)
+        # Q grows like 1/eps: node blocks bound each (nodes, Q) temporary
+        rows = max(1, EXTERIOR_BLOCK_ENTRIES // t.size)
+        for dist, z in ((right.ravel(), edge + t), (left.ravel(), -edge - t)):
+            eta_z = np.mod(z / eps, 1.0)
+            for block in (slice(i, i + rows) for i in range(0, xs.size, rows)):
+                f = (dist[block, None] + t) ** (-1.0 - alpha)
+                f *= params.theta.sample(y[block], eta_z)
+                f *= w
+                ext[block] += (f.sum(axis=1)
+                               + theta_bar[block] * (dist[block] + length) ** (-alpha) / alpha)
+    return float(ext[0]) if xs.ndim == 0 else ext.reshape(xs.shape)
 
 
 def _assembly_pieces(grid: Grid1D, params: KernelParams):
@@ -227,7 +268,7 @@ def _assembly_pieces(grid: Grid1D, params: KernelParams):
     w *= params.theta.constant if tm is None else tm
     theta_diag = np.full(n, params.theta.constant) if tm is None else np.diag(tm).copy()
 
-    ext = np.array([exterior_weight(xi, params, margin=h / 2.0) for xi in x])
+    ext = exterior_weight(x, params, margin=h / 2.0)
 
     p = _centered_difference(n, h)
     return w, ext, p, theta_diag

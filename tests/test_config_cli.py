@@ -10,6 +10,16 @@ from nshom.cli import main, parse_fraction
 from nshom.config import ConfigError, RunConfig, load_config
 
 
+BAD_DT_RULES = [
+    {"kind": "fixed", "dt": "abc"},
+    {"kind": "fixed", "dt": None},
+    {"kind": "fixed", "dt": "nan"},
+    {"kind": "fixed", "dt": float("inf")},
+    {"kind": "eps_over", "factor": "inf", "default_dt": 0.01},
+    {"kind": "fixed", "dt": True},
+]
+
+
 class TestRunConfig:
     def test_minimal_config_gets_defaults(self):
         rc = RunConfig.from_dict({"alpha": 1.5})
@@ -75,6 +85,11 @@ class TestRunConfig:
             RunConfig.from_dict({"dt_rule": {"kind": "eps_over", "factor": 8,
                                              "default_dt": 0.01, "bogus": 1}})
 
+    @pytest.mark.parametrize("rule", BAD_DT_RULES)
+    def test_dt_rule_values_must_be_finite_positive_numbers(self, rule):
+        with pytest.raises(ConfigError, match="finite positive number"):
+            RunConfig.from_dict({"dt_rule": rule})
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"alpha": 1.25, "grid": {"n": 32}}))
@@ -121,6 +136,7 @@ class TestCliBasics:
         (["coefficients"], {"grid": {"n": "abc"}}, 2),
         (["coefficients"], {"grid": {"n": 256.7}}, 2),
         (["coefficients"], {"seed": True}, 2),
+        *((["coefficients"], {"dt_rule": rule}, 2) for rule in BAD_DT_RULES),
     ])
     def test_invalid_input_exit_code_without_traceback(self, argv, config, code,
                                                        tmp_path, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nshom import cell, harness, integrator
+from nshom import cell, harness, integrator, kernel
 from nshom.config import RunConfig
 from nshom.harness import (
     SweepFailure,
@@ -20,6 +20,7 @@ from nshom.harness import (
     prepare_experiment,
 )
 from nshom.integrator import LinearSolveError
+from nshom.presets import get_theta
 
 SMALL = {
     "alpha": 1.5,
@@ -206,6 +207,27 @@ def test_perfbench_tracer_sees_one_cell_solve():
     assert tracer.calls["cell.problem"] == 1
     assert tracer.calls["effective.coefficients"] == 1
     assert harness.solve_cell_problem is cell.solve_cell_problem and cell.np is np
+
+
+def test_perfbench_tracer_sees_one_exterior_weight_per_assembly():
+    # the tracer patches kernel.exterior_weight; the assembly must call it
+    # once with all nodes, for an oscillating and for a constant Theta
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    original = kernel.exterior_weight
+    tracer = tracer_mod.Tracer()
+    tracer.install_nshom()
+    try:
+        for theta in ("cosine_sum", "one"):
+            params = kernel.KernelParams(alpha=1.5, theta=get_theta(theta), epsilon=0.25)
+            harness.assemble_heterogeneous_generator(kernel.Grid1D.make(32), params)
+    finally:
+        tracer.restore()
+    assert tracer.calls["kernel.assemble"] == 2
+    assert tracer.calls["kernel.exterior_weight"] == 2
+    assert kernel.exterior_weight is original
 
 
 class TestFitAndEstimators:

@@ -1,6 +1,8 @@
 """Time-stepping tests: path generation, bridge refinement, norm behavior
 under the theta scheme, Ito identity bookkeeping, and self-convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -343,3 +345,13 @@ class TestEnsembleStepper:
         with pytest.warns(UserWarning, match="does not cycle") as caught:
             simulate(Heterogeneous(0.3), cfg, path, generator=frac_gen)
         assert sum("does not cycle" in str(w.message) for w in caught) == 1
+
+    def test_short_cycling_run_does_not_warn(self, grid, frac_gen):
+        # dt = eps/16 over 16 steps: one full period, every phase distinct
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=eps,
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        path = brownian_increments(0, 16, eps / 16.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)

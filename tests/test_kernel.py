@@ -1,8 +1,9 @@
 """Kernel, exterior weight, and generator assembly tests.
 
 Independent oracles: closed-form antiderivatives, adaptive quadrature
-(scipy), and the Fourier-side closed form of the weighted fractional norm of
-(1 - x^2)^p fields (Weber-Schafheitlin integral of squared Bessel functions).
+(scipy), the Fourier-side closed form of the weighted fractional norm of
+(1 - x^2)^p fields (Weber-Schafheitlin integral of squared Bessel functions),
+and incomplete gamma functions (mpmath) for the oscillating exterior weight.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn, jv
 
+from nshom import kernel
 from nshom.kernel import (
     Grid1D,
     KernelParams,
@@ -212,6 +214,143 @@ class TestExteriorWeight:
         for x in (-0.5, 0.1, 0.8):
             w = exterior_weight(x, params, margin=0.0)
             assert theta.lower * rho(x, 1.5) * 0.999 <= w <= theta.upper * rho(x, 1.5) * 1.001
+
+
+OSCILLATING = ["cosine_sum", "cosine_product", "cosine_shift"]
+EPS_LEVELS = [1 / 2, 1 / 4, 1 / 8, 1 / 16]
+
+
+def per_node_quad_weight(x, params, margin):
+    """The exterior weight as one adaptive quad per node and side: Theta at
+    its fast variable integrated over distances [d, d + L], plus the
+    fast-variable mean of Theta times the kernel tail beyond d + L."""
+    alpha, eps = params.alpha, params.epsilon
+    y_here = np.mod(x / eps, 1.0)
+    eta = (np.arange(256) + 0.5) / 256
+    theta_bar = float(np.mean(params.theta.sample(y_here, eta)))
+
+    def side(sign, dist):
+        def integrand(s):
+            th = params.theta.sample(y_here, np.mod((x + sign * s) / eps, 1.0))
+            return float(th) * s ** (-1.0 - alpha)
+
+        cut = dist + min(4.0, max(10.0 * eps, 0.5))
+        val, _ = integrate.quad(integrand, dist, cut, limit=300)
+        return val + theta_bar * cut ** (-alpha) / alpha
+
+    return side(+1.0, 1.0 - margin - x) + side(-1.0, 1.0 - margin + x)
+
+
+def incomplete_gamma_weight(mp, name, x, alpha, eps, margin, exact=False):
+    """The same quantity in closed form with mpmath: the three presets are
+    Theta = b0(y) + Re[c(y) exp(2 pi i z / eps)] with default parameters, and
+    int_d^e exp(i k s) s^{-1-alpha} ds = (-ik)^alpha [Gamma(-alpha, -ikd) -
+    Gamma(-alpha, -ike)]. ``exact`` integrates Theta itself to infinity."""
+    x, alpha, eps, margin = (mp.mpf(v) for v in (x, alpha, eps, margin))
+    y = (x / eps) % 1
+    b0, c = {
+        "cosine_sum": (1 + mp.cos(2 * mp.pi * y) / 4, mp.mpf(1) / 4),
+        "cosine_product": (mp.mpf(1), mp.cos(2 * mp.pi * y) / 2),
+        "cosine_shift": (mp.mpf(1), mp.exp(-2j * mp.pi * y) / 2),
+    }[name]
+    omega = 2 * mp.pi / eps
+    length = min(mp.mpf(4), max(10 * eps, mp.mpf(1) / 2))
+    total = mp.mpf(0)
+    for sign in (1, -1):
+        d = 1 - margin - sign * x
+        k = sign * omega
+        # b0 over [d, d + L] plus the mean-Theta tail is b0 over [d, inf)
+        total += b0 * d ** (-alpha) / alpha
+        upper = mp.inf if exact else -1j * k * (d + length)
+        osc = (-1j * k) ** alpha * mp.gammainc(-alpha, -1j * k * d, upper)
+        total += mp.re(c * mp.exp(1j * omega * x) * osc)
+    return total
+
+
+def per_node_closed_form_weight(x, params, margin=0.0):
+    """The closed form for constant Theta, node by node with scalar powers,
+    as the assembly evaluated it one node per call."""
+    c, alpha = params.theta.constant, params.alpha
+    return np.array([c * ((1.0 - margin - xi) ** (-alpha) + (1.0 - margin + xi) ** (-alpha))
+                     / alpha for xi in x])
+
+
+class TestVectorizedExteriorWeight:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("eps", EPS_LEVELS)
+    @pytest.mark.parametrize("name", OSCILLATING)
+    def test_matches_per_node_quad(self, name, eps, alpha):
+        grid = Grid1D.make(256)
+        params = KernelParams(alpha=alpha, theta=get_theta(name), epsilon=eps)
+        weights = exterior_weight(grid.nodes, params, margin=grid.h / 2)
+        for i in [0, 1, 2, *range(17, 240, 37), 253, 254, 255]:
+            ref = per_node_quad_weight(grid.nodes[i], params, grid.h / 2)
+            assert weights[i] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", EPS_LEVELS)
+    @pytest.mark.parametrize("name", OSCILLATING)
+    def test_matches_incomplete_gamma_reference(self, name, eps):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        grid = Grid1D.make(256)
+        margin = grid.h / 2
+        for alpha in ALPHAS:
+            params = KernelParams(alpha=alpha, theta=get_theta(name), epsilon=eps)
+            weights = exterior_weight(grid.nodes, params, margin=margin)
+            # node 0 sits at distance h/2 from the left exterior, node 255 from the right
+            for i in (0, 1, 128, 255):
+                ref = float(incomplete_gamma_weight(mp, name, grid.nodes[i], alpha, eps, margin))
+                assert weights[i] == pytest.approx(ref, rel=1e-10)
+
+    def test_cutoff_model_error_against_exact_integral(self):
+        # beyond d + L Theta is replaced by its fast-variable mean; against the
+        # exact exterior integral that is a model error of about 1e-3, which no
+        # quadrature refinement removes
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        grid = Grid1D.make(256)
+        for name in OSCILLATING:
+            for i in (0, 128):
+                x = grid.nodes[i]
+                defined = incomplete_gamma_weight(mp, name, x, 1.5, 1 / 16, grid.h / 2)
+                exact = incomplete_gamma_weight(mp, name, x, 1.5, 1 / 16, grid.h / 2, exact=True)
+                assert float(abs(defined - exact) / exact) < 2e-3
+
+    def test_node_blocks_leave_values_unchanged(self, monkeypatch):
+        grid = Grid1D.make(256)
+        params = KernelParams(alpha=1.5, theta=get_theta("cosine_shift"), epsilon=1 / 16)
+        whole = exterior_weight(grid.nodes, params, margin=grid.h / 2)
+        monkeypatch.setattr(kernel, "EXTERIOR_BLOCK_ENTRIES", 5000)
+        assert np.array_equal(exterior_weight(grid.nodes, params, margin=grid.h / 2), whole)
+
+    @pytest.mark.parametrize("name", ["one", "cosine_sum"])
+    def test_scalar_and_array_calls_agree(self, name):
+        params = KernelParams(alpha=1.5, theta=get_theta(name), epsilon=0.125)
+        for x in (-0.9, 0.0, 0.37):
+            scalar = exterior_weight(x, params, margin=0.01)
+            block = exterior_weight(np.full((2, 3), x), params, margin=0.01)
+            assert isinstance(scalar, float) and block.shape == (2, 3)
+            assert np.all(block == scalar)
+            assert exterior_weight(np.array([x]), params, margin=0.01)[0] == scalar
+
+    def test_nodes_outside_the_domain_rejected(self):
+        params = KernelParams(alpha=1.5, theta=get_theta("cosine_sum"), epsilon=0.25)
+        for x in (np.array([0.0, 0.995]), 1.2, np.nan):
+            with pytest.raises(ValueError, match="strictly inside"):
+                exterior_weight(x, params, margin=0.01)
+
+    @pytest.mark.parametrize("theta", [get_theta("one"),
+                                       get_theta("scaled", base="one", factor=2.5)])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_constant_theta_generator_bit_identical(self, theta, alpha, monkeypatch):
+        grid = Grid1D.make(96)
+        params = KernelParams(alpha=alpha, theta=theta)
+        assert np.array_equal(exterior_weight(grid.nodes, params, margin=grid.h / 2),
+                              per_node_closed_form_weight(grid.nodes, params, margin=grid.h / 2))
+        fast = assemble_heterogeneous_generator(grid, params).entries
+        monkeypatch.setattr(kernel, "exterior_weight", per_node_closed_form_weight)
+        per_node = assemble_heterogeneous_generator(grid, params).entries
+        assert np.array_equal(fast, per_node)
 
 
 class TestPVOracle:
