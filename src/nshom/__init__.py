@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .kernel import (
     Grid1D,
     KernelParams,
-    OperatorMatrix,
     gamma,
     rho,
     dstar_apply,
@@ -36,17 +35,16 @@ from .integrator import (
     Heterogeneous,
     Effective,
     brownian_increments,
-    theta_step,
     simulate,
 )
 
 __all__ = [
-    "Grid1D", "KernelParams", "OperatorMatrix",
+    "Grid1D", "KernelParams",
     "gamma", "rho", "dstar_apply", "assemble_heterogeneous_generator", "pv_oracle",
     "CellGrid", "CellSolution", "periodized_kernel_weight", "assemble_cell_form",
     "solve_cell_problem", "solve_periodic_poisson",
     "EffectiveCoefficients", "compute_effective_coefficients",
     "compute_zeta", "apply_restricted_divergence", "assemble_effective_generator",
     "NoiseModel", "BrownianPath", "SimConfig", "Heterogeneous", "Effective",
-    "brownian_increments", "theta_step", "simulate",
+    "brownian_increments", "simulate",
 ]

@@ -65,9 +65,13 @@ class CellGrid:
 
 @dataclass
 class CellSolution:
-    """Mean-zero corrector values chi(y, tau) plus provenance and diagnostics."""
+    """Mean-zero corrector values chi(y) plus provenance and diagnostics.
 
-    chi: np.ndarray  # shape (m, m_tau)
+    Theta has no tau argument, so chi is one (m,) vector; m_tau records the
+    tau grid of the potential corrector xi.
+    """
+
+    chi: np.ndarray  # shape (m,)
     alpha: float
     kernel_mode: str
     m: int
@@ -80,7 +84,7 @@ class CellSolution:
 
     @property
     def mean_abs(self) -> float:
-        return float(np.max(np.abs(self.chi.mean(axis=0))))
+        return abs(float(self.chi.mean()))
 
 
 def periodized_kernel_weight(y: float, eta: float, alpha: float, n_images: int) -> float:
@@ -240,18 +244,17 @@ def solve_bordered(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid,
                        kernel_mode: str = "periodized",
                        v_spec: VSpec | None = None) -> CellSolution:
-    """Solve the mean-zero corrector problem once and repeat it over tau.
+    """Solve the mean-zero corrector problem for chi(y).
 
-    Theta carries no tau argument, so every tau slice of chi is the same
-    column. When ``v_spec`` is given the auxiliary corrector xi is computed
+    Theta carries no tau argument, so chi is solved once, as an (m,) vector.
+    When ``v_spec`` is given the auxiliary corrector xi(y, tau) is computed
     with the spectral periodic Poisson solver and attached.
     """
     a = assemble_cell_form(theta, alpha, grid, kernel_mode)
     b = assemble_cell_rhs(theta, alpha, grid, kernel_mode)
     chi_col, lam = solve_bordered(a, b)
     residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
-    chi = np.repeat(chi_col[:, None], grid.m_tau, axis=1)
-    chi = chi - chi.mean(axis=0, keepdims=True)
+    chi = chi_col - chi_col.mean()
     if residual > 1e-8:
         raise CellSolveError(f"cell solve residual {residual:.2e} exceeds 1e-8 "
                              "(conditioning failure beyond the constraint kernel)")

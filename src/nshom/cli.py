@@ -97,11 +97,11 @@ def _cmd_cell(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = rc.cell_grid()
     sol, coeffs = solve_coefficients(rc, with_xi=True)
-    yy = np.repeat(grid.y, grid.m_tau)
-    tt = np.tile(grid.tau, grid.m)
-    _write_csv(out / "chi.csv", ["y", "tau", "value"], [yy, tt, sol.chi.ravel()])
+    _write_csv(out / "chi.csv", ["y", "value"], [grid.y, sol.chi])
     if sol.xi is not None:
-        _write_csv(out / "xi.csv", ["y", "tau", "value"], [yy, tt, np.real(sol.xi).ravel()])
+        _write_csv(out / "xi.csv", ["y", "tau", "value"],
+                   [np.repeat(grid.y, grid.m_tau), np.tile(grid.tau, grid.m),
+                    np.real(sol.xi).ravel()])
     meta = {
         "alpha": rc.alpha,
         "kernel_mode": rc.kernel_mode,
@@ -109,7 +109,7 @@ def _cmd_cell(args) -> int:
         "theta": sol.theta_name,
         "residual": sol.residual,
         "max_abs_mean": sol.mean_abs,
-        "chi_l2": float(np.linalg.norm(sol.chi[:, 0]) / np.sqrt(sol.m)),
+        "chi_l2": float(np.linalg.norm(sol.chi) / np.sqrt(sol.m)),
         "effective_coefficients": coeffs.to_dict(),
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -250,13 +250,13 @@ def _validate_checks(rc: RunConfig) -> list[tuple[str, bool, str]]:
     grid = Grid1D.make(96)
     params = KernelParams(alpha=alpha, theta=get_theta("cosine_product"), epsilon=0.5)
     gen = assemble_heterogeneous_generator(grid, params)
-    sym = float(np.max(np.abs(gen.entries - gen.entries.T)))
-    ev = np.linalg.eigvalsh(gen.entries)
+    sym = float(np.max(np.abs(gen - gen.T)))
+    ev = np.linalg.eigvalsh(gen)
     checks.append(("generator symmetric PSD", sym < 1e-12 and ev[0] >= -1e-10 * ev[-1],
                    f"sym {sym:.1e}, min eig {ev[0]:.2e}"))
 
     uvec = (1.0 - grid.nodes ** 2) ** 2 * np.exp(1j * grid.nodes)
-    lhs = grid.h * float(np.real(np.vdot(uvec, gen.entries @ uvec)))
+    lhs = grid.h * float(np.real(np.vdot(uvec, gen @ uvec)))
     rhs = h_rho_norm_sq(uvec, grid, params)
     dev = abs(lhs - rhs) / rhs
     checks.append(("quadratic form identity", dev < 1e-10, f"rel dev {dev:.1e}"))
@@ -326,12 +326,12 @@ def _cmd_validate(args) -> int:
         grid = rc.grid()
         frac = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=rc.alpha, theta=get_theta("one")))
-        np.savetxt(out / "fractional_generator.csv", frac.entries,
+        np.savetxt(out / "fractional_generator.csv", frac,
                    fmt="%.17e", delimiter=",")
         het = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=0.5,
                                kernel_mode=rc.kernel_mode))
-        np.savetxt(out / "heterogeneous_generator.csv", het.entries,
+        np.savetxt(out / "heterogeneous_generator.csv", het,
                    fmt="%.17e", delimiter=",")
         print(f"matrices dumped to {out}")
     return 0 if all_ok else 2

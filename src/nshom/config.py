@@ -45,6 +45,11 @@ _FREE_FORM = {("theta_preset", "params"), ("dt_rule",)}
 _DT_RULE_KEYS = {"fixed": ("dt",), "eps_over": ("factor", "default_dt")}
 
 
+def _is_real(value) -> bool:
+    """An int or float from JSON; bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _merge_strict(base: dict, user: dict, path: tuple = ()) -> dict:
     out = copy.deepcopy(base)
     for key, val in user.items():
@@ -134,8 +139,8 @@ class RunConfig:
     # --- validation and hashing ------------------------------------------
     def validate(self) -> None:
         """Build the typed objects, which check their own fields, and check
-        what no type owns: schema version, integer sizes, dt rule, zero-mean
-        potential."""
+        what no type owns: schema version, integer sizes, real-number types,
+        dt rule, zero-mean potential."""
         d = self.data
         if d["schema_version"] != 1:
             raise ConfigError(f"unsupported schema_version {d['schema_version']!r}")
@@ -146,6 +151,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if d["grid"]["n"] < 4:
             raise ConfigError("grid.n must be at least 4")
+        reals = {"alpha": d["alpha"], "T": d["T"], "theta_scheme": d["theta_scheme"],
+                 "g.sigma": d["g"]["sigma"]}
+        for key, value in reals.items():
+            if not _is_real(value):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
 
         builders = (
             ("theta preset", self.theta_spec),
@@ -178,8 +188,7 @@ class RunConfig:
             raise ConfigError(f"unknown dt_rule kind {kind!r}")
         for key in _DT_RULE_KEYS[kind]:
             value = rule.get(key)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value) or value <= 0):
+            if not _is_real(value) or not math.isfinite(value) or value <= 0:
                 raise ConfigError(f"{kind} dt_rule requires a finite positive number "
                                   f"{key!r}, got {value!r}")
         stray = set(rule) - {"kind", *_DT_RULE_KEYS[kind]}

@@ -3,11 +3,11 @@
 The three cell averages are
 
     Xi_1 = int_{Y x N} Theta(y, eta) dy deta
-    Xi_2 = int_{Y x N x Z} Theta(y, eta) D*_y chi dy deta dtau
-    Xi_3 = 2 int_{Y x Z} V(y, tau) chi(y, tau) dy dtau
+    Xi_2 = int_{Y x N} Theta(y, eta) D*_y chi dy deta
+    Xi_3 = 2 int_{Y x Z} V(y, tau) chi(y) dy dtau = 2 int_Y chi(y) (int_Z V dtau) dy
 
-and the drift of the homogenized equation i du = G_eff u dt + ... is assembled
-as
+with chi(y) the corrector, which has no tau argument because Theta has none.
+The drift of the homogenized equation i du = G_eff u dt + ... is assembled as
 
     G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z
 
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import Grid1D, KernelParams, OperatorMatrix, _check_alpha, assemble_heterogeneous_generator
+from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
 from .cell import CellGrid, CellSolution, assemble_cell_rhs
 from .presets import ThetaSpec, VSpec, get_theta
 
@@ -65,7 +65,7 @@ def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
     with chi.
     """
     _check_alpha(alpha)
-    if (chi.m, chi.m_tau) != (grid.m, grid.m_tau) or chi.n_images != grid.n_images:
+    if (chi.m, chi.n_images) != (grid.m, grid.n_images):
         raise ValueError("corrector was solved on a different cell grid")
     if abs(chi.alpha - alpha) > 1e-14:
         raise ValueError("corrector was solved for a different alpha")
@@ -77,10 +77,10 @@ def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
         xi1 = float(np.mean(theta.sample(y[:, None], y[None, :])))
 
     b = assemble_cell_rhs(theta, alpha, grid, chi.kernel_mode)
-    xi2 = float(np.mean(b @ chi.chi))
+    xi2 = float(b @ chi.chi)
 
     v = v_spec.sample(grid.y[:, None], grid.tau[None, :])
-    xi3 = 2.0 * float(np.mean(v * chi.chi))
+    xi3 = 2.0 * float(np.mean(chi.chi * v.mean(axis=1)))
 
     prov = {
         "alpha": alpha,
@@ -201,7 +201,7 @@ def apply_restricted_divergence(zeta: np.ndarray, grid: Grid1D, alpha: float) ->
 
 def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
                                  alpha: float,
-                                 frac_matrix: OperatorMatrix | None = None) -> OperatorMatrix:
+                                 frac_matrix: np.ndarray | None = None) -> np.ndarray:
     """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix.
 
     With (Xi_1, Xi_2, Xi_3) = (1, 0, 0) this reproduces the plain fractional
@@ -212,15 +212,8 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     if frac_matrix is None:
         frac_matrix = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=alpha, theta=get_theta("one")))
-    if frac_matrix.n != grid.n:
+    if frac_matrix.shape != (grid.n, grid.n):
         raise ValueError("fractional matrix size does not match the grid")
     z = zeta_matrix(grid, alpha)
     r = restricted_divergence_matrix(grid, alpha)
-    entries = coeffs.xi1 * frac_matrix.entries - (coeffs.xi2 / 2.0) * (r @ z) - coeffs.xi3 * z
-    meta = {
-        "alpha": alpha,
-        "n": grid.n,
-        "xi": coeffs.as_tuple(),
-        "provenance": dict(coeffs.provenance),
-    }
-    return OperatorMatrix(entries=entries, kind="effective_drift", metadata=meta)
+    return coeffs.xi1 * frac_matrix - (coeffs.xi2 / 2.0) * (r @ z) - coeffs.xi3 * z

@@ -39,7 +39,7 @@ from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 from .integrator import (Effective, Heterogeneous, SimResult, ThetaStepper,
                          TrajectoryBlowup, brownian_increments, diverged_columns, simulate)
-from .kernel import Grid1D, KernelParams, OperatorMatrix, assemble_heterogeneous_generator
+from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS
 
 STRONG_ERROR_DEFINITION = (
@@ -66,7 +66,7 @@ class PreparedExperiment:
     grid: Grid1D
     cell_solution: CellSolution
     coefficients: EffectiveCoefficients
-    effective_generator: OperatorMatrix
+    effective_generator: np.ndarray
     psi_names: list[str]
     psi_values: np.ndarray  # (n_psi, n)
 
@@ -281,10 +281,10 @@ def _gamma_matrix(nodes: np.ndarray, alpha: float, scale: float = 1.0) -> np.nda
     return out
 
 
-def _interp_periodic(chi_slice: np.ndarray, points: np.ndarray) -> np.ndarray:
-    m = chi_slice.size
+def _interp_periodic(chi: np.ndarray, points: np.ndarray) -> np.ndarray:
+    m = chi.size
     yg = np.concatenate([np.arange(m) / m, [1.0]])
-    vals = np.concatenate([chi_slice, chi_slice[:1]])
+    vals = np.concatenate([chi, chi[:1]])
     return np.interp(np.mod(points, 1.0), yg, vals)
 
 
@@ -292,7 +292,7 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
                        prepared: PreparedExperiment | None = None) -> dict:
     """Two-scale reconstruction diagnostic (reported, not gated).
 
-    Rebuilds u1 = -zeta(u_eff) * chi(x/eps, t/eps) and measures the discrete
+    Rebuilds u1 = -zeta(u_eff) * chi(x/eps) and measures the discrete
     L^2(time x D x D) distance between the heterogeneous two-point field D* u_eps
     and the reconstruction D*_x u_eff + D*_y u1 sampled at the fast variables.
     Also returns the plain gradient-level error (chi term dropped), which the
@@ -306,9 +306,8 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
     gam_x = _gamma_matrix(grid.nodes, alpha)
     gam_y = _gamma_matrix(grid.nodes, alpha, scale=eps)
     zmat = zeta_matrix(grid, alpha)
-    chi = prepared.cell_solution.chi
-    m_tau = chi.shape[1]
-    y_fast = grid.nodes / eps
+    chi_fast = _interp_periodic(prepared.cell_solution.chi, grid.nodes / eps)
+    chi_diff = chi_fast[None, :] - chi_fast[:, None]
 
     total = 0.0
     baseline = 0.0
@@ -318,11 +317,7 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
         ue = res_eff.trajectory[k]
         dstar_het = -(uh[None, :] - uh[:, None]) * gam_x
         dstar_eff = -(ue[None, :] - ue[:, None]) * gam_x
-        tau = (k * dt / eps) % 1.0
-        s_idx = int(round(tau * m_tau)) % m_tau
-        chi_fast = _interp_periodic(chi[:, s_idx], y_fast)
-        zeta_vals = zmat @ ue
-        recon = dstar_eff + zeta_vals[:, None] * (chi_fast[None, :] - chi_fast[:, None]) * gam_y
+        recon = dstar_eff + (zmat @ ue)[:, None] * chi_diff * gam_y
         total += float(np.sum(np.abs(dstar_het - recon) ** 2))
         baseline += float(np.sum(np.abs(dstar_het - dstar_eff) ** 2))
     norm = dt * h * h

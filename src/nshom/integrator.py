@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .kernel import Grid1D, KernelParams, OperatorMatrix, assemble_heterogeneous_generator
+from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
 from .effective import EffectiveCoefficients, assemble_effective_generator
 from .presets import FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta, get_v
 
@@ -71,8 +71,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "bounded"):
             raise ValueError("noise kind must be zero, linear, or bounded")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
     def apply(self, u: np.ndarray) -> np.ndarray | None:
         if self.kind == "zero" or self.sigma == 0.0:
@@ -162,8 +162,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta_scheme <= 1.0:
             raise ValueError("theta_scheme must lie in [0, 1]")
-        if self.T <= 0.0:
-            raise ValueError("horizon T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon T must be finite and positive, got {self.T!r}")
 
     def initial_field(self) -> np.ndarray:
         return self.h_spec.sample(self.grid.nodes, self.grid.h)
@@ -230,28 +230,13 @@ def _theta_update(g_mat: np.ndarray, u: np.ndarray, dt: float, dw: np.ndarray,
     return lu_solve(lu, rhs, check_finite=False)
 
 
-def theta_step(u: np.ndarray, generator: OperatorMatrix | np.ndarray, dt: float,
-               dW: float, *, v_diag: np.ndarray | None = None,
-               f_vec: np.ndarray | None = None, theta_scheme: float = 0.5,
-               noise: NoiseModel | None = None) -> np.ndarray:
-    """One theta-scheme step of a single state; factorizes on the fly.
-
-    Applies the update that ``ThetaStepper`` applies to every column.
-    """
-    g_mat = generator.entries if isinstance(generator, OperatorMatrix) else np.asarray(generator)
-    lu = _implicit_lu(g_mat, dt, theta_scheme, v_diag)
-    u = np.asarray(u, dtype=complex)[:, None]
-    return _theta_update(g_mat, u, dt, np.array([dW]), theta_scheme, v_diag, f_vec,
-                         noise, lu)[:, 0]
-
-
 def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.ndarray:
     if isinstance(system, Heterogeneous):
         params = KernelParams(alpha=cfg.alpha, theta=cfg.theta,
                               epsilon=system.epsilon, kernel_mode=cfg.kernel_mode)
-        return assemble_heterogeneous_generator(cfg.grid, params).entries
+        return assemble_heterogeneous_generator(cfg.grid, params)
     if isinstance(system, Effective):
-        return assemble_effective_generator(system.coeffs, cfg.grid, cfg.alpha).entries
+        return assemble_effective_generator(system.coeffs, cfg.grid, cfg.alpha)
     raise TypeError("system must be Heterogeneous(eps) or Effective(coeffs)")
 
 
@@ -267,12 +252,9 @@ class ThetaStepper:
     """
 
     def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
-                 n_steps: int, generator: OperatorMatrix | np.ndarray | None = None):
-        if generator is None:
-            self.g_mat = _build_generator(system, cfg)
-        else:
-            self.g_mat = (generator.entries if isinstance(generator, OperatorMatrix)
-                          else np.asarray(generator))
+                 n_steps: int, generator: np.ndarray | None = None):
+        self.g_mat = (_build_generator(system, cfg) if generator is None
+                      else np.asarray(generator))
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
         self._factors: dict[float | None, tuple] = {}
@@ -336,7 +318,7 @@ class ThetaStepper:
 
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,
              *, store_trajectory: bool = True, snapshot_every: int | None = None,
-             generator: OperatorMatrix | np.ndarray | None = None) -> SimResult:
+             generator: np.ndarray | None = None) -> SimResult:
     """Integrate one trajectory over [0, T] on the given Brownian path.
 
     This is the one-column case of ``ThetaStepper``. The heterogeneous system

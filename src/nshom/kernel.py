@@ -27,7 +27,7 @@ exact to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,19 +119,6 @@ class KernelParams:
             raise ValueError(f"kernel_mode must be one of {KERNEL_MODES}")
         if self.theta.lower <= 0.0:
             raise ValueError("Theta must have a positive lower bound")
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense matrix realizing a nonlocal generator on grid values."""
-
-    entries: np.ndarray
-    kind: str  # heterogeneous_half_A | fractional_laplacian | effective_drift
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def _phi2(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -274,7 +261,7 @@ def _assembly_pieces(grid: Grid1D, params: KernelParams):
     return w, ext, p, theta_diag
 
 
-def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> OperatorMatrix:
+def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> np.ndarray:
     """Dense symmetric PSD matrix G with (G u)_i ~ (1/2) D(Theta^eps D* u)(x_i).
 
     Interior part is the graph Laplacian of the exact cell-pair kernel weights
@@ -288,16 +275,7 @@ def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> Oper
     dg = np.diag(w.sum(axis=1))
     c = same_cell_coeff(h, params.alpha) / 2.0 * (p.T * theta_diag) @ p
     m = np.diag(ext) + (dg - w + c) / h
-    m = 0.5 * (m + m.T)
-    kind = "fractional_laplacian" if params.theta.constant == 1.0 else "heterogeneous_half_A"
-    meta = {
-        "scheme": "cell_pair_exact_kernel_moments+centered_same_cell",
-        "alpha": params.alpha,
-        "epsilon": params.epsilon,
-        "theta": params.theta.name,
-        "n": grid.n,
-    }
-    return OperatorMatrix(entries=m, kind=kind, metadata=meta)
+    return 0.5 * (m + m.T)
 
 
 def h_rho_norm_sq(u: np.ndarray, grid: Grid1D, params: KernelParams) -> float:

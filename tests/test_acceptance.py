@@ -62,7 +62,7 @@ def test_criterion_01_constant_coefficient_example():
             gen = assemble_effective_generator(coeffs, grid, alpha)
             frac = assemble_heterogeneous_generator(
                 grid, KernelParams(alpha=alpha, theta=get_theta("one")))
-            worst_dev = max(worst_dev, float(np.max(np.abs(gen.entries - frac.entries))))
+            worst_dev = max(worst_dev, float(np.max(np.abs(gen - frac))))
     ok = (xi1_exact and worst_xi2 < 1e-8 and worst_xi3 < 1e-8
           and worst_dev < 1e-12 and t.elapsed < 10.0)
     report(1, ok, f"xi1 exact={xi1_exact}, |xi2|<={worst_xi2:.2e}, |xi3|<={worst_xi3:.2e}, "
@@ -79,7 +79,7 @@ def test_criterion_02_quadratic_form_identity():
     with Timer() as t:
         grid = Grid1D.make(512)
         params = KernelParams(alpha=1.5, theta=get_theta("one"))
-        mat = assemble_heterogeneous_generator(grid, params).entries
+        mat = assemble_heterogeneous_generator(grid, params)
         worst = 0.0
         for p in (1, 2, 3, 4, 5):
             u = (1.0 - grid.nodes ** 2) ** p
@@ -133,7 +133,7 @@ def test_criterion_04_cell_solver():
         recovery = float(np.linalg.norm(sol[:m] - chi_star) / np.linalg.norm(chi_star))
 
         sol_one = solve_cell_problem(get_theta("one"), 1.5, grid, "periodized")
-        chi_norm = float(np.linalg.norm(sol_one.chi[:, 0]))
+        chi_norm = float(np.linalg.norm(sol_one.chi))
     ok = lam1 > 0.0 and recovery < 1e-6 and chi_norm < 1e-8 and t.elapsed < 60.0
     report(4, ok, f"coercivity {lam1:.3e} > 0, recovery {recovery:.2e}, "
                   f"|chi|={chi_norm:.2e}, {t.elapsed:.1f}s")

@@ -125,14 +125,17 @@ class TestCellRhs:
 class TestCorrectorSolve:
     def test_constant_theta_gives_zero_corrector(self):
         sol = solve_cell_problem(get_theta("one"), ALPHA, CellGrid(m=128, m_tau=4))
-        assert np.linalg.norm(sol.chi[:, 0]) < 1e-10
-        assert all(np.array_equal(sol.chi[:, k], sol.chi[:, 0]) for k in range(4))
+        assert np.linalg.norm(sol.chi) < 1e-10
 
     def test_mean_zero_every_slice(self):
         sol = solve_cell_problem(get_theta("cosine_product"), ALPHA,
                                  CellGrid(m=96, m_tau=3))
         assert sol.mean_abs < 1e-14
-        assert all(np.array_equal(sol.chi[:, k], sol.chi[:, 0]) for k in range(3))
+
+    @pytest.mark.parametrize("m_tau", [1, 3, 16])
+    def test_corrector_is_one_vector_for_any_tau_grid(self, m_tau):
+        sol = solve_cell_problem(get_theta("cosine_sum"), ALPHA, CellGrid(m=64, m_tau=m_tau))
+        assert sol.chi.shape == (64,)
 
     def test_one_bordered_solve_for_all_slices(self, monkeypatch):
         calls = []
@@ -150,7 +153,7 @@ class TestCorrectorSolve:
     @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     def test_matches_per_slice_bordered_loop(self, theta_name, mode):
         # independent reference: the bordered Lagrange system written out and
-        # solved once per tau slice, then centered per slice
+        # solved once (chi has no tau slices), then centered
         grid = CellGrid(m=64, m_tau=3)
         theta = get_theta(theta_name)
         a = assemble_cell_form(theta, ALPHA, grid, mode)
@@ -161,11 +164,11 @@ class TestCorrectorSolve:
         bordered[:m, m] = 1.0
         bordered[m, :m] = 1.0
         rhs = np.concatenate([b, [0.0]])
-        ref = np.stack([np.linalg.solve(bordered, rhs)[:m] for _ in range(grid.m_tau)], axis=1)
-        ref = ref - ref.mean(axis=0, keepdims=True)
+        ref = np.linalg.solve(bordered, rhs)[:m]
+        ref = ref - ref.mean()
         sol = solve_cell_problem(theta, ALPHA, grid, mode)
         assert np.array_equal(sol.chi, ref)
-        assert sol.chi.shape == (m, grid.m_tau)
+        assert sol.chi.shape == (m,)
         assert sol.chi.flags.writeable and sol.chi.flags.c_contiguous
 
     def test_manufactured_solution_recovery(self):
@@ -187,7 +190,7 @@ class TestCorrectorSolve:
     def test_truncated_mode_produces_nontrivial_corrector(self):
         sol = solve_cell_problem(get_theta("one"), ALPHA, CellGrid(m=64),
                                  kernel_mode="cell_truncated")
-        assert np.linalg.norm(sol.chi[:, 0]) > 1e-4
+        assert np.linalg.norm(sol.chi) > 1e-4
 
 
 class TestPeriodicPoisson:

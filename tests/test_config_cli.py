@@ -18,6 +18,17 @@ BAD_DT_RULES = [
     {"kind": "eps_over", "factor": "inf", "default_dt": 0.01},
     {"kind": "fixed", "dt": True},
 ]
+# real-valued keys given as a string, a bool, or a non-finite number
+BAD_REALS = [
+    {"T": float("inf")},
+    {"T": float("nan")},
+    {"g": {"kind": "linear", "sigma": float("nan")}},
+    {"g": {"kind": "linear", "sigma": True}},
+    {"alpha": "1.5"},
+    {"T": "1.5"},
+    {"theta_scheme": "0.5"},
+    {"g": {"kind": "bounded", "sigma": "1.5"}},
+]
 
 
 class TestRunConfig:
@@ -137,6 +148,7 @@ class TestCliBasics:
         (["coefficients"], {"grid": {"n": 256.7}}, 2),
         (["coefficients"], {"seed": True}, 2),
         *((["coefficients"], {"dt_rule": rule}, 2) for rule in BAD_DT_RULES),
+        *((["simulate", "--system", "eff"], user, 2) for user in BAD_REALS),
     ])
     def test_invalid_input_exit_code_without_traceback(self, argv, config, code,
                                                        tmp_path, capsys):
@@ -170,7 +182,9 @@ class TestCliCommands:
         cfg = self._small_cfg(tmp_path)
         out = tmp_path / "cellout"
         assert main(["cell", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "chi.csv").exists()
+        lines = (out / "chi.csv").read_text().splitlines()
+        assert lines[0] == "y,value"
+        assert len(lines) == 1 + 32
         assert (out / "xi.csv").exists()
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["chi_l2"] < 1e-10

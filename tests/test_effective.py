@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nshom.cell import CellGrid, solve_cell_problem
+from nshom.cell import CellGrid, assemble_cell_rhs, solve_cell_problem
 from nshom.effective import (
     EffectiveCoefficients,
     apply_restricted_divergence,
@@ -76,8 +76,23 @@ class TestCoefficients:
         g = Grid1D.make(48)
         gen = assemble_effective_generator(coeffs, g, ALPHA)
         # the zeta terms need not be Hermitian; observed, not asserted elsewhere
-        assert np.max(np.abs(gen.entries - gen.entries.T)) > 0.0
-        assert np.all(np.isfinite(gen.entries))
+        assert np.max(np.abs(gen - gen.T)) > 0.0
+        assert np.all(np.isfinite(gen))
+
+    @pytest.mark.parametrize("m", [64, 96, 128])
+    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
+    def test_matches_tau_repeated_corrector_formulas(self, m, mode):
+        # the formulas in use when chi was stored as m_tau identical columns
+        cg = CellGrid(m=m, m_tau=4)
+        theta, v_spec = get_theta("cosine_sum"), get_v("sin2pi_y_one_plus_sin2pi_tau")
+        sol = solve_cell_problem(theta, ALPHA, cg, mode)
+        coeffs = compute_effective_coefficients(theta, v_spec, sol, ALPHA, cg)
+        chi_rep = np.repeat(sol.chi[:, None], cg.m_tau, axis=1)
+        b = assemble_cell_rhs(theta, ALPHA, cg, mode)
+        v = v_spec.sample(cg.y[:, None], cg.tau[None, :])
+        ref = (float(np.mean(b @ chi_rep)), 2.0 * float(np.mean(v * chi_rep)))
+        for got, want in zip((coeffs.xi2, coeffs.xi3), ref):
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_xi2_is_form_value_hence_nonnegative(self):
         cg = CellGrid(m=64, m_tau=1)
@@ -179,20 +194,19 @@ class TestEffectiveGenerator:
                                            grid, ALPHA)
         frac = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
-        assert np.max(np.abs(gen.entries - frac.entries)) < 1e-12
-        assert gen.kind == "effective_drift"
+        assert np.max(np.abs(gen - frac)) < 1e-12
 
     def test_zero_coefficients_give_zero_matrix(self, grid):
         gen = assemble_effective_generator(EffectiveCoefficients.from_values(0.0),
                                            grid, ALPHA)
-        assert np.max(np.abs(gen.entries)) == 0.0
+        assert np.max(np.abs(gen)) == 0.0
 
     def test_linear_in_xi1(self, grid):
         g1 = assemble_effective_generator(EffectiveCoefficients.from_values(1.0),
                                           grid, ALPHA)
         g2 = assemble_effective_generator(EffectiveCoefficients.from_values(2.0),
                                           grid, ALPHA)
-        assert np.max(np.abs(g2.entries - 2.0 * g1.entries)) == 0.0
+        assert np.max(np.abs(g2 - 2.0 * g1)) == 0.0
 
     def test_full_pipeline_constant_theta(self, grid):
         cg = CellGrid(m=64, m_tau=2)
@@ -202,7 +216,7 @@ class TestEffectiveGenerator:
         gen = assemble_effective_generator(coeffs, grid, ALPHA)
         frac = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
-        assert np.max(np.abs(gen.entries - frac.entries)) < 1e-8
+        assert np.max(np.abs(gen - frac)) < 1e-8
 
     def test_size_mismatch_rejected(self, grid):
         frac = assemble_heterogeneous_generator(

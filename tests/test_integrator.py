@@ -20,7 +20,6 @@ from nshom.integrator import (
     brownian_increments,
     generator_product,
     simulate,
-    theta_step,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
 from nshom.presets import HSpec, get_theta, get_v
@@ -96,6 +95,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel("funky")
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_sigma_must_be_finite_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseModel("linear", sigma)
+
 
 class TestThetaScheme:
     def test_crank_nicolson_conserves_norm(self, grid, frac_gen):
@@ -135,32 +139,10 @@ class TestThetaScheme:
         rng = np.random.default_rng(8)
         u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        kwargs = dict(dt=1e-2, dW=0.03, noise=NoiseModel("linear", 0.4))
-        lhs = theta_step(u + v, frac_gen, **kwargs)
-        rhs = theta_step(u, frac_gen, **kwargs) + theta_step(v, frac_gen, **kwargs)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_theta_step_matches_simulate_single_step(self, grid, frac_gen):
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1e-2,
-                        noise=NoiseModel("bounded", 0.5))
-        path = brownian_increments(1, 1, 1e-2)
-        res = simulate(Effective(UNIT), cfg, path, generator=frac_gen)
-        manual = theta_step(cfg.initial_field().astype(complex), frac_gen, 1e-2,
-                            float(path.increments[0]), noise=cfg.noise)
-        assert np.max(np.abs(res.final - manual)) < 1e-12
-
-    def test_theta_step_with_potential_diagonal_matches_simulate(self, grid, frac_gen):
-        eps, dt = 0.25, 1e-2
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=dt,
-                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
-        path = brownian_increments(4, 1, dt)
-        res = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
-        amp = eps ** ((1.0 - ALPHA) / 2.0)
-        tau = (cfg.theta_scheme * dt / eps) % 1.0
-        v_diag = amp * cfg.v_spec.sample(np.mod(grid.nodes / eps, 1.0), tau)
-        manual = theta_step(cfg.initial_field().astype(complex), frac_gen, dt,
-                            float(path.increments[0]), v_diag=v_diag)
-        assert np.max(np.abs(res.final - manual)) < 1e-12
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1e-2, noise=NoiseModel("linear", 0.4))
+        stepper = ThetaStepper(Effective(UNIT), cfg, 1e-2, 1, generator=frac_gen)
+        out = stepper.step(np.stack([u + v, u, v], axis=1), 0, np.full(3, 0.03))
+        assert np.max(np.abs(out[:, 0] - (out[:, 1] + out[:, 2]))) < 1e-12
 
     def test_zero_initial_datum_stays_zero(self, grid, frac_gen):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.25,
@@ -173,9 +155,11 @@ class TestThetaScheme:
     def test_forcing_enters_with_minus_i(self, grid, frac_gen):
         from nshom.presets import FSpec
         f = FSpec("const", lambda t, x: np.ones_like(x, dtype=complex))
-        u0 = np.zeros(grid.n, dtype=complex)
-        out = theta_step(u0, np.zeros((grid.n, grid.n)), 0.1, 0.0, f_vec=f.sample(0.0, grid.nodes))
-        assert np.allclose(out, -0.1j * np.ones(grid.n))
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.1, f_spec=f)
+        stepper = ThetaStepper(Effective(UNIT), cfg, 0.1, 1,
+                               generator=np.zeros((grid.n, grid.n)))
+        out = stepper.step(np.zeros((grid.n, 1), dtype=complex), 0, np.zeros(1))
+        assert np.allclose(out[:, 0], -0.1j * np.ones(grid.n))
 
     def test_blowup_detected_with_explicit_scheme(self, grid):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0, theta_scheme=0.0)
@@ -183,6 +167,11 @@ class TestThetaScheme:
         with pytest.raises(TrajectoryBlowup) as excinfo:
             simulate(Heterogeneous(0.5), cfg, path)
         assert 1 <= excinfo.value.step <= 10
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
+    def test_horizon_must_be_finite_positive(self, grid, T):
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(grid=grid, alpha=ALPHA, T=T)
 
     def test_path_horizon_mismatch_rejected(self, grid):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0)
@@ -254,10 +243,11 @@ class TestItoIdentity:
         assert order >= 0.4, f"observed strong order {order}"
 
 
-def reference_norm2(g_mat, cfg, path, eps=None):
-    """Discrete norms of a plain single-path theta loop, the reference for
-    simulate: complex G @ u, one factorization per potential phase and the
-    potential sampled at every step (forcing left out)."""
+def reference_run(g_mat, cfg, path, eps=None):
+    """Discrete norms and final state of a plain single-path theta loop, the
+    reference for simulate: complex G @ u, one factorization per potential
+    phase, the potential sampled at the theta point of every step and the
+    noise at its left end (forcing left out)."""
     dt, theta_s, n = path.dt, cfg.theta_scheme, cfg.grid.n
     u = cfg.initial_field().astype(complex)
     norms = [cfg.grid.h * np.sum(np.abs(u) ** 2)]
@@ -278,13 +268,13 @@ def reference_norm2(g_mat, cfg, path, eps=None):
                 np.eye(n) + 1j * theta_s * dt * (g_mat + np.diag(v_diag)))
         u = linalg.lu_solve(factors[key], rhs)
         norms.append(cfg.grid.h * np.sum(np.abs(u) ** 2))
-    return np.array(norms)
+    return np.array(norms), u
 
 
 class TestEnsembleStepper:
     def test_real_view_product_matches_complex_product(self, frac_gen):
         rng = np.random.default_rng(3)
-        g_mat = frac_gen.entries
+        g_mat = frac_gen
         u = rng.standard_normal((g_mat.shape[0], 5)) + 1j * rng.standard_normal((g_mat.shape[0], 5))
         expected = g_mat.astype(complex) @ u
         np.testing.assert_allclose(generator_product(g_mat, u), expected, rtol=1e-12,
@@ -306,8 +296,9 @@ class TestEnsembleStepper:
             sim_system = Effective(UNIT)
         path = brownian_increments(6, 64, 0.5 / 64)
         res = simulate(sim_system, cfg, path, generator=frac_gen, store_trajectory=False)
-        np.testing.assert_allclose(res.norm2, reference_norm2(frac_gen.entries, cfg, path, eps),
-                                   rtol=1e-12)
+        norms, final = reference_run(frac_gen, cfg, path, eps)
+        np.testing.assert_allclose(res.norm2, norms, rtol=1e-12)
+        np.testing.assert_allclose(res.final, final, rtol=1e-12)
 
     def test_cyclic_phase_factorizes_once_per_phase(self, grid, frac_gen):
         eps = 0.25

@@ -124,7 +124,7 @@ class TestGeneratorAssembly:
     def test_symmetric_psd(self, theta_name):
         grid = Grid1D.make(96)
         params = KernelParams(alpha=1.5, theta=get_theta(theta_name), epsilon=0.5)
-        mat = assemble_heterogeneous_generator(grid, params).entries
+        mat = assemble_heterogeneous_generator(grid, params)
         assert np.max(np.abs(mat - mat.T)) < 1e-12
         vals = np.linalg.eigvalsh(mat)
         assert vals[0] >= -1e-10 * vals[-1]
@@ -145,7 +145,7 @@ class TestGeneratorAssembly:
     def test_quadratic_form_identity(self, theta_name):
         grid = Grid1D.make(128)
         params = KernelParams(alpha=1.5, theta=get_theta(theta_name), epsilon=0.5)
-        mat = assemble_heterogeneous_generator(grid, params).entries
+        mat = assemble_heterogeneous_generator(grid, params)
         rng = np.random.default_rng(5)
         u = (1.0 - grid.nodes ** 2) * np.exp(1j * np.pi * grid.nodes) \
             + 0.1 * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
@@ -180,7 +180,7 @@ class TestGeneratorAssembly:
     def test_row_apply_matches_pv_oracle(self):
         grid = Grid1D.make(512)
         params = KernelParams(alpha=1.5, theta=get_theta("one"))
-        mat = assemble_heterogeneous_generator(grid, params).entries
+        mat = assemble_heterogeneous_generator(grid, params)
         i = int(np.argmin(np.abs(grid.nodes - 0.3)))
         uvec = np.array([smooth_bump(z) for z in grid.nodes])
         row_val = (mat @ uvec)[i]
@@ -192,7 +192,7 @@ class TestGeneratorAssembly:
         errs = []
         for n in (128, 256, 512):
             grid = Grid1D.make(n)
-            mat = assemble_heterogeneous_generator(grid, params).entries
+            mat = assemble_heterogeneous_generator(grid, params)
             i = int(np.argmin(np.abs(grid.nodes - 0.3)))
             uvec = np.array([smooth_bump(z) for z in grid.nodes])
             oracle = pv_oracle(smooth_bump, float(grid.nodes[i]), 1.5, tol=1e-10)
@@ -347,9 +347,9 @@ class TestVectorizedExteriorWeight:
         params = KernelParams(alpha=alpha, theta=theta)
         assert np.array_equal(exterior_weight(grid.nodes, params, margin=grid.h / 2),
                               per_node_closed_form_weight(grid.nodes, params, margin=grid.h / 2))
-        fast = assemble_heterogeneous_generator(grid, params).entries
+        fast = assemble_heterogeneous_generator(grid, params)
         monkeypatch.setattr(kernel, "exterior_weight", per_node_closed_form_weight)
-        per_node = assemble_heterogeneous_generator(grid, params).entries
+        per_node = assemble_heterogeneous_generator(grid, params)
         assert np.array_equal(fast, per_node)
 
 
@@ -369,7 +369,7 @@ class TestPVOracle:
     def test_parabola_matches_fine_matrix(self):
         grid = Grid1D.make(2048)
         params = KernelParams(alpha=1.5, theta=get_theta("one"))
-        mat = assemble_heterogeneous_generator(grid, params).entries
+        mat = assemble_heterogeneous_generator(grid, params)
         u = lambda z: (1.0 - z * z) if abs(z) < 1 else 0.0
         uvec = 1.0 - grid.nodes ** 2
         i = int(np.argmin(np.abs(grid.nodes)))
