@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .kernel import (KERNEL_MODES, _centered_difference, _check_alpha, _theta_matrix,
+from .kernel import (KERNEL_MODES, _add_same_cell_term, _check_alpha, _theta_matrix,
                      pair_weights_even, same_cell_coeff)
 from .presets import ThetaSpec, VSpec
 
@@ -72,6 +72,7 @@ class CellSolution:
     """
 
     chi: np.ndarray  # shape (m,)
+    rhs: np.ndarray  # shape (m,), the right-hand side b the corrector was solved with
     alpha: float
     kernel_mode: str
     m: int
@@ -122,6 +123,13 @@ def _q_odd_far(d: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return _psi_odd(d + h, alpha) - 2.0 * _psi_odd(d, alpha) + _psi_odd(d - h, alpha)
 
 
+def _scalar_power(base: np.ndarray, e: float) -> np.ndarray:
+    """base ** e with the scalar power per entry: numpy's vectorized power can
+    differ from it in the last bit, and the scalar one keeps the weights equal
+    bit for bit to an offset-by-offset evaluation."""
+    return np.array([b ** e for b in base.tolist()])
+
+
 def _even_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -> np.ndarray:
     """Even pair weights per grid offset, mirror-exact: w[m - D] == w[D] bitwise."""
     h = 1.0 / m
@@ -131,14 +139,13 @@ def _even_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) 
         w[1:] = pair_weights_even(d, h, alpha)
         return w
     kk = np.arange(-n_images, n_images + 1)
-    half = m // 2
-    for delta in range(1, half + 1):
-        d0 = delta * h
-        val = float(np.sum(pair_weights_even(d0 + kk, h, alpha)))
-        val += h * h * ((n_images + 0.5 + d0) ** (-alpha)
-                        + (n_images + 0.5 - d0) ** (-alpha)) / alpha
-        w[delta] = val
-        w[m - delta] = val
+    delta = np.arange(1, m // 2 + 1)
+    d0 = delta * h
+    val = np.sum(pair_weights_even(d0[:, None] + kk, h, alpha), axis=1)
+    val += h * h * (_scalar_power(n_images + 0.5 + d0, -alpha)
+                    + _scalar_power(n_images + 0.5 - d0, -alpha)) / alpha
+    w[delta] = val
+    w[m - delta] = val
     return w
 
 
@@ -153,18 +160,14 @@ def _odd_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -
         return w
     kk = np.arange(-n_images, n_images + 1)
     kk = kk[kk != 0]
-    half = m // 2
-    for delta in range(1, half + 1):
-        if 2 * delta == m:
-            w[delta] = 0.0
-            continue
-        d0 = delta * h
-        val = float(_q_odd_near(np.array([d0]), h, alpha)[0])
-        val += float(np.sum(_q_odd_far(d0 + kk, h, alpha)))
-        val += h * h * ((n_images + 0.5 - d0) ** (1.0 - p)
-                        - (n_images + 0.5 + d0) ** (1.0 - p)) / (1.0 - p)
-        w[delta] = val
-        w[m - delta] = -val
+    delta = np.arange(1, (m - 1) // 2 + 1)  # an even m's offset m/2 stays 0
+    d0 = delta * h
+    val = _q_odd_near(d0, h, alpha)
+    val += np.sum(_q_odd_far(d0[:, None] + kk, h, alpha), axis=1)
+    val += h * h * (_scalar_power(n_images + 0.5 - d0, 1.0 - p)
+                    - _scalar_power(n_images + 0.5 + d0, 1.0 - p)) / (1.0 - p)
+    w[delta] = val
+    w[m - delta] = -val
     return w
 
 
@@ -194,10 +197,10 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
     tm = _theta_matrix(theta, grid.y)
     w *= theta.constant if tm is None else tm
     theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
-    dg = np.diag(w.sum(axis=1))
-    p = _centered_difference(m, h, periodic=True)
-    c = same_cell_coeff(h, alpha) * (p.T * theta_diag) @ p
-    a = 2.0 * (dg - w) + c
+    dg = 2.0 * w.sum(axis=1)
+    a = np.multiply(w, -2.0, out=w)
+    a[np.diag_indices(m)] += dg
+    _add_same_cell_term(a, same_cell_coeff(h, alpha), theta_diag, h, periodic=True)
     return 0.5 * (a + a.T)
 
 
@@ -263,7 +266,7 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid,
     if v_spec is not None:
         xi = solve_periodic_poisson(v_spec, alpha, grid)
 
-    return CellSolution(chi=chi, alpha=alpha, kernel_mode=kernel_mode, m=grid.m,
+    return CellSolution(chi=chi, rhs=b, alpha=alpha, kernel_mode=kernel_mode, m=grid.m,
                         m_tau=grid.m_tau, n_images=grid.n_images,
                         theta_name=theta.name, residual=residual, xi=xi)
 

@@ -18,7 +18,12 @@ divergence zeta -> int_D (zeta(x) + zeta(z)) gamma(x, z) dz (principal value).
 Z and R are built by product integration: the field is interpolated piecewise
 linearly between grid nodes (zero at the domain endpoints for Z, linear
 extrapolation for R) and the weakly singular kernel moments are integrated
-exactly per interval, so no graded quadrature is needed at the diagonal.
+exactly per interval, so no graded quadrature is needed at the diagonal. On
+the uniform grid these moments depend only on the offset between node and
+interval, so they are evaluated once per offset (O(n) powers) and expanded
+into the dense Toeplitz part of the matrix; the diagonal and the endpoint
+columns are added to it. Both matrices are cached per (n, alpha) and
+returned read-only.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
-from .cell import CellGrid, CellSolution, assemble_cell_rhs
+from .cell import CellGrid, CellSolution
 from .presets import ThetaSpec, VSpec, get_theta
 
 
@@ -60,15 +66,18 @@ def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
                                    grid: CellGrid) -> EffectiveCoefficients:
     """Quadrature of the three cell averages against a solved corrector.
 
-    Xi_2 reuses the same odd-kernel weights as the corrector right-hand side
-    (same kernel mode), so for constant Theta it vanishes to rounding together
-    with chi.
+    Xi_2 = b . chi with the right-hand side b the corrector was solved with
+    (same odd-kernel weights and kernel mode), so for constant Theta it
+    vanishes to rounding together with chi.
     """
     _check_alpha(alpha)
     if (chi.m, chi.n_images) != (grid.m, grid.n_images):
         raise ValueError("corrector was solved on a different cell grid")
     if abs(chi.alpha - alpha) > 1e-14:
         raise ValueError("corrector was solved for a different alpha")
+    if chi.theta_name != theta.name:
+        raise ValueError(f"corrector was solved for Theta {chi.theta_name!r}, "
+                         f"not {theta.name!r}")
 
     if theta.constant is not None:
         xi1 = float(theta.constant)
@@ -76,8 +85,7 @@ def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
         y = grid.y
         xi1 = float(np.mean(theta.sample(y[:, None], y[None, :])))
 
-    b = assemble_cell_rhs(theta, alpha, grid, chi.kernel_mode)
-    xi2 = float(b @ chi.chi)
+    xi2 = float(chi.rhs @ chi.chi)
 
     v = v_spec.sample(grid.y[:, None], grid.tau[None, :])
     xi3 = 2.0 * float(np.mean(chi.chi * v.mean(axis=1)))
@@ -95,19 +103,10 @@ def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
     return EffectiveCoefficients(xi1=xi1, xi2=xi2, xi3=xi3, provenance=prov)
 
 
-def _interval_kernel_moments(x: float, p: np.ndarray, q: np.ndarray, alpha: float):
-    """Exact moments int_p^q gamma(x, z) dz and int_p^q (z - x) gamma(x, z) dz.
-
-    The first is infinite when x is an interval endpoint; callers must mask
-    those entries (the constant part of the integrand vanishes there).
-    """
+def _kernel_mass(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Principal value int_{-1}^{1} gamma(x, z) dz at points x inside (-1, 1)."""
     e1 = (1.0 - alpha) / 2.0
-    e3 = (3.0 - alpha) / 2.0
-    with np.errstate(divide="ignore"):
-        i0 = (2.0 / (1.0 - alpha)) * (np.abs(q - x) ** e1 - np.abs(p - x) ** e1)
-    i1 = (2.0 / (3.0 - alpha)) * (np.sign(q - x) * np.abs(q - x) ** e3
-                                  - np.sign(p - x) * np.abs(p - x) ** e3)
-    return i0, i1
+    return (2.0 / (1.0 - alpha)) * ((1.0 - x) ** e1 - (1.0 + x) ** e1)
 
 
 def _piecewise_linear_kernel_matrix(n: int, alpha: float, endpoint: str) -> np.ndarray:
@@ -115,60 +114,62 @@ def _piecewise_linear_kernel_matrix(n: int, alpha: float, endpoint: str) -> np.n
 
     ``endpoint`` selects the virtual values at z = -1, 1: "zero" (exterior
     condition) or "extrapolate" (linear continuation from the last two nodes).
+
+    Every interval of [-1, x_1, ..., x_n, 1] has width h, so the exact moments
+    i0 = int gamma and i1 = int (z - x_i) gamma of the interval
+    [x_i + k h, x_i + (k + 1) h] depend only on its offset k. Node c takes the
+    left-node share of interval k = c - i and the right-node share of
+    interval k - 1, so off the diagonal the matrix is Toeplitz in c - i. The
+    two intervals touching x_i carry no constant part; the i0 mass of the
+    others telescopes to the principal value (``_kernel_mass``), which the
+    diagonal subtracts.
     """
+    if endpoint not in ("zero", "extrapolate"):
+        raise ValueError("endpoint must be 'zero' or 'extrapolate'")
     grid = Grid1D.make(n)
-    h, x = grid.h, grid.nodes
-    xv = np.concatenate(([-1.0], x, [1.0]))
-    p, q = xv[:-1], xv[1:]
-    n_int = n + 1
-
-    out = np.zeros((n, n))
-    for i in range(n):
-        xi = x[i]
-        i0, i1 = _interval_kernel_moments(xi, p, q, alpha)
-        vi = i + 1  # virtual index of node i
-        adjacent = np.zeros(n_int, dtype=bool)
-        adjacent[vi - 1] = True
-        adjacent[vi] = True
-        i0 = np.where(adjacent, 0.0, i0)
-
-        t = (xi - p) / h
-        wv = np.zeros(n + 2)
-        # A-part: ((1 - t) u_p + t u_q - u_i) * I0 on non-adjacent intervals
-        np.add.at(wv, np.arange(n_int), (1.0 - t) * i0)
-        np.add.at(wv, np.arange(1, n_int + 1), t * i0)
-        wv[vi] -= i0.sum()
-        # B-part: (u_q - u_p) / h * I1 on all intervals
-        np.add.at(wv, np.arange(1, n_int + 1), i1 / h)
-        np.add.at(wv, np.arange(n_int), -i1 / h)
-
-        if endpoint == "zero":
-            row = wv[1:-1]
-        elif endpoint == "extrapolate":
-            row = wv[1:-1].copy()
-            row[0] += 2.0 * wv[0]
-            row[1] -= wv[0]
-            row[-1] += 2.0 * wv[-1]
-            row[-2] -= wv[-1]
-        else:
-            raise ValueError("endpoint must be 'zero' or 'extrapolate'")
-        out[i] = row
+    h = grid.h
+    k = np.arange(-n, n)  # interval offsets; array index k + n
+    s = np.arange(-n, n + 1) * h  # interval ends relative to x_i
+    e1, e3 = (1.0 - alpha) / 2.0, (3.0 - alpha) / 2.0
+    with np.errstate(divide="ignore"):
+        p1 = np.abs(s) ** e1
+    p3 = np.sign(s) * np.abs(s) ** e3
+    i0 = (2.0 / (1.0 - alpha)) * (p1[1:] - p1[:-1])
+    i0[n - 1:n + 1] = 0.0
+    i1 = (2.0 / (3.0 - alpha)) * (p3[1:] - p3[:-1])
+    # interval k's weight on its left node (value 1 - t, t = -k) and right node
+    left = (1.0 + k) * i0 - i1 / h
+    right = -k * i0 + i1 / h
+    f = left[1:] + right[:-1]  # offsets c - i = -(n - 1), ..., n - 1
+    out = toeplitz(f[n - 1::-1], f[n - 1:])
+    out[np.diag_indices(n)] -= _kernel_mass(grid.nodes, alpha)
+    if endpoint == "extrapolate":
+        # u(-1) = 2 u_1 - u_2 and u(1) = 2 u_n - u_{n-1} carry the shares of
+        # the first interval's left end and the last interval's right end
+        lo = left[n - 1::-1]
+        hi = right[:n - 1:-1]
+        out[:, 0] += 2.0 * lo
+        out[:, 1] -= lo
+        out[:, -1] += 2.0 * hi
+        out[:, -2] -= hi
     return out
 
 
 @lru_cache(maxsize=16)
 def _zeta_matrix_cached(n: int, alpha: float) -> np.ndarray:
-    return -0.5 * _piecewise_linear_kernel_matrix(n, alpha, endpoint="zero")
+    z = _piecewise_linear_kernel_matrix(n, alpha, endpoint="zero")
+    z *= -0.5
+    z.flags.writeable = False
+    return z
 
 
 @lru_cache(maxsize=16)
 def _restricted_divergence_cached(n: int, alpha: float) -> np.ndarray:
-    grid = Grid1D.make(n)
-    x = grid.nodes
-    e1 = (1.0 - alpha) / 2.0
-    pv_full = (2.0 / (1.0 - alpha)) * ((1.0 - x) ** e1 - (1.0 + x) ** e1)
-    s = _piecewise_linear_kernel_matrix(n, alpha, endpoint="extrapolate")
-    return 2.0 * np.diag(pv_full) + s
+    r = _piecewise_linear_kernel_matrix(n, alpha, endpoint="extrapolate")
+    # zeta(x) + zeta(z): the zeta(x) part is the kernel mass on the diagonal
+    r[np.diag_indices(n)] += 2.0 * _kernel_mass(Grid1D.make(n).nodes, alpha)
+    r.flags.writeable = False
+    return r
 
 
 def zeta_matrix(grid: Grid1D, alpha: float) -> np.ndarray:

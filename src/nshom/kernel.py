@@ -142,16 +142,37 @@ def same_cell_coeff(h: float, alpha: float) -> float:
     return 2.0 * _phi2(h, alpha)
 
 
-def _centered_difference(n: int, h: float, periodic: bool = False) -> np.ndarray:
-    """Rows approximating u' by (u_{i+1} - u_{i-1}) / 2h; the neighbours wrap
-    around when ``periodic``, otherwise the exterior values are zero."""
+def _centered_difference(n: int, h: float) -> np.ndarray:
+    """Rows approximating u' by (u_{i+1} - u_{i-1}) / 2h, exterior values zero."""
     p = np.zeros((n, n))
     i = np.arange(n)
     p[i[:-1], i[1:]] = 1.0 / (2.0 * h)
     p[i[1:], i[:-1]] = -1.0 / (2.0 * h)
-    if periodic:
-        p[0, -1], p[-1, 0] = -1.0 / (2.0 * h), 1.0 / (2.0 * h)
     return p
+
+
+def _add_same_cell_term(a: np.ndarray, coef: float, d: np.ndarray, h: float,
+                        periodic: bool = False) -> None:
+    """Add coef * P^T diag(d) P to ``a`` in place, P the centered difference
+    (u_{j+1} - u_{j-1}) / 2h with zero exterior values, or wrapping around
+    when ``periodic``.
+
+    Row j of P touches only j - 1 and j + 1, so the product has three bands:
+    (j, j) gets (d_{j-1} + d_{j+1}) / 4h^2 and (j, j +- 2) gets -d_{j+-1} / 4h^2.
+    """
+    n = a.shape[0]
+    g = coef * d / (4.0 * h * h)
+    i = np.arange(n)
+    if periodic:
+        g_prev, g_next = np.roll(g, 1), np.roll(g, -1)
+        a[i, i] += g_prev + g_next
+        a[i, (i + 2) % n] -= g_next
+        a[i, (i - 2) % n] -= g_prev
+    else:
+        a[i[1:], i[1:]] += g[:-1]
+        a[i[:-1], i[:-1]] += g[1:]
+        a[i[:-2], i[2:]] -= g[1:-1]
+        a[i[2:], i[:-2]] -= g[1:-1]
 
 
 def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
@@ -243,7 +264,7 @@ def exterior_weight(x: float | np.ndarray, params: KernelParams,
 
 
 def _assembly_pieces(grid: Grid1D, params: KernelParams):
-    """Pair-weight matrix W, exterior diagonal E, derivative rows P, diagonal Theta."""
+    """Pair-weight matrix W, exterior diagonal E, diagonal Theta."""
     n, h, x = grid.n, grid.h, grid.nodes
     alpha = params.alpha
     offsets = np.arange(1, n) * h
@@ -256,9 +277,7 @@ def _assembly_pieces(grid: Grid1D, params: KernelParams):
     theta_diag = np.full(n, params.theta.constant) if tm is None else np.diag(tm).copy()
 
     ext = exterior_weight(x, params, margin=h / 2.0)
-
-    p = _centered_difference(n, h)
-    return w, ext, p, theta_diag
+    return w, ext, theta_diag
 
 
 def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> np.ndarray:
@@ -270,11 +289,15 @@ def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> np.n
     """
     if grid.n < 4:
         raise ValueError("generator assembly needs at least 4 interior nodes")
-    w, ext, p, theta_diag = _assembly_pieces(grid, params)
+    w, ext, theta_diag = _assembly_pieces(grid, params)
     h = grid.h
-    dg = np.diag(w.sum(axis=1))
-    c = same_cell_coeff(h, params.alpha) / 2.0 * (p.T * theta_diag) @ p
-    m = np.diag(ext) + (dg - w + c) / h
+    diag = np.diag_indices(grid.n)
+    dg = w.sum(axis=1)
+    m = np.negative(w, out=w)
+    m[diag] += dg
+    _add_same_cell_term(m, same_cell_coeff(h, params.alpha) / 2.0, theta_diag, h)
+    m /= h
+    m[diag] += ext
     return 0.5 * (m + m.T)
 
 
@@ -288,11 +311,11 @@ def h_rho_norm_sq(u: np.ndarray, grid: Grid1D, params: KernelParams) -> float:
     algebra), so the quadratic-form identity against ``h u^T G u`` is a real check.
     """
     u = np.asarray(u)
-    w, ext, p, theta_diag = _assembly_pieces(grid, params)
+    w, ext, theta_diag = _assembly_pieces(grid, params)
     h = grid.h
     diff = u[:, None] - u[None, :]
     interior = 0.5 * float(np.sum(w * np.abs(diff) ** 2))
-    du = p @ u
+    du = _centered_difference(grid.n, h) @ u
     cell = same_cell_coeff(h, params.alpha) / 2.0 * float(np.sum(theta_diag * np.abs(du) ** 2))
     exterior = h * float(np.sum(ext * np.abs(u) ** 2))
     return exterior + interior + cell

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from nshom import cell
+from nshom import cell, kernel
 from nshom.cell import (
     CellGrid,
     assemble_cell_form,
@@ -238,3 +238,76 @@ class TestPeriodicPoisson:
             out = apply_periodic_generator(mode, ALPHA)
             sym = periodic_symbol(np.array([k]), ALPHA)[0]
             assert np.max(np.abs(out - sym * mode)) < 1e-10 * sym
+
+
+def loop_even_offset_weights(m, alpha, n_images):
+    """Periodized even weights offset by offset, mirrored."""
+    h = 1.0 / m
+    w = np.zeros(m)
+    kk = np.arange(-n_images, n_images + 1)
+    for delta in range(1, m // 2 + 1):
+        d0 = delta * h
+        val = float(np.sum(kernel.pair_weights_even(d0 + kk, h, alpha)))
+        val += h * h * ((n_images + 0.5 + d0) ** (-alpha)
+                        + (n_images + 0.5 - d0) ** (-alpha)) / alpha
+        w[delta] = val
+        w[m - delta] = val
+    return w
+
+
+def loop_odd_offset_weights(m, alpha, n_images):
+    """Periodized odd weights offset by offset, mirrored with opposite sign."""
+    h = 1.0 / m
+    w = np.zeros(m)
+    p = (1.0 + alpha) / 2.0
+    kk = np.arange(-n_images, n_images + 1)
+    kk = kk[kk != 0]
+    for delta in range(1, m // 2 + 1):
+        if 2 * delta == m:
+            continue
+        d0 = delta * h
+        val = float(cell._q_odd_near(np.array([d0]), h, alpha)[0])
+        val += float(np.sum(cell._q_odd_far(d0 + kk, h, alpha)))
+        val += h * h * ((n_images + 0.5 - d0) ** (1.0 - p)
+                        - (n_images + 0.5 + d0) ** (1.0 - p)) / (1.0 - p)
+        w[delta] = val
+        w[m - delta] = -val
+    return w
+
+
+def dense_same_cell_form(theta, alpha, grid, mode):
+    """The cell form with its same-cell term as the dense product (P^T * Theta) @ P."""
+    m, h = grid.m, 1.0 / grid.m
+    w = cell._offset_matrix(cell._even_offset_weights(m, alpha, grid.n_images, mode), mode)
+    tm = kernel._theta_matrix(theta, grid.y)
+    w *= theta.constant if tm is None else tm
+    theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
+    i = np.arange(m)
+    p = np.zeros((m, m))
+    p[i, (i + 1) % m] = 1.0 / (2.0 * h)
+    p[i, (i - 1) % m] = -1.0 / (2.0 * h)
+    c = kernel.same_cell_coeff(h, alpha) * (p.T * theta_diag) @ p
+    a = 2.0 * (np.diag(w.sum(axis=1)) - w) + c
+    return 0.5 * (a + a.T)
+
+
+class TestVectorizedOffsetWeights:
+    @pytest.mark.parametrize("m", [64, 65, 1024])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_periodized_weights_match_offset_loop_bitwise(self, m, alpha):
+        even = cell._even_offset_weights(m, alpha, 8, "periodized")
+        odd = cell._odd_offset_weights(m, alpha, 8, "periodized")
+        assert even.tobytes() == loop_even_offset_weights(m, alpha, 8).tobytes()
+        assert odd.tobytes() == loop_odd_offset_weights(m, alpha, 8).tobytes()
+        d = np.arange(1, m)
+        assert np.array_equal(even[m - d], even[d])
+        assert np.array_equal(odd[m - d], -odd[d])
+
+    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
+    @pytest.mark.parametrize("theta_name", ["one", "cosine_sum"])
+    def test_form_matches_dense_same_cell_product(self, mode, theta_name):
+        grid = CellGrid(m=1024)
+        theta = get_theta(theta_name)
+        ref = dense_same_cell_form(theta, ALPHA, grid, mode)
+        got = assemble_cell_form(theta, ALPHA, grid, mode)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))

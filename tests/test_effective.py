@@ -224,3 +224,124 @@ class TestEffectiveGenerator:
         with pytest.raises(ValueError, match="size"):
             assemble_effective_generator(EffectiveCoefficients.from_values(1.0),
                                          grid, ALPHA, frac_matrix=frac)
+
+
+def row_loop_kernel_matrix(n, alpha, endpoint):
+    """Row-by-row product integration with per-interval moments from the
+    floating-point nodes: the construction the offset build replaced."""
+    grid = Grid1D.make(n)
+    h, x = grid.h, grid.nodes
+    xv = np.concatenate(([-1.0], x, [1.0]))
+    p, q = xv[:-1], xv[1:]
+    e1, e3 = (1.0 - alpha) / 2.0, (3.0 - alpha) / 2.0
+    out = np.zeros((n, n))
+    for i in range(n):
+        with np.errstate(divide="ignore"):
+            i0 = (2.0 / (1.0 - alpha)) * (np.abs(q - x[i]) ** e1 - np.abs(p - x[i]) ** e1)
+        i1 = (2.0 / (3.0 - alpha)) * (np.sign(q - x[i]) * np.abs(q - x[i]) ** e3
+                                      - np.sign(p - x[i]) * np.abs(p - x[i]) ** e3)
+        i0[i:i + 2] = 0.0  # the two intervals touching x_i
+        t = (x[i] - p) / h
+        wv = np.zeros(n + 2)
+        np.add.at(wv, np.arange(n + 1), (1.0 - t) * i0)
+        np.add.at(wv, np.arange(1, n + 2), t * i0)
+        wv[i + 1] -= i0.sum()
+        np.add.at(wv, np.arange(1, n + 2), i1 / h)
+        np.add.at(wv, np.arange(n + 1), -i1 / h)
+        row = wv[1:-1].copy()
+        if endpoint == "extrapolate":
+            row[0] += 2.0 * wv[0]
+            row[1] -= wv[0]
+            row[-1] += 2.0 * wv[-1]
+            row[-2] -= wv[-1]
+        out[i] = row
+    return out
+
+
+def longdouble_kernel_matrix(n, alpha, endpoint):
+    """The same per-interval formula in extended precision with exact offsets
+    k h between node and interval ends, all rows at once."""
+    ld = np.longdouble
+    a, h = ld(alpha), ld(2) / ld(n + 1)
+    k = (np.arange(n + 1)[None, :] - np.arange(n)[:, None] - 1).astype(ld)
+    lo, hi = k * h, (k + 1) * h
+    e1, e3 = (1 - a) / 2, (3 - a) / 2
+    with np.errstate(divide="ignore"):
+        i0 = (2 / (1 - a)) * (np.abs(hi) ** e1 - np.abs(lo) ** e1)
+    i0[(k == -1) | (k == 0)] = 0
+    i1 = (2 / (3 - a)) * (np.sign(hi) * np.abs(hi) ** e3 - np.sign(lo) * np.abs(lo) ** e3)
+    wv = np.zeros((n, n + 2), dtype=ld)
+    wv[:, :-1] += (1 + k) * i0 - i1 / h
+    wv[:, 1:] += -k * i0 + i1 / h
+    wv[np.arange(n), np.arange(1, n + 1)] -= i0.sum(axis=1)
+    out = wv[:, 1:-1].copy()
+    if endpoint == "extrapolate":
+        out[:, 0] += 2 * wv[:, 0]
+        out[:, 1] -= wv[:, 0]
+        out[:, -1] += 2 * wv[:, -1]
+        out[:, -2] -= wv[:, -1]
+    return out
+
+
+def zeta_and_divergence_from(kernel_matrix, n, alpha, dtype=float):
+    """Z = -S_zero / 2 and R = 2 diag(PV mass) + S_extrapolate."""
+    x = -1 + (2 / dtype(n + 1)) * np.arange(1, n + 1).astype(dtype)
+    a = dtype(alpha)
+    e1 = (1 - a) / 2
+    pv = (2 / (1 - a)) * ((1 - x) ** e1 - (1 + x) ** e1)
+    z = dtype(-0.5) * kernel_matrix(n, alpha, "zero")
+    r = kernel_matrix(n, alpha, "extrapolate")
+    r[np.arange(n), np.arange(n)] += 2 * pv
+    return z, r
+
+
+class TestOffsetBuild:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_as_accurate_as_row_loop_against_long_double(self, n, alpha):
+        g = Grid1D.make(n)
+        loops = zeta_and_divergence_from(row_loop_kernel_matrix, n, alpha)
+        exact = zeta_and_divergence_from(longdouble_kernel_matrix, n, alpha, np.longdouble)
+        built = (zeta_matrix(g, alpha), restricted_divergence_matrix(g, alpha))
+        for new, loop, ref in zip(built, loops, exact):
+            scale = float(np.max(np.abs(loop)))
+            err_new = float(np.max(np.abs(new - ref))) / scale
+            err_loop = float(np.max(np.abs(loop - ref))) / scale
+            assert err_new <= 1.1 * err_loop + 1e-15
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_matches_row_loop(self, n, alpha):
+        g = Grid1D.make(n)
+        loops = zeta_and_divergence_from(row_loop_kernel_matrix, n, alpha)
+        built = (zeta_matrix(g, alpha), restricted_divergence_matrix(g, alpha))
+        for new, loop in zip(built, loops):
+            assert np.max(np.abs(new - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+    def test_cached_matrices_are_read_only(self):
+        g = Grid1D.make(40)
+        for build in (zeta_matrix, restricted_divergence_matrix):
+            m = build(g, 1.5)
+            before = m.copy()
+            with pytest.raises(ValueError):
+                m *= 2.0
+            assert np.array_equal(build(g, 1.5), before)
+
+
+class TestCorrectorRightHandSide:
+    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
+    def test_xi2_uses_the_solved_rhs_bit_for_bit(self, mode):
+        cg = CellGrid(m=64, m_tau=2)
+        theta = get_theta("cosine_sum")
+        sol = solve_cell_problem(theta, ALPHA, cg, mode)
+        b = assemble_cell_rhs(theta, ALPHA, cg, mode)
+        assert np.array_equal(sol.rhs, b)
+        coeffs = compute_effective_coefficients(theta, get_v("zero"), sol, ALPHA, cg)
+        assert coeffs.xi2 == float(b @ sol.chi)
+
+    def test_corrector_of_another_theta_rejected(self):
+        cg = CellGrid(m=64, m_tau=2)
+        sol = solve_cell_problem(get_theta("cosine_sum"), ALPHA, cg)
+        with pytest.raises(ValueError, match="Theta"):
+            compute_effective_coefficients(get_theta("cosine_product"), get_v("zero"),
+                                           sol, ALPHA, cg)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nshom import cell, harness, integrator, kernel
+from nshom import cell, effective, harness, integrator, kernel
 from nshom.config import RunConfig
 from nshom.harness import (
     SweepFailure,
@@ -190,14 +190,19 @@ class TestEnsemble:
             assert np.array_equal(outcomes[j].weak, baseline[j].weak)
 
 
-def test_perfbench_tracer_sees_one_cell_solve():
-    # the benchmark's tracer wraps nshom at its call-site names; a refactor
-    # that moves those calls would silently blind it
+def perfbench_tracer():
+    """A Tracer from the benchmark's perfbench/tracer.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
-    tracer = tracer_mod.Tracer()
+    return tracer_mod.Tracer()
+
+
+def test_perfbench_tracer_sees_one_cell_solve():
+    # the benchmark's tracer wraps nshom at its call-site names; a refactor
+    # that moves those calls would silently blind it
+    tracer = perfbench_tracer()
     tracer.install_nshom()
     try:
         harness.solve_coefficients(make_config(cell={"m": 32, "m_tau": 4, "n_images": 4}))
@@ -212,12 +217,8 @@ def test_perfbench_tracer_sees_one_cell_solve():
 def test_perfbench_tracer_sees_one_exterior_weight_per_assembly():
     # the tracer patches kernel.exterior_weight; the assembly must call it
     # once with all nodes, for an oscillating and for a constant Theta
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
     original = kernel.exterior_weight
-    tracer = tracer_mod.Tracer()
+    tracer = perfbench_tracer()
     tracer.install_nshom()
     try:
         for theta in ("cosine_sum", "one"):
@@ -228,6 +229,35 @@ def test_perfbench_tracer_sees_one_exterior_weight_per_assembly():
     assert tracer.calls["kernel.assemble"] == 2
     assert tracer.calls["kernel.exterior_weight"] == 2
     assert kernel.exterior_weight is original
+
+
+def test_perfbench_tracer_sees_each_setup_layer_once():
+    # the per-layer setup metrics of the benchmark come from these spans
+    tracer = perfbench_tracer()
+    tracer.install_nshom()
+    try:
+        harness.prepare_experiment(make_config(
+            theta_preset={"name": "cosine_sum", "params": {}}))
+    finally:
+        tracer.restore()
+    for span in ("effective.zeta_matrix", "effective.restricted_divergence",
+                 "cell.form", "kernel.assemble"):
+        assert tracer.calls[span] == 1, span
+
+
+def test_one_corrector_rhs_per_coefficient_solve(monkeypatch):
+    original, calls = cell.assemble_cell_rhs, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that holds the name, so a second call site is counted too
+    for module in (cell, effective, harness):
+        if hasattr(module, "assemble_cell_rhs"):
+            monkeypatch.setattr(module, "assemble_cell_rhs", counted)
+    harness.solve_coefficients(make_config(theta_preset={"name": "cosine_sum", "params": {}}))
+    assert len(calls) == 1
 
 
 class TestFitAndEstimators:

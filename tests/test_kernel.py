@@ -387,3 +387,57 @@ class TestPVOracle:
         with pytest.raises(PVConvergenceError) as excinfo:
             pv_oracle(rough, 0.0, 1.5, tol=1e-10, max_levels=5)
         assert excinfo.value.achieved > 0.0
+
+
+def dense_centered_difference(n, h, periodic):
+    """(u_{j+1} - u_{j-1}) / 2h as a dense matrix, wrapping when periodic."""
+    p = np.zeros((n, n))
+    i = np.arange(n)
+    p[i, (i + 1) % n] = 1.0 / (2.0 * h)
+    p[i, (i - 1) % n] = -1.0 / (2.0 * h)
+    if not periodic:
+        p[0, -1] = p[-1, 0] = 0.0
+    return p
+
+
+def dense_same_cell_generator(grid, params):
+    """The generator with its same-cell term as the dense product (P^T * Theta) @ P."""
+    w, ext, theta_diag = kernel._assembly_pieces(grid, params)
+    h = grid.h
+    p = dense_centered_difference(grid.n, h, periodic=False)
+    c = kernel.same_cell_coeff(h, params.alpha) / 2.0 * (p.T * theta_diag) @ p
+    m = np.diag(ext) + (np.diag(w.sum(axis=1)) - w + c) / h
+    return 0.5 * (m + m.T)
+
+
+class TestSameCellBands:
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_bands_match_dense_product(self, periodic, n):
+        rng = np.random.default_rng(n)
+        d = rng.uniform(0.5, 2.0, n)
+        h, coef = 2.0 / (n + 1), 0.7
+        base = rng.standard_normal((n, n))
+        a = base.copy()
+        kernel._add_same_cell_term(a, coef, d, h, periodic)
+        p = dense_centered_difference(n, h, periodic)
+        ref = coef * (p.T * d) @ p
+        added = a - base
+        assert np.array_equal(np.abs(added) > 1e-12, ref != 0.0)
+        assert np.max(np.abs(added - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if periodic:
+            # wrap entries: rows 0, 1 meet columns n - 2, n - 1 through d_{n-1}, d_0
+            g = coef / (4.0 * h * h)
+            for (r, c), dj in (((0, n - 2), d[n - 1]), ((n - 2, 0), d[n - 1]),
+                               ((1, n - 1), d[0]), ((n - 1, 1), d[0])):
+                assert a[r, c] - base[r, c] == pytest.approx(-g * dj, rel=1e-14)
+            assert a[0, 0] - base[0, 0] == pytest.approx(g * (d[n - 1] + d[1]), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    def test_generator_matches_dense_same_cell_product(self, n, theta):
+        grid = Grid1D.make(n)
+        params = KernelParams(alpha=1.5, theta=get_theta(theta), epsilon=1.0 / 16.0)
+        ref = dense_same_cell_generator(grid, params)
+        got = assemble_heterogeneous_generator(grid, params)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
