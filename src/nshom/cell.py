@@ -6,7 +6,8 @@ The cell bilinear form
     a(w, v) = int_{Y x N x Z} Theta(y, eta) (D*_y w) conj(D*_y v) dy deta dtau
 
 is discretized on a uniform periodic y-grid with exact cell-pair kernel
-moments.  Two kernel interpretations are supported:
+moments.  Two kernel interpretations are supported, selected by
+``CellGrid.kernel_mode``:
 
 * ``periodized`` (default): the eta-integration runs over the whole line,
   realized as an image sum over integer translates plus analytic tail
@@ -18,20 +19,25 @@ moments.  Two kernel interpretations are supported:
 
 The linear functional ell(v) = int Theta conj(D*_y v) uses the matching odd
 kernel moments; the corrector chi solves a(chi, v) = ell(v) for all v subject
-to zero mean, enforced through a bordered (Lagrange) system.
+to zero mean, enforced through a bordered (Lagrange) system. The returned
+``CellSolution`` carries chi with the Theta, alpha and grid it was solved for,
+so the effective coefficients are computed from it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import toeplitz
 
-from .kernel import (KERNEL_MODES, _add_same_cell_term, _check_alpha, _theta_matrix,
-                     pair_weights_even, same_cell_coeff)
+from .kernel import (_add_same_cell_term, _check_alpha, _theta_matrix, pair_weights_even,
+                     same_cell_coeff)
 from .presets import ThetaSpec, VSpec
+
+KERNEL_MODES = ("periodized", "cell_truncated")
 
 
 class CellSolveError(RuntimeError):
@@ -40,11 +46,13 @@ class CellSolveError(RuntimeError):
 
 @dataclass
 class CellGrid:
-    """Uniform periodic grids on the unit cell: m y-nodes, m_tau tau-nodes."""
+    """Uniform periodic grids on the unit cell (m y-nodes, m_tau tau-nodes)
+    and the kernel interpretation the cell problem is discretized with."""
 
     m: int
     m_tau: int = 1
     n_images: int = 8
+    kernel_mode: str = "periodized"
 
     def __post_init__(self):
         if self.m < 8:
@@ -53,6 +61,8 @@ class CellGrid:
             raise ValueError("m_tau must be >= 1")
         if self.n_images < 1:
             raise ValueError("n_images must be >= 1")
+        if self.kernel_mode not in KERNEL_MODES:
+            raise ValueError(f"kernel_mode must be one of {KERNEL_MODES}")
 
     @property
     def y(self) -> np.ndarray:
@@ -65,23 +75,17 @@ class CellGrid:
 
 @dataclass
 class CellSolution:
-    """Mean-zero corrector values chi(y) plus provenance and diagnostics.
+    """Mean-zero corrector values chi(y) with the inputs they were solved for.
 
-    Theta has no tau argument, so chi is one (m,) vector; m_tau records the
-    tau grid of the potential corrector xi.
+    Theta has no tau argument, so chi is one (m,) vector.
     """
 
     chi: np.ndarray  # shape (m,)
     rhs: np.ndarray  # shape (m,), the right-hand side b the corrector was solved with
+    theta: ThetaSpec
     alpha: float
-    kernel_mode: str
-    m: int
-    m_tau: int
-    n_images: int
-    theta_name: str
-    residual: float
-    xi: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
+    grid: CellGrid
+    residual: float  # relative residual of the bordered solve
 
     @property
     def mean_abs(self) -> float:
@@ -171,29 +175,22 @@ def _odd_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -
     return w
 
 
-def _offset_matrix(w: np.ndarray, kernel_mode: str) -> np.ndarray:
-    """Expand offset weights to a full (m, m) matrix W[j, l] = w[offset(j, l)]."""
-    m = w.size
-    j = np.arange(m)
-    if kernel_mode == "periodized":
-        idx = (j[None, :] - j[:, None]) % m
-        return w[idx]
-    return w[np.abs(j[None, :] - j[:, None])]
+def _periodic_offset_matrix(w: np.ndarray) -> np.ndarray:
+    """Circulant W[j, l] = w[(l - j) mod m]."""
+    return toeplitz(w[-np.arange(w.size) % w.size], w)
 
 
-def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
-                       kernel_mode: str = "periodized") -> np.ndarray:
+def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndarray:
     """Symmetric PSD matrix of the cell bilinear form on nodal values.
 
     Constants span the kernel exactly (row sums vanish identically); on the
-    mean-zero subspace the form is positive definite.
+    mean-zero subspace the form is positive definite. The matrix is symmetric
+    bit for bit: the offset weights are mirror-exact and Theta is symmetrized.
     """
     _check_alpha(alpha)
-    if kernel_mode not in KERNEL_MODES:
-        raise ValueError(f"kernel_mode must be one of {KERNEL_MODES}")
     m, h = grid.m, 1.0 / grid.m
-    w_off = _even_offset_weights(m, alpha, grid.n_images, kernel_mode)
-    w = _offset_matrix(w_off, kernel_mode)
+    w_off = _even_offset_weights(m, alpha, grid.n_images, grid.kernel_mode)
+    w = _periodic_offset_matrix(w_off) if grid.kernel_mode == "periodized" else toeplitz(w_off)
     tm = _theta_matrix(theta, grid.y)
     w *= theta.constant if tm is None else tm
     theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
@@ -201,27 +198,24 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
     a = np.multiply(w, -2.0, out=w)
     a[np.diag_indices(m)] += dg
     _add_same_cell_term(a, same_cell_coeff(h, alpha), theta_diag, h, periodic=True)
-    return 0.5 * (a + a.T)
+    return a
 
 
-def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid,
-                      kernel_mode: str = "periodized") -> np.ndarray:
+def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndarray:
     """Vector b with ell(v) = sum_j b_j conj(v_j) for the corrector right-hand side.
 
     For constant Theta in periodized mode the antisymmetric weights cancel
     exactly and b vanishes to rounding.
     """
     _check_alpha(alpha)
-    if kernel_mode not in KERNEL_MODES:
-        raise ValueError(f"kernel_mode must be one of {KERNEL_MODES}")
     m, h = grid.m, 1.0 / grid.m
-    w_off = _odd_offset_weights(m, alpha, grid.n_images, kernel_mode)
-    if kernel_mode == "periodized":
-        w1 = _offset_matrix(w_off, kernel_mode)
+    w_off = _odd_offset_weights(m, alpha, grid.n_images, grid.kernel_mode)
+    # W1[j, l] is the odd weight of offset l - j: taken mod m when periodized,
+    # negated below the diagonal when truncated
+    if grid.kernel_mode == "periodized":
+        w1 = _periodic_offset_matrix(w_off)
     else:
-        j = np.arange(m)
-        signed = j[None, :] - j[:, None]
-        w1 = np.sign(signed) * w_off[np.abs(signed)]
+        w1 = toeplitz(-w_off, w_off)
     tm = _theta_matrix(theta, grid.y)
     b = 2.0 * np.sum(w1 * (theta.constant if tm is None else tm), axis=1)
     theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm)
@@ -244,31 +238,20 @@ def solve_bordered(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return sol[:m], sol[m]
 
 
-def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid,
-                       kernel_mode: str = "periodized",
-                       v_spec: VSpec | None = None) -> CellSolution:
+def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid) -> CellSolution:
     """Solve the mean-zero corrector problem for chi(y).
 
     Theta carries no tau argument, so chi is solved once, as an (m,) vector.
-    When ``v_spec`` is given the auxiliary corrector xi(y, tau) is computed
-    with the spectral periodic Poisson solver and attached.
     """
-    a = assemble_cell_form(theta, alpha, grid, kernel_mode)
-    b = assemble_cell_rhs(theta, alpha, grid, kernel_mode)
+    a = assemble_cell_form(theta, alpha, grid)
+    b = assemble_cell_rhs(theta, alpha, grid)
     chi_col, lam = solve_bordered(a, b)
     residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
     chi = chi_col - chi_col.mean()
     if residual > 1e-8:
         raise CellSolveError(f"cell solve residual {residual:.2e} exceeds 1e-8 "
                              "(conditioning failure beyond the constraint kernel)")
-
-    xi = None
-    if v_spec is not None:
-        xi = solve_periodic_poisson(v_spec, alpha, grid)
-
-    return CellSolution(chi=chi, rhs=b, alpha=alpha, kernel_mode=kernel_mode, m=grid.m,
-                        m_tau=grid.m_tau, n_images=grid.n_images,
-                        theta_name=theta.name, residual=residual, xi=xi)
+    return CellSolution(chi=chi, rhs=b, theta=theta, alpha=alpha, grid=grid, residual=residual)
 
 
 @lru_cache(maxsize=64)

@@ -24,7 +24,7 @@ from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residua
 from .config import ConfigError, RunConfig, load_config
 from .effective import EffectiveCoefficients
 from .harness import (SweepFailure, SweepReport, corrector_residual, eps_sweep,
-                      solve_coefficients)
+                      prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, NoiseModel,
                          SimConfig, TrajectoryBlowup, brownian_increments, simulate)
 from .kernel import (Grid1D, KernelParams, PVConvergenceError,
@@ -95,21 +95,20 @@ def _cmd_cell(args) -> int:
     rc = load_config(args.config)
     out = Path(args.out) if args.out else _default_out("cell", rc)
     out.mkdir(parents=True, exist_ok=True)
-    grid = rc.cell_grid()
-    sol, coeffs = solve_coefficients(rc, with_xi=True)
+    sol, coeffs = solve_coefficients(rc)
+    grid = sol.grid
+    xi = solve_periodic_poisson(rc.v_spec(), sol.alpha, grid)
     _write_csv(out / "chi.csv", ["y", "value"], [grid.y, sol.chi])
-    if sol.xi is not None:
-        _write_csv(out / "xi.csv", ["y", "tau", "value"],
-                   [np.repeat(grid.y, grid.m_tau), np.tile(grid.tau, grid.m),
-                    np.real(sol.xi).ravel()])
+    _write_csv(out / "xi.csv", ["y", "tau", "value"],
+               [np.repeat(grid.y, grid.m_tau), np.tile(grid.tau, grid.m), np.real(xi).ravel()])
     meta = {
-        "alpha": rc.alpha,
-        "kernel_mode": rc.kernel_mode,
-        "m": sol.m, "m_tau": sol.m_tau, "n_images": sol.n_images,
-        "theta": sol.theta_name,
+        "alpha": sol.alpha,
+        "kernel_mode": grid.kernel_mode,
+        "m": grid.m, "m_tau": grid.m_tau, "n_images": grid.n_images,
+        "theta": sol.theta.name,
         "residual": sol.residual,
         "max_abs_mean": sol.mean_abs,
-        "chi_l2": float(np.linalg.norm(sol.chi) / np.sqrt(sol.m)),
+        "chi_l2": float(np.linalg.norm(sol.chi) / np.sqrt(grid.m)),
         "effective_coefficients": coeffs.to_dict(),
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -120,15 +119,15 @@ def _cmd_cell(args) -> int:
 
 def _cmd_coefficients(args) -> int:
     rc = load_config(args.config)
-    cell_grid = rc.cell_grid()
     sol, coeffs = solve_coefficients(rc)
+    grid = sol.grid
     payload = {
-        "alpha": rc.alpha,
-        "kernel_mode": rc.kernel_mode,
+        "alpha": sol.alpha,
+        "kernel_mode": grid.kernel_mode,
         "xi1": coeffs.xi1,
         "xi2": coeffs.xi2,
         "xi3": coeffs.xi3,
-        "grid": {"m": cell_grid.m, "m_tau": cell_grid.m_tau, "n_images": cell_grid.n_images},
+        "grid": {"m": grid.m, "m_tau": grid.m_tau, "n_images": grid.n_images},
         "tolerances": {"cell_residual": sol.residual},
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -144,15 +143,17 @@ def _build_system(rc: RunConfig, system: str, eps: float | None):
         if eps is None:
             raise _UsageError("--eps is required for the heterogeneous system")
         return Heterogeneous(eps)
+    if eps is not None:
+        raise _UsageError("--eps applies to the heterogeneous system only")
     return Effective(solve_coefficients(rc)[1])
 
 
 def _cmd_simulate(args) -> int:
     rc = load_config(args.config)
-    eps = parse_fraction(args.eps) if args.eps else None
+    eps = parse_fraction(args.eps) if args.eps is not None else None
     seed = args.seed if args.seed is not None else rc.seed
     system = _build_system(rc, args.system, eps)
-    dt, n_steps = rc.resolve_dt(eps if args.system == "het" else None)
+    dt, n_steps = rc.resolve_dt(eps)
     suffix = f"-{args.system}" + (f"-eps{eps:g}" if eps else "") + f"-seed{seed}"
     out = Path(args.out) if args.out else _default_out("simulate", rc, suffix)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,8 +204,9 @@ def _cmd_sweep(args) -> int:
         print(f"  eps={eps:<10g} kept={kept} excluded={excluded} wall={wall:.1f}s",
               flush=True)
 
+    prepared = prepare_experiment(rc)
     try:
-        report = eps_sweep(eps_list, args.paths, rc, progress=progress)
+        report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)
     except SweepFailure as exc:
         if exc.report is not None:
             _write_sweep_outputs(out, rc, exc.report)
@@ -212,7 +214,7 @@ def _cmd_sweep(args) -> int:
         return 3
     _write_sweep_outputs(out, rc, report)
     if args.corrector_diagnostic:
-        diags = [corrector_residual(eps, rc, rc.seed) for eps in eps_list]
+        diags = [corrector_residual(eps, rc, rc.seed, prepared) for eps in eps_list]
         (out / "corrector.json").write_text(json.dumps(diags, indent=2, sort_keys=True) + "\n")
     print(f"{'eps':>10} {'strong_err':>14} {'se':>10} {'excluded':>9}")
     for i, eps in enumerate(report.eps_list):
@@ -329,8 +331,7 @@ def _cmd_validate(args) -> int:
         np.savetxt(out / "fractional_generator.csv", frac,
                    fmt="%.17e", delimiter=",")
         het = assemble_heterogeneous_generator(
-            grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=0.5,
-                               kernel_mode=rc.kernel_mode))
+            grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=0.5))
         np.savetxt(out / "heterogeneous_generator.csv", het,
                    fmt="%.17e", delimiter=",")
         print(f"matrices dumped to {out}")

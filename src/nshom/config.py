@@ -110,7 +110,8 @@ class RunConfig:
 
     def cell_grid(self) -> CellGrid:
         c = self.data["cell"]
-        return CellGrid(m=int(c["m"]), m_tau=int(c["m_tau"]), n_images=int(c["n_images"]))
+        return CellGrid(m=int(c["m"]), m_tau=int(c["m_tau"]), n_images=int(c["n_images"]),
+                        kernel_mode=self.kernel_mode)
 
     def theta_spec(self) -> presets.ThetaSpec:
         tp = self.data["theta_preset"]
@@ -133,8 +134,7 @@ class RunConfig:
         return SimConfig(grid=self.grid(), alpha=self.alpha, T=self.T,
                          theta_scheme=self.theta_scheme, theta=self.theta_spec(),
                          v_spec=self.v_spec(), f_spec=self.f_spec(),
-                         h_spec=self.h_spec(), noise=self.noise(),
-                         kernel_mode=self.kernel_mode)
+                         h_spec=self.h_spec(), noise=self.noise())
 
     # --- validation and hashing ------------------------------------------
     def validate(self) -> None:
@@ -161,8 +161,7 @@ class RunConfig:
             ("theta preset", self.theta_spec),
             ("potential preset", self.v_spec),
             ("cell", self.cell_grid),
-            ("kernel", lambda: KernelParams(alpha=self.alpha, theta=self.theta_spec(),
-                                            kernel_mode=self.kernel_mode)),
+            ("kernel", lambda: KernelParams(alpha=self.alpha, theta=self.theta_spec())),
             ("simulation", self.sim_config),
         )
         for label, build in builders:
@@ -219,10 +218,14 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig.from_dict({})
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        user = json.loads(p.read_text())
+        text = p.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    try:
+        user = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(user)

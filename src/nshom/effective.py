@@ -7,6 +7,8 @@ The three cell averages are
     Xi_3 = 2 int_{Y x Z} V(y, tau) chi(y) dy dtau = 2 int_Y chi(y) (int_Z V dtau) dy
 
 with chi(y) the corrector, which has no tau argument because Theta has none.
+``compute_effective_coefficients(chi, v_spec)`` takes the cell solution, which
+carries Theta, alpha and the cell grid, and the potential V.
 The drift of the homogenized equation i du = G_eff u dt + ... is assembled as
 
     G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z
@@ -35,8 +37,8 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
-from .cell import CellGrid, CellSolution
-from .presets import ThetaSpec, VSpec, get_theta
+from .cell import CellSolution
+from .presets import VSpec, get_theta
 
 
 @dataclass
@@ -61,24 +63,15 @@ class EffectiveCoefficients:
                    provenance={"source": "explicit"})
 
 
-def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
-                                   chi: CellSolution, alpha: float,
-                                   grid: CellGrid) -> EffectiveCoefficients:
-    """Quadrature of the three cell averages against a solved corrector.
+def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> EffectiveCoefficients:
+    """Quadrature of the three cell averages against a solved corrector, on the
+    Theta and cell grid it was solved for.
 
     Xi_2 = b . chi with the right-hand side b the corrector was solved with
     (same odd-kernel weights and kernel mode), so for constant Theta it
     vanishes to rounding together with chi.
     """
-    _check_alpha(alpha)
-    if (chi.m, chi.n_images) != (grid.m, grid.n_images):
-        raise ValueError("corrector was solved on a different cell grid")
-    if abs(chi.alpha - alpha) > 1e-14:
-        raise ValueError("corrector was solved for a different alpha")
-    if chi.theta_name != theta.name:
-        raise ValueError(f"corrector was solved for Theta {chi.theta_name!r}, "
-                         f"not {theta.name!r}")
-
+    theta, grid = chi.theta, chi.grid
     if theta.constant is not None:
         xi1 = float(theta.constant)
     else:
@@ -91,8 +84,8 @@ def compute_effective_coefficients(theta: ThetaSpec, v_spec: VSpec,
     xi3 = 2.0 * float(np.mean(chi.chi * v.mean(axis=1)))
 
     prov = {
-        "alpha": alpha,
-        "kernel_mode": chi.kernel_mode,
+        "alpha": chi.alpha,
+        "kernel_mode": grid.kernel_mode,
         "m": grid.m,
         "m_tau": grid.m_tau,
         "n_images": grid.n_images,

@@ -96,16 +96,11 @@ class SweepReport:
     notes: dict = field(default_factory=dict)
 
 
-def solve_coefficients(rc: RunConfig, with_xi: bool = False
-                       ) -> tuple[CellSolution, EffectiveCoefficients]:
+def solve_coefficients(rc: RunConfig) -> tuple[CellSolution, EffectiveCoefficients]:
     """Corrector solve on the configured cell grid and the three effective
-    coefficients from it; ``with_xi`` also attaches the potential corrector."""
-    cell_grid = rc.cell_grid()
-    cell = solve_cell_problem(rc.theta_spec(), rc.alpha, cell_grid, rc.kernel_mode,
-                              v_spec=rc.v_spec() if with_xi else None)
-    coeffs = compute_effective_coefficients(rc.theta_spec(), rc.v_spec(), cell,
-                                            rc.alpha, cell_grid)
-    return cell, coeffs
+    coefficients from it."""
+    cell = solve_cell_problem(rc.theta_spec(), rc.alpha, rc.cell_grid())
+    return cell, compute_effective_coefficients(cell, rc.v_spec())
 
 
 def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
@@ -123,8 +118,7 @@ def _run_pair(eps: float, rc: RunConfig, seed: int,
     cfg = rc.sim_config()
     dt, n_steps = rc.resolve_dt(eps)
     path = brownian_increments(seed, n_steps, dt)
-    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps,
-                          kernel_mode=rc.kernel_mode)
+    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps)
     g_het = assemble_heterogeneous_generator(prepared.grid, params)
     res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het)
     res_eff = simulate(Effective(prepared.coefficients), cfg, path,
@@ -145,8 +139,7 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
     cfg = rc.sim_config()
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
-    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps,
-                          kernel_mode=rc.kernel_mode)
+    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps)
     g_het = assemble_heterogeneous_generator(prepared.grid, params)
     steppers = (ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
                 ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,

@@ -157,7 +157,6 @@ class SimConfig:
     f_spec: FSpec = field(default_factory=lambda: get_f("zero"))
     h_spec: HSpec = field(default_factory=lambda: get_h("parabola"))
     noise: NoiseModel = field(default_factory=NoiseModel)
-    kernel_mode: str = "periodized"
 
     def __post_init__(self):
         if not 0.0 <= self.theta_scheme <= 1.0:
@@ -232,8 +231,7 @@ def _theta_update(g_mat: np.ndarray, u: np.ndarray, dt: float, dw: np.ndarray,
 
 def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.ndarray:
     if isinstance(system, Heterogeneous):
-        params = KernelParams(alpha=cfg.alpha, theta=cfg.theta,
-                              epsilon=system.epsilon, kernel_mode=cfg.kernel_mode)
+        params = KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=system.epsilon)
         return assemble_heterogeneous_generator(cfg.grid, params)
     if isinstance(system, Effective):
         return assemble_effective_generator(system.coeffs, cfg.grid, cfg.alpha)

@@ -36,7 +36,6 @@ from scipy.linalg import toeplitz
 
 from .presets import ThetaSpec
 
-KERNEL_MODES = ("periodized", "cell_truncated")
 # entries of one (nodes, quadrature points) block of the exterior weight,
 # 2 MiB of float64; n = 256 at eps = 1/16 fits in one block
 EXTERIOR_BLOCK_ENTRIES = 1 << 18
@@ -104,19 +103,16 @@ class Grid1D:
 
 @dataclass
 class KernelParams:
-    """Fractional order, coefficient preset, scale parameter, and cell-kernel mode."""
+    """Fractional order, coefficient preset, and scale parameter."""
 
     alpha: float
     theta: ThetaSpec
     epsilon: float = 1.0
-    kernel_mode: str = "periodized"
 
     def __post_init__(self):
         _check_alpha(self.alpha)
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.kernel_mode not in KERNEL_MODES:
-            raise ValueError(f"kernel_mode must be one of {KERNEL_MODES}")
         if self.theta.lower <= 0.0:
             raise ValueError("Theta must have a positive lower bound")
 
@@ -285,7 +281,8 @@ def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> np.n
 
     Interior part is the graph Laplacian of the exact cell-pair kernel weights
     plus a centered-difference same-cell correction; the exterior condition
-    contributes the weighted diagonal.
+    contributes the weighted diagonal. Every term is symmetric bit for bit, so
+    G is too.
     """
     if grid.n < 4:
         raise ValueError("generator assembly needs at least 4 interior nodes")
@@ -298,7 +295,7 @@ def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> np.n
     _add_same_cell_term(m, same_cell_coeff(h, params.alpha) / 2.0, theta_diag, h)
     m /= h
     m[diag] += ext
-    return 0.5 * (m + m.T)
+    return m
 
 
 def h_rho_norm_sq(u: np.ndarray, grid: Grid1D, params: KernelParams) -> float:

@@ -53,9 +53,8 @@ def test_criterion_01_constant_coefficient_example():
         worst_xi2 = worst_xi3 = worst_dev = 0.0
         xi1_exact = True
         for alpha in ALPHAS:
-            sol = solve_cell_problem(get_theta("one"), alpha, cell_grid, "periodized")
-            coeffs = compute_effective_coefficients(
-                get_theta("one"), get_v("cos2pi_y_times_cos2pi_tau"), sol, alpha, cell_grid)
+            sol = solve_cell_problem(get_theta("one"), alpha, cell_grid)
+            coeffs = compute_effective_coefficients(sol, get_v("cos2pi_y_times_cos2pi_tau"))
             xi1_exact &= coeffs.xi1 == 1.0
             worst_xi2 = max(worst_xi2, abs(coeffs.xi2))
             worst_xi3 = max(worst_xi3, abs(coeffs.xi3))
@@ -132,7 +131,7 @@ def test_criterion_04_cell_solver():
         sol = np.linalg.solve(bordered, np.concatenate([b_star, [0.0]]))
         recovery = float(np.linalg.norm(sol[:m] - chi_star) / np.linalg.norm(chi_star))
 
-        sol_one = solve_cell_problem(get_theta("one"), 1.5, grid, "periodized")
+        sol_one = solve_cell_problem(get_theta("one"), 1.5, grid)
         chi_norm = float(np.linalg.norm(sol_one.chi))
     ok = lam1 > 0.0 and recovery < 1e-6 and chi_norm < 1e-8 and t.elapsed < 60.0
     report(4, ok, f"coercivity {lam1:.3e} > 0, recovery {recovery:.2e}, "

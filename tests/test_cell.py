@@ -56,8 +56,8 @@ class TestCellForm:
     @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     @pytest.mark.parametrize("alpha", [1.05, ALPHA, 1.95])
     def test_symmetry_psd_constants_in_kernel(self, theta_name, mode, alpha):
-        grid = CellGrid(m=64, m_tau=1)
-        a = assemble_cell_form(get_theta(theta_name), alpha, grid, mode)
+        grid = CellGrid(m=64, m_tau=1, kernel_mode=mode)
+        a = assemble_cell_form(get_theta(theta_name), alpha, grid)
         assert np.max(np.abs(a - a.T)) < 1e-12
         assert np.max(np.abs(a.sum(axis=1))) < 1e-10
         lam0, lam1, lam_max = form_eigenvalues(a)
@@ -113,8 +113,8 @@ class TestCellRhs:
         assert np.max(np.abs(b)) < 1e-13
 
     def test_nonzero_for_constant_theta_truncated(self):
-        b = assemble_cell_rhs(get_theta("one"), ALPHA, CellGrid(m=128),
-                              kernel_mode="cell_truncated")
+        b = assemble_cell_rhs(get_theta("one"), ALPHA,
+                              CellGrid(m=128, kernel_mode="cell_truncated"))
         assert np.max(np.abs(b)) > 1e-3
 
     def test_nonzero_for_varying_theta(self):
@@ -154,10 +154,10 @@ class TestCorrectorSolve:
     def test_matches_per_slice_bordered_loop(self, theta_name, mode):
         # independent reference: the bordered Lagrange system written out and
         # solved once (chi has no tau slices), then centered
-        grid = CellGrid(m=64, m_tau=3)
+        grid = CellGrid(m=64, m_tau=3, kernel_mode=mode)
         theta = get_theta(theta_name)
-        a = assemble_cell_form(theta, ALPHA, grid, mode)
-        b = assemble_cell_rhs(theta, ALPHA, grid, mode)
+        a = assemble_cell_form(theta, ALPHA, grid)
+        b = assemble_cell_rhs(theta, ALPHA, grid)
         m = grid.m
         bordered = np.zeros((m + 1, m + 1))
         bordered[:m, :m] = a
@@ -166,7 +166,7 @@ class TestCorrectorSolve:
         rhs = np.concatenate([b, [0.0]])
         ref = np.linalg.solve(bordered, rhs)[:m]
         ref = ref - ref.mean()
-        sol = solve_cell_problem(theta, ALPHA, grid, mode)
+        sol = solve_cell_problem(theta, ALPHA, grid)
         assert np.array_equal(sol.chi, ref)
         assert sol.chi.shape == (m,)
         assert sol.chi.flags.writeable and sol.chi.flags.c_contiguous
@@ -188,8 +188,8 @@ class TestCorrectorSolve:
         assert rel < 1e-6
 
     def test_truncated_mode_produces_nontrivial_corrector(self):
-        sol = solve_cell_problem(get_theta("one"), ALPHA, CellGrid(m=64),
-                                 kernel_mode="cell_truncated")
+        sol = solve_cell_problem(get_theta("one"), ALPHA,
+                                 CellGrid(m=64, kernel_mode="cell_truncated"))
         assert np.linalg.norm(sol.chi) > 1e-4
 
 
@@ -275,10 +275,21 @@ def loop_odd_offset_weights(m, alpha, n_images):
     return w
 
 
-def dense_same_cell_form(theta, alpha, grid, mode):
+def index_offset_matrix(w, mode, odd=False):
+    """W[j, l] = w[offset of l - j] by fancy indexing; odd cell_truncated
+    weights change sign below the diagonal."""
+    m = w.size
+    d = np.arange(m)[None, :] - np.arange(m)[:, None]
+    if mode == "periodized":
+        return w[d % m]
+    return (np.sign(d) if odd else 1.0) * w[np.abs(d)]
+
+
+def dense_same_cell_form(theta, alpha, grid):
     """The cell form with its same-cell term as the dense product (P^T * Theta) @ P."""
     m, h = grid.m, 1.0 / grid.m
-    w = cell._offset_matrix(cell._even_offset_weights(m, alpha, grid.n_images, mode), mode)
+    mode = grid.kernel_mode
+    w = index_offset_matrix(cell._even_offset_weights(m, alpha, grid.n_images, mode), mode)
     tm = kernel._theta_matrix(theta, grid.y)
     w *= theta.constant if tm is None else tm
     theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
@@ -306,8 +317,49 @@ class TestVectorizedOffsetWeights:
     @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     @pytest.mark.parametrize("theta_name", ["one", "cosine_sum"])
     def test_form_matches_dense_same_cell_product(self, mode, theta_name):
-        grid = CellGrid(m=1024)
+        grid = CellGrid(m=1024, kernel_mode=mode)
         theta = get_theta(theta_name)
-        ref = dense_same_cell_form(theta, ALPHA, grid, mode)
-        got = assemble_cell_form(theta, ALPHA, grid, mode)
+        ref = dense_same_cell_form(theta, ALPHA, grid)
+        got = assemble_cell_form(theta, ALPHA, grid)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+THETA_NAMES = ["one", "cosine_product", "cosine_shift", "cosine_sum"]
+
+
+class TestToeplitzExpansion:
+    @pytest.mark.parametrize("m", [8, 9, 64, 65])
+    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
+    @pytest.mark.parametrize("theta_name", THETA_NAMES)
+    def test_form_is_exactly_symmetric(self, m, mode, theta_name):
+        a = assemble_cell_form(get_theta(theta_name), ALPHA, CellGrid(m=m, kernel_mode=mode))
+        assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("m", [8, 9, 64, 65])
+    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
+    @pytest.mark.parametrize("theta_name", ["one", "cosine_sum"])
+    def test_rhs_matches_index_expansion_bitwise(self, m, mode, theta_name):
+        grid, h = CellGrid(m=m, kernel_mode=mode), 1.0 / m
+        theta = get_theta(theta_name)
+        w1 = index_offset_matrix(cell._odd_offset_weights(m, ALPHA, grid.n_images, mode),
+                                 mode, odd=True)
+        tm = kernel._theta_matrix(theta, grid.y)
+        ref = 2.0 * np.sum(w1 * (theta.constant if tm is None else tm), axis=1)
+        theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm)
+        ref += cell._psi_even(h, ALPHA) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
+        assert np.array_equal(assemble_cell_rhs(theta, ALPHA, grid), ref)
+
+
+class TestCellGrid:
+    def test_kernel_mode_checked_by_the_grid(self):
+        assert CellGrid(m=8).kernel_mode == "periodized"
+        assert cell.KERNEL_MODES == ("periodized", "cell_truncated")
+        with pytest.raises(ValueError, match="kernel_mode"):
+            CellGrid(m=8, kernel_mode="bogus")
+
+    def test_solution_carries_its_inputs(self):
+        theta = get_theta("cosine_sum")
+        grid = CellGrid(m=32, m_tau=2, kernel_mode="cell_truncated")
+        sol = solve_cell_problem(theta, ALPHA, grid)
+        assert sol.theta is theta and sol.grid is grid and sol.alpha == ALPHA
+        assert sol.residual < 1e-8

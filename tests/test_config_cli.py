@@ -113,6 +113,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(bad)
 
+    def test_load_config_on_a_directory_is_a_config_error(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(tmp_path)
+        assert main(["validate", "--config", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unknown_kernel_mode_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="kernel_mode"):
+            RunConfig.from_dict({"kernel_mode": "bogus"})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kernel_mode": "bogus"}))
+        assert main(["coefficients", "--config", str(cfg)]) == 2
+
+    def test_kernel_mode_reaches_the_cell_grid(self):
+        rc = RunConfig.from_dict({"kernel_mode": "cell_truncated"})
+        assert rc.cell_grid().kernel_mode == "cell_truncated"
+
 
 class TestCliBasics:
     def test_parse_fraction(self):
@@ -142,6 +159,7 @@ class TestCliBasics:
         (["simulate", "--system", "het", "--eps", "1/0"], {}, 1),
         (["simulate", "--system", "het", "--eps", "0"], {}, 1),
         (["simulate", "--system", "eff", "--snap-every", "-3"], {}, 1),
+        (["simulate", "--system", "eff", "--eps", "1/8"], {}, 1),
         (["sweep", "--eps", "1/2", "--paths", "1"], {}, 2),
         (["sweep", "--eps", "1/4,1/2", "--paths", "2"], {}, 2),
         (["coefficients"], {"grid": {"n": "abc"}}, 2),
@@ -251,6 +269,25 @@ class TestCliCommands:
         table = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
         assert table.shape[0] == 2
         assert table[1, 1] < table[0, 1]  # strong error decreases
+
+    def test_sweep_with_corrector_diagnostic_solves_the_cell_once(self, tmp_path,
+                                                                   monkeypatch):
+        from nshom import harness
+
+        solve, calls = harness.solve_cell_problem, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(harness, "solve_cell_problem", counted)
+        cfg = self._small_cfg(tmp_path, dt_rule={"kind": "eps_over", "factor": 8,
+                                                 "default_dt": 0.0078125})
+        out = tmp_path / "diag"
+        assert main(["sweep", "--eps", "1/2,1/4,1/8", "--paths", "2",
+                     "--corrector-diagnostic", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert len(json.loads((out / "corrector.json").read_text())) == 3
 
     def test_sweep_numerical_failure_exit_code(self, tmp_path, capsys):
         # explicit stepping at a coarse fixed dt diverges every path, the

@@ -29,8 +29,7 @@ class TestCoefficients:
     def test_constant_theta_values(self):
         cg = CellGrid(m=96, m_tau=4)
         sol = solve_cell_problem(get_theta("one"), ALPHA, cg)
-        coeffs = compute_effective_coefficients(
-            get_theta("one"), get_v("cos2pi_y_times_cos2pi_tau"), sol, ALPHA, cg)
+        coeffs = compute_effective_coefficients(sol, get_v("cos2pi_y_times_cos2pi_tau"))
         assert coeffs.xi1 == 1.0
         assert abs(coeffs.xi2) < 1e-8
         assert abs(coeffs.xi3) < 1e-8
@@ -45,8 +44,8 @@ class TestCoefficients:
         sol1 = solve_cell_problem(base, ALPHA, cg)
         sol3 = solve_cell_problem(scaled, ALPHA, cg)
         assert np.max(np.abs(sol1.chi - sol3.chi)) < 1e-10
-        c1 = compute_effective_coefficients(base, v, sol1, ALPHA, cg)
-        c3 = compute_effective_coefficients(scaled, v, sol3, ALPHA, cg)
+        c1 = compute_effective_coefficients(sol1, v)
+        c3 = compute_effective_coefficients(sol3, v)
         assert c3.xi1 == pytest.approx(3.0 * c1.xi1, rel=1e-12)
         assert c3.xi2 == pytest.approx(3.0 * c1.xi2, rel=1e-10)
         assert c3.xi3 == pytest.approx(c1.xi3, rel=1e-10, abs=1e-15)
@@ -59,8 +58,8 @@ class TestCoefficients:
         sol = solve_cell_problem(theta, ALPHA, cg)
         v = get_v("sin2pi_y_one_plus_sin2pi_tau")
         neg = VSpec("neg", lambda y, tau: -v.sample(y, tau))
-        c_pos = compute_effective_coefficients(theta, v, sol, ALPHA, cg)
-        c_neg = compute_effective_coefficients(theta, neg, sol, ALPHA, cg)
+        c_pos = compute_effective_coefficients(sol, v)
+        c_neg = compute_effective_coefficients(sol, neg)
         assert abs(c_pos.xi3) > 1e-3
         assert c_neg.xi3 == pytest.approx(-c_pos.xi3, rel=1e-12)
         assert c_neg.xi1 == c_pos.xi1
@@ -70,8 +69,7 @@ class TestCoefficients:
         cg = CellGrid(m=64, m_tau=2)
         theta = get_theta("cosine_sum")
         sol = solve_cell_problem(theta, ALPHA, cg)
-        coeffs = compute_effective_coefficients(
-            theta, get_v("sin2pi_y_one_plus_sin2pi_tau"), sol, ALPHA, cg)
+        coeffs = compute_effective_coefficients(sol, get_v("sin2pi_y_one_plus_sin2pi_tau"))
         assert coeffs.xi1 > 0.0 and coeffs.xi2 > 1e-3 and abs(coeffs.xi3) > 1e-3
         g = Grid1D.make(48)
         gen = assemble_effective_generator(coeffs, g, ALPHA)
@@ -83,12 +81,12 @@ class TestCoefficients:
     @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     def test_matches_tau_repeated_corrector_formulas(self, m, mode):
         # the formulas in use when chi was stored as m_tau identical columns
-        cg = CellGrid(m=m, m_tau=4)
+        cg = CellGrid(m=m, m_tau=4, kernel_mode=mode)
         theta, v_spec = get_theta("cosine_sum"), get_v("sin2pi_y_one_plus_sin2pi_tau")
-        sol = solve_cell_problem(theta, ALPHA, cg, mode)
-        coeffs = compute_effective_coefficients(theta, v_spec, sol, ALPHA, cg)
+        sol = solve_cell_problem(theta, ALPHA, cg)
+        coeffs = compute_effective_coefficients(sol, v_spec)
         chi_rep = np.repeat(sol.chi[:, None], cg.m_tau, axis=1)
-        b = assemble_cell_rhs(theta, ALPHA, cg, mode)
+        b = assemble_cell_rhs(theta, ALPHA, cg)
         v = v_spec.sample(cg.y[:, None], cg.tau[None, :])
         ref = (float(np.mean(b @ chi_rep)), 2.0 * float(np.mean(v * chi_rep)))
         for got, want in zip((coeffs.xi2, coeffs.xi3), ref):
@@ -98,15 +96,8 @@ class TestCoefficients:
         cg = CellGrid(m=64, m_tau=1)
         theta = get_theta("cosine_product")
         sol = solve_cell_problem(theta, ALPHA, cg)
-        coeffs = compute_effective_coefficients(theta, get_v("zero"), sol, ALPHA, cg)
+        coeffs = compute_effective_coefficients(sol, get_v("zero"))
         assert coeffs.xi2 >= 0.0
-
-    def test_grid_mismatch_rejected(self):
-        cg = CellGrid(m=64, m_tau=2)
-        sol = solve_cell_problem(get_theta("one"), ALPHA, cg)
-        with pytest.raises(ValueError, match="grid"):
-            compute_effective_coefficients(get_theta("one"), get_v("zero"), sol,
-                                           ALPHA, CellGrid(m=96, m_tau=2))
 
     def test_xi1_quadrature_refinement(self):
         theta = get_theta("cosine_product")
@@ -114,8 +105,7 @@ class TestCoefficients:
         for m in (64, 128):
             cg = CellGrid(m=m, m_tau=1)
             sol = solve_cell_problem(theta, ALPHA, cg)
-            vals.append(compute_effective_coefficients(theta, get_v("zero"), sol,
-                                                       ALPHA, cg).xi1)
+            vals.append(compute_effective_coefficients(sol, get_v("zero")).xi1)
         assert vals[0] > 0.0  # positive coefficient integrates to a positive average
         assert abs(vals[0] - vals[1]) < 1e-8
 
@@ -211,8 +201,7 @@ class TestEffectiveGenerator:
     def test_full_pipeline_constant_theta(self, grid):
         cg = CellGrid(m=64, m_tau=2)
         sol = solve_cell_problem(get_theta("one"), ALPHA, cg)
-        coeffs = compute_effective_coefficients(
-            get_theta("one"), get_v("cos2pi_y_times_cos2pi_tau"), sol, ALPHA, cg)
+        coeffs = compute_effective_coefficients(sol, get_v("cos2pi_y_times_cos2pi_tau"))
         gen = assemble_effective_generator(coeffs, grid, ALPHA)
         frac = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
@@ -331,17 +320,10 @@ class TestOffsetBuild:
 class TestCorrectorRightHandSide:
     @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     def test_xi2_uses_the_solved_rhs_bit_for_bit(self, mode):
-        cg = CellGrid(m=64, m_tau=2)
+        cg = CellGrid(m=64, m_tau=2, kernel_mode=mode)
         theta = get_theta("cosine_sum")
-        sol = solve_cell_problem(theta, ALPHA, cg, mode)
-        b = assemble_cell_rhs(theta, ALPHA, cg, mode)
+        sol = solve_cell_problem(theta, ALPHA, cg)
+        b = assemble_cell_rhs(theta, ALPHA, cg)
         assert np.array_equal(sol.rhs, b)
-        coeffs = compute_effective_coefficients(theta, get_v("zero"), sol, ALPHA, cg)
+        coeffs = compute_effective_coefficients(sol, get_v("zero"))
         assert coeffs.xi2 == float(b @ sol.chi)
-
-    def test_corrector_of_another_theta_rejected(self):
-        cg = CellGrid(m=64, m_tau=2)
-        sol = solve_cell_problem(get_theta("cosine_sum"), ALPHA, cg)
-        with pytest.raises(ValueError, match="Theta"):
-            compute_effective_coefficients(get_theta("cosine_product"), get_v("zero"),
-                                           sol, ALPHA, cg)

@@ -307,8 +307,7 @@ class TestEffectiveDriftValidation:
         dt, n_steps = rc.resolve_dt(eps)
         path = brownian_increments(0, n_steps, dt)
         g_het = assemble_heterogeneous_generator(
-            prepared.grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(),
-                                        epsilon=eps, kernel_mode=rc.kernel_mode))
+            prepared.grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps))
         res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het)
         errors = {}
         for label, gen in (("full", prepared.effective_generator), ("naive", naive)):

@@ -129,6 +129,15 @@ class TestGeneratorAssembly:
         vals = np.linalg.eigvalsh(mat)
         assert vals[0] >= -1e-10 * vals[-1]
 
+    @pytest.mark.parametrize("n", [16, 97, 256])
+    @pytest.mark.parametrize("theta_name", ["one", "cosine_product", "cosine_shift",
+                                            "cosine_sum"])
+    @pytest.mark.parametrize("eps", [0.5, 1.0 / 16.0])
+    def test_exactly_symmetric(self, n, theta_name, eps):
+        params = KernelParams(alpha=1.5, theta=get_theta(theta_name), epsilon=eps)
+        mat = assemble_heterogeneous_generator(Grid1D.make(n), params)
+        assert np.array_equal(mat, mat.T)
+
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="4"):
             assemble_heterogeneous_generator(
