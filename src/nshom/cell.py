@@ -17,6 +17,10 @@ moments.  Two kernel interpretations are supported, selected by
 * ``cell_truncated``: the kernel is restricted to the unit square (plain
   distances, no images); kept for sensitivity comparisons.
 
+The mode enters only the per-offset weights, which both modes expand as a
+plain Toeplitz matrix: the periodized weights are mirror-exact
+(w[m - D] == +-w[D] bitwise), so wrapping the offset mod m changes nothing.
+
 The linear functional ell(v) = int Theta conj(D*_y v) uses the matching odd
 kernel moments; the corrector chi solves a(chi, v) = ell(v) for all v subject
 to zero mean, enforced through a bordered (Lagrange) system. The returned
@@ -175,11 +179,6 @@ def _odd_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -
     return w
 
 
-def _periodic_offset_matrix(w: np.ndarray) -> np.ndarray:
-    """Circulant W[j, l] = w[(l - j) mod m]."""
-    return toeplitz(w[-np.arange(w.size) % w.size], w)
-
-
 def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndarray:
     """Symmetric PSD matrix of the cell bilinear form on nodal values.
 
@@ -189,8 +188,7 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.nda
     """
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
-    w_off = _even_offset_weights(m, alpha, grid.n_images, grid.kernel_mode)
-    w = _periodic_offset_matrix(w_off) if grid.kernel_mode == "periodized" else toeplitz(w_off)
+    w = toeplitz(_even_offset_weights(m, alpha, grid.n_images, grid.kernel_mode))
     tm = _theta_matrix(theta, grid.y)
     w *= theta.constant if tm is None else tm
     theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
@@ -210,12 +208,8 @@ def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndar
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
     w_off = _odd_offset_weights(m, alpha, grid.n_images, grid.kernel_mode)
-    # W1[j, l] is the odd weight of offset l - j: taken mod m when periodized,
-    # negated below the diagonal when truncated
-    if grid.kernel_mode == "periodized":
-        w1 = _periodic_offset_matrix(w_off)
-    else:
-        w1 = toeplitz(-w_off, w_off)
+    # W1[j, l] is the odd weight of offset l - j, negated below the diagonal
+    w1 = toeplitz(-w_off, w_off)
     tm = _theta_matrix(theta, grid.y)
     b = 2.0 * np.sum(w1 * (theta.constant if tm is None else tm), axis=1)
     theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm)

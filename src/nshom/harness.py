@@ -6,13 +6,13 @@ The strong-error surrogate for one path is the discrete space-time norm
     E_path = dt * h * sum_k sum_i |u_eps(t_k, x_i) - u_eff(t_k, x_i)|^2
 
 (time levels k = 1..N), both systems driven by the same Brownian increments.
-At each eps the heterogeneous generator is assembled once, and both systems
-step all paths in lockstep as the columns of one ensemble
-(``integrator.ThetaStepper``); the error integrals accumulate step by step,
-so no trajectory is stored. Sweep reports aggregate over paths: mean, Monte
-Carlo standard error, weak errors against fixed test functions, exclusion
-counts for diverged paths, and a log-log slope fit of the mean strong error
-against eps (reported as data, not gated).
+One loop assembles the heterogeneous generator once per eps and steps both
+systems over all paths in lockstep (``integrator.ThetaStepper``); the sweep's
+error integrals and the corrector diagnostic are reduced from its states step
+by step, so no trajectory is stored. Sweep reports aggregate over paths:
+mean, Monte Carlo standard error, weak errors against fixed test functions,
+exclusion counts for diverged paths, and a log-log slope fit of the mean
+strong error against eps (reported as data, not gated).
 
 Failure policy:
 
@@ -22,14 +22,14 @@ Failure policy:
 * A ``TrajectoryBlowup`` belongs to one path: that column is excluded with
   its reason and a warning, and the other columns are stepped with unchanged
   arithmetic. An eps level that excludes more than 20 % of its paths fails
-  the sweep with ``SweepFailure``.
+  the sweep with ``SweepFailure``; the corrector diagnostic, on one path, raises it.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,9 @@ from .cell import CellSolution, solve_cell_problem
 from .config import RunConfig
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
-from .integrator import (Effective, Heterogeneous, SimResult, ThetaStepper,
-                         TrajectoryBlowup, brownian_increments, diverged_columns, simulate)
+# simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
+from .integrator import (Effective, Heterogeneous, ThetaStepper, TrajectoryBlowup,
+                         brownian_increments, diverged_columns, simulate)
 from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS
 
@@ -91,9 +92,7 @@ class SweepReport:
     psi_names: list[str]
     fit: dict
     seeds: list[int]
-    config_hash: str
     definition: str = STRONG_ERROR_DEFINITION
-    notes: dict = field(default_factory=dict)
 
 
 def solve_coefficients(rc: RunConfig) -> tuple[CellSolution, EffectiveCoefficients]:
@@ -113,29 +112,12 @@ def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
                               effective_generator=geff, psi_names=names, psi_values=psis)
 
 
-def _run_pair(eps: float, rc: RunConfig, seed: int,
-              prepared: PreparedExperiment) -> tuple[SimResult, SimResult, float]:
-    cfg = rc.sim_config()
-    dt, n_steps = rc.resolve_dt(eps)
-    path = brownian_increments(seed, n_steps, dt)
-    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps)
-    g_het = assemble_heterogeneous_generator(prepared.grid, params)
-    res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het)
-    res_eff = simulate(Effective(prepared.coefficients), cfg, path,
-                       generator=prepared.effective_generator)
-    return res_het, res_eff, dt
-
-
-def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
-                   prepared: PreparedExperiment | None = None) -> list[PathOutcome]:
-    """Strong and weak error integrals of the coupled paths of ``seeds``.
-
-    Both systems step every seed as one column of an ensemble. A column that
-    diverges in either system is excluded with its reason and set to zero,
-    which leaves the arithmetic of the other columns unchanged.
-    """
-    if prepared is None:
-        prepared = prepare_experiment(rc)
+def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
+                   prepared: PreparedExperiment):
+    """Step both systems with one column per seed, yielding ``(u_het, u_eff,
+    dead, reasons)`` after each step. A column that diverges in either system
+    is marked ``dead`` with its TrajectoryBlowup in ``reasons`` and set to
+    zero, which leaves the arithmetic of the other columns unchanged."""
     cfg = rc.sim_config()
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
@@ -146,40 +128,48 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
                              generator=prepared.effective_generator))
     u0 = np.repeat(cfg.initial_field().astype(complex)[:, None], len(seeds), axis=1)
     states = [u0, u0]
-    psi_conj = np.conj(prepared.psi_values.T)
-    n_psi = len(prepared.psi_names)
-    err = np.zeros(len(seeds))
-    weak = np.zeros((len(seeds), n_psi), dtype=complex)
-    reasons = [""] * len(seeds)
+    reasons: list[TrajectoryBlowup | None] = [None] * len(seeds)
     dead = np.zeros(len(seeds), dtype=bool)
     for k in range(n_steps):
         for i, stepper in enumerate(steppers):
             states[i] = stepper.step(states[i], k, dw[k])
             for j in np.flatnonzero(diverged_columns(states[i]) & ~dead):
-                reasons[j] = str(TrajectoryBlowup(k + 1, stepper.label))
+                reasons[j] = TrajectoryBlowup(k + 1, stepper.label)
                 dead[j] = True
         if dead.any():
             for state in states:
                 state[:, dead] = 0.0
-        diff = states[0] - states[1]
+        yield states[0], states[1], dead, reasons
+
+
+def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
+                   prepared: PreparedExperiment) -> list[PathOutcome]:
+    """Strong and weak error integrals of the coupled paths of ``seeds``; a
+    column that diverges is excluded with its reason."""
+    psi_conj = np.conj(prepared.psi_values.T)
+    n_psi = len(prepared.psi_names)
+    err = np.zeros(len(seeds))
+    weak = np.zeros((len(seeds), n_psi), dtype=complex)
+    for u_het, u_eff, dead, reasons in _coupled_steps(eps, rc, seeds, prepared):
+        diff = u_het - u_eff
         err += np.sum(diff.real ** 2 + diff.imag ** 2, axis=0)
         weak += diff.T @ psi_conj
 
-    scale = dt * prepared.grid.h
+    scale = rc.resolve_dt(eps)[0] * prepared.grid.h
     outcomes = []
     for j, seed in enumerate(seeds):
         if dead[j]:
             warnings.warn(f"coupled path seed={seed} eps={eps} diverged: {reasons[j]}")
             outcomes.append(PathOutcome(error=float("nan"),
                                         weak=np.full(n_psi, np.nan, dtype=complex),
-                                        excluded=True, reason=reasons[j]))
+                                        excluded=True, reason=str(reasons[j])))
         else:
             outcomes.append(PathOutcome(error=float(scale * err[j]), weak=scale * weak[j]))
     return outcomes
 
 
 def coupled_pair_error(eps: float, rc: RunConfig, seed: int,
-                       prepared: PreparedExperiment | None = None) -> PathOutcome:
+                       prepared: PreparedExperiment) -> PathOutcome:
     """Strong and weak error integrals for one coupled path (the one-column
     case of ``coupled_errors``); a diverged path is flagged for exclusion
     instead of propagating."""
@@ -257,9 +247,7 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
     report = SweepReport(eps_list=eps_arr, n_paths=n_paths, strong_err=strong,
                          strong_se=ses, weak_err=weaks, excluded=excludeds,
                          wall_s=walls, psi_names=list(prepared.psi_names),
-                         fit=fit_loglog(eps_arr, strong), seeds=seeds,
-                         config_hash=rc.config_hash,
-                         notes={"coefficients": prepared.coefficients.to_dict()})
+                         fit=fit_loglog(eps_arr, strong), seeds=seeds)
     if failure is not None:
         raise SweepFailure(failure, report=report)
     return report
@@ -282,18 +270,16 @@ def _interp_periodic(chi: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def corrector_residual(eps: float, rc: RunConfig, seed: int,
-                       prepared: PreparedExperiment | None = None) -> dict:
+                       prepared: PreparedExperiment) -> dict:
     """Two-scale reconstruction diagnostic (reported, not gated).
 
     Rebuilds u1 = -zeta(u_eff) * chi(x/eps) and measures the discrete
     L^2(time x D x D) distance between the heterogeneous two-point field D* u_eps
     and the reconstruction D*_x u_eff + D*_y u1 sampled at the fast variables.
     Also returns the plain gradient-level error (chi term dropped), which the
-    residual equals when the corrector vanishes.
+    residual equals when the corrector vanishes. The coupled path of ``seed``
+    is reduced step by step; if it diverges, its TrajectoryBlowup is raised.
     """
-    if prepared is None:
-        prepared = prepare_experiment(rc)
-    res_het, res_eff, dt = _run_pair(eps, rc, seed, prepared)
     grid, alpha = prepared.grid, rc.alpha
     h = grid.h
     gam_x = _gamma_matrix(grid.nodes, alpha)
@@ -304,16 +290,16 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
 
     total = 0.0
     baseline = 0.0
-    n_steps = res_het.trajectory.shape[0] - 1
-    for k in range(1, n_steps + 1):
-        uh = res_het.trajectory[k]
-        ue = res_eff.trajectory[k]
+    for u_het, u_eff, dead, reasons in _coupled_steps(eps, rc, [seed], prepared):
+        if dead[0]:
+            raise reasons[0]
+        uh, ue = u_het[:, 0], u_eff[:, 0]
         dstar_het = -(uh[None, :] - uh[:, None]) * gam_x
         dstar_eff = -(ue[None, :] - ue[:, None]) * gam_x
         recon = dstar_eff + (zmat @ ue)[:, None] * chi_diff * gam_y
         total += float(np.sum(np.abs(dstar_het - recon) ** 2))
         baseline += float(np.sum(np.abs(dstar_het - dstar_eff) ** 2))
-    norm = dt * h * h
+    norm = rc.resolve_dt(eps)[0] * h * h
     return {
         "residual": float(np.sqrt(norm * total)),
         "gradient_error": float(np.sqrt(norm * baseline)),

@@ -199,36 +199,6 @@ def diverged_columns(u: np.ndarray) -> np.ndarray:
     return ~np.isfinite(u).all(axis=0) | (np.abs(u).max(axis=0) > BLOWUP_LIMIT)
 
 
-def _implicit_lu(g_mat: np.ndarray, dt: float, theta_s: float,
-                 v_diag: np.ndarray | None) -> tuple:
-    """LU factors of I + i theta dt (G + diag(v))."""
-    n = g_mat.shape[0]
-    lhs = np.eye(n, dtype=complex) + 1j * theta_s * dt * g_mat
-    if v_diag is not None:
-        lhs[np.diag_indices(n)] += 1j * theta_s * dt * v_diag
-    try:
-        return lu_factor(lhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"implicit factorization failed: {exc}") from exc
-
-
-def _theta_update(g_mat: np.ndarray, u: np.ndarray, dt: float, dw: np.ndarray,
-                  theta_s: float, v_diag: np.ndarray | None, f_vec: np.ndarray | None,
-                  noise: NoiseModel | None, lu: tuple) -> np.ndarray:
-    """The theta-scheme update of the (n, P) state u; ``dw`` holds one
-    increment per column and ``lu`` factors the implicit matrix."""
-    hu = generator_product(g_mat, u)
-    if v_diag is not None:
-        hu += v_diag[:, None] * u
-    rhs = u - 1j * (1.0 - theta_s) * dt * hu
-    gu = None if noise is None else noise.apply(u)
-    if gu is not None:
-        rhs -= 1j * gu * dw
-    if f_vec is not None:
-        rhs -= 1j * f_vec[:, None] * dt
-    return lu_solve(lu, rhs, check_finite=False)
-
-
 def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.ndarray:
     if isinstance(system, Heterogeneous):
         params = KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=system.epsilon)
@@ -293,10 +263,16 @@ class ThetaStepper:
             return entry
         self.misses += 1
         v_diag = None if tau is None else self._amp * self.cfg.v_spec.sample(self._y_frac, tau)
+        # I + i theta dt (G + diag(v))
+        n, theta_s, dt = self.g_mat.shape[0], self.cfg.theta_scheme, self.dt
+        lhs = np.eye(n, dtype=complex) + 1j * theta_s * dt * self.g_mat
+        if v_diag is not None:
+            lhs[np.diag_indices(n)] += 1j * theta_s * dt * v_diag
         try:
-            lu = _implicit_lu(self.g_mat, self.dt, self.cfg.theta_scheme, v_diag)
-        except LinearSolveError as exc:
-            raise LinearSolveError(f"{self.label}, phase {key}: {exc}") from exc
+            lu = lu_factor(lhs)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveError(
+                f"{self.label}, phase {key}: implicit factorization failed: {exc}") from exc
         size = lu[0].nbytes
         while self._factors and self._factor_bytes + size > LU_CACHE_BYTES:
             self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0][0].nbytes
@@ -308,10 +284,18 @@ class ThetaStepper:
         """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
         Brownian increment of each column."""
         lu, v_diag = self._factors_at(k)
-        cfg = self.cfg
-        f_vec = cfg.f_spec.sample(k * self.dt, cfg.grid.nodes)
-        return _theta_update(self.g_mat, u, self.dt, dw, cfg.theta_scheme, v_diag, f_vec,
-                             cfg.noise, lu)
+        cfg, dt = self.cfg, self.dt
+        hu = generator_product(self.g_mat, u)
+        if v_diag is not None:
+            hu += v_diag[:, None] * u
+        rhs = u - 1j * (1.0 - cfg.theta_scheme) * dt * hu
+        gu = cfg.noise.apply(u)
+        if gu is not None:
+            rhs -= 1j * gu * dw
+        f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
+        if f_vec is not None:
+            rhs -= 1j * f_vec[:, None] * dt
+        return lu_solve(lu, rhs, check_finite=False)
 
 
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,

@@ -93,9 +93,9 @@ class HSpec:
         return vals / nrm
 
 
-def _theta_one(**params) -> ThetaSpec:
+def _theta_one() -> ThetaSpec:
     return ThetaSpec("one", lambda y, eta: np.ones(np.broadcast(y, eta).shape),
-                     lower=1.0, upper=1.0, params=params, constant=1.0)
+                     lower=1.0, upper=1.0, constant=1.0)
 
 
 def _theta_cosine_product(amplitude: float = 0.5, offset: float = 1.0) -> ThetaSpec:

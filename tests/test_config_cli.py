@@ -167,6 +167,9 @@ class TestCliBasics:
         (["coefficients"], {"seed": True}, 2),
         *((["coefficients"], {"dt_rule": rule}, 2) for rule in BAD_DT_RULES),
         *((["simulate", "--system", "eff"], user, 2) for user in BAD_REALS),
+        (["coefficients"], {"theta_preset": {"name": "one", "params": {"amplitude": 0.5}}}, 2),
+        (["coefficients"], {"theta_preset": {"name": "scaled", "params": {
+            "base": "one", "factor": 2.0, "amplitude": 0.5}}}, 2),
     ])
     def test_invalid_input_exit_code_without_traceback(self, argv, config, code,
                                                        tmp_path, capsys):
@@ -315,6 +318,22 @@ class TestCliCommands:
                      "--config", str(cfg), "--out", str(tmp_path / "singular")])
         assert code == 3
         assert "factorization failed" in capsys.readouterr().err
+
+    def test_out_of_memory_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
+        # stands in for a grid too large to assemble; a real allocation of
+        # that size could wake the host's OOM killer
+        from nshom import integrator
+
+        def too_large(grid, params):
+            raise MemoryError("Unable to allocate 671. GiB for an array")
+
+        monkeypatch.setattr(integrator, "assemble_heterogeneous_generator", too_large)
+        cfg = self._small_cfg(tmp_path)
+        code = main(["simulate", "--system", "het", "--eps", "1/2",
+                     "--config", str(cfg), "--out", str(tmp_path / "oom")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "out of memory: Unable to allocate 671. GiB for an array\n"
 
     def test_validate_passes_and_dumps_matrices(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)

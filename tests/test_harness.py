@@ -19,7 +19,7 @@ from nshom.harness import (
     monte_carlo_se,
     prepare_experiment,
 )
-from nshom.integrator import LinearSolveError
+from nshom.integrator import LinearSolveError, TrajectoryBlowup
 from nshom.presets import get_theta
 
 SMALL = {
@@ -245,6 +245,25 @@ def test_perfbench_tracer_sees_each_setup_layer_once():
         assert tracer.calls[span] == 1, span
 
 
+def test_perfbench_tracer_sees_the_sweep_counts():
+    # the count identities of the benchmark's sweep workloads, on a small
+    # sweep: one assembly per eps plus one in the set-up, eight potential
+    # phases plus the effective system factorized per eps, and one solve per
+    # step and system
+    rc = make_config()
+    eps_list, n_paths = [0.5, 0.25], 2
+    tracer = perfbench_tracer()
+    tracer.install_nshom()
+    try:
+        harness.eps_sweep(eps_list, n_paths, rc)
+    finally:
+        tracer.restore()
+    n_steps = [rc.resolve_dt(eps)[1] for eps in eps_list]
+    assert tracer.calls["kernel.assemble"] == len(eps_list) + 1
+    assert tracer.calls["integrator.lu_factor"] == len(eps_list) * (8 + 1)
+    assert tracer.calls["integrator.lu_solve"] == 2 * sum(n_steps)
+
+
 def test_one_corrector_rhs_per_coefficient_solve(monkeypatch):
     original, calls = cell.assemble_cell_rhs, []
 
@@ -317,7 +336,56 @@ class TestEffectiveDriftValidation:
         assert errors["full"] < errors["naive"]
 
 
+def stored_trajectory_residual(eps, rc, seed, prepared):
+    """The corrector diagnostic reduced from two stored ``simulate``
+    trajectories, one per system, on the same Brownian path."""
+    cfg = rc.sim_config()
+    dt, n_steps = rc.resolve_dt(eps)
+    path = integrator.brownian_increments(seed, n_steps, dt)
+    g_het = kernel.assemble_heterogeneous_generator(
+        prepared.grid, kernel.KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps))
+    res_het = integrator.simulate(integrator.Heterogeneous(eps), cfg, path, generator=g_het)
+    res_eff = integrator.simulate(integrator.Effective(prepared.coefficients), cfg, path,
+                                  generator=prepared.effective_generator)
+    grid, alpha = prepared.grid, rc.alpha
+    gam_x = harness._gamma_matrix(grid.nodes, alpha)
+    gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
+    zmat = effective.zeta_matrix(grid, alpha)
+    chi_fast = harness._interp_periodic(prepared.cell_solution.chi, grid.nodes / eps)
+    chi_diff = chi_fast[None, :] - chi_fast[:, None]
+    total = 0.0
+    baseline = 0.0
+    for k in range(1, n_steps + 1):
+        uh = res_het.trajectory[k]
+        ue = res_eff.trajectory[k]
+        dstar_het = -(uh[None, :] - uh[:, None]) * gam_x
+        dstar_eff = -(ue[None, :] - ue[:, None]) * gam_x
+        recon = dstar_eff + (zmat @ ue)[:, None] * chi_diff * gam_y
+        total += float(np.sum(np.abs(dstar_het - recon) ** 2))
+        baseline += float(np.sum(np.abs(dstar_het - dstar_eff) ** 2))
+    norm = dt * grid.h * grid.h
+    return {"residual": float(np.sqrt(norm * total)),
+            "gradient_error": float(np.sqrt(norm * baseline)), "eps": eps, "seed": seed}
+
+
 class TestCorrectorDiagnostic:
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    def test_equals_the_stored_trajectory_reduction(self, theta):
+        rc = make_config(theta_preset={"name": theta, "params": {}},
+                         v_preset="sin2pi_y_one_plus_sin2pi_tau",
+                         g={"kind": "linear", "sigma": 0.5})
+        prepared = prepare_experiment(rc)
+        for eps, seed in ((0.25, 3), (0.125, 0)):
+            assert (corrector_residual(eps, rc, seed, prepared)
+                    == stored_trajectory_residual(eps, rc, seed, prepared))
+
+    def test_diverging_path_raises(self):
+        # explicit scheme with a coarse fixed step blows the path up
+        rc = make_config(theta_scheme=0.0, dt_rule={"kind": "fixed", "dt": 1.0 / 32.0})
+        prepared = prepare_experiment(rc)
+        with pytest.raises(TrajectoryBlowup, match="diverged at step"):
+            corrector_residual(0.25, rc, seed=0, prepared=prepared)
+
     def test_constant_theta_residual_equals_gradient_error(self, prepared_default):
         rc, prepared = prepared_default
         diag = corrector_residual(0.25, rc, seed=0, prepared=prepared)

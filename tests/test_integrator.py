@@ -329,6 +329,22 @@ class TestEnsembleStepper:
         assert len(calls) == path.n_steps
         assert np.array_equal(bounded.trajectory, unbounded.trajectory)
 
+    def test_failed_factorization_is_wrapped_once(self, grid, frac_gen, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(integrator, "lu_factor", singular)
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        stepper = ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            stepper.step(cfg.initial_field().astype(complex)[:, None], 0, np.zeros(1))
+        # step 0 is frozen at the theta point dt / 2, phase 1/16
+        assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
+                                      "implicit factorization failed: singular matrix")
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
     def test_noncycling_phase_warns_once(self, grid, frac_gen):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
