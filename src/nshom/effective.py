@@ -75,8 +75,9 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
     if theta.constant is not None:
         xi1 = float(theta.constant)
     else:
-        y = grid.y
-        xi1 = float(np.mean(theta.sample(y[:, None], y[None, :])))
+        y = grid.y  # in blocks of 64 rows: a one-shot m x m sample stays behind as a heap hole
+        xi1 = sum(float(theta.sample(y[i:i + 64, None], y[None, :]).sum())
+                  for i in range(0, y.size, 64)) / y.size ** 2
 
     xi2 = float(chi.rhs @ chi.chi)
 

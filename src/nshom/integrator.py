@@ -15,6 +15,12 @@ the step (the midpoint for theta = 1/2, which preserves second-order temporal
 accuracy; each frozen step is still a Hermitian Cayley map, so norms are
 conserved when g = f = 0).
 
+For theta > 0 the step is one LU solve with no product by H, since
+I - i(1-theta)dt H = (1/theta) I - ((1-theta)/theta)(I + i theta dt H) gives
+u_{n+1} = (I + i theta dt H_n)^{-1}[u_n/theta - i g(u_n) dW_n - i f(t_n) dt]
+- ((1-theta)/theta) u_n; rounding in that subtraction grows like 1/theta. The
+explicit step theta = 0 is the right-hand side itself, with no factorization.
+
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and ``simulate`` is its one-column case. The
 implicit matrix does not depend on the path, so its factorization is shared
@@ -213,10 +219,10 @@ class ThetaStepper:
     columns of an (n, P) complex array.
 
     The implicit matrix depends on the system, dt and the potential's phase,
-    never on the path, so each phase is factorized once and each step makes
-    one ``lu_solve`` with P right-hand sides. Factors are cached on the phase
-    and dropped oldest first once they hold more than LU_CACHE_BYTES;
-    ``hits`` and ``misses`` count the lookups.
+    never on the path, so for theta > 0 each phase is factorized once and each
+    step makes one ``lu_solve`` with P right-hand sides. Factors are cached on
+    the phase and dropped oldest first once they hold more than LU_CACHE_BYTES;
+    ``hits`` and ``misses`` count the lookups (theta = 0 caches nothing).
     """
 
     def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
@@ -263,13 +269,15 @@ class ThetaStepper:
             return entry
         self.misses += 1
         v_diag = None if tau is None else self._amp * self.cfg.v_spec.sample(self._y_frac, tau)
-        # I + i theta dt (G + diag(v))
         n, theta_s, dt = self.g_mat.shape[0], self.cfg.theta_scheme, self.dt
-        lhs = np.eye(n, dtype=complex) + 1j * theta_s * dt * self.g_mat
-        if v_diag is not None:
-            lhs[np.diag_indices(n)] += 1j * theta_s * dt * v_diag
+        if theta_s == 0.0:
+            return None, v_diag
+        # I + i theta dt (G + diag(v)), built and factorized in place; G is only read
+        lhs = np.empty((n, n), dtype=complex, order="F")
+        np.multiply(self.g_mat, 1j * theta_s * dt, out=lhs)
+        lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + 1j * theta_s * dt * v_diag
         try:
-            lu = lu_factor(lhs)
+            lu = lu_factor(lhs, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(
                 f"{self.label}, phase {key}: implicit factorization failed: {exc}") from exc
@@ -284,18 +292,22 @@ class ThetaStepper:
         """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
         Brownian increment of each column."""
         lu, v_diag = self._factors_at(k)
-        cfg, dt = self.cfg, self.dt
-        hu = generator_product(self.g_mat, u)
-        if v_diag is not None:
-            hu += v_diag[:, None] * u
-        rhs = u - 1j * (1.0 - cfg.theta_scheme) * dt * hu
+        cfg, dt, theta_s = self.cfg, self.dt, self.cfg.theta_scheme
+        if lu is None:
+            hu = generator_product(self.g_mat, u)
+            if v_diag is not None:
+                hu += v_diag[:, None] * u
+            rhs = u - 1j * dt * hu
+        else:
+            rhs = u / theta_s
         gu = cfg.noise.apply(u)
         if gu is not None:
             rhs -= 1j * gu * dw
         f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
         if f_vec is not None:
             rhs -= 1j * f_vec[:, None] * dt
-        return lu_solve(lu, rhs, check_finite=False)
+        return rhs if lu is None else (lu_solve(lu, rhs, check_finite=False)
+                                       - ((1.0 - theta_s) / theta_s) * u)
 
 
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,
@@ -311,6 +323,8 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
     grid = cfg.grid
     n, h = grid.n, grid.h
     n_steps = path.n_steps
+    if snapshot_every is not None and snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if abs(n_steps * path.dt - cfg.T) > 1e-10 * max(1.0, cfg.T):
         raise ValueError(f"path covers {n_steps * path.dt}, config horizon is {cfg.T}")
     stepper = ThetaStepper(system, cfg, path.dt, n_steps, generator)

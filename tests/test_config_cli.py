@@ -309,7 +309,7 @@ class TestCliCommands:
     def test_sweep_failed_factorization_exit_code(self, tmp_path, capsys, monkeypatch):
         from nshom import integrator
 
-        def singular(a):
+        def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(integrator, "lu_factor", singular)

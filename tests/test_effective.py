@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nshom.cell import CellGrid, assemble_cell_rhs, solve_cell_problem
+from nshom.cell import CellGrid, CellSolution, assemble_cell_rhs, solve_cell_problem
 from nshom.effective import (
     EffectiveCoefficients,
     apply_restricted_divergence,
@@ -15,7 +15,7 @@ from nshom.effective import (
     zeta_matrix,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator, gamma
-from nshom.presets import VSpec, get_theta, get_v
+from nshom.presets import THETA_PRESETS, VSpec, get_theta, get_v
 
 ALPHA = 1.5
 
@@ -108,6 +108,18 @@ class TestCoefficients:
             vals.append(compute_effective_coefficients(sol, get_v("zero")).xi1)
         assert vals[0] > 0.0  # positive coefficient integrates to a positive average
         assert abs(vals[0] - vals[1]) < 1e-8
+
+
+    @pytest.mark.parametrize("m", [100, 1024])
+    @pytest.mark.parametrize("name", [n for n in THETA_PRESETS if get_theta(n).constant is None])
+    def test_xi1_block_sum_matches_one_shot_mean(self, name, m):
+        # Xi_1 depends on Theta and the y-grid only, so a zero corrector serves
+        theta, cg = get_theta(name), CellGrid(m=m, m_tau=1)
+        sol = CellSolution(chi=np.zeros(m), rhs=np.zeros(m), theta=theta, alpha=ALPHA,
+                           grid=cg, residual=0.0)
+        one_shot = float(np.mean(theta.sample(cg.y[:, None], cg.y[None, :])))
+        xi1 = compute_effective_coefficients(sol, get_v("zero")).xi1
+        assert xi1 == pytest.approx(one_shot, rel=1e-14, abs=0.0)
 
 
 class TestZeta:

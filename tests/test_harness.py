@@ -160,7 +160,7 @@ class TestEnsemble:
     def test_failed_factorization_ends_the_sweep(self, prepared_default, monkeypatch):
         rc, prepared = prepared_default
 
-        def singular(a):
+        def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(integrator, "lu_factor", singular)

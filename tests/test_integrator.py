@@ -22,7 +22,7 @@ from nshom.integrator import (
     simulate,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
-from nshom.presets import HSpec, get_theta, get_v
+from nshom.presets import FSpec, HSpec, get_theta, get_v
 
 ALPHA = 1.5
 UNIT = EffectiveCoefficients.from_values(1.0)
@@ -173,6 +173,13 @@ class TestThetaScheme:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(grid=grid, alpha=ALPHA, T=T)
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_snapshot_interval_must_be_positive(self, grid, every):
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0)
+        with pytest.raises(ValueError, match="snapshot_every must be >= 1"):
+            simulate(Effective(UNIT), cfg, brownian_increments(0, 8, 0.125),
+                     snapshot_every=every)
+
     def test_path_horizon_mismatch_rejected(self, grid):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0)
         with pytest.raises(ValueError, match="horizon"):
@@ -321,7 +328,7 @@ class TestEnsembleStepper:
         calls = []
         real_factor = integrator.lu_factor
         monkeypatch.setattr(integrator, "lu_factor",
-                            lambda a: calls.append(1) or real_factor(a))
+                            lambda *args, **kwargs: calls.append(1) or real_factor(*args, **kwargs))
         # room for three of the eight phases: a cycle longer than the cache
         # misses on every step
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
@@ -330,7 +337,7 @@ class TestEnsembleStepper:
         assert np.array_equal(bounded.trajectory, unbounded.trajectory)
 
     def test_failed_factorization_is_wrapped_once(self, grid, frac_gen, monkeypatch):
-        def singular(a):
+        def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(integrator, "lu_factor", singular)
@@ -344,6 +351,73 @@ class TestEnsembleStepper:
         assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
                                       "implicit factorization failed: singular matrix")
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("theta_s", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("system", ["het", "eff"])
+    def test_step_matches_explicit_product_update(self, grid, theta_s, system, monkeypatch):
+        """ThetaStepper.step against the update it replaced: the real-view
+        product in u - i(1-theta)dt H u plus noise and forcing, solved with
+        the LU of I + i theta dt (G + diag v), at 1e-12 max|u|."""
+        forcing = FSpec("bump", lambda t, x: (1.0 - x ** 2) * (1.0 + 1j * t))
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, theta_scheme=theta_s,
+                        theta=get_theta("cosine_product"), f_spec=forcing,
+                        noise=NoiseModel("bounded", 0.5),
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        eps, dt, n_steps = 0.25, 0.5 / 32, 32
+        het = system == "het"
+        stepper = ThetaStepper(Heterogeneous(eps) if het else Effective(UNIT), cfg, dt, n_steps)
+        g_mat, n = stepper.g_mat, grid.n
+        dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(3)], axis=1)
+        u = cfg.initial_field()[:, None] * np.array([1.0, 0.5j, -0.8])
+        ref = u.copy()
+        calls = {"generator_product": 0, "lu_factor": 0}
+
+        def counting(name):
+            real = getattr(integrator, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(integrator, name, counting(name))
+        for k in range(n_steps):
+            u = stepper.step(u, k, dw[k])
+            v_diag = np.zeros(n)
+            if het:
+                tau = ((k * dt + theta_s * dt) / eps) % 1.0
+                v_diag = eps ** ((1.0 - ALPHA) / 2.0) * cfg.v_spec.sample(
+                    np.mod(grid.nodes / eps, 1.0), tau)
+            hu = generator_product(g_mat, ref) + v_diag[:, None] * ref
+            rhs = (ref - 1j * (1.0 - theta_s) * dt * hu - 1j * cfg.noise.apply(ref) * dw[k]
+                   - 1j * cfg.f_spec.sample(k * dt, grid.nodes)[:, None] * dt)
+            lhs = np.eye(n, dtype=complex) + 1j * theta_s * dt * (g_mat + np.diag(v_diag))
+            ref = linalg.lu_solve(linalg.lu_factor(lhs), rhs)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+        if theta_s > 0.0:
+            assert calls["generator_product"] == 0
+            assert calls["lu_factor"] == stepper.misses
+        else:
+            assert calls == {"generator_product": n_steps, "lu_factor": 0}
+
+    def test_generator_is_only_read(self, grid, frac_gen, monkeypatch):
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, noise=NoiseModel("bounded", 0.5),
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        path = brownian_increments(2, 16, 0.5 / 16)
+        writable = frac_gen.copy()
+        reference = simulate(Heterogeneous(eps), cfg, path, generator=writable)
+        assert writable.tobytes() == frac_gen.tobytes()
+        frozen = frac_gen.copy()
+        frozen.flags.writeable = False
+        unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
+        # room for three of the eight phases: every step refactorizes
+        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
+        bounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
+        assert frozen.tobytes() == frac_gen.tobytes()
+        assert np.array_equal(unbounded.trajectory, reference.trajectory)
+        assert np.array_equal(bounded.trajectory, reference.trajectory)
 
     def test_noncycling_phase_warns_once(self, grid, frac_gen):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
