@@ -24,8 +24,6 @@ from .cell import (
 from .effective import (
     EffectiveCoefficients,
     compute_effective_coefficients,
-    compute_zeta,
-    apply_restricted_divergence,
     assemble_effective_generator,
 )
 from .integrator import (
@@ -43,8 +41,7 @@ __all__ = [
     "gamma", "rho", "dstar_apply", "assemble_heterogeneous_generator", "pv_oracle",
     "CellGrid", "CellSolution", "periodized_kernel_weight", "assemble_cell_form",
     "solve_cell_problem", "solve_periodic_poisson",
-    "EffectiveCoefficients", "compute_effective_coefficients",
-    "compute_zeta", "apply_restricted_divergence", "assemble_effective_generator",
+    "EffectiveCoefficients", "compute_effective_coefficients", "assemble_effective_generator",
     "NoiseModel", "BrownianPath", "SimConfig", "Heterogeneous", "Effective",
     "brownian_increments", "simulate",
 ]

@@ -31,10 +31,9 @@ so the effective coefficients are computed from it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 from scipy.linalg import toeplitz
 
 from .kernel import (_add_same_cell_term, _check_alpha, _theta_matrix, pair_weights_even,
@@ -248,24 +247,15 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid) -> CellSo
     return CellSolution(chi=chi, rhs=b, theta=theta, alpha=alpha, grid=grid, residual=residual)
 
 
-@lru_cache(maxsize=64)
 def fractional_symbol_factor(alpha: float) -> float:
-    """I_alpha = 2 int_0^inf (1 - cos t) t^{-1-alpha} dt by adaptive quadrature;
+    """I_alpha = 2 int_0^inf (1 - cos t) t^{-1-alpha} dt = 2 Gamma(-alpha) sin(pi (alpha - 1) / 2);
     the whole-line symbol is mu(omega) = I_alpha |omega|^alpha.
 
-    The nearly non-integrable t^{1-alpha} part at the origin is peeled off
-    analytically (1 - cos t = t^2/2 - remainder with remainder ~ t^4/24), so
-    the quadrature only sees smooth integrands.
+    The sine form avoids the cancellation of the equal -2 Gamma(-alpha) cos(pi alpha / 2)
+    near alpha = 1.
     """
     _check_alpha(alpha)
-    lead = np.pi ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
-    rem, _ = integrate.quad(
-        lambda t: (0.5 * t * t - (1.0 - np.cos(t))) * t ** (-1.0 - alpha),
-        0.0, np.pi, limit=200)
-    osc, _ = integrate.quad(lambda t: t ** (-1.0 - alpha), np.pi, np.inf,
-                            weight="cos", wvar=1.0, limit=200)
-    far = np.pi ** (-alpha) / alpha - osc
-    return 2.0 * (lead - rem + far)
+    return float(2.0 * special.gamma(-alpha) * np.sin(np.pi * (alpha - 1.0) / 2.0))
 
 
 def periodic_symbol(k: np.ndarray, alpha: float) -> np.ndarray:

@@ -23,8 +23,8 @@ from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residua
                    solve_bordered, solve_cell_problem, solve_periodic_poisson)
 from .config import ConfigError, RunConfig, load_config
 from .effective import EffectiveCoefficients
-from .harness import (SweepFailure, SweepReport, corrector_residual, eps_sweep,
-                      prepare_experiment, solve_coefficients)
+from .harness import (SweepFailure, SweepReport, check_sweep_args, corrector_residual,
+                      eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, NoiseModel,
                          SimConfig, TrajectoryBlowup, brownian_increments, simulate)
 from .kernel import (Grid1D, KernelParams, PVConvergenceError,
@@ -196,7 +196,8 @@ def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport) -> None:
 
 def _cmd_sweep(args) -> int:
     rc = load_config(args.config)
-    eps_list = [parse_fraction(tok) for tok in args.eps.split(",") if tok.strip()]
+    eps_list = check_sweep_args([parse_fraction(tok) for tok in args.eps.split(",")
+                                 if tok.strip()], args.paths)
     out = Path(args.out) if args.out else _default_out("sweep", rc)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -178,37 +178,16 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     return _restricted_divergence_cached(grid.n, float(alpha))
 
 
-def compute_zeta(u: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
-    """zeta(x_i) = (1/|D|) int_D -(u(z) - u(x_i)) gamma(x_i, z) dz with |D| = 2."""
-    u = np.asarray(u)
-    if u.shape[-1] != grid.n:
-        raise ValueError("field length does not match the grid")
-    return zeta_matrix(grid, alpha) @ u
-
-
-def apply_restricted_divergence(zeta: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
-    """Principal-value field int_D (zeta(x) + zeta(z)) gamma(x, z) dz on the grid."""
-    vals = np.asarray(zeta)
-    if vals.shape[-1] != grid.n:
-        raise ValueError("zeta length does not match the grid")
-    return restricted_divergence_matrix(grid, alpha) @ vals
-
-
 def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
-                                 alpha: float,
-                                 frac_matrix: np.ndarray | None = None) -> np.ndarray:
+                                 alpha: float) -> np.ndarray:
     """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix.
 
     With (Xi_1, Xi_2, Xi_3) = (1, 0, 0) this reproduces the plain fractional
     generator entrywise.  The zeta terms are generally not Hermitian; norm
     behavior under them is observed by the integrator, not asserted.
     """
-    _check_alpha(alpha)
-    if frac_matrix is None:
-        frac_matrix = assemble_heterogeneous_generator(
-            grid, KernelParams(alpha=alpha, theta=get_theta("one")))
-    if frac_matrix.shape != (grid.n, grid.n):
-        raise ValueError("fractional matrix size does not match the grid")
+    frac_matrix = assemble_heterogeneous_generator(
+        grid, KernelParams(alpha=alpha, theta=get_theta("one")))
     z = zeta_matrix(grid, alpha)
     r = restricted_divergence_matrix(grid, alpha)
     return coeffs.xi1 * frac_matrix - (coeffs.xi2 / 2.0) * (r @ z) - coeffs.xi3 * z

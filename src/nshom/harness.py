@@ -198,6 +198,19 @@ def fit_loglog(eps_list: list[float], errors: list[float],
             "degenerate": False, "reason": ""}
 
 
+def check_sweep_args(eps_list: list[float], n_paths: int) -> list[float]:
+    """The eps levels as floats; ValueError unless they are a non-empty, strictly
+    decreasing list and there are at least 2 paths."""
+    eps_arr = list(map(float, eps_list))
+    if len(eps_arr) < 1:
+        raise ValueError("eps_list must not be empty")
+    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for a standard error")
+    return eps_arr
+
+
 def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
               prepared: PreparedExperiment | None = None,
               progress=None) -> SweepReport:
@@ -206,13 +219,7 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
     Raises SweepFailure (with the partial report attached) when any eps level
     excludes more than 20% of its paths, and lets LinearSolveError through.
     """
-    eps_arr = list(map(float, eps_list))
-    if len(eps_arr) < 1:
-        raise ValueError("eps_list must not be empty")
-    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths for a standard error")
+    eps_arr = check_sweep_args(eps_list, n_paths)
     if prepared is None:
         prepared = prepare_experiment(rc)
 

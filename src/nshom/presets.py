@@ -98,42 +98,17 @@ def _theta_one() -> ThetaSpec:
                      lower=1.0, upper=1.0, constant=1.0)
 
 
-def _theta_cosine_product(amplitude: float = 0.5, offset: float = 1.0) -> ThetaSpec:
-    if not 0.0 <= amplitude < offset:
-        raise ValueError("cosine_product requires 0 <= amplitude < offset for positivity")
+def _cosine_theta(name: str, term: Callable) -> Callable[..., ThetaSpec]:
+    """Factory of Theta = offset + term(amplitude, y, eta), where |term| <= amplitude."""
 
-    def fn(y, eta):
-        return offset + amplitude * np.cos(2 * np.pi * y) * np.cos(2 * np.pi * eta)
+    def factory(amplitude: float = 0.5, offset: float = 1.0) -> ThetaSpec:
+        if not 0.0 <= amplitude < offset:
+            raise ValueError(f"{name} requires 0 <= amplitude < offset for positivity")
+        return ThetaSpec(name, lambda y, eta: offset + term(amplitude, y, eta),
+                         lower=offset - amplitude, upper=offset + amplitude,
+                         params={"amplitude": amplitude, "offset": offset})
 
-    return ThetaSpec("cosine_product", fn, lower=offset - amplitude,
-                     upper=offset + amplitude,
-                     params={"amplitude": amplitude, "offset": offset})
-
-
-def _theta_cosine_shift(amplitude: float = 0.5, offset: float = 1.0) -> ThetaSpec:
-    if not 0.0 <= amplitude < offset:
-        raise ValueError("cosine_shift requires 0 <= amplitude < offset for positivity")
-
-    def fn(y, eta):
-        return offset + amplitude * np.cos(2 * np.pi * (y - eta))
-
-    return ThetaSpec("cosine_shift", fn, lower=offset - amplitude,
-                     upper=offset + amplitude,
-                     params={"amplitude": amplitude, "offset": offset})
-
-
-def _theta_cosine_sum(amplitude: float = 0.5, offset: float = 1.0) -> ThetaSpec:
-    # breaks the half-period symmetry y -> y + 1/2, so the corrector carries
-    # odd frequencies and all three effective coefficients are active
-    if not 0.0 <= amplitude < offset:
-        raise ValueError("cosine_sum requires 0 <= amplitude < offset for positivity")
-
-    def fn(y, eta):
-        return offset + 0.5 * amplitude * (np.cos(2 * np.pi * y) + np.cos(2 * np.pi * eta))
-
-    return ThetaSpec("cosine_sum", fn, lower=offset - amplitude,
-                     upper=offset + amplitude,
-                     params={"amplitude": amplitude, "offset": offset})
+    return factory
 
 
 def _theta_scaled(base: str = "cosine_product", factor: float = 1.0, **params) -> ThetaSpec:
@@ -150,9 +125,14 @@ def _theta_scaled(base: str = "cosine_product", factor: float = 1.0, **params) -
 
 THETA_PRESETS: dict[str, Callable[..., ThetaSpec]] = {
     "one": _theta_one,
-    "cosine_product": _theta_cosine_product,
-    "cosine_shift": _theta_cosine_shift,
-    "cosine_sum": _theta_cosine_sum,
+    "cosine_product": _cosine_theta(
+        "cosine_product", lambda a, y, eta: a * np.cos(2 * np.pi * y) * np.cos(2 * np.pi * eta)),
+    "cosine_shift": _cosine_theta(
+        "cosine_shift", lambda a, y, eta: a * np.cos(2 * np.pi * (y - eta))),
+    # breaks the half-period symmetry y -> y + 1/2, so the corrector carries
+    # odd frequencies and all three effective coefficients are active
+    "cosine_sum": _cosine_theta("cosine_sum", lambda a, y, eta:
+                                0.5 * a * (np.cos(2 * np.pi * y) + np.cos(2 * np.pi * eta))),
     "scaled": _theta_scaled,
 }
 
@@ -205,30 +185,24 @@ PSI_PRESETS: list[tuple[str, Callable[[np.ndarray], np.ndarray]]] = [
 ]
 
 
-def get_theta(name: str, **params) -> ThetaSpec:
+def _lookup(registry: dict, kind: str, name: str):
     try:
-        factory = THETA_PRESETS[name]
+        return registry[name]
     except KeyError:
-        raise KeyError(f"unknown theta preset {name!r}; known: {sorted(THETA_PRESETS)}") from None
-    return factory(**params)
+        raise KeyError(f"unknown {kind} preset {name!r}; known: {sorted(registry)}") from None
+
+
+def get_theta(name: str, **params) -> ThetaSpec:
+    return _lookup(THETA_PRESETS, "theta", name)(**params)
 
 
 def get_v(name: str) -> VSpec:
-    try:
-        return V_PRESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown potential preset {name!r}; known: {sorted(V_PRESETS)}") from None
+    return _lookup(V_PRESETS, "potential", name)()
 
 
 def get_f(name: str) -> FSpec:
-    try:
-        return F_PRESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown forcing preset {name!r}; known: {sorted(F_PRESETS)}") from None
+    return _lookup(F_PRESETS, "forcing", name)()
 
 
 def get_h(name: str) -> HSpec:
-    try:
-        return H_PRESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown initial-datum preset {name!r}; known: {sorted(H_PRESETS)}") from None
+    return _lookup(H_PRESETS, "initial-datum", name)()

@@ -3,7 +3,7 @@ and the spectral periodic Poisson solver."""
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from scipy import integrate
 
 from nshom import cell, kernel
 from nshom.cell import (
@@ -25,9 +25,25 @@ ALPHA = 1.5
 V_PRESET_NAMES = ["cos2pi_y", "cos2pi_y_times_cos2pi_tau", "sin2pi_y_one_plus_sin2pi_tau"]
 
 
-def symbol_closed_form(alpha: float) -> float:
-    """Independent oracle for the symbol factor: -2 Gamma(-alpha) cos(pi alpha / 2)."""
-    return -2.0 * gamma_fn(-alpha) * np.cos(np.pi * alpha / 2.0)
+SYMBOL_ALPHAS = [1.001, 1.01, 1.1, 1.25, 1.5, 1.75, 1.9, 1.99, 1.999]
+
+
+def symbol_by_quadrature(alpha: float) -> float:
+    """I_alpha = 2 int_0^inf (1 - cos t) t^{-1-alpha} dt by adaptive quadrature.
+
+    The nearly non-integrable t^{1-alpha} part at the origin is peeled off
+    analytically (1 - cos t = t^2/2 - remainder with remainder ~ t^4/24), and
+    the tail beyond pi uses a cosine-weighted rule, so quad only sees smooth
+    integrands.
+    """
+    lead = np.pi ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
+    rem, _ = integrate.quad(
+        lambda t: (0.5 * t * t - (1.0 - np.cos(t))) * t ** (-1.0 - alpha),
+        0.0, np.pi, limit=200)
+    osc, _ = integrate.quad(lambda t: t ** (-1.0 - alpha), np.pi, np.inf,
+                            weight="cos", wvar=1.0, limit=200)
+    far = np.pi ** (-alpha) / alpha - osc
+    return 2.0 * (lead - rem + far)
 
 
 class TestPeriodizedWeight:
@@ -194,10 +210,21 @@ class TestCorrectorSolve:
 
 
 class TestPeriodicPoisson:
-    def test_symbol_quadrature_matches_closed_form(self):
-        for alpha in (1.05, 1.25, 1.5, 1.75, 1.95):
-            assert fractional_symbol_factor(alpha) == pytest.approx(
-                symbol_closed_form(alpha), rel=1e-8)
+    @pytest.mark.parametrize("alpha", SYMBOL_ALPHAS)
+    def test_symbol_matches_mpmath(self, alpha):
+        # the cosine form, evaluated at 40 digits, where its cancellation near
+        # alpha = 1 does not reach double precision
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            exact = -2 * mp.gamma(-a) * mp.cos(mp.pi * a / 2)
+            rel = abs((fractional_symbol_factor(alpha) - exact) / exact)
+        assert float(rel) < 2e-15
+
+    @pytest.mark.parametrize("alpha", SYMBOL_ALPHAS)
+    def test_symbol_matches_quadrature(self, alpha):
+        assert fractional_symbol_factor(alpha) == pytest.approx(
+            symbol_by_quadrature(alpha), rel=1e-9)
 
     def test_zero_potential_gives_zero(self):
         xi = solve_periodic_poisson(get_v("zero"), ALPHA, CellGrid(m=32, m_tau=2))

@@ -292,6 +292,19 @@ class TestCliCommands:
         assert len(calls) == 1
         assert len(json.loads((out / "corrector.json").read_text())) == 3
 
+    @pytest.mark.parametrize("eps, paths", [("1/2", "1"), ("1/4,1/2", "2"), (",", "2")])
+    def test_sweep_rejects_bad_arguments_before_setup(self, tmp_path, monkeypatch, eps, paths):
+        from nshom import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "prepare_experiment", lambda *args: calls.append(args))
+        cfg = self._small_cfg(tmp_path)
+        out = tmp_path / "never"
+        assert main(["sweep", "--eps", eps, "--paths", paths,
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+
     def test_sweep_numerical_failure_exit_code(self, tmp_path, capsys):
         # explicit stepping at a coarse fixed dt diverges every path, the
         # exclusion policy trips, and the CLI maps it to exit code 3
