@@ -22,7 +22,8 @@ from . import __version__
 from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residual,
                    solve_bordered, solve_cell_problem, solve_periodic_poisson)
 from .config import ConfigError, RunConfig, load_config
-from .effective import EffectiveCoefficients
+from .effective import (EffectiveCoefficients, assemble_effective_generator,
+                        restricted_divergence_matrix, zeta_matrix)
 from .harness import (SweepFailure, SweepReport, check_sweep_args, corrector_residual,
                       eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, NoiseModel,
@@ -263,6 +264,13 @@ def _validate_checks(rc: RunConfig) -> list[tuple[str, bool, str]]:
     rhs = h_rho_norm_sq(uvec, grid, params)
     dev = abs(lhs - rhs) / rhs
     checks.append(("quadratic form identity", dev < 1e-10, f"rel dev {dev:.1e}"))
+    xi = (1.1, 0.3, -0.2)
+    z, r = zeta_matrix(grid, alpha), restricted_divergence_matrix(grid, alpha)
+    lap = assemble_heterogeneous_generator(grid, KernelParams(alpha=alpha, theta=get_theta("one")))
+    dense = xi[0] * lap - (xi[1] / 2.0) * (r @ z) - xi[2] * z
+    built = assemble_effective_generator(EffectiveCoefficients.from_values(*xi), grid, alpha)
+    dev = float(np.max(np.abs(built - dense)) / np.max(np.abs(dense)))
+    checks.append(("effective generator vs dense product", dev < 1e-13, f"max rel {dev:.1e}"))
 
     cg = CellGrid(m=64, m_tau=2, n_images=8)
     sol = solve_cell_problem(get_theta("one"), alpha, cg)

@@ -18,14 +18,14 @@ linear map u -> zeta(u) = (1/|D|) int_D (D* u)(x, z) dz, and R the restricted
 divergence zeta -> int_D (zeta(x) + zeta(z)) gamma(x, z) dz (principal value).
 
 Z and R are built by product integration: the field is interpolated piecewise
-linearly between grid nodes (zero at the domain endpoints for Z, linear
+linearly between nodes (zero at the domain endpoints for Z, linear
 extrapolation for R) and the weakly singular kernel moments are integrated
-exactly per interval, so no graded quadrature is needed at the diagonal. On
-the uniform grid these moments depend only on the offset between node and
-interval, so they are evaluated once per offset (O(n) powers) and expanded
-into the dense Toeplitz part of the matrix; the diagonal and the endpoint
-columns are added to it. Both matrices are cached per (n, alpha) and
-returned read-only.
+exactly per interval, so no graded quadrature is needed at the diagonal. The
+moments depend only on the node-interval offset, so they are evaluated once
+per offset and expanded into the shared Toeplitz part T0; the diagonal and
+endpoint columns are added to it. Both are cached per (n, alpha), read-only.
+R Z is split the same way, and T0^2 is built in O(n^2) by the Toeplitz
+displacement recurrence, so G_eff needs no O(n^3) product.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ def _piecewise_linear_kernel_matrix(n: int, alpha: float, endpoint: str) -> np.n
     """
     if endpoint not in ("zero", "extrapolate"):
         raise ValueError("endpoint must be 'zero' or 'extrapolate'")
+    if endpoint == "extrapolate" and n < 2:
+        raise ValueError("linear extrapolation to the endpoints needs at least 2 nodes")
     grid = Grid1D.make(n)
     h = grid.h
     k = np.arange(-n, n)  # interval offsets; array index k + n
@@ -178,9 +180,30 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     return _restricted_divergence_cached(grid.n, float(alpha))
 
 
+def _toeplitz_square(col, row, top, left) -> np.ndarray:
+    """T @ T for T = toeplitz(col, row), given the product's first row and column.
+
+    T has displacement rank 2 (Kailath, Kung and Morf 1979): (TT)[i+1, j+1] =
+    (TT)[i, j] + T[i+1, 0] T[0, j+1] - T[i, n-1] T[n-1, j]. One (n, 2) @ (2, n)
+    product writes the increments; n - 1 row updates sum them along the diagonals.
+    """
+    u, v = np.zeros((col.size, 2)), np.zeros((2, col.size))
+    u[1:, 0], u[1:, 1], v[0, 1:], v[1, 1:] = col[1:], -row[:0:-1], row[1:], col[:0:-1]
+    out = u @ v
+    out[0], out[:, 0] = top, left
+    for i in range(col.size - 1):
+        out[i + 1, 1:] += out[i, :-1]
+    return out
+
+
 def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
                                  alpha: float) -> np.ndarray:
-    """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix.
+    """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix, in O(n^2).
+
+    T0 = -2 Z off the diagonal (exact) is the zero-diagonal Toeplitz part. With
+    D_z = diag(2 Z_ii) and D_r = diag(R_ii), Z = -(T0 - D_z) / 2 and R = T0 + D_r + E,
+    E nonzero only in the columns c = (0, 1, n-2, n-1). So R Z = -T0^2 / 2 - Z D_z
+    + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :], combined in place into the T0^2 output.
 
     With (Xi_1, Xi_2, Xi_3) = (1, 0, 0) this reproduces the plain fractional
     generator entrywise.  The zeta terms are generally not Hermitian; norm
@@ -188,6 +211,20 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     """
     frac_matrix = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=alpha, theta=get_theta("one")))
-    z = zeta_matrix(grid, alpha)
-    r = restricted_divergence_matrix(grid, alpha)
-    return coeffs.xi1 * frac_matrix - (coeffs.xi2 / 2.0) * (r @ z) - coeffs.xi3 * z
+    z, r = zeta_matrix(grid, alpha), restricted_divergence_matrix(grid, alpha)
+    xi1, xi2, xi3 = coeffs.as_tuple()
+    n, c, dz = grid.n, [0, 1, grid.n - 2, grid.n - 1], 2.0 * np.diagonal(z)
+    col, row = -2.0 * z[:, 0], -2.0 * z[0]
+    col[0] = row[0] = 0.0
+    # first row and column of T0^2 through T0 = -2 Z + D_z
+    out = _toeplitz_square(col, row, -2.0 * (row @ z) + row * dz, -2.0 * (z @ col) + dz * col)
+    out *= xi2 / 4.0
+    out[np.diag_indices(n)] -= (xi2 / 4.0) * dz * dz
+    e = (xi2 / 2.0) * (r[:, c] + 2.0 * z[:, c])  # (Xi_2 / 2) E[:, c]: R - T0 off the diagonal
+    e[c, range(4)] = 0.0  # D_r holds the whole diagonal of R
+    col_scale, row_scale = (xi2 / 2.0) * dz, (xi2 / 2.0) * np.diagonal(r) + xi3
+    for b in (slice(s, s + 64) for s in range(0, n, 64)):  # row blocks: no n x n temporary
+        out[b] += z[b] * (col_scale - row_scale[b, None]) - e[b] @ z[c]
+    frac_matrix *= xi1
+    out += frac_matrix
+    return out

@@ -1,12 +1,16 @@
 """Effective coefficients, zeta field, restricted divergence, and drift assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import toeplitz
 
 from nshom.cell import CellGrid, CellSolution, assemble_cell_rhs, solve_cell_problem
 from nshom.effective import (
     EffectiveCoefficients,
+    _toeplitz_square,
     assemble_effective_generator,
     compute_effective_coefficients,
     restricted_divergence_matrix,
@@ -302,6 +306,87 @@ class TestOffsetBuild:
             with pytest.raises(ValueError):
                 m *= 2.0
             assert np.array_equal(build(g, 1.5), before)
+
+
+def dense_effective_generator(xi, n, alpha):
+    """Xi_1 L - (Xi_2 / 2) (R @ Z) - Xi_3 Z with the dense O(n^3) product."""
+    g = Grid1D.make(n)
+    lap = assemble_heterogeneous_generator(g, KernelParams(alpha=alpha, theta=get_theta("one")))
+    z, r = zeta_matrix(g, alpha), restricted_divergence_matrix(g, alpha)
+    return xi[0] * lap - (xi[1] / 2.0) * (r @ z) - xi[2] * z
+
+
+class TestStructuredProduct:
+    XI = (1.1, 0.3, -0.2)
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 256, 1024])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_matches_dense_product(self, n, alpha):
+        dense = dense_effective_generator(self.XI, n, alpha)
+        built = assemble_effective_generator(EffectiveCoefficients.from_values(*self.XI),
+                                             Grid1D.make(n), alpha)
+        assert np.max(np.abs(built - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_as_accurate_as_dense_product_against_long_double(self, n, alpha):
+        # (Xi_1, Xi_2, Xi_3) = (0, -2, 0) gives R Z itself; all scalings are exact.
+        # The first reference also carries the error of Z and R, which both
+        # builds share; the second is the exact product of the same inputs.
+        g = Grid1D.make(n)
+        z, r = zeta_matrix(g, alpha), restricted_divergence_matrix(g, alpha)
+        z_ld, r_ld = zeta_and_divergence_from(longdouble_kernel_matrix, n, alpha, np.longdouble)
+        dense = r @ z
+        built = assemble_effective_generator(EffectiveCoefficients.from_values(0.0, -2.0, 0.0),
+                                             g, alpha)
+        for exact in (r_ld @ z_ld, r.astype(np.longdouble) @ z.astype(np.longdouble)):
+            scale = float(np.max(np.abs(exact)))
+            err_built = float(np.max(np.abs(built - exact))) / scale
+            err_dense = float(np.max(np.abs(dense - exact))) / scale
+            assert err_built <= 1.1 * err_dense + 1e-15
+
+    @pytest.mark.parametrize("n", [4, 64, 257])
+    @pytest.mark.parametrize("xi1", [1.0, 1.1, 0.7])
+    def test_xi1_only_is_scaled_generator_bitwise(self, n, xi1):
+        g = Grid1D.make(n)
+        lap = assemble_heterogeneous_generator(g, KernelParams(alpha=ALPHA, theta=get_theta("one")))
+        built = assemble_effective_generator(EffectiveCoefficients.from_values(xi1), g, ALPHA)
+        assert np.array_equal(built, xi1 * lap)
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 257])
+    def test_toeplitz_square_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        col, row = rng.standard_normal(n), rng.standard_normal(n)
+        row[0] = col[0]
+        t = toeplitz(col, row)
+        want = t @ t
+        got = _toeplitz_square(col, row, row @ t, t @ col)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_allocation_peak_has_no_dense_temporary(self):
+        # L and the output are the only n x n arrays; the dense build made three more
+        n, g = 512, Grid1D.make(512)
+        coeffs = EffectiveCoefficients.from_values(*self.XI)
+        assemble_effective_generator(coeffs, g, ALPHA)  # warm the Z and R caches
+        tracemalloc.start()
+        try:
+            assemble_effective_generator(coeffs, g, ALPHA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_too_few_nodes_rejected_with_value_error(self, n):
+        # the four endpoint columns of E collide below n = 4
+        with pytest.raises(ValueError, match="at least 4 interior nodes"):
+            assemble_effective_generator(EffectiveCoefficients.from_values(*self.XI),
+                                         Grid1D.make(n), ALPHA)
+
+    def test_extrapolation_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            restricted_divergence_matrix(Grid1D.make(1), ALPHA)
+        assert restricted_divergence_matrix(Grid1D.make(2), ALPHA).shape == (2, 2)
 
 
 class TestCorrectorRightHandSide:
