@@ -21,11 +21,13 @@ Z and R are built by product integration: the field is interpolated piecewise
 linearly between nodes (zero at the domain endpoints for Z, linear
 extrapolation for R) and the weakly singular kernel moments are integrated
 exactly per interval, so no graded quadrature is needed at the diagonal. The
-moments depend only on the node-interval offset, so they are evaluated once
-per offset and expanded into the shared Toeplitz part T0; the diagonal and
-endpoint columns are added to it. Both are cached per (n, alpha), read-only.
-R Z is split the same way, and T0^2 is built in O(n^2) by the Toeplitz
-displacement recurrence, so G_eff needs no O(n^3) product.
+moments depend only on the node-interval offset, so Z and R are described by
+O(n) vectors (``_offset_moments``, cached per (n, alpha), read-only): the
+generator of the shared Toeplitz part T0, the principal-value mass on the
+diagonal and R's two endpoint-share vectors. Z is expanded from them once and
+cached read-only; the dense R is only built on request, as an oracle. G_eff
+reads the vectors: R Z is split the same way, and T0^2 is built in O(n^2) by
+the Toeplitz displacement recurrence, so G_eff needs no O(n^3) product.
 """
 
 from __future__ import annotations
@@ -97,33 +99,23 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
     return EffectiveCoefficients(xi1=xi1, xi2=xi2, xi3=xi3, provenance=prov)
 
 
-def _kernel_mass(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Principal value int_{-1}^{1} gamma(x, z) dz at points x inside (-1, 1)."""
-    e1 = (1.0 - alpha) / 2.0
-    return (2.0 / (1.0 - alpha)) * ((1.0 - x) ** e1 - (1.0 + x) ** e1)
+@lru_cache(maxsize=16)
+def _offset_moments(n: int, alpha: float) -> tuple[np.ndarray, ...]:
+    """Read-only vectors (f, mass, lo, hi) that describe Z and R on n nodes.
 
-
-def _piecewise_linear_kernel_matrix(n: int, alpha: float, endpoint: str) -> np.ndarray:
-    """Matrix of u -> int_{-1}^{1} (u_lin(z) - u(x_i)) gamma(x_i, z) dz.
-
-    ``endpoint`` selects the virtual values at z = -1, 1: "zero" (exterior
-    condition) or "extrapolate" (linear continuation from the last two nodes).
-
+    They describe u -> int_{-1}^{1} (u_lin(z) - u(x_i)) gamma(x_i, z) dz.
     Every interval of [-1, x_1, ..., x_n, 1] has width h, so the exact moments
     i0 = int gamma and i1 = int (z - x_i) gamma of the interval
     [x_i + k h, x_i + (k + 1) h] depend only on its offset k. Node c takes the
     left-node share of interval k = c - i and the right-node share of
-    interval k - 1, so off the diagonal the matrix is Toeplitz in c - i. The
-    two intervals touching x_i carry no constant part; the i0 mass of the
-    others telescopes to the principal value (``_kernel_mass``), which the
-    diagonal subtracts.
+    interval k - 1, so off the diagonal the map is toeplitz(f[n-1::-1], f[n-1:])
+    in c - i; f[n - 1] is exactly 0. The two intervals touching x_i carry no
+    constant part; the i0 mass of the others telescopes to the principal value
+    int gamma dz (``mass``), which the diagonal subtracts. ``lo`` and ``hi`` hold
+    each row's weight on the virtual values u(-1) and u(1).
     """
-    if endpoint not in ("zero", "extrapolate"):
-        raise ValueError("endpoint must be 'zero' or 'extrapolate'")
-    if endpoint == "extrapolate" and n < 2:
-        raise ValueError("linear extrapolation to the endpoints needs at least 2 nodes")
     grid = Grid1D.make(n)
-    h = grid.h
+    h, x = grid.h, grid.nodes
     k = np.arange(-n, n)  # interval offsets; array index k + n
     s = np.arange(-n, n + 1) * h  # interval ends relative to x_i
     e1, e3 = (1.0 - alpha) / 2.0, (3.0 - alpha) / 2.0
@@ -136,48 +128,50 @@ def _piecewise_linear_kernel_matrix(n: int, alpha: float, endpoint: str) -> np.n
     # interval k's weight on its left node (value 1 - t, t = -k) and right node
     left = (1.0 + k) * i0 - i1 / h
     right = -k * i0 + i1 / h
-    f = left[1:] + right[:-1]  # offsets c - i = -(n - 1), ..., n - 1
-    out = toeplitz(f[n - 1::-1], f[n - 1:])
-    out[np.diag_indices(n)] -= _kernel_mass(grid.nodes, alpha)
-    if endpoint == "extrapolate":
-        # u(-1) = 2 u_1 - u_2 and u(1) = 2 u_n - u_{n-1} carry the shares of
-        # the first interval's left end and the last interval's right end
-        lo = left[n - 1::-1]
-        hi = right[:n - 1:-1]
-        out[:, 0] += 2.0 * lo
-        out[:, 1] -= lo
-        out[:, -1] += 2.0 * hi
-        out[:, -2] -= hi
+    out = (left[1:] + right[:-1],  # offsets c - i = -(n - 1), ..., n - 1
+           (2.0 / (1.0 - alpha)) * ((1.0 - x) ** e1 - (1.0 + x) ** e1),
+           left[n - 1::-1], right[:n - 1:-1])
+    for v in out:
+        v.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=16)
 def _zeta_matrix_cached(n: int, alpha: float) -> np.ndarray:
-    z = _piecewise_linear_kernel_matrix(n, alpha, endpoint="zero")
+    f, mass, _, _ = _offset_moments(n, alpha)
+    z = toeplitz(f[n - 1::-1], f[n - 1:])
+    z[np.diag_indices(n)] -= mass
     z *= -0.5
     z.flags.writeable = False
     return z
 
 
-@lru_cache(maxsize=16)
-def _restricted_divergence_cached(n: int, alpha: float) -> np.ndarray:
-    r = _piecewise_linear_kernel_matrix(n, alpha, endpoint="extrapolate")
-    # zeta(x) + zeta(z): the zeta(x) part is the kernel mass on the diagonal
-    r[np.diag_indices(n)] += 2.0 * _kernel_mass(Grid1D.make(n).nodes, alpha)
-    r.flags.writeable = False
-    return r
-
-
 def zeta_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Dense matrix Z with zeta(u) = Z u."""
+    """Dense matrix Z with zeta(u) = Z u (zero exterior values), cached and read-only."""
     _check_alpha(alpha)
     return _zeta_matrix_cached(grid.n, float(alpha))
 
 
 def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Dense matrix R applying the principal-value restricted divergence to zeta."""
+    """Dense matrix R applying the principal-value restricted divergence to zeta.
+
+    R = toeplitz(f) + diag(mass) + E: zeta(x) + zeta(z) puts the kernel mass on
+    the diagonal, and linear extrapolation u(-1) = 2 u_1 - u_2, u(1) = 2 u_n -
+    u_{n-1} adds the endpoint shares E to columns (0, 1, n-2, n-1). A fresh
+    array on each call: the effective generator reads the vectors, not R.
+    """
     _check_alpha(alpha)
-    return _restricted_divergence_cached(grid.n, float(alpha))
+    n = grid.n
+    if n < 2:
+        raise ValueError("linear extrapolation to the endpoints needs at least 2 nodes")
+    f, mass, lo, hi = _offset_moments(n, float(alpha))
+    r = toeplitz(f[n - 1::-1], f[n - 1:])
+    r[np.diag_indices(n)] = mass
+    r[:, 0] += 2.0 * lo
+    r[:, 1] -= lo
+    r[:, -1] += 2.0 * hi
+    r[:, -2] -= hi
+    return r
 
 
 def _toeplitz_square(col, row, top, left) -> np.ndarray:
@@ -200,9 +194,10 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
                                  alpha: float) -> np.ndarray:
     """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix, in O(n^2).
 
-    T0 = -2 Z off the diagonal (exact) is the zero-diagonal Toeplitz part. With
-    D_z = diag(2 Z_ii) and D_r = diag(R_ii), Z = -(T0 - D_z) / 2 and R = T0 + D_r + E,
-    E nonzero only in the columns c = (0, 1, n-2, n-1). So R Z = -T0^2 / 2 - Z D_z
+    T0 = toeplitz(f[n-1::-1], f[n-1:]) is the zero-diagonal Toeplitz part of the
+    offset description (``_offset_moments``). With D_z = D_r = diag(mass),
+    Z = -(T0 - D_z) / 2 and R = T0 + D_r + E, E nonzero only in the columns
+    c = (0, 1, n-2, n-1), diagonal entries included. So R Z = -T0^2 / 2 - Z D_z
     + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :], combined in place into the T0^2 output.
 
     With (Xi_1, Xi_2, Xi_3) = (1, 0, 0) this reproduces the plain fractional
@@ -211,18 +206,18 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     """
     frac_matrix = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=alpha, theta=get_theta("one")))
-    z, r = zeta_matrix(grid, alpha), restricted_divergence_matrix(grid, alpha)
+    z = zeta_matrix(grid, alpha)
     xi1, xi2, xi3 = coeffs.as_tuple()
-    n, c, dz = grid.n, [0, 1, grid.n - 2, grid.n - 1], 2.0 * np.diagonal(z)
-    col, row = -2.0 * z[:, 0], -2.0 * z[0]
-    col[0] = row[0] = 0.0
+    n, c = grid.n, [0, 1, grid.n - 2, grid.n - 1]
+    f, mass, lo, hi = _offset_moments(n, float(alpha))
+    col, row = f[n - 1::-1], f[n - 1:]
     # first row and column of T0^2 through T0 = -2 Z + D_z
-    out = _toeplitz_square(col, row, -2.0 * (row @ z) + row * dz, -2.0 * (z @ col) + dz * col)
+    out = _toeplitz_square(col, row, -2.0 * (row @ z) + row * mass, -2.0 * (z @ col) + mass * col)
     out *= xi2 / 4.0
-    out[np.diag_indices(n)] -= (xi2 / 4.0) * dz * dz
-    e = (xi2 / 2.0) * (r[:, c] + 2.0 * z[:, c])  # (Xi_2 / 2) E[:, c]: R - T0 off the diagonal
-    e[c, range(4)] = 0.0  # D_r holds the whole diagonal of R
-    col_scale, row_scale = (xi2 / 2.0) * dz, (xi2 / 2.0) * np.diagonal(r) + xi3
+    out[np.diag_indices(n)] -= (xi2 / 4.0) * mass * mass
+    e = (xi2 / 2.0) * np.stack([2.0 * lo, -lo, -hi, 2.0 * hi], axis=1)  # (Xi_2 / 2) E[:, c]
+    col_scale = (xi2 / 2.0) * mass
+    row_scale = col_scale + xi3
     for b in (slice(s, s + 64) for s in range(0, n, 64)):  # row blocks: no n x n temporary
         out[b] += z[b] * (col_scale - row_scale[b, None]) - e[b] @ z[c]
     frac_matrix *= xi1

@@ -200,10 +200,13 @@ def fit_loglog(eps_list: list[float], errors: list[float],
 
 def check_sweep_args(eps_list: list[float], n_paths: int) -> list[float]:
     """The eps levels as floats; ValueError unless they are a non-empty, strictly
-    decreasing list and there are at least 2 paths."""
+    decreasing list of finite positive levels and there are at least 2 paths."""
     eps_arr = list(map(float, eps_list))
     if len(eps_arr) < 1:
         raise ValueError("eps_list must not be empty")
+    bad = [e for e in eps_arr if not (np.isfinite(e) and e > 0.0)]
+    if bad:
+        raise ValueError(f"eps levels must be finite and positive, got {bad}")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     if n_paths < 2:

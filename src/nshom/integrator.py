@@ -139,8 +139,8 @@ class Heterogeneous:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

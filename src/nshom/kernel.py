@@ -111,8 +111,8 @@ class KernelParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.theta.lower <= 0.0:
             raise ValueError("Theta must have a positive lower bound")
 

@@ -10,6 +10,7 @@ from scipy.linalg import toeplitz
 from nshom.cell import CellGrid, CellSolution, assemble_cell_rhs, solve_cell_problem
 from nshom.effective import (
     EffectiveCoefficients,
+    _offset_moments,
     _toeplitz_square,
     assemble_effective_generator,
     compute_effective_coefficients,
@@ -300,12 +301,59 @@ class TestOffsetBuild:
 
     def test_cached_matrices_are_read_only(self):
         g = Grid1D.make(40)
-        for build in (zeta_matrix, restricted_divergence_matrix):
-            m = build(g, 1.5)
-            before = m.copy()
+        m = zeta_matrix(g, 1.5)
+        before = m.copy()
+        with pytest.raises(ValueError):
+            m *= 2.0
+        assert np.array_equal(zeta_matrix(g, 1.5), before)
+
+
+DESCRIBED = pytest.mark.parametrize("n", [2, 3, 4, 64, 257])
+ALPHAS = pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+
+
+class TestOffsetDescription:
+    @DESCRIBED
+    @ALPHAS
+    def test_zero_offset_weight_is_exactly_zero(self, n, alpha):
+        f = _offset_moments(n, alpha)[0]
+        assert f.shape == (2 * n - 1,)
+        assert f[n - 1] == 0.0
+
+    @DESCRIBED
+    @ALPHAS
+    def test_vectors_are_read_only(self, n, alpha):
+        for v in _offset_moments(n, alpha):
             with pytest.raises(ValueError):
-                m *= 2.0
-            assert np.array_equal(build(g, 1.5), before)
+                v[0] = 1.0
+
+    @DESCRIBED
+    @ALPHAS
+    def test_zeta_is_the_expanded_description_bitwise(self, n, alpha):
+        f, mass, _, _ = _offset_moments(n, alpha)
+        expanded = -0.5 * (toeplitz(f[n - 1::-1], f[n - 1:]) - np.diag(mass))
+        assert np.array_equal(expanded, zeta_matrix(Grid1D.make(n), alpha))
+
+    @DESCRIBED
+    @ALPHAS
+    def test_restricted_divergence_is_fresh_and_unshared(self, n, alpha):
+        g, coeffs = Grid1D.make(n), EffectiveCoefficients.from_values(1.1, 0.3, -0.2)
+        gen = assemble_effective_generator(coeffs, g, alpha) if n >= 4 else None
+        r = restricted_divergence_matrix(g, alpha)
+        before = r.copy()
+        assert restricted_divergence_matrix(g, alpha) is not r
+        r *= 2.0
+        assert np.array_equal(restricted_divergence_matrix(g, alpha), before)
+        if gen is not None:
+            assert np.array_equal(assemble_effective_generator(coeffs, g, alpha), gen)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @ALPHAS
+    def test_colliding_endpoint_columns_match_row_loop(self, n, alpha):
+        # below n = 4 the columns (0, 1, n-2, n-1) coincide and their shares add up
+        _, loop = zeta_and_divergence_from(row_loop_kernel_matrix, n, alpha)
+        r = restricted_divergence_matrix(Grid1D.make(n), alpha)
+        assert np.max(np.abs(r - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
 def dense_effective_generator(xi, n, alpha):

@@ -111,6 +111,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="paths"):
             eps_sweep([0.5], 1, rc, prepared=prepared)
 
+    @pytest.mark.parametrize("eps_list", [[float("nan")], [0.5, -0.25], [float("inf"), 0.5],
+                                          [0.5, 0.0]])
+    def test_eps_levels_must_be_finite_positive_before_setup(self, eps_list, monkeypatch):
+        def no_setup(rc):
+            raise AssertionError("prepare_experiment ran before the eps levels were checked")
+
+        monkeypatch.setattr(harness, "prepare_experiment", no_setup)
+        with pytest.raises(ValueError, match="finite and positive"):
+            eps_sweep(eps_list, 2, make_config())
+
     def test_excluded_path_policy_fails_sweep(self):
         # explicit scheme with a coarse fixed step blows up every path
         rc = make_config(theta_scheme=0.0,
@@ -240,9 +250,10 @@ def test_perfbench_tracer_sees_each_setup_layer_once():
             theta_preset={"name": "cosine_sum", "params": {}}))
     finally:
         tracer.restore()
-    for span in ("effective.zeta_matrix", "effective.restricted_divergence",
-                 "cell.form", "kernel.assemble"):
+    for span in ("effective.zeta_matrix", "cell.form", "kernel.assemble"):
         assert tracer.calls[span] == 1, span
+    # G_eff reads the offset vectors; the dense R is an oracle, off the run path
+    assert tracer.calls["effective.restricted_divergence"] == 0
 
 
 def test_perfbench_tracer_sees_the_sweep_counts():

@@ -173,6 +173,14 @@ class TestThetaScheme:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(grid=grid, alpha=ALPHA, T=T)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("make", [
+        Heterogeneous, lambda eps: KernelParams(alpha=ALPHA, theta=get_theta("one"), epsilon=eps)],
+        ids=["Heterogeneous", "KernelParams"])
+    def test_epsilon_must_be_finite_positive(self, make, eps):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {eps!r}"):
+            make(eps)
+
     @pytest.mark.parametrize("every", [0, -3])
     def test_snapshot_interval_must_be_positive(self, grid, every):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0)
