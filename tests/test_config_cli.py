@@ -332,6 +332,23 @@ class TestCliCommands:
         assert code == 3
         assert "factorization failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,cause", [
+        (64j, "implicit matrix is singular, U[0, 0] is exactly zero"),
+        (np.nan, "implicit matrix is not finite")])
+    def test_simulate_singular_implicit_matrix_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                       entry, cause):
+        # theta dt = 1/64 in the small config, so 64i cancels the identity exactly
+        from nshom import integrator
+
+        monkeypatch.setattr(integrator, "assemble_effective_generator",
+                            lambda coeffs, grid, alpha: entry * np.eye(grid.n))
+        cfg = self._small_cfg(tmp_path)
+        code = main(["simulate", "--system", "eff", "--config", str(cfg),
+                     "--out", str(tmp_path / "singular")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: effective system, phase None: {cause}\n")
+
     def test_out_of_memory_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
         # stands in for a grid too large to assemble; a real allocation of
         # that size could wake the host's OOM killer

@@ -1,7 +1,9 @@
 """Coupled-pair errors, sweep aggregation, exclusion policy, and the
 corrector-reconstruction diagnostic."""
 
+import dataclasses
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,22 @@ class TestEnsemble:
         with pytest.raises(LinearSolveError, match="eps=0.5, phase .*singular matrix"):
             eps_sweep([0.5, 0.25], 4, rc, prepared=prepared)
 
+    def test_singular_implicit_matrix_ends_the_sweep(self, prepared_default):
+        # column 3 of I + i theta dt G_eff is exactly zero, so is U[3, 3]: the
+        # sweep stops with the cause instead of excluding every path as diverged
+        rc, prepared = prepared_default
+        dt = rc.resolve_dt(0.5)[0]
+        g_eff = prepared.effective_generator.astype(complex)
+        g_eff[:, 3] = 0.0
+        g_eff[3, 3] = 1j / (rc.theta_scheme * dt)
+        singular = dataclasses.replace(prepared, effective_generator=g_eff)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(LinearSolveError, match=r"effective system, phase None: "
+                               r"implicit matrix is singular, U\[3, 3\] is exactly zero"):
+                eps_sweep([0.5, 0.25], 4, rc, prepared=singular)
+        assert [str(w.message) for w in caught] == []
+
     def test_diverged_column_is_excluded_and_others_unchanged(self, prepared_default,
                                                               monkeypatch):
         rc, prepared = prepared_default
@@ -273,6 +291,25 @@ def test_perfbench_tracer_sees_the_sweep_counts():
     assert tracer.calls["kernel.assemble"] == len(eps_list) + 1
     assert tracer.calls["integrator.lu_factor"] == len(eps_list) * (8 + 1)
     assert tracer.calls["integrator.lu_solve"] == 2 * sum(n_steps)
+
+
+def test_perfbench_tracer_sees_one_solve_per_single_path_step(prepared_default):
+    # the simulate_eff_fine identities: one factorization for the run and one
+    # integrator.lu_solve per step, also now that one column is solved by two
+    # triangular solves behind that name
+    rc, prepared = prepared_default
+    dt, n_steps = rc.resolve_dt(None)
+    path = integrator.brownian_increments(rc.seed, n_steps, dt)
+    tracer = perfbench_tracer()
+    tracer.install_nshom()
+    try:
+        integrator.simulate(integrator.Effective(prepared.coefficients), rc.sim_config(),
+                            path, generator=prepared.effective_generator,
+                            store_trajectory=False)
+    finally:
+        tracer.restore()
+    assert tracer.calls["integrator.lu_factor"] == 1
+    assert tracer.calls["integrator.lu_solve"] == n_steps
 
 
 def test_one_corrector_rhs_per_coefficient_solve(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from scipy import linalg
 
 from nshom import integrator
-from nshom.effective import EffectiveCoefficients
+from nshom.effective import EffectiveCoefficients, assemble_effective_generator
 from nshom.integrator import (
     BrownianPath,
     Effective,
@@ -444,3 +444,124 @@ class TestEnsembleStepper:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+
+
+def implicit_lhs(kind: str, n: int) -> np.ndarray:
+    """I + i theta dt H at theta dt = 1/128 for the solve tests. H is G_eff,
+    or G_het (cosine_product, eps = 1/4) plus its potential diagonal; in
+    "het_pivoting" that diagonal cancels G_het's at the even nodes, so
+    partial pivoting swaps rows there. Assembly needs 4 nodes, so below that
+    a random real symmetric H stands in."""
+    theta_dt = 1.0 / 128.0
+    if n < 4:
+        h = np.random.default_rng(n).standard_normal((n, n))
+        return np.eye(n) + 1j * theta_dt * (h + h.T)
+    grid = Grid1D.make(n)
+    if kind == "eff":
+        coeffs = EffectiveCoefficients.from_values(1.0, 0.3, 0.2)
+        return np.eye(n) + 1j * theta_dt * assemble_effective_generator(coeffs, grid, ALPHA)
+    eps = 0.25
+    g = assemble_heterogeneous_generator(
+        grid, KernelParams(alpha=ALPHA, theta=get_theta("cosine_product"), epsilon=eps))
+    v = eps ** ((1.0 - ALPHA) / 2.0) * get_v("cos2pi_y_times_cos2pi_tau").sample(
+        np.mod(grid.nodes / eps, 1.0), 0.3)
+    if kind == "het_pivoting":
+        v[::2] = -g.diagonal()[::2]
+    return np.eye(n) + 1j * theta_dt * (g + np.diag(v))
+
+
+SOLVE_CASES = [("random", 1), ("random", 2)] + [
+    (kind, n) for n in (5, 64, 257) for kind in ("eff", "het", "het_pivoting")]
+
+
+class TestOneColumnSolve:
+    """integrator.lu_solve against scipy's lu_solve: two level-2 triangular
+    solves for one column (1e-13 of max|x|, rounding order only), scipy's own
+    solve for more (bitwise)."""
+
+    @pytest.mark.parametrize("kind,n", SOLVE_CASES)
+    def test_one_column_matches_scipy(self, kind, n):
+        lu = linalg.lu_factor(implicit_lhs(kind, n))
+        rng = np.random.default_rng(n)
+        rhs = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        before = rhs.copy()
+        x = integrator.lu_solve(lu, rhs)
+        expected = linalg.lu_solve(lu, rhs)
+        assert x.shape == (n, 1) and x.dtype == complex
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(rhs, before)
+        # the factors are only read: a second solve is bitwise the first
+        assert np.array_equal(integrator.lu_solve(lu, rhs), x)
+
+    def test_some_case_pivots(self):
+        pivots = [linalg.lu_factor(implicit_lhs(kind, n))[1] for kind, n in SOLVE_CASES]
+        assert any(np.any(piv != np.arange(len(piv))) for piv in pivots)
+
+    def test_noncontiguous_column_slice(self):
+        lu = linalg.lu_factor(implicit_lhs("het_pivoting", 64))
+        rng = np.random.default_rng(1)
+        block = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+        rhs = block[:, 1:2]
+        assert not rhs.flags.c_contiguous and not rhs.flags.f_contiguous
+        expected = linalg.lu_solve(lu, np.ascontiguousarray(rhs))
+        x = integrator.lu_solve(lu, rhs)
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(block[:, 1:2], rhs)
+
+    @pytest.mark.parametrize("kind,n", [("eff", 64), ("het_pivoting", 257)])
+    @pytest.mark.parametrize("columns", [2, 3, 8])
+    def test_several_columns_are_scipys_solve(self, kind, n, columns):
+        lu = linalg.lu_factor(implicit_lhs(kind, n))
+        rng = np.random.default_rng(columns)
+        rhs = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+        assert np.array_equal(integrator.lu_solve(lu, rhs), linalg.lu_solve(lu, rhs))
+
+    def test_simulate_matches_level3_solve(self, monkeypatch):
+        """A one-path effective run at n = 256 against the same stepper
+        solving with scipy's lu_solve: norm2 series to 1e-12 relative."""
+        grid = Grid1D.make(256)
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.25, noise=NoiseModel("linear", 0.5))
+        coeffs = EffectiveCoefficients.from_values(1.0, 0.3, 0.2)
+        path = brownian_increments(11, 32, 0.25 / 32)
+        res = simulate(Effective(coeffs), cfg, path, store_trajectory=False)
+        monkeypatch.setattr(integrator, "lu_solve",
+                            lambda lu, rhs: linalg.lu_solve(lu, rhs, check_finite=False))
+        ref = simulate(Effective(coeffs), cfg, path, store_trajectory=False)
+        np.testing.assert_allclose(res.norm2, ref.norm2, rtol=1e-12, atol=0.0)
+        assert np.abs(res.norm2[-1] - res.norm2[0]) > 1e-3 * res.norm2[0]
+
+
+class TestSingularImplicitMatrix:
+    """A zero pivot or a non-finite implicit matrix is a LinearSolveError
+    naming the system and phase, before any solve."""
+
+    @staticmethod
+    def simulate_with(generator, system=None, v_name="zero"):
+        # theta dt = 1/64, so a generator entry of 64i cancels the identity exactly
+        cfg = SimConfig(grid=Grid1D.make(8), alpha=ALPHA, T=0.25, v_spec=get_v(v_name))
+        simulate(system or Effective(UNIT), cfg, brownian_increments(0, 8, 0.25 / 8),
+                 generator=generator)
+
+    @pytest.mark.parametrize("index", [None, 5])
+    def test_zero_pivot_names_its_index(self, index, monkeypatch):
+        # G = 64i I zeroes the whole matrix; one entry zeroes one pivot
+        g_mat = 64j * np.eye(8)
+        if index is not None:
+            g_mat[np.arange(8) != index] = 0.0
+        solves = []
+        monkeypatch.setattr(integrator, "lu_solve", lambda *args: solves.append(args))
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            self.simulate_with(g_mat)
+        i = index or 0
+        assert str(excinfo.value) == (f"effective system, phase None: implicit matrix is "
+                                      f"singular, U[{i}, {i}] is exactly zero")
+        assert solves == []
+
+    def test_nonfinite_matrix(self):
+        g_mat = Grid1D.make(8).h * np.eye(8)
+        g_mat[2, 3] = np.nan
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            self.simulate_with(g_mat, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        # step 0 is frozen at the theta point dt / 2, phase 1/16
+        assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
+                                      "implicit matrix is not finite")
