@@ -24,10 +24,12 @@ exactly per interval, so no graded quadrature is needed at the diagonal. The
 moments depend only on the node-interval offset, so Z and R are described by
 O(n) vectors (``_offset_moments``, cached per (n, alpha), read-only): the
 generator of the shared Toeplitz part T0, the principal-value mass on the
-diagonal and R's two endpoint-share vectors. Z is expanded from them once and
-cached read-only; the dense R is only built on request, as an oracle. G_eff
-reads the vectors: R Z is split the same way, and T0^2 is built in O(n^2) by
-the Toeplitz displacement recurrence, so G_eff needs no O(n^3) product.
+diagonal and R's two endpoint-share vectors. The dense Z (cached read-only)
+and R are expanded only for the oracles and the corrector diagnostic. G_eff
+reads the vectors: R Z is split the same way, T0^2 is built in O(n^2) by the
+Toeplitz displacement recurrence, and blocks of rows of the zeta terms are
+added to the fractional generator's own buffer, so G_eff needs no O(n^3)
+product and no second n x n array.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
 from .cell import CellSolution
@@ -136,12 +138,18 @@ def _offset_moments(n: int, alpha: float) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _zeta_rows(n: int, alpha: float, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (index array) of Z, fresh; row i of T0 is f[n-1-i : 2n-1-i]."""
+    f, mass, _, _ = _offset_moments(n, alpha)
+    z = sliding_window_view(f, n)[n - 1 - rows]
+    z[np.arange(rows.size), rows] -= mass[rows]
+    z *= -0.5
+    return z
+
+
 @lru_cache(maxsize=16)
 def _zeta_matrix_cached(n: int, alpha: float) -> np.ndarray:
-    f, mass, _, _ = _offset_moments(n, alpha)
-    z = toeplitz(f[n - 1::-1], f[n - 1:])
-    z[np.diag_indices(n)] -= mass
-    z *= -0.5
+    z = _zeta_rows(n, alpha, np.arange(n))
     z.flags.writeable = False
     return z
 
@@ -165,7 +173,7 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     if n < 2:
         raise ValueError("linear extrapolation to the endpoints needs at least 2 nodes")
     f, mass, lo, hi = _offset_moments(n, float(alpha))
-    r = toeplitz(f[n - 1::-1], f[n - 1:])
+    r = sliding_window_view(f, n)[::-1].copy()  # T0: row i is f[n-1-i : 2n-1-i]
     r[np.diag_indices(n)] = mass
     r[:, 0] += 2.0 * lo
     r[:, 1] -= lo
@@ -174,52 +182,62 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     return r
 
 
-def _toeplitz_square(col, row, top, left) -> np.ndarray:
-    """T @ T for T = toeplitz(col, row), given the product's first row and column.
+def _toeplitz_square_rows(col, row, top, left):
+    """T @ T for T = toeplitz(col, row) in blocks of 32 rows, given the
+    product's first row and column; yields (row slice, fresh block).
 
     T has displacement rank 2 (Kailath, Kung and Morf 1979): (TT)[i+1, j+1] =
-    (TT)[i, j] + T[i+1, 0] T[0, j+1] - T[i, n-1] T[n-1, j]. One (n, 2) @ (2, n)
-    product writes the increments; n - 1 row updates sum them along the diagonals.
+    (TT)[i, j] + T[i+1, 0] T[0, j+1] - T[i, n-1] T[n-1, j]. Each block's
+    (32, 2) @ (2, n) product writes its increments, and row updates sum them
+    along the diagonals, carrying only the previous block's last row.
     """
     u, v = np.zeros((col.size, 2)), np.zeros((2, col.size))
     u[1:, 0], u[1:, 1], v[0, 1:], v[1, 1:] = col[1:], -row[:0:-1], row[1:], col[:0:-1]
-    out = u @ v
-    out[0], out[:, 0] = top, left
-    for i in range(col.size - 1):
-        out[i + 1, 1:] += out[i, :-1]
-    return out
+    prev = None  # the last row of the previous block
+    for b in (slice(s, s + 32) for s in range(0, col.size, 32)):
+        out = u[b] @ v
+        if b.start == 0:
+            out[0] = top
+        out[:, 0] = left[b]
+        for i in range(b.start == 0, out.shape[0]):
+            out[i, 1:] += (out[i - 1] if i else prev)[:-1]
+        prev = out[-1].copy()
+        yield b, out
 
 
 def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
                                  alpha: float) -> np.ndarray:
-    """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix, in O(n^2).
+    """G_eff = Xi_1 L - (Xi_2 / 2) R Z - Xi_3 Z as a dense matrix, in O(n^2),
+    built in the buffer of the fractional generator L.
 
     T0 = toeplitz(f[n-1::-1], f[n-1:]) is the zero-diagonal Toeplitz part of the
     offset description (``_offset_moments``). With D_z = D_r = diag(mass),
     Z = -(T0 - D_z) / 2 and R = T0 + D_r + E, E nonzero only in the columns
     c = (0, 1, n-2, n-1), diagonal entries included. So R Z = -T0^2 / 2 - Z D_z
-    + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :], combined in place into the T0^2 output.
+    + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :]. L is scaled by Xi_1 in place and the
+    rest added in row blocks cut from the offset vectors: no dense Z or T0^2.
 
     With (Xi_1, Xi_2, Xi_3) = (1, 0, 0) this reproduces the plain fractional
     generator entrywise.  The zeta terms are generally not Hermitian; norm
     behavior under them is observed by the integrator, not asserted.
     """
-    frac_matrix = assemble_heterogeneous_generator(
+    out = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=alpha, theta=get_theta("one")))
-    z = zeta_matrix(grid, alpha)
     xi1, xi2, xi3 = coeffs.as_tuple()
-    n, c = grid.n, [0, 1, grid.n - 2, grid.n - 1]
-    f, mass, lo, hi = _offset_moments(n, float(alpha))
+    out *= xi1
+    n, alpha = grid.n, float(alpha)
+    f, mass, lo, hi = _offset_moments(n, alpha)
     col, row = f[n - 1::-1], f[n - 1:]
-    # first row and column of T0^2 through T0 = -2 Z + D_z
-    out = _toeplitz_square(col, row, -2.0 * (row @ z) + row * mass, -2.0 * (z @ col) + mass * col)
-    out *= xi2 / 4.0
-    out[np.diag_indices(n)] -= (xi2 / 4.0) * mass * mass
+    # first row and column of T0^2: correlations of T0's first row and column with f
+    top, left = np.correlate(f, row[::-1], "valid"), np.correlate(f, col, "valid")[::-1]
+    z_c = _zeta_rows(n, alpha, np.array([0, 1, n - 2, n - 1]))
     e = (xi2 / 2.0) * np.stack([2.0 * lo, -lo, -hi, 2.0 * hi], axis=1)  # (Xi_2 / 2) E[:, c]
     col_scale = (xi2 / 2.0) * mass
     row_scale = col_scale + xi3
-    for b in (slice(s, s + 64) for s in range(0, n, 64)):  # row blocks: no n x n temporary
-        out[b] += z[b] * (col_scale - row_scale[b, None]) - e[b] @ z[c]
-    frac_matrix *= xi1
-    out += frac_matrix
+    for b, block in _toeplitz_square_rows(col, row, top, left):
+        rows = np.arange(n)[b]
+        block *= xi2 / 4.0
+        block[np.arange(rows.size), rows] -= (xi2 / 4.0) * mass[b] * mass[b]
+        block += _zeta_rows(n, alpha, rows) * (col_scale - row_scale[b, None]) - e[b] @ z_c
+        out[b] += block
     return out

@@ -57,6 +57,8 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
+# columns of the implicit matrix written per block (1 MiB at n = 2048)
+FILL_COLUMNS = 32
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -246,7 +248,9 @@ class ThetaStepper:
     The implicit matrix depends on the system, dt and the potential's phase,
     never on the path, so for theta > 0 each phase is factorized once and each
     step makes one ``lu_solve`` with P right-hand sides: two level-2
-    triangular solves for one column, scipy's level-3 solve for more. Factors
+    triangular solves for one column, scipy's level-3 solve for more. The
+    column-major implicit matrix is written from the row-major generator in
+    blocks of FILL_COLUMNS columns, each checked for finiteness. Factors
     are cached on the phase and dropped oldest first once they hold more than
     LU_CACHE_BYTES; ``hits`` and ``misses`` count the lookups (theta = 0
     caches nothing). A factorization that fails, a non-finite implicit matrix
@@ -300,12 +304,15 @@ class ThetaStepper:
         n, theta_s, dt = self.g_mat.shape[0], self.cfg.theta_scheme, self.dt
         if theta_s == 0.0:
             return None, v_diag
-        # I + i theta dt (G + diag(v)), built and factorized in place; G is only read
+        # I + i theta dt (G + diag(v)) in column blocks, factorized in place; G is only read
         lhs = np.empty((n, n), dtype=complex, order="F")
-        np.multiply(self.g_mat, 1j * theta_s * dt, out=lhs)
+        finite = True
+        for b in (slice(j, j + FILL_COLUMNS) for j in range(0, n, FILL_COLUMNS)):
+            np.multiply(self.g_mat[:, b], 1j * theta_s * dt, out=lhs[:, b])
+            finite &= np.isfinite(lhs[:, b]).all()  # checked while in cache
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + 1j * theta_s * dt * v_diag
         where = f"{self.label}, phase {key}"
-        if not np.isfinite(lhs).all():
+        if not (finite and np.isfinite(lhs.diagonal()).all()):
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
         try:
             # a zero pivot is reported below, as an error rather than a warning

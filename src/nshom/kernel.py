@@ -178,11 +178,14 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
         if theta.constant <= 0.0:
             raise ValueError("Theta must be strictly positive")
         return None
-    tm = theta.sample(y[:, None], y[None, :])
-    dev = float(np.max(np.abs(tm - tm.T)))
+    # Theta(y_i, y_j) and Theta(y_j, y_i), both sampled in row order: no transposed read
+    tm, tm_t = theta.sample(y[:, None], y[None, :]), theta.sample(y[None, :], y[:, None])
+    diff = tm - tm_t
+    dev = float(np.abs(diff, out=diff).max())
     if dev > 1e-10 * max(1.0, float(np.max(np.abs(tm)))):
         raise ValueError(f"theta preset {theta.name!r} is not symmetric (max dev {dev:.2e})")
-    tm = 0.5 * (tm + tm.T)
+    tm += tm_t
+    tm *= 0.5
     if float(tm.min()) <= 0.0:
         raise ValueError("Theta must be strictly positive on the grid")
     return tm

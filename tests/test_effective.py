@@ -11,7 +11,8 @@ from nshom.cell import CellGrid, CellSolution, assemble_cell_rhs, solve_cell_pro
 from nshom.effective import (
     EffectiveCoefficients,
     _offset_moments,
-    _toeplitz_square,
+    _toeplitz_square_rows,
+    _zeta_matrix_cached,
     assemble_effective_generator,
     compute_effective_coefficients,
     restricted_divergence_matrix,
@@ -408,21 +409,29 @@ class TestStructuredProduct:
         row[0] = col[0]
         t = toeplitz(col, row)
         want = t @ t
-        got = _toeplitz_square(col, row, row @ t, t @ col)
+        got = np.vstack([b for _, b in _toeplitz_square_rows(col, row, row @ t, t @ col)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_allocation_peak_has_no_dense_temporary(self):
-        # L and the output are the only n x n arrays; the dense build made three more
+        # G_eff is built in L's buffer, the only n x n array, with no dense Z
         n, g = 512, Grid1D.make(512)
         coeffs = EffectiveCoefficients.from_values(*self.XI)
-        assemble_effective_generator(coeffs, g, ALPHA)  # warm the Z and R caches
+        _zeta_matrix_cached.cache_clear()
         tracemalloc.start()
         try:
             assemble_effective_generator(coeffs, g, ALPHA)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
+        assert peak <= 1.5 * n * n * 8
+
+    def test_leaves_the_zeta_cache_alone(self):
+        # emptied first, so that a full cache evicting an entry cannot hide an insertion
+        _zeta_matrix_cached.cache_clear()
+        before = _zeta_matrix_cached.cache_info().currsize
+        assemble_effective_generator(EffectiveCoefficients.from_values(*self.XI),
+                                     Grid1D.make(96), ALPHA)
+        assert _zeta_matrix_cached.cache_info().currsize == before
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_nodes_rejected_with_value_error(self, n):

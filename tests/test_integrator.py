@@ -22,7 +22,7 @@ from nshom.integrator import (
     simulate,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
-from nshom.presets import FSpec, HSpec, get_theta, get_v
+from nshom.presets import FSpec, HSpec, VSpec, get_theta, get_v
 
 ALPHA = 1.5
 UNIT = EffectiveCoefficients.from_values(1.0)
@@ -562,6 +562,87 @@ class TestSingularImplicitMatrix:
         g_mat[2, 3] = np.nan
         with pytest.raises(integrator.LinearSolveError) as excinfo:
             self.simulate_with(g_mat, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        # step 0 is frozen at the theta point dt / 2, phase 1/16
+        assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
+                                      "implicit matrix is not finite")
+
+
+class Captured(Exception):
+    """Carries the implicit matrix handed to the factorization."""
+
+
+class TestBlockedImplicitFill:
+    """The implicit matrix is written in blocks of FILL_COLUMNS columns; it must
+    equal the whole-array product, and a non-finite entry in any block or on
+    the potential diagonal keeps today's error."""
+
+    DT = 0.25 / 8
+
+    @classmethod
+    def stepper(cls, g_mat, system, v_spec):
+        cfg = SimConfig(grid=Grid1D.make(g_mat.shape[0]), alpha=ALPHA, T=0.25, v_spec=v_spec)
+        return ThetaStepper(system, cfg, cls.DT, 8, generator=g_mat)
+
+    @staticmethod
+    def implicit_matrix(stepper, monkeypatch):
+        def capture(a, **_):
+            raise Captured(a.copy(order="K"))
+
+        monkeypatch.setattr(integrator, "lu_factor", capture)
+        with pytest.raises(Captured) as info:
+            stepper._factors_at(0)
+        return info.value.args[0]
+
+    @staticmethod
+    def whole_array_fill(g_mat, stepper):
+        n, theta_dt = g_mat.shape[0], stepper.cfg.theta_scheme * stepper.dt
+        lhs = np.empty((n, n), dtype=complex, order="F")
+        np.multiply(g_mat, 1j * theta_dt, out=lhs)
+        if stepper._phases is None:
+            lhs[np.diag_indices(n)] += 1.0
+        else:
+            v = stepper._amp * stepper.cfg.v_spec.sample(stepper._y_frac, stepper._phases[0])
+            lhs[np.diag_indices(n)] += 1.0 + 1j * theta_dt * v
+        return lhs
+
+    # all but n = 64 end in a partial block of columns
+    @pytest.mark.parametrize("n", [5, 37, 64, 257])
+    @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
+    def test_matches_whole_array_fill_bitwise(self, n, kind, monkeypatch):
+        g = Grid1D.make(n)
+        if kind == "effective":
+            g_mat = assemble_effective_generator(EffectiveCoefficients.from_values(1.1, 0.3, -0.2),
+                                                 g, ALPHA)
+            system, v_spec = Effective(UNIT), get_v("zero")
+        elif kind == "heterogeneous":
+            g_mat = assemble_heterogeneous_generator(
+                g, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
+            system, v_spec = Heterogeneous(0.25), get_v("cos2pi_y_times_cos2pi_tau")
+        else:
+            # the zero-pivot generator: theta dt = 1/64 cancels the identity
+            g_mat, system, v_spec = 64j * np.eye(n), Effective(UNIT), get_v("zero")
+        stepper = self.stepper(g_mat, system, v_spec)
+        got = self.implicit_matrix(stepper, monkeypatch)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
+
+    def test_nan_in_last_partial_block(self):
+        n = 37
+        assert n % integrator.FILL_COLUMNS  # the last block holds 37 - 32 = 5 columns
+        g_mat = Grid1D.make(n).h * np.eye(n)
+        g_mat[3, n - 1] = np.nan
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            self.stepper(g_mat, Effective(UNIT), get_v("zero"))._factors_at(0)
+        assert str(excinfo.value) == ("effective system, phase None: "
+                                      "implicit matrix is not finite")
+
+    def test_nonfinite_potential_diagonal(self):
+        n = 37
+        v_nan = VSpec("nan_near_zero",
+                      lambda y, tau: np.where(y < 0.1, np.nan, 0.0) + 0.0 * tau)
+        g_mat = Grid1D.make(n).h * np.eye(n)
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            self.stepper(g_mat, Heterogeneous(0.25), v_nan)._factors_at(0)
         # step 0 is frozen at the theta point dt / 2, phase 1/16
         assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
                                       "implicit matrix is not finite")

@@ -12,6 +12,7 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn, jv
 
 from nshom import kernel
+from nshom.cell import CellGrid
 from nshom.kernel import (
     Grid1D,
     KernelParams,
@@ -450,3 +451,47 @@ class TestSameCellBands:
         ref = dense_same_cell_generator(grid, params)
         got = assemble_heterogeneous_generator(grid, params)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+THETA_SPECS = [get_theta(name) for name in ("cosine_product", "cosine_shift", "cosine_sum")] + [
+    get_theta("scaled", factor=2.5), get_theta("scaled", base="cosine_shift", factor=0.3)]
+
+
+class TestThetaMatrix:
+    """``_theta_matrix`` samples Theta both ways in row order; the result must
+    be the transposed-read average 0.5 (T + T^T) it replaced, bit for bit."""
+
+    @staticmethod
+    def transposed_average(theta, y):
+        tm = theta.sample(y[:, None], y[None, :])
+        return 0.5 * (tm + tm.T)
+
+    @pytest.mark.parametrize("theta", THETA_SPECS, ids=lambda t: f"{t.name}-{t.params}")
+    @pytest.mark.parametrize("m", [64, 129, 1024])
+    def test_cell_grid_matches_transposed_average_bitwise(self, theta, m):
+        y = CellGrid(m=m).y
+        got = kernel._theta_matrix(theta, y)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, self.transposed_average(theta, y))
+
+    @pytest.mark.parametrize("theta", THETA_SPECS, ids=lambda t: f"{t.name}-{t.params}")
+    @pytest.mark.parametrize("n, eps", [(256, 1 / 16), (257, 0.3)])
+    def test_fast_grid_matches_transposed_average_bitwise(self, theta, n, eps):
+        y = np.mod(Grid1D.make(n).nodes / eps, 1.0)
+        assert np.array_equal(kernel._theta_matrix(theta, y), self.transposed_average(theta, y))
+
+    def test_asymmetric_sample_names_the_preset(self):
+        tilted = ThetaSpec("tilted", lambda y, eta: 1.0 + 0.1 * y + 0.0 * eta,
+                           lower=1.0, upper=1.1)
+        with pytest.raises(ValueError, match="theta preset 'tilted' is not symmetric"):
+            kernel._theta_matrix(tilted, (np.arange(32) + 0.5) / 32)
+
+    def test_nonpositive_sample_rejected(self):
+        # symmetric, but cos(2 pi (y - eta)) reaches -1 at distance 1/2
+        signed = ThetaSpec("signed", lambda y, eta: np.cos(2 * np.pi * (y - eta)),
+                           lower=0.5, upper=1.0)
+        with pytest.raises(ValueError, match="strictly positive on the grid"):
+            kernel._theta_matrix(signed, np.arange(32) / 32)
+
+    def test_constant_theta_is_none(self):
+        assert kernel._theta_matrix(get_theta("one"), np.arange(8) / 8) is None
