@@ -22,14 +22,16 @@ linearly between nodes (zero at the domain endpoints for Z, linear
 extrapolation for R) and the weakly singular kernel moments are integrated
 exactly per interval, so no graded quadrature is needed at the diagonal. The
 moments depend only on the node-interval offset, so Z and R are described by
-O(n) vectors (``_offset_moments``, cached per (n, alpha), read-only): the
-generator of the shared Toeplitz part T0, the principal-value mass on the
-diagonal and R's two endpoint-share vectors. The dense Z (cached read-only)
-and R are expanded only for the oracles and the corrector diagnostic. G_eff
-reads the vectors: R Z is split the same way, T0^2 is built in O(n^2) by the
-Toeplitz displacement recurrence, and blocks of rows of the zeta terms are
-added to the fractional generator's own buffer, so G_eff needs no O(n^3)
-product and no second n x n array.
+O(n) vectors (``_offset_moments``, cached per (n, alpha), read-only; the only
+cache of this module): the generator of the shared Toeplitz part T0, the
+principal-value mass on the diagonal and R's two endpoint-share vectors. The
+dense Z and R are fresh arrays on each call, expanded only for the oracles
+and the corrector diagnostic. Z takes the field to be zero at the endpoints
++-1, so for u that does not vanish there the rows next to the boundary grow
+like h^{(1-alpha)/2}. G_eff reads the vectors: R Z is split the same way,
+T0^2 is built in O(n^2) by the Toeplitz displacement recurrence, and blocks of
+rows of the zeta terms are added to the fractional generator's own buffer, so
+G_eff needs no O(n^3) product and no second n x n array.
 """
 
 from __future__ import annotations
@@ -147,17 +149,12 @@ def _zeta_rows(n: int, alpha: float, rows: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=16)
-def _zeta_matrix_cached(n: int, alpha: float) -> np.ndarray:
-    z = _zeta_rows(n, alpha, np.arange(n))
-    z.flags.writeable = False
-    return z
-
-
 def zeta_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Dense matrix Z with zeta(u) = Z u (zero exterior values), cached and read-only."""
+    """Dense matrix Z with zeta(u) = Z u, taking u(-1) = u(1) = 0; a fresh array
+    on each call, as for R."""
     _check_alpha(alpha)
-    return _zeta_matrix_cached(grid.n, float(alpha))
+    n = grid.n
+    return _zeta_rows(n, float(alpha), np.arange(n))
 
 
 def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:

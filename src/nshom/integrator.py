@@ -15,11 +15,13 @@ the step (the midpoint for theta = 1/2, which preserves second-order temporal
 accuracy; each frozen step is still a Hermitian Cayley map, so norms are
 conserved when g = f = 0).
 
-For theta > 0 the step is one LU solve with no product by H, since
+theta is restricted to [1/2, 1]: the scheme multiplies each mode of the
+Hermitian H by |1 - i(1-theta) lambda dt| / |1 + i theta lambda dt|, which
+exceeds 1 for every lambda != 0 when theta < 1/2. The step is one LU solve
+with no product by H, since
 I - i(1-theta)dt H = (1/theta) I - ((1-theta)/theta)(I + i theta dt H) gives
 u_{n+1} = (I + i theta dt H_n)^{-1}[u_n/theta - i g(u_n) dW_n - i f(t_n) dt]
-- ((1-theta)/theta) u_n; rounding in that subtraction grows like 1/theta. The
-explicit step theta = 0 is the right-hand side itself, with no factorization.
+- ((1-theta)/theta) u_n; rounding in that subtraction grows like 1/theta.
 The solve (``lu_solve``) is two level-2 triangular solves for one column and
 scipy's level-3 ``lu_solve`` for more.
 
@@ -134,8 +136,8 @@ def brownian_increments(seed: int, n_steps: int, dt: float) -> BrownianPath:
     bitwise-identical paths."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     inc = _stream(seed, 0).standard_normal(n_steps) * np.sqrt(dt)
     return BrownianPath(seed=seed, n_steps=n_steps, dt=dt, increments=inc)
 
@@ -173,8 +175,10 @@ class SimConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_scheme <= 1.0:
-            raise ValueError("theta_scheme must lie in [0, 1]")
+        if not 0.5 <= self.theta_scheme <= 1.0:
+            raise ValueError(
+                f"theta_scheme must lie in [1/2, 1], got {self.theta_scheme!r}: below 1/2 "
+                "the theta scheme amplifies every mode of the Hermitian generator")
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"horizon T must be finite and positive, got {self.T!r}")
 
@@ -193,18 +197,6 @@ class SimResult:
     trajectory: np.ndarray | None
     snapshots: dict[int, np.ndarray]
     final: np.ndarray
-
-
-def generator_product(g_mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """G @ u for a complex (n, P) state.
-
-    A real G multiplies the real view of u (real and imaginary parts as
-    interleaved columns), so the n x n matrix is never converted to complex.
-    """
-    if np.iscomplexobj(g_mat):
-        return g_mat @ u
-    u = np.ascontiguousarray(u, dtype=complex)
-    return (g_mat @ u.view(np.float64)).view(np.complex128)
 
 
 def lu_solve(lu_piv: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -246,15 +238,14 @@ class ThetaStepper:
     columns of an (n, P) complex array.
 
     The implicit matrix depends on the system, dt and the potential's phase,
-    never on the path, so for theta > 0 each phase is factorized once and each
-    step makes one ``lu_solve`` with P right-hand sides: two level-2
-    triangular solves for one column, scipy's level-3 solve for more. The
-    column-major implicit matrix is written from the row-major generator in
-    blocks of FILL_COLUMNS columns, each checked for finiteness. Factors
-    are cached on the phase and dropped oldest first once they hold more than
-    LU_CACHE_BYTES; ``hits`` and ``misses`` count the lookups (theta = 0
-    caches nothing). A factorization that fails, a non-finite implicit matrix
-    or a zero pivot raises LinearSolveError.
+    never on the path, so each phase is factorized once and each step makes
+    one ``lu_solve`` with P right-hand sides: two level-2 triangular solves
+    for one column, scipy's level-3 solve for more. The column-major implicit
+    matrix is written from the row-major generator in blocks of FILL_COLUMNS
+    columns, each checked for finiteness. Factors are cached on the phase and
+    dropped oldest first once they hold more than LU_CACHE_BYTES; ``hits``
+    and ``misses`` count the lookups. A factorization that fails, a
+    non-finite implicit matrix or a zero pivot raises LinearSolveError.
     """
 
     def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
@@ -263,7 +254,7 @@ class ThetaStepper:
                       else np.asarray(generator))
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
-        self._factors: dict[float | None, tuple] = {}
+        self._factors: dict[float | None, tuple] = {}  # phase -> lu_factor output
         self._factor_bytes = 0
         self._phases = None
         if not isinstance(system, Heterogeneous):
@@ -292,7 +283,7 @@ class ThetaStepper:
                 "implicit matrix; dt = eps/k with a small integer k reuses the factors")
 
     def _factors_at(self, k: int) -> tuple:
-        """(LU factors, potential diagonal or None) for step k."""
+        """LU factors of the implicit matrix of step k."""
         tau = None if self._phases is None else self._phases[k]
         key = None if tau is None else round(tau, 12)
         entry = self._factors.get(key)
@@ -302,8 +293,6 @@ class ThetaStepper:
         self.misses += 1
         v_diag = None if tau is None else self._amp * self.cfg.v_spec.sample(self._y_frac, tau)
         n, theta_s, dt = self.g_mat.shape[0], self.cfg.theta_scheme, self.dt
-        if theta_s == 0.0:
-            return None, v_diag
         # I + i theta dt (G + diag(v)) in column blocks, factorized in place; G is only read
         lhs = np.empty((n, n), dtype=complex, order="F")
         finite = True
@@ -327,30 +316,24 @@ class ThetaStepper:
                 f"{where}: implicit matrix is singular, U[{zero[0]}, {zero[0]}] is exactly zero")
         size = lu[0].nbytes
         while self._factors and self._factor_bytes + size > LU_CACHE_BYTES:
-            self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0][0].nbytes
-        self._factors[key] = (lu, v_diag)
+            self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0].nbytes
+        self._factors[key] = lu
         self._factor_bytes += size
-        return lu, v_diag
+        return lu
 
     def step(self, u: np.ndarray, k: int, dw: np.ndarray) -> np.ndarray:
         """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
         Brownian increment of each column."""
-        lu, v_diag = self._factors_at(k)
+        lu = self._factors_at(k)
         cfg, dt, theta_s = self.cfg, self.dt, self.cfg.theta_scheme
-        if lu is None:
-            hu = generator_product(self.g_mat, u)
-            if v_diag is not None:
-                hu += v_diag[:, None] * u
-            rhs = u - 1j * dt * hu
-        else:
-            rhs = u / theta_s
+        rhs = u / theta_s
         gu = cfg.noise.apply(u)
         if gu is not None:
             rhs -= 1j * gu * dw
         f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
         if f_vec is not None:
             rhs -= 1j * f_vec[:, None] * dt
-        return rhs if lu is None else lu_solve(lu, rhs) - ((1.0 - theta_s) / theta_s) * u
+        return lu_solve(lu, rhs) - ((1.0 - theta_s) / theta_s) * u
 
 
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,

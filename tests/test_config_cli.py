@@ -101,6 +101,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="finite positive number"):
             RunConfig.from_dict({"dt_rule": rule})
 
+    @pytest.mark.parametrize("theta_s", [0.0, 0.25, 0.49, 1.01, float("nan")])
+    def test_theta_scheme_outside_one_half_to_one_rejected(self, theta_s):
+        with pytest.raises(ConfigError, match=r"theta_scheme must lie in \[1/2, 1\]"):
+            RunConfig.from_dict({"theta_scheme": theta_s})
+
+    @pytest.mark.parametrize("theta_s", [0.5, 1.0])
+    def test_theta_scheme_bounds_accepted(self, theta_s):
+        assert RunConfig.from_dict({"theta_scheme": theta_s}).sim_config().theta_scheme == theta_s
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"alpha": 1.25, "grid": {"n": 32}}))
@@ -150,6 +159,17 @@ class TestCliBasics:
         bad.write_text(json.dumps({"alpha": 5.0}))
         assert main(["coefficients", "--config", str(bad)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_unstable_theta_scheme_exits_2_naming_the_bound(self, tmp_path, capsys):
+        # stepped at theta = 0.45, this noiseless run would reach norm^2 ~ 1.6e16 by T = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta_scheme": 0.45, "g": {"kind": "zero", "sigma": 0.0}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--system", "eff", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "theta_scheme must lie in [1/2, 1]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -306,10 +326,10 @@ class TestCliCommands:
         assert not out.exists()
 
     def test_sweep_numerical_failure_exit_code(self, tmp_path, capsys):
-        # explicit stepping at a coarse fixed dt diverges every path, the
+        # strong linear noise at a coarse fixed dt diverges every path, the
         # exclusion policy trips, and the CLI maps it to exit code 3
-        cfg = self._small_cfg(tmp_path, grid={"n": 48}, theta_scheme=0.0, T=0.5,
-                              dt_rule={"kind": "fixed", "dt": 1.0 / 32.0})
+        cfg = self._small_cfg(tmp_path, grid={"n": 48}, g={"kind": "linear", "sigma": 200.0},
+                              T=0.5, dt_rule={"kind": "fixed", "dt": 1.0 / 32.0})
         out = tmp_path / "failed_sweep"
         with pytest.warns(UserWarning, match="diverged"):
             code = main(["sweep", "--eps", "1/2,1/4", "--paths", "2",

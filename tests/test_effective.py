@@ -12,7 +12,6 @@ from nshom.effective import (
     EffectiveCoefficients,
     _offset_moments,
     _toeplitz_square_rows,
-    _zeta_matrix_cached,
     assemble_effective_generator,
     compute_effective_coefficients,
     restricted_divergence_matrix,
@@ -300,12 +299,13 @@ class TestOffsetBuild:
         for new, loop in zip(built, loops):
             assert np.max(np.abs(new - loop)) <= 1e-12 * np.max(np.abs(loop))
 
-    def test_cached_matrices_are_read_only(self):
+    def test_zeta_matrix_is_fresh_on_each_call(self):
         g = Grid1D.make(40)
-        m = zeta_matrix(g, 1.5)
+        m, again = zeta_matrix(g, 1.5), zeta_matrix(g, 1.5)
+        assert m is not again and not np.shares_memory(m, again)
+        assert np.array_equal(m, again)
         before = m.copy()
-        with pytest.raises(ValueError):
-            m *= 2.0
+        m *= 2.0
         assert np.array_equal(zeta_matrix(g, 1.5), before)
 
 
@@ -416,7 +416,6 @@ class TestStructuredProduct:
         # G_eff is built in L's buffer, the only n x n array, with no dense Z
         n, g = 512, Grid1D.make(512)
         coeffs = EffectiveCoefficients.from_values(*self.XI)
-        _zeta_matrix_cached.cache_clear()
         tracemalloc.start()
         try:
             assemble_effective_generator(coeffs, g, ALPHA)
@@ -424,14 +423,6 @@ class TestStructuredProduct:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 8
-
-    def test_leaves_the_zeta_cache_alone(self):
-        # emptied first, so that a full cache evicting an entry cannot hide an insertion
-        _zeta_matrix_cached.cache_clear()
-        before = _zeta_matrix_cached.cache_info().currsize
-        assemble_effective_generator(EffectiveCoefficients.from_values(*self.XI),
-                                     Grid1D.make(96), ALPHA)
-        assert _zeta_matrix_cached.cache_info().currsize == before
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_nodes_rejected_with_value_error(self, n):

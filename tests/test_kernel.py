@@ -3,7 +3,8 @@
 Independent oracles: closed-form antiderivatives, adaptive quadrature
 (scipy), the Fourier-side closed form of the weighted fractional norm of
 (1 - x^2)^p fields (Weber-Schafheitlin integral of squared Bessel functions),
-and incomplete gamma functions (mpmath) for the oscillating exterior weight.
+Getoor's pointwise closed form of L (1 - x^2)_+^{alpha/2}, and incomplete
+gamma functions (mpmath) for the oscillating exterior weight.
 """
 
 import numpy as np
@@ -209,6 +210,25 @@ class TestGeneratorAssembly:
             errs.append(abs((mat @ uvec)[i] - oracle) / abs(oracle))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.0), f"observed orders {orders}"
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_rows_match_getoor_closed_form(self, alpha):
+        # Getoor (1961): (-Delta)^s (1 - x^2)_+^s = Gamma(2s + 1) on (-1, 1), s = alpha/2;
+        # L is the unnormalized operator (-Delta)^s / C_{1,s}
+        s = alpha / 2.0
+        c_1s = 4.0 ** s * gamma_fn(0.5 + s) / (np.sqrt(np.pi) * abs(gamma_fn(-s)))
+        exact = gamma_fn(alpha + 1.0) / c_1s
+        params = KernelParams(alpha=alpha, theta=get_theta("one"))
+        errs = []
+        for n in (256, 1024):
+            grid = Grid1D.make(n)
+            lu = assemble_heterogeneous_generator(grid, params) @ (1.0 - grid.nodes ** 2) ** s
+            inner = np.abs(grid.nodes) <= 0.5
+            errs.append(float(np.max(np.abs(lu[inner] - exact))) / exact)
+        assert errs[0] <= 3e-4, errs
+        # h falls by 4 from n = 256 to 1024
+        order = np.log2(errs[0] / errs[1]) / 2.0
+        assert order >= 1.5, f"observed order {order}"
 
 
 class TestExteriorWeight:
