@@ -241,7 +241,7 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid) -> CellSo
     chi_col, lam = solve_bordered(a, b)
     residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
     chi = chi_col - chi_col.mean()
-    if residual > 1e-8:
+    if not residual <= 1e-8:  # also true for NaN
         raise CellSolveError(f"cell solve residual {residual:.2e} exceeds 1e-8 "
                              "(conditioning failure beyond the constraint kernel)")
     return CellSolution(chi=chi, rhs=b, theta=theta, alpha=alpha, grid=grid, residual=residual)

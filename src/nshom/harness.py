@@ -6,10 +6,10 @@ The strong-error surrogate for one path is the discrete space-time norm
     E_path = dt * h * sum_k sum_i |u_eps(t_k, x_i) - u_eff(t_k, x_i)|^2
 
 (time levels k = 1..N), both systems driven by the same Brownian increments.
-One loop assembles the heterogeneous generator once per eps and steps both
-systems over all paths in lockstep (``integrator.ThetaStepper``); the sweep's
-error integrals and the corrector diagnostic are reduced from its states step
-by step, so no trajectory is stored. Sweep reports aggregate over paths:
+The generator of each eps is assembled once, and ``integrator.lockstep``, the
+loop of ``simulate``, steps both systems over all paths; the sweep's error
+integrals and the corrector diagnostic are reduced from its states step by
+step, so no trajectory is stored. Sweep reports aggregate over paths:
 mean, Monte Carlo standard error, weak errors against fixed test functions,
 exclusion counts for diverged paths, and a log-log slope fit of the mean
 strong error against eps (reported as data, not gated).
@@ -38,8 +38,8 @@ from .config import RunConfig
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 # simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
-from .integrator import (Effective, Heterogeneous, ThetaStepper, TrajectoryBlowup,
-                         brownian_increments, diverged_columns, simulate)
+from .integrator import (Effective, Heterogeneous, ThetaStepper, brownian_increments,
+                         lockstep, simulate)
 from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS
 
@@ -114,32 +114,18 @@ def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
 
 def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
                    prepared: PreparedExperiment):
-    """Step both systems with one column per seed, yielding ``(u_het, u_eff,
-    dead, reasons)`` after each step. A column that diverges in either system
-    is marked ``dead`` with its TrajectoryBlowup in ``reasons`` and set to
-    zero, which leaves the arithmetic of the other columns unchanged."""
+    """``integrator.lockstep`` of the heterogeneous and the effective system
+    with one column per seed."""
     cfg = rc.sim_config()
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
     params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps)
     g_het = assemble_heterogeneous_generator(prepared.grid, params)
-    steppers = (ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
+    steppers = [ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
                 ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,
-                             generator=prepared.effective_generator))
+                             generator=prepared.effective_generator)]
     u0 = np.repeat(cfg.initial_field().astype(complex)[:, None], len(seeds), axis=1)
-    states = [u0, u0]
-    reasons: list[TrajectoryBlowup | None] = [None] * len(seeds)
-    dead = np.zeros(len(seeds), dtype=bool)
-    for k in range(n_steps):
-        for i, stepper in enumerate(steppers):
-            states[i] = stepper.step(states[i], k, dw[k])
-            for j in np.flatnonzero(diverged_columns(states[i]) & ~dead):
-                reasons[j] = TrajectoryBlowup(k + 1, stepper.label)
-                dead[j] = True
-        if dead.any():
-            for state in states:
-                state[:, dead] = 0.0
-        yield states[0], states[1], dead, reasons
+    return lockstep(steppers, u0, dw)
 
 
 def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
@@ -150,7 +136,7 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
     n_psi = len(prepared.psi_names)
     err = np.zeros(len(seeds))
     weak = np.zeros((len(seeds), n_psi), dtype=complex)
-    for u_het, u_eff, dead, reasons in _coupled_steps(eps, rc, seeds, prepared):
+    for _, (u_het, u_eff), dead, reasons in _coupled_steps(eps, rc, seeds, prepared):
         diff = u_het - u_eff
         err += np.sum(diff.real ** 2 + diff.imag ** 2, axis=0)
         weak += diff.T @ psi_conj
@@ -300,7 +286,7 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
 
     total = 0.0
     baseline = 0.0
-    for u_het, u_eff, dead, reasons in _coupled_steps(eps, rc, [seed], prepared):
+    for _, (u_het, u_eff), dead, reasons in _coupled_steps(eps, rc, [seed], prepared):
         if dead[0]:
             raise reasons[0]
         uh, ue = u_het[:, 0], u_eff[:, 0]

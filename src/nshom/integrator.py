@@ -26,7 +26,8 @@ The solve (``lu_solve``) is two level-2 triangular solves for one column and
 scipy's level-3 ``lu_solve`` for more.
 
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
-columns of an (n, P) array, and ``simulate`` is its one-column case. The
+columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
+system and checks it for divergence; ``simulate`` is its one-column case. The
 implicit matrix does not depend on the path, so its factorization is shared
 by all columns and cached on the fractional part of the sampling time over
 eps, which cycles when dt / eps is rational (e.g. the dt = eps/8 sweep rule).
@@ -64,10 +65,10 @@ FILL_COLUMNS = 32
 
 
 class TrajectoryBlowup(RuntimeError):
-    """Raised when a trajectory leaves the finite range; carries the step index."""
+    """Raised when a trajectory leaves the finite range; names the step and system."""
 
-    def __init__(self, step: int, detail: str = ""):
-        super().__init__(f"trajectory diverged at step {step}{(': ' + detail) if detail else ''}")
+    def __init__(self, step: int, system: str):
+        super().__init__(f"trajectory diverged at step {step}: {system}")
         self.step = step
 
 
@@ -218,12 +219,6 @@ def lu_solve(lu_piv: tuple, rhs: np.ndarray) -> np.ndarray:
     return ztrsv(lu, x, overwrite_x=1)[:, None]
 
 
-def diverged_columns(u: np.ndarray) -> np.ndarray:
-    """Mask of the columns of an (n, P) state that are non-finite or exceed
-    BLOWUP_LIMIT in magnitude."""
-    return ~np.isfinite(u).all(axis=0) | (np.abs(u).max(axis=0) > BLOWUP_LIMIT)
-
-
 def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.ndarray:
     if isinstance(system, Heterogeneous):
         params = KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=system.epsilon)
@@ -254,9 +249,9 @@ class ThetaStepper:
                       else np.asarray(generator))
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
-        self._factors: dict[float | None, tuple] = {}  # phase -> lu_factor output
+        self._factors: dict[float | None, tuple] = {}  # phase key -> lu_factor output
         self._factor_bytes = 0
-        self._phases = None
+        self._phases = self._keys = None
         if not isinstance(system, Heterogeneous):
             self.label = "effective system"
             return
@@ -269,9 +264,11 @@ class ThetaStepper:
         # time); the Ito left-point rule applies to the noise term only
         theta_s = cfg.theta_scheme
         self._phases = [((k * dt + theta_s * dt) / eps) % 1.0 for k in range(n_steps)]
+        # a phase that rounds to 1 is phase 0, so both share one factorization
+        self._keys = [round(tau, 12) % 1.0 for tau in self._phases]
         self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
         self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
-        distinct = len({round(tau, 12) for tau in self._phases})
+        distinct = len(set(self._keys))
         # with dt = eps/k the phase cycles every k steps, however few of
         # those cycles fit into the run
         steps_per_period = eps / dt
@@ -284,8 +281,7 @@ class ThetaStepper:
 
     def _factors_at(self, k: int) -> tuple:
         """LU factors of the implicit matrix of step k."""
-        tau = None if self._phases is None else self._phases[k]
-        key = None if tau is None else round(tau, 12)
+        tau, key = (None, None) if self._phases is None else (self._phases[k], self._keys[k])
         entry = self._factors.get(key)
         if entry is not None:
             self.hits += 1
@@ -336,15 +332,35 @@ class ThetaStepper:
         return lu_solve(lu, rhs) - ((1.0 - theta_s) / theta_s) * u
 
 
+def lockstep(steppers: list[ThetaStepper], u0: np.ndarray, dw: np.ndarray):
+    """Step one copy of the (n, P) state ``u0`` per stepper over the rows of the
+    (n_steps, P) increments ``dw``, yielding ``(k, states, dead, reasons)`` at time
+    levels k = 1..n_steps. A column that diverges in any system is marked ``dead``
+    with its TrajectoryBlowup in ``reasons`` and zeroed in every state."""
+    states = [u0] * len(steppers)
+    dead = np.zeros(u0.shape[1], dtype=bool)
+    reasons: list[TrajectoryBlowup | None] = [None] * u0.shape[1]
+    for k, dw_k in enumerate(dw):
+        for i, stepper in enumerate(steppers):
+            states[i] = u = stepper.step(states[i], k, dw_k)
+            diverged = ~np.isfinite(u).all(axis=0) | (np.abs(u).max(axis=0) > BLOWUP_LIMIT)
+            for j in np.flatnonzero(diverged & ~dead):
+                reasons[j] = TrajectoryBlowup(k + 1, stepper.label)
+                dead[j] = True
+        for state in states:
+            state[:, dead] = 0.0
+        yield k + 1, states, dead, reasons
+
+
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,
              *, store_trajectory: bool = True, snapshot_every: int | None = None,
              generator: np.ndarray | None = None) -> SimResult:
     """Integrate one trajectory over [0, T] on the given Brownian path.
 
-    This is the one-column case of ``ThetaStepper``. The heterogeneous system
+    This is the one-column case of ``lockstep``. The heterogeneous system
     applies the eps^{(1-alpha)/2} potential amplification exactly as written
-    (the factor grows as eps -> 0). Divergence (non-finite values or
-    magnitudes beyond 1e12) raises TrajectoryBlowup with the failing step index.
+    (the factor grows as eps -> 0). Divergence raises the TrajectoryBlowup of
+    ``lockstep``, which names the failing step and the system.
     """
     grid = cfg.grid
     n, h = grid.n, grid.h
@@ -373,11 +389,10 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
             snapshots[k] = state.copy()
 
     record(0, u[:, 0])
-    for k in range(n_steps):
-        u = stepper.step(u, k, path.increments[k:k + 1])
-        if diverged_columns(u)[0]:
-            raise TrajectoryBlowup(k + 1)
-        record(k + 1, u[:, 0])
+    for k, (u,), dead, reasons in lockstep([stepper], u, path.increments[:, None]):
+        if dead[0]:
+            raise reasons[0]
+        record(k, u[:, 0])
 
     return SimResult(times=times, norm2=norm2, re_mass=re_mass, im_mass=im_mass,
                      trajectory=traj, snapshots=snapshots, final=u[:, 0])

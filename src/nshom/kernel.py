@@ -113,8 +113,6 @@ class KernelParams:
         _check_alpha(self.alpha)
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
-        if self.theta.lower <= 0.0:
-            raise ValueError("Theta must have a positive lower bound")
 
 
 def _phi2(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -175,8 +173,6 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
     """Theta(y_i, y_j) at the fast-variable points y, symmetrized and checked
     positive; None when Theta is constant (callers multiply by the constant)."""
     if theta.constant is not None:
-        if theta.constant <= 0.0:
-            raise ValueError("Theta must be strictly positive")
         return None
     # Theta(y_i, y_j) and Theta(y_j, y_i), both sampled in row order: no transposed read
     tm, tm_t = theta.sample(y[:, None], y[None, :]), theta.sample(y[None, :], y[:, None])
@@ -186,7 +182,7 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
         raise ValueError(f"theta preset {theta.name!r} is not symmetric (max dev {dev:.2e})")
     tm += tm_t
     tm *= 0.5
-    if float(tm.min()) <= 0.0:
+    if not tm.min() > 0.0:  # also true for NaN
         raise ValueError("Theta must be strictly positive on the grid")
     return tm
 

@@ -30,6 +30,12 @@ class ThetaSpec:
     params: dict = field(default_factory=dict)
     constant: float | None = None
 
+    def __post_init__(self):
+        if not (np.isfinite(self.upper) and 0.0 < self.lower <= self.upper) or not (
+                self.constant is None or self.lower == self.upper == self.constant):
+            raise ValueError(f"{self.name!r} needs finite bounds 0 < lower <= upper, equal "
+                             f"to its constant if set; got {self.lower, self.upper, self.constant}")
+
     def sample(self, y, eta) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         eta = np.asarray(eta, dtype=float)

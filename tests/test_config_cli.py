@@ -190,6 +190,11 @@ class TestCliBasics:
         (["coefficients"], {"theta_preset": {"name": "one", "params": {"amplitude": 0.5}}}, 2),
         (["coefficients"], {"theta_preset": {"name": "scaled", "params": {
             "base": "one", "factor": 2.0, "amplitude": 0.5}}}, 2),
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        *((argv, {"theta_preset": {"name": "scaled", "params": {"factor": float("nan")}}}, 2)
+          for argv in (["coefficients"], ["cell"])),
+        (["coefficients"], {"theta_preset": {"name": "cosine_sum", "params": {
+            "offset": float("inf")}}}, 2),
     ])
     def test_invalid_input_exit_code_without_traceback(self, argv, config, code,
                                                        tmp_path, capsys):

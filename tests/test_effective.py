@@ -150,6 +150,28 @@ class TestZeta:
             val += piece
         assert z[i] == pytest.approx(val, rel=1e-4)
 
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_parabola_closed_form(self, alpha):
+        """For u = 1 - x^2, zeta(x) = (A_3(x) + 2x A_2(x)) / 2 with A_j the
+        integral of t^{j-1} t|t|^{-(3+alpha)/2} over [-1-x, 1-x], whose
+        antiderivative is sign(t)^{j+1} |t|^e / e, e = j + 1 - (3+alpha)/2.
+        The error is relative to max|zeta|, since zeta(0) = 0."""
+
+        def a_j(j, x):
+            e = j + 1.0 - (3.0 + alpha) / 2.0
+            antiderivative = lambda t: np.sign(t) ** (j + 1) * np.abs(t) ** e / e
+            return antiderivative(1.0 - x) - antiderivative(-1.0 - x)
+
+        errors = []
+        for n in (256, 1024):
+            x = Grid1D.make(n).nodes
+            exact = 0.5 * (a_j(3, x) + 2.0 * x * a_j(2, x))
+            z = zeta_matrix(Grid1D.make(n), alpha) @ (1.0 - x ** 2)
+            errors.append(np.max(np.abs(z - exact)) / np.max(np.abs(exact)))
+        assert errors[0] <= 1e-4
+        # order per halving of h; n = 256 -> 1024 halves it twice
+        assert np.log2(errors[0] / errors[1]) / 2.0 >= 1.5
+
 
 class TestRestrictedDivergence:
     def test_zero(self, grid):

@@ -1,7 +1,9 @@
 """Time-stepping tests: path generation, bridge refinement, norm behavior
 under the theta scheme, Ito identity bookkeeping, and self-convergence."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from nshom.integrator import (
     ThetaStepper,
     TrajectoryBlowup,
     brownian_increments,
+    lockstep,
     simulate,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
@@ -170,6 +173,8 @@ class TestThetaScheme:
         with pytest.raises(TrajectoryBlowup) as excinfo:
             simulate(Heterogeneous(0.5), cfg, path)
         assert excinfo.value.step == 8
+        assert str(excinfo.value) == (
+            "trajectory diverged at step 8: heterogeneous system at eps=0.5")
 
     @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
     def test_horizon_must_be_finite_positive(self, grid, T):
@@ -313,10 +318,11 @@ class TestEnsembleStepper:
         np.testing.assert_allclose(res.norm2, norms, rtol=1e-12)
         np.testing.assert_allclose(res.final, final, rtol=1e-12)
 
-    def test_cyclic_phase_factorizes_once_per_phase(self, grid, frac_gen):
-        eps = 0.25
+    # at theta = 1 and eps = 0.1 the eighth phase rounds to 1.0, which is phase 0
+    @pytest.mark.parametrize("eps, theta_s", [(0.25, 0.5), (0.1, 1.0)])
+    def test_cyclic_phase_factorizes_once_per_phase(self, grid, frac_gen, eps, theta_s):
         dt = eps / 8.0
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt,
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt, theta_scheme=theta_s,
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, 64, generator=frac_gen)
         u = cfg.initial_field().astype(complex)[:, None]
@@ -430,6 +436,77 @@ class TestEnsembleStepper:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+
+
+class TestLockstep:
+    def test_each_system_matches_its_stepper_alone(self, grid, frac_gen):
+        """Three systems (het, eff, eff) on three columns: each state equals
+        that stepper's own steps bitwise, except that a column diverging in
+        one system is zeroed in all three from that step on."""
+        eps, n_steps = 0.25, 8
+        dt = eps / 8.0
+        v_spec = get_v("cos2pi_y_times_cos2pi_tau")
+        # linear noise only in the heterogeneous system, so column 2, driven by
+        # an increment of 1e4, leaves the finite range there and nowhere else
+        het_cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, v_spec=v_spec,
+                            noise=NoiseModel("linear", 0.5))
+        eff_cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, v_spec=v_spec,
+                            noise=NoiseModel("bounded", 0.5))
+
+        def steppers():
+            return [ThetaStepper(Heterogeneous(eps), het_cfg, dt, n_steps, generator=frac_gen),
+                    ThetaStepper(Effective(UNIT), eff_cfg, dt, n_steps, generator=frac_gen),
+                    ThetaStepper(Effective(EffectiveCoefficients.from_values(0.5, 0.1, 0.2)),
+                                 eff_cfg, dt, n_steps)]
+
+        dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(2)]
+                      + [np.full(n_steps, 1e4)], axis=1)
+        u0 = het_cfg.initial_field()[:, None] * np.array([1.0, 0.5j, -0.8])
+        alone = []
+        for stepper in steppers():
+            u, states = u0, []
+            for k in range(n_steps):
+                u = stepper.step(u, k, dw[k])
+                states.append(u)
+            alone.append(states)
+        blowup = 1 + next(k for k, u in enumerate(alone[0])
+                          if np.abs(u[:, 2]).max() > integrator.BLOWUP_LIMIT)
+        assert blowup < n_steps
+        assert all(np.abs(u).max() < 1e6 for states in alone[1:] for u in states)
+
+        levels = []
+        for k, states, dead, reasons in lockstep(steppers(), u0, dw):
+            levels.append(k)
+            assert dead.tolist() == [False, False, k >= blowup]
+            for state, own in zip(states, alone):
+                assert np.array_equal(state[:, :2], own[k - 1][:, :2])
+                if k >= blowup:
+                    assert not state[:, 2].any()
+                else:
+                    assert np.array_equal(state[:, 2], own[k - 1][:, 2])
+            assert reasons[:2] == [None, None]
+        assert levels == list(range(1, n_steps + 1))
+        assert reasons[2].step == blowup
+        assert str(reasons[2]).endswith(": heterogeneous system at eps=0.25")
+
+    def test_one_step_call_and_one_blowup_construction(self):
+        """ThetaStepper.step is called, and TrajectoryBlowup built, only in
+        integrator.lockstep, so divergence is checked in one place."""
+        sites = {"step": [], "TrajectoryBlowup": []}
+        for path in sorted(Path(integrator.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            enclosing = {}
+            for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+                if isinstance(fn, ast.FunctionDef):
+                    enclosing.update((id(node), fn.name) for node in ast.walk(fn))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in sites:
+                        sites[name].append((path.name, enclosing.get(id(node))))
+        assert sites == {"step": [("integrator.py", "lockstep")],
+                         "TrajectoryBlowup": [("integrator.py", "lockstep")]}
 
 
 def implicit_lhs(kind: str, n: int) -> np.ndarray:

@@ -506,10 +506,14 @@ class TestThetaMatrix:
         with pytest.raises(ValueError, match="theta preset 'tilted' is not symmetric"):
             kernel._theta_matrix(tilted, (np.arange(32) + 0.5) / 32)
 
-    def test_nonpositive_sample_rejected(self):
+    @pytest.mark.parametrize("fn", [
         # symmetric, but cos(2 pi (y - eta)) reaches -1 at distance 1/2
-        signed = ThetaSpec("signed", lambda y, eta: np.cos(2 * np.pi * (y - eta)),
-                           lower=0.5, upper=1.0)
+        lambda y, eta: np.cos(2 * np.pi * (y - eta)),
+        # NaN passes both the symmetry and a "<= 0" test
+        lambda y, eta: np.full(np.broadcast(y, eta).shape, np.nan),
+    ], ids=["signed", "nan"])
+    def test_nonpositive_sample_rejected(self, fn):
+        signed = ThetaSpec("signed", fn, lower=0.5, upper=1.0)
         with pytest.raises(ValueError, match="strictly positive on the grid"):
             kernel._theta_matrix(signed, np.arange(32) / 32)
 
