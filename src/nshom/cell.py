@@ -36,8 +36,8 @@ import numpy as np
 from scipy import special
 from scipy.linalg import toeplitz
 
-from .kernel import (_add_same_cell_term, _check_alpha, _theta_matrix, pair_weights_even,
-                     same_cell_coeff)
+from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _theta_matrix,
+                     pair_weights_even, same_cell_coeff)
 from .presets import ThetaSpec, VSpec
 
 KERNEL_MODES = ("periodized", "cell_truncated")
@@ -130,13 +130,6 @@ def _q_odd_far(d: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return _psi_odd(d + h, alpha) - 2.0 * _psi_odd(d, alpha) + _psi_odd(d - h, alpha)
 
 
-def _scalar_power(base: np.ndarray, e: float) -> np.ndarray:
-    """base ** e with the scalar power per entry: numpy's vectorized power can
-    differ from it in the last bit, and the scalar one keeps the weights equal
-    bit for bit to an offset-by-offset evaluation."""
-    return np.array([b ** e for b in base.tolist()])
-
-
 def _even_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -> np.ndarray:
     """Even pair weights per grid offset, mirror-exact: w[m - D] == w[D] bitwise."""
     h = 1.0 / m
@@ -188,9 +181,8 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.nda
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
     w = toeplitz(_even_offset_weights(m, alpha, grid.n_images, grid.kernel_mode))
-    tm = _theta_matrix(theta, grid.y)
-    w *= theta.constant if tm is None else tm
-    theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
+    weights, theta_diag = _theta_matrix(theta, grid.y)
+    w *= weights
     dg = 2.0 * w.sum(axis=1)
     a = np.multiply(w, -2.0, out=w)
     a[np.diag_indices(m)] += dg
@@ -209,9 +201,8 @@ def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndar
     w_off = _odd_offset_weights(m, alpha, grid.n_images, grid.kernel_mode)
     # W1[j, l] is the odd weight of offset l - j, negated below the diagonal
     w1 = toeplitz(-w_off, w_off)
-    tm = _theta_matrix(theta, grid.y)
-    b = 2.0 * np.sum(w1 * (theta.constant if tm is None else tm), axis=1)
-    theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm)
+    weights, theta_diag = _theta_matrix(theta, grid.y)
+    b = 2.0 * np.sum(w1 * weights, axis=1)
     b += _psi_even(h, alpha) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
     return b
 

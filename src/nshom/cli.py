@@ -98,7 +98,7 @@ def _cmd_cell(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sol, coeffs = solve_coefficients(rc)
     grid = sol.grid
-    xi = solve_periodic_poisson(rc.v_spec(), sol.alpha, grid)
+    xi = solve_periodic_poisson(rc.sim.v_spec, sol.alpha, grid)
     _write_csv(out / "chi.csv", ["y", "value"], [grid.y, sol.chi])
     _write_csv(out / "xi.csv", ["y", "tau", "value"],
                [np.repeat(grid.y, grid.m_tau), np.tile(grid.tau, grid.m), np.real(xi).ravel()])
@@ -159,7 +159,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out) if args.out else _default_out("simulate", rc, suffix)
     out.mkdir(parents=True, exist_ok=True)
 
-    cfg = rc.sim_config()
+    cfg = rc.sim
     path = brownian_increments(seed, n_steps, dt)
     snap_every = args.snap_every or max(1, n_steps // 4)
     res = simulate(system, cfg, path, store_trajectory=False, snapshot_every=snap_every)
@@ -229,7 +229,7 @@ def _cmd_sweep(args) -> int:
 
 def _validate_checks(rc: RunConfig) -> list[tuple[str, bool, str]]:
     checks = []
-    alpha = rc.alpha
+    alpha = rc.sim.alpha
     rng = np.random.default_rng(0)
 
     val = gamma(0.0, 2.0, 1.5)
@@ -334,13 +334,13 @@ def _cmd_validate(args) -> int:
     if args.dump_matrices:
         out = Path(args.dump_matrices)
         out.mkdir(parents=True, exist_ok=True)
-        grid = rc.grid()
+        grid, alpha = rc.sim.grid, rc.sim.alpha
         frac = assemble_heterogeneous_generator(
-            grid, KernelParams(alpha=rc.alpha, theta=get_theta("one")))
+            grid, KernelParams(alpha=alpha, theta=get_theta("one")))
         np.savetxt(out / "fractional_generator.csv", frac,
                    fmt="%.17e", delimiter=",")
         het = assemble_heterogeneous_generator(
-            grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=0.5))
+            grid, KernelParams(alpha=alpha, theta=rc.sim.theta, epsilon=0.5))
         np.savetxt(out / "heterogeneous_generator.csv", het,
                    fmt="%.17e", delimiter=",")
         print(f"matrices dumped to {out}")

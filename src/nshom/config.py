@@ -1,5 +1,14 @@
-"""Run configuration: strict JSON schema with defaults, preset binding, and a
-canonical content hash for reproducibility manifests."""
+"""Run configuration: strict JSON schema with defaults, parsed once into typed
+objects, and a canonical content hash for reproducibility manifests.
+
+``RunConfig.from_dict`` merges the user's JSON over DEFAULTS and builds the
+Theta and V presets, the ``CellGrid`` and the ``SimConfig`` exactly once.
+Each type checks its own fields (``ThetaSpec`` its bounds, ``CellGrid`` the
+cell sizes and kernel mode, ``SimConfig`` alpha, T and theta_scheme,
+``NoiseModel`` the noise), and its errors become ``ConfigError`` under the
+label of what was being built. The same pass checks what no type owns: the
+schema version, integer sizes, real-number types, the dt rule and V's zero
+mean over the fast variable."""
 
 from __future__ import annotations
 
@@ -10,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .kernel import Grid1D, KernelParams
+from .kernel import Grid1D
 from .cell import CellGrid
 from .integrator import NoiseModel, SimConfig
 from . import presets
@@ -66,111 +75,75 @@ def _merge_strict(base: dict, user: dict, path: tuple = ()) -> dict:
     return out
 
 
-@dataclass
+def _build(label: str, make):
+    """make(), its errors reported as ConfigError under ``label``."""
+    try:
+        return make()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _check_untyped(d: dict) -> None:
+    """The checks no typed object owns: schema version, integer sizes,
+    real-number types and the dt rule."""
+    if d["schema_version"] != 1:
+        raise ConfigError(f"unsupported schema_version {d['schema_version']!r}")
+    sizes = {"grid.n": d["grid"]["n"], "seed": d["seed"],
+             **{f"cell.{k}": v for k, v in d["cell"].items()}}
+    for key, value in sizes.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if d["grid"]["n"] < 4:
+        raise ConfigError("grid.n must be at least 4")
+    reals = {"alpha": d["alpha"], "T": d["T"], "theta_scheme": d["theta_scheme"],
+             "g.sigma": d["g"]["sigma"]}
+    for key, value in reals.items():
+        if not _is_real(value):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+
+    rule = d["dt_rule"]
+    if not isinstance(rule, dict) or "kind" not in rule:
+        raise ConfigError("dt_rule must be an object with a 'kind'")
+    kind = rule["kind"]
+    if not isinstance(kind, str) or kind not in _DT_RULE_KEYS:
+        raise ConfigError(f"unknown dt_rule kind {kind!r}")
+    for key in _DT_RULE_KEYS[kind]:
+        value = rule.get(key)
+        if not _is_real(value) or not math.isfinite(value) or value <= 0:
+            raise ConfigError(f"{kind} dt_rule requires a finite positive number "
+                              f"{key!r}, got {value!r}")
+    stray = set(rule) - {"kind", *_DT_RULE_KEYS[kind]}
+    if stray:
+        raise ConfigError(f"unknown dt_rule keys {sorted(stray)}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration with bound presets and a stable hash."""
+    """The merged configuration ``data`` (what the manifest records and the
+    hash covers) and the typed objects parsed from it, each built once."""
 
     data: dict
+    sim: SimConfig
+    cell: CellGrid
+    seed: int
 
     @classmethod
     def from_dict(cls, user: dict) -> "RunConfig":
+        """Merge ``user`` over DEFAULTS and parse it once (module docstring)."""
         if not isinstance(user, dict):
             raise ConfigError("configuration must be a JSON object")
-        rc = cls(data=_merge_strict(DEFAULTS, user))
-        rc.validate()
-        return rc
-
-    # --- typed accessors -------------------------------------------------
-    @property
-    def alpha(self) -> float:
-        return float(self.data["alpha"])
-
-    @property
-    def n(self) -> int:
-        return int(self.data["grid"]["n"])
-
-    @property
-    def kernel_mode(self) -> str:
-        return self.data["kernel_mode"]
-
-    @property
-    def T(self) -> float:
-        return float(self.data["T"])
-
-    @property
-    def theta_scheme(self) -> float:
-        return float(self.data["theta_scheme"])
-
-    @property
-    def seed(self) -> int:
-        return int(self.data["seed"])
-
-    def grid(self) -> Grid1D:
-        return Grid1D.make(self.n)
-
-    def cell_grid(self) -> CellGrid:
-        c = self.data["cell"]
-        return CellGrid(m=int(c["m"]), m_tau=int(c["m_tau"]), n_images=int(c["n_images"]),
-                        kernel_mode=self.kernel_mode)
-
-    def theta_spec(self) -> presets.ThetaSpec:
-        tp = self.data["theta_preset"]
-        return presets.get_theta(tp["name"], **tp.get("params", {}))
-
-    def v_spec(self) -> presets.VSpec:
-        return presets.get_v(self.data["v_preset"])
-
-    def f_spec(self) -> presets.FSpec:
-        return presets.get_f(self.data["f_preset"])
-
-    def h_spec(self) -> presets.HSpec:
-        return presets.get_h(self.data["h_preset"])
-
-    def noise(self) -> NoiseModel:
-        g = self.data["g"]
-        return NoiseModel(kind=g["kind"], sigma=float(g["sigma"]))
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(grid=self.grid(), alpha=self.alpha, T=self.T,
-                         theta_scheme=self.theta_scheme, theta=self.theta_spec(),
-                         v_spec=self.v_spec(), f_spec=self.f_spec(),
-                         h_spec=self.h_spec(), noise=self.noise())
-
-    # --- validation and hashing ------------------------------------------
-    def validate(self) -> None:
-        """Build the typed objects, which check their own fields, and check
-        what no type owns: schema version, integer sizes, real-number types,
-        dt rule, zero-mean potential."""
-        d = self.data
-        if d["schema_version"] != 1:
-            raise ConfigError(f"unsupported schema_version {d['schema_version']!r}")
-        sizes = {"grid.n": d["grid"]["n"], "seed": d["seed"],
-                 **{f"cell.{k}": v for k, v in d["cell"].items()}}
-        for key, value in sizes.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if d["grid"]["n"] < 4:
-            raise ConfigError("grid.n must be at least 4")
-        reals = {"alpha": d["alpha"], "T": d["T"], "theta_scheme": d["theta_scheme"],
-                 "g.sigma": d["g"]["sigma"]}
-        for key, value in reals.items():
-            if not _is_real(value):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-
-        builders = (
-            ("theta preset", self.theta_spec),
-            ("potential preset", self.v_spec),
-            ("cell", self.cell_grid),
-            ("kernel", lambda: KernelParams(alpha=self.alpha, theta=self.theta_spec())),
-            ("simulation", self.sim_config),
-        )
-        for label, build in builders:
-            try:
-                build()
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{label}: {exc}") from exc
-
-        v = self.v_spec()
+        d = _merge_strict(DEFAULTS, user)
+        _check_untyped(d)
+        tp, c, g = d["theta_preset"], d["cell"], d["g"]
+        theta = _build("theta preset", lambda: presets.get_theta(tp["name"], **tp["params"]))
+        v = _build("potential preset", lambda: presets.get_v(d["v_preset"]))
+        cell = _build("cell", lambda: CellGrid(m=c["m"], m_tau=c["m_tau"], n_images=c["n_images"],
+                                               kernel_mode=d["kernel_mode"]))
+        sim = _build("simulation", lambda: SimConfig(
+            grid=Grid1D.make(d["grid"]["n"]), alpha=float(d["alpha"]), T=float(d["T"]),
+            theta_scheme=float(d["theta_scheme"]), theta=theta, v_spec=v,
+            f_spec=presets.get_f(d["f_preset"]), h_spec=presets.get_h(d["h_preset"]),
+            noise=NoiseModel(kind=g["kind"], sigma=float(g["sigma"]))))
         if not v.is_zero:
             worst = v.max_y_mean()
             if worst > 1e-12:
@@ -178,22 +151,13 @@ class RunConfig:
                     f"potential preset {v.name!r} has nonzero spatial mean "
                     f"(max |mean over y| = {worst:.2e}); the oscillating potential "
                     "must average to zero over the fast spatial variable")
+        return cls(data=d, sim=sim, cell=cell, seed=d["seed"])
 
-        rule = d["dt_rule"]
-        if not isinstance(rule, dict) or "kind" not in rule:
-            raise ConfigError("dt_rule must be an object with a 'kind'")
-        kind = rule["kind"]
-        if not isinstance(kind, str) or kind not in _DT_RULE_KEYS:
-            raise ConfigError(f"unknown dt_rule kind {kind!r}")
-        for key in _DT_RULE_KEYS[kind]:
-            value = rule.get(key)
-            if not _is_real(value) or not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"{kind} dt_rule requires a finite positive number "
-                                  f"{key!r}, got {value!r}")
-        stray = set(rule) - {"kind", *_DT_RULE_KEYS[kind]}
-        if stray:
-            raise ConfigError(f"unknown dt_rule keys {sorted(stray)}")
+    def sim_config(self) -> SimConfig:
+        """The parsed SimConfig; kept because perfbench/workloads.py calls it."""
+        return self.sim
 
+    # --- hashing and the time step ---------------------------------------
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
@@ -209,8 +173,8 @@ class RunConfig:
             raw = float(rule["dt"])
         else:
             raw = float(rule["default_dt"]) if eps is None else eps / float(rule["factor"])
-        n_steps = max(1, math.ceil(self.T / raw - 1e-12))
-        return self.T / n_steps, n_steps
+        n_steps = max(1, math.ceil(self.sim.T / raw - 1e-12))
+        return self.sim.T / n_steps, n_steps
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -98,14 +98,14 @@ class SweepReport:
 def solve_coefficients(rc: RunConfig) -> tuple[CellSolution, EffectiveCoefficients]:
     """Corrector solve on the configured cell grid and the three effective
     coefficients from it."""
-    cell = solve_cell_problem(rc.theta_spec(), rc.alpha, rc.cell_grid())
-    return cell, compute_effective_coefficients(cell, rc.v_spec())
+    cell = solve_cell_problem(rc.sim.theta, rc.sim.alpha, rc.cell)
+    return cell, compute_effective_coefficients(cell, rc.sim.v_spec)
 
 
 def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
-    grid = rc.grid()
+    grid = rc.sim.grid
     cell, coeffs = solve_coefficients(rc)
-    geff = assemble_effective_generator(coeffs, grid, rc.alpha)
+    geff = assemble_effective_generator(coeffs, grid, rc.sim.alpha)
     names = [name for name, _ in PSI_PRESETS]
     psis = np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS])
     return PreparedExperiment(grid=grid, cell_solution=cell, coefficients=coeffs,
@@ -116,10 +116,10 @@ def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
                    prepared: PreparedExperiment):
     """``integrator.lockstep`` of the heterogeneous and the effective system
     with one column per seed."""
-    cfg = rc.sim_config()
+    cfg = rc.sim
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
-    params = KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps)
+    params = KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps)
     g_het = assemble_heterogeneous_generator(prepared.grid, params)
     steppers = [ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
                 ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,
@@ -276,7 +276,7 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
     residual equals when the corrector vanishes. The coupled path of ``seed``
     is reduced step by step; if it diverges, its TrajectoryBlowup is raised.
     """
-    grid, alpha = prepared.grid, rc.alpha
+    grid, alpha = prepared.grid, rc.sim.alpha
     h = grid.h
     gam_x = _gamma_matrix(grid.nodes, alpha)
     gam_y = _gamma_matrix(grid.nodes, alpha, scale=eps)

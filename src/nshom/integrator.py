@@ -51,7 +51,7 @@ from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.blas import ztrsv
 from scipy.linalg.lapack import zlaswp
 
-from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
+from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
 from .effective import EffectiveCoefficients, assemble_effective_generator
 from .presets import FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta, get_v
 
@@ -161,9 +161,10 @@ class Effective:
     coeffs: EffectiveCoefficients
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Everything one trajectory needs besides the system choice and the path."""
+    """Everything one trajectory needs besides the system choice and the path;
+    frozen, since one instance serves every run of a configuration."""
 
     grid: Grid1D
     alpha: float
@@ -176,6 +177,7 @@ class SimConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
+        _check_alpha(self.alpha)
         if not 0.5 <= self.theta_scheme <= 1.0:
             raise ValueError(
                 f"theta_scheme must lie in [1/2, 1], got {self.theta_scheme!r}: below 1/2 "

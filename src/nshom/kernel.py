@@ -169,11 +169,20 @@ def _add_same_cell_term(a: np.ndarray, coef: float, d: np.ndarray, h: float,
         a[i[2:], i[:-2]] -= g[1:-1]
 
 
-def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
-    """Theta(y_i, y_j) at the fast-variable points y, symmetrized and checked
-    positive; None when Theta is constant (callers multiply by the constant)."""
+def _scalar_power(base: np.ndarray, e: float) -> np.ndarray:
+    """base ** e with the scalar power per entry: numpy's vectorized power can
+    differ from it in the last bit, and the scalar one keeps the weights equal
+    bit for bit to an entry-by-entry evaluation."""
+    return np.array([b ** e for b in base.tolist()])
+
+
+def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Pair weights Theta(y_i, y_j) at the fast-variable points y and their
+    diagonal: for a constant Theta the constant itself (callers multiply by
+    it, which keeps constant-coefficient results exact), otherwise the sample,
+    symmetrized and checked positive, and a copy of its diagonal."""
     if theta.constant is not None:
-        return None
+        return theta.constant, np.full(y.size, theta.constant)
     # Theta(y_i, y_j) and Theta(y_j, y_i), both sampled in row order: no transposed read
     tm, tm_t = theta.sample(y[:, None], y[None, :]), theta.sample(y[None, :], y[:, None])
     diff = tm - tm_t
@@ -184,7 +193,7 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> np.ndarray | None:
     tm *= 0.5
     if not tm.min() > 0.0:  # also true for NaN
         raise ValueError("Theta must be strictly positive on the grid")
-    return tm
+    return tm, np.diag(tm).copy()
 
 
 def _exterior_rule(d_min: float, length: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +239,8 @@ def exterior_weight(x: float | np.ndarray, params: KernelParams,
     if not (np.all(right > 0.0) and np.all(left > 0.0)):
         raise ValueError(f"exterior weight needs x strictly inside (-1 + {margin}, 1 - {margin})")
     if params.theta.constant is not None:
-        c = params.theta.constant
-        # scalar powers: numpy's vectorized power can differ in the last bit
-        ext = np.array([c * (r ** (-alpha) + l ** (-alpha)) / alpha
-                        for r, l in zip(right.ravel().tolist(), left.ravel().tolist())])
+        ext = params.theta.constant * (_scalar_power(right.ravel(), -alpha)
+                                       + _scalar_power(left.ravel(), -alpha)) / alpha
     else:
         eps = params.epsilon
         y = np.mod(xs.reshape(-1, 1) / eps, 1.0)
@@ -267,9 +274,8 @@ def _assembly_pieces(grid: Grid1D, params: KernelParams):
     col = np.concatenate(([0.0], q2))
     w = toeplitz(col)
 
-    tm = _theta_matrix(params.theta, np.mod(x / params.epsilon, 1.0))
-    w *= params.theta.constant if tm is None else tm
-    theta_diag = np.full(n, params.theta.constant) if tm is None else np.diag(tm).copy()
+    weights, theta_diag = _theta_matrix(params.theta, np.mod(x / params.epsilon, 1.0))
+    w *= weights
 
     ext = exterior_weight(x, params, margin=h / 2.0)
     return w, ext, theta_diag

@@ -105,11 +105,11 @@ def _theta_one() -> ThetaSpec:
 
 
 def _cosine_theta(name: str, term: Callable) -> Callable[..., ThetaSpec]:
-    """Factory of Theta = offset + term(amplitude, y, eta), where |term| <= amplitude."""
+    """Factory of Theta = offset + term(amplitude, y, eta), where |term| <= amplitude;
+    ThetaSpec's bound check (0 < offset - amplitude <= offset + amplitude)
+    keeps it positive."""
 
     def factory(amplitude: float = 0.5, offset: float = 1.0) -> ThetaSpec:
-        if not 0.0 <= amplitude < offset:
-            raise ValueError(f"{name} requires 0 <= amplitude < offset for positivity")
         return ThetaSpec(name, lambda y, eta: offset + term(amplitude, y, eta),
                          lower=offset - amplitude, upper=offset + amplitude,
                          params={"amplitude": amplitude, "offset": offset})

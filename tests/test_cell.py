@@ -317,9 +317,8 @@ def dense_same_cell_form(theta, alpha, grid):
     m, h = grid.m, 1.0 / grid.m
     mode = grid.kernel_mode
     w = index_offset_matrix(cell._even_offset_weights(m, alpha, grid.n_images, mode), mode)
-    tm = kernel._theta_matrix(theta, grid.y)
-    w *= theta.constant if tm is None else tm
-    theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm).copy()
+    weights, theta_diag = kernel._theta_matrix(theta, grid.y)
+    w *= weights
     i = np.arange(m)
     p = np.zeros((m, m))
     p[i, (i + 1) % m] = 1.0 / (2.0 * h)
@@ -370,9 +369,8 @@ class TestToeplitzExpansion:
         theta = get_theta(theta_name)
         w1 = index_offset_matrix(cell._odd_offset_weights(m, ALPHA, grid.n_images, mode),
                                  mode, odd=True)
-        tm = kernel._theta_matrix(theta, grid.y)
-        ref = 2.0 * np.sum(w1 * (theta.constant if tm is None else tm), axis=1)
-        theta_diag = np.full(m, theta.constant) if tm is None else np.diag(tm)
+        weights, theta_diag = kernel._theta_matrix(theta, grid.y)
+        ref = 2.0 * np.sum(w1 * weights, axis=1)
         ref += cell._psi_even(h, ALPHA) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
         assert np.array_equal(assemble_cell_rhs(theta, ALPHA, grid), ref)
 

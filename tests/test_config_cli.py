@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from nshom import presets
 from nshom.cli import main, parse_fraction
 from nshom.config import ConfigError, RunConfig, load_config
 
@@ -34,9 +35,35 @@ BAD_REALS = [
 class TestRunConfig:
     def test_minimal_config_gets_defaults(self):
         rc = RunConfig.from_dict({"alpha": 1.5})
-        assert rc.n == 256
-        assert rc.kernel_mode == "periodized"
+        assert rc.sim.grid.n == 256
+        assert rc.cell.kernel_mode == "periodized"
         assert rc.data["v_preset"] == "cos2pi_y_times_cos2pi_tau"
+
+    def test_default_hash_is_stable(self):
+        # the hash covers the merged data only, so parsing it leaves the hash as it was
+        assert RunConfig.from_dict({}).config_hash == (
+            "8247b1ba3d5e38302a1e6d298cc626c8e9d4550b647b934b5f4b68d6decadbd7")
+
+    def test_each_preset_is_built_once(self, monkeypatch):
+        calls = {"theta": 0, "v": 0}
+
+        def counting(key, lookup):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return lookup(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(presets, "get_theta", counting("theta", presets.get_theta))
+        monkeypatch.setattr(presets, "get_v", counting("v", presets.get_v))
+        rc = RunConfig.from_dict({"theta_preset": {"name": "cosine_sum", "params": {}}})
+        assert calls == {"theta": 1, "v": 1}
+        assert rc.sim.theta.name == "cosine_sum"
+
+    def test_parsed_objects_are_shared(self):
+        rc = RunConfig.from_dict({"seed": 7, "cell": {"m": 32}})
+        assert rc.sim_config() is rc.sim
+        assert rc.seed == 7 and rc.cell.m == 32 and rc.cell.m_tau == 16
+        assert not hasattr(rc, "validate")
 
     def test_hash_deterministic_and_order_invariant(self):
         a = RunConfig.from_dict({"alpha": 1.5, "grid": {"n": 64}, "T": 0.5})
@@ -72,7 +99,7 @@ class TestRunConfig:
 
     def test_zero_mean_potential_accepted(self):
         rc = RunConfig.from_dict({"v_preset": "cos2pi_y_times_cos2pi_tau"})
-        assert rc.v_spec().name == "cos2pi_y_times_cos2pi_tau"
+        assert rc.sim.v_spec.name == "cos2pi_y_times_cos2pi_tau"
 
     def test_unknown_presets_rejected(self):
         with pytest.raises(ConfigError, match="potential preset"):
@@ -108,13 +135,13 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("theta_s", [0.5, 1.0])
     def test_theta_scheme_bounds_accepted(self, theta_s):
-        assert RunConfig.from_dict({"theta_scheme": theta_s}).sim_config().theta_scheme == theta_s
+        assert RunConfig.from_dict({"theta_scheme": theta_s}).sim.theta_scheme == theta_s
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"alpha": 1.25, "grid": {"n": 32}}))
         rc = load_config(cfg_path)
-        assert rc.alpha == 1.25 and rc.n == 32
+        assert rc.sim.alpha == 1.25 and rc.sim.grid.n == 32
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
@@ -137,7 +164,7 @@ class TestRunConfig:
 
     def test_kernel_mode_reaches_the_cell_grid(self):
         rc = RunConfig.from_dict({"kernel_mode": "cell_truncated"})
-        assert rc.cell_grid().kernel_mode == "cell_truncated"
+        assert rc.cell.kernel_mode == "cell_truncated"
 
 
 class TestCliBasics:

@@ -51,7 +51,7 @@ class TestCoupledPair:
         prepared = prepare_experiment(rc)
         out = coupled_pair_error(0.25, rc, seed=0, prepared=prepared)
         # relative to the trajectory scale dt*h*sum|u|^2 ~ T * 1
-        assert out.error / rc.T < 1e-16
+        assert out.error / rc.sim.T < 1e-16
         assert not out.excluded
 
     def test_deterministic_error_identical_across_seeds(self):
@@ -86,7 +86,7 @@ class TestSweep:
         # test-function mass
         grid = prepared.grid
         for j, (_, fn) in enumerate(zip(report.psi_names, prepared.psi_values)):
-            psi_mass = rc.T * grid.h * float(np.sum(np.abs(prepared.psi_values[j]) ** 2))
+            psi_mass = rc.sim.T * grid.h * float(np.sum(np.abs(prepared.psi_values[j]) ** 2))
             for i in range(len(errs)):
                 bound = np.sqrt(errs[i] * psi_mass) * (1.0 + 1e-9)
                 assert report.weak_err[i][j] <= bound
@@ -186,7 +186,7 @@ class TestEnsemble:
         dt = rc.resolve_dt(0.5)[0]
         g_eff = prepared.effective_generator.astype(complex)
         g_eff[:, 3] = 0.0
-        g_eff[3, 3] = 1j / (rc.theta_scheme * dt)
+        g_eff[3, 3] = 1j / (rc.sim.theta_scheme * dt)
         singular = dataclasses.replace(prepared, effective_generator=g_eff)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -304,7 +304,7 @@ def test_perfbench_tracer_sees_one_solve_per_single_path_step(prepared_default):
     tracer = perfbench_tracer()
     tracer.install_nshom()
     try:
-        integrator.simulate(integrator.Effective(prepared.coefficients), rc.sim_config(),
+        integrator.simulate(integrator.Effective(prepared.coefficients), rc.sim,
                             path, generator=prepared.effective_generator,
                             store_trajectory=False)
     finally:
@@ -369,13 +369,13 @@ class TestEffectiveDriftValidation:
         assert abs(prepared.coefficients.xi3) > 1e-3
         naive = assemble_effective_generator(
             EffectiveCoefficients.from_values(prepared.coefficients.xi1),
-            prepared.grid, rc.alpha)
-        cfg = rc.sim_config()
+            prepared.grid, rc.sim.alpha)
+        cfg = rc.sim
         eps = 0.125
         dt, n_steps = rc.resolve_dt(eps)
         path = brownian_increments(0, n_steps, dt)
         g_het = assemble_heterogeneous_generator(
-            prepared.grid, KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps))
+            prepared.grid, KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
         res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het)
         errors = {}
         for label, gen in (("full", prepared.effective_generator), ("naive", naive)):
@@ -388,15 +388,15 @@ class TestEffectiveDriftValidation:
 def stored_trajectory_residual(eps, rc, seed, prepared):
     """The corrector diagnostic reduced from two stored ``simulate``
     trajectories, one per system, on the same Brownian path."""
-    cfg = rc.sim_config()
+    cfg = rc.sim
     dt, n_steps = rc.resolve_dt(eps)
     path = integrator.brownian_increments(seed, n_steps, dt)
     g_het = kernel.assemble_heterogeneous_generator(
-        prepared.grid, kernel.KernelParams(alpha=rc.alpha, theta=rc.theta_spec(), epsilon=eps))
+        prepared.grid, kernel.KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
     res_het = integrator.simulate(integrator.Heterogeneous(eps), cfg, path, generator=g_het)
     res_eff = integrator.simulate(integrator.Effective(prepared.coefficients), cfg, path,
                                   generator=prepared.effective_generator)
-    grid, alpha = prepared.grid, rc.alpha
+    grid, alpha = prepared.grid, rc.sim.alpha
     gam_x = harness._gamma_matrix(grid.nodes, alpha)
     gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
     zmat = effective.zeta_matrix(grid, alpha)

@@ -2,6 +2,7 @@
 under the theta scheme, Ito identity bookkeeping, and self-convergence."""
 
 import ast
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -186,6 +187,17 @@ class TestThetaScheme:
         # below 1/2 the scheme amplifies every mode of a Hermitian generator
         with pytest.raises(ValueError, match=r"theta_scheme must lie in \[1/2, 1\]"):
             SimConfig(grid=grid, alpha=ALPHA, T=1.0, theta_scheme=theta_s)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5, float("nan")])
+    def test_alpha_outside_one_to_two_is_rejected(self, grid, alpha):
+        # the potential amplitude eps^{(1 - alpha)/2} and the kernel assume 1 < alpha < 2
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\)"):
+            SimConfig(grid=grid, alpha=alpha, T=1.0)
+
+    def test_config_is_frozen(self, grid):
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.T = 2.0
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
     @pytest.mark.parametrize("make", [

@@ -382,6 +382,16 @@ class TestVectorizedExteriorWeight:
         per_node = assemble_heterogeneous_generator(grid, params)
         assert np.array_equal(fast, per_node)
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.25, 1.5, 1.75, 1.99])
+    @pytest.mark.parametrize("n", [4, 5, 257, 2048])
+    def test_constant_theta_weight_matches_per_node_bitwise(self, n, alpha):
+        grid = Grid1D.make(n)
+        params = KernelParams(alpha=alpha, theta=get_theta("one"))
+        for margin in (0.0, grid.h / 2):
+            ref = per_node_closed_form_weight(grid.nodes, params, margin=margin)
+            assert np.array_equal(exterior_weight(grid.nodes, params, margin=margin), ref)
+            assert exterior_weight(float(grid.nodes[1]), params, margin=margin) == ref[1]
+
 
 class TestPVOracle:
     def test_zero_function(self):
@@ -478,8 +488,9 @@ THETA_SPECS = [get_theta(name) for name in ("cosine_product", "cosine_shift", "c
 
 
 class TestThetaMatrix:
-    """``_theta_matrix`` samples Theta both ways in row order; the result must
-    be the transposed-read average 0.5 (T + T^T) it replaced, bit for bit."""
+    """``_theta_matrix`` samples Theta both ways in row order; the weights must
+    be the transposed-read average 0.5 (T + T^T) it replaced, bit for bit, and
+    the diagonal a copy of theirs."""
 
     @staticmethod
     def transposed_average(theta, y):
@@ -490,15 +501,17 @@ class TestThetaMatrix:
     @pytest.mark.parametrize("m", [64, 129, 1024])
     def test_cell_grid_matches_transposed_average_bitwise(self, theta, m):
         y = CellGrid(m=m).y
-        got = kernel._theta_matrix(theta, y)
+        got, diag = kernel._theta_matrix(theta, y)
         assert got.flags.c_contiguous
         assert np.array_equal(got, self.transposed_average(theta, y))
+        assert np.array_equal(diag, np.diag(got)) and not np.shares_memory(diag, got)
 
     @pytest.mark.parametrize("theta", THETA_SPECS, ids=lambda t: f"{t.name}-{t.params}")
     @pytest.mark.parametrize("n, eps", [(256, 1 / 16), (257, 0.3)])
     def test_fast_grid_matches_transposed_average_bitwise(self, theta, n, eps):
         y = np.mod(Grid1D.make(n).nodes / eps, 1.0)
-        assert np.array_equal(kernel._theta_matrix(theta, y), self.transposed_average(theta, y))
+        got, _ = kernel._theta_matrix(theta, y)
+        assert np.array_equal(got, self.transposed_average(theta, y))
 
     def test_asymmetric_sample_names_the_preset(self):
         tilted = ThetaSpec("tilted", lambda y, eta: 1.0 + 0.1 * y + 0.0 * eta,
@@ -517,5 +530,7 @@ class TestThetaMatrix:
         with pytest.raises(ValueError, match="strictly positive on the grid"):
             kernel._theta_matrix(signed, np.arange(32) / 32)
 
-    def test_constant_theta_is_none(self):
-        assert kernel._theta_matrix(get_theta("one"), np.arange(8) / 8) is None
+    def test_constant_theta_gives_the_constant_and_its_diagonal(self):
+        weights, diag = kernel._theta_matrix(get_theta("one"), np.arange(8) / 8)
+        assert weights == 1.0 and isinstance(weights, float)
+        assert np.array_equal(diag, np.ones(8))

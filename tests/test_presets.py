@@ -31,9 +31,12 @@ def test_cosine_theta_samples_bitwise(name, params, amplitude, offset):
 
 
 @pytest.mark.parametrize("name", sorted(COSINE_THETAS))
-def test_cosine_theta_rejects_nonpositive_bounds(name):
-    with pytest.raises(ValueError, match=f"^{name} requires 0 <= amplitude < offset"):
-        get_theta(name, amplitude=1.0, offset=1.0)
+@pytest.mark.parametrize("amplitude", [1.0, -0.1, float("nan")])
+def test_cosine_theta_rejects_nonpositive_bounds(name, amplitude):
+    # amplitude >= offset gives lower <= 0, a negative one lower > upper, and
+    # NaN fails both; ThetaSpec is the one place that checks the bounds
+    with pytest.raises(ValueError, match=f"^'{name}' needs finite bounds 0 < lower <= upper"):
+        get_theta(name, amplitude=amplitude, offset=1.0)
 
 
 @pytest.mark.parametrize("lookup, message", [
