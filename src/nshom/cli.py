@@ -24,14 +24,14 @@ from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residua
 from .config import ConfigError, RunConfig, load_config
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         restricted_divergence_matrix, zeta_matrix)
-from .harness import (SweepFailure, SweepReport, check_sweep_args, corrector_residual,
-                      eps_sweep, prepare_experiment, solve_coefficients)
+from .harness import (STRONG_ERROR_DEFINITION, SweepFailure, SweepReport, check_sweep_args,
+                      corrector_residual, eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, NoiseModel,
                          SimConfig, TrajectoryBlowup, brownian_increments, simulate)
 from .kernel import (Grid1D, KernelParams, PVConvergenceError,
                      assemble_heterogeneous_generator, dstar_apply, gamma,
                      h_rho_norm_sq, rho)
-from .presets import get_theta, get_v
+from .presets import PSI_PRESETS, get_theta, get_v
 
 OUT_ROOT_ENV = "NSHOM_OUT"
 
@@ -177,7 +177,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport) -> None:
-    k = len(report.psi_names)
+    k = len(PSI_PRESETS)
     names = (["eps", "strong_err", "strong_se"]
              + [f"weak_err_{j + 1}" for j in range(k)] + ["excluded", "wall_s"])
     cols = [np.array(report.eps_list), np.array(report.strong_err),
@@ -188,8 +188,8 @@ def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport) -> None:
     cols.append(np.array(report.wall_s))
     _write_csv(out / "sweep.csv", names, cols)
     fit = dict(report.fit)
-    fit["definition"] = report.definition
-    fit["psi"] = report.psi_names
+    fit["definition"] = STRONG_ERROR_DEFINITION
+    fit["psi"] = [name for name, _ in PSI_PRESETS]
     (out / "fit.json").write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "sweep", rc, seeds=report.seeds,
                     extra={"eps_list": report.eps_list, "n_paths": report.n_paths})

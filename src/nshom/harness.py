@@ -9,20 +9,23 @@ The strong-error surrogate for one path is the discrete space-time norm
 The generator of each eps is assembled once, and ``integrator.lockstep``, the
 loop of ``simulate``, steps both systems over all paths; the sweep's error
 integrals and the corrector diagnostic are reduced from its states step by
-step, so no trajectory is stored. Sweep reports aggregate over paths:
-mean, Monte Carlo standard error, weak errors against fixed test functions,
-exclusion counts for diverged paths, and a log-log slope fit of the mean
-strong error against eps (reported as data, not gated).
+step, so no trajectory is stored. ``coupled_errors`` returns the reductions
+as arrays, one entry per path; a sweep reduces them over the paths it kept:
+mean, Monte Carlo standard error (NaN with fewer than 2 kept paths), weak
+errors against the ``PSI_PRESETS`` test functions, exclusion counts for
+diverged paths, and a log-log slope fit of the mean strong error against eps
+(reported as data, not gated).
 
 Failure policy:
 
 * A factorization is shared by every path at its (system, eps, phase), so a
   ``LinearSolveError`` ends the sweep at once; the CLI reports it with exit
   code 3.
-* A ``TrajectoryBlowup`` belongs to one path: that column is excluded with
-  its reason and a warning, and the other columns are stepped with unchanged
-  arithmetic. An eps level that excludes more than 20 % of its paths fails
-  the sweep with ``SweepFailure``; the corrector diagnostic, on one path, raises it.
+* A ``TrajectoryBlowup`` belongs to one path: that column is NaN in the
+  error arrays, its reason is returned and warned, and the other columns are
+  stepped with unchanged arithmetic. An eps level that excludes more than
+  20 % of its paths fails the sweep with ``SweepFailure``; the corrector
+  diagnostic, on one path, raises it.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from .config import RunConfig
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 # simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
-from .integrator import (Effective, Heterogeneous, ThetaStepper, brownian_increments,
-                         lockstep, simulate)
-from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
+from .integrator import (Effective, Heterogeneous, ThetaStepper, TrajectoryBlowup,
+                         brownian_increments, lockstep, simulate)
+from .kernel import KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS
 
 STRONG_ERROR_DEFINITION = (
@@ -62,22 +65,11 @@ class SweepFailure(RuntimeError):
 @dataclass
 class PreparedExperiment:
     """Epsilon-independent pieces shared across a sweep: cell solve, effective
-    coefficients and generator, test functions."""
+    coefficients and generator."""
 
-    grid: Grid1D
     cell_solution: CellSolution
     coefficients: EffectiveCoefficients
     effective_generator: np.ndarray
-    psi_names: list[str]
-    psi_values: np.ndarray  # (n_psi, n)
-
-
-@dataclass
-class PathOutcome:
-    error: float
-    weak: np.ndarray
-    excluded: bool = False
-    reason: str = ""
 
 
 @dataclass
@@ -89,10 +81,8 @@ class SweepReport:
     weak_err: list[list[float]]  # per eps, per psi
     excluded: list[int]
     wall_s: list[float]
-    psi_names: list[str]
     fit: dict
     seeds: list[int]
-    definition: str = STRONG_ERROR_DEFINITION
 
 
 def solve_coefficients(rc: RunConfig) -> tuple[CellSolution, EffectiveCoefficients]:
@@ -103,13 +93,10 @@ def solve_coefficients(rc: RunConfig) -> tuple[CellSolution, EffectiveCoefficien
 
 
 def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
-    grid = rc.sim.grid
     cell, coeffs = solve_coefficients(rc)
-    geff = assemble_effective_generator(coeffs, grid, rc.sim.alpha)
-    names = [name for name, _ in PSI_PRESETS]
-    psis = np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS])
-    return PreparedExperiment(grid=grid, cell_solution=cell, coefficients=coeffs,
-                              effective_generator=geff, psi_names=names, psi_values=psis)
+    geff = assemble_effective_generator(coeffs, rc.sim.grid, rc.sim.alpha)
+    return PreparedExperiment(cell_solution=cell, coefficients=coeffs,
+                              effective_generator=geff)
 
 
 def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
@@ -120,7 +107,7 @@ def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
     params = KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps)
-    g_het = assemble_heterogeneous_generator(prepared.grid, params)
+    g_het = assemble_heterogeneous_generator(cfg.grid, params)
     steppers = [ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
                 ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,
                              generator=prepared.effective_generator)]
@@ -128,38 +115,36 @@ def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
     return lockstep(steppers, u0, dw)
 
 
-def coupled_errors(eps: float, rc: RunConfig, seeds: list[int],
-                   prepared: PreparedExperiment) -> list[PathOutcome]:
-    """Strong and weak error integrals of the coupled paths of ``seeds``; a
-    column that diverges is excluded with its reason."""
-    psi_conj = np.conj(prepared.psi_values.T)
-    n_psi = len(prepared.psi_names)
+def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: PreparedExperiment
+                   ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryBlowup | None]]:
+    """Strong and weak error integrals of the coupled paths of ``seeds``, as
+    ``(err, weak, reasons)``: ``err`` is (P,), ``weak`` is (P, n_psi) against
+    ``PSI_PRESETS``, and ``reasons[j]`` is the TrajectoryBlowup of a column
+    that diverged (NaN in ``err`` and ``weak``, and warned) or None."""
+    grid = rc.sim.grid
+    psi_conj = np.conj(np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS]).T)
     err = np.zeros(len(seeds))
-    weak = np.zeros((len(seeds), n_psi), dtype=complex)
+    weak = np.zeros((len(seeds), len(PSI_PRESETS)), dtype=complex)
     for _, (u_het, u_eff), dead, reasons in _coupled_steps(eps, rc, seeds, prepared):
         diff = u_het - u_eff
         err += np.sum(diff.real ** 2 + diff.imag ** 2, axis=0)
         weak += diff.T @ psi_conj
 
-    scale = rc.resolve_dt(eps)[0] * prepared.grid.h
-    outcomes = []
-    for j, seed in enumerate(seeds):
-        if dead[j]:
-            warnings.warn(f"coupled path seed={seed} eps={eps} diverged: {reasons[j]}")
-            outcomes.append(PathOutcome(error=float("nan"),
-                                        weak=np.full(n_psi, np.nan, dtype=complex),
-                                        excluded=True, reason=str(reasons[j])))
-        else:
-            outcomes.append(PathOutcome(error=float(scale * err[j]), weak=scale * weak[j]))
-    return outcomes
+    # NaN before scaling: a diverged column may hold inf, and complex inf * scale warns
+    err[dead] = np.nan
+    weak[dead] = np.nan
+    scale = rc.resolve_dt(eps)[0] * grid.h
+    err *= scale
+    weak *= scale
+    for j in np.flatnonzero(dead):
+        warnings.warn(f"coupled path seed={seeds[j]} eps={eps} diverged: {reasons[j]}")
+    return err, weak, reasons
 
 
 def coupled_pair_error(eps: float, rc: RunConfig, seed: int,
-                       prepared: PreparedExperiment) -> PathOutcome:
-    """Strong and weak error integrals for one coupled path (the one-column
-    case of ``coupled_errors``); a diverged path is flagged for exclusion
-    instead of propagating."""
-    return coupled_errors(eps, rc, [seed], prepared)[0]
+                       prepared: PreparedExperiment):
+    """The one-column case of ``coupled_errors``."""
+    return coupled_errors(eps, rc, [seed], prepared)
 
 
 def fit_loglog(eps_list: list[float], errors: list[float],
@@ -217,33 +202,28 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
     failure = None
     for eps in eps_arr:
         t0 = time.perf_counter()
-        outcomes = coupled_errors(eps, rc, seeds, prepared)
+        err, weak, reasons = coupled_errors(eps, rc, seeds, prepared)
         wall = time.perf_counter() - t0
-        kept = [o for o in outcomes if not o.excluded]
-        n_excl = len(outcomes) - len(kept)
+        kept = np.array([r is None for r in reasons])
+        n_excl = n_paths - int(kept.sum())
         if progress is not None:
-            progress(eps, len(kept), n_excl, wall)
+            progress(eps, n_paths - n_excl, n_excl, wall)
         excludeds.append(n_excl)
         walls.append(wall)
-        if not kept:
-            strong.append(float("nan"))
-            ses.append(float("nan"))
-            weaks.append([float("nan")] * len(prepared.psi_names))
+        if kept.any():
+            strong.append(float(err[kept].mean()))
+            weaks.append([float(np.abs(weak[kept, j].mean())) for j in range(weak.shape[1])])
         else:
-            errs = np.array([o.error for o in kept])
-            strong.append(float(errs.mean()))
-            ses.append(monte_carlo_se(errs))
-            weak_mat = np.stack([o.weak for o in kept])
-            weaks.append([float(np.abs(weak_mat[:, j].mean()))
-                          for j in range(len(prepared.psi_names))])
+            strong.append(float("nan"))
+            weaks.append([float("nan")] * weak.shape[1])
+        ses.append(monte_carlo_se(err[kept]))
         if n_excl > MAX_EXCLUDED_FRACTION * n_paths and failure is None:
             failure = (f"eps={eps}: {n_excl}/{n_paths} paths excluded "
                        f"(limit {MAX_EXCLUDED_FRACTION:.0%})")
 
     report = SweepReport(eps_list=eps_arr, n_paths=n_paths, strong_err=strong,
                          strong_se=ses, weak_err=weaks, excluded=excludeds,
-                         wall_s=walls, psi_names=list(prepared.psi_names),
-                         fit=fit_loglog(eps_arr, strong), seeds=seeds)
+                         wall_s=walls, fit=fit_loglog(eps_arr, strong), seeds=seeds)
     if failure is not None:
         raise SweepFailure(failure, report=report)
     return report
@@ -258,10 +238,9 @@ def _gamma_matrix(nodes: np.ndarray, alpha: float, scale: float = 1.0) -> np.nda
     return out
 
 
-def _interp_periodic(chi: np.ndarray, points: np.ndarray) -> np.ndarray:
-    m = chi.size
-    yg = np.concatenate([np.arange(m) / m, [1.0]])
-    vals = np.concatenate([chi, chi[:1]])
+def _interp_periodic(cell: CellSolution, points: np.ndarray) -> np.ndarray:
+    yg = np.concatenate([cell.grid.y, [1.0]])
+    vals = np.concatenate([cell.chi, cell.chi[:1]])
     return np.interp(np.mod(points, 1.0), yg, vals)
 
 
@@ -276,12 +255,12 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
     residual equals when the corrector vanishes. The coupled path of ``seed``
     is reduced step by step; if it diverges, its TrajectoryBlowup is raised.
     """
-    grid, alpha = prepared.grid, rc.sim.alpha
+    grid, alpha = rc.sim.grid, rc.sim.alpha
     h = grid.h
     gam_x = _gamma_matrix(grid.nodes, alpha)
     gam_y = _gamma_matrix(grid.nodes, alpha, scale=eps)
     zmat = zeta_matrix(grid, alpha)
-    chi_fast = _interp_periodic(prepared.cell_solution.chi, grid.nodes / eps)
+    chi_fast = _interp_periodic(prepared.cell_solution, grid.nodes / eps)
     chi_diff = chi_fast[None, :] - chi_fast[:, None]
 
     total = 0.0
@@ -305,8 +284,8 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
 
 
 def monte_carlo_se(values: np.ndarray) -> float:
-    """Standard error of the mean estimator."""
+    """Standard error of the mean estimator; NaN for fewer than 2 values."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
-        return 0.0
+        return float("nan")
     return float(values.std(ddof=1) / np.sqrt(values.size))

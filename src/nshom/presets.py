@@ -50,7 +50,6 @@ class VSpec:
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
     is_zero: bool = False
 
     def sample(self, y, tau) -> np.ndarray:
@@ -60,10 +59,10 @@ class VSpec:
             return np.zeros(np.broadcast(y, tau).shape)
         return np.asarray(self.fn(y, tau), dtype=float)
 
-    def max_y_mean(self, m: int = 512, n_tau: int = 17) -> float:
-        """Largest |mean over y| across a sample of tau values."""
-        y = np.arange(m) / m
-        taus = np.arange(n_tau) / n_tau
+    def max_y_mean(self) -> float:
+        """Largest |mean over y| on 512 y-nodes across 17 tau values."""
+        y = np.arange(512) / 512
+        taus = np.arange(17) / 17
         worst = 0.0
         for tau in taus:
             worst = max(worst, abs(float(np.mean(self.sample(y, tau)))))
@@ -72,14 +71,14 @@ class VSpec:
 
 @dataclass(frozen=True)
 class FSpec:
-    """Deterministic forcing f(t, x); ``is_zero`` short-circuits the stepper."""
+    """Deterministic forcing f(t, x); ``fn=None`` is zero forcing, which the
+    stepper skips."""
 
     name: str
     fn: Callable[[float, np.ndarray], np.ndarray] | None
-    is_zero: bool = False
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray | None:
-        if self.is_zero or self.fn is None:
+        if self.fn is None:
             return None
         return np.asarray(self.fn(t, x), dtype=complex)
 
@@ -163,7 +162,7 @@ V_PRESETS: dict[str, Callable[[], VSpec]] = {
 
 
 F_PRESETS: dict[str, Callable[[], FSpec]] = {
-    "zero": lambda: FSpec("zero", None, is_zero=True),
+    "zero": lambda: FSpec("zero", None),
     "bump_cos_t": lambda: FSpec(
         "bump_cos_t",
         lambda t, x: ((1.0 - x ** 2) ** 2 * np.cos(t)).astype(complex)),

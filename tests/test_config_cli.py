@@ -315,6 +315,17 @@ class TestCliCommands:
         header = (out / "sweep.csv").read_text().splitlines()[0]
         assert header.split(",")[:3] == ["eps", "strong_err", "strong_se"]
 
+    def test_sweep_fit_names_the_error_definition_and_test_functions(self, tmp_path):
+        from nshom.harness import STRONG_ERROR_DEFINITION
+
+        cfg = self._small_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--eps", "1/2", "--paths", "2",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["definition"] == STRONG_ERROR_DEFINITION
+        assert fit["psi"] == ["poly_bump", "fourier_bump"]
+
     def test_sweep_multi_eps(self, tmp_path):
         cfg = self._small_cfg(tmp_path, dt_rule={"kind": "eps_over", "factor": 8,
                                                  "default_dt": 0.0078125})

@@ -15,14 +15,13 @@ from nshom.harness import (
     SweepFailure,
     corrector_residual,
     coupled_errors,
-    coupled_pair_error,
     eps_sweep,
     fit_loglog,
     monte_carlo_se,
     prepare_experiment,
 )
 from nshom.integrator import LinearSolveError, TrajectoryBlowup
-from nshom.presets import get_theta
+from nshom.presets import PSI_PRESETS, get_theta
 
 SMALL = {
     "alpha": 1.5,
@@ -49,29 +48,29 @@ class TestCoupledPair:
         # identical generators by construction: constant coefficient, no potential
         rc = make_config(v_preset="zero", g={"kind": "zero", "sigma": 0.0})
         prepared = prepare_experiment(rc)
-        out = coupled_pair_error(0.25, rc, seed=0, prepared=prepared)
+        err, _, reasons = coupled_errors(0.25, rc, [0], prepared)
         # relative to the trajectory scale dt*h*sum|u|^2 ~ T * 1
-        assert out.error / rc.sim.T < 1e-16
-        assert not out.excluded
+        assert err[0] / rc.sim.T < 1e-16
+        assert reasons == [None]
 
     def test_deterministic_error_identical_across_seeds(self):
         rc = make_config(g={"kind": "zero", "sigma": 0.0})
         prepared = prepare_experiment(rc)
-        e1 = coupled_pair_error(0.25, rc, seed=1, prepared=prepared).error
-        e2 = coupled_pair_error(0.25, rc, seed=999, prepared=prepared).error
+        e1 = coupled_errors(0.25, rc, [1], prepared)[0][0]
+        e2 = coupled_errors(0.25, rc, [999], prepared)[0][0]
         assert e1 == pytest.approx(e2, rel=1e-12)
 
     def test_distinct_seeds_distinct_but_same_order(self, prepared_default):
         rc, prepared = prepared_default
-        e1 = coupled_pair_error(0.25, rc, seed=1, prepared=prepared).error
-        e2 = coupled_pair_error(0.25, rc, seed=2, prepared=prepared).error
+        e1 = coupled_errors(0.25, rc, [1], prepared)[0][0]
+        e2 = coupled_errors(0.25, rc, [2], prepared)[0][0]
         assert e1 != e2
         assert 0.2 < e1 / e2 < 5.0
 
     def test_error_decreases_between_eps_levels(self, prepared_default):
         rc, prepared = prepared_default
-        e_coarse = coupled_pair_error(0.25, rc, seed=3, prepared=prepared).error
-        e_fine = coupled_pair_error(0.0625, rc, seed=3, prepared=prepared).error
+        e_coarse = coupled_errors(0.25, rc, [3], prepared)[0][0]
+        e_fine = coupled_errors(0.0625, rc, [3], prepared)[0][0]
         assert e_fine < e_coarse
 
 
@@ -84,9 +83,9 @@ class TestSweep:
         assert all(x == 0 for x in report.excluded)
         # weak errors bounded via Cauchy-Schwarz by the strong error and the
         # test-function mass
-        grid = prepared.grid
-        for j, (_, fn) in enumerate(zip(report.psi_names, prepared.psi_values)):
-            psi_mass = rc.sim.T * grid.h * float(np.sum(np.abs(prepared.psi_values[j]) ** 2))
+        grid = rc.sim.grid
+        for j, (_, fn) in enumerate(PSI_PRESETS):
+            psi_mass = rc.sim.T * grid.h * float(np.sum(np.abs(fn(grid.nodes)) ** 2))
             for i in range(len(errs)):
                 bound = np.sqrt(errs[i] * psi_mass) * (1.0 + 1e-9)
                 assert report.weak_err[i][j] <= bound
@@ -134,6 +133,21 @@ class TestSweep:
         assert report is not None
         assert list(report.excluded) == [2, 2]
 
+    def test_one_kept_path_has_no_standard_error(self):
+        # sigma = 17 at a coarse fixed step diverges one of the two paths at each eps
+        rc = RunConfig.from_dict({"alpha": 1.5, "grid": {"n": 32},
+                                  "cell": {"m": 16, "m_tau": 2, "n_images": 2},
+                                  "g": {"kind": "linear", "sigma": 17.0},
+                                  "dt_rule": {"kind": "fixed", "dt": 1.0 / 32.0}})
+        with pytest.warns(UserWarning, match="diverged"):
+            with pytest.raises(SweepFailure) as excinfo:
+                eps_sweep([0.5, 0.25], 2, rc)
+        report = excinfo.value.report
+        assert report.excluded == [1, 1]
+        assert all(type(x) is int for x in report.excluded)
+        assert np.isfinite(report.strong_err).all()
+        assert np.isnan(report.strong_se).all()
+
 
 class TestEnsemble:
     @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
@@ -144,10 +158,10 @@ class TestEnsemble:
         eps_list, n_paths = [0.5, 0.25], 3
         report = eps_sweep(eps_list, n_paths, rc, prepared=prepared)
         for i, eps in enumerate(eps_list):
-            pairs = [coupled_pair_error(eps, rc, s, prepared) for s in report.seeds]
+            pairs = [coupled_errors(eps, rc, [s], prepared) for s in report.seeds]
             assert report.strong_err[i] == pytest.approx(
-                np.mean([p.error for p in pairs]), rel=1e-10)
-            weak = np.abs(np.mean([p.weak for p in pairs], axis=0))
+                np.mean([err[0] for err, _, _ in pairs]), rel=1e-10)
+            weak = np.abs(np.mean([w[0] for _, w, _ in pairs], axis=0))
             np.testing.assert_allclose(report.weak_err[i], weak, rtol=1e-10)
 
     def test_cyclic_sweep_factorizes_eight_plus_one_per_eps(self, prepared_default,
@@ -199,7 +213,7 @@ class TestEnsemble:
                                                               monkeypatch):
         rc, prepared = prepared_default
         seeds = [0, 1, 2]
-        baseline = coupled_errors(0.25, rc, seeds, prepared)
+        base_err, base_weak, _ = coupled_errors(0.25, rc, seeds, prepared)
         real_increments = harness.brownian_increments
 
         def huge_for_seed_one(seed, n_steps, dt):
@@ -210,12 +224,13 @@ class TestEnsemble:
 
         monkeypatch.setattr(harness, "brownian_increments", huge_for_seed_one)
         with pytest.warns(UserWarning, match="seed=1 eps=0.25 diverged"):
-            outcomes = coupled_errors(0.25, rc, seeds, prepared)
-        assert [o.excluded for o in outcomes] == [False, True, False]
-        assert "diverged at step 1" in outcomes[1].reason
-        for j in (0, 2):
-            assert outcomes[j].error == baseline[j].error
-            assert np.array_equal(outcomes[j].weak, baseline[j].weak)
+            err, weak, reasons = coupled_errors(0.25, rc, seeds, prepared)
+        assert np.isnan(err[1]) and np.isnan(weak[1]).all()
+        assert "diverged at step 1" in str(reasons[1])
+        assert reasons[0] is None and reasons[2] is None
+        kept = [0, 2]
+        assert np.array_equal(err[kept], base_err[kept])
+        assert np.array_equal(weak[kept], base_weak[kept])
 
 
 def perfbench_tracer():
@@ -350,6 +365,10 @@ class TestFitAndEstimators:
             expected = np.sqrt(m_big / m_small)
             assert abs(ratio / expected - 1.0) < 0.30
 
+    def test_se_of_fewer_than_two_values_is_nan(self):
+        assert np.isnan(monte_carlo_se([]))
+        assert np.isnan(monte_carlo_se([1.0]))
+
 
 class TestEffectiveDriftValidation:
     def test_zeta_terms_improve_the_effective_approximation(self):
@@ -369,19 +388,19 @@ class TestEffectiveDriftValidation:
         assert abs(prepared.coefficients.xi3) > 1e-3
         naive = assemble_effective_generator(
             EffectiveCoefficients.from_values(prepared.coefficients.xi1),
-            prepared.grid, rc.sim.alpha)
+            rc.sim.grid, rc.sim.alpha)
         cfg = rc.sim
         eps = 0.125
         dt, n_steps = rc.resolve_dt(eps)
         path = brownian_increments(0, n_steps, dt)
         g_het = assemble_heterogeneous_generator(
-            prepared.grid, KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
+            rc.sim.grid, KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
         res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het)
         errors = {}
         for label, gen in (("full", prepared.effective_generator), ("naive", naive)):
             res_eff = simulate(Effective(prepared.coefficients), cfg, path, generator=gen)
             diff = res_het.trajectory[1:] - res_eff.trajectory[1:]
-            errors[label] = dt * prepared.grid.h * float(np.sum(np.abs(diff) ** 2))
+            errors[label] = dt * rc.sim.grid.h * float(np.sum(np.abs(diff) ** 2))
         assert errors["full"] < errors["naive"]
 
 
@@ -392,15 +411,15 @@ def stored_trajectory_residual(eps, rc, seed, prepared):
     dt, n_steps = rc.resolve_dt(eps)
     path = integrator.brownian_increments(seed, n_steps, dt)
     g_het = kernel.assemble_heterogeneous_generator(
-        prepared.grid, kernel.KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
+        rc.sim.grid, kernel.KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
     res_het = integrator.simulate(integrator.Heterogeneous(eps), cfg, path, generator=g_het)
     res_eff = integrator.simulate(integrator.Effective(prepared.coefficients), cfg, path,
                                   generator=prepared.effective_generator)
-    grid, alpha = prepared.grid, rc.sim.alpha
+    grid, alpha = rc.sim.grid, rc.sim.alpha
     gam_x = harness._gamma_matrix(grid.nodes, alpha)
     gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
     zmat = effective.zeta_matrix(grid, alpha)
-    chi_fast = harness._interp_periodic(prepared.cell_solution.chi, grid.nodes / eps)
+    chi_fast = harness._interp_periodic(prepared.cell_solution, grid.nodes / eps)
     chi_diff = chi_fast[None, :] - chi_fast[:, None]
     total = 0.0
     baseline = 0.0
