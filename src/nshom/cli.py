@@ -23,14 +23,14 @@ from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residua
                    solve_bordered, solve_cell_problem, solve_periodic_poisson)
 from .config import ConfigError, RunConfig, load_config
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
-                        restricted_divergence_matrix, zeta_matrix)
+                        restricted_divergence_matrix, zeta_matrix, zeta_of_parabola)
 from .harness import (STRONG_ERROR_DEFINITION, SweepFailure, SweepReport, check_sweep_args,
                       corrector_residual, eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, NoiseModel,
                          SimConfig, TrajectoryBlowup, brownian_increments, simulate)
 from .kernel import (Grid1D, KernelParams, PVConvergenceError,
                      assemble_heterogeneous_generator, dstar_apply, gamma,
-                     h_rho_norm_sq, rho)
+                     getoor_parabola_image, h_rho_norm_sq, rho)
 from .presets import PSI_PRESETS, get_theta, get_v
 
 OUT_ROOT_ENV = "NSHOM_OUT"
@@ -271,6 +271,23 @@ def _validate_checks(rc: RunConfig) -> list[tuple[str, bool, str]]:
     built = assemble_effective_generator(EffectiveCoefficients.from_values(*xi), grid, alpha)
     dev = float(np.max(np.abs(built - dense)) / np.max(np.abs(dense)))
     checks.append(("effective generator vs dense product", dev < 1e-13, f"max rel {dev:.1e}"))
+
+    # closed forms at the configured grid and alpha; both errors fall at least
+    # like h^1.5, so the tolerances, which hold from n = 256 on, are widened
+    # by that order on coarser grids
+    cgrid = rc.sim.grid
+    x, coarse = cgrid.nodes, max(1.0, 256 / cgrid.n) ** 1.5
+    exact = getoor_parabola_image(alpha)
+    lap_u = assemble_heterogeneous_generator(
+        cgrid, KernelParams(alpha=alpha, theta=get_theta("one"))) @ (1.0 - x ** 2) ** (alpha / 2.0)
+    worst = float(np.max(np.abs(lap_u[np.abs(x) <= 0.5] - exact))) / exact
+    checks.append(("L (1-x^2)^(alpha/2) vs Getoor closed form", worst <= 3e-4 * coarse,
+                   f"max rel {worst:.1e} on |x| <= 1/2, tol {3e-4 * coarse:.1e} at n={cgrid.n}"))
+    exact = zeta_of_parabola(x, alpha)
+    worst = float(np.max(np.abs(zeta_matrix(cgrid, alpha) @ (1.0 - x ** 2) - exact))
+                  / np.max(np.abs(exact)))
+    checks.append(("zeta(1-x^2) vs closed form", worst <= 1e-4 * coarse,
+                   f"max {worst:.1e} of max|zeta|, tol {1e-4 * coarse:.1e} at n={cgrid.n}"))
 
     cg = CellGrid(m=64, m_tau=2, n_images=8)
     sol = solve_cell_problem(get_theta("one"), alpha, cg)

@@ -157,6 +157,24 @@ def zeta_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     return _zeta_rows(n, float(alpha), np.arange(n))
 
 
+def zeta_of_parabola(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact zeta(u) at the points x for u = 1 - x^2, which vanishes at +-1.
+
+    zeta(x) = (A_3(x) + 2x A_2(x)) / 2, where A_j(x) is the integral of
+    t^{j-1} t |t|^{-(3+alpha)/2} over [-1-x, 1-x], whose antiderivative is
+    sign(t)^{j+1} |t|^e / e with e = j + 1 - (3+alpha)/2.
+    """
+    alpha = _check_alpha(alpha)
+    x = np.asarray(x, dtype=float)
+
+    def a_j(j: int) -> np.ndarray:
+        e = j + 1.0 - (3.0 + alpha) / 2.0
+        antiderivative = lambda t: np.sign(t) ** (j + 1) * np.abs(t) ** e / e
+        return antiderivative(1.0 - x) - antiderivative(-1.0 - x)
+
+    return 0.5 * (a_j(3) + 2.0 * x * a_j(2))
+
+
 def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     """Dense matrix R applying the principal-value restricted divergence to zeta.
 

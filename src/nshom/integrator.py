@@ -23,16 +23,17 @@ I - i(1-theta)dt H = (1/theta) I - ((1-theta)/theta)(I + i theta dt H) gives
 u_{n+1} = (I + i theta dt H_n)^{-1}[u_n/theta - i g(u_n) dW_n - i f(t_n) dt]
 - ((1-theta)/theta) u_n; rounding in that subtraction grows like 1/theta.
 The solve (``lu_solve``) is two level-2 triangular solves for one column and
-scipy's level-3 ``lu_solve`` for more.
+one LAPACK ``zgetrs`` call for more.
 
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
-system and checks it for divergence; ``simulate`` is its one-column case. The
-implicit matrix does not depend on the path, so its factorization is shared
-by all columns and cached on the fractional part of the sampling time over
-eps, which cycles when dt / eps is rational (e.g. the dt = eps/8 sweep rule).
-The cache is bounded by LU_CACHE_BYTES, and a run whose phase does not cycle
-is warned about, since then most steps refactorize.
+system and checks it for divergence in one pass; ``simulate`` is its
+one-column case. The implicit matrix does not depend on the path, so its
+factorization is shared by all columns and cached on the fractional part of
+the sampling time over eps, which cycles when dt / eps is rational (e.g. the
+dt = eps/8 sweep rule). The cache is bounded by LU_CACHE_BYTES, and a run
+whose phase does not cycle is warned about, since then most steps
+refactorize.
 
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
@@ -46,10 +47,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.blas import ztrsv
-from scipy.linalg.lapack import zlaswp
+from scipy.linalg.lapack import zgetrs, zlaswp
 
 from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
 from .effective import EffectiveCoefficients, assemble_effective_generator
@@ -60,8 +60,9 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
-# columns of the implicit matrix written per block (1 MiB at n = 2048)
-FILL_COLUMNS = 32
+# rows of the implicit matrix written per block: the block reads 64 contiguous
+# rows of the row-major generator (1 MiB at n = 2048)
+FILL_ROWS = 64
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -91,8 +92,12 @@ class NoiseModel:
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
+    @property
+    def is_zero(self) -> bool:
+        return self.kind == "zero" or self.sigma == 0.0
+
     def apply(self, u: np.ndarray) -> np.ndarray | None:
-        if self.kind == "zero" or self.sigma == 0.0:
+        if self.is_zero:
             return None
         if self.kind == "linear":
             return self.sigma * u
@@ -203,19 +208,24 @@ class SimResult:
 
 
 def lu_solve(lu_piv: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for an (n, P) right-hand side, given the complex
+    """Solve A x = rhs for an (n, P) complex right-hand side, given the complex
     ``lu_factor`` of A; ``rhs`` is not modified.
 
     One column takes two level-2 triangular solves (``ztrsv``), which read the
-    factor once; scipy's ``lu_solve`` calls the level-3 ``ztrsm``, which packs
-    the factor on every call and takes about twice as long for one column.
-    P > 1 keeps scipy's solve, whose blocking pays off from a few columns on
-    (two at n = 2048, four at n = 512). U must have no zero pivot, which
-    ``ThetaStepper`` checks when it factorizes.
+    factor once; the level-3 ``ztrsm`` inside ``zgetrs`` packs the factor on
+    every call and takes about twice as long for one column. P > 1 calls
+    LAPACK's ``zgetrs`` directly, whose blocking pays off from a few columns
+    on (two at n = 2048, four at n = 512); it computes what scipy's
+    ``lu_solve`` computes, without that wrapper's per-call argument checks.
+    U must have no zero pivot, which ``ThetaStepper`` checks when it
+    factorizes.
     """
-    if rhs.shape[1] != 1:
-        return scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
     lu, piv = lu_piv
+    if rhs.shape[1] != 1:
+        x, info = zgetrs(lu, piv, rhs)
+        if info:  # set only for an illegal argument
+            raise ValueError(f"zgetrs: illegal value in argument {-info}")
+        return x
     x = zlaswp(np.array(rhs, dtype=complex, order="F"), piv, overwrite_a=True)[:, 0]
     x = ztrsv(lu, x, lower=1, diag=1, overwrite_x=1)
     return ztrsv(lu, x, overwrite_x=1)[:, None]
@@ -237,12 +247,15 @@ class ThetaStepper:
     The implicit matrix depends on the system, dt and the potential's phase,
     never on the path, so each phase is factorized once and each step makes
     one ``lu_solve`` with P right-hand sides: two level-2 triangular solves
-    for one column, scipy's level-3 solve for more. The column-major implicit
-    matrix is written from the row-major generator in blocks of FILL_COLUMNS
-    columns, each checked for finiteness. Factors are cached on the phase and
+    for one column, one ``zgetrs`` for more. The column-major implicit matrix
+    is written from the row-major generator in blocks of FILL_ROWS rows, so
+    each block reads the generator contiguously. The scaled generator is
+    checked for finiteness once per stepper, from its extremes, and the
+    potential diagonal once per phase. Factors are cached on the phase and
     dropped oldest first once they hold more than LU_CACHE_BYTES; ``hits``
     and ``misses`` count the lookups. A factorization that fails, a
-    non-finite implicit matrix or a zero pivot raises LinearSolveError.
+    non-finite implicit matrix or a zero pivot raises LinearSolveError at the
+    first factorization that meets it.
     """
 
     def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
@@ -254,6 +267,20 @@ class ThetaStepper:
         self._factors: dict[float | None, tuple] = {}  # phase key -> lu_factor output
         self._factor_bytes = 0
         self._phases = self._keys = None
+        # what every step needs, decided once; numpy divides a complex array
+        # by a real scalar as a product with its reciprocal, so u * (1/theta)
+        # is u / theta
+        theta_s = cfg.theta_scheme
+        self._inv_theta, self._carry = 1.0 / theta_s, (1.0 - theta_s) / theta_s
+        self._noise = None if cfg.noise.is_zero else cfg.noise.apply
+        self._forcing = None if cfg.f_spec.fn is None else cfg.f_spec.sample
+        # an entry scales to (i theta dt) G_ij, whose parts are theta dt times
+        # those of G_ij up to signed zeros; rounding is monotone, so all are
+        # finite exactly when the scaled extremes are (max and min keep NaN)
+        g = self.g_mat
+        parts = (g.real, g.imag) if np.iscomplexobj(g) else (g,)
+        self._g_finite = all(np.isfinite(theta_s * dt * float(e))
+                             for p in parts for e in (p.max(), p.min()))
         if not isinstance(system, Heterogeneous):
             self.label = "effective system"
             return
@@ -264,7 +291,6 @@ class ThetaStepper:
         # frozen-coefficient diagonal, sampled at the theta point of the step
         # (midpoint for theta = 1/2, which keeps second-order accuracy in
         # time); the Ito left-point rule applies to the noise term only
-        theta_s = cfg.theta_scheme
         self._phases = [((k * dt + theta_s * dt) / eps) % 1.0 for k in range(n_steps)]
         # a phase that rounds to 1 is phase 0, so both share one factorization
         self._keys = [round(tau, 12) % 1.0 for tau in self._phases]
@@ -289,17 +315,20 @@ class ThetaStepper:
             self.hits += 1
             return entry
         self.misses += 1
+        where = f"{self.label}, phase {key}"
+        if not self._g_finite:
+            raise LinearSolveError(f"{where}: implicit matrix is not finite")
         v_diag = None if tau is None else self._amp * self.cfg.v_spec.sample(self._y_frac, tau)
         n, theta_s, dt = self.g_mat.shape[0], self.cfg.theta_scheme, self.dt
-        # I + i theta dt (G + diag(v)) in column blocks, factorized in place; G is only read
+        # I + i theta dt (G + diag(v)), factorized in place; G is only read.
+        # Row blocks of the F-order lhs are column blocks of its C-order
+        # transpose, filled from contiguous rows of G.
         lhs = np.empty((n, n), dtype=complex, order="F")
-        finite = True
-        for b in (slice(j, j + FILL_COLUMNS) for j in range(0, n, FILL_COLUMNS)):
-            np.multiply(self.g_mat[:, b], 1j * theta_s * dt, out=lhs[:, b])
-            finite &= np.isfinite(lhs[:, b]).all()  # checked while in cache
+        g_t, lhs_t = self.g_mat.T, lhs.T
+        for j in range(0, n, FILL_ROWS):
+            np.multiply(g_t[:, j:j + FILL_ROWS], 1j * theta_s * dt, out=lhs_t[:, j:j + FILL_ROWS])
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + 1j * theta_s * dt * v_diag
-        where = f"{self.label}, phase {key}"
-        if not (finite and np.isfinite(lhs.diagonal()).all()):
+        if not np.isfinite(lhs.diagonal()).all():
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
         try:
             # a zero pivot is reported below, as an error rather than a warning
@@ -321,17 +350,20 @@ class ThetaStepper:
 
     def step(self, u: np.ndarray, k: int, dw: np.ndarray) -> np.ndarray:
         """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
-        Brownian increment of each column."""
+        Brownian increment of each column. ``u`` is only read, and the new
+        state has u's memory order."""
         lu = self._factors_at(k)
-        cfg, dt, theta_s = self.cfg, self.dt, self.cfg.theta_scheme
-        rhs = u / theta_s
-        gu = cfg.noise.apply(u)
-        if gu is not None:
-            rhs -= 1j * gu * dw
-        f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
-        if f_vec is not None:
-            rhs -= 1j * f_vec[:, None] * dt
-        return lu_solve(lu, rhs) - ((1.0 - theta_s) / theta_s) * u
+        rhs = u * self._inv_theta
+        if self._noise is not None:
+            noise = self._noise(u)  # a new array, scaled in place to i g(u) dW
+            noise *= 1j
+            noise *= dw
+            rhs -= noise
+        if self._forcing is not None:
+            dt = self.dt
+            rhs -= 1j * self._forcing(k * dt, self.cfg.grid.nodes)[:, None] * dt
+        out = self._carry * u
+        return np.subtract(lu_solve(lu, rhs), out, out=out)
 
 
 def lockstep(steppers: list[ThetaStepper], u0: np.ndarray, dw: np.ndarray):
@@ -345,12 +377,17 @@ def lockstep(steppers: list[ThetaStepper], u0: np.ndarray, dw: np.ndarray):
     for k, dw_k in enumerate(dw):
         for i, stepper in enumerate(steppers):
             states[i] = u = stepper.step(states[i], k, dw_k)
-            diverged = ~np.isfinite(u).all(axis=0) | (np.abs(u).max(axis=0) > BLOWUP_LIMIT)
-            for j in np.flatnonzero(diverged & ~dead):
-                reasons[j] = TrajectoryBlowup(k + 1, stepper.label)
-                dead[j] = True
-        for state in states:
-            state[:, dead] = 0.0
+            # max keeps NaN and NaN fails the comparison, so one test of the
+            # largest modulus flags NaN, inf and moduli above the limit
+            modulus = np.abs(u)
+            if not modulus.max() <= BLOWUP_LIMIT:
+                diverged = ~(modulus.max(axis=0) <= BLOWUP_LIMIT)
+                for j in np.flatnonzero(diverged & ~dead):
+                    reasons[j] = TrajectoryBlowup(k + 1, stepper.label)
+                    dead[j] = True
+        if dead.any():
+            for state in states:
+                state[:, dead] = 0.0
         yield k + 1, states, dead, reasons
 
 

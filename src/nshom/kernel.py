@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 from scipy.linalg import toeplitz
+from scipy.special import gamma as gamma_fn
 
 from .presets import ThetaSpec
 
@@ -321,6 +322,19 @@ def h_rho_norm_sq(u: np.ndarray, grid: Grid1D, params: KernelParams) -> float:
     cell = same_cell_coeff(h, params.alpha) / 2.0 * float(np.sum(theta_diag * np.abs(du) ** 2))
     exterior = h * float(np.sum(ext * np.abs(u) ** 2))
     return exterior + interior + cell
+
+
+def getoor_parabola_image(alpha: float) -> float:
+    """The constant value of (G u)(x) on (-1, 1) for Theta == 1 and
+    u = (1 - x^2)_+^{alpha/2}, in closed form.
+
+    Getoor (1961): (-Delta)^s (1 - x^2)_+^s = Gamma(2s + 1) on (-1, 1) with
+    s = alpha/2. G is the unnormalized operator (-Delta)^s / C_{1,s}, with
+    C_{1,s} = 4^s Gamma(1/2 + s) / (sqrt(pi) |Gamma(-s)|).
+    """
+    s = _check_alpha(alpha) / 2.0
+    c_1s = 4.0 ** s * gamma_fn(0.5 + s) / (np.sqrt(np.pi) * abs(gamma_fn(-s)))
+    return float(gamma_fn(alpha + 1.0) / c_1s)
 
 
 def pv_oracle(u: Callable[[float], float], x: float, alpha: float,

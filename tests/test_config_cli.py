@@ -438,3 +438,29 @@ class TestCliCommands:
         mat = np.loadtxt(dump / "fractional_generator.csv", delimiter=",")
         assert mat.shape == (32, 32)
         assert np.max(np.abs(mat - mat.T)) < 1e-12
+
+    CLOSED_FORM_ROWS = ("L (1-x^2)^(alpha/2) vs Getoor closed form", "zeta(1-x^2) vs closed form")
+
+    @pytest.mark.parametrize("alpha", [1.25, 1.75])
+    def test_validate_closed_form_rows_pass_at_n_256(self, tmp_path, capsys, alpha):
+        """At n = 256 the two closed-form rows hold their stated tolerances,
+        3e-4 (L) and 1e-4 (zeta), at the config's alpha."""
+        cfg = self._small_cfg(tmp_path, alpha=alpha, grid={"n": 256})
+        out = tmp_path / "validate"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = {r["check"]: r for r in json.loads((out / "validate.json").read_text())}
+        for name, tol in zip(self.CLOSED_FORM_ROWS, ("tol 3.0e-04 at n=256", "tol 1.0e-04 at n=256")):
+            assert rows[name]["passed"], rows[name]
+            assert rows[name]["detail"].endswith(tol)
+
+    def test_validate_closed_form_row_fails_on_a_wrong_operator(self, tmp_path, capsys,
+                                                               monkeypatch):
+        from nshom import cli
+        real = cli.zeta_of_parabola
+        monkeypatch.setattr(cli, "zeta_of_parabola", lambda x, alpha: 1.001 * real(x, alpha))
+        cfg = self._small_cfg(tmp_path, grid={"n": 256})
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if "  FAIL  " in line]
+        assert len(failed) == 1 and failed[0].startswith(self.CLOSED_FORM_ROWS[1])

@@ -16,6 +16,7 @@ from nshom.effective import (
     compute_effective_coefficients,
     restricted_divergence_matrix,
     zeta_matrix,
+    zeta_of_parabola,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator, gamma
 from nshom.presets import THETA_PRESETS, VSpec, get_theta, get_v
@@ -152,20 +153,13 @@ class TestZeta:
 
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
     def test_parabola_closed_form(self, alpha):
-        """For u = 1 - x^2, zeta(x) = (A_3(x) + 2x A_2(x)) / 2 with A_j the
-        integral of t^{j-1} t|t|^{-(3+alpha)/2} over [-1-x, 1-x], whose
-        antiderivative is sign(t)^{j+1} |t|^e / e, e = j + 1 - (3+alpha)/2.
-        The error is relative to max|zeta|, since zeta(0) = 0."""
-
-        def a_j(j, x):
-            e = j + 1.0 - (3.0 + alpha) / 2.0
-            antiderivative = lambda t: np.sign(t) ** (j + 1) * np.abs(t) ** e / e
-            return antiderivative(1.0 - x) - antiderivative(-1.0 - x)
-
+        """For u = 1 - x^2, zeta(x) = (A_3(x) + 2x A_2(x)) / 2 in closed form
+        (``zeta_of_parabola``). The error is relative to max|zeta|, since
+        zeta(0) = 0."""
         errors = []
         for n in (256, 1024):
             x = Grid1D.make(n).nodes
-            exact = 0.5 * (a_j(3, x) + 2.0 * x * a_j(2, x))
+            exact = zeta_of_parabola(x, alpha)
             z = zeta_matrix(Grid1D.make(n), alpha) @ (1.0 - x ** 2)
             errors.append(np.max(np.abs(z - exact)) / np.max(np.abs(exact)))
         assert errors[0] <= 1e-4

@@ -11,7 +11,9 @@ import pytest
 from scipy import linalg
 
 from nshom import integrator
+from nshom.config import RunConfig
 from nshom.effective import EffectiveCoefficients, assemble_effective_generator
+from nshom.harness import coupled_errors, prepare_experiment
 from nshom.integrator import (
     BrownianPath,
     Effective,
@@ -474,6 +476,7 @@ class TestLockstep:
         dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(2)]
                       + [np.full(n_steps, 1e4)], axis=1)
         u0 = het_cfg.initial_field()[:, None] * np.array([1.0, 0.5j, -0.8])
+        u0_before = u0.copy()
         alone = []
         for stepper in steppers():
             u, states = u0, []
@@ -500,6 +503,33 @@ class TestLockstep:
         assert levels == list(range(1, n_steps + 1))
         assert reasons[2].step == blowup
         assert str(reasons[2]).endswith(": heterogeneous system at eps=0.25")
+        # every system starts from the one u0 object, which no step writes into
+        assert np.array_equal(u0, u0_before)
+
+    def test_divergence_flags_nan_inf_and_overflow_but_not_the_limit(self):
+        """Four columns step by u + dW: at step 2 they turn NaN, +inf, 2e12
+        and exactly BLOWUP_LIMIT. The first three die with the same reason and
+        are zeroed; the last is kept."""
+
+        class Scripted:
+            label = "scripted system"
+
+            def step(self, u, k, dw):
+                return u + dw
+
+        dw = np.zeros((4, 4))
+        dw[1] = [np.nan, np.inf, 2e12, integrator.BLOWUP_LIMIT]
+        u0 = np.zeros((3, 4), dtype=complex)
+        seen = []
+        for k, (state,), dead, reasons in lockstep([Scripted()], u0, dw):
+            seen.append((k, dead.tolist(), state.copy()))
+        assert [d for _, d, _ in seen] == [[False] * 4] + [[True, True, True, False]] * 3
+        assert [str(r) for r in reasons[:3]] == ["trajectory diverged at step 2: scripted system"] * 3
+        assert [r.step for r in reasons[:3]] == [2, 2, 2] and reasons[3] is None
+        for k, _, state in seen[1:]:
+            assert not state[:, :3].any()
+            assert np.array_equal(state[:, 3], np.full(3, integrator.BLOWUP_LIMIT))
+        assert not u0.any()
 
     def test_one_step_call_and_one_blowup_construction(self):
         """ThetaStepper.step is called, and TrajectoryBlowup built, only in
@@ -519,6 +549,78 @@ class TestLockstep:
                         sites[name].append((path.name, enclosing.get(id(node))))
         assert sites == {"step": [("integrator.py", "lockstep")],
                          "TrajectoryBlowup": [("integrator.py", "lockstep")]}
+
+
+def unfused_step(self, u, k, dw):
+    """ThetaStepper.step as written before it was fused, the reference:
+    u/theta - i g(u) dW - i f dt, solved with scipy's lu_solve (the two
+    one-column triangular solves for P = 1, as then), minus
+    ((1-theta)/theta) u, every decision re-made on each call."""
+    lu = self._factors_at(k)
+    cfg, dt, theta_s = self.cfg, self.dt, self.cfg.theta_scheme
+    rhs = u / theta_s
+    gu = cfg.noise.apply(u)
+    if gu is not None:
+        rhs -= 1j * gu * dw
+    f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
+    if f_vec is not None:
+        rhs -= 1j * f_vec[:, None] * dt
+    x = (integrator.lu_solve(lu, rhs) if rhs.shape[1] == 1
+         else linalg.lu_solve(lu, rhs, check_finite=False))
+    return x - ((1.0 - theta_s) / theta_s) * u
+
+
+EQUIVALENCE_CONFIG = {"alpha": 1.5, "grid": {"n": 32},
+                      "cell": {"m": 32, "m_tau": 4, "n_images": 4},
+                      "v_preset": "sin2pi_y_one_plus_sin2pi_tau", "T": 0.25}
+
+
+@pytest.fixture(scope="module")
+def prepared_by_theta():
+    return {name: prepare_experiment(RunConfig.from_dict(
+        {**EQUIVALENCE_CONFIG, "theta_preset": {"name": name, "params": {}}}))
+        for name in ("one", "cosine_sum")}
+
+
+class TestFusedStepEquivalence:
+    """coupled_errors through the fused step and zgetrs equals, bit for bit,
+    the same reduction through the unfused step (``unfused_step``)."""
+
+    @staticmethod
+    def errors(monkeypatch, prepared_by_theta, seeds, reference, **overrides):
+        rc = RunConfig.from_dict({**EQUIVALENCE_CONFIG, **overrides})
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(ThetaStepper, "step", unfused_step)
+            err, weak, reasons = coupled_errors(
+                0.25, rc, seeds, prepared_by_theta[overrides["theta_preset"]["name"]])
+        assert reasons == [None] * len(seeds)
+        return err, weak
+
+    # theta = 0.7 checks that u * (1/theta) is numpy's u / theta
+    @pytest.mark.parametrize("theta_s", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    @pytest.mark.parametrize("noise", ["linear", "bounded"])
+    @pytest.mark.parametrize("paths", [1, 2, 4])
+    def test_coupled_errors_bitwise(self, monkeypatch, prepared_by_theta, paths, noise, theta,
+                                    theta_s):
+        overrides = dict(theta_preset={"name": theta, "params": {}}, theta_scheme=theta_s,
+                         g={"kind": noise, "sigma": 0.7})
+        seeds = list(range(3, 3 + paths))
+        err, weak = self.errors(monkeypatch, prepared_by_theta, seeds, False, **overrides)
+        ref_err, ref_weak = self.errors(monkeypatch, prepared_by_theta, seeds, True, **overrides)
+        assert np.array_equal(err, ref_err) and np.array_equal(weak, ref_weak)
+        assert (err > 0).all() and (np.abs(weak) > 0).all()
+
+    def test_forced_coupled_errors_bitwise(self, monkeypatch, prepared_by_theta):
+        overrides = dict(theta_preset={"name": "cosine_sum", "params": {}}, theta_scheme=0.5,
+                         g={"kind": "linear", "sigma": 0.7}, f_preset="bump_cos_t")
+        err, weak = self.errors(monkeypatch, prepared_by_theta, [5, 6], False, **overrides)
+        ref_err, ref_weak = self.errors(monkeypatch, prepared_by_theta, [5, 6], True, **overrides)
+        assert np.array_equal(err, ref_err) and np.array_equal(weak, ref_weak)
+        unforced, _ = self.errors(monkeypatch, prepared_by_theta, [5, 6], False,
+                                  **{**overrides, "f_preset": "zero"})
+        assert not np.array_equal(err, unforced)
 
 
 def implicit_lhs(kind: str, n: int) -> np.ndarray:
@@ -551,8 +653,8 @@ SOLVE_CASES = [("random", 1), ("random", 2)] + [
 
 class TestOneColumnSolve:
     """integrator.lu_solve against scipy's lu_solve: two level-2 triangular
-    solves for one column (1e-13 of max|x|, rounding order only), scipy's own
-    solve for more (bitwise)."""
+    solves for one column (1e-13 of max|x|, rounding order only), the same
+    LAPACK zgetrs that scipy calls for more (bitwise)."""
 
     @pytest.mark.parametrize("kind,n", SOLVE_CASES)
     def test_one_column_matches_scipy(self, kind, n):
@@ -589,7 +691,9 @@ class TestOneColumnSolve:
         lu = linalg.lu_factor(implicit_lhs(kind, n))
         rng = np.random.default_rng(columns)
         rhs = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+        before = rhs.copy()
         assert np.array_equal(integrator.lu_solve(lu, rhs), linalg.lu_solve(lu, rhs))
+        assert np.array_equal(rhs, before)
 
     def test_simulate_matches_level3_solve(self, monkeypatch):
         """A one-path effective run at n = 256 against the same stepper
@@ -646,17 +750,19 @@ class Captured(Exception):
     """Carries the implicit matrix handed to the factorization."""
 
 
-class TestBlockedImplicitFill:
-    """The implicit matrix is written in blocks of FILL_COLUMNS columns; it must
-    equal the whole-array product, and a non-finite entry in any block or on
-    the potential diagonal keeps today's error."""
+class TestRowBlockImplicitFill:
+    """The implicit matrix is written in blocks of FILL_ROWS rows; it must
+    equal the whole-array product. A non-finite entry of G in any block, one
+    on the potential diagonal, and a finite entry whose scaled value
+    overflows each raise "implicit matrix is not finite"."""
 
     DT = 0.25 / 8
 
     @classmethod
-    def stepper(cls, g_mat, system, v_spec):
-        cfg = SimConfig(grid=Grid1D.make(g_mat.shape[0]), alpha=ALPHA, T=0.25, v_spec=v_spec)
-        return ThetaStepper(system, cfg, cls.DT, 8, generator=g_mat)
+    def stepper(cls, g_mat, system, v_spec, theta_s=0.5, dt=None):
+        cfg = SimConfig(grid=Grid1D.make(g_mat.shape[0]), alpha=ALPHA, T=0.25, v_spec=v_spec,
+                        theta_scheme=theta_s)
+        return ThetaStepper(system, cfg, dt or cls.DT, 8, generator=g_mat)
 
     @staticmethod
     def implicit_matrix(stepper, monkeypatch):
@@ -680,7 +786,7 @@ class TestBlockedImplicitFill:
             lhs[np.diag_indices(n)] += 1.0 + 1j * theta_dt * v
         return lhs
 
-    # all but n = 64 end in a partial block of columns
+    # all but n = 64 end in a partial block of rows
     @pytest.mark.parametrize("n", [5, 37, 64, 257])
     @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
     def test_matches_whole_array_fill_bitwise(self, n, kind, monkeypatch):
@@ -702,10 +808,10 @@ class TestBlockedImplicitFill:
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
 
     def test_nan_in_last_partial_block(self):
-        n = 37
-        assert n % integrator.FILL_COLUMNS  # the last block holds 37 - 32 = 5 columns
+        n = 100
+        assert n % integrator.FILL_ROWS  # the last block holds rows 64..99
         g_mat = Grid1D.make(n).h * np.eye(n)
-        g_mat[3, n - 1] = np.nan
+        g_mat[n - 1, 3] = np.nan
         with pytest.raises(integrator.LinearSolveError) as excinfo:
             self.stepper(g_mat, Effective(UNIT), get_v("zero"))._factors_at(0)
         assert str(excinfo.value) == ("effective system, phase None: "
@@ -721,3 +827,26 @@ class TestBlockedImplicitFill:
         # step 0 is frozen at the theta point dt / 2, phase 1/16
         assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
                                       "implicit matrix is not finite")
+
+    # theta dt = 2: 1.7e308 scales past the largest double, 8e307 does not
+    @pytest.mark.parametrize("entry", [1.7e308, -1.7e308, 1.7e308j, -1.7e308j, 1.7e308 + 1j])
+    def test_finite_generator_whose_scaled_entry_overflows(self, entry, monkeypatch):
+        """The finiteness test reads G's extremes once per stepper; it must
+        flag exactly the scaled entries that overflow, real or imaginary, and
+        still raise from the first factorization."""
+        g_mat = np.eye(9, dtype=type(entry))
+        g_mat[6, 2] = entry
+        stepper = self.stepper(g_mat, Effective(UNIT), get_v("zero"), theta_s=1.0, dt=2.0)
+        assert np.isfinite(g_mat).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(self.whole_array_fill(g_mat, stepper)).all()
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            stepper._factors_at(0)
+        assert str(excinfo.value) == ("effective system, phase None: "
+                                      "implicit matrix is not finite")
+        # half that entry scales to a finite value and reaches the factorization
+        g_mat[6, 2] = entry / 2.0
+        stepper = self.stepper(g_mat, Effective(UNIT), get_v("zero"), theta_s=1.0, dt=2.0)
+        got = self.implicit_matrix(stepper, monkeypatch)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))

@@ -22,6 +22,7 @@ from nshom.kernel import (
     dstar_apply,
     exterior_weight,
     gamma,
+    getoor_parabola_image,
     h_rho_norm_sq,
     pv_oracle,
     rho,
@@ -213,11 +214,9 @@ class TestGeneratorAssembly:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_rows_match_getoor_closed_form(self, alpha):
-        # Getoor (1961): (-Delta)^s (1 - x^2)_+^s = Gamma(2s + 1) on (-1, 1), s = alpha/2;
-        # L is the unnormalized operator (-Delta)^s / C_{1,s}
+        # Getoor (1961): L (1 - x^2)_+^{alpha/2} is a constant on (-1, 1)
         s = alpha / 2.0
-        c_1s = 4.0 ** s * gamma_fn(0.5 + s) / (np.sqrt(np.pi) * abs(gamma_fn(-s)))
-        exact = gamma_fn(alpha + 1.0) / c_1s
+        exact = getoor_parabola_image(alpha)
         params = KernelParams(alpha=alpha, theta=get_theta("one"))
         errs = []
         for n in (256, 1024):
