@@ -1,8 +1,9 @@
 """Command-line interface: cell, coefficients, simulate, sweep, validate.
 
 Every subcommand writes a manifest (resolved config, content hash, seeds,
-timestamps) next to its outputs; numeric series go to CSV with full-precision
-scientific notation so serial reruns reproduce files bitwise.
+timestamps, BLAS thread settings and library versions) next to its outputs;
+numeric series go to CSV with full-precision scientific notation so serial
+reruns reproduce files bitwise.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 numerical failure.
 """
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cell import (CellGrid, CellSolveError, assemble_cell_form, poisson_residual,
@@ -34,6 +36,8 @@ from .kernel import (Grid1D, KernelParams, PVConvergenceError,
 from .presets import PSI_PRESETS, get_theta, get_v
 
 OUT_ROOT_ENV = "NSHOM_OUT"
+# the BLAS thread count moves sweep outputs in the last bits, so it is recorded
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -70,6 +74,18 @@ def _default_out(command: str, rc: RunConfig, suffix: str = "") -> Path:
     return root / name
 
 
+def _numerical_environment() -> dict:
+    """The BLAS thread settings (None where unset) and the numpy and scipy
+    builds, on which outputs depend in their last bits."""
+    def blas(config: dict) -> dict:
+        info = config.get("Build Dependencies", {}).get("blas", {})
+        return {"name": info.get("name"), "version": info.get("version")}
+
+    return {"threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+            "numpy": np.__version__, "numpy_blas": blas(np.show_config(mode="dicts")),
+            "scipy": scipy.__version__, "scipy_blas": blas(scipy.show_config(mode="dicts"))}
+
+
 def _write_manifest(out: Path, command: str, rc: RunConfig, seeds: list[int],
                     extra: dict | None = None) -> None:
     manifest = {
@@ -80,6 +96,7 @@ def _write_manifest(out: Path, command: str, rc: RunConfig, seeds: list[int],
         "config_hash": rc.config_hash,
         "seeds": seeds,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": _numerical_environment(),
     }
     if extra:
         manifest["parameters"] = extra

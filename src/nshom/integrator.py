@@ -17,13 +17,20 @@ conserved when g = f = 0).
 
 theta is restricted to [1/2, 1]: the scheme multiplies each mode of the
 Hermitian H by |1 - i(1-theta) lambda dt| / |1 + i theta lambda dt|, which
-exceeds 1 for every lambda != 0 when theta < 1/2. The step is one LU solve
+exceeds 1 for every lambda != 0 when theta < 1/2. The step is one solve
 with no product by H, since
 I - i(1-theta)dt H = (1/theta) I - ((1-theta)/theta)(I + i theta dt H) gives
 u_{n+1} = (I + i theta dt H_n)^{-1}[u_n/theta - i g(u_n) dW_n - i f(t_n) dt]
 - ((1-theta)/theta) u_n; rounding in that subtraction grows like 1/theta.
 The solve (``lu_solve``) is two level-2 triangular solves for one column and
 one LAPACK ``zgetrs`` call for more.
+
+The generator of the symmetric jump kernel is real symmetric (G_eff too when
+Theta is constant), so the implicit matrix is then complex symmetric, and for
+more than one column it is factorized as L D L^T by Bunch-Kaufman pivoting
+(LAPACK ``zsytrf``), about half the arithmetic of LU, and solved by one
+``zsytrs``. One column keeps LU, whose two ``ztrsv`` calls are faster than
+``zsytrs`` there; a generator that is not exactly symmetric keeps LU too.
 
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
@@ -45,11 +52,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
+import scipy.linalg
+from scipy.linalg import LinAlgWarning
 from scipy.linalg.blas import ztrsv
-from scipy.linalg.lapack import zgetrs, zlaswp
+from scipy.linalg.lapack import zgetrs, zlaswp, zsytrf, zsytrf_lwork, zsytrs
 
 from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
 from .effective import EffectiveCoefficients, assemble_effective_generator
@@ -60,8 +70,9 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
-# rows of the implicit matrix written per block: the block reads 64 contiguous
-# rows of the row-major generator (1 MiB at n = 2048)
+# rows of the implicit matrix written, or of the generator compared with its
+# transpose, per block: the block reads 64 contiguous rows of the row-major
+# generator (1 MiB at n = 2048)
 FILL_ROWS = 64
 
 
@@ -207,20 +218,51 @@ class SimResult:
     final: np.ndarray
 
 
-def lu_solve(lu_piv: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for an (n, P) complex right-hand side, given the complex
-    ``lu_factor`` of A; ``rhs`` is not modified.
+class LDLFactor(NamedTuple):
+    """``zsytrf``'s Bunch-Kaufman factorization P A P^T = L D L^T of a complex
+    symmetric A: L and the 1 x 1 and 2 x 2 blocks of D in the lower triangle
+    of ``ldl``, LAPACK's 1-based pivots in ``ipiv`` (negative for a 2 x 2
+    block)."""
 
-    One column takes two level-2 triangular solves (``ztrsv``), which read the
-    factor once; the level-3 ``ztrsm`` inside ``zgetrs`` packs the factor on
-    every call and takes about twice as long for one column. P > 1 calls
-    LAPACK's ``zgetrs`` directly, whose blocking pays off from a few columns
-    on (two at n = 2048, four at n = 512); it computes what scipy's
-    ``lu_solve`` computes, without that wrapper's per-call argument checks.
-    U must have no zero pivot, which ``ThetaStepper`` checks when it
-    factorizes.
+    ldl: np.ndarray
+    ipiv: np.ndarray
+
+
+def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> tuple:
+    """Factorize the column-major complex matrix ``a`` in place: by LU with
+    partial pivoting (scipy's ``lu_factor``), or, given the ``zsytrf``
+    workspace size ``ldl_lwork``, as an ``LDLFactor`` of its lower triangle,
+    which must then be that of a complex symmetric matrix. Called once per
+    factorization of either kind. A zero pivot is not an error here; the
+    caller reads it off the factor.
     """
-    lu, piv = lu_piv
+    if ldl_lwork is None:
+        return scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    ldl, ipiv, info = zsytrf(a, lower=1, lwork=ldl_lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"zsytrf: illegal value in argument {-info}")
+    return LDLFactor(ldl, ipiv)
+
+
+def lu_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for an (n, P) complex right-hand side, given the complex
+    ``lu_factor`` of A, LU or ``LDLFactor``; ``rhs`` is not modified.
+
+    An ``LDLFactor`` is solved by one LAPACK ``zsytrs``. For LU, one column
+    takes two level-2 triangular solves (``ztrsv``), which read the factor
+    once; the level-3 ``ztrsm`` inside ``zgetrs`` packs the factor on every
+    call and takes about twice as long for one column. P > 1 calls LAPACK's
+    ``zgetrs`` directly, whose blocking pays off from a few columns on (two at
+    n = 2048, four at n = 512); it computes what scipy's ``lu_solve``
+    computes, without that wrapper's per-call argument checks. U, or D, must
+    have no zero pivot, which ``ThetaStepper`` checks when it factorizes.
+    """
+    if isinstance(factor, LDLFactor):
+        x, info = zsytrs(factor.ldl, factor.ipiv, rhs, lower=1)
+        if info:  # set only for an illegal argument
+            raise ValueError(f"zsytrs: illegal value in argument {-info}")
+        return x
+    lu, piv = factor
     if rhs.shape[1] != 1:
         x, info = zgetrs(lu, piv, rhs)
         if info:  # set only for an illegal argument
@@ -247,15 +289,22 @@ class ThetaStepper:
     The implicit matrix depends on the system, dt and the potential's phase,
     never on the path, so each phase is factorized once and each step makes
     one ``lu_solve`` with P right-hand sides: two level-2 triangular solves
-    for one column, one ``zgetrs`` for more. The column-major implicit matrix
+    for one column, one ``zgetrs`` for more. When the state has more than one
+    column and G is exactly symmetric (the potential only adds to the
+    diagonal), the phase is factorized as L D L^T instead (``zsytrf``, one
+    ``zsytrs`` per step). Symmetry is tested once, at the first such
+    factorization, by comparing blocks of FILL_ROWS rows with the matching
+    columns and stopping at the first block that differs; a NaN entry
+    differs, so a non-finite G keeps LU. The column-major implicit matrix
     is written from the row-major generator in blocks of FILL_ROWS rows, so
     each block reads the generator contiguously. The scaled generator is
     checked for finiteness once per stepper, from its extremes, and the
     potential diagonal once per phase. Factors are cached on the phase and
     dropped oldest first once they hold more than LU_CACHE_BYTES; ``hits``
-    and ``misses`` count the lookups. A factorization that fails, a
-    non-finite implicit matrix or a zero pivot raises LinearSolveError at the
-    first factorization that meets it.
+    and ``misses`` count the lookups; a phase keeps the kind of factor it was
+    first given. A factorization that fails, a non-finite implicit matrix or
+    a zero pivot of U or D raises LinearSolveError at the first factorization
+    that meets it.
     """
 
     def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
@@ -307,8 +356,19 @@ class ThetaStepper:
                 f"(dt/eps = {dt / eps:g}), so {distinct} of {n_steps} steps factorize the "
                 "implicit matrix; dt = eps/k with a small integer k reuses the factors")
 
-    def _factors_at(self, k: int) -> tuple:
-        """LU factors of the implicit matrix of step k."""
+    @cached_property
+    def _ldl_lwork(self) -> int | None:
+        """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
+        g, n = self.g_mat, self.g_mat.shape[0]
+        if not all(np.array_equal(g[j:j + FILL_ROWS], g[:, j:j + FILL_ROWS].T)
+                   for j in range(0, n, FILL_ROWS)):
+            return None
+        work, _ = zsytrf_lwork(n, lower=1)
+        return int(work.real)
+
+    def _factors_at(self, k: int, columns: int = 1) -> tuple:
+        """Factors of the implicit matrix of step k for a state of ``columns``
+        columns: L D L^T for several columns and a symmetric G, else LU."""
         tau, key = (None, None) if self._phases is None else (self._phases[k], self._keys[k])
         entry = self._factors.get(key)
         if entry is not None:
@@ -334,13 +394,19 @@ class ThetaStepper:
             # a zero pivot is reported below, as an error rather than a warning
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(lhs, overwrite_a=True, check_finite=False)
+                lu = lu_factor(lhs, ldl_lwork=self._ldl_lwork if columns > 1 else None)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"{where}: implicit factorization failed: {exc}") from exc
-        zero = np.flatnonzero(lu[0].diagonal() == 0)
+        if isinstance(lu, LDLFactor):
+            # zsytrf stores a zero column as a 1 x 1 block D(i, i) = 0, the
+            # first of which its info reports; a nonsingular 2 x 2 block
+            # (negative ipiv) may hold zeros on its diagonal
+            pivot, zero = "D", np.flatnonzero((lu.ldl.diagonal() == 0) & (lu.ipiv > 0))
+        else:
+            pivot, zero = "U", np.flatnonzero(lu[0].diagonal() == 0)
         if zero.size:
-            raise LinearSolveError(
-                f"{where}: implicit matrix is singular, U[{zero[0]}, {zero[0]}] is exactly zero")
+            raise LinearSolveError(f"{where}: implicit matrix is singular, "
+                                   f"{pivot}[{zero[0]}, {zero[0]}] is exactly zero")
         size = lu[0].nbytes
         while self._factors and self._factor_bytes + size > LU_CACHE_BYTES:
             self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0].nbytes
@@ -352,7 +418,7 @@ class ThetaStepper:
         """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
         Brownian increment of each column. ``u`` is only read, and the new
         state has u's memory order."""
-        lu = self._factors_at(k)
+        lu = self._factors_at(k, u.shape[1])
         rhs = u * self._inv_theta
         if self._noise is not None:
             noise = self._noise(u)  # a new array, scaled in place to i g(u) dW

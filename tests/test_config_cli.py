@@ -278,6 +278,23 @@ class TestCliCommands:
         assert manifest["seeds"] == [7]
         assert manifest["parameters"]["system"] == "het"
 
+    def test_manifest_records_blas_environment(self, tmp_path, monkeypatch):
+        import scipy
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        cfg = self._small_cfg(tmp_path)
+        out = tmp_path / "env"
+        assert main(["simulate", "--system", "eff", "--config", str(cfg), "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                  "MKL_NUM_THREADS": "3"}
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        for key, module in (("numpy_blas", np), ("scipy_blas", scipy)):
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert env[key] == {"name": blas["name"], "version": blas["version"]}
+
     def test_simulate_rerun_reproduces_outputs_bitwise(self, tmp_path):
         cfg = self._small_cfg(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -394,6 +411,26 @@ class TestCliCommands:
                      "--config", str(cfg), "--out", str(tmp_path / "singular")])
         assert code == 3
         assert "factorization failed" in capsys.readouterr().err
+
+    def test_sweep_singular_symmetric_implicit_matrix_exit_3(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # theta dt = 1/64 in the small config and V = 0, so G = 64i e_5 e_5^T
+        # is symmetric and zeroes D[5, 5] of the two-path L D L^T factor
+        from nshom import harness
+
+        def singular(grid, params):
+            g = np.zeros((grid.n, grid.n), dtype=complex)
+            g[5, 5] = 64j
+            return g
+
+        monkeypatch.setattr(harness, "assemble_heterogeneous_generator", singular)
+        cfg = self._small_cfg(tmp_path, v_preset="zero")
+        code = main(["sweep", "--eps", "1/2", "--paths", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "singular")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: heterogeneous system at eps=0.5, phase None: "
+            "implicit matrix is singular, D[5, 5] is exactly zero\n")
 
     @pytest.mark.parametrize("entry,cause", [
         (64j, "implicit matrix is singular, U[0, 0] is exactly zero"),

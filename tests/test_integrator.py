@@ -9,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.linalg.lapack import zsytrf, zsytrf_lwork
 
 from nshom import integrator
 from nshom.config import RunConfig
 from nshom.effective import EffectiveCoefficients, assemble_effective_generator
-from nshom.harness import coupled_errors, prepare_experiment
+from nshom.harness import coupled_errors, eps_sweep, prepare_experiment
 from nshom.integrator import (
     BrownianPath,
     Effective,
     Heterogeneous,
+    LDLFactor,
     NoiseModel,
     SimConfig,
     ThetaStepper,
@@ -555,8 +557,11 @@ def unfused_step(self, u, k, dw):
     """ThetaStepper.step as written before it was fused, the reference:
     u/theta - i g(u) dW - i f dt, solved with scipy's lu_solve (the two
     one-column triangular solves for P = 1, as then), minus
-    ((1-theta)/theta) u, every decision re-made on each call."""
-    lu = self._factors_at(k)
+    ((1-theta)/theta) u, every decision re-made on each call. An L D L^T
+    factor, which scipy's lu_solve cannot take, is solved with
+    integrator.lu_solve on the stepper's own factor, so the glue around the
+    solve is still compared bit for bit."""
+    lu = self._factors_at(k, u.shape[1])
     cfg, dt, theta_s = self.cfg, self.dt, self.cfg.theta_scheme
     rhs = u / theta_s
     gu = cfg.noise.apply(u)
@@ -565,7 +570,8 @@ def unfused_step(self, u, k, dw):
     f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
     if f_vec is not None:
         rhs -= 1j * f_vec[:, None] * dt
-    x = (integrator.lu_solve(lu, rhs) if rhs.shape[1] == 1
+    x = (integrator.lu_solve(lu, rhs)
+         if rhs.shape[1] == 1 or isinstance(lu, integrator.LDLFactor)
          else linalg.lu_solve(lu, rhs, check_finite=False))
     return x - ((1.0 - theta_s) / theta_s) * u
 
@@ -850,3 +856,180 @@ class TestRowBlockImplicitFill:
         got = self.implicit_matrix(stepper, monkeypatch)
         assert np.isfinite(got).all()
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
+
+
+def ldl_factor(a: np.ndarray) -> LDLFactor:
+    """integrator.lu_factor's L D L^T factor of a copy of the complex symmetric a."""
+    lwork = int(zsytrf_lwork(a.shape[0], lower=1)[0].real)
+    return integrator.lu_factor(np.array(a, dtype=complex, order="F"), ldl_lwork=lwork)
+
+
+def symmetric_lhs(kind: str, n: int) -> np.ndarray:
+    """A complex symmetric implicit_lhs; "zero_diagonal" is the "het" one
+    with its diagonal removed, so Bunch-Kaufman pivoting takes 2 x 2 blocks."""
+    a = implicit_lhs("het" if kind == "zero_diagonal" else kind, n)
+    if kind == "zero_diagonal":
+        a[np.diag_indices(n)] = 0.0
+    assert np.array_equal(a, a.T)
+    return a
+
+
+class TestSymmetricSolve:
+    """integrator.lu_solve on an L D L^T factor against scipy's LU solve of
+    the same matrix, at 1e-12 of max|x|: two pivoted factorizations differ in
+    rounding order only (condition numbers up to 3e3 here)."""
+
+    @pytest.mark.parametrize("columns", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["het", "het_pivoting", "zero_diagonal"])
+    @pytest.mark.parametrize("n", [5, 37, 64, 257])
+    def test_matches_lu_solve(self, n, kind, columns):
+        a = symmetric_lhs(kind, n)
+        factor = ldl_factor(a)
+        rng = np.random.default_rng(columns)
+        rhs = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+        before = rhs.copy()
+        x = integrator.lu_solve(factor, rhs)
+        expected = linalg.lu_solve(linalg.lu_factor(a), rhs)
+        assert x.shape == (n, columns) and x.dtype == complex
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(rhs, before)
+        # the factor is only read: a second solve is bitwise the first
+        assert np.array_equal(integrator.lu_solve(factor, rhs), x)
+
+    @pytest.mark.parametrize("n", [5, 37, 64, 257])
+    def test_zero_diagonal_takes_two_by_two_pivots(self, n):
+        assert (ldl_factor(symmetric_lhs("zero_diagonal", n)).ipiv < 0).any()
+        assert (ldl_factor(symmetric_lhs("het", n)).ipiv > 0).all()
+
+
+class TestFactorKind:
+    """ThetaStepper factorizes by L D L^T exactly when the state has more than
+    one column and G is exactly symmetric; otherwise by today's LU."""
+
+    @staticmethod
+    def stepper(g_mat, system=None, v_name="zero"):
+        # theta dt = 1/64
+        return TestRowBlockImplicitFill.stepper(g_mat, system or Effective(UNIT), get_v(v_name))
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Patch integrator.lu_factor to record (filled matrix, keywords, factor)."""
+        calls, real = [], integrator.lu_factor
+
+        def record(a, **kwargs):
+            calls.append((a, kwargs, real(a, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(integrator, "lu_factor", record)
+        return calls
+
+    def test_asymmetric_entry_in_last_partial_block_takes_lu(self, monkeypatch):
+        n = 100
+        assert n % integrator.FILL_ROWS  # the last block holds rows 64..99
+        g_sym = assemble_heterogeneous_generator(
+            Grid1D.make(n), KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
+        assert np.array_equal(g_sym, g_sym.T)
+        g_asym = g_sym.copy()
+        g_asym[n - 1, 3] = np.nextafter(g_sym[n - 1, 3], np.inf)
+        calls = self.recorded(monkeypatch)
+        sym = self.stepper(g_sym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        assert isinstance(sym._factors_at(0, 2), LDLFactor)
+        asym = self.stepper(g_asym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        lu = asym._factors_at(0, 2)
+        assert asym._ldl_lwork is None and not isinstance(lu, LDLFactor)
+        # the LU path is today's: scipy's lu_factor of the same filled matrix
+        filled = TestRowBlockImplicitFill.whole_array_fill(g_asym, asym)
+        expected = linalg.lu_factor(filled)
+        assert calls[1][1] == {"ldl_lwork": None}
+        assert np.array_equal(lu[0], expected[0]) and np.array_equal(lu[1], expected[1])
+
+    def test_one_column_simulate_of_symmetric_system_takes_lu(self, grid, frac_gen,
+                                                              monkeypatch):
+        calls = self.recorded(monkeypatch)
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        simulate(Heterogeneous(0.25), cfg, brownian_increments(1, 16, 0.5 / 16),
+                 generator=frac_gen)
+        assert np.array_equal(frac_gen, frac_gen.T)
+        assert len(calls) == 8
+        assert all(kw == {"ldl_lwork": None} and not isinstance(f, LDLFactor)
+                   for _, kw, f in calls)
+
+    def test_factor_shares_memory_with_the_filled_matrix(self, frac_gen, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        stepper = self.stepper(frac_gen, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        factor = stepper._factors_at(0, 3)
+        (filled, kwargs, _), = calls
+        assert isinstance(factor, LDLFactor) and kwargs["ldl_lwork"] == stepper._ldl_lwork
+        assert np.shares_memory(factor.ldl, filled)
+
+    def test_cached_factor_keeps_its_kind(self, frac_gen):
+        """A phase first factorized for one column keeps LU for several, and
+        the reverse."""
+        stepper = self.stepper(frac_gen)
+        assert not isinstance(stepper._factors_at(0, 1), LDLFactor)
+        assert not isinstance(stepper._factors_at(1, 2), LDLFactor)
+        stepper = self.stepper(frac_gen)
+        assert isinstance(stepper._factors_at(0, 2), LDLFactor)
+        assert isinstance(stepper._factors_at(1, 1), LDLFactor)
+        assert (stepper.misses, stepper.hits) == (1, 1)
+
+    # theta dt = 1/64: G = 64i I + S with S real symmetric and zero on the
+    # diagonal gives the implicit matrix (i/64) S exactly, which takes 2 x 2
+    # pivots; S's zero row and column k make a D(i, i) exactly zero, at the
+    # position the pivoting moved row k to
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_zero_d_pivot_names_zsytrf_index(self, k, monkeypatch):
+        s = np.random.default_rng(k).standard_normal((8, 8))
+        s = s + s.T
+        s[k], s[:, k] = 0.0, 0.0
+        s[np.diag_indices(8)] = 0.0
+        # LAPACK's report: info is the first zero D(i, i), 1-based
+        _, ipiv, info = zsytrf(np.asfortranarray(1j / 64.0 * s), lower=1)
+        assert info > 0 and (ipiv < 0).any()
+        solves = []
+        monkeypatch.setattr(integrator, "lu_solve", lambda *args: solves.append(args))
+        stepper = self.stepper(64j * np.eye(8) + s)
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            stepper.step(np.ones((8, 2), dtype=complex), 0, np.zeros(2))
+        assert str(excinfo.value) == ("effective system, phase None: implicit matrix is "
+                                      f"singular, D[{info - 1}, {info - 1}] is exactly zero")
+        assert solves == []
+
+    def test_nonfinite_generator_takes_lu_and_is_reported(self):
+        g_mat = Grid1D.make(8).h * np.eye(8)
+        g_mat[2, 3] = g_mat[3, 2] = np.nan
+        stepper = self.stepper(g_mat, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        with pytest.raises(integrator.LinearSolveError) as excinfo:
+            stepper.step(np.ones((8, 2), dtype=complex), 0, np.zeros(2))
+        assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
+                                      "implicit matrix is not finite")
+        assert stepper._ldl_lwork is None
+
+
+class TestSymmetricSweepEquivalence:
+    """eps_sweep with L D L^T factors against the same sweep forced onto LU.
+    strong_err agrees within rtol 1e-9 and weak_err within 5e-9 of its row's
+    largest entry; the two factorizations differ in rounding only. Measured
+    here: at most 2.3e-13 and 3.2e-12; on the n = 256 benchmark sweeps the
+    move is 6.6e-11 and 3.5e-10, which the tolerances also cover."""
+
+    @pytest.mark.parametrize("theta_s", [0.5, 1.0])
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    def test_sweep_matches_lu_path(self, monkeypatch, prepared_by_theta, theta, theta_s):
+        rc = RunConfig.from_dict({**EQUIVALENCE_CONFIG,
+                                  "theta_preset": {"name": theta, "params": {}},
+                                  "theta_scheme": theta_s, "g": {"kind": "bounded", "sigma": 0.7},
+                                  "dt_rule": {"kind": "eps_over", "factor": 8,
+                                              "default_dt": 1.0 / 64.0}})
+        prepared = prepared_by_theta[theta]
+        calls = TestFactorKind.recorded(monkeypatch)
+        ldl = eps_sweep([0.5, 0.25], 3, rc, prepared)
+        assert any(isinstance(f, LDLFactor) for _, _, f in calls)
+        calls.clear()
+        monkeypatch.setattr(ThetaStepper, "_ldl_lwork", None)
+        lu = eps_sweep([0.5, 0.25], 3, rc, prepared)
+        assert calls and not any(isinstance(f, LDLFactor) for _, _, f in calls)
+        np.testing.assert_allclose(ldl.strong_err, lu.strong_err, rtol=1e-9, atol=0.0)
+        for row, ref in zip(ldl.weak_err, lu.weak_err):
+            assert np.max(np.abs(np.subtract(row, ref))) <= 5e-9 * np.max(np.abs(ref))
+        assert ldl.excluded == lu.excluded == [0, 0]
