@@ -75,15 +75,24 @@ def _default_out(command: str, rc: RunConfig, suffix: str = "") -> Path:
 
 
 def _numerical_environment() -> dict:
-    """The BLAS thread settings (None where unset) and the numpy and scipy
-    builds, on which outputs depend in their last bits."""
-    def blas(config: dict) -> dict:
+    """The BLAS thread settings (None where unset), the CPUs this process may
+    run on (OpenBLAS's thread count when its variables are unset) and the
+    numpy and scipy builds, on which outputs depend in their last bits."""
+    def blas(show_config) -> dict:
+        # show_config takes mode="dicts" from numpy 1.25 and scipy 1.11 on
+        try:
+            config = show_config(mode="dicts")
+        except TypeError:
+            config = {}
         info = config.get("Build Dependencies", {}).get("blas", {})
         return {"name": info.get("name"), "version": info.get("version")}
 
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     return {"threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
-            "numpy": np.__version__, "numpy_blas": blas(np.show_config(mode="dicts")),
-            "scipy": scipy.__version__, "scipy_blas": blas(scipy.show_config(mode="dicts"))}
+            "cpus": cpus,
+            "numpy": np.__version__, "numpy_blas": blas(np.show_config),
+            "scipy": scipy.__version__, "scipy_blas": blas(scipy.show_config)}
 
 
 def _write_manifest(out: Path, command: str, rc: RunConfig, seeds: list[int],

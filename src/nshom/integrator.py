@@ -27,10 +27,12 @@ one LAPACK ``zgetrs`` call for more.
 
 The generator of the symmetric jump kernel is real symmetric (G_eff too when
 Theta is constant), so the implicit matrix is then complex symmetric, and for
-more than one column it is factorized as L D L^T by Bunch-Kaufman pivoting
-(LAPACK ``zsytrf``), about half the arithmetic of LU, and solved by one
-``zsytrs``. One column keeps LU, whose two ``ztrsv`` calls are faster than
-``zsytrs`` there; a generator that is not exactly symmetric keeps LU too.
+2 to LDL_MAX_COLUMNS columns it is factorized as L D L^T by Bunch-Kaufman
+pivoting (LAPACK ``zsytrf``), about half the arithmetic of LU, and solved by
+one ``zsytrs``. One column keeps LU, whose two ``ztrsv`` calls are faster
+than ``zsytrs`` there, and so do more than LDL_MAX_COLUMNS columns, where the
+level-3 ``zgetrs`` is faster than ``zsytrs``' rank-1 updates; a generator
+that is not exactly symmetric keeps LU too.
 
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
@@ -74,6 +76,11 @@ PHASE_WARNING_MIN_STEPS = 16
 # transpose, per block: the block reads 64 contiguous rows of the row-major
 # generator (1 MiB at n = 2048)
 FILL_ROWS = 64
+# the most state columns factorized by L D L^T; zsytrs solves by one rank-1
+# update per column of L, so the two kinds tie at 8 columns and zgetrs'
+# level-3 solve wins from 16 on (n = 256, 32 columns: 0.94 ms against
+# 0.68 ms at one BLAS thread)
+LDL_MAX_COLUMNS = 4
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -222,10 +229,12 @@ class LDLFactor(NamedTuple):
     """``zsytrf``'s Bunch-Kaufman factorization P A P^T = L D L^T of a complex
     symmetric A: L and the 1 x 1 and 2 x 2 blocks of D in the lower triangle
     of ``ldl``, LAPACK's 1-based pivots in ``ipiv`` (negative for a 2 x 2
-    block)."""
+    block), and ``info`` = i > 0 when D(i, i) is the first exactly zero
+    pivot (1-based), else 0."""
 
     ldl: np.ndarray
     ipiv: np.ndarray
+    info: int
 
 
 def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> tuple:
@@ -234,14 +243,14 @@ def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> tuple:
     workspace size ``ldl_lwork``, as an ``LDLFactor`` of its lower triangle,
     which must then be that of a complex symmetric matrix. Called once per
     factorization of either kind. A zero pivot is not an error here; the
-    caller reads it off the factor.
+    caller reads it off the factor (U's diagonal, or ``LDLFactor.info``).
     """
     if ldl_lwork is None:
         return scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     ldl, ipiv, info = zsytrf(a, lower=1, lwork=ldl_lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"zsytrf: illegal value in argument {-info}")
-    return LDLFactor(ldl, ipiv)
+    return LDLFactor(ldl, ipiv, info)
 
 
 def lu_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -254,7 +263,8 @@ def lu_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     call and takes about twice as long for one column. P > 1 calls LAPACK's
     ``zgetrs`` directly, whose blocking pays off from a few columns on (two at
     n = 2048, four at n = 512); it computes what scipy's ``lu_solve``
-    computes, without that wrapper's per-call argument checks. U, or D, must
+    computes, without that wrapper's per-call argument checks. ``ThetaStepper``
+    gives an ``LDLFactor`` for at most LDL_MAX_COLUMNS columns. U, or D, must
     have no zero pivot, which ``ThetaStepper`` checks when it factorizes.
     """
     if isinstance(factor, LDLFactor):
@@ -289,13 +299,13 @@ class ThetaStepper:
     The implicit matrix depends on the system, dt and the potential's phase,
     never on the path, so each phase is factorized once and each step makes
     one ``lu_solve`` with P right-hand sides: two level-2 triangular solves
-    for one column, one ``zgetrs`` for more. When the state has more than one
-    column and G is exactly symmetric (the potential only adds to the
-    diagonal), the phase is factorized as L D L^T instead (``zsytrf``, one
-    ``zsytrs`` per step). Symmetry is tested once, at the first such
-    factorization, by comparing blocks of FILL_ROWS rows with the matching
-    columns and stopping at the first block that differs; a NaN entry
-    differs, so a non-finite G keeps LU. The column-major implicit matrix
+    for one column, one ``zgetrs`` for more. When the state has 2 to
+    LDL_MAX_COLUMNS columns and G is exactly symmetric (the potential only
+    adds to the diagonal), the phase is factorized as L D L^T instead
+    (``zsytrf``, one ``zsytrs`` per step). Symmetry is tested once, at the
+    first such factorization, by comparing blocks of FILL_ROWS rows with the
+    matching columns and stopping at the first block that differs; a NaN
+    entry differs, so a non-finite G keeps LU. The column-major implicit matrix
     is written from the row-major generator in blocks of FILL_ROWS rows, so
     each block reads the generator contiguously. The scaled generator is
     checked for finiteness once per stepper, from its extremes, and the
@@ -368,7 +378,8 @@ class ThetaStepper:
 
     def _factors_at(self, k: int, columns: int = 1) -> tuple:
         """Factors of the implicit matrix of step k for a state of ``columns``
-        columns: L D L^T for several columns and a symmetric G, else LU."""
+        columns: L D L^T for 2 to LDL_MAX_COLUMNS columns and a symmetric G,
+        else LU."""
         tau, key = (None, None) if self._phases is None else (self._phases[k], self._keys[k])
         entry = self._factors.get(key)
         if entry is not None:
@@ -390,23 +401,22 @@ class ThetaStepper:
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + 1j * theta_s * dt * v_diag
         if not np.isfinite(lhs.diagonal()).all():
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
+        ldl_lwork = self._ldl_lwork if 1 < columns <= LDL_MAX_COLUMNS else None
         try:
             # a zero pivot is reported below, as an error rather than a warning
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(lhs, ldl_lwork=self._ldl_lwork if columns > 1 else None)
+                lu = lu_factor(lhs, ldl_lwork=ldl_lwork)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"{where}: implicit factorization failed: {exc}") from exc
         if isinstance(lu, LDLFactor):
-            # zsytrf stores a zero column as a 1 x 1 block D(i, i) = 0, the
-            # first of which its info reports; a nonsingular 2 x 2 block
-            # (negative ipiv) may hold zeros on its diagonal
-            pivot, zero = "D", np.flatnonzero((lu.ldl.diagonal() == 0) & (lu.ipiv > 0))
+            pivot, zero = "D", lu.info - 1
         else:
-            pivot, zero = "U", np.flatnonzero(lu[0].diagonal() == 0)
-        if zero.size:
+            zeros = np.flatnonzero(lu[0].diagonal() == 0)
+            pivot, zero = "U", zeros[0] if zeros.size else -1
+        if zero >= 0:
             raise LinearSolveError(f"{where}: implicit matrix is singular, "
-                                   f"{pivot}[{zero[0]}, {zero[0]}] is exactly zero")
+                                   f"{pivot}[{zero}, {zero}] is exactly zero")
         size = lu[0].nbytes
         while self._factors and self._factor_bytes + size > LU_CACHE_BYTES:
             self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0].nbytes

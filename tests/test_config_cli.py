@@ -2,6 +2,7 @@
 reproducibility of rerun outputs."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -294,6 +295,25 @@ class TestCliCommands:
         for key, module in (("numpy_blas", np), ("scipy_blas", scipy)):
             blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
             assert env[key] == {"name": blas["name"], "version": blas["version"]}
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert env["cpus"] == cpus >= 1
+
+    def test_manifest_blas_build_is_null_without_show_config_dicts(self, tmp_path, monkeypatch):
+        """numpy before 1.25 and scipy before 1.11 have no show_config mode."""
+        import scipy
+
+        def show_config():
+            raise AssertionError("printed instead of returning a dict")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        monkeypatch.setattr(scipy, "show_config", show_config)
+        cfg = self._small_cfg(tmp_path)
+        out = tmp_path / "env"
+        assert main(["simulate", "--system", "eff", "--config", str(cfg), "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["numpy_blas"] == env["scipy_blas"] == {"name": None, "version": None}
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
 
     def test_simulate_rerun_reproduces_outputs_bitwise(self, tmp_path):
         cfg = self._small_cfg(tmp_path)

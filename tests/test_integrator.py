@@ -885,6 +885,7 @@ class TestSymmetricSolve:
     def test_matches_lu_solve(self, n, kind, columns):
         a = symmetric_lhs(kind, n)
         factor = ldl_factor(a)
+        assert factor.info == 0
         rng = np.random.default_rng(columns)
         rhs = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
         before = rhs.copy()
@@ -903,8 +904,8 @@ class TestSymmetricSolve:
 
 
 class TestFactorKind:
-    """ThetaStepper factorizes by L D L^T exactly when the state has more than
-    one column and G is exactly symmetric; otherwise by today's LU."""
+    """ThetaStepper factorizes by L D L^T exactly when the state has 2 to
+    LDL_MAX_COLUMNS columns and G is exactly symmetric; otherwise by LU."""
 
     @staticmethod
     def stepper(g_mat, system=None, v_name="zero"):
@@ -953,6 +954,18 @@ class TestFactorKind:
         assert len(calls) == 8
         assert all(kw == {"ldl_lwork": None} and not isinstance(f, LDLFactor)
                    for _, kw, f in calls)
+
+    def test_more_than_ldl_max_columns_take_lu(self, frac_gen, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        limit = integrator.LDL_MAX_COLUMNS
+        ldl, lu = (self.stepper(frac_gen, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+                   for _ in range(2))
+        assert isinstance(ldl._factors_at(0, limit), LDLFactor)
+        factor = lu._factors_at(0, limit + 1)
+        assert not isinstance(factor, LDLFactor) and calls[1][1] == {"ldl_lwork": None}
+        # the LU path is today's: scipy's lu_factor of the same filled matrix
+        expected = linalg.lu_factor(TestRowBlockImplicitFill.whole_array_fill(frac_gen, lu))
+        assert np.array_equal(factor[0], expected[0]) and np.array_equal(factor[1], expected[1])
 
     def test_factor_shares_memory_with_the_filled_matrix(self, frac_gen, monkeypatch):
         calls = self.recorded(monkeypatch)
