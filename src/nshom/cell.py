@@ -38,9 +38,11 @@ from scipy.linalg import toeplitz
 
 from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _theta_matrix,
                      pair_weights_even, same_cell_coeff)
-from .presets import ThetaSpec, VSpec
+from .presets import ThetaSpec, VSpec, get_theta, get_v
 
 KERNEL_MODES = ("periodized", "cell_truncated")
+# the mean-zero potential presets the periodic Poisson oracle solves for
+POISSON_POTENTIALS = ("cos2pi_y", "cos2pi_y_times_cos2pi_tau", "sin2pi_y_one_plus_sin2pi_tau")
 
 
 class CellSolveError(RuntimeError):
@@ -307,3 +309,29 @@ def form_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
     """(most negative, smallest mean-zero-subspace, largest) eigenvalues of the form."""
     vals = np.linalg.eigvalsh(a)
     return float(vals[0]), float(vals[1]), float(vals[-1])
+
+
+
+# Oracles of ``nshom validate`` and the tests, as in ``kernel``.
+
+def constant_corrector_error(alpha: float, m: int = 64) -> tuple[float, float]:
+    """|chi| for Theta == 1, where the corrector vanishes."""
+    sol = solve_cell_problem(get_theta("one"), alpha, CellGrid(m=m))
+    return float(np.linalg.norm(sol.chi)), 1e-10
+
+
+def manufactured_corrector_error(alpha: float, m: int = 64) -> tuple[float, float]:
+    """Relative L2 error of the bordered solve recovering chi* from a chi*."""
+    grid = CellGrid(m=m)
+    a = assemble_cell_form(get_theta("cosine_product"), alpha, grid)
+    chi = np.cos(2 * np.pi * grid.y) - 0.5 * np.sin(4 * np.pi * grid.y)
+    chi -= chi.mean()
+    return float(np.linalg.norm(solve_bordered(a, a @ chi)[0] - chi) / np.linalg.norm(chi)), 1e-8
+
+
+def poisson_residual_error(alpha: float, m: int = 64, m_tau: int = 2,
+                           potentials=POISSON_POTENTIALS) -> tuple[float, float]:
+    """Largest ``poisson_residual`` of the periodic solve over the potentials."""
+    grid = CellGrid(m=m, m_tau=m_tau)
+    return float(np.max([poisson_residual(solve_periodic_poisson(v, alpha, grid), v, alpha, grid)
+                         for v in map(get_v, potentials)])), 1e-8

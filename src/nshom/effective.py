@@ -42,7 +42,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
+from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
+                     widened)
 from .cell import CellSolution
 from .presets import VSpec, get_theta
 
@@ -175,6 +176,21 @@ def zeta_of_parabola(x: np.ndarray, alpha: float) -> np.ndarray:
     return 0.5 * (a_j(3) + 2.0 * x * a_j(2))
 
 
+def divergence_of_powers(x: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (R x, R x^2) at the points x, R zeta = int (zeta(x) + zeta(z)) gamma(x, z) dz.
+
+    With t = z - x and gamma = sign(t)|t|^{-p}, p = (1+alpha)/2, the moments
+    over [-1-x, 1-x] are M_j = int t^j gamma dt = ((1-x)^e - (-1)^j (1+x)^e) / e,
+    e = j + 1 - p, M_0 a principal value; then R x = 2x M_0 + M_1 and
+    R x^2 = 2x^2 M_0 + 2x M_1 + M_2.
+    """
+    alpha = _check_alpha(alpha)
+    x = np.asarray(x, dtype=float)
+    e = np.arange(3.0) + 1.0 - (1.0 + alpha) / 2.0
+    m0, m1, m2 = (((1.0 - x) ** e[j] - (-1.0) ** j * (1.0 + x) ** e[j]) / e[j] for j in range(3))
+    return 2.0 * x * m0 + m1, 2.0 * x ** 2 * m0 + 2.0 * x * m1 + m2
+
+
 def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     """Dense matrix R applying the principal-value restricted divergence to zeta.
 
@@ -256,3 +272,38 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
         block += _zeta_rows(n, alpha, rows) * (col_scale - row_scale[b, None]) - e[b] @ z_c
         out[b] += block
     return out
+
+
+
+# Oracles of ``nshom validate`` and the tests, as in ``kernel``.
+
+def dense_product_error(alpha: float, n: int = 96) -> tuple[float, float]:
+    """``assemble_effective_generator`` at Xi = (1.1, 0.3, -0.2) against the dense
+    product Xi_1 L - (Xi_2 / 2) R @ Z - Xi_3 Z, relative to its largest entry."""
+    grid, xi = Grid1D.make(n), (1.1, 0.3, -0.2)
+    lap = assemble_heterogeneous_generator(grid, KernelParams(alpha=alpha, theta=get_theta("one")))
+    z, r = zeta_matrix(grid, alpha), restricted_divergence_matrix(grid, alpha)
+    dense = xi[0] * lap - (xi[1] / 2.0) * (r @ z) - xi[2] * z
+    built = assemble_effective_generator(EffectiveCoefficients.from_values(*xi), grid, alpha)
+    return float(np.max(np.abs(built - dense)) / np.max(np.abs(dense))), 1e-14
+
+
+def zeta_parabola_error(n: int, alpha: float) -> tuple[float, float]:
+    """Z (1 - x^2) against ``zeta_of_parabola``, relative to max|zeta| (zeta(0) = 0)."""
+    grid = Grid1D.make(n)
+    exact = zeta_of_parabola(grid.nodes, alpha)
+    err = np.max(np.abs(zeta_matrix(grid, alpha) @ (1.0 - grid.nodes ** 2) - exact))
+    return float(err / np.max(np.abs(exact))), widened(1e-4, n, 1.5)
+
+
+def divergence_error(n: int, alpha: float) -> tuple[float, float]:
+    """R x and R x^2 against ``divergence_of_powers`` on |x| <= 1/2, relative to
+    the largest exact value, in units of their tolerances: R x is exact up to
+    rounding, R x^2 carries an O(h^2) interpolation error."""
+    grid = Grid1D.make(n)
+    x, away = grid.nodes, np.abs(grid.nodes) <= 0.5
+    r = restricted_divergence_matrix(grid, alpha)
+    tols = (1e-14 * max(1.0, n / 256, 0.05 / (alpha - 1.0)), widened(3e-5, n, 2.25))
+    ratios = [np.max(np.abs(r @ field - exact)[away]) / np.max(np.abs(exact[away])) / tol
+              for field, exact, tol in zip((x, x ** 2), divergence_of_powers(x, alpha), tols)]
+    return float(np.max(ratios)), 1.0

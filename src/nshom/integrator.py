@@ -511,3 +511,34 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
 
     return SimResult(times=times, norm2=norm2, re_mass=re_mass, im_mass=im_mass,
                      trajectory=traj, snapshots=snapshots, final=u[:, 0])
+
+
+
+# Oracles of ``nshom validate`` and the tests, as in ``kernel``.
+
+def norm_drift_error(alpha: float, n_steps: int = 64) -> tuple[float, float]:
+    """|N_T / N_0 - 1| of the discrete norm, g = f = 0, over ``n_steps`` steps of
+    1/128 at n = 64: heterogeneous system, eps = 1/4, oscillating potential."""
+    cfg = SimConfig(grid=Grid1D.make(64), alpha=alpha, T=n_steps / 128,
+                    v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+    res = simulate(Heterogeneous(0.25), cfg, brownian_increments(0, n_steps, 1.0 / 128),
+                   store_trajectory=False)
+    return abs(res.norm2[-1] / res.norm2[0] - 1.0), 1e-8
+
+
+def ito_growth_error(alpha: float, n_steps: int = 128) -> tuple[float, float]:
+    """|N_T / (N_0 e^{sigma^2 T}) - 1| for g = sigma u, sigma = 1/2, T = 1, at n = 64
+    with unit effective coefficients. sigma^2 (sum dW^2 - T) ~ N(0, 2 sigma^4 T dt)
+    dominates it; the tolerance is 8 of its standard deviations."""
+    sigma, dt = 0.5, 1.0 / n_steps
+    cfg = SimConfig(grid=Grid1D.make(64), alpha=alpha, T=1.0, noise=NoiseModel("linear", sigma))
+    res = simulate(Effective(EffectiveCoefficients.from_values(1.0)), cfg,
+                   brownian_increments(1, n_steps, dt), store_trajectory=False)
+    rel = abs(res.norm2[-1] / (res.norm2[0] * np.exp(sigma ** 2)) - 1.0)
+    return rel, 8.0 * sigma ** 2 * np.sqrt(2.0 * dt)
+
+
+def path_determinism_error(n_steps: int = 512) -> tuple[float, float]:
+    """Largest difference between two draws of one counter-based path."""
+    first, second = (brownian_increments(5, n_steps, 1e-2).increments for _ in range(2))
+    return float(np.max(np.abs(first - second))), 0.0

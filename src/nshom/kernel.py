@@ -35,7 +35,7 @@ from scipy import integrate
 from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn
 
-from .presets import ThetaSpec
+from .presets import ThetaSpec, get_theta
 
 # entries of one (nodes, quadrature points) block of the exterior weight,
 # 2 MiB of float64; n = 256 at eps = 1/16 fits in one block
@@ -398,3 +398,63 @@ def pv_oracle(u: Callable[[float], float], x: float, alpha: float,
             if err < best:
                 best, best_val = err, row[-1]
     raise PVConvergenceError("principal-value refinement did not converge", best_val, best)
+
+
+
+# Oracles of ``nshom validate`` and the tests: each returns (measured error,
+# tolerance); the parameters without defaults are the run's n and alpha.
+
+def widened(tol: float, n: int, order: float) -> float:
+    """``tol``, which holds from n = 256 on, times (256/n)^order below it."""
+    return tol * max(1.0, 256 / n) ** order
+
+
+def point_value_error() -> tuple[float, float]:
+    """gamma(0, 2) against 2^{-5/4} at alpha = 3/2; inf unless gamma(0, 1) = 1 = -gamma(1, 0)."""
+    exact = gamma(0.0, 1.0, 1.5) == 1.0 and gamma(1.0, 0.0, 1.5) == -1.0
+    return (abs(gamma(0.0, 2.0, 1.5) / 2.0 ** -1.25 - 1.0) if exact else np.inf), 1e-15
+
+
+def exterior_weight_error(alpha: float, size: int = 20) -> tuple[float, float]:
+    """``rho`` against adaptive quadrature, at ``size`` random points."""
+    errors = []
+    for x in np.random.default_rng(0).uniform(-0.99, 0.99, size=size):
+        f = lambda z: abs(z - x) ** (-1.0 - alpha)
+        quad = integrate.quad(f, -np.inf, -1.0)[0] + integrate.quad(f, 1.0, np.inf)[0]
+        errors.append(abs(quad - rho(x, alpha)) / rho(x, alpha))
+    return float(np.max(errors)), 1e-8
+
+
+def swap_symmetry_error(alpha: float, size: int = 20) -> tuple[float, float]:
+    """|D* u(x, z) - D* u(z, x)| of a complex field over ``size`` random pairs."""
+    u = lambda z: np.sin(2.0 * z) + 1j * z ** 2
+    pairs = np.random.default_rng(3).uniform(-0.95, 0.95, size=(size, 2))
+    return float(np.max([abs(dstar_apply(u, x, z, alpha) - dstar_apply(u, z, x, alpha))
+                         for x, z in pairs if x != z])), 0.0
+
+
+def generator_psd_error(alpha: float, theta: str = "cosine_product") -> tuple[float, float]:
+    """-lambda_min / lambda_max of G at n = 96, eps = 1/2; inf unless G = G^T."""
+    g = assemble_heterogeneous_generator(
+        Grid1D.make(96), KernelParams(alpha=alpha, theta=get_theta(theta), epsilon=0.5))
+    ev = np.linalg.eigvalsh(g)
+    return (float(-ev[0] / ev[-1]) if np.array_equal(g, g.T) else np.inf), 1e-10
+
+
+def quadratic_form_error(alpha: float, n: int = 96,
+                         theta: str = "cosine_product") -> tuple[float, float]:
+    """h u^T G u against ``h_rho_norm_sq`` at eps = 1/2 for a perturbed smooth field."""
+    grid = Grid1D.make(n)
+    params = KernelParams(alpha=alpha, theta=get_theta(theta), epsilon=0.5)
+    re, im = np.random.default_rng(5).standard_normal((2, n))
+    u = (1.0 - grid.nodes ** 2) * np.exp(1j * np.pi * grid.nodes) + 0.1 * (re + 1j * im)
+    lhs = grid.h * float(np.real(np.vdot(u, assemble_heterogeneous_generator(grid, params) @ u)))
+    return abs(lhs / h_rho_norm_sq(u, grid, params) - 1.0), 1e-12
+
+
+def getoor_error(n: int, alpha: float) -> tuple[float, float]:
+    """L (1 - x^2)^{alpha/2} against ``getoor_parabola_image`` on |x| <= 1/2, relative."""
+    grid, exact = Grid1D.make(n), getoor_parabola_image(alpha)
+    lap = assemble_heterogeneous_generator(grid, KernelParams(alpha=alpha, theta=get_theta("one")))
+    image = (lap @ (1.0 - grid.nodes ** 2) ** (alpha / 2.0))[np.abs(grid.nodes) <= 0.5]
+    return float(np.max(np.abs(image - exact)) / exact), widened(3e-4, n, 1.5)

@@ -15,14 +15,12 @@ from nshom.cell import (
     form_eigenvalues,
     periodic_symbol,
     periodized_kernel_weight,
-    poisson_residual,
     solve_cell_problem,
     solve_periodic_poisson,
 )
 from nshom.presets import VSpec, get_theta, get_v
 
 ALPHA = 1.5
-V_PRESET_NAMES = ["cos2pi_y", "cos2pi_y_times_cos2pi_tau", "sin2pi_y_one_plus_sin2pi_tau"]
 
 
 SYMBOL_ALPHAS = [1.001, 1.01, 1.1, 1.25, 1.5, 1.75, 1.9, 1.99, 1.999]
@@ -140,8 +138,8 @@ class TestCellRhs:
 
 class TestCorrectorSolve:
     def test_constant_theta_gives_zero_corrector(self):
-        sol = solve_cell_problem(get_theta("one"), ALPHA, CellGrid(m=128, m_tau=4))
-        assert np.linalg.norm(sol.chi) < 1e-10
+        err, tol = cell.constant_corrector_error(ALPHA, m=128)
+        assert err <= tol
 
     def test_mean_zero_every_slice(self):
         sol = solve_cell_problem(get_theta("cosine_product"), ALPHA,
@@ -188,20 +186,8 @@ class TestCorrectorSolve:
         assert sol.chi.flags.writeable and sol.chi.flags.c_contiguous
 
     def test_manufactured_solution_recovery(self):
-        grid = CellGrid(m=256, m_tau=1)
-        a = assemble_cell_form(get_theta("cosine_product"), ALPHA, grid)
-        y = grid.y
-        chi_star = np.cos(2 * np.pi * y) - 0.5 * np.sin(4 * np.pi * y)
-        chi_star -= chi_star.mean()
-        b_star = a @ chi_star
-        m = grid.m
-        bordered = np.zeros((m + 1, m + 1))
-        bordered[:m, :m] = a
-        bordered[:m, m] = 1.0
-        bordered[m, :m] = 1.0
-        sol = np.linalg.solve(bordered, np.concatenate([b_star, [0.0]]))
-        rel = np.linalg.norm(sol[:m] - chi_star) / np.linalg.norm(chi_star)
-        assert rel < 1e-6
+        err, tol = cell.manufactured_corrector_error(ALPHA, m=256)
+        assert err <= tol
 
     def test_truncated_mode_produces_nontrivial_corrector(self):
         sol = solve_cell_problem(get_theta("one"), ALPHA,
@@ -246,12 +232,10 @@ class TestPeriodicPoisson:
                - 0.5 * solve_periodic_poisson(v2, ALPHA, grid))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    @pytest.mark.parametrize("name", V_PRESET_NAMES)
+    @pytest.mark.parametrize("name", cell.POISSON_POTENTIALS)
     def test_residual_below_tolerance(self, name):
-        grid = CellGrid(m=128, m_tau=8)
-        v = get_v(name)
-        xi = solve_periodic_poisson(v, ALPHA, grid)
-        assert poisson_residual(xi, v, ALPHA, grid) < 1e-8
+        err, tol = cell.poisson_residual_error(ALPHA, m=128, m_tau=8, potentials=(name,))
+        assert err <= tol
 
     def test_nonzero_mean_rejected(self):
         with pytest.raises(ValueError, match="mean"):

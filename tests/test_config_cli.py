@@ -1,6 +1,7 @@
 """Configuration validation, hashing, and CLI behavior including bitwise
 reproducibility of rerun outputs."""
 
+import functools
 import json
 import os
 
@@ -485,13 +486,25 @@ class TestCliCommands:
         assert code == 3
         assert err == "out of memory: Unable to allocate 671. GiB for an array\n"
 
+    VALIDATE_ROW_NAMES = (
+        "kernel point values", "exterior weight closed form vs quadrature",
+        "two-point field swap symmetry", "generator symmetric PSD", "quadratic form identity",
+        "effective generator vs dense product", "L (1-x^2)^(alpha/2) vs Getoor closed form",
+        "zeta(1-x^2) vs closed form", "R x and R x^2 vs closed form",
+        "constant-coefficient corrector vanishes", "manufactured corrector recovery",
+        "periodic Poisson residual", "norm conservation (g = f = 0)",
+        "Ito norm growth magnitude", "counter-based path determinism")
+
     def test_validate_passes_and_dumps_matrices(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)
         dump = tmp_path / "mats"
-        assert main(["validate", "--config", str(cfg),
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v"),
                      "--dump-matrices", str(dump)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        rows = json.loads((tmp_path / "v" / "validate.json").read_text())
+        assert [(r["check"], r["passed"]) for r in rows] == [
+            (name, True) for name in self.VALIDATE_ROW_NAMES]
         mat = np.loadtxt(dump / "fractional_generator.csv", delimiter=",")
         assert mat.shape == (32, 32)
         assert np.max(np.abs(mat - mat.T)) < 1e-12
@@ -511,13 +524,23 @@ class TestCliCommands:
             assert rows[name]["passed"], rows[name]
             assert rows[name]["detail"].endswith(tol)
 
-    def test_validate_closed_form_row_fails_on_a_wrong_operator(self, tmp_path, capsys,
-                                                               monkeypatch):
+    @pytest.mark.parametrize("bad", ["above", "nan"])
+    @pytest.mark.parametrize("name", VALIDATE_ROW_NAMES)
+    def test_validate_row_fails_alone(self, tmp_path, capsys, monkeypatch, name, bad):
+        """An oracle measuring above its tolerance, or NaN, fails its row and no other."""
         from nshom import cli
-        real = cli.zeta_of_parabola
-        monkeypatch.setattr(cli, "zeta_of_parabola", lambda x, alpha: 1.001 * real(x, alpha))
-        cfg = self._small_cfg(tmp_path, grid={"n": 256})
-        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
-        out = capsys.readouterr().out
-        failed = [line for line in out.splitlines() if "  FAIL  " in line]
-        assert len(failed) == 1 and failed[0].startswith(self.CLOSED_FORM_ROWS[1])
+        rows = dict(cli.VALIDATE_ROWS)
+
+        @functools.wraps(rows[name])
+        def forced(**inputs):
+            tol = rows[name](**inputs)[1]
+            return (tol + 1.0 if bad == "above" else np.nan), tol
+
+        monkeypatch.setattr(cli, "VALIDATE_ROWS", tuple({**rows, name: forced}.items()))
+        out = tmp_path / "v"
+        assert main(["validate", "--config", str(self._small_cfg(tmp_path)),
+                     "--out", str(out)]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if "  FAIL  " in line]
+        assert len(failed) == 1 and failed[0].startswith(name + " ")
+        assert [r["check"] for r in json.loads((out / "validate.json").read_text())
+                if not r["passed"]] == [name]

