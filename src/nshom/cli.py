@@ -92,7 +92,9 @@ def _numerical_environment() -> dict:
 
 
 def _write_manifest(out: Path, command: str, rc: RunConfig, seeds: list[int],
-                    extra: dict | None = None) -> None:
+                    sections: dict | None = None) -> None:
+    """Write manifest.json; ``sections`` adds top-level entries (``parameters``,
+    ``telemetry``)."""
     manifest = {
         "schema_version": 1,
         "command": command,
@@ -103,8 +105,7 @@ def _write_manifest(out: Path, command: str, rc: RunConfig, seeds: list[int],
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "environment": _numerical_environment(),
     }
-    if extra:
-        manifest["parameters"] = extra
+    manifest.update(sections or {})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -191,9 +192,10 @@ def _cmd_simulate(args) -> int:
     for step, state in sorted(res.snapshots.items()):
         _write_csv(out / f"snap_{step:06d}.csv", ["x", "re_u", "im_u"],
                    [cfg.grid.nodes, state.real, state.imag])
-    _write_manifest(out, "simulate", rc, seeds=[seed],
-                    extra={"system": args.system, "eps": eps, "dt": dt,
-                           "n_steps": n_steps, "snap_every": snap_every})
+    _write_manifest(out, "simulate", rc, seeds=[seed], sections={
+        "parameters": {"system": args.system, "eps": eps, "dt": dt,
+                       "n_steps": n_steps, "snap_every": snap_every},
+        "telemetry": {"factorizations": res.factorizations, "factor_hits": res.factor_hits}})
     print(f"simulate {args.system}: {n_steps} steps, final norm2 {res.norm2[-1]:.6e} -> {out}")
     return 0
 
@@ -213,8 +215,8 @@ def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport) -> None:
     fit["definition"] = STRONG_ERROR_DEFINITION
     fit["psi"] = [name for name, _ in PSI_PRESETS]
     (out / "fit.json").write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "sweep", rc, seeds=report.seeds,
-                    extra={"eps_list": report.eps_list, "n_paths": report.n_paths})
+    _write_manifest(out, "sweep", rc, seeds=report.seeds, sections={
+        "parameters": {"eps_list": report.eps_list, "n_paths": report.n_paths}})
 
 
 def _cmd_sweep(args) -> int:

@@ -25,14 +25,15 @@ u_{n+1} = (I + i theta dt H_n)^{-1}[u_n/theta - i g(u_n) dW_n - i f(t_n) dt]
 The solve (``lu_solve``) is two level-2 triangular solves for one column and
 one LAPACK ``zgetrs`` call for more.
 
-The generator of the symmetric jump kernel is real symmetric (G_eff too when
-Theta is constant), so the implicit matrix is then complex symmetric, and for
-2 to LDL_MAX_COLUMNS columns it is factorized as L D L^T by Bunch-Kaufman
-pivoting (LAPACK ``zsytrf``), about half the arithmetic of LU, and solved by
-one ``zsytrs``. One column keeps LU, whose two ``ztrsv`` calls are faster
-than ``zsytrs`` there, and so do more than LDL_MAX_COLUMNS columns, where the
-level-3 ``zgetrs`` is faster than ``zsytrs``' rank-1 updates; a generator
-that is not exactly symmetric keeps LU too.
+The factor kind: the generator of the symmetric jump kernel is real
+symmetric (G_eff too when Theta is constant), so the implicit matrix is then
+complex symmetric, and for 2 to LDL_MAX_COLUMNS columns it is factorized as
+L D L^T by Bunch-Kaufman pivoting (LAPACK ``zsytrf``), about half the
+arithmetic of LU, and solved by one ``zsytrs``. Every other case takes LU
+(``zgetrf``): one column, whose two ``ztrsv`` calls are faster than
+``zsytrs`` there; more than LDL_MAX_COLUMNS columns, where the level-3
+``zgetrs`` is faster than ``zsytrs``' rank-1 updates; and a generator that is
+not exactly symmetric. A phase keeps the kind it was first factorized with.
 
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
@@ -40,9 +41,10 @@ system and checks it for divergence in one pass; ``simulate`` is its
 one-column case. The implicit matrix does not depend on the path, so its
 factorization is shared by all columns and cached on the fractional part of
 the sampling time over eps, which cycles when dt / eps is rational (e.g. the
-dt = eps/8 sweep rule). The cache is bounded by LU_CACHE_BYTES, and a run
-whose phase does not cycle is warned about, since then most steps
-refactorize.
+dt = eps/8 sweep rule). The cache keeps the factors of the first
+LU_CACHE_BYTES // (16 n^2) phases (at least one) and never evicts; a run
+whose phases recur but outnumber it, or whose phase does not cycle, is
+warned about, since then most steps refactorize.
 
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
@@ -58,17 +60,15 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import LinAlgWarning
 from scipy.linalg.blas import ztrsv
-from scipy.linalg.lapack import zgetrs, zlaswp, zsytrf, zsytrf_lwork, zsytrs
+from scipy.linalg.lapack import zgetrf, zgetrs, zlaswp, zsytrf, zsytrf_lwork, zsytrs
 
 from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
 from .effective import EffectiveCoefficients, assemble_effective_generator
 from .presets import FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta, get_v
 
 BLOWUP_LIMIT = 1e12
-# bytes of LU factors one stepper keeps (64 factors at n = 1024)
+# bytes of factors one stepper keeps, 16 n^2 per phase (64 phases at n = 1024)
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
@@ -214,7 +214,8 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Time series of one trajectory: discrete norms, masses, and states."""
+    """Time series of one trajectory: discrete norms, masses, and states; and
+    the stepper's factorizations (cache misses) and factor-cache hits."""
 
     times: np.ndarray
     norm2: np.ndarray
@@ -223,64 +224,58 @@ class SimResult:
     trajectory: np.ndarray | None
     snapshots: dict[int, np.ndarray]
     final: np.ndarray
+    factorizations: int
+    factor_hits: int
 
 
-class LDLFactor(NamedTuple):
-    """``zsytrf``'s Bunch-Kaufman factorization P A P^T = L D L^T of a complex
-    symmetric A: L and the 1 x 1 and 2 x 2 blocks of D in the lower triangle
-    of ``ldl``, LAPACK's 1-based pivots in ``ipiv`` (negative for a 2 x 2
-    block), and ``info`` = i > 0 when D(i, i) is the first exactly zero
+class Factor(NamedTuple):
+    """A factorization of the implicit matrix (kinds: module docstring): LU
+    (``zgetrf``; L and U in ``matrix``, 0-based row swaps in ``piv``) or, if
+    ``symmetric``, L D L^T (``zsytrf``; L and D's 1 x 1 and 2 x 2 blocks in the
+    lower triangle of ``matrix``, LAPACK's 1-based ``piv``, negative for a 2 x 2
+    block). ``info`` = i > 0 when U(i, i) or D(i, i) is the first exactly zero
     pivot (1-based), else 0."""
 
-    ldl: np.ndarray
-    ipiv: np.ndarray
+    matrix: np.ndarray
+    piv: np.ndarray
     info: int
+    symmetric: bool
 
 
-def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> tuple:
-    """Factorize the column-major complex matrix ``a`` in place: by LU with
-    partial pivoting (scipy's ``lu_factor``), or, given the ``zsytrf``
-    workspace size ``ldl_lwork``, as an ``LDLFactor`` of its lower triangle,
-    which must then be that of a complex symmetric matrix. Called once per
-    factorization of either kind. A zero pivot is not an error here; the
-    caller reads it off the factor (U's diagonal, or ``LDLFactor.info``).
-    """
+def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> Factor:
+    """Factorize the column-major complex ``a`` in place, by LU with partial
+    pivoting (``zgetrf``, as scipy's ``lu_factor``) or, given ``zsytrf``'s
+    workspace size ``ldl_lwork``, as L D L^T of its lower triangle, which must
+    be that of a complex symmetric matrix. A zero pivot is left in ``info``."""
     if ldl_lwork is None:
-        return scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
-    ldl, ipiv, info = zsytrf(a, lower=1, lwork=ldl_lwork, overwrite_a=1)
+        matrix, piv, info = zgetrf(a, overwrite_a=1)
+    else:
+        matrix, piv, info = zsytrf(a, lower=1, lwork=ldl_lwork, overwrite_a=1)
     if info < 0:
-        raise ValueError(f"zsytrf: illegal value in argument {-info}")
-    return LDLFactor(ldl, ipiv, info)
+        raise ValueError(f"factorization: illegal value in argument {-info}")
+    return Factor(matrix, piv, info, ldl_lwork is not None)
 
 
-def lu_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for an (n, P) complex right-hand side, given the complex
-    ``lu_factor`` of A, LU or ``LDLFactor``; ``rhs`` is not modified.
-
-    An ``LDLFactor`` is solved by one LAPACK ``zsytrs``. For LU, one column
-    takes two level-2 triangular solves (``ztrsv``), which read the factor
-    once; the level-3 ``ztrsm`` inside ``zgetrs`` packs the factor on every
-    call and takes about twice as long for one column. P > 1 calls LAPACK's
-    ``zgetrs`` directly, whose blocking pays off from a few columns on (two at
-    n = 2048, four at n = 512); it computes what scipy's ``lu_solve``
-    computes, without that wrapper's per-call argument checks. ``ThetaStepper``
-    gives an ``LDLFactor`` for at most LDL_MAX_COLUMNS columns. U, or D, must
-    have no zero pivot, which ``ThetaStepper`` checks when it factorizes.
-    """
-    if isinstance(factor, LDLFactor):
-        x, info = zsytrs(factor.ldl, factor.ipiv, rhs, lower=1)
-        if info:  # set only for an illegal argument
-            raise ValueError(f"zsytrs: illegal value in argument {-info}")
-        return x
-    lu, piv = factor
-    if rhs.shape[1] != 1:
-        x, info = zgetrs(lu, piv, rhs)
-        if info:  # set only for an illegal argument
-            raise ValueError(f"zgetrs: illegal value in argument {-info}")
-        return x
-    x = zlaswp(np.array(rhs, dtype=complex, order="F"), piv, overwrite_a=True)[:, 0]
-    x = ztrsv(lu, x, lower=1, diag=1, overwrite_x=1)
-    return ztrsv(lu, x, overwrite_x=1)[:, None]
+def lu_solve(factor: Factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for an (n, P) complex right-hand side, given the
+    ``lu_factor`` of A, which must have no zero pivot; ``rhs`` is not modified.
+    L D L^T takes one LAPACK ``zsytrs``. LU takes, for one column, two level-2
+    triangular solves (``ztrsv``), which read the factor once, where
+    ``zgetrs``' level-3 ``ztrsm`` packs it on every call and takes about twice
+    as long; for P > 1 it takes one direct ``zgetrs``, whose blocking pays off
+    from a few columns on (two at n = 2048, four at n = 512), without the
+    per-call argument checks of scipy's ``lu_solve``."""
+    if factor.symmetric:
+        x, info = zsytrs(factor.matrix, factor.piv, rhs, lower=1)
+    elif rhs.shape[1] != 1:
+        x, info = zgetrs(factor.matrix, factor.piv, rhs)
+    else:
+        x = zlaswp(np.array(rhs, dtype=complex, order="F"), factor.piv, overwrite_a=True)[:, 0]
+        x = ztrsv(factor.matrix, x, lower=1, diag=1, overwrite_x=1)
+        return ztrsv(factor.matrix, x, overwrite_x=1)[:, None]
+    if info:  # set only for an illegal argument
+        raise ValueError(f"solve: illegal value in argument {-info}")
+    return x
 
 
 def _build_generator(system: Heterogeneous | Effective, cfg: SimConfig) -> np.ndarray:
@@ -297,24 +292,19 @@ class ThetaStepper:
     columns of an (n, P) complex array.
 
     The implicit matrix depends on the system, dt and the potential's phase,
-    never on the path, so each phase is factorized once and each step makes
-    one ``lu_solve`` with P right-hand sides: two level-2 triangular solves
-    for one column, one ``zgetrs`` for more. When the state has 2 to
-    LDL_MAX_COLUMNS columns and G is exactly symmetric (the potential only
-    adds to the diagonal), the phase is factorized as L D L^T instead
-    (``zsytrf``, one ``zsytrs`` per step). Symmetry is tested once, at the
-    first such factorization, by comparing blocks of FILL_ROWS rows with the
-    matching columns and stopping at the first block that differs; a NaN
-    entry differs, so a non-finite G keeps LU. The column-major implicit matrix
-    is written from the row-major generator in blocks of FILL_ROWS rows, so
-    each block reads the generator contiguously. The scaled generator is
-    checked for finiteness once per stepper, from its extremes, and the
-    potential diagonal once per phase. Factors are cached on the phase and
-    dropped oldest first once they hold more than LU_CACHE_BYTES; ``hits``
-    and ``misses`` count the lookups; a phase keeps the kind of factor it was
-    first given. A factorization that fails, a non-finite implicit matrix or
-    a zero pivot of U or D raises LinearSolveError at the first factorization
-    that meets it.
+    never on the path, so each phase is factorized once, of the kind and
+    under the cache rule the module docstring states, and each step makes one
+    ``lu_solve`` with P right-hand sides. Symmetry is tested once, at the
+    first factorization for 2 to LDL_MAX_COLUMNS columns, by comparing blocks
+    of FILL_ROWS rows with the matching columns and stopping at the first
+    block that differs; a NaN entry differs, so a non-finite G keeps LU. The
+    column-major implicit matrix is written from the row-major generator in
+    blocks of FILL_ROWS rows, so each block reads the generator contiguously.
+    The scaled generator is checked for finiteness once per stepper, from its
+    extremes, and the potential diagonal once per phase; ``hits`` and
+    ``misses`` count the cache lookups. A factorization that fails, a
+    non-finite implicit matrix or a zero pivot raises LinearSolveError at the
+    first factorization that meets it.
     """
 
     def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
@@ -323,8 +313,8 @@ class ThetaStepper:
                       else np.asarray(generator))
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
-        self._factors: dict[float | None, tuple] = {}  # phase key -> lu_factor output
-        self._factor_bytes = 0
+        self._factors: dict[float | None, Factor] = {}  # phase key -> factor
+        self._capacity = max(1, LU_CACHE_BYTES // (16 * self.g_mat.shape[0] ** 2))
         self._phases = self._keys = None
         # what every step needs, decided once; numpy divides a complex array
         # by a real scalar as a product with its reciprocal, so u * (1/theta)
@@ -365,6 +355,10 @@ class ThetaStepper:
                 f"{self.label}: the potential phase t/eps does not cycle within the run "
                 f"(dt/eps = {dt / eps:g}), so {distinct} of {n_steps} steps factorize the "
                 "implicit matrix; dt = eps/k with a small integer k reuses the factors")
+        if n_steps > distinct > self._capacity:
+            warnings.warn(
+                f"{self.label}: LU_CACHE_BYTES keeps the factors of {self._capacity} of the "
+                f"{distinct} potential phases, so the others refactorize whenever they recur")
 
     @cached_property
     def _ldl_lwork(self) -> int | None:
@@ -376,10 +370,9 @@ class ThetaStepper:
         work, _ = zsytrf_lwork(n, lower=1)
         return int(work.real)
 
-    def _factors_at(self, k: int, columns: int = 1) -> tuple:
+    def _factors_at(self, k: int, columns: int = 1) -> Factor:
         """Factors of the implicit matrix of step k for a state of ``columns``
-        columns: L D L^T for 2 to LDL_MAX_COLUMNS columns and a symmetric G,
-        else LU."""
+        columns, of the kind the module docstring states."""
         tau, key = (None, None) if self._phases is None else (self._phases[k], self._keys[k])
         entry = self._factors.get(key)
         if entry is not None:
@@ -403,32 +396,22 @@ class ThetaStepper:
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
         ldl_lwork = self._ldl_lwork if 1 < columns <= LDL_MAX_COLUMNS else None
         try:
-            # a zero pivot is reported below, as an error rather than a warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(lhs, ldl_lwork=ldl_lwork)
+            factor = lu_factor(lhs, ldl_lwork=ldl_lwork)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"{where}: implicit factorization failed: {exc}") from exc
-        if isinstance(lu, LDLFactor):
-            pivot, zero = "D", lu.info - 1
-        else:
-            zeros = np.flatnonzero(lu[0].diagonal() == 0)
-            pivot, zero = "U", zeros[0] if zeros.size else -1
-        if zero >= 0:
+        if factor.info:
+            pivot, zero = "D" if factor.symmetric else "U", factor.info - 1
             raise LinearSolveError(f"{where}: implicit matrix is singular, "
                                    f"{pivot}[{zero}, {zero}] is exactly zero")
-        size = lu[0].nbytes
-        while self._factors and self._factor_bytes + size > LU_CACHE_BYTES:
-            self._factor_bytes -= self._factors.pop(next(iter(self._factors)))[0].nbytes
-        self._factors[key] = lu
-        self._factor_bytes += size
-        return lu
+        if len(self._factors) < self._capacity:
+            self._factors[key] = factor
+        return factor
 
     def step(self, u: np.ndarray, k: int, dw: np.ndarray) -> np.ndarray:
         """Advance the (n, P) state from t_k to t_{k+1}; ``dw`` holds the
         Brownian increment of each column. ``u`` is only read, and the new
         state has u's memory order."""
-        lu = self._factors_at(k, u.shape[1])
+        factor = self._factors_at(k, u.shape[1])
         rhs = u * self._inv_theta
         if self._noise is not None:
             noise = self._noise(u)  # a new array, scaled in place to i g(u) dW
@@ -439,7 +422,7 @@ class ThetaStepper:
             dt = self.dt
             rhs -= 1j * self._forcing(k * dt, self.cfg.grid.nodes)[:, None] * dt
         out = self._carry * u
-        return np.subtract(lu_solve(lu, rhs), out, out=out)
+        return np.subtract(lu_solve(factor, rhs), out, out=out)
 
 
 def lockstep(steppers: list[ThetaStepper], u0: np.ndarray, dw: np.ndarray):
@@ -510,7 +493,8 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
         record(k, u[:, 0])
 
     return SimResult(times=times, norm2=norm2, re_mass=re_mass, im_mass=im_mass,
-                     trajectory=traj, snapshots=snapshots, final=u[:, 0])
+                     trajectory=traj, snapshots=snapshots, final=u[:, 0],
+                     factorizations=stepper.misses, factor_hits=stepper.hits)
 
 
 

@@ -280,6 +280,16 @@ class TestCliCommands:
         assert manifest["seeds"] == [7]
         assert manifest["parameters"]["system"] == "het"
 
+    def test_simulate_manifest_records_factor_counts(self, tmp_path):
+        # dt = eps/8 over 64 steps: eight phases factorized, each reused seven times
+        cfg = self._small_cfg(tmp_path, T=2.0)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--system", "het", "--eps", "1/4",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["n_steps"] == 64
+        assert manifest["telemetry"] == {"factorizations": 8, "factor_hits": 56}
+
     def test_manifest_records_blas_environment(self, tmp_path, monkeypatch):
         import scipy
 
@@ -494,6 +504,49 @@ class TestCliCommands:
         "constant-coefficient corrector vanishes", "manufactured corrector recovery",
         "periodic Poisson residual", "norm conservation (g = f = 0)",
         "Ito norm growth magnitude", "counter-based path determinism")
+
+    # the tolerance each row's oracle returns at alpha = 1.5 and n = 256, 32; the
+    # n = 32 values of the Getoor and zeta rows are widened by (256/32)^1.5
+    VALIDATE_TOLERANCES = {
+        "kernel point values": (1e-15, 1e-15),
+        "exterior weight closed form vs quadrature": (1e-8, 1e-8),
+        "two-point field swap symmetry": (0.0, 0.0),
+        "generator symmetric PSD": (1e-10, 1e-10),
+        "quadratic form identity": (1e-12, 1e-12),
+        "effective generator vs dense product": (1e-14, 1e-14),
+        "L (1-x^2)^(alpha/2) vs Getoor closed form": (3e-4, 0.006788225099390856),
+        "zeta(1-x^2) vs closed form": (1e-4, 0.002262741699796952),
+        "R x and R x^2 vs closed form": (1.0, 1.0),
+        "constant-coefficient corrector vanishes": (1e-10, 1e-10),
+        "manufactured corrector recovery": (1e-8, 1e-8),
+        "periodic Poisson residual": (1e-8, 1e-8),
+        "norm conservation (g = f = 0)": (1e-8, 1e-8),
+        "Ito norm growth magnitude": (0.25, 0.25),
+        "counter-based path determinism": (0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("n", [256, 32])
+    def test_validate_tolerances_are_pinned(self, monkeypatch, n):
+        """Every row's oracle, called as ``nshom validate`` calls it, returns
+        its tolerance in the table, so a loosened tolerance fails here."""
+        from nshom import cli
+        returned = {}
+
+        def recording(name, oracle):
+            @functools.wraps(oracle)
+            def wrapped(**inputs):
+                measured, returned[name] = oracle(**inputs)
+                return measured, returned[name]
+            return wrapped
+
+        monkeypatch.setattr(cli, "VALIDATE_ROWS",
+                            tuple((name, recording(name, o)) for name, o in cli.VALIDATE_ROWS))
+        cli._validate_checks(RunConfig.from_dict({"alpha": 1.5, "grid": {"n": n}}))
+        column = 0 if n == 256 else 1
+        assert list(returned) == list(self.VALIDATE_ROW_NAMES)
+        assert returned == pytest.approx(
+            {name: tols[column] for name, tols in self.VALIDATE_TOLERANCES.items()},
+            rel=1e-12, abs=0.0)
 
     def test_validate_passes_and_dumps_matrices(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)

@@ -17,8 +17,8 @@ from nshom.effective import EffectiveCoefficients, assemble_effective_generator
 from nshom.harness import coupled_errors, eps_sweep, prepare_experiment
 from nshom.integrator import (
     Effective,
+    Factor,
     Heterogeneous,
-    LDLFactor,
     NoiseModel,
     SimConfig,
     ThetaStepper,
@@ -334,6 +334,25 @@ class TestEnsembleStepper:
             u = stepper.step(u, k, np.zeros(1))
         assert (stepper.misses, stepper.hits) == (8, 56)
 
+    def test_cache_smaller_than_the_cycle_warns_once(self, grid, frac_gen, monkeypatch):
+        """Eight phases at dt = eps/8 against room for three: one warning per
+        run once a phase recurs, none for a single cycle or a cache that
+        holds all eight."""
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
+        with pytest.warns(UserWarning) as caught:
+            simulate(Heterogeneous(eps), cfg, brownian_increments(0, 16, eps / 8.0),
+                     generator=frac_gen)
+        assert [str(w.message) for w in caught] == [
+            "heterogeneous system at eps=0.25: LU_CACHE_BYTES keeps the factors of 3 of the "
+            "8 potential phases, so the others refactorize whenever they recur"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 8, generator=frac_gen)
+            monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 8 * 16 * grid.n ** 2)
+            ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+
     def test_cache_bound_refactorizes_without_changing_results(self, grid, frac_gen,
                                                                monkeypatch):
         eps = 0.25
@@ -345,11 +364,13 @@ class TestEnsembleStepper:
         real_factor = integrator.lu_factor
         monkeypatch.setattr(integrator, "lu_factor",
                             lambda *args, **kwargs: calls.append(1) or real_factor(*args, **kwargs))
-        # room for three of the eight phases: a cycle longer than the cache
-        # misses on every step
+        # room for three of the eight phases: the first cycle factorizes all
+        # eight, the second hits the three cached phases
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
-        bounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
-        assert len(calls) == path.n_steps
+        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
+            bounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+        assert len(calls) == 13
+        assert (bounded.factorizations, bounded.factor_hits) == (13, 3)
         assert np.array_equal(bounded.trajectory, unbounded.trajectory)
 
     def test_failed_factorization_is_wrapped_once(self, grid, frac_gen, monkeypatch):
@@ -416,9 +437,10 @@ class TestEnsembleStepper:
         frozen = frac_gen.copy()
         frozen.flags.writeable = False
         unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
-        # room for three of the eight phases: every step refactorizes
+        # room for three of the eight phases: the other five refactorize
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
-        bounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
+        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
+            bounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
         assert frozen.tobytes() == frac_gen.tobytes()
         assert np.array_equal(unbounded.trajectory, reference.trajectory)
         assert np.array_equal(bounded.trajectory, reference.trajectory)
@@ -559,8 +581,8 @@ def unfused_step(self, u, k, dw):
     if f_vec is not None:
         rhs -= 1j * f_vec[:, None] * dt
     x = (integrator.lu_solve(lu, rhs)
-         if rhs.shape[1] == 1 or isinstance(lu, integrator.LDLFactor)
-         else linalg.lu_solve(lu, rhs, check_finite=False))
+         if rhs.shape[1] == 1 or lu.symmetric
+         else linalg.lu_solve((lu.matrix, lu.piv), rhs, check_finite=False))
     return x - ((1.0 - theta_s) / theta_s) * u
 
 
@@ -645,6 +667,38 @@ SOLVE_CASES = [("random", 1), ("random", 2)] + [
     (kind, n) for n in (5, 64, 257) for kind in ("eff", "het", "het_pivoting")]
 
 
+class TestFactorMatchesScipy:
+    """integrator.lu_factor's LU equals scipy's lu_factor of the same matrix
+    bit for bit, and its info is 1 + the first exactly zero entry of U's
+    diagonal (0 if none), the rule ThetaStepper once applied to U itself. It
+    does not warn where scipy does (the tests turn warnings into errors)."""
+
+    @staticmethod
+    def check(a: np.ndarray, scipy_factors: tuple) -> Factor:
+        scipy_lu, scipy_piv = scipy_factors
+        factor = integrator.lu_factor(np.array(a, dtype=complex, order="F"))
+        zeros = np.flatnonzero(scipy_lu.diagonal() == 0)
+        assert not factor.symmetric
+        assert np.array_equal(factor.matrix, scipy_lu) and np.array_equal(factor.piv, scipy_piv)
+        assert factor.info == (1 + zeros[0] if zeros.size else 0)
+        return factor
+
+    @pytest.mark.parametrize("kind,n", SOLVE_CASES)
+    def test_solve_cases(self, kind, n):
+        a = implicit_lhs(kind, n)
+        assert self.check(a, linalg.lu_factor(a)).info == 0
+
+    # a zero column of A stays zero through the elimination, so U(k, k) = 0
+    @pytest.mark.parametrize("zero_columns", [[0], [3, 5], [7]])
+    def test_zero_pivots(self, zero_columns):
+        rng = np.random.default_rng(zero_columns[0])
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        a[:, zero_columns] = 0.0
+        with pytest.warns(linalg.LinAlgWarning, match="exactly zero"):
+            scipy_factors = linalg.lu_factor(a)
+        assert self.check(a, scipy_factors).info == 1 + zero_columns[0]
+
+
 class TestOneColumnSolve:
     """integrator.lu_solve against scipy's lu_solve: two level-2 triangular
     solves for one column (1e-13 of max|x|, rounding order only), the same
@@ -652,12 +706,12 @@ class TestOneColumnSolve:
 
     @pytest.mark.parametrize("kind,n", SOLVE_CASES)
     def test_one_column_matches_scipy(self, kind, n):
-        lu = linalg.lu_factor(implicit_lhs(kind, n))
+        lu = integrator.lu_factor(implicit_lhs(kind, n))
         rng = np.random.default_rng(n)
         rhs = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
         before = rhs.copy()
         x = integrator.lu_solve(lu, rhs)
-        expected = linalg.lu_solve(lu, rhs)
+        expected = linalg.lu_solve((lu.matrix, lu.piv), rhs)
         assert x.shape == (n, 1) and x.dtype == complex
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.array_equal(rhs, before)
@@ -669,12 +723,12 @@ class TestOneColumnSolve:
         assert any(np.any(piv != np.arange(len(piv))) for piv in pivots)
 
     def test_noncontiguous_column_slice(self):
-        lu = linalg.lu_factor(implicit_lhs("het_pivoting", 64))
+        lu = integrator.lu_factor(implicit_lhs("het_pivoting", 64))
         rng = np.random.default_rng(1)
         block = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         rhs = block[:, 1:2]
         assert not rhs.flags.c_contiguous and not rhs.flags.f_contiguous
-        expected = linalg.lu_solve(lu, np.ascontiguousarray(rhs))
+        expected = linalg.lu_solve((lu.matrix, lu.piv), np.ascontiguousarray(rhs))
         x = integrator.lu_solve(lu, rhs)
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.array_equal(block[:, 1:2], rhs)
@@ -682,11 +736,12 @@ class TestOneColumnSolve:
     @pytest.mark.parametrize("kind,n", [("eff", 64), ("het_pivoting", 257)])
     @pytest.mark.parametrize("columns", [2, 3, 8])
     def test_several_columns_are_scipys_solve(self, kind, n, columns):
-        lu = linalg.lu_factor(implicit_lhs(kind, n))
+        lu = integrator.lu_factor(implicit_lhs(kind, n))
         rng = np.random.default_rng(columns)
         rhs = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
         before = rhs.copy()
-        assert np.array_equal(integrator.lu_solve(lu, rhs), linalg.lu_solve(lu, rhs))
+        assert np.array_equal(integrator.lu_solve(lu, rhs),
+                              linalg.lu_solve((lu.matrix, lu.piv), rhs))
         assert np.array_equal(rhs, before)
 
     def test_simulate_matches_level3_solve(self, monkeypatch):
@@ -697,8 +752,8 @@ class TestOneColumnSolve:
         coeffs = EffectiveCoefficients.from_values(1.0, 0.3, 0.2)
         path = brownian_increments(11, 32, 0.25 / 32)
         res = simulate(Effective(coeffs), cfg, path, store_trajectory=False)
-        monkeypatch.setattr(integrator, "lu_solve",
-                            lambda lu, rhs: linalg.lu_solve(lu, rhs, check_finite=False))
+        monkeypatch.setattr(integrator, "lu_solve", lambda lu, rhs: linalg.lu_solve(
+            (lu.matrix, lu.piv), rhs, check_finite=False))
         ref = simulate(Effective(coeffs), cfg, path, store_trajectory=False)
         np.testing.assert_allclose(res.norm2, ref.norm2, rtol=1e-12, atol=0.0)
         assert np.abs(res.norm2[-1] - res.norm2[0]) > 1e-3 * res.norm2[0]
@@ -846,7 +901,7 @@ class TestRowBlockImplicitFill:
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
 
 
-def ldl_factor(a: np.ndarray) -> LDLFactor:
+def ldl_factor(a: np.ndarray) -> Factor:
     """integrator.lu_factor's L D L^T factor of a copy of the complex symmetric a."""
     lwork = int(zsytrf_lwork(a.shape[0], lower=1)[0].real)
     return integrator.lu_factor(np.array(a, dtype=complex, order="F"), ldl_lwork=lwork)
@@ -887,8 +942,8 @@ class TestSymmetricSolve:
 
     @pytest.mark.parametrize("n", [5, 37, 64, 257])
     def test_zero_diagonal_takes_two_by_two_pivots(self, n):
-        assert (ldl_factor(symmetric_lhs("zero_diagonal", n)).ipiv < 0).any()
-        assert (ldl_factor(symmetric_lhs("het", n)).ipiv > 0).all()
+        assert (ldl_factor(symmetric_lhs("zero_diagonal", n)).piv < 0).any()
+        assert (ldl_factor(symmetric_lhs("het", n)).piv > 0).all()
 
 
 class TestFactorKind:
@@ -922,15 +977,15 @@ class TestFactorKind:
         g_asym[n - 1, 3] = np.nextafter(g_sym[n - 1, 3], np.inf)
         calls = self.recorded(monkeypatch)
         sym = self.stepper(g_sym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
-        assert isinstance(sym._factors_at(0, 2), LDLFactor)
+        assert sym._factors_at(0, 2).symmetric
         asym = self.stepper(g_asym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
         lu = asym._factors_at(0, 2)
-        assert asym._ldl_lwork is None and not isinstance(lu, LDLFactor)
+        assert asym._ldl_lwork is None and not lu.symmetric
         # the LU path is today's: scipy's lu_factor of the same filled matrix
         filled = TestRowBlockImplicitFill.whole_array_fill(g_asym, asym)
         expected = linalg.lu_factor(filled)
         assert calls[1][1] == {"ldl_lwork": None}
-        assert np.array_equal(lu[0], expected[0]) and np.array_equal(lu[1], expected[1])
+        assert np.array_equal(lu.matrix, expected[0]) and np.array_equal(lu.piv, expected[1])
 
     def test_one_column_simulate_of_symmetric_system_takes_lu(self, grid, frac_gen,
                                                               monkeypatch):
@@ -940,38 +995,38 @@ class TestFactorKind:
                  generator=frac_gen)
         assert np.array_equal(frac_gen, frac_gen.T)
         assert len(calls) == 8
-        assert all(kw == {"ldl_lwork": None} and not isinstance(f, LDLFactor)
-                   for _, kw, f in calls)
+        assert all(kw == {"ldl_lwork": None} and not f.symmetric for _, kw, f in calls)
 
     def test_more_than_ldl_max_columns_take_lu(self, frac_gen, monkeypatch):
         calls = self.recorded(monkeypatch)
         limit = integrator.LDL_MAX_COLUMNS
         ldl, lu = (self.stepper(frac_gen, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
                    for _ in range(2))
-        assert isinstance(ldl._factors_at(0, limit), LDLFactor)
+        assert ldl._factors_at(0, limit).symmetric
         factor = lu._factors_at(0, limit + 1)
-        assert not isinstance(factor, LDLFactor) and calls[1][1] == {"ldl_lwork": None}
+        assert not factor.symmetric and calls[1][1] == {"ldl_lwork": None}
         # the LU path is today's: scipy's lu_factor of the same filled matrix
         expected = linalg.lu_factor(TestRowBlockImplicitFill.whole_array_fill(frac_gen, lu))
-        assert np.array_equal(factor[0], expected[0]) and np.array_equal(factor[1], expected[1])
+        assert (np.array_equal(factor.matrix, expected[0])
+                and np.array_equal(factor.piv, expected[1]))
 
     def test_factor_shares_memory_with_the_filled_matrix(self, frac_gen, monkeypatch):
         calls = self.recorded(monkeypatch)
         stepper = self.stepper(frac_gen, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
         factor = stepper._factors_at(0, 3)
         (filled, kwargs, _), = calls
-        assert isinstance(factor, LDLFactor) and kwargs["ldl_lwork"] == stepper._ldl_lwork
-        assert np.shares_memory(factor.ldl, filled)
+        assert factor.symmetric and kwargs["ldl_lwork"] == stepper._ldl_lwork
+        assert np.shares_memory(factor.matrix, filled)
 
     def test_cached_factor_keeps_its_kind(self, frac_gen):
         """A phase first factorized for one column keeps LU for several, and
         the reverse."""
         stepper = self.stepper(frac_gen)
-        assert not isinstance(stepper._factors_at(0, 1), LDLFactor)
-        assert not isinstance(stepper._factors_at(1, 2), LDLFactor)
+        assert not stepper._factors_at(0, 1).symmetric
+        assert not stepper._factors_at(1, 2).symmetric
         stepper = self.stepper(frac_gen)
-        assert isinstance(stepper._factors_at(0, 2), LDLFactor)
-        assert isinstance(stepper._factors_at(1, 1), LDLFactor)
+        assert stepper._factors_at(0, 2).symmetric
+        assert stepper._factors_at(1, 1).symmetric
         assert (stepper.misses, stepper.hits) == (1, 1)
 
     # theta dt = 1/64: G = 64i I + S with S real symmetric and zero on the
@@ -1025,11 +1080,11 @@ class TestSymmetricSweepEquivalence:
         prepared = prepared_by_theta[theta]
         calls = TestFactorKind.recorded(monkeypatch)
         ldl = eps_sweep([0.5, 0.25], 3, rc, prepared)
-        assert any(isinstance(f, LDLFactor) for _, _, f in calls)
+        assert any(f.symmetric for _, _, f in calls)
         calls.clear()
         monkeypatch.setattr(ThetaStepper, "_ldl_lwork", None)
         lu = eps_sweep([0.5, 0.25], 3, rc, prepared)
-        assert calls and not any(isinstance(f, LDLFactor) for _, _, f in calls)
+        assert calls and not any(f.symmetric for _, _, f in calls)
         np.testing.assert_allclose(ldl.strong_err, lu.strong_err, rtol=1e-9, atol=0.0)
         for row, ref in zip(ldl.weak_err, lu.weak_err):
             assert np.max(np.abs(np.subtract(row, ref))) <= 5e-9 * np.max(np.abs(ref))
