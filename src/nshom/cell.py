@@ -6,20 +6,12 @@ The cell bilinear form
     a(w, v) = int_{Y x N x Z} Theta(y, eta) (D*_y w) conj(D*_y v) dy deta dtau
 
 is discretized on a uniform periodic y-grid with exact cell-pair kernel
-moments.  Two kernel interpretations are supported, selected by
-``CellGrid.kernel_mode``:
-
-* ``periodized`` (default): the eta-integration runs over the whole line,
-  realized as an image sum over integer translates plus analytic tail
-  corrections.  Weights are assembled with exact mirror symmetry so that for
-  constant Theta the right-hand side cancels to rounding and the corrector
-  vanishes identically.
-* ``cell_truncated``: the kernel is restricted to the unit square (plain
-  distances, no images); kept for sensitivity comparisons.
-
-The mode enters only the per-offset weights, which both modes expand as a
-plain Toeplitz matrix: the periodized weights are mirror-exact
-(w[m - D] == +-w[D] bitwise), so wrapping the offset mod m changes nothing.
+moments. The cell is the torus, as in the periodic cell problem of two-scale
+convergence: the eta-integration runs over the whole line, realized as an
+image sum over integer translates plus analytic tail corrections. The
+per-offset weights are assembled with exact mirror symmetry (w[m - D] == +-w[D]
+bitwise) and expanded as a plain Toeplitz matrix, so for constant Theta the
+right-hand side cancels to rounding and the corrector vanishes identically.
 
 The linear functional ell(v) = int Theta conj(D*_y v) uses the matching odd
 kernel moments; the corrector chi solves a(chi, v) = ell(v) for all v subject
@@ -40,7 +32,6 @@ from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _theta_ma
                      pair_weights_even, same_cell_coeff)
 from .presets import ThetaSpec, VSpec, get_theta, get_v
 
-KERNEL_MODES = ("periodized", "cell_truncated")
 # the mean-zero potential presets the periodic Poisson oracle solves for
 POISSON_POTENTIALS = ("cos2pi_y", "cos2pi_y_times_cos2pi_tau", "sin2pi_y_one_plus_sin2pi_tau")
 
@@ -52,12 +43,11 @@ class CellSolveError(RuntimeError):
 @dataclass
 class CellGrid:
     """Uniform periodic grids on the unit cell (m y-nodes, m_tau tau-nodes)
-    and the kernel interpretation the cell problem is discretized with."""
+    and the number of kernel images on each side."""
 
     m: int
     m_tau: int = 1
     n_images: int = 8
-    kernel_mode: str = "periodized"
 
     def __post_init__(self):
         if self.m < 8:
@@ -66,8 +56,6 @@ class CellGrid:
             raise ValueError("m_tau must be >= 1")
         if self.n_images < 1:
             raise ValueError("n_images must be >= 1")
-        if self.kernel_mode not in KERNEL_MODES:
-            raise ValueError(f"kernel_mode must be one of {KERNEL_MODES}")
 
     @property
     def y(self) -> np.ndarray:
@@ -132,14 +120,10 @@ def _q_odd_far(d: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return _psi_odd(d + h, alpha) - 2.0 * _psi_odd(d, alpha) + _psi_odd(d - h, alpha)
 
 
-def _even_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -> np.ndarray:
+def _even_offset_weights(m: int, alpha: float, n_images: int) -> np.ndarray:
     """Even pair weights per grid offset, mirror-exact: w[m - D] == w[D] bitwise."""
     h = 1.0 / m
     w = np.zeros(m)
-    if kernel_mode == "cell_truncated":
-        d = np.arange(1, m) * h
-        w[1:] = pair_weights_even(d, h, alpha)
-        return w
     kk = np.arange(-n_images, n_images + 1)
     delta = np.arange(1, m // 2 + 1)
     d0 = delta * h
@@ -151,15 +135,11 @@ def _even_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) 
     return w
 
 
-def _odd_offset_weights(m: int, alpha: float, n_images: int, kernel_mode: str) -> np.ndarray:
+def _odd_offset_weights(m: int, alpha: float, n_images: int) -> np.ndarray:
     """Odd pair weights per offset, antisymmetric bitwise: w[m - D] == -w[D]."""
     h = 1.0 / m
     w = np.zeros(m)
     p = (1.0 + alpha) / 2.0
-    if kernel_mode == "cell_truncated":
-        d = np.arange(1, m) * h
-        w[1:] = _q_odd_near(d, h, alpha)
-        return w
     kk = np.arange(-n_images, n_images + 1)
     kk = kk[kk != 0]
     delta = np.arange(1, (m - 1) // 2 + 1)  # an even m's offset m/2 stays 0
@@ -182,7 +162,7 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.nda
     """
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
-    w = toeplitz(_even_offset_weights(m, alpha, grid.n_images, grid.kernel_mode))
+    w = toeplitz(_even_offset_weights(m, alpha, grid.n_images))
     weights, theta_diag = _theta_matrix(theta, grid.y)
     w *= weights
     dg = 2.0 * w.sum(axis=1)
@@ -195,12 +175,12 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.nda
 def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndarray:
     """Vector b with ell(v) = sum_j b_j conj(v_j) for the corrector right-hand side.
 
-    For constant Theta in periodized mode the antisymmetric weights cancel
-    exactly and b vanishes to rounding.
+    For constant Theta the antisymmetric weights cancel exactly and b vanishes
+    to rounding.
     """
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
-    w_off = _odd_offset_weights(m, alpha, grid.n_images, grid.kernel_mode)
+    w_off = _odd_offset_weights(m, alpha, grid.n_images)
     # W1[j, l] is the odd weight of offset l - j, negated below the diagonal
     w1 = toeplitz(-w_off, w_off)
     weights, theta_diag = _theta_matrix(theta, grid.y)

@@ -127,7 +127,6 @@ def _cmd_cell(args) -> int:
                [np.repeat(grid.y, grid.m_tau), np.tile(grid.tau, grid.m), np.real(xi).ravel()])
     meta = {
         "alpha": sol.alpha,
-        "kernel_mode": grid.kernel_mode,
         "m": grid.m, "m_tau": grid.m_tau, "n_images": grid.n_images,
         "theta": sol.theta.name,
         "residual": sol.residual,
@@ -147,7 +146,6 @@ def _cmd_coefficients(args) -> int:
     grid = sol.grid
     payload = {
         "alpha": sol.alpha,
-        "kernel_mode": grid.kernel_mode,
         "xi1": coeffs.xi1,
         "xi2": coeffs.xi2,
         "xi3": coeffs.xi3,
@@ -261,7 +259,8 @@ VALIDATE_ROWS = (
     ("effective generator vs dense product", effective.dense_product_error),
     ("L (1-x^2)^(alpha/2) vs Getoor closed form", kernel.getoor_error),
     ("zeta(1-x^2) vs closed form", effective.zeta_parabola_error),
-    ("R x and R x^2 vs closed form", effective.divergence_error),
+    ("R x vs closed form", effective.divergence_linear_error),
+    ("R x^2 vs closed form", effective.divergence_quadratic_error),
     ("constant-coefficient corrector vanishes", cell.constant_corrector_error),
     ("manufactured corrector recovery", cell.manufactured_corrector_error),
     ("periodic Poisson residual", cell.poisson_residual_error),

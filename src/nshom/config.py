@@ -4,11 +4,12 @@ objects, and a canonical content hash for reproducibility manifests.
 ``RunConfig.from_dict`` merges the user's JSON over DEFAULTS and builds the
 Theta and V presets, the ``CellGrid`` and the ``SimConfig`` exactly once.
 Each type checks its own fields (``ThetaSpec`` its bounds, ``CellGrid`` the
-cell sizes and kernel mode, ``SimConfig`` alpha, T and theta_scheme,
-``NoiseModel`` the noise), and its errors become ``ConfigError`` under the
-label of what was being built. The same pass checks what no type owns: the
-schema version, integer sizes, real-number types, the dt rule and V's zero
-mean over the fast variable."""
+cell sizes, ``SimConfig`` alpha, T and theta_scheme, ``NoiseModel`` the
+noise), and its errors become ``ConfigError`` under the label of what was
+being built. The same pass checks what no type owns: the schema version,
+integer sizes, real-number types, the dt rule, the kernel mode and V's zero
+mean over the fast variable. ``kernel_mode`` accepts only ``"periodized"``; it
+stays a key so that existing configs and their hashes keep working."""
 
 from __future__ import annotations
 
@@ -84,10 +85,13 @@ def _build(label: str, make):
 
 
 def _check_untyped(d: dict) -> None:
-    """The checks no typed object owns: schema version, integer sizes,
-    real-number types and the dt rule."""
+    """The checks no typed object owns: schema version, kernel mode, integer
+    sizes, real-number types and the dt rule."""
     if d["schema_version"] != 1:
         raise ConfigError(f"unsupported schema_version {d['schema_version']!r}")
+    if d["kernel_mode"] != "periodized":
+        raise ConfigError(f"kernel_mode must be 'periodized', got {d['kernel_mode']!r}: the "
+                          "unit-square kernel was removed, it gave Xi_2 != 0 for Theta == 1")
     sizes = {"grid.n": d["grid"]["n"], "seed": d["seed"],
              **{f"cell.{k}": v for k, v in d["cell"].items()}}
     for key, value in sizes.items():
@@ -137,8 +141,7 @@ class RunConfig:
         tp, c, g = d["theta_preset"], d["cell"], d["g"]
         theta = _build("theta preset", lambda: presets.get_theta(tp["name"], **tp["params"]))
         v = _build("potential preset", lambda: presets.get_v(d["v_preset"]))
-        cell = _build("cell", lambda: CellGrid(m=c["m"], m_tau=c["m_tau"], n_images=c["n_images"],
-                                               kernel_mode=d["kernel_mode"]))
+        cell = _build("cell", lambda: CellGrid(m=c["m"], m_tau=c["m_tau"], n_images=c["n_images"]))
         sim = _build("simulation", lambda: SimConfig(
             grid=Grid1D.make(d["grid"]["n"]), alpha=float(d["alpha"]), T=float(d["T"]),
             theta_scheme=float(d["theta_scheme"]), theta=theta, v_spec=v,

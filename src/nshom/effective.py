@@ -22,8 +22,8 @@ linearly between nodes (zero at the domain endpoints for Z, linear
 extrapolation for R) and the weakly singular kernel moments are integrated
 exactly per interval, so no graded quadrature is needed at the diagonal. The
 moments depend only on the node-interval offset, so Z and R are described by
-O(n) vectors (``_offset_moments``, cached per (n, alpha), read-only; the only
-cache of this module): the generator of the shared Toeplitz part T0, the
+O(n) vectors (``_offset_moments``, computed afresh on each call; the module
+keeps no state): the generator of the shared Toeplitz part T0, the
 principal-value mass on the diagonal and R's two endpoint-share vectors. The
 dense Z and R are fresh arrays on each call, expanded only for the oracles
 and the corrector diagnostic. Z takes the field to be zero at the endpoints
@@ -37,7 +37,6 @@ G_eff needs no O(n^3) product and no second n x n array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,8 +74,8 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
     Theta and cell grid it was solved for.
 
     Xi_2 = b . chi with the right-hand side b the corrector was solved with
-    (same odd-kernel weights and kernel mode), so for constant Theta it
-    vanishes to rounding together with chi.
+    (same odd-kernel weights), so for constant Theta it vanishes to rounding
+    together with chi.
     """
     theta, grid = chi.theta, chi.grid
     if theta.constant is not None:
@@ -93,7 +92,6 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
 
     prov = {
         "alpha": chi.alpha,
-        "kernel_mode": grid.kernel_mode,
         "m": grid.m,
         "m_tau": grid.m_tau,
         "n_images": grid.n_images,
@@ -104,9 +102,8 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
     return EffectiveCoefficients(xi1=xi1, xi2=xi2, xi3=xi3, provenance=prov)
 
 
-@lru_cache(maxsize=16)
 def _offset_moments(n: int, alpha: float) -> tuple[np.ndarray, ...]:
-    """Read-only vectors (f, mass, lo, hi) that describe Z and R on n nodes.
+    """Vectors (f, mass, lo, hi) that describe Z and R on n nodes.
 
     They describe u -> int_{-1}^{1} (u_lin(z) - u(x_i)) gamma(x_i, z) dz.
     Every interval of [-1, x_1, ..., x_n, 1] has width h, so the exact moments
@@ -133,17 +130,15 @@ def _offset_moments(n: int, alpha: float) -> tuple[np.ndarray, ...]:
     # interval k's weight on its left node (value 1 - t, t = -k) and right node
     left = (1.0 + k) * i0 - i1 / h
     right = -k * i0 + i1 / h
-    out = (left[1:] + right[:-1],  # offsets c - i = -(n - 1), ..., n - 1
-           (2.0 / (1.0 - alpha)) * ((1.0 - x) ** e1 - (1.0 + x) ** e1),
-           left[n - 1::-1], right[:n - 1:-1])
-    for v in out:
-        v.flags.writeable = False
-    return out
+    return (left[1:] + right[:-1],  # offsets c - i = -(n - 1), ..., n - 1
+            (2.0 / (1.0 - alpha)) * ((1.0 - x) ** e1 - (1.0 + x) ** e1),
+            left[n - 1::-1], right[:n - 1:-1])
 
 
-def _zeta_rows(n: int, alpha: float, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (index array) of Z, fresh; row i of T0 is f[n-1-i : 2n-1-i]."""
-    f, mass, _, _ = _offset_moments(n, alpha)
+def _zeta_rows(f: np.ndarray, mass: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (index array) of Z from ``_offset_moments``' f and mass, fresh;
+    row i of T0 is f[n-1-i : 2n-1-i]."""
+    n = mass.size
     z = sliding_window_view(f, n)[n - 1 - rows]
     z[np.arange(rows.size), rows] -= mass[rows]
     z *= -0.5
@@ -154,8 +149,8 @@ def zeta_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     """Dense matrix Z with zeta(u) = Z u, taking u(-1) = u(1) = 0; a fresh array
     on each call, as for R."""
     _check_alpha(alpha)
-    n = grid.n
-    return _zeta_rows(n, float(alpha), np.arange(n))
+    f, mass, _, _ = _offset_moments(grid.n, float(alpha))
+    return _zeta_rows(f, mass, np.arange(grid.n))
 
 
 def zeta_of_parabola(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -261,7 +256,7 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     col, row = f[n - 1::-1], f[n - 1:]
     # first row and column of T0^2: correlations of T0's first row and column with f
     top, left = np.correlate(f, row[::-1], "valid"), np.correlate(f, col, "valid")[::-1]
-    z_c = _zeta_rows(n, alpha, np.array([0, 1, n - 2, n - 1]))
+    z_c = _zeta_rows(f, mass, np.array([0, 1, n - 2, n - 1]))
     e = (xi2 / 2.0) * np.stack([2.0 * lo, -lo, -hi, 2.0 * hi], axis=1)  # (Xi_2 / 2) E[:, c]
     col_scale = (xi2 / 2.0) * mass
     row_scale = col_scale + xi3
@@ -269,7 +264,7 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
         rows = np.arange(n)[b]
         block *= xi2 / 4.0
         block[np.arange(rows.size), rows] -= (xi2 / 4.0) * mass[b] * mass[b]
-        block += _zeta_rows(n, alpha, rows) * (col_scale - row_scale[b, None]) - e[b] @ z_c
+        block += _zeta_rows(f, mass, rows) * (col_scale - row_scale[b, None]) - e[b] @ z_c
         out[b] += block
     return out
 
@@ -296,14 +291,21 @@ def zeta_parabola_error(n: int, alpha: float) -> tuple[float, float]:
     return float(err / np.max(np.abs(exact))), widened(1e-4, n, 1.5)
 
 
-def divergence_error(n: int, alpha: float) -> tuple[float, float]:
-    """R x and R x^2 against ``divergence_of_powers`` on |x| <= 1/2, relative to
-    the largest exact value, in units of their tolerances: R x is exact up to
-    rounding, R x^2 carries an O(h^2) interpolation error."""
+def _divergence_of_power(n: int, alpha: float, power: int) -> float:
+    """R x^power against ``divergence_of_powers`` on |x| <= 1/2, relative to the
+    largest exact value there."""
     grid = Grid1D.make(n)
     x, away = grid.nodes, np.abs(grid.nodes) <= 0.5
-    r = restricted_divergence_matrix(grid, alpha)
-    tols = (1e-14 * max(1.0, n / 256, 0.05 / (alpha - 1.0)), widened(3e-5, n, 2.25))
-    ratios = [np.max(np.abs(r @ field - exact)[away]) / np.max(np.abs(exact[away])) / tol
-              for field, exact, tol in zip((x, x ** 2), divergence_of_powers(x, alpha), tols)]
-    return float(np.max(ratios)), 1.0
+    built = restricted_divergence_matrix(grid, alpha) @ x ** power
+    exact = divergence_of_powers(x, alpha)[power - 1][away]
+    return float(np.max(np.abs(built[away] - exact)) / np.max(np.abs(exact)))
+
+
+def divergence_linear_error(n: int, alpha: float) -> tuple[float, float]:
+    """R x is exact up to rounding, which grows with n and as alpha -> 1."""
+    return _divergence_of_power(n, alpha, 1), 1e-14 * max(1.0, n / 256, 0.05 / (alpha - 1.0))
+
+
+def divergence_quadratic_error(n: int, alpha: float) -> tuple[float, float]:
+    """R x^2 carries an O(h^2) interpolation error."""
+    return _divergence_of_power(n, alpha, 2), widened(3e-5, n, 2.25)

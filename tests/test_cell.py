@@ -67,10 +67,9 @@ class TestPeriodizedWeight:
 
 class TestCellForm:
     @pytest.mark.parametrize("theta_name", ["one", "cosine_product"])
-    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     @pytest.mark.parametrize("alpha", [1.05, ALPHA, 1.95])
-    def test_symmetry_psd_constants_in_kernel(self, theta_name, mode, alpha):
-        grid = CellGrid(m=64, m_tau=1, kernel_mode=mode)
+    def test_symmetry_psd_constants_in_kernel(self, theta_name, alpha):
+        grid = CellGrid(m=64, m_tau=1)
         a = assemble_cell_form(get_theta(theta_name), alpha, grid)
         assert np.max(np.abs(a - a.T)) < 1e-12
         assert np.max(np.abs(a.sum(axis=1))) < 1e-10
@@ -126,11 +125,6 @@ class TestCellRhs:
         b = assemble_cell_rhs(get_theta("one"), ALPHA, CellGrid(m=128))
         assert np.max(np.abs(b)) < 1e-13
 
-    def test_nonzero_for_constant_theta_truncated(self):
-        b = assemble_cell_rhs(get_theta("one"), ALPHA,
-                              CellGrid(m=128, kernel_mode="cell_truncated"))
-        assert np.max(np.abs(b)) > 1e-3
-
     def test_nonzero_for_varying_theta(self):
         b = assemble_cell_rhs(get_theta("cosine_product"), ALPHA, CellGrid(m=128))
         assert np.max(np.abs(b)) > 1e-6
@@ -164,11 +158,10 @@ class TestCorrectorSolve:
         assert calls == [(65, 65)]
 
     @pytest.mark.parametrize("theta_name", ["cosine_product", "cosine_sum"])
-    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
-    def test_matches_per_slice_bordered_loop(self, theta_name, mode):
+    def test_matches_per_slice_bordered_loop(self, theta_name):
         # independent reference: the bordered Lagrange system written out and
         # solved once (chi has no tau slices), then centered
-        grid = CellGrid(m=64, m_tau=3, kernel_mode=mode)
+        grid = CellGrid(m=64, m_tau=3)
         theta = get_theta(theta_name)
         a = assemble_cell_form(theta, ALPHA, grid)
         b = assemble_cell_rhs(theta, ALPHA, grid)
@@ -185,14 +178,14 @@ class TestCorrectorSolve:
         assert sol.chi.shape == (m,)
         assert sol.chi.flags.writeable and sol.chi.flags.c_contiguous
 
+    def test_singular_bordered_system_raises_cell_solve_error(self):
+        with pytest.raises(cell.CellSolveError,
+                           match="^constrained cell solve failed: Singular matrix$"):
+            cell.solve_bordered(np.zeros((8, 8)), np.ones(8))
+
     def test_manufactured_solution_recovery(self):
         err, tol = cell.manufactured_corrector_error(ALPHA, m=256)
         assert err <= tol
-
-    def test_truncated_mode_produces_nontrivial_corrector(self):
-        sol = solve_cell_problem(get_theta("one"), ALPHA,
-                                 CellGrid(m=64, kernel_mode="cell_truncated"))
-        assert np.linalg.norm(sol.chi) > 1e-4
 
 
 class TestPeriodicPoisson:
@@ -286,21 +279,16 @@ def loop_odd_offset_weights(m, alpha, n_images):
     return w
 
 
-def index_offset_matrix(w, mode, odd=False):
-    """W[j, l] = w[offset of l - j] by fancy indexing; odd cell_truncated
-    weights change sign below the diagonal."""
+def index_offset_matrix(w):
+    """W[j, l] = w[(l - j) mod m] by fancy indexing."""
     m = w.size
-    d = np.arange(m)[None, :] - np.arange(m)[:, None]
-    if mode == "periodized":
-        return w[d % m]
-    return (np.sign(d) if odd else 1.0) * w[np.abs(d)]
+    return w[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
 
 
 def dense_same_cell_form(theta, alpha, grid):
     """The cell form with its same-cell term as the dense product (P^T * Theta) @ P."""
     m, h = grid.m, 1.0 / grid.m
-    mode = grid.kernel_mode
-    w = index_offset_matrix(cell._even_offset_weights(m, alpha, grid.n_images, mode), mode)
+    w = index_offset_matrix(cell._even_offset_weights(m, alpha, grid.n_images))
     weights, theta_diag = kernel._theta_matrix(theta, grid.y)
     w *= weights
     i = np.arange(m)
@@ -316,18 +304,17 @@ class TestVectorizedOffsetWeights:
     @pytest.mark.parametrize("m", [64, 65, 1024])
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
     def test_periodized_weights_match_offset_loop_bitwise(self, m, alpha):
-        even = cell._even_offset_weights(m, alpha, 8, "periodized")
-        odd = cell._odd_offset_weights(m, alpha, 8, "periodized")
+        even = cell._even_offset_weights(m, alpha, 8)
+        odd = cell._odd_offset_weights(m, alpha, 8)
         assert even.tobytes() == loop_even_offset_weights(m, alpha, 8).tobytes()
         assert odd.tobytes() == loop_odd_offset_weights(m, alpha, 8).tobytes()
         d = np.arange(1, m)
         assert np.array_equal(even[m - d], even[d])
         assert np.array_equal(odd[m - d], -odd[d])
 
-    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     @pytest.mark.parametrize("theta_name", ["one", "cosine_sum"])
-    def test_form_matches_dense_same_cell_product(self, mode, theta_name):
-        grid = CellGrid(m=1024, kernel_mode=mode)
+    def test_form_matches_dense_same_cell_product(self, theta_name):
+        grid = CellGrid(m=1024)
         theta = get_theta(theta_name)
         ref = dense_same_cell_form(theta, ALPHA, grid)
         got = assemble_cell_form(theta, ALPHA, grid)
@@ -339,20 +326,17 @@ THETA_NAMES = ["one", "cosine_product", "cosine_shift", "cosine_sum"]
 
 class TestToeplitzExpansion:
     @pytest.mark.parametrize("m", [8, 9, 64, 65])
-    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     @pytest.mark.parametrize("theta_name", THETA_NAMES)
-    def test_form_is_exactly_symmetric(self, m, mode, theta_name):
-        a = assemble_cell_form(get_theta(theta_name), ALPHA, CellGrid(m=m, kernel_mode=mode))
+    def test_form_is_exactly_symmetric(self, m, theta_name):
+        a = assemble_cell_form(get_theta(theta_name), ALPHA, CellGrid(m=m))
         assert np.array_equal(a, a.T)
 
     @pytest.mark.parametrize("m", [8, 9, 64, 65])
-    @pytest.mark.parametrize("mode", ["periodized", "cell_truncated"])
     @pytest.mark.parametrize("theta_name", ["one", "cosine_sum"])
-    def test_rhs_matches_index_expansion_bitwise(self, m, mode, theta_name):
-        grid, h = CellGrid(m=m, kernel_mode=mode), 1.0 / m
+    def test_rhs_matches_index_expansion_bitwise(self, m, theta_name):
+        grid, h = CellGrid(m=m), 1.0 / m
         theta = get_theta(theta_name)
-        w1 = index_offset_matrix(cell._odd_offset_weights(m, ALPHA, grid.n_images, mode),
-                                 mode, odd=True)
+        w1 = index_offset_matrix(cell._odd_offset_weights(m, ALPHA, grid.n_images))
         weights, theta_diag = kernel._theta_matrix(theta, grid.y)
         ref = 2.0 * np.sum(w1 * weights, axis=1)
         ref += cell._psi_even(h, ALPHA) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
@@ -360,15 +344,18 @@ class TestToeplitzExpansion:
 
 
 class TestCellGrid:
-    def test_kernel_mode_checked_by_the_grid(self):
-        assert CellGrid(m=8).kernel_mode == "periodized"
-        assert cell.KERNEL_MODES == ("periodized", "cell_truncated")
-        with pytest.raises(ValueError, match="kernel_mode"):
-            CellGrid(m=8, kernel_mode="bogus")
+    @pytest.mark.parametrize("sizes, message", [
+        ({"m": 7}, "cell grid needs m >= 8"),
+        ({"m": 8, "m_tau": 0}, "m_tau must be >= 1"),
+        ({"m": 8, "n_images": 0}, "n_images must be >= 1"),
+    ])
+    def test_sizes_checked_by_the_grid(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CellGrid(**sizes)
 
     def test_solution_carries_its_inputs(self):
         theta = get_theta("cosine_sum")
-        grid = CellGrid(m=32, m_tau=2, kernel_mode="cell_truncated")
+        grid = CellGrid(m=32, m_tau=2)
         sol = solve_cell_problem(theta, ALPHA, grid)
         assert sol.theta is theta and sol.grid is grid and sol.alpha == ALPHA
         assert sol.residual < 1e-8

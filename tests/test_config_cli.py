@@ -38,7 +38,7 @@ class TestRunConfig:
     def test_minimal_config_gets_defaults(self):
         rc = RunConfig.from_dict({"alpha": 1.5})
         assert rc.sim.grid.n == 256
-        assert rc.cell.kernel_mode == "periodized"
+        assert rc.data["kernel_mode"] == "periodized"
         assert rc.data["v_preset"] == "cos2pi_y_times_cos2pi_tau"
 
     def test_default_hash_is_stable(self):
@@ -164,9 +164,37 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"kernel_mode": "bogus"}))
         assert main(["coefficients", "--config", str(cfg)]) == 2
 
-    def test_kernel_mode_reaches_the_cell_grid(self):
-        rc = RunConfig.from_dict({"kernel_mode": "cell_truncated"})
-        assert rc.cell.kernel_mode == "cell_truncated"
+    def test_cell_truncated_kernel_mode_rejected(self, tmp_path, capsys):
+        message = ("kernel_mode must be 'periodized', got 'cell_truncated': the unit-square "
+                   "kernel was removed, it gave Xi_2 != 0 for Theta == 1")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kernel_mode": "cell_truncated"}))
+        assert main(["coefficients", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        # the key stays, so configs that name the one mode keep parsing and hashing
+        assert (RunConfig.from_dict({"kernel_mode": "periodized"}).config_hash
+                == RunConfig.from_dict({}).config_hash)
+
+    @pytest.mark.parametrize("user, message", [
+        ({"grid": 5}, "key 'grid' must be an object"),
+        ({"schema_version": 2}, "unsupported schema_version 2"),
+        ({"grid": {"n": 3}}, "grid.n must be at least 4"),
+        ({"dt_rule": {"dt": 0.1}}, "dt_rule must be an object with a 'kind'"),
+        ({"dt_rule": {"kind": "adaptive"}}, "unknown dt_rule kind 'adaptive'"),
+        ([1, 2], "configuration must be a JSON object"),
+        ({"cell": {"m": 7}}, "cell: cell grid needs m >= 8"),
+        ({"cell": {"m_tau": 0}}, "cell: m_tau must be >= 1"),
+        ({"cell": {"n_images": 0}}, "cell: n_images must be >= 1"),
+    ])
+    def test_rejected_config_exits_2_with_its_message(self, tmp_path, capsys, user, message):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(user)
+        assert str(exc.value) == message
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(user))
+        assert main(["coefficients", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliBasics:
@@ -251,7 +279,7 @@ class TestCliCommands:
         assert payload["xi1"] == 1.0
         assert abs(payload["xi2"]) < 1e-8
         assert abs(payload["xi3"]) < 1e-8
-        assert payload["kernel_mode"] == "periodized"
+        assert "kernel_mode" not in payload
 
     def test_cell_outputs(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)
@@ -263,6 +291,7 @@ class TestCliCommands:
         assert (out / "xi.csv").exists()
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["chi_l2"] < 1e-10
+        assert "kernel_mode" not in meta
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "cell"
         assert "config_hash" in manifest
@@ -279,6 +308,26 @@ class TestCliCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [7]
         assert manifest["parameters"]["system"] == "het"
+
+    def test_simulate_effective_with_bump_datum(self, tmp_path, capsys):
+        cfg = self._small_cfg(tmp_path, h_preset="bump")
+        out = tmp_path / "bump"
+        assert main(["simulate", "--system", "eff", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        norms = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)
+        assert norms[0, 1] == pytest.approx(1.0, rel=1e-14)
+        assert np.all(np.isfinite(norms))
+
+    def test_failing_cell_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a zero cell form leaves the bordered system singular, so LAPACK's solve fails
+        from nshom import cell
+
+        monkeypatch.setattr(cell, "assemble_cell_form", lambda theta, alpha, grid: np.zeros(
+            (grid.m, grid.m)))
+        cfg = self._small_cfg(tmp_path)
+        assert main(["coefficients", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: constrained cell solve failed: Singular matrix\n")
 
     def test_simulate_manifest_records_factor_counts(self, tmp_path):
         # dt = eps/8 over 64 steps: eight phases factorized, each reused seven times
@@ -500,13 +549,14 @@ class TestCliCommands:
         "kernel point values", "exterior weight closed form vs quadrature",
         "two-point field swap symmetry", "generator symmetric PSD", "quadratic form identity",
         "effective generator vs dense product", "L (1-x^2)^(alpha/2) vs Getoor closed form",
-        "zeta(1-x^2) vs closed form", "R x and R x^2 vs closed form",
+        "zeta(1-x^2) vs closed form", "R x vs closed form", "R x^2 vs closed form",
         "constant-coefficient corrector vanishes", "manufactured corrector recovery",
         "periodic Poisson residual", "norm conservation (g = f = 0)",
         "Ito norm growth magnitude", "counter-based path determinism")
 
     # the tolerance each row's oracle returns at alpha = 1.5 and n = 256, 32; the
-    # n = 32 values of the Getoor and zeta rows are widened by (256/32)^1.5
+    # n = 32 values of the Getoor and zeta rows are widened by (256/32)^1.5, R x^2's
+    # by (256/32)^2.25
     VALIDATE_TOLERANCES = {
         "kernel point values": (1e-15, 1e-15),
         "exterior weight closed form vs quadrature": (1e-8, 1e-8),
@@ -516,7 +566,8 @@ class TestCliCommands:
         "effective generator vs dense product": (1e-14, 1e-14),
         "L (1-x^2)^(alpha/2) vs Getoor closed form": (3e-4, 0.006788225099390856),
         "zeta(1-x^2) vs closed form": (1e-4, 0.002262741699796952),
-        "R x and R x^2 vs closed form": (1.0, 1.0),
+        "R x vs closed form": (1e-14, 1e-14),
+        "R x^2 vs closed form": (3e-5, 0.0032290422345742638),
         "constant-coefficient corrector vanishes": (1e-10, 1e-10),
         "manufactured corrector recovery": (1e-8, 1e-8),
         "periodic Poisson residual": (1e-8, 1e-8),

@@ -3,6 +3,7 @@ corrector-reconstruction diagnostic."""
 
 import dataclasses
 import importlib.util
+import sys
 import warnings
 from pathlib import Path
 
@@ -240,6 +241,30 @@ def perfbench_tracer():
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
     return tracer_mod.Tracer()
+
+
+# config_hash of each benchmark workload's config at seed 0
+WORKLOAD_HASHES = {
+    "sweep_theta_one": "8247b1ba3d5e38302a1e6d298cc626c8e9d4550b647b934b5f4b68d6decadbd7",
+    "sweep_theta_osc": "a8d53c21559c589dcc2fd7061b82cb5f0297d96057fc0a44fa210c5fc50f6f95",
+    "simulate_eff_fine": "a5ae94a020acea85f054cfbb18f8e98ceef8f145f3677c60404c52bfd2234f5f",
+}
+
+
+def test_perfbench_workload_configs_parse_to_their_hashes(monkeypatch):
+    # a schema change that rejects or rehashes a benchmark input would fail every
+    # benchmark run, or compare it against other inputs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    hashes = {}
+    for name, w in workloads.WORKLOADS.items():
+        rc = RunConfig.from_dict({**w.config, "seed": 0})
+        assert rc.sim_config() is rc.sim
+        hashes[name] = rc.config_hash
+    assert hashes == WORKLOAD_HASHES
 
 
 def test_perfbench_tracer_sees_one_cell_solve():

@@ -4,6 +4,7 @@ out per preset, and unknown names fail with one message per registry."""
 import numpy as np
 import pytest
 
+from nshom.kernel import Grid1D
 from nshom.presets import get_f, get_h, get_theta, get_v
 
 # Theta(y, eta) per cosine preset, in the evaluation order of the formula
@@ -52,3 +53,14 @@ def test_unknown_name_message(lookup, message):
     with pytest.raises(KeyError) as exc:
         lookup("mystery")
     assert exc.value.args == (message,)
+
+
+@pytest.mark.parametrize("n", [32, 257])
+def test_bump_datum_has_unit_norm_and_is_even(n):
+    grid, bump = Grid1D.make(n), get_h("bump")
+    u = bump.sample(grid.nodes, grid.h)
+    assert grid.h * np.sum(np.abs(u) ** 2) == pytest.approx(1.0, rel=1e-14)
+    assert np.all(u.real > 0.0) and not u.imag.any()
+    # even bit for bit in x; the grid's mirror nodes differ from -x in the last bits
+    assert np.array_equal(bump.sample(-grid.nodes, grid.h), u)
+    assert np.allclose(u, u[::-1], rtol=1e-12, atol=0.0)
