@@ -18,7 +18,8 @@ from nshom.cell import (
     solve_cell_problem,
     solve_periodic_poisson,
 )
-from nshom.presets import VSpec, get_theta, get_v
+from nshom.effective import compute_effective_coefficients
+from nshom.presets import ThetaSpec, VSpec, get_theta, get_v
 
 ALPHA = 1.5
 
@@ -341,6 +342,66 @@ class TestToeplitzExpansion:
         ref = 2.0 * np.sum(w1 * weights, axis=1)
         ref += cell._psi_even(h, ALPHA) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
         assert np.array_equal(assemble_cell_rhs(theta, ALPHA, grid), ref)
+
+
+def remapped(theta, v, node_map):
+    """Theta and V composed with the affine cell map y -> node_map(y)."""
+    return (ThetaSpec(f"{theta.name}_mapped", lambda y, eta: theta.sample(node_map(y), node_map(eta)),
+                      lower=theta.lower, upper=theta.upper),
+            VSpec(f"{v.name}_mapped", lambda y, tau: v.sample(node_map(y), tau)))
+
+
+class TestTorus:
+    """The cell is the torus: a constant Theta has no corrector, and shifting or
+    reflecting the cell permutes the discrete problem (the unit-square
+    truncation the package once offered broke all three)."""
+
+    @pytest.mark.parametrize("m", [8, 9, 64, 65])
+    @pytest.mark.parametrize("alpha", [1.05, 1.25, ALPHA, 1.75, 1.95])
+    def test_constant_theta_has_identity_coefficients(self, alpha, m):
+        sol = solve_cell_problem(get_theta("one"), alpha, CellGrid(m=m, m_tau=2))
+        assert np.max(np.abs(sol.rhs)) < 1e-13
+        assert np.linalg.norm(sol.chi) < 1e-10
+        coeffs = compute_effective_coefficients(sol, get_v("sin2pi_y_one_plus_sin2pi_tau"))
+        assert coeffs.xi1 == 1.0
+        assert abs(coeffs.xi2) < 1e-20 and abs(coeffs.xi3) < 1e-10
+
+    # Theta of y - eta alone (cosine_shift) has b = 0 and chi = 0 to rounding,
+    # so these two position-dependent presets carry the corrector checks
+    @pytest.mark.parametrize("m, s", [(9, 1), (9, 4), (64, 1), (64, 21), (64, 32),
+                                      (65, 1), (65, 22), (65, 32)])
+    @pytest.mark.parametrize("theta_name", ["cosine_product", "cosine_sum"])
+    def test_cell_shift_permutes_the_problem(self, theta_name, m, s):
+        grid, v = CellGrid(m=m, m_tau=2), get_v("sin2pi_y_one_plus_sin2pi_tau")
+        theta = get_theta(theta_name)
+        theta_s, v_s = remapped(theta, v, lambda y: y + s / m)
+        idx = (np.arange(m) + s) % m
+        a, a_s = (assemble_cell_form(t, ALPHA, grid) for t in (theta, theta_s))
+        assert np.max(np.abs(a_s - a[np.ix_(idx, idx)])) <= 1e-12 * np.max(np.abs(a))
+        sol, sol_s = (solve_cell_problem(t, ALPHA, grid) for t in (theta, theta_s))
+        assert np.max(np.abs(sol_s.rhs - sol.rhs[idx])) <= 1e-12 * np.max(np.abs(sol.rhs))
+        assert np.max(np.abs(sol_s.chi - sol.chi[idx])) <= 1e-10 * np.max(np.abs(sol.chi))
+        c, c_s = compute_effective_coefficients(sol, v), compute_effective_coefficients(sol_s, v_s)
+        for got, want in zip(c_s.as_tuple(), c.as_tuple()):
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("m", [9, 64, 65])
+    @pytest.mark.parametrize("theta_name", ["cosine_product", "cosine_sum"])
+    def test_cell_reflection_flips_the_odd_parts(self, theta_name, m):
+        grid, v = CellGrid(m=m, m_tau=2), get_v("sin2pi_y_one_plus_sin2pi_tau")
+        theta = get_theta(theta_name)
+        theta_r, v_r = remapped(theta, v, lambda y: -y)
+        idx = (-np.arange(m)) % m
+        a, a_r = (assemble_cell_form(t, ALPHA, grid) for t in (theta, theta_r))
+        assert np.max(np.abs(a_r - a[np.ix_(idx, idx)])) <= 1e-12 * np.max(np.abs(a))
+        sol, sol_r = (solve_cell_problem(t, ALPHA, grid) for t in (theta, theta_r))
+        # the odd kernel moments, hence b and chi, change sign with the orientation
+        assert np.max(np.abs(sol_r.rhs + sol.rhs[idx])) <= 1e-12 * np.max(np.abs(sol.rhs))
+        assert np.max(np.abs(sol_r.chi + sol.chi[idx])) <= 1e-10 * np.max(np.abs(sol.chi))
+        c, c_r = compute_effective_coefficients(sol, v), compute_effective_coefficients(sol_r, v_r)
+        assert c_r.xi1 == pytest.approx(c.xi1, rel=1e-12)
+        assert c_r.xi2 == pytest.approx(c.xi2, rel=1e-10, abs=1e-14)
+        assert c_r.xi3 == pytest.approx(-c.xi3, rel=1e-10, abs=1e-14)
 
 
 class TestCellGrid:
