@@ -10,8 +10,12 @@ moments. The cell is the torus, as in the periodic cell problem of two-scale
 convergence: the eta-integration runs over the whole line, realized as an
 image sum over integer translates plus analytic tail corrections. The
 per-offset weights are assembled with exact mirror symmetry (w[m - D] == +-w[D]
-bitwise) and expanded as a plain Toeplitz matrix, so for constant Theta the
-right-hand side cancels to rounding and the corrector vanishes identically.
+bitwise) and read as Toeplitz matrices through strided views of one 2m - 1
+vector (``kernel.toeplitz_rows``), never expanded into an m x m copy, so for
+constant Theta the right-hand side cancels to rounding and the corrector
+vanishes identically. ``solve_cell_problem`` samples Theta once: the
+right-hand side reads the sample in row blocks, then the form is built in its
+buffer.
 
 The linear functional ell(v) = int Theta conj(D*_y v) uses the matching odd
 kernel moments; the corrector chi solves a(chi, v) = ell(v) for all v subject
@@ -26,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import toeplitz
 
 from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _theta_matrix,
-                     pair_weights_even, same_cell_coeff)
+                     pair_weights_even, row_blocks, same_cell_coeff, toeplitz_rows,
+                     weighted_pair_matrix)
 from .presets import ThetaSpec, VSpec, get_theta, get_v
 
 # the mean-zero potential presets the periodic Poisson oracle solves for
@@ -153,18 +157,20 @@ def _odd_offset_weights(m: int, alpha: float, n_images: int) -> np.ndarray:
     return w
 
 
-def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndarray:
+def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
+                       sample=None) -> np.ndarray:
     """Symmetric PSD matrix of the cell bilinear form on nodal values.
 
     Constants span the kernel exactly (row sums vanish identically); on the
     mean-zero subspace the form is positive definite. The matrix is symmetric
     bit for bit: the offset weights are mirror-exact and Theta is symmetrized.
+    ``sample`` is ``_theta_matrix(theta, grid.y)`` if the caller has it; an
+    array sample becomes the form's buffer and is overwritten.
     """
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
-    w = toeplitz(_even_offset_weights(m, alpha, grid.n_images))
-    weights, theta_diag = _theta_matrix(theta, grid.y)
-    w *= weights
+    weights, theta_diag = _theta_matrix(theta, grid.y) if sample is None else sample
+    w = weighted_pair_matrix(_even_offset_weights(m, alpha, grid.n_images), weights)
     dg = 2.0 * w.sum(axis=1)
     a = np.multiply(w, -2.0, out=w)
     a[np.diag_indices(m)] += dg
@@ -172,19 +178,24 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.nda
     return a
 
 
-def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid) -> np.ndarray:
+def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid,
+                      sample=None) -> np.ndarray:
     """Vector b with ell(v) = sum_j b_j conj(v_j) for the corrector right-hand side.
 
     For constant Theta the antisymmetric weights cancel exactly and b vanishes
-    to rounding.
+    to rounding. ``sample`` is as for ``assemble_cell_form``, and only read.
     """
     _check_alpha(alpha)
     m, h = grid.m, 1.0 / grid.m
+    weights, theta_diag = _theta_matrix(theta, grid.y) if sample is None else sample
     w_off = _odd_offset_weights(m, alpha, grid.n_images)
     # W1[j, l] is the odd weight of offset l - j, negated below the diagonal
-    w1 = toeplitz(-w_off, w_off)
-    weights, theta_diag = _theta_matrix(theta, grid.y)
-    b = 2.0 * np.sum(w1 * weights, axis=1)
+    w1 = toeplitz_rows(np.concatenate((-w_off[::-1], w_off[1:])))
+    weights = np.broadcast_to(weights, (m, m))  # a constant as a read-only matrix
+    b = np.empty(m)
+    for rows in row_blocks(m):
+        b[rows] = np.sum(w1[rows] * weights[rows], axis=1)
+    b *= 2.0
     b += _psi_even(h, alpha) / h * (np.roll(theta_diag, -1) - np.roll(theta_diag, 1))
     return b
 
@@ -208,9 +219,13 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid) -> CellSo
     """Solve the mean-zero corrector problem for chi(y).
 
     Theta carries no tau argument, so chi is solved once, as an (m,) vector.
+    Theta is sampled once: the right-hand side reads the sample, then the form
+    overwrites it.
     """
-    a = assemble_cell_form(theta, alpha, grid)
-    b = assemble_cell_rhs(theta, alpha, grid)
+    _check_alpha(alpha)
+    sample = _theta_matrix(theta, grid.y)
+    b = assemble_cell_rhs(theta, alpha, grid, sample)
+    a = assemble_cell_form(theta, alpha, grid, sample)
     chi_col, lam = solve_bordered(a, b)
     residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
     chi = chi_col - chi_col.mean()

@@ -39,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
-                     widened)
+                     row_blocks, toeplitz_rows, widened)
 from .cell import CellSolution
 from .presets import VSpec, get_theta
 
@@ -81,9 +80,12 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
     if theta.constant is not None:
         xi1 = float(theta.constant)
     else:
-        y = grid.y  # in blocks of 64 rows: a one-shot m x m sample stays behind as a heap hole
-        xi1 = sum(float(theta.sample(y[i:i + 64, None], y[None, :]).sum())
-                  for i in range(0, y.size, 64)) / y.size ** 2
+        # in row blocks: after the cell solve's m x m frees have raised glibc's
+        # mmap threshold, a one-shot m x m sample would come from the heap and
+        # its memory would stay resident after it is freed
+        y = grid.y
+        xi1 = sum(float(theta.sample(y[b, None], y[None, :]).sum())
+                  for b in row_blocks(y.size)) / y.size ** 2
 
     xi2 = float(chi.rhs @ chi.chi)
 
@@ -135,12 +137,16 @@ def _offset_moments(n: int, alpha: float) -> tuple[np.ndarray, ...]:
             left[n - 1::-1], right[:n - 1:-1])
 
 
-def _zeta_rows(f: np.ndarray, mass: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (index array) of Z from ``_offset_moments``' f and mass, fresh;
-    row i of T0 is f[n-1-i : 2n-1-i]."""
-    n = mass.size
-    z = sliding_window_view(f, n)[n - 1 - rows]
-    z[np.arange(rows.size), rows] -= mass[rows]
+def _zeta_rows(t0: np.ndarray, mass: np.ndarray, rows, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Rows ``rows`` (a slice or an index array) of Z from T0 =
+    ``toeplitz_rows(f)`` and the mass of ``_offset_moments``, written to
+    ``out`` or to a fresh array."""
+    t = t0[rows]
+    z = np.empty(t.shape) if out is None else out
+    z[...] = t
+    idx = np.arange(mass.size)[rows]
+    z[np.arange(idx.size), idx] -= mass[idx]
     z *= -0.5
     return z
 
@@ -150,7 +156,7 @@ def zeta_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     on each call, as for R."""
     _check_alpha(alpha)
     f, mass, _, _ = _offset_moments(grid.n, float(alpha))
-    return _zeta_rows(f, mass, np.arange(grid.n))
+    return _zeta_rows(toeplitz_rows(f), mass, slice(None))
 
 
 def zeta_of_parabola(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -199,7 +205,7 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     if n < 2:
         raise ValueError("linear extrapolation to the endpoints needs at least 2 nodes")
     f, mass, lo, hi = _offset_moments(n, float(alpha))
-    r = sliding_window_view(f, n)[::-1].copy()  # T0: row i is f[n-1-i : 2n-1-i]
+    r = toeplitz_rows(f).copy()  # T0: row i is f[n-1-i : 2n-1-i]
     r[np.diag_indices(n)] = mass
     r[:, 0] += 2.0 * lo
     r[:, 1] -= lo
@@ -256,15 +262,21 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     col, row = f[n - 1::-1], f[n - 1:]
     # first row and column of T0^2: correlations of T0's first row and column with f
     top, left = np.correlate(f, row[::-1], "valid"), np.correlate(f, col, "valid")[::-1]
-    z_c = _zeta_rows(f, mass, np.array([0, 1, n - 2, n - 1]))
+    t0 = toeplitz_rows(f)
+    z_c = _zeta_rows(t0, mass, np.array([0, 1, n - 2, n - 1]))
     e = (xi2 / 2.0) * np.stack([2.0 * lo, -lo, -hi, 2.0 * hi], axis=1)  # (Xi_2 / 2) E[:, c]
     col_scale = (xi2 / 2.0) * mass
     row_scale = col_scale + xi3
+    scratch = np.empty((2, 32, n))  # the zeta terms of one block and a factor of them
     for b, block in _toeplitz_square_rows(col, row, top, left):
         rows = np.arange(n)[b]
+        z, s = scratch[:, :rows.size]
         block *= xi2 / 4.0
         block[np.arange(rows.size), rows] -= (xi2 / 4.0) * mass[b] * mass[b]
-        block += _zeta_rows(f, mass, rows) * (col_scale - row_scale[b, None]) - e[b] @ z_c
+        _zeta_rows(t0, mass, b, out=z)
+        z *= np.subtract(col_scale, row_scale[b, None], out=s)
+        z -= np.matmul(e[b], z_c, out=s)
+        block += z
         out[b] += block
     return out
 

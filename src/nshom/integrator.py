@@ -400,9 +400,11 @@ class ThetaStepper:
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"{where}: implicit factorization failed: {exc}") from exc
         if factor.info:
-            pivot, zero = "D" if factor.symmetric else "U", factor.info - 1
-            raise LinearSolveError(f"{where}: implicit matrix is singular, "
-                                   f"{pivot}[{zero}, {zero}] is exactly zero")
+            kind, block = ("L D L^T", "D") if factor.symmetric else ("LU", "U")
+            zero = factor.info - 1
+            raise LinearSolveError(f"{where}: implicit matrix is singular, pivot {zero} of "
+                                   f"its {kind} factor ({block}[{zero}, {zero}]) is exactly "
+                                   "zero; a position after row interchanges, not a grid node")
         if len(self._factors) < self._capacity:
             self._factors[key] = factor
         return factor

@@ -68,6 +68,22 @@ class TestCoupledPair:
         assert e1 != e2
         assert 0.2 < e1 / e2 < 5.0
 
+    def test_strong_error_counts_the_imaginary_part(self, monkeypatch):
+        # one time level whose differences are 2i (purely imaginary) and 3 - 4i
+        rc, eps = make_config(), 0.25
+        n = rc.sim.grid.n
+        u_het = np.zeros((n, 2), dtype=complex)
+        u_het[:, 0], u_het[:, 1] = 2.0j, 3.0 - 4.0j
+        steps = [(1, (u_het, np.zeros_like(u_het)), np.zeros(2, dtype=bool), [None, None])]
+        monkeypatch.setattr(harness, "_coupled_steps", lambda *args: iter(steps))
+        err, weak, _ = coupled_errors(eps, rc, [0, 1], None)
+        scale = rc.resolve_dt(eps)[0] * rc.sim.grid.h
+        assert err == pytest.approx([4.0 * n * scale, 25.0 * n * scale], rel=1e-14)
+        for j, (_, fn) in enumerate(PSI_PRESETS):
+            psi_sum = np.sum(fn(rc.sim.grid.nodes))
+            assert weak[:, j] == pytest.approx([2.0j * psi_sum * scale,
+                                                (3.0 - 4.0j) * psi_sum * scale], rel=1e-13)
+
     def test_error_decreases_between_eps_levels(self, prepared_default):
         rc, prepared = prepared_default
         e_coarse = coupled_errors(0.25, rc, [3], prepared)[0][0]
@@ -206,7 +222,8 @@ class TestEnsemble:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(LinearSolveError, match=r"effective system, phase None: "
-                               r"implicit matrix is singular, U\[3, 3\] is exactly zero"):
+                               r"implicit matrix is singular, pivot 3 of its LU factor "
+                               r"\(U\[3, 3\]\) is exactly zero"):
                 eps_sweep([0.5, 0.25], 4, rc, prepared=singular)
         assert [str(w.message) for w in caught] == []
 
@@ -234,6 +251,16 @@ class TestEnsemble:
         assert np.array_equal(weak[kept], base_weak[kept])
 
 
+def perfbench_module(name, monkeypatch):
+    """The benchmark's perfbench/<name>.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_tracer():
     """A Tracer from the benchmark's perfbench/tracer.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -254,17 +281,25 @@ WORKLOAD_HASHES = {
 def test_perfbench_workload_configs_parse_to_their_hashes(monkeypatch):
     # a schema change that rejects or rehashes a benchmark input would fail every
     # benchmark run, or compare it against other inputs
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads", monkeypatch)
     hashes = {}
     for name, w in workloads.WORKLOADS.items():
         rc = RunConfig.from_dict({**w.config, "seed": 0})
         assert rc.sim_config() is rc.sim
         hashes[name] = rc.config_hash
     assert hashes == WORKLOAD_HASHES
+
+
+@pytest.mark.parametrize("name", ["sweep_theta_one", "sweep_theta_osc"])
+def test_perfbench_sweep_passes_its_gate(monkeypatch, name):
+    # the benchmark's correctness gate at seed 0: the sweep's effective
+    # coefficients, strong and weak errors against its stored reference
+    workloads = perfbench_module("workloads", monkeypatch)
+    gate = perfbench_module("gate", monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    result = workloads.run(workload, 0)
+    assert result["error"] is None
+    assert gate.check(workload, 0, result["outputs"], gate.load_reference()) == []
 
 
 def test_perfbench_tracer_sees_one_cell_solve():
@@ -380,6 +415,12 @@ class TestFitAndEstimators:
     def test_fit_degenerate_single_point(self):
         fit = fit_loglog([0.5], [1.0])
         assert fit["degenerate"]
+
+    def test_fit_degenerate_at_the_floor(self):
+        # errors of 1e-15 are rounding, below the default floor 1e-14
+        fit = fit_loglog([0.5, 0.25, 0.125], [1e-15, 1e-15, 1e-15])
+        assert fit == {"slope": None, "intercept": None, "r2": None, "degenerate": True,
+                       "reason": "errors at or below the tolerance floor 1e-14"}
 
     def test_se_estimator_scales_like_inverse_sqrt_paths(self):
         rng = np.random.default_rng(0)

@@ -98,6 +98,13 @@ class TestNoiseModel:
         out = NoiseModel("bounded", 0.5).apply(u)
         assert np.max(np.abs(out)) <= 0.5
 
+    def test_bounded_divides_by_one_plus_modulus(self):
+        # |u| = 5 and 1/2: sigma u / (1 + |u|), not sigma u / (1 + |u|^2)
+        u = np.array([3.0 + 4.0j, 0.3 - 0.4j])
+        out = NoiseModel("bounded", 0.5).apply(u)
+        assert out == pytest.approx([0.5 * (3.0 + 4.0j) / 6.0, 0.5 * (0.3 - 0.4j) / 1.5],
+                                    rel=1e-15, abs=0.0)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel("funky")
@@ -782,7 +789,9 @@ class TestSingularImplicitMatrix:
             self.simulate_with(g_mat)
         i = index or 0
         assert str(excinfo.value) == (f"effective system, phase None: implicit matrix is "
-                                      f"singular, U[{i}, {i}] is exactly zero")
+                                      f"singular, pivot {i} of its LU factor (U[{i}, {i}]) is "
+                                      "exactly zero; a position after row interchanges, not a "
+                                      "grid node")
         assert solves == []
 
     def test_nonfinite_matrix(self):
@@ -1047,8 +1056,11 @@ class TestFactorKind:
         stepper = self.stepper(64j * np.eye(8) + s)
         with pytest.raises(integrator.LinearSolveError) as excinfo:
             stepper.step(np.ones((8, 2), dtype=complex), 0, np.zeros(2))
+        i = info - 1
         assert str(excinfo.value) == ("effective system, phase None: implicit matrix is "
-                                      f"singular, D[{info - 1}, {info - 1}] is exactly zero")
+                                      f"singular, pivot {i} of its L D L^T factor (D[{i}, {i}]) "
+                                      "is exactly zero; a position after row interchanges, not "
+                                      "a grid node")
         assert solves == []
 
     def test_nonfinite_generator_takes_lu_and_is_reported(self):

@@ -199,6 +199,13 @@ class TestGeneratorAssembly:
         order = np.log2(err / fine) / 2.0
         assert order >= 1.5, f"observed order {order}"
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.25, 1.5, 1.75, 1.99])
+    def test_getoor_row_passes_on_coarse_grids(self, alpha):
+        # the coarsest grids carry the largest error constant (n = 7 the most)
+        for n in range(4, 41):
+            err, tol = kernel.getoor_error(n, alpha)
+            assert err <= tol, (n, err, tol)
+
 
 class TestExteriorWeight:
     def test_constant_theta_matches_rho(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nshom.kernel import Grid1D
-from nshom.presets import get_f, get_h, get_theta, get_v
+from nshom.presets import PSI_PRESETS, get_f, get_h, get_theta, get_v
 
 # Theta(y, eta) per cosine preset, in the evaluation order of the formula
 COSINE_THETAS = {
@@ -64,3 +64,14 @@ def test_bump_datum_has_unit_norm_and_is_even(n):
     # even bit for bit in x; the grid's mirror nodes differ from -x in the last bits
     assert np.array_equal(bump.sample(-grid.nodes, grid.h), u)
     assert np.allclose(u, u[::-1], rtol=1e-12, atol=0.0)
+
+
+def test_weak_error_test_functions_closed_forms():
+    # (1 - x^2)^2 and (1 - x^2) cos(2 pi x) at x = 0, 1/3, 1/2, 1
+    x = np.array([0.0, 1.0 / 3.0, 0.5, 1.0])
+    psi = dict(PSI_PRESETS)
+    assert list(psi) == ["poly_bump", "fourier_bump"]
+    assert psi["poly_bump"](x) == pytest.approx([1.0, 64.0 / 81.0, 0.5625, 0.0],
+                                                rel=1e-15, abs=1e-15)
+    assert psi["fourier_bump"](x) == pytest.approx([1.0, -4.0 / 9.0, -0.75, 0.0],
+                                                   rel=1e-15, abs=1e-15)
