@@ -172,7 +172,7 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
     weights, theta_diag = _theta_matrix(theta, grid.y) if sample is None else sample
     w = weighted_pair_matrix(_even_offset_weights(m, alpha, grid.n_images), weights)
     dg = 2.0 * w.sum(axis=1)
-    a = np.multiply(w, -2.0, out=w)
+    a = np.multiply(w, -2.0, out=w if w.flags.writeable else None)
     a[np.diag_indices(m)] += dg
     _add_same_cell_term(a, same_cell_coeff(h, alpha), theta_diag, h, periodic=True)
     return a
@@ -202,14 +202,23 @@ def assemble_cell_rhs(theta: ThetaSpec, alpha: float, grid: CellGrid,
 
 def solve_bordered(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve a chi + lam = b subject to sum(chi) = 0 through the bordered
-    (Lagrange) system; returns (chi, lam)."""
+    (Lagrange) system; returns (chi, lam). ``a`` must be symmetric bit for bit,
+    as the cell form is.
+
+    One pass writes ``a`` and its border of ones into an uninitialized
+    (m + 1)^2 array, and ``np.linalg.solve`` gets that array's transpose:
+    LAPACK reads column-major storage, so the transposed view is copied into
+    its work array contiguously, and for a symmetric system it is the same
+    matrix, so the same LU and the same solution bit for bit.
+    """
     m = a.shape[0]
-    bordered = np.zeros((m + 1, m + 1))
+    bordered = np.empty((m + 1, m + 1))
     bordered[:m, :m] = a
     bordered[:m, m] = 1.0
     bordered[m, :m] = 1.0
+    bordered[m, m] = 0.0
     try:
-        sol = np.linalg.solve(bordered, np.concatenate([b, [0.0]]))
+        sol = np.linalg.solve(bordered.T, np.concatenate([b, [0.0]]))
     except np.linalg.LinAlgError as exc:
         raise CellSolveError(f"constrained cell solve failed: {exc}") from exc
     return sol[:m], sol[m]

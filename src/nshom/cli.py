@@ -16,6 +16,7 @@ import inspect
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,15 +191,19 @@ def _cmd_simulate(args) -> int:
     for step, state in sorted(res.snapshots.items()):
         _write_csv(out / f"snap_{step:06d}.csv", ["x", "re_u", "im_u"],
                    [cfg.grid.nodes, state.real, state.imag])
+    telemetry = {"factorizations": res.factorizations, "factor_hits": res.factor_hits}
+    if isinstance(system, Effective):
+        telemetry["cell_residual"] = system.coeffs.provenance["cell_residual"]
     _write_manifest(out, "simulate", rc, seeds=[seed], sections={
         "parameters": {"system": args.system, "eps": eps, "dt": dt,
                        "n_steps": n_steps, "snap_every": snap_every},
-        "telemetry": {"factorizations": res.factorizations, "factor_hits": res.factor_hits}})
+        "telemetry": telemetry})
     print(f"simulate {args.system}: {n_steps} steps, final norm2 {res.norm2[-1]:.6e} -> {out}")
     return 0
 
 
-def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport) -> None:
+def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport,
+                         telemetry: dict) -> None:
     k = len(PSI_PRESETS)
     names = (["eps", "strong_err", "strong_se"]
              + [f"weak_err_{j + 1}" for j in range(k)] + ["excluded", "wall_s"])
@@ -214,7 +219,8 @@ def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport) -> None:
     fit["psi"] = [name for name, _ in PSI_PRESETS]
     (out / "fit.json").write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "sweep", rc, seeds=report.seeds, sections={
-        "parameters": {"eps_list": report.eps_list, "n_paths": report.n_paths}})
+        "parameters": {"eps_list": report.eps_list, "n_paths": report.n_paths},
+        "telemetry": telemetry})
 
 
 def _cmd_sweep(args) -> int:
@@ -228,15 +234,18 @@ def _cmd_sweep(args) -> int:
         print(f"  eps={eps:<10g} kept={kept} excluded={excluded} wall={wall:.1f}s",
               flush=True)
 
+    start = time.perf_counter()
     prepared = prepare_experiment(rc)
+    telemetry = {"prepare_s": time.perf_counter() - start,
+                 "cell_residual": prepared.cell_solution.residual}
     try:
         report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)
     except SweepFailure as exc:
         if exc.report is not None:
-            _write_sweep_outputs(out, rc, exc.report)
+            _write_sweep_outputs(out, rc, exc.report, telemetry)
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 3
-    _write_sweep_outputs(out, rc, report)
+    _write_sweep_outputs(out, rc, report, telemetry)
     if args.corrector_diagnostic:
         diags = [corrector_residual(eps, rc, rc.seed, prepared) for eps in eps_list]
         (out / "corrector.json").write_text(json.dumps(diags, indent=2, sort_keys=True) + "\n")

@@ -137,14 +137,10 @@ def _offset_moments(n: int, alpha: float) -> tuple[np.ndarray, ...]:
             left[n - 1::-1], right[:n - 1:-1])
 
 
-def _zeta_rows(t0: np.ndarray, mass: np.ndarray, rows, out: np.ndarray | None = None
-               ) -> np.ndarray:
+def _zeta_rows(t0: np.ndarray, mass: np.ndarray, rows) -> np.ndarray:
     """Rows ``rows`` (a slice or an index array) of Z from T0 =
-    ``toeplitz_rows(f)`` and the mass of ``_offset_moments``, written to
-    ``out`` or to a fresh array."""
-    t = t0[rows]
-    z = np.empty(t.shape) if out is None else out
-    z[...] = t
+    ``toeplitz_rows(f)`` and the mass of ``_offset_moments``, as a fresh array."""
+    z = t0[rows].copy()
     idx = np.arange(mass.size)[rows]
     z[np.arange(idx.size), idx] -= mass[idx]
     z *= -0.5
@@ -246,8 +242,17 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     offset description (``_offset_moments``). With D_z = D_r = diag(mass),
     Z = -(T0 - D_z) / 2 and R = T0 + D_r + E, E nonzero only in the columns
     c = (0, 1, n-2, n-1), diagonal entries included. So R Z = -T0^2 / 2 - Z D_z
-    + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :]. L is scaled by Xi_1 in place and the
-    rest added in row blocks cut from the offset vectors: no dense Z or T0^2.
+    + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :]. L is built by
+    ``assemble_heterogeneous_generator``, and the rest is added to it in
+    blocks of 32 rows cut from the offset vectors: no dense Z or T0^2.
+
+    Per block: the T0^2 rows of the displacement recurrence, scaled once; the
+    zeta terms Z (D_z - diag(Xi_2 mass / 2 + Xi_3)) as one product of T0's
+    rows with the scale differences, the -1/2 of Z folded into the scales
+    (exact, a power of two) and Z's diagonal, where T0 is 0 and D_z is not,
+    written separately; E[:, c] Z[c, :] by one (32, 4) @ (4, n) product; and
+    the block of L scaled by Xi_1 while it is in cache. Every entry is the
+    same sum of the same roundings as with Z in full.
 
     With (Xi_1, Xi_2, Xi_3) = (1, 0, 0) this reproduces the plain fractional
     generator entrywise.  The zeta terms are generally not Hermitian; norm
@@ -256,7 +261,6 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     out = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=alpha, theta=get_theta("one")))
     xi1, xi2, xi3 = coeffs.as_tuple()
-    out *= xi1
     n, alpha = grid.n, float(alpha)
     f, mass, lo, hi = _offset_moments(n, alpha)
     col, row = f[n - 1::-1], f[n - 1:]
@@ -267,17 +271,23 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     e = (xi2 / 2.0) * np.stack([2.0 * lo, -lo, -hi, 2.0 * hi], axis=1)  # (Xi_2 / 2) E[:, c]
     col_scale = (xi2 / 2.0) * mass
     row_scale = col_scale + xi3
+    # Z's -1/2 times the scales: -c/2 - (-r/2) is -(c - r)/2 exactly
+    col_half, row_half = -0.5 * col_scale, -0.5 * row_scale
     scratch = np.empty((2, 32, n))  # the zeta terms of one block and a factor of them
     for b, block in _toeplitz_square_rows(col, row, top, left):
         rows = np.arange(n)[b]
+        k = np.arange(rows.size)
         z, s = scratch[:, :rows.size]
         block *= xi2 / 4.0
-        block[np.arange(rows.size), rows] -= (xi2 / 4.0) * mass[b] * mass[b]
-        _zeta_rows(t0, mass, b, out=z)
-        z *= np.subtract(col_scale, row_scale[b, None], out=s)
+        block[k, rows] -= (xi2 / 4.0) * mass[b] * mass[b]
+        np.subtract(col_half, row_half[b, None], out=s)
+        np.multiply(t0[b], s, out=z)
+        z[k, rows] = -mass[b] * s[k, rows]  # (0 - mass) * -1/2 * (c - r)
         z -= np.matmul(e[b], z_c, out=s)
         block += z
-        out[b] += block
+        ob = out[b]
+        ob *= xi1
+        ob += block
     return out
 
 

@@ -225,11 +225,12 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> tuple[float | np.ndarray, 
 def weighted_pair_matrix(col: np.ndarray, weights: float | np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix with first column ``col``, times the
     ``_theta_matrix`` weights entrywise: in the weights' own buffer when they
-    are an array, else a fresh array (a weight of 1.0 is not multiplied)."""
+    are an array, the read-only Toeplitz view itself for a weight of 1.0 (not
+    multiplied, not copied), else a fresh array."""
     rows = toeplitz_rows(np.concatenate((col[:0:-1], col)))
     if isinstance(weights, np.ndarray):
         return np.multiply(weights, rows, out=weights)
-    return rows.copy() if weights == 1.0 else rows * weights
+    return rows if weights == 1.0 else rows * weights
 
 
 def _exterior_rule(d_min: float, length: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +303,8 @@ def exterior_weight(x: float | np.ndarray, params: KernelParams,
 
 
 def _assembly_pieces(grid: Grid1D, params: KernelParams):
-    """Pair-weight matrix W, exterior diagonal E, diagonal Theta."""
+    """Pair-weight matrix W (read-only for Theta == 1, see
+    ``weighted_pair_matrix``), exterior diagonal E, diagonal Theta."""
     n, h, x = grid.n, grid.h, grid.nodes
     alpha = params.alpha
     col = np.concatenate(([0.0], pair_weights_even(np.arange(1, n) * h, h, alpha)))
@@ -319,17 +321,28 @@ def assemble_heterogeneous_generator(grid: Grid1D, params: KernelParams) -> np.n
     plus a centered-difference same-cell correction; the exterior condition
     contributes the weighted diagonal. Every term is symmetric bit for bit, so
     G is too.
+
+    Two passes over n^2 entries: the row sums of the weights W, then -W / h
+    written in W's buffer (a fresh array for Theta == 1, whose W is a view).
+    Only the diagonal and the +-2 bands, the entries the degree and the
+    same-cell term touch, are then recomputed from their saved W values, as
+    ((-W + degree) + same-cell) / h + exterior, the order of operations of the
+    Laplacian built in full.
     """
-    if grid.n < 4:
+    n = grid.n
+    if n < 4:
         raise ValueError("generator assembly needs at least 4 interior nodes")
     w, ext, theta_diag = _assembly_pieces(grid, params)
     h = grid.h
-    diag = np.diag_indices(grid.n)
+    diag, i = np.diag_indices(n), np.arange(n)
+    bands = (np.concatenate((i, i[:-2], i[2:])), np.concatenate((i, i[2:], i[:-2])))
+    w_bands = w[bands]
     dg = w.sum(axis=1)
-    m = np.negative(w, out=w)
+    m = np.divide(w, -h, out=w if w.flags.writeable else None)  # (-W) / h bit for bit
+    m[bands] = np.negative(w_bands, out=w_bands)
     m[diag] += dg
     _add_same_cell_term(m, same_cell_coeff(h, params.alpha) / 2.0, theta_diag, h)
-    m /= h
+    m[bands] /= h
     m[diag] += ext
     return m
 

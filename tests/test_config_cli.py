@@ -339,6 +339,25 @@ class TestCliCommands:
         assert manifest["parameters"]["n_steps"] == 64
         assert manifest["telemetry"] == {"factorizations": 8, "factor_hits": 56}
 
+    def test_simulate_effective_manifest_records_cell_residual(self, tmp_path):
+        cfg = self._small_cfg(tmp_path, theta_preset={"name": "cosine_sum", "params": {}})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--system", "eff", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        assert set(telemetry) == {"factorizations", "factor_hits", "cell_residual"}
+        assert 0.0 <= telemetry["cell_residual"] <= 1e-8
+
+    def test_sweep_manifest_records_setup_telemetry(self, tmp_path):
+        cfg = self._small_cfg(tmp_path, theta_preset={"name": "cosine_sum", "params": {}})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--eps", "1/2", "--paths", "2",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        assert set(telemetry) == {"cell_residual", "prepare_s"}
+        assert 0.0 <= telemetry["cell_residual"] <= 1e-8
+        assert telemetry["prepare_s"] > 0.0
+
     def test_manifest_records_blas_environment(self, tmp_path, monkeypatch):
         import scipy
 
@@ -476,8 +495,10 @@ class TestCliCommands:
                          "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert "excluded" in capsys.readouterr().err
-        # the partial report is still written for inspection
+        # the partial report is still written for inspection, with the setup's telemetry
         assert (out / "sweep.csv").exists()
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        assert set(telemetry) == {"cell_residual", "prepare_s"}
 
     def test_sweep_failed_factorization_exit_code(self, tmp_path, capsys, monkeypatch):
         from nshom import integrator

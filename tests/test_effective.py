@@ -422,6 +422,19 @@ class TestStructuredProduct:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 8
 
+    def test_fractional_generator_allocates_only_its_output(self):
+        # for Theta == 1 the pair weights are a Toeplitz view of 2n - 1 values:
+        # the row sums read it and -W / h is written straight into the output
+        n, g = 512, Grid1D.make(512)
+        params = KernelParams(alpha=ALPHA, theta=get_theta("one"))
+        tracemalloc.start()
+        try:
+            assemble_heterogeneous_generator(g, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_nodes_rejected_with_value_error(self, n):
         # the four endpoint columns of E collide below n = 4

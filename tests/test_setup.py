@@ -2,9 +2,11 @@
 
 The reference functions below are the earlier implementation: scipy
 ``toeplitz`` copies of the offset weights, Theta sampled twice in full and
-averaged, one full-size temporary per term of the G_eff block loop. The
-package reads the weights as strided views, samples Theta once per cell solve
-and writes in place; every output must be equal to them byte for byte.
+averaged, L negated, completed and divided by h in full, one full-size
+temporary per term of the G_eff block loop, a zero-filled bordered system. The
+package reads the weights as strided views, samples Theta once per cell solve,
+writes in place and recomputes only L's bands; every output must be equal to
+them byte for byte.
 """
 
 import tracemalloc
@@ -27,6 +29,9 @@ THETAS = [get_theta(name) for name in ("one", "cosine_product", "cosine_shift", 
     get_theta("scaled", base="one", factor=2.5)]
 THETA_IDS = [theta.name for theta in THETAS]
 CELL_SIZES = [8, 33, 64, 256]
+# the generators' diagonal and +-2 band fix-ups at both boundaries, and G_eff's
+# 32-row blocks whole, cut short and several
+GRID_SIZES = [4, 5, 33, 64, 256, 257]
 V_NAME = "sin2pi_y_one_plus_sin2pi_tau"  # Xi_3 != 0 for an oscillating Theta
 
 
@@ -66,10 +71,20 @@ def reference_cell_rhs(theta, alpha, grid):
     return b
 
 
+def reference_solve_bordered(a, b):
+    m = a.shape[0]
+    bordered = np.zeros((m + 1, m + 1))
+    bordered[:m, :m] = a
+    bordered[:m, m] = 1.0
+    bordered[m, :m] = 1.0
+    sol = np.linalg.solve(bordered, np.concatenate([b, [0.0]]))
+    return sol[:m], sol[m]
+
+
 def reference_cell_solution(theta, alpha, grid):
     a = reference_cell_form(theta, alpha, grid)
     b = reference_cell_rhs(theta, alpha, grid)
-    chi_col, lam = cell.solve_bordered(a, b)
+    chi_col, lam = reference_solve_bordered(a, b)
     residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
     return CellSolution(chi=chi_col - chi_col.mean(), rhs=b, theta=theta, alpha=alpha,
                         grid=grid, residual=residual)
@@ -147,18 +162,20 @@ class TestCellBitwise:
                 == compute_effective_coefficients(want, v).as_tuple())
 
 
+@pytest.mark.parametrize("n", GRID_SIZES)
 @pytest.mark.parametrize("theta", THETAS, ids=THETA_IDS)
-def test_heterogeneous_generator_bitwise(theta):
-    grid = Grid1D.make(256)
+def test_heterogeneous_generator_bitwise(theta, n):
+    grid = Grid1D.make(n)
     params = KernelParams(alpha=ALPHA, theta=theta, epsilon=1.0 / 16.0)
     assert same_bytes(assemble_heterogeneous_generator(grid, params),
                       reference_heterogeneous_generator(grid, params))
 
 
+@pytest.mark.parametrize("n", GRID_SIZES)
 @pytest.mark.parametrize("theta", THETAS, ids=THETA_IDS)
-def test_effective_generator_bitwise(theta):
+def test_effective_generator_bitwise(theta, n):
     sol = cell.solve_cell_problem(theta, ALPHA, CellGrid(m=64, m_tau=4))
-    grid = Grid1D.make(256)
+    grid = Grid1D.make(n)
     for coeffs in (compute_effective_coefficients(sol, get_v(V_NAME)),
                    EffectiveCoefficients.from_values(1.1, 0.3, -0.2)):
         assert same_bytes(assemble_effective_generator(coeffs, grid, ALPHA),
