@@ -16,7 +16,6 @@ from .kernel import (
 from .cell import (
     CellGrid,
     CellSolution,
-    periodized_kernel_weight,
     assemble_cell_form,
     solve_cell_problem,
     solve_periodic_poisson,
@@ -39,7 +38,7 @@ from .integrator import (
 __all__ = [
     "Grid1D", "KernelParams",
     "gamma", "rho", "dstar_apply", "assemble_heterogeneous_generator", "pv_oracle",
-    "CellGrid", "CellSolution", "periodized_kernel_weight", "assemble_cell_form",
+    "CellGrid", "CellSolution", "assemble_cell_form",
     "solve_cell_problem", "solve_periodic_poisson",
     "EffectiveCoefficients", "compute_effective_coefficients", "assemble_effective_generator",
     "NoiseModel", "BrownianPath", "SimConfig", "Heterogeneous", "Effective",

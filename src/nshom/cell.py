@@ -14,8 +14,8 @@ bitwise) and read as Toeplitz matrices through strided views of one 2m - 1
 vector (``kernel.toeplitz_rows``), never expanded into an m x m copy, so for
 constant Theta the right-hand side cancels to rounding and the corrector
 vanishes identically. ``solve_cell_problem`` samples Theta once: the
-right-hand side reads the sample in row blocks, then the form is built in its
-buffer.
+right-hand side and Theta's cell mean (Xi_1) read the sample in row blocks,
+then the form is built in its buffer.
 
 The linear functional ell(v) = int Theta conj(D*_y v) uses the matching odd
 kernel moments; the corrector chi solves a(chi, v) = ell(v) for all v subject
@@ -83,23 +83,11 @@ class CellSolution:
     alpha: float
     grid: CellGrid
     residual: float  # relative residual of the bordered solve
+    theta_mean: float  # mean of Theta over the cell grid's m x m points, Xi_1
 
     @property
     def mean_abs(self) -> float:
         return abs(float(self.chi.mean()))
-
-
-def periodized_kernel_weight(y: float, eta: float, alpha: float, n_images: int) -> float:
-    """Whole-line even kernel at periodic points: sum over integer images of
-    |y - eta + k|^{-1-alpha} plus the analytic tail bound 2 (K + 1/2)^{-alpha} / alpha."""
-    _check_alpha(alpha)
-    d = y - eta
-    if d == np.floor(d):
-        raise ValueError("periodized kernel weight is singular at coincident points")
-    k = np.arange(-n_images, n_images + 1)
-    total = float(np.sum(np.abs(d + k) ** (-1.0 - alpha)))
-    total += 2.0 * (n_images + 0.5) ** (-alpha) / alpha
-    return total
 
 
 def _psi_even(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -163,7 +151,8 @@ def assemble_cell_form(theta: ThetaSpec, alpha: float, grid: CellGrid,
 
     Constants span the kernel exactly (row sums vanish identically); on the
     mean-zero subspace the form is positive definite. The matrix is symmetric
-    bit for bit: the offset weights are mirror-exact and Theta is symmetrized.
+    bit for bit: the offset weights are mirror-exact and a Theta sample is
+    symmetric (``ThetaSpec`` checks that when it is built).
     ``sample`` is ``_theta_matrix(theta, grid.y)`` if the caller has it; an
     array sample becomes the form's buffer and is overwritten.
     """
@@ -228,11 +217,14 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid) -> CellSo
     """Solve the mean-zero corrector problem for chi(y).
 
     Theta carries no tau argument, so chi is solved once, as an (m,) vector.
-    Theta is sampled once: the right-hand side reads the sample, then the form
-    overwrites it.
+    Theta is sampled once: the right-hand side and Theta's mean, a sum of the
+    sample's row blocks over m^2, read the sample, then the form overwrites it.
     """
     _check_alpha(alpha)
     sample = _theta_matrix(theta, grid.y)
+    weights = sample[0]
+    theta_mean = (float(weights) if theta.constant is not None else
+                  sum(float(weights[rows].sum()) for rows in row_blocks(grid.m)) / grid.m ** 2)
     b = assemble_cell_rhs(theta, alpha, grid, sample)
     a = assemble_cell_form(theta, alpha, grid, sample)
     chi_col, lam = solve_bordered(a, b)
@@ -241,7 +233,8 @@ def solve_cell_problem(theta: ThetaSpec, alpha: float, grid: CellGrid) -> CellSo
     if not residual <= 1e-8:  # also true for NaN
         raise CellSolveError(f"cell solve residual {residual:.2e} exceeds 1e-8 "
                              "(conditioning failure beyond the constraint kernel)")
-    return CellSolution(chi=chi, rhs=b, theta=theta, alpha=alpha, grid=grid, residual=residual)
+    return CellSolution(chi=chi, rhs=b, theta=theta, alpha=alpha, grid=grid, residual=residual,
+                        theta_mean=theta_mean)
 
 
 def fractional_symbol_factor(alpha: float) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
-                     row_blocks, toeplitz_rows, widened)
+                     toeplitz_rows, widened)
 from .cell import CellSolution
 from .presets import VSpec, get_theta
 
@@ -72,21 +72,14 @@ def compute_effective_coefficients(chi: CellSolution, v_spec: VSpec) -> Effectiv
     """Quadrature of the three cell averages against a solved corrector, on the
     Theta and cell grid it was solved for.
 
+    Xi_1 is the solution's ``theta_mean``, taken by the cell solve from its
+    one Theta sample, so Theta is not sampled here.
     Xi_2 = b . chi with the right-hand side b the corrector was solved with
     (same odd-kernel weights), so for constant Theta it vanishes to rounding
     together with chi.
     """
     theta, grid = chi.theta, chi.grid
-    if theta.constant is not None:
-        xi1 = float(theta.constant)
-    else:
-        # in row blocks: after the cell solve's m x m frees have raised glibc's
-        # mmap threshold, a one-shot m x m sample would come from the heap and
-        # its memory would stay resident after it is freed
-        y = grid.y
-        xi1 = sum(float(theta.sample(y[b, None], y[None, :]).sum())
-                  for b in row_blocks(y.size)) / y.size ** 2
-
+    xi1 = chi.theta_mean
     xi2 = float(chi.rhs @ chi.chi)
 
     v = v_spec.sample(grid.y[:, None], grid.tau[None, :])

@@ -40,8 +40,8 @@ from .presets import ThetaSpec, get_theta
 # entries of one (nodes, quadrature points) block of the exterior weight,
 # 2 MiB of float64; n = 256 at eps = 1/16 fits in one block
 EXTERIOR_BLOCK_ENTRIES = 1 << 18
-# rows of one block of a Theta sample's symmetry check and of the row sums
-# that read it; 512 KiB of float64 at m = 1024
+# rows of one block of the sums that read a Theta sample (the cell
+# right-hand side and Theta's cell mean); 512 KiB of float64 at m = 1024
 THETA_BLOCK_ROWS = 64
 
 
@@ -197,26 +197,12 @@ def _theta_matrix(theta: ThetaSpec, y: np.ndarray) -> tuple[float | np.ndarray, 
     """Pair weights Theta(y_i, y_j) at the fast-variable points y and their
     diagonal: for a constant Theta the constant itself (callers multiply by
     it, which keeps constant-coefficient results exact), otherwise one full
-    sample, symmetrized in place and checked positive, and a copy of its
-    diagonal.
-
-    The symmetry check samples Theta(y_j, y_i) again in blocks of
-    ``THETA_BLOCK_ROWS`` rows, in row order (no transposed read), and averages
-    each block into the sample, so no second full-size array is made.
+    sample, checked positive, and a copy of its diagonal. Theta's symmetry
+    is not checked here but once, when its ``ThetaSpec`` was built.
     """
     if theta.constant is not None:
         return theta.constant, np.full(y.size, theta.constant)
     tm = theta.sample(y[:, None], y[None, :])
-    scale = max(1.0, float(tm.max()), -float(tm.min()))  # max |Theta|, or 1 with NaN
-    dev = 0.0
-    for b in row_blocks(y.size):
-        block, swapped = tm[b], theta.sample(y[None, :], y[b, None])
-        diff = block - swapped
-        dev = max(dev, float(np.abs(diff, out=diff).max()))
-        block += swapped
-        block *= 0.5
-    if dev > 1e-10 * scale:
-        raise ValueError(f"theta preset {theta.name!r} is not symmetric (max dev {dev:.2e})")
     if not tm.min() > 0.0:  # also true for NaN
         raise ValueError("Theta must be strictly positive on the grid")
     return tm, np.diag(tm).copy()

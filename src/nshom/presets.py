@@ -13,6 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+# where ThetaSpec checks a coefficient's symmetry: the points k/64 and three
+# points off that grid
+_SYMMETRY_PROBE = np.concatenate((np.arange(64) / 64, [0.1, 1 / 3, 0.7]))
+
 
 @dataclass(frozen=True)
 class ThetaSpec:
@@ -20,7 +24,11 @@ class ThetaSpec:
 
     ``constant`` is set when Theta does not depend on (y, eta); the assembly
     routines use it to skip sampling and to keep constant-coefficient results
-    exact.
+    exact. A non-constant ``fn`` is sampled once, when the spec is built, on
+    ``_SYMMETRY_PROBE`` x ``_SYMMETRY_PROBE``, and that sample must equal its
+    transpose bit for bit (NaN equal to NaN, so a NaN Theta gets as far as the
+    assembly's positivity check). The assembly relies on this: it takes one
+    sample of Theta as its symmetric weights.
     """
 
     name: str
@@ -35,6 +43,10 @@ class ThetaSpec:
                 self.constant is None or self.lower == self.upper == self.constant):
             raise ValueError(f"{self.name!r} needs finite bounds 0 < lower <= upper, equal "
                              f"to its constant if set; got {self.lower, self.upper, self.constant}")
+        if self.constant is None:
+            probe = self.sample(_SYMMETRY_PROBE[:, None], _SYMMETRY_PROBE[None, :])
+            if not np.array_equal(probe, probe.T, equal_nan=True):
+                raise ValueError(f"theta preset {self.name!r} is not symmetric")
 
     def sample(self, y, eta) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -130,8 +142,10 @@ def _theta_scaled(base: str = "cosine_product", factor: float = 1.0, **params) -
 
 THETA_PRESETS: dict[str, Callable[..., ThetaSpec]] = {
     "one": _theta_one,
+    # a * (c(y) c(eta)), not (a c(y)) c(eta): only the product of the two
+    # cosines is symmetric bit for bit at every amplitude
     "cosine_product": _cosine_theta(
-        "cosine_product", lambda a, y, eta: a * np.cos(2 * np.pi * y) * np.cos(2 * np.pi * eta)),
+        "cosine_product", lambda a, y, eta: a * (np.cos(2 * np.pi * y) * np.cos(2 * np.pi * eta))),
     "cosine_shift": _cosine_theta(
         "cosine_shift", lambda a, y, eta: a * np.cos(2 * np.pi * (y - eta))),
     # breaks the half-period symmetry y -> y + 1/2, so the corrector carries

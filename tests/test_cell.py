@@ -1,4 +1,4 @@
-"""Cell-problem tests: periodized weights, form structure, corrector solves,
+"""Cell-problem tests: form structure, corrector solves,
 and the spectral periodic Poisson solver."""
 
 import numpy as np
@@ -14,7 +14,6 @@ from nshom.cell import (
     fractional_symbol_factor,
     form_eigenvalues,
     periodic_symbol,
-    periodized_kernel_weight,
     solve_cell_problem,
     solve_periodic_poisson,
 )
@@ -43,27 +42,6 @@ def symbol_by_quadrature(alpha: float) -> float:
                             weight="cos", wvar=1.0, limit=200)
     far = np.pi ** (-alpha) / alpha - osc
     return 2.0 * (lead - rem + far)
-
-
-class TestPeriodizedWeight:
-    def test_symmetry(self):
-        assert periodized_kernel_weight(0.2, 0.7, ALPHA, 8) == pytest.approx(
-            periodized_kernel_weight(0.7, 0.2, ALPHA, 8), rel=1e-15)
-
-    def test_translation_invariance(self):
-        a = periodized_kernel_weight(0.15, 0.6, ALPHA, 8)
-        b = periodized_kernel_weight(0.15 + 0.3, 0.6 + 0.3, ALPHA, 8)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_truncation_difference_below_tail_bound(self):
-        k8 = periodized_kernel_weight(0.5, 0.0, ALPHA, 8)
-        k16 = periodized_kernel_weight(0.5, 0.0, ALPHA, 16)
-        tail_bound_at_8 = 2.0 * 8.5 ** (-ALPHA) / ALPHA
-        assert abs(k16 - k8) < tail_bound_at_8
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            periodized_kernel_weight(0.25, 1.25, ALPHA, 8)
 
 
 class TestCellForm:

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.linalg import toeplitz
 
 from nshom import effective
-from nshom.cell import CellGrid, CellSolution, assemble_cell_rhs, solve_cell_problem
+from nshom.cell import CellGrid, assemble_cell_rhs, solve_cell_problem
 from nshom.effective import (
     EffectiveCoefficients,
     _offset_moments,
@@ -116,13 +116,13 @@ class TestCoefficients:
     @pytest.mark.parametrize("m", [100, 1024])
     @pytest.mark.parametrize("name", [n for n in THETA_PRESETS if get_theta(n).constant is None])
     def test_xi1_block_sum_matches_one_shot_mean(self, name, m):
-        # Xi_1 depends on Theta and the y-grid only, so a zero corrector serves
+        # the cell solve sums its Theta sample in row blocks before the form
+        # overwrites it; Xi_1 is that mean
         theta, cg = get_theta(name), CellGrid(m=m, m_tau=1)
-        sol = CellSolution(chi=np.zeros(m), rhs=np.zeros(m), theta=theta, alpha=ALPHA,
-                           grid=cg, residual=0.0)
+        sol = solve_cell_problem(theta, ALPHA, cg)
         one_shot = float(np.mean(theta.sample(cg.y[:, None], cg.y[None, :])))
-        xi1 = compute_effective_coefficients(sol, get_v("zero")).xi1
-        assert xi1 == pytest.approx(one_shot, rel=1e-14, abs=0.0)
+        assert sol.theta_mean == pytest.approx(one_shot, rel=1e-14, abs=0.0)
+        assert compute_effective_coefficients(sol, get_v("zero")).xi1 == sol.theta_mean
 
 
 class TestZeta:

@@ -132,11 +132,9 @@ class TestGeneratorAssembly:
                 Grid1D.make(3), KernelParams(alpha=1.5, theta=get_theta("one")))
 
     def test_asymmetric_theta_rejected(self):
-        bad = ThetaSpec("tilted", lambda y, eta: 1.0 + 0.3 * y + 0.0 * eta,
-                        lower=0.7, upper=1.3)
+        # before any assembly: ThetaSpec checks symmetry when it is built
         with pytest.raises(ValueError, match="symmetric"):
-            assemble_heterogeneous_generator(
-                Grid1D.make(32), KernelParams(alpha=1.5, theta=bad, epsilon=0.5))
+            ThetaSpec("tilted", lambda y, eta: 1.0 + 0.3 * y + 0.0 * eta, lower=0.7, upper=1.3)
 
     @pytest.mark.parametrize("theta_name", ["one", "cosine_product"])
     def test_quadratic_form_identity(self, theta_name):
@@ -464,9 +462,10 @@ THETA_SPECS = [get_theta(name) for name in ("cosine_product", "cosine_shift", "c
 
 
 class TestThetaMatrix:
-    """``_theta_matrix`` samples Theta both ways in row order; the weights must
-    be the transposed-read average 0.5 (T + T^T) it replaced, bit for bit, and
-    the diagonal a copy of theirs."""
+    """``_theta_matrix`` samples Theta once; the weights must be the
+    transposed-read average 0.5 (T + T^T) that earlier versions took, bit for
+    bit (they are, as the sample is symmetric), and the diagonal a copy of
+    theirs."""
 
     @staticmethod
     def transposed_average(theta, y):
@@ -490,15 +489,13 @@ class TestThetaMatrix:
         assert np.array_equal(got, self.transposed_average(theta, y))
 
     def test_asymmetric_sample_names_the_preset(self):
-        tilted = ThetaSpec("tilted", lambda y, eta: 1.0 + 0.1 * y + 0.0 * eta,
-                           lower=1.0, upper=1.1)
         with pytest.raises(ValueError, match="theta preset 'tilted' is not symmetric"):
-            kernel._theta_matrix(tilted, (np.arange(32) + 0.5) / 32)
+            ThetaSpec("tilted", lambda y, eta: 1.0 + 0.1 * y + 0.0 * eta, lower=1.0, upper=1.1)
 
     @pytest.mark.parametrize("fn", [
         # symmetric, but cos(2 pi (y - eta)) reaches -1 at distance 1/2
         lambda y, eta: np.cos(2 * np.pi * (y - eta)),
-        # NaN passes both the symmetry and a "<= 0" test
+        # NaN passes both ThetaSpec's symmetry check and a "<= 0" test
         lambda y, eta: np.full(np.broadcast(y, eta).shape, np.nan),
     ], ids=["signed", "nan"])
     def test_nonpositive_sample_rejected(self, fn):

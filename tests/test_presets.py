@@ -1,16 +1,18 @@
 """Preset registries: the cosine Theta family samples bit for bit as written
-out per preset, and unknown names fail with one message per registry."""
+out per preset, every Theta preset samples symmetric bit for bit, and unknown
+names fail with one message per registry."""
 
 import numpy as np
 import pytest
 
+from nshom.cell import CellGrid
 from nshom.kernel import Grid1D
-from nshom.presets import PSI_PRESETS, get_f, get_h, get_theta, get_v
+from nshom.presets import PSI_PRESETS, THETA_PRESETS, ThetaSpec, get_f, get_h, get_theta, get_v
 
 # Theta(y, eta) per cosine preset, in the evaluation order of the formula
 COSINE_THETAS = {
     "cosine_product": lambda a, c, y, eta: (
-        c + a * np.cos(2 * np.pi * y) * np.cos(2 * np.pi * eta)),
+        c + a * (np.cos(2 * np.pi * y) * np.cos(2 * np.pi * eta))),
     "cosine_shift": lambda a, c, y, eta: c + a * np.cos(2 * np.pi * (y - eta)),
     "cosine_sum": lambda a, c, y, eta: (
         c + 0.5 * a * (np.cos(2 * np.pi * y) + np.cos(2 * np.pi * eta))),
@@ -38,6 +40,31 @@ def test_cosine_theta_rejects_nonpositive_bounds(name, amplitude):
     # NaN fails both; ThetaSpec is the one place that checks the bounds
     with pytest.raises(ValueError, match=f"^'{name}' needs finite bounds 0 < lower <= upper"):
         get_theta(name, amplitude=amplitude, offset=1.0)
+
+
+# the benchmark's Theta grids: its cell grids, and the fast variable of its
+# eps-sweeps, x / eps mod 1 at n = 256
+BENCHMARK_THETA_GRIDS = [CellGrid(m=m).y for m in (128, 1024)] + [
+    np.mod(Grid1D.make(256).nodes / eps, 1.0) for eps in (1 / 2, 1 / 4, 1 / 8, 1 / 16)]
+
+
+@pytest.mark.parametrize("name, params", [(name, {}) for name in sorted(THETA_PRESETS)] + [
+    (name, {"amplitude": 0.3, "offset": 2.0}) for name in sorted(THETA_PRESETS) if name != "one"])
+def test_theta_presets_sample_symmetric_on_benchmark_grids(name, params):
+    # the assembly takes one sample of Theta as its symmetric weights; ThetaSpec
+    # checks symmetry on its own probe only, so the benchmark's grids are checked here
+    theta = get_theta(name, **params)
+    for y in BENCHMARK_THETA_GRIDS:
+        sample = theta.sample(y[:, None], y[None, :])
+        assert np.array_equal(sample, sample.T)
+
+
+def test_one_ulp_asymmetry_rejected_when_built():
+    # (a c(y)) c(eta) differs from (a c(eta)) c(y) in the last bit at a = 0.3,
+    # which is why cosine_product multiplies the cosines first
+    with pytest.raises(ValueError, match="^theta preset 'unordered' is not symmetric$"):
+        ThetaSpec("unordered", lambda y, eta: 2.0 + 0.3 * np.cos(2 * np.pi * y)
+                  * np.cos(2 * np.pi * eta), lower=1.7, upper=2.3)
 
 
 @pytest.mark.parametrize("lookup, message", [

@@ -2,11 +2,11 @@
 
 The reference functions below are the earlier implementation: scipy
 ``toeplitz`` copies of the offset weights, Theta sampled twice in full and
-averaged, L negated, completed and divided by h in full, one full-size
-temporary per term of the G_eff block loop, a zero-filled bordered system. The
-package reads the weights as strided views, samples Theta once per cell solve,
-writes in place and recomputes only L's bands; every output must be equal to
-them byte for byte.
+averaged, Xi_1 from a third sample, L negated, completed and divided by h in
+full, one full-size temporary per term of the G_eff block loop, a zero-filled
+bordered system. The package reads the weights as strided views, samples Theta
+once per cell solve and takes Xi_1 from that sample, writes in place and
+recomputes only L's bands; every output must be equal to them byte for byte.
 """
 
 import tracemalloc
@@ -81,13 +81,22 @@ def reference_solve_bordered(a, b):
     return sol[:m], sol[m]
 
 
+def reference_theta_mean(theta, y):
+    """Theta's cell mean sampled afresh, 64 rows at a time."""
+    if theta.constant is not None:
+        return float(theta.constant)
+    return sum(float(theta.sample(y[i:i + 64, None], y[None, :]).sum())
+               for i in range(0, y.size, 64)) / y.size ** 2
+
+
 def reference_cell_solution(theta, alpha, grid):
     a = reference_cell_form(theta, alpha, grid)
     b = reference_cell_rhs(theta, alpha, grid)
     chi_col, lam = reference_solve_bordered(a, b)
     residual = float(np.linalg.norm(a @ chi_col + lam - b) / max(1.0, np.linalg.norm(b)))
     return CellSolution(chi=chi_col - chi_col.mean(), rhs=b, theta=theta, alpha=alpha,
-                        grid=grid, residual=residual)
+                        grid=grid, residual=residual,
+                        theta_mean=reference_theta_mean(theta, grid.y))
 
 
 def reference_heterogeneous_generator(grid, params):
@@ -197,9 +206,18 @@ def counting_theta(shapes):
 @pytest.mark.parametrize("m", [256, 257])
 def test_cell_solve_samples_theta_once_in_full(m):
     shapes = []
-    cell.solve_cell_problem(counting_theta(shapes), ALPHA, CellGrid(m=m))
-    rows = kernel.THETA_BLOCK_ROWS
-    assert shapes == [(m, m)] + [(min(rows, m - i), m) for i in range(0, m, rows)]
+    theta = counting_theta(shapes)
+    shapes.clear()  # the symmetry probe of ThetaSpec's construction
+    cell.solve_cell_problem(theta, ALPHA, CellGrid(m=m))
+    assert shapes == [(m, m)]
+
+
+def test_coefficients_do_not_sample_theta():
+    shapes = []
+    sol = cell.solve_cell_problem(counting_theta(shapes), ALPHA, CellGrid(m=64, m_tau=4))
+    shapes.clear()
+    compute_effective_coefficients(sol, get_v(V_NAME))
+    assert shapes == []
 
 
 def test_cell_solve_has_no_full_size_temporary():
