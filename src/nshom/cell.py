@@ -22,6 +22,8 @@ kernel moments; the corrector chi solves a(chi, v) = ell(v) for all v subject
 to zero mean, enforced through a bordered (Lagrange) system. The returned
 ``CellSolution`` carries chi with the Theta, alpha and grid it was solved for,
 so the effective coefficients are computed from it alone.
+
+The periodic Poisson solve needs V's zero mean over y, which ``VSpec`` checks.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _theta_matrix,
-                     pair_weights_even, row_blocks, same_cell_coeff, toeplitz_rows,
+from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _tail_power_sum,
+                     _theta_matrix, pair_weights_even, row_blocks, same_cell_coeff, toeplitz_rows,
                      weighted_pair_matrix)
 from .presets import ThetaSpec, VSpec, get_theta, get_v
 
@@ -120,8 +122,7 @@ def _even_offset_weights(m: int, alpha: float, n_images: int) -> np.ndarray:
     delta = np.arange(1, m // 2 + 1)
     d0 = delta * h
     val = np.sum(pair_weights_even(d0[:, None] + kk, h, alpha), axis=1)
-    val += h * h * (_scalar_power(n_images + 0.5 + d0, -alpha)
-                    + _scalar_power(n_images + 0.5 - d0, -alpha)) / alpha
+    val += h * h * _tail_power_sum(n_images + 0.5 + d0, n_images + 0.5 - d0, alpha) / alpha
     w[delta] = val
     w[m - delta] = val
     return w
@@ -268,19 +269,10 @@ def apply_periodic_generator(values: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def solve_periodic_poisson(v_spec: VSpec, alpha: float, grid: CellGrid) -> np.ndarray:
-    """Mean-zero xi with D_y D*_y xi = V per tau slice, solved in Fourier space.
-
-    Rejects potentials whose y-mean does not vanish (the constrained problem
-    is not solvable otherwise).
-    """
+    """Mean-zero xi with D_y D*_y xi = V per tau slice, solved in Fourier space
+    (k = 0 set to zero); solvable since ``VSpec`` checked V's zero y-mean."""
     _check_alpha(alpha)
     v = v_spec.sample(grid.y[:, None], grid.tau[None, :])
-    scale = max(1.0, float(np.max(np.abs(v))) if v.size else 1.0)
-    means = np.abs(v.mean(axis=0))
-    if float(means.max(initial=0.0)) > 1e-10 * scale:
-        raise ValueError(
-            f"potential {v_spec.name!r} has nonzero y-mean (max |mean| = {float(means.max()):.2e}); "
-            "zero spatial mean is required for the periodic solve")
     m = grid.m
     k = np.fft.fftfreq(m) * m
     sym = periodic_symbol(k, alpha)

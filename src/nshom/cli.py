@@ -184,7 +184,7 @@ def _cmd_simulate(args) -> int:
     cfg = rc.sim
     path = brownian_increments(seed, n_steps, dt)
     snap_every = args.snap_every or max(1, n_steps // 4)
-    res = simulate(system, cfg, path, store_trajectory=False, snapshot_every=snap_every)
+    res = simulate(system, cfg, path, snapshot_every=snap_every)
 
     _write_csv(out / "norms.csv", ["t", "norm2", "re_mass", "im_mass"],
                [res.times, res.norm2, res.re_mass, res.im_mass])
@@ -396,7 +396,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,13 +3,14 @@ objects, and a canonical content hash for reproducibility manifests.
 
 ``RunConfig.from_dict`` merges the user's JSON over DEFAULTS and builds the
 Theta and V presets, the ``CellGrid`` and the ``SimConfig`` exactly once.
-Each type checks its own fields (``ThetaSpec`` its bounds, ``CellGrid`` the
-cell sizes, ``SimConfig`` alpha, T and theta_scheme, ``NoiseModel`` the
-noise), and its errors become ``ConfigError`` under the label of what was
-being built. The same pass checks what no type owns: the schema version,
-integer sizes, real-number types, the dt rule, the kernel mode and V's zero
-mean over the fast variable. ``kernel_mode`` accepts only ``"periodized"``; it
-stays a key so that existing configs and their hashes keep working."""
+Each type checks its own fields (``ThetaSpec`` its bounds and symmetry,
+``VSpec`` V's zero mean over the fast variable, ``CellGrid`` the cell sizes,
+``SimConfig`` alpha, T and theta_scheme, ``NoiseModel`` the noise), and its
+errors become ``ConfigError`` under the label of what was being built. The
+same pass checks what no type owns: the schema version, integer sizes,
+real-number types, the dt rule and the kernel mode. ``kernel_mode`` accepts
+only ``"periodized"``; it stays a key so that existing configs and their
+hashes keep working."""
 
 from __future__ import annotations
 
@@ -147,13 +148,6 @@ class RunConfig:
             theta_scheme=float(d["theta_scheme"]), theta=theta, v_spec=v,
             f_spec=presets.get_f(d["f_preset"]), h_spec=presets.get_h(d["h_preset"]),
             noise=NoiseModel(kind=g["kind"], sigma=float(g["sigma"]))))
-        if not v.is_zero:
-            worst = v.max_y_mean()
-            if worst > 1e-12:
-                raise ConfigError(
-                    f"potential preset {v.name!r} has nonzero spatial mean "
-                    f"(max |mean over y| = {worst:.2e}); the oscillating potential "
-                    "must average to zero over the fast spatial variable")
         return cls(data=d, sim=sim, cell=cell, seed=d["seed"])
 
     def sim_config(self) -> SimConfig:

@@ -453,9 +453,11 @@ def lockstep(steppers: list[ThetaStepper], u0: np.ndarray, dw: np.ndarray):
 
 
 def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPath,
-             *, store_trajectory: bool = True, snapshot_every: int | None = None,
+             *, store_trajectory: bool = False, snapshot_every: int | None = None,
              generator: np.ndarray | None = None) -> SimResult:
     """Integrate one trajectory over [0, T] on the given Brownian path.
+
+    The (n_steps + 1) x n trajectory is stored only with ``store_trajectory``.
 
     This is the one-column case of ``lockstep``. The heterogeneous system
     applies the eps^{(1-alpha)/2} potential amplification exactly as written
@@ -507,8 +509,7 @@ def norm_drift_error(alpha: float, n_steps: int = 64) -> tuple[float, float]:
     1/128 at n = 64: heterogeneous system, eps = 1/4, oscillating potential."""
     cfg = SimConfig(grid=Grid1D.make(64), alpha=alpha, T=n_steps / 128,
                     v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
-    res = simulate(Heterogeneous(0.25), cfg, brownian_increments(0, n_steps, 1.0 / 128),
-                   store_trajectory=False)
+    res = simulate(Heterogeneous(0.25), cfg, brownian_increments(0, n_steps, 1.0 / 128))
     return abs(res.norm2[-1] / res.norm2[0] - 1.0), 1e-8
 
 
@@ -519,7 +520,7 @@ def ito_growth_error(alpha: float, n_steps: int = 128) -> tuple[float, float]:
     sigma, dt = 0.5, 1.0 / n_steps
     cfg = SimConfig(grid=Grid1D.make(64), alpha=alpha, T=1.0, noise=NoiseModel("linear", sigma))
     res = simulate(Effective(EffectiveCoefficients.from_values(1.0)), cfg,
-                   brownian_increments(1, n_steps, dt), store_trajectory=False)
+                   brownian_increments(1, n_steps, dt))
     rel = abs(res.norm2[-1] / (res.norm2[0] * np.exp(sigma ** 2)) - 1.0)
     return rel, 8.0 * sigma ** 2 * np.sqrt(2.0 * dt)
 

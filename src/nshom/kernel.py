@@ -79,7 +79,7 @@ def rho(x: float, alpha: float) -> float:
     x = float(x)
     if not -1.0 < x < 1.0:
         raise ValueError(f"rho is defined for x strictly inside (-1, 1), got {x}")
-    return ((1.0 - x) ** (-alpha) + (1.0 + x) ** (-alpha)) / alpha
+    return float(_tail_power_sum(np.array([1.0 - x]), np.array([1.0 + x]), alpha)[0]) / alpha
 
 
 def dstar_apply(u: Callable[[float], complex], x: float, z: float, alpha: float) -> complex:
@@ -180,6 +180,12 @@ def _scalar_power(base: np.ndarray, e: float) -> np.ndarray:
     return np.array([b ** e for b in base.tolist()])
 
 
+def _tail_power_sum(right: np.ndarray, left: np.ndarray, alpha: float) -> np.ndarray:
+    """right^-alpha + left^-alpha by ``_scalar_power``: alpha times the mass of
+    |s|^{-1-alpha} beyond the distances ``right`` and ``left`` on either side."""
+    return _scalar_power(right, -alpha) + _scalar_power(left, -alpha)
+
+
 def row_blocks(n: int, rows: int = THETA_BLOCK_ROWS):
     """Slices of ``rows`` consecutive rows covering range(n)."""
     return (slice(i, i + rows) for i in range(0, n, rows))
@@ -262,8 +268,7 @@ def exterior_weight(x: float | np.ndarray, params: KernelParams,
     if not (np.all(right > 0.0) and np.all(left > 0.0)):
         raise ValueError(f"exterior weight needs x strictly inside (-1 + {margin}, 1 - {margin})")
     if params.theta.constant is not None:
-        ext = params.theta.constant * (_scalar_power(right.ravel(), -alpha)
-                                       + _scalar_power(left.ravel(), -alpha)) / alpha
+        ext = params.theta.constant * _tail_power_sum(right.ravel(), left.ravel(), alpha) / alpha
     else:
         eps = params.epsilon
         y = np.mod(xs.reshape(-1, 1) / eps, 1.0)

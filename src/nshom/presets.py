@@ -1,9 +1,9 @@
 """Named presets for the periodic coefficient, oscillating potential, forcing,
 initial datum, and weak-error test functions.
 
-All potentials are periodic in (y, tau) on the unit cell.  Presets that do not
-have zero spatial mean (``one_plus_cos``) are deliberately kept in the registry
-so configuration validation can reject them.
+All potentials are periodic in (y, tau) on the unit cell; ``VSpec`` checks
+their zero mean over y when built. ``one_plus_cos`` (mean 1) stays in the
+registry on purpose, so that ``get_v`` and the configuration reject it.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-# where ThetaSpec checks a coefficient's symmetry: the points k/64 and three
-# points off that grid
-_SYMMETRY_PROBE = np.concatenate((np.arange(64) / 64, [0.1, 1 / 3, 0.7]))
+# where ThetaSpec checks symmetry and VSpec checks zero y-mean (in tau) when
+# built: the points k/64 and three points off that grid
+_PROBE = np.concatenate((np.arange(64) / 64, [0.1, 1 / 3, 0.7]))
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class ThetaSpec:
     ``constant`` is set when Theta does not depend on (y, eta); the assembly
     routines use it to skip sampling and to keep constant-coefficient results
     exact. A non-constant ``fn`` is sampled once, when the spec is built, on
-    ``_SYMMETRY_PROBE`` x ``_SYMMETRY_PROBE``, and that sample must equal its
+    ``_PROBE`` x ``_PROBE``, and that sample must equal its
     transpose bit for bit (NaN equal to NaN, so a NaN Theta gets as far as the
     assembly's positivity check). The assembly relies on this: it takes one
     sample of Theta as its symmetric weights.
@@ -44,7 +44,7 @@ class ThetaSpec:
             raise ValueError(f"{self.name!r} needs finite bounds 0 < lower <= upper, equal "
                              f"to its constant if set; got {self.lower, self.upper, self.constant}")
         if self.constant is None:
-            probe = self.sample(_SYMMETRY_PROBE[:, None], _SYMMETRY_PROBE[None, :])
+            probe = self.sample(_PROBE[:, None], _PROBE[None, :])
             if not np.array_equal(probe, probe.T, equal_nan=True):
                 raise ValueError(f"theta preset {self.name!r} is not symmetric")
 
@@ -58,11 +58,23 @@ class ThetaSpec:
 
 @dataclass(frozen=True)
 class VSpec:
-    """Periodic potential V(y, tau) on the unit cell."""
+    """Periodic potential V(y, tau) on the unit cell with int_Y V(y, tau) dy = 0.
+
+    A non-zero ``fn`` is sampled once, when the spec is built, on k/512 in y
+    times ``_PROBE`` in tau; each |mean over y| must be at most 1e-12 (NaN
+    passes, so a NaN V reaches the stepper's finiteness check)."""
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     is_zero: bool = False
+
+    def __post_init__(self):
+        if not self.is_zero:
+            means = np.abs(self.sample(np.arange(512)[:, None] / 512, _PROBE).mean(axis=0))
+            worst = float(np.fmax.reduce(means, initial=0.0))  # fmax skips NaN
+            if worst > 1e-12:
+                raise ValueError(f"potential preset {self.name!r} has nonzero spatial mean "
+                                 f"(max |mean over y| = {worst:.2e})")
 
     def sample(self, y, tau) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -70,15 +82,6 @@ class VSpec:
         if self.is_zero:
             return np.zeros(np.broadcast(y, tau).shape)
         return np.asarray(self.fn(y, tau), dtype=float)
-
-    def max_y_mean(self) -> float:
-        """Largest |mean over y| on 512 y-nodes across 17 tau values."""
-        y = np.arange(512) / 512
-        taus = np.arange(17) / 17
-        worst = 0.0
-        for tau in taus:
-            worst = max(worst, abs(float(np.mean(self.sample(y, tau)))))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ V_PRESETS: dict[str, Callable[[], VSpec]] = {
     "sin2pi_y_one_plus_sin2pi_tau": lambda: VSpec(
         "sin2pi_y_one_plus_sin2pi_tau",
         lambda y, tau: np.sin(2 * np.pi * y) * (1.0 + np.sin(2 * np.pi * tau))),
-    # Nonzero spatial mean on purpose; config validation must reject it.
+    # nonzero spatial mean on purpose: building it raises
     "one_plus_cos": lambda: VSpec(
         "one_plus_cos",
         lambda y, tau: (1.0 + np.cos(2 * np.pi * y)) * np.ones(np.broadcast(y, tau).shape)),

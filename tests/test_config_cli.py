@@ -4,6 +4,9 @@ reproducibility of rerun outputs."""
 import functools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,20 @@ class TestRunConfig:
         rc = RunConfig.from_dict({"theta_preset": {"name": "cosine_sum", "params": {}}})
         assert calls == {"theta": 1, "v": 1}
         assert rc.sim.theta.name == "cosine_sum"
+
+    def test_potential_is_sampled_once(self, monkeypatch):
+        # VSpec's own zero-mean check, on 512 y points times its 67-point tau
+        # probe, is the only sample of V while the configuration is parsed
+        shapes, sample = [], presets.VSpec.sample
+
+        def recording(self, y, tau):
+            out = sample(self, y, tau)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(presets.VSpec, "sample", recording)
+        RunConfig.from_dict({})
+        assert shapes == [(512, 67)]
 
     def test_parsed_objects_are_shared(self):
         rc = RunConfig.from_dict({"seed": 7, "cell": {"m": 32}})
@@ -185,6 +202,8 @@ class TestRunConfig:
         ({"cell": {"m": 7}}, "cell: cell grid needs m >= 8"),
         ({"cell": {"m_tau": 0}}, "cell: m_tau must be >= 1"),
         ({"cell": {"n_images": 0}}, "cell: n_images must be >= 1"),
+        ({"v_preset": "one_plus_cos"}, "potential preset: potential preset 'one_plus_cos' has "
+                                       "nonzero spatial mean (max |mean over y| = 1.00e+00)"),
     ])
     def test_rejected_config_exits_2_with_its_message(self, tmp_path, capsys, user, message):
         with pytest.raises(ConfigError) as exc:
@@ -230,6 +249,13 @@ class TestCliBasics:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_module_runs_from_a_checkout(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-m", "nshom", "--version"], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "nshom 0.1.0\n")
 
     @pytest.mark.parametrize("argv, config, code", [
         (["simulate", "--system", "het", "--eps", "abc"], {}, 1),

@@ -461,10 +461,11 @@ class TestEffectiveDriftValidation:
         path = brownian_increments(0, n_steps, dt)
         g_het = assemble_heterogeneous_generator(
             rc.sim.grid, KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
-        res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het)
+        res_het = simulate(Heterogeneous(eps), cfg, path, generator=g_het, store_trajectory=True)
         errors = {}
         for label, gen in (("full", prepared.effective_generator), ("naive", naive)):
-            res_eff = simulate(Effective(prepared.coefficients), cfg, path, generator=gen)
+            res_eff = simulate(Effective(prepared.coefficients), cfg, path, generator=gen,
+                               store_trajectory=True)
             diff = res_het.trajectory[1:] - res_eff.trajectory[1:]
             errors[label] = dt * rc.sim.grid.h * float(np.sum(np.abs(diff) ** 2))
         assert errors["full"] < errors["naive"]
@@ -478,9 +479,10 @@ def stored_trajectory_residual(eps, rc, seed, prepared):
     path = integrator.brownian_increments(seed, n_steps, dt)
     g_het = kernel.assemble_heterogeneous_generator(
         rc.sim.grid, kernel.KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
-    res_het = integrator.simulate(integrator.Heterogeneous(eps), cfg, path, generator=g_het)
+    res_het = integrator.simulate(integrator.Heterogeneous(eps), cfg, path, generator=g_het,
+                                  store_trajectory=True)
     res_eff = integrator.simulate(integrator.Effective(prepared.coefficients), cfg, path,
-                                  generator=prepared.effective_generator)
+                                  generator=prepared.effective_generator, store_trajectory=True)
     grid, alpha = rc.sim.grid, rc.sim.alpha
     gam_x = harness._gamma_matrix(grid.nodes, alpha)
     gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)

@@ -131,8 +131,8 @@ class TestThetaScheme:
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
                         noise=NoiseModel("bounded", 0.5))
         path = brownian_increments(5, 64, 0.5 / 64)
-        res_h = simulate(Heterogeneous(0.25), cfg, path)
-        res_e = simulate(Effective(UNIT), cfg, path, generator=frac_gen)
+        res_h = simulate(Heterogeneous(0.25), cfg, path, store_trajectory=True)
+        res_e = simulate(Effective(UNIT), cfg, path, generator=frac_gen, store_trajectory=True)
         assert np.max(np.abs(res_h.trajectory - res_e.trajectory)) < 1e-10
 
     def test_linear_noise_growth_magnitude(self):
@@ -154,7 +154,7 @@ class TestThetaScheme:
                         h_spec=HSpec("null", lambda x: np.zeros_like(x)),
                         noise=NoiseModel("bounded", 0.5))
         path = brownian_increments(2, 32, 0.25 / 32)
-        res = simulate(Effective(UNIT), cfg, path, generator=frac_gen)
+        res = simulate(Effective(UNIT), cfg, path, generator=frac_gen, store_trajectory=True)
         assert np.max(np.abs(res.trajectory)) == 0.0
 
     def test_forcing_enters_with_minus_i(self, grid, frac_gen):
@@ -231,7 +231,7 @@ class TestItoIdentity:
         for n_steps in (64, 256, 1024):
             cfg = SimConfig(grid=grid, alpha=ALPHA, T=T, noise=NoiseModel("linear", sigma))
             path = brownian_increments(12, n_steps, T / n_steps)
-            res = simulate(Effective(UNIT), cfg, path, generator=frac_gen)
+            res = simulate(Effective(UNIT), cfg, path, generator=frac_gen, store_trajectory=True)
             traj = res.trajectory
             total = 0.0
             for k in range(n_steps):
@@ -366,7 +366,8 @@ class TestEnsembleStepper:
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, noise=NoiseModel("bounded", 0.5),
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         path = brownian_increments(2, 16, 0.5 / 16)
-        unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+        unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen,
+                             store_trajectory=True)
         calls = []
         real_factor = integrator.lu_factor
         monkeypatch.setattr(integrator, "lu_factor",
@@ -375,7 +376,8 @@ class TestEnsembleStepper:
         # eight, the second hits the three cached phases
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
         with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
-            bounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+            bounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen,
+                               store_trajectory=True)
         assert len(calls) == 13
         assert (bounded.factorizations, bounded.factor_hits) == (13, 3)
         assert np.array_equal(bounded.trajectory, unbounded.trajectory)
@@ -439,15 +441,18 @@ class TestEnsembleStepper:
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         path = brownian_increments(2, 16, 0.5 / 16)
         writable = frac_gen.copy()
-        reference = simulate(Heterogeneous(eps), cfg, path, generator=writable)
+        reference = simulate(Heterogeneous(eps), cfg, path, generator=writable,
+                             store_trajectory=True)
         assert writable.tobytes() == frac_gen.tobytes()
         frozen = frac_gen.copy()
         frozen.flags.writeable = False
-        unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
+        unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen,
+                             store_trajectory=True)
         # room for three of the eight phases: the other five refactorize
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
         with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
-            bounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen)
+            bounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen,
+                               store_trajectory=True)
         assert frozen.tobytes() == frac_gen.tobytes()
         assert np.array_equal(unbounded.trajectory, reference.trajectory)
         assert np.array_equal(bounded.trajectory, reference.trajectory)

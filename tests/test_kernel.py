@@ -212,6 +212,15 @@ class TestExteriorWeight:
             assert exterior_weight(x, params, margin=0.0) == pytest.approx(
                 rho(x, 1.5), rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+    @pytest.mark.parametrize("n", [4, 257])
+    def test_constant_theta_weight_is_rho_exactly(self, n, alpha):
+        # one closed form behind both, so the quadrature check of rho in
+        # ``nshom validate`` covers every Theta == 1 assembly
+        nodes = Grid1D.make(n).nodes
+        weights = exterior_weight(nodes, KernelParams(alpha=alpha, theta=get_theta("one")))
+        assert weights.tolist() == [rho(x, alpha) for x in nodes]
+
     def test_general_theta_between_bounds(self):
         theta = get_theta("cosine_product")
         params = KernelParams(alpha=1.5, theta=theta, epsilon=0.25)

@@ -1,13 +1,15 @@
 """Preset registries: the cosine Theta family samples bit for bit as written
-out per preset, every Theta preset samples symmetric bit for bit, and unknown
-names fail with one message per registry."""
+out per preset, every Theta preset samples symmetric bit for bit, a VSpec
+with nonzero mean over y is rejected when built, and unknown names fail with
+one message per registry."""
 
 import numpy as np
 import pytest
 
 from nshom.cell import CellGrid
 from nshom.kernel import Grid1D
-from nshom.presets import PSI_PRESETS, THETA_PRESETS, ThetaSpec, get_f, get_h, get_theta, get_v
+from nshom.presets import (PSI_PRESETS, THETA_PRESETS, V_PRESETS, ThetaSpec, VSpec, get_f, get_h,
+                           get_theta, get_v)
 
 # Theta(y, eta) per cosine preset, in the evaluation order of the formula
 COSINE_THETAS = {
@@ -65,6 +67,35 @@ def test_one_ulp_asymmetry_rejected_when_built():
     with pytest.raises(ValueError, match="^theta preset 'unordered' is not symmetric$"):
         ThetaSpec("unordered", lambda y, eta: 2.0 + 0.3 * np.cos(2 * np.pi * y)
                   * np.cos(2 * np.pi * eta), lower=1.7, upper=2.3)
+
+
+# V's mean over y is 1e-11, above the 1e-12 tolerance; and a mean sin(34 pi tau)
+# that vanishes at the 17 points k/17 in tau but not at k/16 or 0.1
+NONZERO_MEAN_POTENTIALS = {
+    "offset": lambda y, tau: np.cos(2 * np.pi * y) + 1e-11 + 0.0 * tau,
+    "tau34": lambda y, tau: np.cos(2 * np.pi * y) + np.sin(34 * np.pi * tau),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONZERO_MEAN_POTENTIALS))
+def test_nonzero_mean_potential_rejected_when_built(name):
+    with pytest.raises(ValueError, match=f"^potential preset '{name}' has nonzero spatial mean"):
+        VSpec(name, NONZERO_MEAN_POTENTIALS[name])
+
+
+@pytest.mark.parametrize("name", sorted(V_PRESETS))
+def test_potential_presets_build_unless_their_mean_is_nonzero(name):
+    if name == "one_plus_cos":
+        with pytest.raises(ValueError, match=r"'one_plus_cos'.*= 1\.00e\+00\)$"):
+            get_v(name)
+    else:
+        assert get_v(name).name == name
+
+
+def test_nan_potential_builds():
+    # the stepper's finiteness check, not the mean check, reports a NaN V
+    v = VSpec("nan_near_zero", lambda y, tau: np.where(y < 0.1, np.nan, 0.0) + 0.0 * tau)
+    assert np.isnan(v.sample(0.0, 0.5))
 
 
 @pytest.mark.parametrize("lookup, message", [
