@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .kernel import (_add_same_cell_term, _check_alpha, _scalar_power, _tail_power_sum,
-                     _theta_matrix, pair_weights_even, row_blocks, same_cell_coeff, toeplitz_rows,
-                     weighted_pair_matrix)
+from .kernel import (_add_same_cell_term, _check_alpha, _check_size, _scalar_power,
+                     _tail_power_sum, _theta_matrix, pair_weights_even, row_blocks,
+                     same_cell_coeff, toeplitz_rows, weighted_pair_matrix)
 from .presets import ThetaSpec, VSpec, get_theta, get_v
 
 # the mean-zero potential presets the periodic Poisson oracle solves for
@@ -49,19 +49,16 @@ class CellSolveError(RuntimeError):
 @dataclass
 class CellGrid:
     """Uniform periodic grids on the unit cell (m y-nodes, m_tau tau-nodes)
-    and the number of kernel images on each side."""
+    and the number of kernel images on each side; each size an integer
+    (m >= 8, the others >= 1)."""
 
     m: int
     m_tau: int = 1
     n_images: int = 8
 
     def __post_init__(self):
-        if self.m < 8:
-            raise ValueError("cell grid needs m >= 8")
-        if self.m_tau < 1:
-            raise ValueError("m_tau must be >= 1")
-        if self.n_images < 1:
-            raise ValueError("n_images must be >= 1")
+        for name, low in (("m", 8), ("m_tau", 1), ("n_images", 1)):
+            setattr(self, name, _check_size(f"cell.{name}", getattr(self, name), low))
 
     @property
     def y(self) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line interface: cell, coefficients, simulate, sweep, validate.
 
-Every subcommand writes a manifest (resolved config, content hash, seeds,
-timestamps, BLAS thread settings and library versions) next to its outputs;
-numeric series go to CSV with full-precision scientific notation so serial
-reruns reproduce files bitwise.
+Every subcommand takes ``--config`` and ``--out`` from one parent parser and
+writes into the directory ``_run_dir`` gives: a manifest (resolved config,
+content hash, seeds, timestamps, BLAS thread settings and library versions)
+next to its outputs. JSON outputs are rendered by ``_json`` alone; numeric
+series go to CSV with full-precision scientific notation so serial reruns
+reproduce files bitwise.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 numerical failure.
 """
@@ -65,10 +67,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_out(command: str, rc: RunConfig, suffix: str = "") -> Path:
-    root = Path(os.environ.get(OUT_ROOT_ENV, "runs"))
-    name = f"{command}-{rc.config_hash[:8]}{suffix}"
-    return root / name
+def _run_dir(args, rc: RunConfig, suffix: str = "") -> Path:
+    """The output directory, created: ``--out``, or else
+    ``$NSHOM_OUT`` (default ``runs``) / ``<command>-<hash8><suffix>``."""
+    out = Path(args.out or Path(os.environ.get(OUT_ROOT_ENV, "runs"))
+               / f"{args.command}-{rc.config_hash[:8]}{suffix}")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _json(obj) -> str:
+    """The one rendering of every JSON output, files and stdout alike."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _numerical_environment() -> dict:
@@ -107,7 +117,7 @@ def _write_manifest(out: Path, command: str, rc: RunConfig, seeds: list[int],
         "environment": _numerical_environment(),
     }
     manifest.update(sections or {})
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(_json(manifest))
 
 
 def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
@@ -118,8 +128,7 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
 
 def _cmd_cell(args) -> int:
     rc = load_config(args.config)
-    out = Path(args.out) if args.out else _default_out("cell", rc)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(args, rc)
     sol, coeffs = solve_coefficients(rc)
     grid = sol.grid
     xi = solve_periodic_poisson(rc.sim.v_spec, sol.alpha, grid)
@@ -135,7 +144,7 @@ def _cmd_cell(args) -> int:
         "chi_l2": float(np.linalg.norm(sol.chi) / np.sqrt(grid.m)),
         "effective_coefficients": coeffs.to_dict(),
     }
-    (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (out / "metadata.json").write_text(_json(meta))
     _write_manifest(out, "cell", rc, seeds=[])
     print(f"cell solve: residual {sol.residual:.2e}, |chi|_L2 {meta['chi_l2']:.3e} -> {out}")
     return 0
@@ -153,10 +162,10 @@ def _cmd_coefficients(args) -> int:
         "grid": {"m": grid.m, "m_tau": grid.m_tau, "n_images": grid.n_images},
         "tolerances": {"cell_residual": sol.residual},
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    out = Path(args.out) if args.out else _default_out("coefficients", rc)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "coefficients.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = _json(payload)
+    print(text, end="")
+    out = _run_dir(args, rc)
+    (out / "coefficients.json").write_text(text)
     _write_manifest(out, "coefficients", rc, seeds=[])
     return 0
 
@@ -178,8 +187,7 @@ def _cmd_simulate(args) -> int:
     system = _build_system(rc, args.system, eps)
     dt, n_steps = rc.resolve_dt(eps)
     suffix = f"-{args.system}" + (f"-eps{eps:g}" if eps else "") + f"-seed{seed}"
-    out = Path(args.out) if args.out else _default_out("simulate", rc, suffix)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(args, rc, suffix)
 
     cfg = rc.sim
     path = brownian_increments(seed, n_steps, dt)
@@ -204,20 +212,15 @@ def _cmd_simulate(args) -> int:
 
 def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport,
                          telemetry: dict) -> None:
-    k = len(PSI_PRESETS)
     names = (["eps", "strong_err", "strong_se"]
-             + [f"weak_err_{j + 1}" for j in range(k)] + ["excluded", "wall_s"])
-    cols = [np.array(report.eps_list), np.array(report.strong_err),
-            np.array(report.strong_se)]
-    for j in range(k):
-        cols.append(np.array([w[j] for w in report.weak_err]))
-    cols.append(np.array(report.excluded, dtype=float))
-    cols.append(np.array(report.wall_s))
-    _write_csv(out / "sweep.csv", names, cols)
+             + [f"weak_err_{j + 1}" for j in range(len(PSI_PRESETS))] + ["excluded", "wall_s"])
+    _write_csv(out / "sweep.csv", names,
+               [report.eps_list, report.strong_err, report.strong_se,
+                *np.transpose(report.weak_err), report.excluded, report.wall_s])
     fit = dict(report.fit)
     fit["definition"] = STRONG_ERROR_DEFINITION
     fit["psi"] = [name for name, _ in PSI_PRESETS]
-    (out / "fit.json").write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
+    (out / "fit.json").write_text(_json(fit))
     _write_manifest(out, "sweep", rc, seeds=report.seeds, sections={
         "parameters": {"eps_list": report.eps_list, "n_paths": report.n_paths},
         "telemetry": telemetry})
@@ -227,8 +230,7 @@ def _cmd_sweep(args) -> int:
     rc = load_config(args.config)
     eps_list = check_sweep_args([parse_fraction(tok) for tok in args.eps.split(",")
                                  if tok.strip()], args.paths)
-    out = Path(args.out) if args.out else _default_out("sweep", rc)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(args, rc)
 
     def progress(eps, kept, excluded, wall):
         print(f"  eps={eps:<10g} kept={kept} excluded={excluded} wall={wall:.1f}s",
@@ -248,7 +250,7 @@ def _cmd_sweep(args) -> int:
     _write_sweep_outputs(out, rc, report, telemetry)
     if args.corrector_diagnostic:
         diags = [corrector_residual(eps, rc, rc.seed, prepared) for eps in eps_list]
-        (out / "corrector.json").write_text(json.dumps(diags, indent=2, sort_keys=True) + "\n")
+        (out / "corrector.json").write_text(_json(diags))
     print(f"{'eps':>10} {'strong_err':>14} {'se':>10} {'excluded':>9}")
     for i, eps in enumerate(report.eps_list):
         print(f"{eps:>10g} {report.strong_err[i]:>14.6e} {report.strong_se[i]:>10.2e} "
@@ -300,11 +302,9 @@ def _cmd_validate(args) -> int:
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    out = Path(args.out) if args.out else _default_out("validate", rc)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "validate.json").write_text(json.dumps(
-        [{"check": n, "passed": bool(ok), "detail": d} for n, ok, d in checks],
-        indent=2, sort_keys=True) + "\n")
+    out = _run_dir(args, rc)
+    (out / "validate.json").write_text(_json(
+        [{"check": n, "passed": bool(ok), "detail": d} for n, ok, d in checks]))
     _write_manifest(out, "validate", rc, seeds=[])
     if args.dump_matrices:
         out = Path(args.dump_matrices)
@@ -327,45 +327,33 @@ def build_parser() -> _Parser:
                      description="Nonlocal stochastic Schrodinger homogenization toolkit")
     parser.add_argument("--version", action="version", version=f"nshom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config")
+    common.add_argument("--out")
 
-    p = sub.add_parser("cell", help="solve the periodic cell problems and export correctors")
-    p.add_argument("--config")
-    p.add_argument("--out")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("coefficients", help="compute effective coefficients as JSON")
-    p.add_argument("--config")
-    p.add_argument("--out")
+    command("cell", _cmd_cell, "solve the periodic cell problems and export correctors")
+    command("coefficients", _cmd_coefficients, "compute effective coefficients as JSON")
 
-    p = sub.add_parser("simulate", help="integrate one trajectory")
+    p = command("simulate", _cmd_simulate, "integrate one trajectory")
     p.add_argument("--system", choices=("het", "eff"), required=True)
     p.add_argument("--eps", help="scale parameter, e.g. 1/8 (heterogeneous only)")
     p.add_argument("--seed", type=int)
     p.add_argument("--snap-every", type=_positive_int, dest="snap_every")
-    p.add_argument("--config")
-    p.add_argument("--out")
 
-    p = sub.add_parser("sweep", help="coupled strong/weak error sweep over eps")
+    p = command("sweep", _cmd_sweep, "coupled strong/weak error sweep over eps")
     p.add_argument("--eps", required=True, help="comma list, e.g. 1/2,1/4,1/8,1/16")
     p.add_argument("--paths", type=int, default=32)
     p.add_argument("--corrector-diagnostic", action="store_true",
                    dest="corrector_diagnostic")
-    p.add_argument("--config")
-    p.add_argument("--out")
 
-    p = sub.add_parser("validate", help="run the oracle and property checks")
-    p.add_argument("--config")
-    p.add_argument("--out")
+    p = command("validate", _cmd_validate, "run the oracle and property checks")
     p.add_argument("--dump-matrices", dest="dump_matrices")
     return parser
-
-
-_HANDLERS = {
-    "cell": _cmd_cell,
-    "coefficients": _cmd_coefficients,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -379,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

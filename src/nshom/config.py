@@ -2,15 +2,16 @@
 objects, and a canonical content hash for reproducibility manifests.
 
 ``RunConfig.from_dict`` merges the user's JSON over DEFAULTS and builds the
-Theta and V presets, the ``CellGrid`` and the ``SimConfig`` exactly once.
-Each type checks its own fields (``ThetaSpec`` its bounds and symmetry,
-``VSpec`` V's zero mean over the fast variable, ``CellGrid`` the cell sizes,
-``SimConfig`` alpha, T and theta_scheme, ``NoiseModel`` the noise), and its
-errors become ``ConfigError`` under the label of what was being built. The
-same pass checks what no type owns: the schema version, integer sizes,
-real-number types, the dt rule and the kernel mode. ``kernel_mode`` accepts
-only ``"periodized"``; it stays a key so that existing configs and their
-hashes keep working."""
+Theta and V presets, the ``Grid1D``, the ``CellGrid`` and the ``SimConfig``
+exactly once. Each type checks its own fields and names its subject in its
+message (``ThetaSpec`` its bounds and symmetry, ``VSpec`` V's zero mean over
+the fast variable, ``Grid1D`` and ``CellGrid`` their integer sizes,
+``SimConfig`` alpha, T and theta_scheme, ``NoiseModel`` the noise); any such
+error becomes a ``ConfigError`` with the same message. The same pass checks
+what no type owns: the schema version, the seed, grid.n >= 4, real-number
+types, the dt rule and the kernel mode. ``kernel_mode`` accepts only
+``"periodized"``; it stays a key so that existing configs and their hashes
+keep working."""
 
 from __future__ import annotations
 
@@ -68,37 +69,27 @@ def _merge_strict(base: dict, user: dict, path: tuple = ()) -> dict:
             where = ".".join(path + (str(key),))
             raise ConfigError(f"unknown configuration key {where!r}")
         here = path + (key,)
+        if isinstance(base[key], dict) and not isinstance(val, dict):
+            raise ConfigError(f"key {'.'.join(here)!r} must be an object")
         if isinstance(base[key], dict) and here not in _FREE_FORM:
-            if not isinstance(val, dict):
-                raise ConfigError(f"key {'.'.join(here)!r} must be an object")
             out[key] = _merge_strict(base[key], val, here)
         else:
             out[key] = copy.deepcopy(val)
     return out
 
 
-def _build(label: str, make):
-    """make(), its errors reported as ConfigError under ``label``."""
-    try:
-        return make()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
 def _check_untyped(d: dict) -> None:
-    """The checks no typed object owns: schema version, kernel mode, integer
-    sizes, real-number types and the dt rule."""
+    """The checks no typed object owns: schema version, kernel mode, seed,
+    grid.n >= 4, real-number types and the dt rule."""
     if d["schema_version"] != 1:
         raise ConfigError(f"unsupported schema_version {d['schema_version']!r}")
     if d["kernel_mode"] != "periodized":
         raise ConfigError(f"kernel_mode must be 'periodized', got {d['kernel_mode']!r}: the "
                           "unit-square kernel was removed, it gave Xi_2 != 0 for Theta == 1")
-    sizes = {"grid.n": d["grid"]["n"], "seed": d["seed"],
-             **{f"cell.{k}": v for k, v in d["cell"].items()}}
-    for key, value in sizes.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if d["grid"]["n"] < 4:
+    if not isinstance(d["seed"], int) or isinstance(d["seed"], bool):
+        raise ConfigError(f"seed must be an integer, got {d['seed']!r}")
+    # Grid1D.make rejects a non-integer n (bool included) and allows n >= 1
+    if type(d["grid"]["n"]) is int and d["grid"]["n"] < 4:
         raise ConfigError("grid.n must be at least 4")
     reals = {"alpha": d["alpha"], "T": d["T"], "theta_scheme": d["theta_scheme"],
              "g.sigma": d["g"]["sigma"]}
@@ -107,7 +98,7 @@ def _check_untyped(d: dict) -> None:
             raise ConfigError(f"{key} must be a number, got {value!r}")
 
     rule = d["dt_rule"]
-    if not isinstance(rule, dict) or "kind" not in rule:
+    if "kind" not in rule:
         raise ConfigError("dt_rule must be an object with a 'kind'")
     kind = rule["kind"]
     if not isinstance(kind, str) or kind not in _DT_RULE_KEYS:
@@ -140,14 +131,18 @@ class RunConfig:
         d = _merge_strict(DEFAULTS, user)
         _check_untyped(d)
         tp, c, g = d["theta_preset"], d["cell"], d["g"]
-        theta = _build("theta preset", lambda: presets.get_theta(tp["name"], **tp["params"]))
-        v = _build("potential preset", lambda: presets.get_v(d["v_preset"]))
-        cell = _build("cell", lambda: CellGrid(m=c["m"], m_tau=c["m_tau"], n_images=c["n_images"]))
-        sim = _build("simulation", lambda: SimConfig(
-            grid=Grid1D.make(d["grid"]["n"]), alpha=float(d["alpha"]), T=float(d["T"]),
-            theta_scheme=float(d["theta_scheme"]), theta=theta, v_spec=v,
-            f_spec=presets.get_f(d["f_preset"]), h_spec=presets.get_h(d["h_preset"]),
-            noise=NoiseModel(kind=g["kind"], sigma=float(g["sigma"]))))
+        try:
+            cell = CellGrid(m=c["m"], m_tau=c["m_tau"], n_images=c["n_images"])
+            sim = SimConfig(
+                grid=Grid1D.make(d["grid"]["n"]), alpha=float(d["alpha"]), T=float(d["T"]),
+                theta_scheme=float(d["theta_scheme"]),
+                theta=presets.get_theta(tp["name"], **tp["params"]),
+                v_spec=presets.get_v(d["v_preset"]),
+                f_spec=presets.get_f(d["f_preset"]), h_spec=presets.get_h(d["h_preset"]),
+                noise=NoiseModel(kind=g["kind"], sigma=float(g["sigma"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            # each type's message names its subject; args[0] drops a KeyError's repr quotes
+            raise ConfigError(exc.args[0]) from exc
         return cls(data=d, sim=sim, cell=cell, seed=d["seed"])
 
     def sim_config(self) -> SimConfig:

@@ -9,12 +9,13 @@ The strong-error surrogate for one path is the discrete space-time norm
 The generator of each eps is assembled once, and ``integrator.lockstep``, the
 loop of ``simulate``, steps both systems over all paths; the sweep's error
 integrals and the corrector diagnostic are reduced from its states step by
-step, so no trajectory is stored. ``coupled_errors`` returns the reductions
-as arrays, one entry per path; a sweep reduces them over the paths it kept:
-mean, Monte Carlo standard error (NaN with fewer than 2 kept paths), weak
-errors against the ``PSI_PRESETS`` test functions, exclusion counts for
-diverged paths, and a log-log slope fit of the mean strong error against eps
-(reported as data, not gated).
+step, so no trajectory is stored; the diagnostic forms one two-point field
+of the coupled difference u_eps - u_eff per step, in one reused buffer.
+``coupled_errors`` returns the reductions as arrays, one entry per path; a
+sweep reduces them over the paths it kept: mean, Monte Carlo standard error
+(NaN with fewer than 2 kept paths), weak errors against the ``PSI_PRESETS``
+test functions, exclusion counts for diverged paths, and a log-log slope fit
+of the mean strong error against eps (reported as data, not gated).
 
 Failure policy:
 
@@ -254,26 +255,31 @@ def corrector_residual(eps: float, rc: RunConfig, seed: int,
     Also returns the plain gradient-level error (chi term dropped), which the
     residual equals when the corrector vanishes. The coupled path of ``seed``
     is reduced step by step; if it diverges, its TrajectoryBlowup is raised.
+
+    Both distances are reduced from d = u_eps - u_eff in one two-point field
+    per step: F_ij = (d_i - d_j) gamma(x_i, x_j) is the gradient-level error,
+    and F - zeta(u_eff)_i K_ij, with K_ij = (chi(x_j/eps) - chi(x_i/eps))
+    gamma(x_i/eps, x_j/eps), the residual.
     """
     grid, alpha = rc.sim.grid, rc.sim.alpha
     h = grid.h
     gam_x = _gamma_matrix(grid.nodes, alpha)
-    gam_y = _gamma_matrix(grid.nodes, alpha, scale=eps)
     zmat = zeta_matrix(grid, alpha)
     chi_fast = _interp_periodic(prepared.cell_solution, grid.nodes / eps)
-    chi_diff = chi_fast[None, :] - chi_fast[:, None]
+    k_fast = (chi_fast[None, :] - chi_fast[:, None]) * _gamma_matrix(grid.nodes, alpha, scale=eps)
+    field = np.empty((grid.n, grid.n), dtype=complex)
 
     total = 0.0
     baseline = 0.0
     for _, (u_het, u_eff), dead, reasons in _coupled_steps(eps, rc, [seed], prepared):
         if dead[0]:
             raise reasons[0]
-        uh, ue = u_het[:, 0], u_eff[:, 0]
-        dstar_het = -(uh[None, :] - uh[:, None]) * gam_x
-        dstar_eff = -(ue[None, :] - ue[:, None]) * gam_x
-        recon = dstar_eff + (zmat @ ue)[:, None] * chi_diff * gam_y
-        total += float(np.sum(np.abs(dstar_het - recon) ** 2))
-        baseline += float(np.sum(np.abs(dstar_het - dstar_eff) ** 2))
+        d = u_het[:, 0] - u_eff[:, 0]
+        np.subtract(d[:, None], d[None, :], out=field)
+        field *= gam_x
+        baseline += np.vdot(field, field).real
+        field -= (zmat @ u_eff[:, 0])[:, None] * k_fast
+        total += np.vdot(field, field).real
     norm = rc.resolve_dt(eps)[0] * h * h
     return {
         "residual": float(np.sqrt(norm * total)),

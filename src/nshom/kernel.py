@@ -87,6 +87,16 @@ def dstar_apply(u: Callable[[float], complex], x: float, z: float, alpha: float)
     return -(u(z) - u(x)) * gamma(x, z, alpha)
 
 
+def _check_size(name: str, value, low: int) -> int:
+    """``value`` as an int: TypeError unless it is a Python or numpy integer
+    (bool excluded), ValueError below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
 @dataclass
 class Grid1D:
     """Uniform interior grid on D = (-1, 1); values are implicitly 0 outside D."""
@@ -97,9 +107,7 @@ class Grid1D:
 
     @classmethod
     def make(cls, n: int) -> "Grid1D":
-        n = int(n)
-        if n < 1:
-            raise ValueError("grid needs at least one interior node")
+        n = _check_size("grid.n", n, 1)
         h = 2.0 / (n + 1)
         nodes = -1.0 + h * np.arange(1, n + 1)
         return cls(n=n, h=h, nodes=nodes)
@@ -138,15 +146,6 @@ def pair_weights_even(dists: np.ndarray, h: float, alpha: float) -> np.ndarray:
 def same_cell_coeff(h: float, alpha: float) -> float:
     """Kernel moment int_cell int_cell |x-z|^{1-alpha} of a single width-h cell."""
     return 2.0 * _phi2(h, alpha)
-
-
-def _centered_difference(n: int, h: float) -> np.ndarray:
-    """Rows approximating u' by (u_{i+1} - u_{i-1}) / 2h, exterior values zero."""
-    p = np.zeros((n, n))
-    i = np.arange(n)
-    p[i[:-1], i[1:]] = 1.0 / (2.0 * h)
-    p[i[1:], i[:-1]] = -1.0 / (2.0 * h)
-    return p
 
 
 def _add_same_cell_term(a: np.ndarray, coef: float, d: np.ndarray, h: float,
@@ -352,7 +351,8 @@ def h_rho_norm_sq(u: np.ndarray, grid: Grid1D, params: KernelParams) -> float:
     h = grid.h
     diff = u[:, None] - u[None, :]
     interior = 0.5 * float(np.sum(w * np.abs(diff) ** 2))
-    du = _centered_difference(grid.n, h) @ u
+    padded = np.pad(u, 1)  # zero exterior values
+    du = (padded[2:] - padded[:-2]) / (2.0 * h)
     cell = same_cell_coeff(h, params.alpha) / 2.0 * float(np.sum(theta_diag * np.abs(du) ** 2))
     exterior = h * float(np.sum(ext * np.abs(u) ** 2))
     return exterior + interior + cell

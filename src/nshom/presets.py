@@ -41,8 +41,9 @@ class ThetaSpec:
     def __post_init__(self):
         if not (np.isfinite(self.upper) and 0.0 < self.lower <= self.upper) or not (
                 self.constant is None or self.lower == self.upper == self.constant):
-            raise ValueError(f"{self.name!r} needs finite bounds 0 < lower <= upper, equal "
-                             f"to its constant if set; got {self.lower, self.upper, self.constant}")
+            raise ValueError(f"theta preset {self.name!r} needs finite bounds 0 < lower <= "
+                             f"upper, equal to its constant if set; got "
+                             f"{self.lower, self.upper, self.constant}")
         if self.constant is None:
             probe = self.sample(_PROBE[:, None], _PROBE[None, :])
             if not np.array_equal(probe, probe.T, equal_nan=True):
@@ -210,12 +211,18 @@ PSI_PRESETS: list[tuple[str, Callable[[np.ndarray], np.ndarray]]] = [
 def _lookup(registry: dict, kind: str, name: str):
     try:
         return registry[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise KeyError(f"unknown {kind} preset {name!r}; known: {sorted(registry)}") from None
 
 
 def get_theta(name: str, **params) -> ThetaSpec:
-    return _lookup(THETA_PRESETS, "theta", name)(**params)
+    """The Theta preset ``name`` built with ``params``; a parameter it does not
+    take is a ValueError naming the preset."""
+    factory = _lookup(THETA_PRESETS, "theta", name)
+    try:
+        return factory(**params)
+    except TypeError as exc:
+        raise ValueError(f"theta preset {name!r}: {exc}") from exc
 
 
 def get_v(name: str) -> VSpec:

@@ -384,13 +384,30 @@ class TestTorus:
 
 class TestCellGrid:
     @pytest.mark.parametrize("sizes, message", [
-        ({"m": 7}, "cell grid needs m >= 8"),
-        ({"m": 8, "m_tau": 0}, "m_tau must be >= 1"),
-        ({"m": 8, "n_images": 0}, "n_images must be >= 1"),
+        ({"m": 7}, "cell.m must be >= 8"),
+        ({"m": 8, "m_tau": 0}, "cell.m_tau must be >= 1"),
+        ({"m": 8, "n_images": 0}, "cell.n_images must be >= 1"),
     ])
     def test_sizes_checked_by_the_grid(self, sizes, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError) as exc:
             CellGrid(**sizes)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("sizes, message", [
+        ({"m": 64.0}, "cell.m must be an integer, got 64.0"),
+        ({"m": 8, "m_tau": 2.0}, "cell.m_tau must be an integer, got 2.0"),
+        ({"m": 8, "n_images": True}, "cell.n_images must be an integer, got True"),
+        ({"m": "12"}, "cell.m must be an integer, got '12'"),
+    ])
+    def test_non_integer_sizes_rejected_by_the_grid(self, sizes, message):
+        with pytest.raises(TypeError) as exc:
+            CellGrid(**sizes)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_sizes_accepted_as_int(self):
+        grid = CellGrid(m=np.int64(16), m_tau=np.int32(2), n_images=np.uint8(3))
+        assert (grid.m, grid.m_tau, grid.n_images) == (16, 2, 3)
+        assert all(type(v) is int for v in (grid.m, grid.m_tau, grid.n_images))
 
     def test_solution_carries_its_inputs(self):
         theta = get_theta("cosine_sum")

@@ -1,6 +1,7 @@
 """Configuration validation, hashing, and CLI behavior including bitwise
 reproducibility of rerun outputs."""
 
+import argparse
 import functools
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nshom import presets
+from nshom import cli, presets
 from nshom.cli import main, parse_fraction
 from nshom.config import ConfigError, RunConfig, load_config
 
@@ -199,11 +200,28 @@ class TestRunConfig:
         ({"dt_rule": {"dt": 0.1}}, "dt_rule must be an object with a 'kind'"),
         ({"dt_rule": {"kind": "adaptive"}}, "unknown dt_rule kind 'adaptive'"),
         ([1, 2], "configuration must be a JSON object"),
-        ({"cell": {"m": 7}}, "cell: cell grid needs m >= 8"),
-        ({"cell": {"m_tau": 0}}, "cell: m_tau must be >= 1"),
-        ({"cell": {"n_images": 0}}, "cell: n_images must be >= 1"),
-        ({"v_preset": "one_plus_cos"}, "potential preset: potential preset 'one_plus_cos' has "
-                                       "nonzero spatial mean (max |mean over y| = 1.00e+00)"),
+        ({"grid": {"n": 0}}, "grid.n must be at least 4"),
+        ({"grid": {"n": 256.7}}, "grid.n must be an integer, got 256.7"),
+        ({"cell": {"m": 7}}, "cell.m must be >= 8"),
+        ({"cell": {"m_tau": 0}}, "cell.m_tau must be >= 1"),
+        ({"cell": {"n_images": 0}}, "cell.n_images must be >= 1"),
+        ({"cell": {"m_tau": 2.0}}, "cell.m_tau must be an integer, got 2.0"),
+        ({"v_preset": "one_plus_cos"}, "potential preset 'one_plus_cos' has nonzero spatial "
+                                       "mean (max |mean over y| = 1.00e+00)"),
+        ({"theta_preset": {"name": "bogus", "params": {}}},
+         "unknown theta preset 'bogus'; known: "
+         "['cosine_product', 'cosine_shift', 'cosine_sum', 'one', 'scaled']"),
+        ({"theta_preset": {"name": ["one"], "params": {}}},
+         "unknown theta preset ['one']; known: "
+         "['cosine_product', 'cosine_shift', 'cosine_sum', 'one', 'scaled']"),
+        ({"theta_preset": {"name": "one", "params": 5}},
+         "key 'theta_preset.params' must be an object"),
+        ({"dt_rule": 5}, "key 'dt_rule' must be an object"),
+        ({"theta_preset": {"name": "one", "params": {"amplitude": 0.5}}},
+         "theta preset 'one': _theta_one() got an unexpected keyword argument 'amplitude'"),
+        ({"theta_preset": {"name": "cosine_sum", "params": {"amplitude": 1.0}}},
+         "theta preset 'cosine_sum' needs finite bounds 0 < lower <= upper, equal to its "
+         "constant if set; got (0.0, 2.0, None)"),
     ])
     def test_rejected_config_exits_2_with_its_message(self, tmp_path, capsys, user, message):
         with pytest.raises(ConfigError) as exc:
@@ -246,6 +264,20 @@ class TestCliBasics:
         assert "theta_scheme must lie in [1/2, 1]" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_every_subcommand_takes_config_and_out_and_dispatches(self, monkeypatch):
+        required = {"cell": [], "coefficients": [], "simulate": ["--system", "eff"],
+                    "sweep": ["--eps", "1/2"], "validate": []}
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(required)
+        seen = []
+        for name in required:
+            monkeypatch.setattr(cli, f"_cmd_{name}", lambda args, name=name: seen.append(
+                (name, args.command, args.config, args.out)) or 7)
+        for name, extra in required.items():
+            assert main([name, *extra, "--config", "c.json", "--out", "o"]) == 7
+        assert seen == [(name, name, "c.json", "o") for name in required]
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -306,6 +338,25 @@ class TestCliCommands:
         assert abs(payload["xi2"]) < 1e-8
         assert abs(payload["xi3"]) < 1e-8
         assert "kernel_mode" not in payload
+
+    def test_json_outputs_are_rendered_canonically(self, tmp_path, capsys):
+        cfg = self._small_cfg(tmp_path, theta_preset={"name": "cosine_sum", "params": {}})
+        runs = {"cell": ["cell"], "coefficients": ["coefficients"],
+                "sweep": ["sweep", "--eps", "1/2,1/4", "--paths", "2",
+                          "--corrector-diagnostic"],
+                "validate": ["validate"]}
+        files = {"cell": ["manifest", "metadata"], "coefficients": ["coefficients", "manifest"],
+                 "sweep": ["corrector", "fit", "manifest"], "validate": ["manifest", "validate"]}
+        for name, argv in runs.items():
+            main(argv + ["--config", str(cfg), "--out", str(tmp_path / name)])
+            stdout = capsys.readouterr().out
+            paths = sorted((tmp_path / name).glob("*.json"))
+            assert [path.stem for path in paths] == files[name]
+            texts = [path.read_text() for path in paths]
+            if name == "coefficients":
+                assert stdout == texts[0]
+            for text in texts:
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_cell_outputs(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)

@@ -471,9 +471,9 @@ class TestEffectiveDriftValidation:
         assert errors["full"] < errors["naive"]
 
 
-def stored_trajectory_residual(eps, rc, seed, prepared):
-    """The corrector diagnostic reduced from two stored ``simulate``
-    trajectories, one per system, on the same Brownian path."""
+def _stored_trajectories(eps, rc, seed, prepared):
+    """The states at time levels 1..N of two stored ``simulate`` trajectories,
+    one per system, on the same Brownian path."""
     cfg = rc.sim
     dt, n_steps = rc.resolve_dt(eps)
     path = integrator.brownian_increments(seed, n_steps, dt)
@@ -483,6 +483,39 @@ def stored_trajectory_residual(eps, rc, seed, prepared):
                                   store_trajectory=True)
     res_eff = integrator.simulate(integrator.Effective(prepared.coefficients), cfg, path,
                                   generator=prepared.effective_generator, store_trajectory=True)
+    return zip(res_het.trajectory[1:], res_eff.trajectory[1:])
+
+
+def _diagnostic(eps, rc, seed, total, baseline):
+    norm = rc.resolve_dt(eps)[0] * rc.sim.grid.h ** 2
+    return {"residual": float(np.sqrt(norm * total)),
+            "gradient_error": float(np.sqrt(norm * baseline)), "eps": eps, "seed": seed}
+
+
+def stored_trajectory_residual(eps, rc, seed, prepared):
+    """The corrector diagnostic reduced from stored trajectories with the
+    arithmetic of ``corrector_residual``: one two-point field of
+    d = u_eps - u_eff per step."""
+    grid, alpha = rc.sim.grid, rc.sim.alpha
+    gam_x = harness._gamma_matrix(grid.nodes, alpha)
+    zmat = effective.zeta_matrix(grid, alpha)
+    chi_fast = harness._interp_periodic(prepared.cell_solution, grid.nodes / eps)
+    k_fast = (chi_fast[None, :] - chi_fast[:, None]) * harness._gamma_matrix(
+        grid.nodes, alpha, scale=eps)
+    total = 0.0
+    baseline = 0.0
+    for uh, ue in _stored_trajectories(eps, rc, seed, prepared):
+        d = uh - ue
+        field = (d[:, None] - d[None, :]) * gam_x
+        baseline += np.vdot(field, field).real
+        field = field - (zmat @ ue)[:, None] * k_fast
+        total += np.vdot(field, field).real
+    return _diagnostic(eps, rc, seed, total, baseline)
+
+
+def five_field_residual(eps, rc, seed, prepared):
+    """The same diagnostic as its definition reads: D* u_eps, D* u_eff and the
+    reconstruction D*_x u_eff + D*_y u1 as separate fields, then two differences."""
     grid, alpha = rc.sim.grid, rc.sim.alpha
     gam_x = harness._gamma_matrix(grid.nodes, alpha)
     gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
@@ -491,17 +524,13 @@ def stored_trajectory_residual(eps, rc, seed, prepared):
     chi_diff = chi_fast[None, :] - chi_fast[:, None]
     total = 0.0
     baseline = 0.0
-    for k in range(1, n_steps + 1):
-        uh = res_het.trajectory[k]
-        ue = res_eff.trajectory[k]
+    for uh, ue in _stored_trajectories(eps, rc, seed, prepared):
         dstar_het = -(uh[None, :] - uh[:, None]) * gam_x
         dstar_eff = -(ue[None, :] - ue[:, None]) * gam_x
         recon = dstar_eff + (zmat @ ue)[:, None] * chi_diff * gam_y
         total += float(np.sum(np.abs(dstar_het - recon) ** 2))
         baseline += float(np.sum(np.abs(dstar_het - dstar_eff) ** 2))
-    norm = dt * grid.h * grid.h
-    return {"residual": float(np.sqrt(norm * total)),
-            "gradient_error": float(np.sqrt(norm * baseline)), "eps": eps, "seed": seed}
+    return _diagnostic(eps, rc, seed, total, baseline)
 
 
 class TestCorrectorDiagnostic:
@@ -514,6 +543,19 @@ class TestCorrectorDiagnostic:
         for eps, seed in ((0.25, 3), (0.125, 0)):
             assert (corrector_residual(eps, rc, seed, prepared)
                     == stored_trajectory_residual(eps, rc, seed, prepared))
+
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    def test_agrees_with_the_five_field_reduction(self, theta):
+        rc = make_config(theta_preset={"name": theta, "params": {}},
+                         v_preset="sin2pi_y_one_plus_sin2pi_tau",
+                         g={"kind": "linear", "sigma": 0.5})
+        prepared = prepare_experiment(rc)
+        for eps, seed in ((0.25, 3), (0.125, 0)):
+            got = corrector_residual(eps, rc, seed, prepared)
+            want = five_field_residual(eps, rc, seed, prepared)
+            for key in ("residual", "gradient_error"):
+                assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
+            assert (got["eps"], got["seed"]) == (eps, seed)
 
     def test_diverging_path_raises(self):
         # strong linear noise at a coarse fixed step blows the path up

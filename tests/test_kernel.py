@@ -49,6 +49,26 @@ def closed_form_weighted_norm_sq(p: int, alpha: float) -> float:
             / (gamma_fn((lam + 1) / 2.0) ** 2 * gamma_fn(2 * p + 1.5 - alpha / 2.0)))
 
 
+class TestGrid1D:
+    @pytest.mark.parametrize("n", [1, 2, 3, np.int64(7), np.int32(256)])
+    def test_integer_sizes_accepted_as_int(self, n):
+        grid = Grid1D.make(n)
+        assert type(grid.n) is int and grid.n == n and grid.nodes.shape == (n,)
+        assert grid.h == 2.0 / (n + 1)
+
+    @pytest.mark.parametrize("n", [256.7, 256.0, True, np.bool_(True), "12", None])
+    def test_non_integer_sizes_rejected(self, n):
+        with pytest.raises(TypeError) as exc:
+            Grid1D.make(n)
+        assert str(exc.value) == f"grid.n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_grid_rejected(self, n):
+        with pytest.raises(ValueError) as exc:
+            Grid1D.make(n)
+        assert str(exc.value) == "grid.n must be >= 1"
+
+
 class TestGamma:
     def test_point_values(self):
         err, tol = kernel.point_value_error()

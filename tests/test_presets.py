@@ -40,7 +40,8 @@ def test_cosine_theta_samples_bitwise(name, params, amplitude, offset):
 def test_cosine_theta_rejects_nonpositive_bounds(name, amplitude):
     # amplitude >= offset gives lower <= 0, a negative one lower > upper, and
     # NaN fails both; ThetaSpec is the one place that checks the bounds
-    with pytest.raises(ValueError, match=f"^'{name}' needs finite bounds 0 < lower <= upper"):
+    with pytest.raises(ValueError, match=f"^theta preset '{name}' needs finite bounds "
+                                         "0 < lower <= upper"):
         get_theta(name, amplitude=amplitude, offset=1.0)
 
 
@@ -111,6 +112,16 @@ def test_unknown_name_message(lookup, message):
     with pytest.raises(KeyError) as exc:
         lookup("mystery")
     assert exc.value.args == (message,)
+
+
+@pytest.mark.parametrize("name, param, named", [
+    ("one", "amplitude", "one"), ("cosine_sum", "phase", "cosine_sum"),
+    # scaled passes the parameters it does not take on to its base preset
+    ("scaled", "shift", "cosine_product")])
+def test_unexpected_theta_parameter_names_the_preset(name, param, named):
+    with pytest.raises(ValueError, match=f"^theta preset '{named}': .*unexpected keyword "
+                                         f"argument '{param}'$"):
+        get_theta(name, **{param: 1.0})
 
 
 @pytest.mark.parametrize("n", [32, 257])
