@@ -247,10 +247,11 @@ def _cmd_sweep(args) -> int:
             _write_sweep_outputs(out, rc, exc.report, telemetry)
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 3
+    start = time.perf_counter()
+    corrector = corrector_residual(eps_list, rc, prepared)
+    telemetry["corrector_s"] = time.perf_counter() - start
     _write_sweep_outputs(out, rc, report, telemetry)
-    if args.corrector_diagnostic:
-        diags = [corrector_residual(eps, rc, rc.seed, prepared) for eps in eps_list]
-        (out / "corrector.json").write_text(_json(diags))
+    (out / "corrector.json").write_text(_json(corrector))
     print(f"{'eps':>10} {'strong_err':>14} {'se':>10} {'excluded':>9}")
     for i, eps in enumerate(report.eps_list):
         print(f"{eps:>10g} {report.strong_err[i]:>14.6e} {report.strong_se[i]:>10.2e} "
@@ -348,8 +349,6 @@ def build_parser() -> _Parser:
     p = command("sweep", _cmd_sweep, "coupled strong/weak error sweep over eps")
     p.add_argument("--eps", required=True, help="comma list, e.g. 1/2,1/4,1/8,1/16")
     p.add_argument("--paths", type=int, default=32)
-    p.add_argument("--corrector-diagnostic", action="store_true",
-                   dest="corrector_diagnostic")
 
     p = command("validate", _cmd_validate, "run the oracle and property checks")
     p.add_argument("--dump-matrices", dest="dump_matrices")

@@ -8,9 +8,8 @@ The strong-error surrogate for one path is the discrete space-time norm
 (time levels k = 1..N), both systems driven by the same Brownian increments.
 The generator of each eps is assembled once, and ``integrator.lockstep``, the
 loop of ``simulate``, steps both systems over all paths; the sweep's error
-integrals and the corrector diagnostic are reduced from its states step by
-step, so no trajectory is stored; the diagnostic forms one two-point field
-of the coupled difference u_eps - u_eff per step, in one reused buffer.
+integrals are reduced from its states step by step, so no trajectory is
+stored. The corrector diagnostic steps nothing: one resolvent solve per eps.
 ``coupled_errors`` returns the reductions as arrays, one entry per path; a
 sweep reduces them over the paths it kept: mean, Monte Carlo standard error
 (NaN with fewer than 2 kept paths), weak errors against the ``PSI_PRESETS``
@@ -25,8 +24,7 @@ Failure policy:
 * A ``TrajectoryBlowup`` belongs to one path: that column is NaN in the
   error arrays, its reason is returned and warned, and the other columns are
   stepped with unchanged arithmetic. An eps level that excludes more than
-  20 % of its paths fails the sweep with ``SweepFailure``; the corrector
-  diagnostic, on one path, raises it.
+  20 % of its paths fails the sweep with ``SweepFailure``.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ STRONG_ERROR_DEFINITION = (
     "of dt*h*sum_{t,x} (u_eps - u_eff) conj(psi_k)|")
 
 MAX_EXCLUDED_FRACTION = 0.2
+RESOLVENT_SHIFT = 1.0  # lam of the corrector diagnostic's resolvents (G + lam)^{-1}
 
 
 class SweepFailure(RuntimeError):
@@ -240,53 +239,43 @@ def _gamma_matrix(nodes: np.ndarray, alpha: float, scale: float = 1.0) -> np.nda
 
 
 def _interp_periodic(cell: CellSolution, points: np.ndarray) -> np.ndarray:
-    yg = np.concatenate([cell.grid.y, [1.0]])
-    vals = np.concatenate([cell.chi, cell.chi[:1]])
-    return np.interp(np.mod(points, 1.0), yg, vals)
+    return np.interp(points, cell.grid.y, cell.chi, period=1.0)
 
 
-def corrector_residual(eps: float, rc: RunConfig, seed: int,
-                       prepared: PreparedExperiment) -> dict:
-    """Two-scale reconstruction diagnostic (reported, not gated).
-
-    Rebuilds u1 = -zeta(u_eff) * chi(x/eps) and measures the discrete
-    L^2(time x D x D) distance between the heterogeneous two-point field D* u_eps
-    and the reconstruction D*_x u_eff + D*_y u1 sampled at the fast variables.
-    Also returns the plain gradient-level error (chi term dropped), which the
-    residual equals when the corrector vanishes. The coupled path of ``seed``
-    is reduced step by step; if it diverges, its TrajectoryBlowup is raised.
-
-    Both distances are reduced from d = u_eps - u_eff in one two-point field
-    per step: F_ij = (d_i - d_j) gamma(x_i, x_j) is the gradient-level error,
-    and F - zeta(u_eff)_i K_ij, with K_ij = (chi(x_j/eps) - chi(x_i/eps))
-    gamma(x_i/eps, x_j/eps), the residual.
+def corrector_residual(eps_list: list[float], rc: RunConfig,
+                       prepared: PreparedExperiment) -> list[dict]:
+    """Two-scale reconstruction diagnostic (reported, not gated): one
+    ``{"eps", "residual", "gradient_error"}`` per eps from the resolvents
+    r_eff = (G + lam)^{-1} f, G the effective generator at (Xi_1, Xi_2, 0), and
+    r_eps = (G_het(eps) + lam)^{-1} f, which by Trotter-Kato decide the limit of
+    the evolutions with no time step, noise or V (V reaches G_eff only through
+    Xi_3); lam = ``RESOLVENT_SHIFT``, f the initial datum. F_ij = (d_i - d_j)
+    gamma(x_i, x_j), d = r_eps - r_eff, is the gradient-level error, and
+    F - zeta(r_eff)_i (chi(x_j/eps) - chi(x_i/eps)) gamma(x_i/eps, x_j/eps) the
+    residual against the reconstruction D*_x r_eff + D*_y (-zeta(r_eff) chi(x/eps)).
     """
     grid, alpha = rc.sim.grid, rc.sim.alpha
-    h = grid.h
-    gam_x = _gamma_matrix(grid.nodes, alpha)
-    zmat = zeta_matrix(grid, alpha)
-    chi_fast = _interp_periodic(prepared.cell_solution, grid.nodes / eps)
-    k_fast = (chi_fast[None, :] - chi_fast[:, None]) * _gamma_matrix(grid.nodes, alpha, scale=eps)
-    field = np.empty((grid.n, grid.n), dtype=complex)
-
-    total = 0.0
-    baseline = 0.0
-    for _, (u_het, u_eff), dead, reasons in _coupled_steps(eps, rc, [seed], prepared):
-        if dead[0]:
-            raise reasons[0]
-        d = u_het[:, 0] - u_eff[:, 0]
-        np.subtract(d[:, None], d[None, :], out=field)
-        field *= gam_x
-        baseline += np.vdot(field, field).real
-        field -= (zmat @ u_eff[:, 0])[:, None] * k_fast
-        total += np.vdot(field, field).real
-    norm = rc.resolve_dt(eps)[0] * h * h
-    return {
-        "residual": float(np.sqrt(norm * total)),
-        "gradient_error": float(np.sqrt(norm * baseline)),
-        "eps": eps,
-        "seed": seed,
-    }
+    diag, f = np.diag_indices(grid.n), rc.sim.initial_field()
+    xi1, xi2, _ = prepared.coefficients.as_tuple()
+    g = assemble_effective_generator(EffectiveCoefficients.from_values(xi1, xi2), grid, alpha)
+    g[diag] += RESOLVENT_SHIFT
+    r_eff = np.linalg.solve(g, f)
+    zeta, gam_x = zeta_matrix(grid, alpha) @ r_eff, _gamma_matrix(grid.nodes, alpha)
+    out = []
+    for eps in eps_list:
+        g = assemble_heterogeneous_generator(
+            grid, KernelParams(alpha=alpha, theta=rc.sim.theta, epsilon=eps))
+        g[diag] += RESOLVENT_SHIFT
+        d = np.linalg.solve(g, f) - r_eff
+        chi = _interp_periodic(prepared.cell_solution, grid.nodes / eps)
+        field = (d[:, None] - d[None, :]) * gam_x
+        baseline = np.vdot(field, field).real
+        field -= zeta[:, None] * (chi[None, :] - chi[:, None]) * _gamma_matrix(
+            grid.nodes, alpha, scale=eps)
+        total = np.vdot(field, field).real
+        out.append({"eps": eps, "residual": float(grid.h * np.sqrt(total)),
+                    "gradient_error": float(grid.h * np.sqrt(baseline))})
+    return out
 
 
 def monte_carlo_se(values: np.ndarray) -> float:

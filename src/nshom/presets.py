@@ -8,6 +8,7 @@ registry on purpose, so that ``get_v`` and the configuration reject it.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -134,12 +135,8 @@ def _cosine_theta(name: str, term: Callable) -> Callable[..., ThetaSpec]:
 
 def _theta_scaled(base: str = "cosine_product", factor: float = 1.0, **params) -> ThetaSpec:
     inner = get_theta(base, **params)
-
-    def fn(y, eta):
-        return factor * inner.sample(y, eta)
-
-    return ThetaSpec(f"scaled_{base}", fn, lower=factor * inner.lower,
-                     upper=factor * inner.upper,
+    return ThetaSpec(f"scaled_{base}", lambda y, eta: factor * inner.sample(y, eta),
+                     lower=factor * inner.lower, upper=factor * inner.upper,
                      params={"base": base, "factor": factor, **params},
                      constant=None if inner.constant is None else factor * inner.constant)
 
@@ -215,13 +212,27 @@ def _lookup(registry: dict, kind: str, name: str):
         raise KeyError(f"unknown {kind} preset {name!r}; known: {sorted(registry)}") from None
 
 
+def _theta_keys(name: str, params: dict) -> set[str]:
+    """The parameters Theta preset ``name`` takes; ``scaled`` passes those it
+    does not name (its ``**params``) on to its base, so it takes the base's too."""
+    signature = inspect.signature(_lookup(THETA_PRESETS, "theta", name)).parameters
+    keys = {k for k, p in signature.items() if p.kind is not p.VAR_KEYWORD}
+    if len(keys) < len(signature):
+        keys |= _theta_keys(params.get("base", signature["base"].default),
+                            {k: v for k, v in params.items() if k not in keys})
+    return keys
+
+
 def get_theta(name: str, **params) -> ThetaSpec:
     """The Theta preset ``name`` built with ``params``; a parameter it does not
-    take is a ValueError naming the preset."""
-    factory = _lookup(THETA_PRESETS, "theta", name)
+    take is a ValueError naming the preset and the parameters it takes."""
+    unexpected = sorted(set(params) - (keys := _theta_keys(name, params)))
+    if unexpected:
+        raise ValueError(f"theta preset {name!r}: unknown parameters {unexpected}; "
+                         f"accepted: {sorted(keys)}")
     try:
-        return factory(**params)
-    except TypeError as exc:
+        return THETA_PRESETS[name](**params)
+    except TypeError as exc:  # a parameter of a type the preset cannot use
         raise ValueError(f"theta preset {name!r}: {exc}") from exc
 
 

@@ -218,10 +218,13 @@ class TestRunConfig:
          "key 'theta_preset.params' must be an object"),
         ({"dt_rule": 5}, "key 'dt_rule' must be an object"),
         ({"theta_preset": {"name": "one", "params": {"amplitude": 0.5}}},
-         "theta preset 'one': _theta_one() got an unexpected keyword argument 'amplitude'"),
+         "theta preset 'one': unknown parameters ['amplitude']; accepted: []"),
         ({"theta_preset": {"name": "cosine_sum", "params": {"amplitude": 1.0}}},
          "theta preset 'cosine_sum' needs finite bounds 0 < lower <= upper, equal to its "
          "constant if set; got (0.0, 2.0, None)"),
+        ({"theta_preset": {"name": "scaled", "params": {"shift": 1}}},
+         "theta preset 'scaled': unknown parameters ['shift']; "
+         "accepted: ['amplitude', 'base', 'factor', 'offset']"),
     ])
     def test_rejected_config_exits_2_with_its_message(self, tmp_path, capsys, user, message):
         with pytest.raises(ConfigError) as exc:
@@ -247,6 +250,11 @@ class TestCliBasics:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["simulate"]) == 1  # --system required
         assert main(["simulate", "--system", "het"]) == 1  # --eps required for het
+
+    def test_removed_corrector_flag_is_usage_error(self, capsys):
+        # sweep always writes corrector.json; the flag that asked for it is gone
+        assert main(["sweep", "--eps", "1/2", "--corrector-diagnostic"]) == 1
+        assert "--corrector-diagnostic" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -342,8 +350,7 @@ class TestCliCommands:
     def test_json_outputs_are_rendered_canonically(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path, theta_preset={"name": "cosine_sum", "params": {}})
         runs = {"cell": ["cell"], "coefficients": ["coefficients"],
-                "sweep": ["sweep", "--eps", "1/2,1/4", "--paths", "2",
-                          "--corrector-diagnostic"],
+                "sweep": ["sweep", "--eps", "1/2,1/4", "--paths", "2"],
                 "validate": ["validate"]}
         files = {"cell": ["manifest", "metadata"], "coefficients": ["coefficients", "manifest"],
                  "sweep": ["corrector", "fit", "manifest"], "validate": ["manifest", "validate"]}
@@ -431,9 +438,10 @@ class TestCliCommands:
         assert main(["sweep", "--eps", "1/2", "--paths", "2",
                      "--config", str(cfg), "--out", str(out)]) == 0
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
-        assert set(telemetry) == {"cell_residual", "prepare_s"}
+        assert set(telemetry) == {"cell_residual", "prepare_s", "corrector_s"}
         assert 0.0 <= telemetry["cell_residual"] <= 1e-8
         assert telemetry["prepare_s"] > 0.0
+        assert telemetry["corrector_s"] > 0.0
 
     def test_manifest_records_blas_environment(self, tmp_path, monkeypatch):
         import scipy
@@ -529,8 +537,8 @@ class TestCliCommands:
         assert table.shape[0] == 2
         assert table[1, 1] < table[0, 1]  # strong error decreases
 
-    def test_sweep_with_corrector_diagnostic_solves_the_cell_once(self, tmp_path,
-                                                                   monkeypatch):
+    def test_sweep_solves_the_cell_once_and_writes_the_corrector(self, tmp_path,
+                                                                  monkeypatch):
         from nshom import harness
 
         solve, calls = harness.solve_cell_problem, []
@@ -544,9 +552,11 @@ class TestCliCommands:
                                                  "default_dt": 0.0078125})
         out = tmp_path / "diag"
         assert main(["sweep", "--eps", "1/2,1/4,1/8", "--paths", "2",
-                     "--corrector-diagnostic", "--config", str(cfg), "--out", str(out)]) == 0
+                     "--config", str(cfg), "--out", str(out)]) == 0
         assert len(calls) == 1
-        assert len(json.loads((out / "corrector.json").read_text())) == 3
+        diags = json.loads((out / "corrector.json").read_text())
+        assert [d["eps"] for d in diags] == [0.5, 0.25, 0.125]
+        assert all(sorted(d) == ["eps", "gradient_error", "residual"] for d in diags)
 
     @pytest.mark.parametrize("eps, paths", [("1/2", "1"), ("1/4,1/2", "2"), (",", "2")])
     def test_sweep_rejects_bad_arguments_before_setup(self, tmp_path, monkeypatch, eps, paths):
@@ -576,6 +586,7 @@ class TestCliCommands:
         assert (out / "sweep.csv").exists()
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
         assert set(telemetry) == {"cell_residual", "prepare_s"}
+        assert not (out / "corrector.json").exists()
 
     def test_sweep_failed_factorization_exit_code(self, tmp_path, capsys, monkeypatch):
         from nshom import integrator

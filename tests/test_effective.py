@@ -69,6 +69,23 @@ class TestCoefficients:
         assert c_neg.xi1 == c_pos.xi1
         assert c_neg.xi2 == c_pos.xi2
 
+    def test_xi3_reads_the_tau_mean_of_v(self):
+        """Xi_3 = 2 int chi V-bar with V-bar the tau mean of V: sin 2pi y cos 2pi tau
+        has V-bar = 0 though its tau = 0 slice is sin 2pi y, and
+        sin 2pi y (1 + sin 2pi tau) has the V-bar of sin 2pi y bit for bit."""
+        sol = solve_cell_problem(get_theta("cosine_sum"), ALPHA, CellGrid(m=128, m_tau=16))
+
+        def xi3(fn):
+            return compute_effective_coefficients(sol, VSpec("v", fn)).xi3
+
+        def sine(y):
+            return np.sin(2 * np.pi * y)
+
+        assert abs(xi3(lambda y, tau: sine(y) * np.cos(2 * np.pi * tau))) < 1e-15
+        steady = xi3(lambda y, tau: sine(y) + 0.0 * tau)
+        assert steady == -0.029595952238957536
+        assert xi3(lambda y, tau: sine(y) * (1.0 + np.sin(2 * np.pi * tau))) == steady
+
     def test_all_coefficients_active_and_drift_assembles(self):
         cg = CellGrid(m=64, m_tau=2)
         theta = get_theta("cosine_sum")

@@ -1,5 +1,5 @@
 """Coupled-pair errors, sweep aggregation, exclusion policy, and the
-corrector-reconstruction diagnostic."""
+corrector-reconstruction diagnostic on resolvents."""
 
 import dataclasses
 import importlib.util
@@ -22,7 +22,7 @@ from nshom.harness import (
     prepare_experiment,
 )
 from nshom.integrator import LinearSolveError, TrajectoryBlowup
-from nshom.presets import PSI_PRESETS, get_theta
+from nshom.presets import PSI_PRESETS, get_theta, get_v
 
 SMALL = {
     "alpha": 1.5,
@@ -471,116 +471,140 @@ class TestEffectiveDriftValidation:
         assert errors["full"] < errors["naive"]
 
 
-def _stored_trajectories(eps, rc, seed, prepared):
-    """The states at time levels 1..N of two stored ``simulate`` trajectories,
-    one per system, on the same Brownian path."""
-    cfg = rc.sim
-    dt, n_steps = rc.resolve_dt(eps)
-    path = integrator.brownian_increments(seed, n_steps, dt)
-    g_het = kernel.assemble_heterogeneous_generator(
-        rc.sim.grid, kernel.KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=eps))
-    res_het = integrator.simulate(integrator.Heterogeneous(eps), cfg, path, generator=g_het,
-                                  store_trajectory=True)
-    res_eff = integrator.simulate(integrator.Effective(prepared.coefficients), cfg, path,
-                                  generator=prepared.effective_generator, store_trajectory=True)
-    return zip(res_het.trajectory[1:], res_eff.trajectory[1:])
-
-
-def _diagnostic(eps, rc, seed, total, baseline):
-    norm = rc.resolve_dt(eps)[0] * rc.sim.grid.h ** 2
-    return {"residual": float(np.sqrt(norm * total)),
-            "gradient_error": float(np.sqrt(norm * baseline)), "eps": eps, "seed": seed}
-
-
-def stored_trajectory_residual(eps, rc, seed, prepared):
-    """The corrector diagnostic reduced from stored trajectories with the
-    arithmetic of ``corrector_residual``: one two-point field of
-    d = u_eps - u_eff per step."""
+def five_field_residual(eps_list, rc, prepared):
+    """The corrector diagnostic as its definition reads, on the same resolvent
+    solutions (G + lam) r = f, solved here: D* r_eps, D* r_eff and the
+    reconstruction D*_x r_eff + D*_y u1 as separate fields, then two differences."""
     grid, alpha = rc.sim.grid, rc.sim.alpha
+    f = rc.sim.initial_field()
+    shift = harness.RESOLVENT_SHIFT * np.eye(grid.n)
+    coeffs = prepared.coefficients
+    g_eff = effective.assemble_effective_generator(
+        effective.EffectiveCoefficients.from_values(coeffs.xi1, coeffs.xi2), grid, alpha)
+    r_eff = np.linalg.solve(g_eff + shift, f)
     gam_x = harness._gamma_matrix(grid.nodes, alpha)
-    zmat = effective.zeta_matrix(grid, alpha)
-    chi_fast = harness._interp_periodic(prepared.cell_solution, grid.nodes / eps)
-    k_fast = (chi_fast[None, :] - chi_fast[:, None]) * harness._gamma_matrix(
-        grid.nodes, alpha, scale=eps)
-    total = 0.0
-    baseline = 0.0
-    for uh, ue in _stored_trajectories(eps, rc, seed, prepared):
-        d = uh - ue
-        field = (d[:, None] - d[None, :]) * gam_x
-        baseline += np.vdot(field, field).real
-        field = field - (zmat @ ue)[:, None] * k_fast
-        total += np.vdot(field, field).real
-    return _diagnostic(eps, rc, seed, total, baseline)
-
-
-def five_field_residual(eps, rc, seed, prepared):
-    """The same diagnostic as its definition reads: D* u_eps, D* u_eff and the
-    reconstruction D*_x u_eff + D*_y u1 as separate fields, then two differences."""
-    grid, alpha = rc.sim.grid, rc.sim.alpha
-    gam_x = harness._gamma_matrix(grid.nodes, alpha)
-    gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
-    zmat = effective.zeta_matrix(grid, alpha)
-    chi_fast = harness._interp_periodic(prepared.cell_solution, grid.nodes / eps)
-    chi_diff = chi_fast[None, :] - chi_fast[:, None]
-    total = 0.0
-    baseline = 0.0
-    for uh, ue in _stored_trajectories(eps, rc, seed, prepared):
-        dstar_het = -(uh[None, :] - uh[:, None]) * gam_x
-        dstar_eff = -(ue[None, :] - ue[:, None]) * gam_x
-        recon = dstar_eff + (zmat @ ue)[:, None] * chi_diff * gam_y
-        total += float(np.sum(np.abs(dstar_het - recon) ** 2))
-        baseline += float(np.sum(np.abs(dstar_het - dstar_eff) ** 2))
-    return _diagnostic(eps, rc, seed, total, baseline)
+    dstar_eff = -(r_eff[None, :] - r_eff[:, None]) * gam_x
+    zeta = effective.zeta_matrix(grid, alpha) @ r_eff
+    out = []
+    for eps in eps_list:
+        g_het = kernel.assemble_heterogeneous_generator(
+            grid, kernel.KernelParams(alpha=alpha, theta=rc.sim.theta, epsilon=eps))
+        r_eps = np.linalg.solve(g_het + shift, f)
+        dstar_het = -(r_eps[None, :] - r_eps[:, None]) * gam_x
+        chi_fast = harness._interp_periodic(prepared.cell_solution, grid.nodes / eps)
+        gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
+        recon = dstar_eff + zeta[:, None] * (chi_fast[None, :] - chi_fast[:, None]) * gam_y
+        out.append({"eps": eps,
+                    "residual": grid.h * np.sqrt(np.sum(np.abs(dstar_het - recon) ** 2)),
+                    "gradient_error": grid.h * np.sqrt(
+                        np.sum(np.abs(dstar_het - dstar_eff) ** 2))})
+    return out
 
 
 class TestCorrectorDiagnostic:
-    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
-    def test_equals_the_stored_trajectory_reduction(self, theta):
-        rc = make_config(theta_preset={"name": theta, "params": {}},
-                         v_preset="sin2pi_y_one_plus_sin2pi_tau",
-                         g={"kind": "linear", "sigma": 0.5})
-        prepared = prepare_experiment(rc)
-        for eps, seed in ((0.25, 3), (0.125, 0)):
-            assert (corrector_residual(eps, rc, seed, prepared)
-                    == stored_trajectory_residual(eps, rc, seed, prepared))
+    @pytest.mark.parametrize("theta", ["cosine_shift", "cosine_sum"])
+    def test_periodic_interpolation_matches_the_wrapped_cell_grid(self, theta):
+        # chi on the cell nodes plus its copy at y = 1, after reducing mod 1
+        sol = cell.solve_cell_problem(get_theta(theta), 1.5, cell.CellGrid(m=128, m_tau=1))
+        y = np.concatenate([sol.grid.y, [1.0]])
+        chi = np.concatenate([sol.chi, sol.chi[:1]])
+        for points in (np.random.default_rng(0).uniform(-40.0, 40.0, 4096),
+                       kernel.Grid1D.make(256).nodes / 0.0625):
+            assert np.array_equal(harness._interp_periodic(sol, points),
+                                  np.interp(np.mod(points, 1.0), y, chi))
 
-    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    @pytest.mark.parametrize("theta", ["cosine_shift", "cosine_sum"])
     def test_agrees_with_the_five_field_reduction(self, theta):
-        rc = make_config(theta_preset={"name": theta, "params": {}},
-                         v_preset="sin2pi_y_one_plus_sin2pi_tau",
+        rc = make_config(theta_preset={"name": theta, "params": {}})
+        prepared = prepare_experiment(rc)
+        got = corrector_residual([0.25, 0.125], rc, prepared)
+        want = five_field_residual([0.25, 0.125], rc, prepared)
+        for g, w in zip(got, want, strict=True):
+            assert sorted(g) == ["eps", "gradient_error", "residual"]
+            assert g["eps"] == w["eps"]
+            for key in ("residual", "gradient_error"):
+                assert g[key] == pytest.approx(w[key], rel=1e-13, abs=0.0)
+
+    def test_potential_and_noise_do_not_enter(self):
+        theta = {"name": "cosine_sum", "params": {}}
+        plain = make_config(theta_preset=theta, v_preset="zero", g={"kind": "zero", "sigma": 0.0})
+        rc = make_config(theta_preset=theta, v_preset="sin2pi_y_one_plus_sin2pi_tau",
                          g={"kind": "linear", "sigma": 0.5})
         prepared = prepare_experiment(rc)
-        for eps, seed in ((0.25, 3), (0.125, 0)):
-            got = corrector_residual(eps, rc, seed, prepared)
-            want = five_field_residual(eps, rc, seed, prepared)
-            for key in ("residual", "gradient_error"):
-                assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
-            assert (got["eps"], got["seed"]) == (eps, seed)
+        assert abs(prepared.coefficients.xi3) > 1e-3
+        assert (corrector_residual([0.25, 0.125], rc, prepared)
+                == corrector_residual([0.25, 0.125], plain, prepare_experiment(plain)))
 
-    def test_diverging_path_raises(self):
-        # strong linear noise at a coarse fixed step blows the path up
-        rc = make_config(g={"kind": "linear", "sigma": 200.0},
-                         dt_rule={"kind": "fixed", "dt": 1.0 / 32.0})
-        prepared = prepare_experiment(rc)
-        with pytest.raises(TrajectoryBlowup, match="diverged at step 10:"):
-            corrector_residual(0.25, rc, seed=0, prepared=prepared)
-
-    def test_constant_theta_residual_equals_gradient_error(self, prepared_default):
+    def test_constant_theta_reads_zero(self, prepared_default):
+        # chi == 0 and G_het(eps) == G_eff == L: both distances are rounding
         rc, prepared = prepared_default
-        diag = corrector_residual(0.25, rc, seed=0, prepared=prepared)
-        # chi == 0: the reconstruction reduces to the plain two-point error
-        assert diag["residual"] == pytest.approx(diag["gradient_error"], rel=1e-12)
+        for diag in corrector_residual([0.5, 0.25, 0.125], rc, prepared):
+            assert diag["residual"] <= 1e-14
+            assert diag["gradient_error"] <= 1e-14
 
     def test_residual_decreases_with_eps_for_oscillating_theta(self):
-        rc = make_config(theta_preset={"name": "cosine_product", "params": {}},
-                         T=0.25)
-        prepared = prepare_experiment(rc)
-        d_coarse = corrector_residual(0.25, rc, seed=0, prepared=prepared)
-        d_fine = corrector_residual(0.0625, rc, seed=0, prepared=prepared)
+        rc = make_config(theta_preset={"name": "cosine_product", "params": {}})
+        d_coarse, d_fine = corrector_residual([0.25, 0.0625], rc, prepare_experiment(rc))
         assert d_fine["residual"] < d_coarse["residual"]
+
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    def test_corrector_share_rises_toward_one_as_eps_falls(self, alpha):
+        """The residual is below the gradient-level error, and their ratio rises
+        at each halving of eps (0.688 -> 0.759 at alpha = 1.25, 0.758 -> 0.861 at
+        1.5, 0.871 -> 0.947 at 1.75): the corrector accounts for a shrinking share."""
+        rc = make_config(alpha=alpha, grid={"n": 256}, cell={"m": 256, "m_tau": 4},
+                         theta_preset={"name": "cosine_sum", "params": {}})
+        diags = corrector_residual([1 / 4, 1 / 8, 1 / 16, 1 / 32], rc, prepare_experiment(rc))
+        ratios = [d["residual"] / d["gradient_error"] for d in diags]
+        assert all(r < 1.0 for r in ratios), ratios
+        assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
 
     def test_constant_shift_of_chi_is_invisible(self, prepared_default):
         # D*_y annihilates constants, so shifting chi by a constant cannot
         # change the reconstruction; verified through the mean-zero solve
         rc, prepared = prepared_default
         assert prepared.cell_solution.mean_abs < 1e-14
+
+
+@pytest.mark.parametrize("base", ["cosine_sum", "cosine_shift", "one"])
+class TestThetaDoubling:
+    """Theta -> 2 Theta, the ``scaled`` preset at factor 2 against factor 1. Both
+    sides of the cell problem double, so chi is unchanged, Xi_1 and Xi_2 double
+    and Xi_3 does not; both generators double, so with V = 0 and g = 0 each
+    trajectory over T/2 at dt/2 is the original. A factor of 2 is exact in
+    floating point, so every relation holds bit for bit."""
+
+    @staticmethod
+    def theta(base, factor):
+        return {"name": "scaled", "params": {"base": base, "factor": factor}}
+
+    def test_corrector_and_coefficients(self, base):
+        grid, v = cell.CellGrid(m=64, m_tau=4), get_v("sin2pi_y_one_plus_sin2pi_tau")
+        sols = [cell.solve_cell_problem(get_theta("scaled", base=base, factor=factor), 1.5, grid)
+                for factor in (1.0, 2.0)]
+        single, double = (effective.compute_effective_coefficients(s, v) for s in sols)
+        assert np.array_equal(sols[1].chi, sols[0].chi)
+        assert double.as_tuple() == (2.0 * single.xi1, 2.0 * single.xi2, single.xi3)
+
+    def test_generators_and_trajectories(self, base):
+        eps, n_steps = 0.125, 32
+        runs = []
+        for factor, horizon in ((1.0, 0.5), (2.0, 0.25)):
+            rc = make_config(grid={"n": 128}, theta_preset=self.theta(base, factor), T=horizon,
+                             v_preset="zero", g={"kind": "zero", "sigma": 0.0})
+            prepared = prepare_experiment(rc)
+            g_het = kernel.assemble_heterogeneous_generator(
+                rc.sim.grid, kernel.KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta,
+                                                 epsilon=eps))
+            path = integrator.brownian_increments(0, n_steps, horizon / n_steps)
+            states = [integrator.simulate(system, rc.sim, path, generator=g,
+                                          store_trajectory=True).trajectory
+                      for system, g in ((integrator.Heterogeneous(eps), g_het),
+                                        (integrator.Effective(prepared.coefficients),
+                                         prepared.effective_generator))]
+            runs.append(((g_het, prepared.effective_generator), states))
+        (gens, states), (gens2, states2) = runs
+        for g, g2 in zip(gens, gens2):
+            assert np.array_equal(g2, 2.0 * g)
+        for u, u2 in zip(states, states2):
+            assert np.array_equal(u2, u)

@@ -341,6 +341,25 @@ class TestEnsembleStepper:
             u = stepper.step(u, k, np.zeros(1))
         assert (stepper.misses, stepper.hits) == (8, 56)
 
+    def test_phase_keys_keep_twelve_digits(self):
+        """At dt = eps/8 (1 + 1e-6) the phases of steps k and k + 8 differ by
+        about 1e-6, so each of 64 steps factorizes (one warning says so); a key
+        rounded to 4 digits would merge them into 8 factorizations."""
+        grid, eps = Grid1D.make(32), 0.25
+        gen = assemble_heterogeneous_generator(
+            grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
+        dt = eps / 8.0 * (1.0 + 1e-6)
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt,
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, 64, generator=gen)
+            u = cfg.initial_field().astype(complex)[:, None]
+            for k in range(64):
+                u = stepper.step(u, k, np.zeros(1))
+        assert (stepper.misses, stepper.hits, len(caught)) == (64, 0, 1)
+        assert "does not cycle" in str(caught[0].message)
+
     def test_cache_smaller_than_the_cycle_warns_once(self, grid, frac_gen, monkeypatch):
         """Eight phases at dt = eps/8 against room for three: one warning per
         run once a phase recurs, none for a single cycle or a cache that

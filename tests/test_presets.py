@@ -114,14 +114,29 @@ def test_unknown_name_message(lookup, message):
     assert exc.value.args == (message,)
 
 
-@pytest.mark.parametrize("name, param, named", [
-    ("one", "amplitude", "one"), ("cosine_sum", "phase", "cosine_sum"),
-    # scaled passes the parameters it does not take on to its base preset
-    ("scaled", "shift", "cosine_product")])
-def test_unexpected_theta_parameter_names_the_preset(name, param, named):
-    with pytest.raises(ValueError, match=f"^theta preset '{named}': .*unexpected keyword "
-                                         f"argument '{param}'$"):
-        get_theta(name, **{param: 1.0})
+@pytest.mark.parametrize("name, params, accepted", [
+    ("one", {"amplitude": 1.0}, []),
+    ("cosine_sum", {"phase": 1.0}, ["amplitude", "offset"]),
+    # scaled takes its base preset's parameters too, and names itself
+    ("scaled", {"shift": 1.0}, ["amplitude", "base", "factor", "offset"]),
+    ("scaled", {"base": "one", "amplitude": 1.0}, ["base", "factor"]),
+    ("scaled", {"base": "scaled", "shift": 1.0, "offset": 2.0},
+     ["amplitude", "base", "factor", "offset"])])
+def test_unexpected_theta_parameter_names_the_preset(name, params, accepted):
+    unknown = sorted(set(params) - set(accepted))
+    with pytest.raises(ValueError) as exc:
+        get_theta(name, **params)
+    assert str(exc.value) == (f"theta preset '{name}': unknown parameters {unknown}; "
+                              f"accepted: {accepted}")
+
+
+@pytest.mark.parametrize("name, params, named", [
+    ("cosine_sum", {"amplitude": "x"}, "cosine_sum"), ("scaled", {"factor": "x"}, "scaled"),
+    # a base parameter of the wrong type fails inside the base preset
+    ("scaled", {"offset": "x"}, "cosine_product")])
+def test_theta_parameter_of_wrong_type_names_the_preset(name, params, named):
+    with pytest.raises(ValueError, match=f"^theta preset '{named}': "):
+        get_theta(name, **params)
 
 
 @pytest.mark.parametrize("n", [32, 257])
