@@ -46,6 +46,17 @@ LU_CACHE_BYTES // (16 n^2) phases (at least one) and never evicts; a run
 whose phases recur but outnumber it, or whose phase does not cycle, is
 warned about, since then most steps refactorize.
 
+The factors live in one C-order (K, n, n) complex block per stepper,
+allocated at its first factorization: K is the smaller of the number of
+distinct phase keys and the cache capacity, and 1 without a potential. The
+implicit matrix of the i-th distinct key is written into slot i, as the
+slot's F-order transpose, and factorized there in place, so a run's
+factorizations reuse one allocation instead of each mapping a fresh array.
+A phase that gets no slot refactorizes into one spare (n, n) array, which
+the stepper keeps and reuses. An exactly symmetric generator fills a slot by
+one contiguous product (0.21 ms against 0.52 ms for the row-block fill of a
+non-symmetric one at n = 256).
+
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
 halving dt uses the Brownian bridge, and the two half increments sum to the
@@ -72,14 +83,18 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
-# rows of the implicit matrix written, or of the generator compared with its
-# transpose, per block: the block reads 64 contiguous rows of the row-major
-# generator (1 MiB at n = 2048)
+# rows of the implicit matrix written per block from a non-symmetric
+# generator, each block reading 64 contiguous rows of the row-major G (1 MiB at
+# n = 2048); also the side of the square tiles of G compared with their mirror
+# tiles, which read G in 64 x 64 pieces (n = 2048: 15 ms, where comparing
+# 64-row blocks with 64-column blocks took 80 ms)
 FILL_ROWS = 64
 # the most state columns factorized by L D L^T; zsytrs solves by one rank-1
 # update per column of L, so the two kinds tie at 8 columns and zgetrs'
 # level-3 solve wins from 16 on (n = 256, 32 columns: 0.94 ms against
-# 0.68 ms at one BLAS thread)
+# 0.68 ms at one BLAS thread). The rule holds at one BLAS thread: at two,
+# zgetrf runs in parallel and zsytrf does not, and LU wins from n = 512 on
+# (n = 1024, 4 columns: zsytrs 3.10 ms against zgetrs 2.32 ms)
 LDL_MAX_COLUMNS = 4
 
 
@@ -292,14 +307,16 @@ class ThetaStepper:
     columns of an (n, P) complex array.
 
     The implicit matrix depends on the system, dt and the potential's phase,
-    never on the path, so each phase is factorized once, of the kind and
-    under the cache rule the module docstring states, and each step makes one
-    ``lu_solve`` with P right-hand sides. Symmetry is tested once, at the
-    first factorization for 2 to LDL_MAX_COLUMNS columns, by comparing blocks
-    of FILL_ROWS rows with the matching columns and stopping at the first
-    block that differs; a NaN entry differs, so a non-finite G keeps LU. The
-    column-major implicit matrix is written from the row-major generator in
-    blocks of FILL_ROWS rows, so each block reads the generator contiguously.
+    never on the path, so each phase is factorized once, of the kind, under
+    the cache rule and into the block or spare slot the module docstring
+    states, and each step makes one ``lu_solve`` with P right-hand sides.
+    Symmetry is tested once, at the first factorization, by comparing the
+    FILL_ROWS x FILL_ROWS tiles of G on and above the diagonal with their
+    mirror tiles and stopping at the first pair that differs; a NaN entry
+    differs, so a non-finite G keeps LU. A symmetric G is its own transpose
+    and fills a slot by one contiguous product; any other G is written into
+    the slot's columns in blocks of FILL_ROWS, each read from contiguous
+    rows of G.
     The scaled generator is checked for finiteness once per stepper, from its
     extremes, and the potential diagonal once per phase; ``hits`` and
     ``misses`` count the cache lookups. A factorization that fails, a
@@ -315,7 +332,7 @@ class ThetaStepper:
         self.hits = self.misses = 0
         self._factors: dict[float | None, Factor] = {}  # phase key -> factor
         self._capacity = max(1, LU_CACHE_BYTES // (16 * self.g_mat.shape[0] ** 2))
-        self._phases = self._keys = None
+        self._keys, self._distinct = None, 1
         # what every step needs, decided once; numpy divides a complex array
         # by a real scalar as a product with its reciprocal, so u * (1/theta)
         # is u / theta
@@ -339,13 +356,15 @@ class ThetaStepper:
             return
         # frozen-coefficient diagonal, sampled at the theta point of the step
         # (midpoint for theta = 1/2, which keeps second-order accuracy in
-        # time); the Ito left-point rule applies to the noise term only
-        self._phases = [((k * dt + theta_s * dt) / eps) % 1.0 for k in range(n_steps)]
-        # a phase that rounds to 1 is phase 0, so both share one factorization
-        self._keys = [round(tau, 12) % 1.0 for tau in self._phases]
+        # time); the Ito left-point rule applies to the noise term only. The
+        # phase t/eps mod 1 is rounded to 12 digits into the key that V is
+        # sampled at, so a phase's factor is the same whichever step builds
+        # it; a phase that rounds to 1 is phase 0 and shares its factor
+        self._keys = [round(((k * dt + theta_s * dt) / eps) % 1.0, 12) % 1.0
+                      for k in range(n_steps)]
         self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
         self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
-        distinct = len(set(self._keys))
+        self._distinct = distinct = len(set(self._keys))
         # with dt = eps/k the phase cycles every k steps, however few of
         # those cycles fit into the run
         steps_per_period = eps / dt
@@ -363,17 +382,29 @@ class ThetaStepper:
     @cached_property
     def _ldl_lwork(self) -> int | None:
         """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
-        g, n = self.g_mat, self.g_mat.shape[0]
-        if not all(np.array_equal(g[j:j + FILL_ROWS], g[:, j:j + FILL_ROWS].T)
-                   for j in range(0, n, FILL_ROWS)):
+        g, n, b = self.g_mat, self.g_mat.shape[0], FILL_ROWS
+        if not all(np.array_equal(g[i:i + b, j:j + b], g[j:j + b, i:i + b].T)
+                   for i in range(0, n, b) for j in range(i, n, b)):
             return None
         work, _ = zsytrf_lwork(n, lower=1)
         return int(work.real)
 
+    @cached_property
+    def _block(self) -> np.ndarray:
+        """The C-order (K, n, n) factor block: K = min(distinct phase keys,
+        cache capacity), each slot the C-order transpose of an F-order factor."""
+        n = self.g_mat.shape[0]
+        return np.empty((min(self._distinct, self._capacity), n, n), dtype=complex)
+
+    @cached_property
+    def _spare(self) -> np.ndarray:
+        """The C-order (n, n) slot of every phase that the block has no room for."""
+        return np.empty_like(self._block[0])
+
     def _factors_at(self, k: int, columns: int = 1) -> Factor:
         """Factors of the implicit matrix of step k for a state of ``columns``
         columns, of the kind the module docstring states."""
-        tau, key = (None, None) if self._phases is None else (self._phases[k], self._keys[k])
+        key = None if self._keys is None else self._keys[k]
         entry = self._factors.get(key)
         if entry is not None:
             self.hits += 1
@@ -382,16 +413,22 @@ class ThetaStepper:
         where = f"{self.label}, phase {key}"
         if not self._g_finite:
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
-        v_diag = None if tau is None else self._amp * self.cfg.v_spec.sample(self._y_frac, tau)
-        n, theta_s, dt = self.g_mat.shape[0], self.cfg.theta_scheme, self.dt
-        # I + i theta dt (G + diag(v)), factorized in place; G is only read.
-        # Row blocks of the F-order lhs are column blocks of its C-order
-        # transpose, filled from contiguous rows of G.
-        lhs = np.empty((n, n), dtype=complex, order="F")
-        g_t, lhs_t = self.g_mat.T, lhs.T
-        for j in range(0, n, FILL_ROWS):
-            np.multiply(g_t[:, j:j + FILL_ROWS], 1j * theta_s * dt, out=lhs_t[:, j:j + FILL_ROWS])
-        lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + 1j * theta_s * dt * v_diag
+        v_diag = None if key is None else self._amp * self.cfg.v_spec.sample(self._y_frac, key)
+        n, g, scale = self.g_mat.shape[0], self.g_mat, 1j * self.cfg.theta_scheme * self.dt
+        # I + i theta dt (G + diag(v)), written into the C-order slot as its
+        # F-order transpose lhs and factorized there in place; G is only read.
+        # A symmetric G is its own transpose and fills the slot in one pass;
+        # otherwise row blocks of lhs are column blocks of the slot, filled
+        # from contiguous rows of G.
+        cached = len(self._factors)
+        slot = self._block[cached] if cached < self._capacity else self._spare
+        if self._ldl_lwork is not None:
+            np.multiply(g, scale, out=slot)
+        else:
+            for j in range(0, n, FILL_ROWS):
+                np.multiply(g[j:j + FILL_ROWS].T, scale, out=slot[:, j:j + FILL_ROWS])
+        lhs = slot.T
+        lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + scale * v_diag
         if not np.isfinite(lhs.diagonal()).all():
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
         ldl_lwork = self._ldl_lwork if 1 < columns <= LDL_MAX_COLUMNS else None
@@ -405,7 +442,7 @@ class ThetaStepper:
             raise LinearSolveError(f"{where}: implicit matrix is singular, pivot {zero} of "
                                    f"its {kind} factor ({block}[{zero}, {zero}]) is exactly "
                                    "zero; a position after row interchanges, not a grid node")
-        if len(self._factors) < self._capacity:
+        if cached < self._capacity:
             self._factors[key] = factor
         return factor
 

@@ -401,6 +401,88 @@ class TestEnsembleStepper:
         assert (bounded.factorizations, bounded.factor_hits) == (13, 3)
         assert np.array_equal(bounded.trajectory, unbounded.trajectory)
 
+    @pytest.mark.parametrize("slots", [3, 1])
+    @pytest.mark.parametrize("steps_per_period", [10, 12])
+    def test_capped_cache_is_bitwise_the_uncapped_run(self, monkeypatch, steps_per_period,
+                                                      slots):
+        """At dt = eps/10 and eps/12 the theta points t/eps of one phase's
+        steps differ in their last bits, so a factor must be built from the
+        phase key, not from the step that happens to build it: a capped cache
+        that refactorizes recurring phases then gives bitwise the uncapped
+        trajectory. With one slot every phase but the first takes the spare."""
+        grid, eps = Grid1D.make(32), 0.25
+        gen = assemble_heterogeneous_generator(
+            grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
+        dt, n_steps = eps / steps_per_period, 3 * steps_per_period
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, noise=NoiseModel("bounded", 0.5),
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        path = brownian_increments(4, n_steps, dt)
+        uncapped = simulate(Heterogeneous(eps), cfg, path, generator=gen, store_trajectory=True)
+        assert uncapped.factorizations == steps_per_period
+        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", slots * 16 * grid.n ** 2)
+        with pytest.warns(UserWarning, match=f"keeps the factors of {slots} of the "
+                                             f"{steps_per_period} "):
+            capped = simulate(Heterogeneous(eps), cfg, path, generator=gen,
+                              store_trajectory=True)
+        assert (capped.factorizations, capped.factor_hits) == (n_steps - 2 * slots, 2 * slots)
+        assert np.array_equal(capped.trajectory, uncapped.trajectory)
+
+    @staticmethod
+    def filled_slots(monkeypatch):
+        """Patch integrator.lu_factor to record the matrix each call factorizes."""
+        filled, real = [], integrator.lu_factor
+        monkeypatch.setattr(integrator, "lu_factor",
+                            lambda a, **kwargs: filled.append(a) or real(a, **kwargs))
+        return filled
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_cached_factors_live_in_the_block(self, grid, frac_gen, monkeypatch, columns):
+        """Eight phases at dt = eps/8: one C-order (8, n, n) block, the i-th
+        distinct key factorized in place in slot i, as its transpose."""
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        filled = self.filled_slots(monkeypatch)
+        stepper = ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+        u = np.ones((grid.n, columns), dtype=complex)
+        for k in range(16):
+            u = stepper.step(u, k, np.zeros(columns))
+        block = stepper._block
+        assert block.shape == (8, grid.n, grid.n) and block.flags.c_contiguous
+        assert list(stepper._factors) == stepper._keys[:8] and len(filled) == 8
+        for i, (a, factor) in enumerate(zip(filled, stepper._factors.values())):
+            assert a.base is block and a.T.__array_interface__ == block[i].__array_interface__
+            assert np.shares_memory(factor.matrix, block[i])
+            assert not np.shares_memory(factor.matrix, np.delete(block, i, axis=0))
+        assert "_spare" not in vars(stepper)
+
+    def test_one_phase_without_potential_takes_one_slot(self, grid, frac_gen):
+        stepper = ThetaStepper(Effective(UNIT), SimConfig(grid=grid, alpha=ALPHA, T=0.5),
+                               0.5 / 16, 16, generator=frac_gen)
+        factor = stepper._factors_at(0)
+        assert stepper._block.shape == (1, grid.n, grid.n)
+        assert np.shares_memory(factor.matrix, stepper._block)
+
+    def test_phases_beyond_the_cap_share_one_spare(self, grid, frac_gen, monkeypatch):
+        """Room for three of eight phases: slots 0-2 of a (3, n, n) block hold
+        the first three, and every other factorization, first or repeated,
+        is written into the one spare array."""
+        eps = 0.25
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
+        filled = self.filled_slots(monkeypatch)
+        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
+            stepper = ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+        u = np.ones((grid.n, 1), dtype=complex)
+        for k in range(16):
+            u = stepper.step(u, k, np.zeros(1))
+        block, spare = stepper._block, stepper._spare
+        assert block.shape == (3, grid.n, grid.n) and spare.shape == (grid.n, grid.n)
+        assert len(filled) == stepper.misses == 13
+        for i, a in enumerate(filled[:3]):
+            assert np.shares_memory(a, block[i]) and not np.shares_memory(a, spare)
+        for a in filled[3:]:
+            assert a.base is spare and not np.shares_memory(a, block)
+
     def test_failed_factorization_is_wrapped_once(self, grid, frac_gen, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
@@ -629,6 +711,37 @@ def prepared_by_theta():
         for name in ("one", "cosine_sum")}
 
 
+class TestLinearity:
+    """With g = sigma u and f = 0 the scheme is linear in u, and doubling is
+    exact in binary floating point, so u0 -> 2 u0 doubles the final state bit
+    for bit. The column counts take every solve: ztrsv at 1, zsytrs at 2 and
+    4 for the symmetric G_het, zgetrs at 8 and for the non-symmetric G_eff."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 4, 8])
+    @pytest.mark.parametrize("system", ["het", "eff"])
+    def test_doubling_u0_doubles_the_final_state(self, system, columns):
+        eps, n_steps = 0.25, 32
+        dt = eps / 8.0
+        cfg = SimConfig(grid=Grid1D.make(64), alpha=ALPHA, T=n_steps * dt,
+                        theta=get_theta("cosine_sum"), noise=NoiseModel("linear", 0.5),
+                        v_spec=get_v("sin2pi_y_one_plus_sin2pi_tau"))
+        sim_system = (Heterogeneous(eps) if system == "het"
+                      else Effective(EffectiveCoefficients.from_values(1.0, 0.04, -0.03)))
+        dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(columns)],
+                      axis=1)
+        u0 = cfg.initial_field()[:, None] * (1.0 + 0.5j * np.arange(columns))
+        finals = []
+        for scale in (1.0, 2.0):
+            stepper = ThetaStepper(sim_system, cfg, dt, n_steps)
+            for _, (u,), dead, _ in lockstep([stepper], scale * u0, dw):
+                assert not dead.any()
+            finals.append(u)
+        symmetric = system == "het" and 1 < columns <= integrator.LDL_MAX_COLUMNS
+        assert all(f.symmetric == symmetric for f in stepper._factors.values())
+        assert np.array_equal(finals[1], 2.0 * finals[0])
+        assert not np.array_equal(finals[0], u0)
+
+
 class TestFusedStepEquivalence:
     """coupled_errors through the fused step and zgetrs equals, bit for bit,
     the same reduction through the unfused step (``unfused_step``)."""
@@ -847,6 +960,21 @@ class TestRowBlockImplicitFill:
         return ThetaStepper(system, cfg, dt or cls.DT, 8, generator=g_mat)
 
     @staticmethod
+    def case(kind, n):
+        """(G, system, V) of one kind of generator at n nodes."""
+        g = Grid1D.make(n)
+        if kind == "effective":
+            g_mat = assemble_effective_generator(EffectiveCoefficients.from_values(1.1, 0.3, -0.2),
+                                                 g, ALPHA)
+            return g_mat, Effective(UNIT), get_v("zero")
+        if kind == "heterogeneous":
+            g_mat = assemble_heterogeneous_generator(
+                g, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
+            return g_mat, Heterogeneous(0.25), get_v("cos2pi_y_times_cos2pi_tau")
+        # the zero-pivot generator: theta dt = 1/64 cancels the identity
+        return 64j * np.eye(n), Effective(UNIT), get_v("zero")
+
+    @staticmethod
     def implicit_matrix(stepper, monkeypatch):
         def capture(a, **_):
             raise Captured(a.copy(order="K"))
@@ -861,10 +989,10 @@ class TestRowBlockImplicitFill:
         n, theta_dt = g_mat.shape[0], stepper.cfg.theta_scheme * stepper.dt
         lhs = np.empty((n, n), dtype=complex, order="F")
         np.multiply(g_mat, 1j * theta_dt, out=lhs)
-        if stepper._phases is None:
+        if stepper._keys is None:
             lhs[np.diag_indices(n)] += 1.0
         else:
-            v = stepper._amp * stepper.cfg.v_spec.sample(stepper._y_frac, stepper._phases[0])
+            v = stepper._amp * stepper.cfg.v_spec.sample(stepper._y_frac, stepper._keys[0])
             lhs[np.diag_indices(n)] += 1.0 + 1j * theta_dt * v
         return lhs
 
@@ -872,22 +1000,28 @@ class TestRowBlockImplicitFill:
     @pytest.mark.parametrize("n", [5, 37, 64, 257])
     @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
     def test_matches_whole_array_fill_bitwise(self, n, kind, monkeypatch):
-        g = Grid1D.make(n)
-        if kind == "effective":
-            g_mat = assemble_effective_generator(EffectiveCoefficients.from_values(1.1, 0.3, -0.2),
-                                                 g, ALPHA)
-            system, v_spec = Effective(UNIT), get_v("zero")
-        elif kind == "heterogeneous":
-            g_mat = assemble_heterogeneous_generator(
-                g, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
-            system, v_spec = Heterogeneous(0.25), get_v("cos2pi_y_times_cos2pi_tau")
-        else:
-            # the zero-pivot generator: theta dt = 1/64 cancels the identity
-            g_mat, system, v_spec = 64j * np.eye(n), Effective(UNIT), get_v("zero")
+        g_mat, system, v_spec = self.case(kind, n)
         stepper = self.stepper(g_mat, system, v_spec)
         got = self.implicit_matrix(stepper, monkeypatch)
         assert got.flags.f_contiguous
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
+
+    # all but n = 64 end in a partial block of rows
+    @pytest.mark.parametrize("n", [5, 37, 64, 257])
+    @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
+    def test_symmetric_fill_is_the_row_block_fill_bitwise(self, n, kind, monkeypatch):
+        """A symmetric G fills the slot by one contiguous product, which must
+        equal the row-block fill byte for byte (signed zeros included). G_eff
+        at Xi_2 != 0 is not symmetric, so that kind uses its symmetric part."""
+        g_mat, system, v_spec = self.case(kind, n)
+        g_sym = 0.5 * (g_mat + g_mat.T)
+        assert kind == "effective" or np.array_equal(g_sym, g_mat)
+        contiguous, row_block = (self.stepper(g_sym, system, v_spec) for _ in range(2))
+        assert contiguous._ldl_lwork is not None
+        row_block._ldl_lwork = None  # the fill of a non-symmetric G
+        got = self.implicit_matrix(contiguous, monkeypatch)
+        assert got.tobytes() == self.implicit_matrix(row_block, monkeypatch).tobytes()
+        assert got.tobytes() == self.whole_array_fill(g_sym, contiguous).tobytes()
 
     def test_nan_in_last_partial_block(self):
         n = 100
