@@ -46,16 +46,13 @@ LU_CACHE_BYTES // (16 n^2) phases (at least one) and never evicts; a run
 whose phases recur but outnumber it, or whose phase does not cycle, is
 warned about, since then most steps refactorize.
 
-The factors live in one C-order (K, n, n) complex block per stepper,
+The cached factors live in one C-order (K, n, n) complex block per stepper,
 allocated at its first factorization: K is the smaller of the number of
 distinct phase keys and the cache capacity, and 1 without a potential. The
 implicit matrix of the i-th distinct key is written into slot i, as the
-slot's F-order transpose, and factorized there in place, so a run's
-factorizations reuse one allocation instead of each mapping a fresh array.
-A phase that gets no slot refactorizes into one spare (n, n) array, which
-the stepper keeps and reuses. An exactly symmetric generator fills a slot by
-one contiguous product (0.21 ms against 0.52 ms for the row-block fill of a
-non-symmetric one at n = 256).
+slot's F-order transpose, and factorized there in place, so the cached
+factors of a run take one allocation. A phase that gets no slot is
+refactorized in a fresh (n, n) array each time.
 
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
@@ -83,11 +80,9 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
-# rows of the implicit matrix written per block from a non-symmetric
-# generator, each block reading 64 contiguous rows of the row-major G (1 MiB at
-# n = 2048); also the side of the square tiles of G compared with their mirror
-# tiles, which read G in 64 x 64 pieces (n = 2048: 15 ms, where comparing
-# 64-row blocks with 64-column blocks took 80 ms)
+# rows of the implicit matrix written, or of the generator compared with its
+# transpose, per block: the block reads 64 contiguous rows of the row-major
+# generator (1 MiB at n = 2048)
 FILL_ROWS = 64
 # the most state columns factorized by L D L^T; zsytrs solves by one rank-1
 # update per column of L, so the two kinds tie at 8 columns and zgetrs'
@@ -308,15 +303,14 @@ class ThetaStepper:
 
     The implicit matrix depends on the system, dt and the potential's phase,
     never on the path, so each phase is factorized once, of the kind, under
-    the cache rule and into the block or spare slot the module docstring
-    states, and each step makes one ``lu_solve`` with P right-hand sides.
-    Symmetry is tested once, at the first factorization, by comparing the
-    FILL_ROWS x FILL_ROWS tiles of G on and above the diagonal with their
-    mirror tiles and stopping at the first pair that differs; a NaN entry
-    differs, so a non-finite G keeps LU. A symmetric G is its own transpose
-    and fills a slot by one contiguous product; any other G is written into
-    the slot's columns in blocks of FILL_ROWS, each read from contiguous
-    rows of G.
+    the cache rule and in the block slot the module docstring states, and
+    each step makes one ``lu_solve`` with P right-hand sides. Symmetry is
+    tested once, at the first factorization for 2 to LDL_MAX_COLUMNS columns,
+    by comparing blocks of FILL_ROWS rows with the matching columns and
+    stopping at the first block that differs; a NaN entry differs, so a
+    non-finite G keeps LU. The column-major implicit matrix is written from
+    the row-major generator in blocks of FILL_ROWS rows, so each block reads
+    the generator contiguously.
     The scaled generator is checked for finiteness once per stepper, from its
     extremes, and the potential diagonal once per phase; ``hits`` and
     ``misses`` count the cache lookups. A factorization that fails, a
@@ -382,9 +376,9 @@ class ThetaStepper:
     @cached_property
     def _ldl_lwork(self) -> int | None:
         """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
-        g, n, b = self.g_mat, self.g_mat.shape[0], FILL_ROWS
-        if not all(np.array_equal(g[i:i + b, j:j + b], g[j:j + b, i:i + b].T)
-                   for i in range(0, n, b) for j in range(i, n, b)):
+        g, n = self.g_mat, self.g_mat.shape[0]
+        if not all(np.array_equal(g[j:j + FILL_ROWS], g[:, j:j + FILL_ROWS].T)
+                   for j in range(0, n, FILL_ROWS)):
             return None
         work, _ = zsytrf_lwork(n, lower=1)
         return int(work.real)
@@ -395,11 +389,6 @@ class ThetaStepper:
         cache capacity), each slot the C-order transpose of an F-order factor."""
         n = self.g_mat.shape[0]
         return np.empty((min(self._distinct, self._capacity), n, n), dtype=complex)
-
-    @cached_property
-    def _spare(self) -> np.ndarray:
-        """The C-order (n, n) slot of every phase that the block has no room for."""
-        return np.empty_like(self._block[0])
 
     def _factors_at(self, k: int, columns: int = 1) -> Factor:
         """Factors of the implicit matrix of step k for a state of ``columns``
@@ -417,16 +406,13 @@ class ThetaStepper:
         n, g, scale = self.g_mat.shape[0], self.g_mat, 1j * self.cfg.theta_scheme * self.dt
         # I + i theta dt (G + diag(v)), written into the C-order slot as its
         # F-order transpose lhs and factorized there in place; G is only read.
-        # A symmetric G is its own transpose and fills the slot in one pass;
-        # otherwise row blocks of lhs are column blocks of the slot, filled
-        # from contiguous rows of G.
+        # Row blocks of lhs are column blocks of the slot, filled from
+        # contiguous rows of G.
         cached = len(self._factors)
-        slot = self._block[cached] if cached < self._capacity else self._spare
-        if self._ldl_lwork is not None:
-            np.multiply(g, scale, out=slot)
-        else:
-            for j in range(0, n, FILL_ROWS):
-                np.multiply(g[j:j + FILL_ROWS].T, scale, out=slot[:, j:j + FILL_ROWS])
+        slot = (self._block[cached] if cached < self._capacity
+                else np.empty((n, n), dtype=complex))
+        for j in range(0, n, FILL_ROWS):
+            np.multiply(g[j:j + FILL_ROWS].T, scale, out=slot[:, j:j + FILL_ROWS])
         lhs = slot.T
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + scale * v_diag
         if not np.isfinite(lhs.diagonal()).all():

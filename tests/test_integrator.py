@@ -409,7 +409,8 @@ class TestEnsembleStepper:
         steps differ in their last bits, so a factor must be built from the
         phase key, not from the step that happens to build it: a capped cache
         that refactorizes recurring phases then gives bitwise the uncapped
-        trajectory. With one slot every phase but the first takes the spare."""
+        trajectory. With one slot every phase but the first is refactorized
+        each time it recurs."""
         grid, eps = Grid1D.make(32), 0.25
         gen = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
@@ -453,7 +454,6 @@ class TestEnsembleStepper:
             assert a.base is block and a.T.__array_interface__ == block[i].__array_interface__
             assert np.shares_memory(factor.matrix, block[i])
             assert not np.shares_memory(factor.matrix, np.delete(block, i, axis=0))
-        assert "_spare" not in vars(stepper)
 
     def test_one_phase_without_potential_takes_one_slot(self, grid, frac_gen):
         stepper = ThetaStepper(Effective(UNIT), SimConfig(grid=grid, alpha=ALPHA, T=0.5),
@@ -461,27 +461,6 @@ class TestEnsembleStepper:
         factor = stepper._factors_at(0)
         assert stepper._block.shape == (1, grid.n, grid.n)
         assert np.shares_memory(factor.matrix, stepper._block)
-
-    def test_phases_beyond_the_cap_share_one_spare(self, grid, frac_gen, monkeypatch):
-        """Room for three of eight phases: slots 0-2 of a (3, n, n) block hold
-        the first three, and every other factorization, first or repeated,
-        is written into the one spare array."""
-        eps = 0.25
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
-        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
-        filled = self.filled_slots(monkeypatch)
-        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
-            stepper = ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
-        u = np.ones((grid.n, 1), dtype=complex)
-        for k in range(16):
-            u = stepper.step(u, k, np.zeros(1))
-        block, spare = stepper._block, stepper._spare
-        assert block.shape == (3, grid.n, grid.n) and spare.shape == (grid.n, grid.n)
-        assert len(filled) == stepper.misses == 13
-        for i, a in enumerate(filled[:3]):
-            assert np.shares_memory(a, block[i]) and not np.shares_memory(a, spare)
-        for a in filled[3:]:
-            assert a.base is spare and not np.shares_memory(a, block)
 
     def test_failed_factorization_is_wrapped_once(self, grid, frac_gen, monkeypatch):
         def singular(*args, **kwargs):
@@ -960,21 +939,6 @@ class TestRowBlockImplicitFill:
         return ThetaStepper(system, cfg, dt or cls.DT, 8, generator=g_mat)
 
     @staticmethod
-    def case(kind, n):
-        """(G, system, V) of one kind of generator at n nodes."""
-        g = Grid1D.make(n)
-        if kind == "effective":
-            g_mat = assemble_effective_generator(EffectiveCoefficients.from_values(1.1, 0.3, -0.2),
-                                                 g, ALPHA)
-            return g_mat, Effective(UNIT), get_v("zero")
-        if kind == "heterogeneous":
-            g_mat = assemble_heterogeneous_generator(
-                g, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
-            return g_mat, Heterogeneous(0.25), get_v("cos2pi_y_times_cos2pi_tau")
-        # the zero-pivot generator: theta dt = 1/64 cancels the identity
-        return 64j * np.eye(n), Effective(UNIT), get_v("zero")
-
-    @staticmethod
     def implicit_matrix(stepper, monkeypatch):
         def capture(a, **_):
             raise Captured(a.copy(order="K"))
@@ -1000,28 +964,22 @@ class TestRowBlockImplicitFill:
     @pytest.mark.parametrize("n", [5, 37, 64, 257])
     @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
     def test_matches_whole_array_fill_bitwise(self, n, kind, monkeypatch):
-        g_mat, system, v_spec = self.case(kind, n)
+        g = Grid1D.make(n)
+        if kind == "effective":
+            g_mat = assemble_effective_generator(EffectiveCoefficients.from_values(1.1, 0.3, -0.2),
+                                                 g, ALPHA)
+            system, v_spec = Effective(UNIT), get_v("zero")
+        elif kind == "heterogeneous":
+            g_mat = assemble_heterogeneous_generator(
+                g, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
+            system, v_spec = Heterogeneous(0.25), get_v("cos2pi_y_times_cos2pi_tau")
+        else:
+            # the zero-pivot generator: theta dt = 1/64 cancels the identity
+            g_mat, system, v_spec = 64j * np.eye(n), Effective(UNIT), get_v("zero")
         stepper = self.stepper(g_mat, system, v_spec)
         got = self.implicit_matrix(stepper, monkeypatch)
         assert got.flags.f_contiguous
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
-
-    # all but n = 64 end in a partial block of rows
-    @pytest.mark.parametrize("n", [5, 37, 64, 257])
-    @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
-    def test_symmetric_fill_is_the_row_block_fill_bitwise(self, n, kind, monkeypatch):
-        """A symmetric G fills the slot by one contiguous product, which must
-        equal the row-block fill byte for byte (signed zeros included). G_eff
-        at Xi_2 != 0 is not symmetric, so that kind uses its symmetric part."""
-        g_mat, system, v_spec = self.case(kind, n)
-        g_sym = 0.5 * (g_mat + g_mat.T)
-        assert kind == "effective" or np.array_equal(g_sym, g_mat)
-        contiguous, row_block = (self.stepper(g_sym, system, v_spec) for _ in range(2))
-        assert contiguous._ldl_lwork is not None
-        row_block._ldl_lwork = None  # the fill of a non-symmetric G
-        got = self.implicit_matrix(contiguous, monkeypatch)
-        assert got.tobytes() == self.implicit_matrix(row_block, monkeypatch).tobytes()
-        assert got.tobytes() == self.whole_array_fill(g_sym, contiguous).tobytes()
 
     def test_nan_in_last_partial_block(self):
         n = 100
