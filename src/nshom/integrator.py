@@ -22,8 +22,9 @@ with no product by H, since
 I - i(1-theta)dt H = (1/theta) I - ((1-theta)/theta)(I + i theta dt H) gives
 u_{n+1} = (I + i theta dt H_n)^{-1}[u_n/theta - i g(u_n) dW_n - i f(t_n) dt]
 - ((1-theta)/theta) u_n; rounding in that subtraction grows like 1/theta.
-The solve (``lu_solve``) is two level-2 triangular solves for one column and
-one LAPACK ``zgetrs`` call for more.
+The solve (``lu_solve``) is, for an LU factor, two level-2 triangular solves
+per column for up to TRSV_MAX_COLUMNS columns and one LAPACK ``zgetrs`` call
+for more.
 
 The factor kind: the generator of the symmetric jump kernel is real
 symmetric (G_eff too when Theta is constant), so the implicit matrix is then
@@ -49,10 +50,16 @@ warned about, since then most steps refactorize.
 The cached factors live in one C-order (K, n, n) complex block per stepper,
 allocated at its first factorization: K is the smaller of the number of
 distinct phase keys and the cache capacity, and 1 without a potential. The
-implicit matrix of the i-th distinct key is written into slot i, as the
-slot's F-order transpose, and factorized there in place, so the cached
-factors of a run take one allocation. A phase that gets no slot is
-refactorized in a fresh (n, n) array each time.
+implicit matrix A of the i-th distinct key is written into slot i row by
+row, in one contiguous pass over the row-major generator, and factorized
+there in place, so the cached factors of a run take one allocation. LAPACK
+reads the slot as its F-order view, which is A^T. So LU factorizes A^T,
+P A^T = L U, whose row interchanges are column interchanges of A, and every
+LU solve is the transposed one, A x = U^T L^T P x = b. L D L^T factorizes
+the same view, which is A itself, since it is taken only for a symmetric A.
+Hence ``lu_solve(lu_factor(a), b)`` solves a x = b for a C-order a, of
+either kind. A phase that gets no slot is refactorized in a fresh (n, n)
+array each time.
 
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
@@ -80,9 +87,9 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
-# rows of the implicit matrix written, or of the generator compared with its
-# transpose, per block: the block reads 64 contiguous rows of the row-major
-# generator (1 MiB at n = 2048)
+# rows of the generator that the symmetry scan compares with its columns per
+# block: the block reads 64 contiguous rows of the row-major generator
+# (1 MiB at n = 2048)
 FILL_ROWS = 64
 # the most state columns factorized by L D L^T; zsytrs solves by one rank-1
 # update per column of L, so the two kinds tie at 8 columns and zgetrs'
@@ -91,6 +98,13 @@ FILL_ROWS = 64
 # zgetrf runs in parallel and zsytrf does not, and LU wins from n = 512 on
 # (n = 1024, 4 columns: zsytrs 3.10 ms against zgetrs 2.32 ms)
 LDL_MAX_COLUMNS = 4
+# the most state columns an LU factor solves one column at a time, by two
+# level-2 triangular solves (ztrsv) that read the factor once per column,
+# where zgetrs' level-3 ztrsm packs it on every call. At one BLAS thread two
+# columns took 0.07-0.11 ms by ztrsv against 0.10-0.15 ms by zgetrs at
+# n = 256, and were within 9 % either way at n = 1024 and 2048; three
+# columns by ztrsv lost by 14-32 % from n = 512 on
+TRSV_MAX_COLUMNS = 2
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -239,12 +253,12 @@ class SimResult:
 
 
 class Factor(NamedTuple):
-    """A factorization of the implicit matrix (kinds: module docstring): LU
-    (``zgetrf``; L and U in ``matrix``, 0-based row swaps in ``piv``) or, if
-    ``symmetric``, L D L^T (``zsytrf``; L and D's 1 x 1 and 2 x 2 blocks in the
-    lower triangle of ``matrix``, LAPACK's 1-based ``piv``, negative for a 2 x 2
-    block). ``info`` = i > 0 when U(i, i) or D(i, i) is the first exactly zero
-    pivot (1-based), else 0."""
+    """A factorization of the implicit matrix (kinds and layout: module
+    docstring): LU of its transpose (``zgetrf``; L and U in ``matrix``,
+    0-based row swaps in ``piv``) or, if ``symmetric``, L D L^T (``zsytrf``;
+    L and D's 1 x 1 and 2 x 2 blocks in the lower triangle of ``matrix``,
+    LAPACK's 1-based ``piv``, negative for a 2 x 2 block). ``info`` = i > 0
+    when U(i, i) or D(i, i) is the first exactly zero pivot (1-based), else 0."""
 
     matrix: np.ndarray
     piv: np.ndarray
@@ -253,36 +267,40 @@ class Factor(NamedTuple):
 
 
 def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> Factor:
-    """Factorize the column-major complex ``a`` in place, by LU with partial
-    pivoting (``zgetrf``, as scipy's ``lu_factor``) or, given ``zsytrf``'s
-    workspace size ``ldl_lwork``, as L D L^T of its lower triangle, which must
-    be that of a complex symmetric matrix. A zero pivot is left in ``info``."""
+    """Factorize the complex ``a`` for ``lu_solve``, in place when ``a`` is
+    C-order (layout: module docstring): its F-order view ``a.T`` by LU with
+    partial pivoting (``zgetrf``, as scipy's ``lu_factor`` of ``a.T``) or,
+    given ``zsytrf``'s workspace size ``ldl_lwork``, as L D L^T of that
+    view's lower triangle, which must be that of a complex symmetric matrix.
+    A zero pivot is left in ``info``."""
     if ldl_lwork is None:
-        matrix, piv, info = zgetrf(a, overwrite_a=1)
+        matrix, piv, info = zgetrf(a.T, overwrite_a=1)
     else:
-        matrix, piv, info = zsytrf(a, lower=1, lwork=ldl_lwork, overwrite_a=1)
+        matrix, piv, info = zsytrf(a.T, lower=1, lwork=ldl_lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"factorization: illegal value in argument {-info}")
     return Factor(matrix, piv, info, ldl_lwork is not None)
 
 
 def lu_solve(factor: Factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for an (n, P) complex right-hand side, given the
-    ``lu_factor`` of A, which must have no zero pivot; ``rhs`` is not modified.
-    L D L^T takes one LAPACK ``zsytrs``. LU takes, for one column, two level-2
-    triangular solves (``ztrsv``), which read the factor once, where
-    ``zgetrs``' level-3 ``ztrsm`` packs it on every call and takes about twice
-    as long; for P > 1 it takes one direct ``zgetrs``, whose blocking pays off
-    from a few columns on (two at n = 2048, four at n = 512), without the
-    per-call argument checks of scipy's ``lu_solve``."""
+    """Solve a x = rhs for an (n, P) complex right-hand side, given
+    ``lu_factor(a)``, which must have no zero pivot; ``rhs`` is not modified.
+    L D L^T takes one LAPACK ``zsytrs``. LU, a factor of a^T, takes the
+    transposed solve (module docstring). For up to TRSV_MAX_COLUMNS columns
+    it takes the steps of ``zgetrs`` column by column: two level-2 triangular
+    solves (``ztrsv``) with U^T and the unit L^T, then the row interchanges in
+    reverse order (``zlaswp``). For more it takes one direct ``zgetrs``,
+    without the per-call argument checks of scipy's ``lu_solve``."""
     if factor.symmetric:
         x, info = zsytrs(factor.matrix, factor.piv, rhs, lower=1)
-    elif rhs.shape[1] != 1:
-        x, info = zgetrs(factor.matrix, factor.piv, rhs)
+    elif rhs.shape[1] > TRSV_MAX_COLUMNS:
+        x, info = zgetrs(factor.matrix, factor.piv, rhs, trans=1)
     else:
-        x = zlaswp(np.array(rhs, dtype=complex, order="F"), factor.piv, overwrite_a=True)[:, 0]
-        x = ztrsv(factor.matrix, x, lower=1, diag=1, overwrite_x=1)
-        return ztrsv(factor.matrix, x, overwrite_x=1)[:, None]
+        lu, x = factor.matrix, np.array(rhs, dtype=complex, order="F")
+        for column in x.T:  # contiguous, so each ztrsv writes it in place
+            ztrsv(lu, column, trans=1, overwrite_x=1)
+            ztrsv(lu, column, lower=1, trans=1, diag=1, overwrite_x=1)
+        return zlaswp(x, factor.piv, inc=-1, overwrite_a=1)
     if info:  # set only for an illegal argument
         raise ValueError(f"solve: illegal value in argument {-info}")
     return x
@@ -308,9 +326,8 @@ class ThetaStepper:
     tested once, at the first factorization for 2 to LDL_MAX_COLUMNS columns,
     by comparing blocks of FILL_ROWS rows with the matching columns and
     stopping at the first block that differs; a NaN entry differs, so a
-    non-finite G keeps LU. The column-major implicit matrix is written from
-    the row-major generator in blocks of FILL_ROWS rows, so each block reads
-    the generator contiguously.
+    non-finite G keeps LU. The implicit matrix is written into its slot and
+    solved as the module docstring's layout states.
     The scaled generator is checked for finiteness once per stepper, from its
     extremes, and the potential diagonal once per phase; ``hits`` and
     ``misses`` count the cache lookups. A factorization that fails, a
@@ -404,16 +421,12 @@ class ThetaStepper:
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
         v_diag = None if key is None else self._amp * self.cfg.v_spec.sample(self._y_frac, key)
         n, g, scale = self.g_mat.shape[0], self.g_mat, 1j * self.cfg.theta_scheme * self.dt
-        # I + i theta dt (G + diag(v)), written into the C-order slot as its
-        # F-order transpose lhs and factorized there in place; G is only read.
-        # Row blocks of lhs are column blocks of the slot, filled from
-        # contiguous rows of G.
+        # I + i theta dt (G + diag(v)), written row by row into the C-order
+        # slot and factorized there in place; G is only read
         cached = len(self._factors)
-        slot = (self._block[cached] if cached < self._capacity
-                else np.empty((n, n), dtype=complex))
-        for j in range(0, n, FILL_ROWS):
-            np.multiply(g[j:j + FILL_ROWS].T, scale, out=slot[:, j:j + FILL_ROWS])
-        lhs = slot.T
+        lhs = (self._block[cached] if cached < self._capacity
+               else np.empty((n, n), dtype=complex))
+        np.multiply(g, scale, out=lhs)
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + scale * v_diag
         if not np.isfinite(lhs.diagonal()).all():
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
@@ -423,11 +436,15 @@ class ThetaStepper:
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"{where}: implicit factorization failed: {exc}") from exc
         if factor.info:
-            kind, block = ("L D L^T", "D") if factor.symmetric else ("LU", "U")
+            # LU factorizes the transpose, so its row interchanges are column
+            # interchanges of the implicit matrix
+            kind, block, swaps = (("L D L^T", "D", "row") if factor.symmetric
+                                  else ("LU", "U", "column"))
             zero = factor.info - 1
             raise LinearSolveError(f"{where}: implicit matrix is singular, pivot {zero} of "
                                    f"its {kind} factor ({block}[{zero}, {zero}]) is exactly "
-                                   "zero; a position after row interchanges, not a grid node")
+                                   f"zero; a position after {swaps} interchanges, not a "
+                                   "grid node")
         if cached < self._capacity:
             self._factors[key] = factor
         return factor

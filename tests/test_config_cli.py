@@ -624,7 +624,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("entry,cause", [
         (64j, "implicit matrix is singular, pivot 0 of its LU factor (U[0, 0]) is exactly "
-              "zero; a position after row interchanges, not a grid node"),
+              "zero; a position after column interchanges, not a grid node"),
         (np.nan, "implicit matrix is not finite")])
     def test_simulate_singular_implicit_matrix_exit_3(self, tmp_path, capsys, monkeypatch,
                                                        entry, cause):

@@ -211,12 +211,13 @@ class TestEnsemble:
             eps_sweep([0.5, 0.25], 4, rc, prepared=prepared)
 
     def test_singular_implicit_matrix_ends_the_sweep(self, prepared_default):
-        # column 3 of I + i theta dt G_eff is exactly zero, so is U[3, 3]: the
-        # sweep stops with the cause instead of excluding every path as diverged
+        # row 3 of I + i theta dt G_eff is exactly zero, so is column 3 of the
+        # transpose that LU factorizes, and U[3, 3]: the sweep stops with the
+        # cause instead of excluding every path as diverged
         rc, prepared = prepared_default
         dt = rc.resolve_dt(0.5)[0]
         g_eff = prepared.effective_generator.astype(complex)
-        g_eff[:, 3] = 0.0
+        g_eff[3] = 0.0
         g_eff[3, 3] = 1j / (rc.sim.theta_scheme * dt)
         singular = dataclasses.replace(prepared, effective_generator=g_eff)
         with warnings.catch_warnings(record=True) as caught:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import linalg
-from scipy.linalg.lapack import zsytrf, zsytrf_lwork
+from scipy.linalg.lapack import zsytrf, zsytrf_lwork, zsytrs
 
 from nshom import integrator
 from nshom.config import RunConfig
@@ -439,7 +439,7 @@ class TestEnsembleStepper:
     @pytest.mark.parametrize("columns", [1, 2])
     def test_cached_factors_live_in_the_block(self, grid, frac_gen, monkeypatch, columns):
         """Eight phases at dt = eps/8: one C-order (8, n, n) block, the i-th
-        distinct key factorized in place in slot i, as its transpose."""
+        distinct key written into slot i and factorized there in place."""
         eps = 0.25
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         filled = self.filled_slots(monkeypatch)
@@ -451,7 +451,7 @@ class TestEnsembleStepper:
         assert block.shape == (8, grid.n, grid.n) and block.flags.c_contiguous
         assert list(stepper._factors) == stepper._keys[:8] and len(filled) == 8
         for i, (a, factor) in enumerate(zip(filled, stepper._factors.values())):
-            assert a.base is block and a.T.__array_interface__ == block[i].__array_interface__
+            assert a.base is block and a.__array_interface__ == block[i].__array_interface__
             assert np.shares_memory(factor.matrix, block[i])
             assert not np.shares_memory(factor.matrix, np.delete(block, i, axis=0))
 
@@ -655,15 +655,10 @@ class TestLockstep:
                          "TrajectoryBlowup": [("integrator.py", "lockstep")]}
 
 
-def unfused_step(self, u, k, dw):
-    """ThetaStepper.step as written before it was fused, the reference:
-    u/theta - i g(u) dW - i f dt, solved with scipy's lu_solve (the two
-    one-column triangular solves for P = 1, as then), minus
-    ((1-theta)/theta) u, every decision re-made on each call. An L D L^T
-    factor, which scipy's lu_solve cannot take, is solved with
-    integrator.lu_solve on the stepper's own factor, so the glue around the
-    solve is still compared bit for bit."""
-    lu = self._factors_at(k, u.shape[1])
+def reference_step(self, u, k, dw, solve):
+    """ThetaStepper.step as written before it was fused:
+    u/theta - i g(u) dW - i f dt, solved by ``solve``, minus
+    ((1-theta)/theta) u, every decision re-made on each call."""
     cfg, dt, theta_s = self.cfg, self.dt, self.cfg.theta_scheme
     rhs = u / theta_s
     gu = cfg.noise.apply(u)
@@ -672,10 +667,43 @@ def unfused_step(self, u, k, dw):
     f_vec = cfg.f_spec.sample(k * dt, cfg.grid.nodes)
     if f_vec is not None:
         rhs -= 1j * f_vec[:, None] * dt
-    x = (integrator.lu_solve(lu, rhs)
-         if rhs.shape[1] == 1 or lu.symmetric
-         else linalg.lu_solve((lu.matrix, lu.piv), rhs, check_finite=False))
-    return x - ((1.0 - theta_s) / theta_s) * u
+    return solve(rhs) - ((1.0 - theta_s) / theta_s) * u
+
+
+def unfused_step(self, u, k, dw):
+    """``reference_step`` on the stepper's own factor, the reference for the
+    fused step: solved with scipy's lu_solve of the transposed system for
+    more than TRSV_MAX_COLUMNS columns, as zgetrs is. Up to that many
+    columns, and for an L D L^T factor, which scipy's lu_solve cannot take,
+    it is solved with integrator.lu_solve, so the glue around the solve is
+    still compared bit for bit."""
+    lu = self._factors_at(k, u.shape[1])
+    return reference_step(self, u, k, dw, lambda rhs: (
+        integrator.lu_solve(lu, rhs)
+        if rhs.shape[1] <= integrator.TRSV_MAX_COLUMNS or lu.symmetric
+        else linalg.lu_solve((lu.matrix, lu.piv), rhs, trans=1, check_finite=False)))
+
+
+def column_major_step(self, u, k, dw):
+    """``reference_step`` on the column-major layout that the transposed one
+    replaced, the reference for it: I + i theta dt (G + diag v) of the
+    step's phase key written column-major (``TestImplicitFill.whole_array_fill``)
+    and, for 2 to LDL_MAX_COLUMNS columns of an exactly symmetric G,
+    factorized by ``zsytrf`` of its lower triangle and solved by ``zsytrs``,
+    else factorized by scipy's lu_factor and solved by its lu_solve. Each
+    phase is factorized once, in the stepper's ``column_major`` dict."""
+    key = None if self._keys is None else self._keys[k]
+    solves = self.__dict__.setdefault("column_major", {})
+    if key not in solves:
+        a, g = TestImplicitFill.whole_array_fill(self.g_mat, self, key), self.g_mat
+        if 1 < u.shape[1] <= integrator.LDL_MAX_COLUMNS and np.array_equal(g, g.T):
+            lwork = int(zsytrf_lwork(a.shape[0], lower=1)[0].real)
+            ldl, ipiv, _ = zsytrf(a, lower=1, lwork=lwork)
+            solves[key] = lambda rhs: zsytrs(ldl, ipiv, rhs, lower=1)[0]
+        else:
+            lu = linalg.lu_factor(a)
+            solves[key] = lambda rhs: linalg.lu_solve(lu, rhs)
+    return reference_step(self, u, k, dw, solves[key])
 
 
 EQUIVALENCE_CONFIG = {"alpha": 1.5, "grid": {"n": 32},
@@ -693,8 +721,9 @@ def prepared_by_theta():
 class TestLinearity:
     """With g = sigma u and f = 0 the scheme is linear in u, and doubling is
     exact in binary floating point, so u0 -> 2 u0 doubles the final state bit
-    for bit. The column counts take every solve: ztrsv at 1, zsytrs at 2 and
-    4 for the symmetric G_het, zgetrs at 8 and for the non-symmetric G_eff."""
+    for bit. The column counts take every solve: ztrsv at 1, and at 2 for
+    the non-symmetric G_eff; zsytrs at 2 and 4 for the symmetric G_het;
+    zgetrs at 8, and at 4 for G_eff."""
 
     @pytest.mark.parametrize("columns", [1, 2, 4, 8])
     @pytest.mark.parametrize("system", ["het", "eff"])
@@ -722,8 +751,8 @@ class TestLinearity:
 
 
 class TestFusedStepEquivalence:
-    """coupled_errors through the fused step and zgetrs equals, bit for bit,
-    the same reduction through the unfused step (``unfused_step``)."""
+    """coupled_errors through the fused step equals, bit for bit, the same
+    reduction through the unfused step (``unfused_step``)."""
 
     @staticmethod
     def errors(monkeypatch, prepared_by_theta, seeds, reference, **overrides):
@@ -762,6 +791,44 @@ class TestFusedStepEquivalence:
         assert not np.array_equal(err, unforced)
 
 
+class TestTransposedLayoutEquivalence:
+    """ThetaStepper, which factorizes the transpose of its row-major implicit
+    matrix, against ``column_major_step`` over 16 steps at n = 256: every
+    state within 1e-12 of max|u| where LU is taken (the two factorizations
+    differ in rounding order only; measured at most 3.4e-14 here and 7.0e-14
+    at n = 1024), bit for bit where L D L^T is, since the symmetric matrix
+    is its own transpose."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    @pytest.mark.parametrize("system", ["eff", "het"])
+    def test_states_match_the_column_major_path(self, monkeypatch, system, columns):
+        eps, n_steps = 0.25, 16
+        dt = eps / 8.0
+        cfg = SimConfig(grid=Grid1D.make(256), alpha=ALPHA, T=n_steps * dt,
+                        theta=get_theta("cosine_sum"), noise=NoiseModel("linear", 0.5),
+                        v_spec=get_v("sin2pi_y_one_plus_sin2pi_tau"))
+        sim_system = (Heterogeneous(eps) if system == "het"
+                      else Effective(EffectiveCoefficients.from_values(1.0, 0.3, 0.2)))
+        dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(columns)],
+                      axis=1)
+        u0 = cfg.initial_field()[:, None] * (1.0 + 0.5j * np.arange(columns))
+        runs = []
+        for step in (ThetaStepper.step, column_major_step):
+            monkeypatch.setattr(ThetaStepper, "step", step)
+            stepper = ThetaStepper(sim_system, cfg, dt, n_steps)
+            runs.append([u.copy() for _, (u,), _, _ in lockstep([stepper], u0, dw)])
+        g = stepper.g_mat
+        symmetric = system == "het" and 1 < columns <= integrator.LDL_MAX_COLUMNS
+        assert np.array_equal(g, g.T) == (system == "het")
+        assert len(runs[0]) == n_steps and len(stepper.column_major) == stepper._distinct
+        for new, ref in zip(*runs):
+            if symmetric:
+                assert np.array_equal(new, ref)
+            else:
+                assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not np.array_equal(runs[0][-1], u0)
+
+
 def implicit_lhs(kind: str, n: int) -> np.ndarray:
     """I + i theta dt H at theta dt = 1/128 for the solve tests. H is G_eff,
     or G_het (cosine_product, eps = 1/4) plus its potential diagonal; in
@@ -791,17 +858,19 @@ SOLVE_CASES = [("random", 1), ("random", 2)] + [
 
 
 class TestFactorMatchesScipy:
-    """integrator.lu_factor's LU equals scipy's lu_factor of the same matrix
-    bit for bit, and its info is 1 + the first exactly zero entry of U's
-    diagonal (0 if none), the rule ThetaStepper once applied to U itself. It
-    does not warn where scipy does (the tests turn warnings into errors)."""
+    """integrator.lu_factor(a)'s LU equals scipy's lu_factor of a^T bit for
+    bit, in place for a C-order a, and its info is 1 + the first exactly
+    zero entry of U's diagonal (0 if none), the rule ThetaStepper once
+    applied to U itself. It does not warn where scipy does (the tests turn
+    warnings into errors)."""
 
     @staticmethod
     def check(a: np.ndarray, scipy_factors: tuple) -> Factor:
         scipy_lu, scipy_piv = scipy_factors
-        factor = integrator.lu_factor(np.array(a, dtype=complex, order="F"))
+        filled = np.array(a, dtype=complex, order="C")
+        factor = integrator.lu_factor(filled)
         zeros = np.flatnonzero(scipy_lu.diagonal() == 0)
-        assert not factor.symmetric
+        assert not factor.symmetric and np.shares_memory(factor.matrix, filled)
         assert np.array_equal(factor.matrix, scipy_lu) and np.array_equal(factor.piv, scipy_piv)
         assert factor.info == (1 + zeros[0] if zeros.size else 0)
         return factor
@@ -809,23 +878,30 @@ class TestFactorMatchesScipy:
     @pytest.mark.parametrize("kind,n", SOLVE_CASES)
     def test_solve_cases(self, kind, n):
         a = implicit_lhs(kind, n)
-        assert self.check(a, linalg.lu_factor(a)).info == 0
+        assert self.check(a, linalg.lu_factor(a.T)).info == 0
 
-    # a zero column of A stays zero through the elimination, so U(k, k) = 0
-    @pytest.mark.parametrize("zero_columns", [[0], [3, 5], [7]])
-    def test_zero_pivots(self, zero_columns):
-        rng = np.random.default_rng(zero_columns[0])
+    # a zero row of A is a zero column of A^T, which stays zero through the
+    # elimination, so U(k, k) = 0
+    @pytest.mark.parametrize("zero_rows", [[0], [3, 5], [7]])
+    def test_zero_pivots(self, zero_rows):
+        rng = np.random.default_rng(zero_rows[0])
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        a[:, zero_columns] = 0.0
+        a[zero_rows] = 0.0
         with pytest.warns(linalg.LinAlgWarning, match="exactly zero"):
-            scipy_factors = linalg.lu_factor(a)
-        assert self.check(a, scipy_factors).info == 1 + zero_columns[0]
+            scipy_factors = linalg.lu_factor(a.T)
+        assert self.check(a, scipy_factors).info == 1 + zero_rows[0]
 
 
-class TestOneColumnSolve:
-    """integrator.lu_solve against scipy's lu_solve: two level-2 triangular
-    solves for one column (1e-13 of max|x|, rounding order only), the same
-    LAPACK zgetrs that scipy calls for more (bitwise)."""
+class TestLUSolve:
+    """integrator.lu_solve(integrator.lu_factor(a), b) solves a x = b. Against
+    scipy's lu_solve of the transposed system on the same factor: the
+    per-column level-2 triangular solves up to TRSV_MAX_COLUMNS columns at
+    1e-13 of max|x| (rounding order only), and the same LAPACK zgetrs that
+    scipy calls for more bit for bit."""
+
+    @staticmethod
+    def scipy_solve(lu: Factor, rhs: np.ndarray) -> np.ndarray:
+        return linalg.lu_solve((lu.matrix, lu.piv), rhs, trans=1)
 
     @pytest.mark.parametrize("kind,n", SOLVE_CASES)
     def test_one_column_matches_scipy(self, kind, n):
@@ -834,7 +910,7 @@ class TestOneColumnSolve:
         rhs = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
         before = rhs.copy()
         x = integrator.lu_solve(lu, rhs)
-        expected = linalg.lu_solve((lu.matrix, lu.piv), rhs)
+        expected = self.scipy_solve(lu, rhs)
         assert x.shape == (n, 1) and x.dtype == complex
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.array_equal(rhs, before)
@@ -842,7 +918,7 @@ class TestOneColumnSolve:
         assert np.array_equal(integrator.lu_solve(lu, rhs), x)
 
     def test_some_case_pivots(self):
-        pivots = [linalg.lu_factor(implicit_lhs(kind, n))[1] for kind, n in SOLVE_CASES]
+        pivots = [integrator.lu_factor(implicit_lhs(kind, n)).piv for kind, n in SOLVE_CASES]
         assert any(np.any(piv != np.arange(len(piv))) for piv in pivots)
 
     def test_noncontiguous_column_slice(self):
@@ -851,20 +927,30 @@ class TestOneColumnSolve:
         block = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         rhs = block[:, 1:2]
         assert not rhs.flags.c_contiguous and not rhs.flags.f_contiguous
-        expected = linalg.lu_solve((lu.matrix, lu.piv), np.ascontiguousarray(rhs))
+        expected = self.scipy_solve(lu, np.ascontiguousarray(rhs))
         x = integrator.lu_solve(lu, rhs)
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.array_equal(block[:, 1:2], rhs)
 
+    # het_pivoting pivots, so the interchanges are undone in reverse order;
+    # eff is not symmetric, so a solve of a^T x = b would not pass
     @pytest.mark.parametrize("kind,n", [("eff", 64), ("het_pivoting", 257)])
-    @pytest.mark.parametrize("columns", [2, 3, 8])
-    def test_several_columns_are_scipys_solve(self, kind, n, columns):
-        lu = integrator.lu_factor(implicit_lhs(kind, n))
+    @pytest.mark.parametrize("columns", [1, 2, 3, 8])
+    def test_solves_a_against_scipys_transposed_solve(self, kind, n, columns):
+        a = implicit_lhs(kind, n)
+        lu = integrator.lu_factor(a.copy())
+        assert kind == "eff" or np.any(lu.piv != np.arange(n))
+        assert kind != "eff" or not np.array_equal(a, a.T)
         rng = np.random.default_rng(columns)
         rhs = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
         before = rhs.copy()
-        assert np.array_equal(integrator.lu_solve(lu, rhs),
-                              linalg.lu_solve((lu.matrix, lu.piv), rhs))
+        x, expected = integrator.lu_solve(lu, rhs), self.scipy_solve(lu, rhs)
+        assert x.shape == (n, columns) and x.dtype == complex
+        if columns > integrator.TRSV_MAX_COLUMNS:
+            assert np.array_equal(x, expected)
+        else:
+            assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(a @ x - rhs)) <= 1e-13 * np.max(np.abs(rhs))
         assert np.array_equal(rhs, before)
 
     def test_simulate_matches_level3_solve(self, monkeypatch):
@@ -876,7 +962,7 @@ class TestOneColumnSolve:
         path = brownian_increments(11, 32, 0.25 / 32)
         res = simulate(Effective(coeffs), cfg, path, store_trajectory=False)
         monkeypatch.setattr(integrator, "lu_solve", lambda lu, rhs: linalg.lu_solve(
-            (lu.matrix, lu.piv), rhs, check_finite=False))
+            (lu.matrix, lu.piv), rhs, trans=1, check_finite=False))
         ref = simulate(Effective(coeffs), cfg, path, store_trajectory=False)
         np.testing.assert_allclose(res.norm2, ref.norm2, rtol=1e-12, atol=0.0)
         assert np.abs(res.norm2[-1] - res.norm2[0]) > 1e-3 * res.norm2[0]
@@ -906,8 +992,8 @@ class TestSingularImplicitMatrix:
         i = index or 0
         assert str(excinfo.value) == (f"effective system, phase None: implicit matrix is "
                                       f"singular, pivot {i} of its LU factor (U[{i}, {i}]) is "
-                                      "exactly zero; a position after row interchanges, not a "
-                                      "grid node")
+                                      "exactly zero; a position after column interchanges, not "
+                                      "a grid node")
         assert solves == []
 
     def test_nonfinite_matrix(self):
@@ -924,10 +1010,10 @@ class Captured(Exception):
     """Carries the implicit matrix handed to the factorization."""
 
 
-class TestRowBlockImplicitFill:
-    """The implicit matrix is written in blocks of FILL_ROWS rows; it must
-    equal the whole-array product. A non-finite entry of G in any block, one
-    on the potential diagonal, and a finite entry whose scaled value
+class TestImplicitFill:
+    """The implicit matrix is written row by row into a C-order slot; it
+    must equal the column-major whole-array product. A non-finite entry of
+    G, one on the potential diagonal, and a finite entry whose scaled value
     overflows each raise "implicit matrix is not finite"."""
 
     DT = 0.25 / 8
@@ -949,18 +1035,20 @@ class TestRowBlockImplicitFill:
         return info.value.args[0]
 
     @staticmethod
-    def whole_array_fill(g_mat, stepper):
+    def whole_array_fill(g_mat, stepper, key=None):
+        """The implicit matrix at phase ``key`` (step 0's by default) for the
+        stepper's potential, written column-major."""
         n, theta_dt = g_mat.shape[0], stepper.cfg.theta_scheme * stepper.dt
         lhs = np.empty((n, n), dtype=complex, order="F")
         np.multiply(g_mat, 1j * theta_dt, out=lhs)
         if stepper._keys is None:
             lhs[np.diag_indices(n)] += 1.0
         else:
-            v = stepper._amp * stepper.cfg.v_spec.sample(stepper._y_frac, stepper._keys[0])
+            key = stepper._keys[0] if key is None else key
+            v = stepper._amp * stepper.cfg.v_spec.sample(stepper._y_frac, key)
             lhs[np.diag_indices(n)] += 1.0 + 1j * theta_dt * v
         return lhs
 
-    # all but n = 64 end in a partial block of rows
     @pytest.mark.parametrize("n", [5, 37, 64, 257])
     @pytest.mark.parametrize("kind", ["effective", "heterogeneous", "complex"])
     def test_matches_whole_array_fill_bitwise(self, n, kind, monkeypatch):
@@ -978,12 +1066,11 @@ class TestRowBlockImplicitFill:
             g_mat, system, v_spec = 64j * np.eye(n), Effective(UNIT), get_v("zero")
         stepper = self.stepper(g_mat, system, v_spec)
         got = self.implicit_matrix(stepper, monkeypatch)
-        assert got.flags.f_contiguous
+        assert got.flags.c_contiguous
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
 
-    def test_nan_in_last_partial_block(self):
+    def test_nan_in_last_row(self):
         n = 100
-        assert n % integrator.FILL_ROWS  # the last block holds rows 64..99
         g_mat = Grid1D.make(n).h * np.eye(n)
         g_mat[n - 1, 3] = np.nan
         with pytest.raises(integrator.LinearSolveError) as excinfo:
@@ -1078,7 +1165,7 @@ class TestFactorKind:
     @staticmethod
     def stepper(g_mat, system=None, v_name="zero"):
         # theta dt = 1/64
-        return TestRowBlockImplicitFill.stepper(g_mat, system or Effective(UNIT), get_v(v_name))
+        return TestImplicitFill.stepper(g_mat, system or Effective(UNIT), get_v(v_name))
 
     @staticmethod
     def recorded(monkeypatch):
@@ -1106,9 +1193,9 @@ class TestFactorKind:
         asym = self.stepper(g_asym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
         lu = asym._factors_at(0, 2)
         assert asym._ldl_lwork is None and not lu.symmetric
-        # the LU path is today's: scipy's lu_factor of the same filled matrix
-        filled = TestRowBlockImplicitFill.whole_array_fill(g_asym, asym)
-        expected = linalg.lu_factor(filled)
+        # the LU path is scipy's lu_factor of the filled matrix's transpose
+        filled = TestImplicitFill.whole_array_fill(g_asym, asym)
+        expected = linalg.lu_factor(filled.T)
         assert calls[1][1] == {"ldl_lwork": None}
         assert np.array_equal(lu.matrix, expected[0]) and np.array_equal(lu.piv, expected[1])
 
@@ -1130,8 +1217,8 @@ class TestFactorKind:
         assert ldl._factors_at(0, limit).symmetric
         factor = lu._factors_at(0, limit + 1)
         assert not factor.symmetric and calls[1][1] == {"ldl_lwork": None}
-        # the LU path is today's: scipy's lu_factor of the same filled matrix
-        expected = linalg.lu_factor(TestRowBlockImplicitFill.whole_array_fill(frac_gen, lu))
+        # the LU path is scipy's lu_factor of the filled matrix's transpose
+        expected = linalg.lu_factor(TestImplicitFill.whole_array_fill(frac_gen, lu).T)
         assert (np.array_equal(factor.matrix, expected[0])
                 and np.array_equal(factor.piv, expected[1]))
 
