@@ -41,9 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
-                     toeplitz_rows, widened)
+                     row_blocks, toeplitz_rows, widened)
 from .cell import CellSolution
 from .presets import VSpec, get_theta
+
+# rows B of one block of G_eff's T0^2 rows and zeta terms (512 KiB at n = 2048)
+EFFECTIVE_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -204,18 +207,18 @@ def restricted_divergence_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
 
 
 def _toeplitz_square_rows(col, row, top, left):
-    """T @ T for T = toeplitz(col, row) in blocks of 32 rows, given the
+    """T @ T for T = toeplitz(col, row) in blocks of B rows, given the
     product's first row and column; yields (row slice, fresh block).
 
     T has displacement rank 2 (Kailath, Kung and Morf 1979): (TT)[i+1, j+1] =
     (TT)[i, j] + T[i+1, 0] T[0, j+1] - T[i, n-1] T[n-1, j]. Each block's
-    (32, 2) @ (2, n) product writes its increments, and row updates sum them
+    (B, 2) @ (2, n) product writes its increments, and row updates sum them
     along the diagonals, carrying only the previous block's last row.
     """
     u, v = np.zeros((col.size, 2)), np.zeros((2, col.size))
     u[1:, 0], u[1:, 1], v[0, 1:], v[1, 1:] = col[1:], -row[:0:-1], row[1:], col[:0:-1]
     prev = None  # the last row of the previous block
-    for b in (slice(s, s + 32) for s in range(0, col.size, 32)):
+    for b in row_blocks(col.size, EFFECTIVE_BLOCK_ROWS):
         out = u[b] @ v
         if b.start == 0:
             out[0] = top
@@ -237,13 +240,13 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     c = (0, 1, n-2, n-1), diagonal entries included. So R Z = -T0^2 / 2 - Z D_z
     + D_z^2 / 2 + D_r Z + E[:, c] Z[c, :]. L is built by
     ``assemble_heterogeneous_generator``, and the rest is added to it in
-    blocks of 32 rows cut from the offset vectors: no dense Z or T0^2.
+    blocks of B rows cut from the offset vectors: no dense Z or T0^2.
 
     Per block: the T0^2 rows of the displacement recurrence, scaled once; the
     zeta terms Z (D_z - diag(Xi_2 mass / 2 + Xi_3)) as one product of T0's
     rows with the scale differences, the -1/2 of Z folded into the scales
     (exact, a power of two) and Z's diagonal, where T0 is 0 and D_z is not,
-    written separately; E[:, c] Z[c, :] by one (32, 4) @ (4, n) product; and
+    written separately; E[:, c] Z[c, :] by one (B, 4) @ (4, n) product; and
     the block of L scaled by Xi_1 while it is in cache. Every entry is the
     same sum of the same roundings as with Z in full.
 
@@ -266,7 +269,7 @@ def assemble_effective_generator(coeffs: EffectiveCoefficients, grid: Grid1D,
     row_scale = col_scale + xi3
     # Z's -1/2 times the scales: -c/2 - (-r/2) is -(c - r)/2 exactly
     col_half, row_half = -0.5 * col_scale, -0.5 * row_scale
-    scratch = np.empty((2, 32, n))  # the zeta terms of one block and a factor of them
+    scratch = np.empty((2, EFFECTIVE_BLOCK_ROWS, n))  # one block's zeta terms and a factor
     for b, block in _toeplitz_square_rows(col, row, top, left):
         rows = np.arange(n)[b]
         k = np.arange(rows.size)

@@ -52,6 +52,7 @@ STRONG_ERROR_DEFINITION = (
 
 MAX_EXCLUDED_FRACTION = 0.2
 RESOLVENT_SHIFT = 1.0  # lam of the corrector diagnostic's resolvents (G + lam)^{-1}
+FIT_FLOOR = 1e-14  # errors at or below it are rounding, too small to fit a slope to
 
 
 class SweepFailure(RuntimeError):
@@ -147,8 +148,7 @@ def coupled_pair_error(eps: float, rc: RunConfig, seed: int,
     return coupled_errors(eps, rc, [seed], prepared)
 
 
-def fit_loglog(eps_list: list[float], errors: list[float],
-               floor: float = 1e-14) -> dict:
+def fit_loglog(eps_list: list[float], errors: list[float]) -> dict:
     """Least-squares slope of log(err) against log(eps); degenerate fits are
     flagged instead of extrapolated."""
     eps_arr = np.asarray(eps_list, dtype=float)
@@ -156,10 +156,10 @@ def fit_loglog(eps_list: list[float], errors: list[float],
     if eps_arr.size < 2:
         return {"slope": None, "intercept": None, "r2": None,
                 "degenerate": True, "reason": "need at least two eps levels"}
-    if np.any(~np.isfinite(err_arr)) or np.any(err_arr <= floor):
+    if np.any(~np.isfinite(err_arr)) or np.any(err_arr <= FIT_FLOOR):
         return {"slope": None, "intercept": None, "r2": None,
                 "degenerate": True,
-                "reason": f"errors at or below the tolerance floor {floor:g}"}
+                "reason": f"errors at or below the tolerance floor {FIT_FLOOR:g}"}
     lx, ly = np.log(eps_arr), np.log(err_arr)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

@@ -42,24 +42,24 @@ system and checks it for divergence in one pass; ``simulate`` is its
 one-column case. The implicit matrix does not depend on the path, so its
 factorization is shared by all columns and cached on the fractional part of
 the sampling time over eps, which cycles when dt / eps is rational (e.g. the
-dt = eps/8 sweep rule). The cache keeps the factors of the first
-LU_CACHE_BYTES // (16 n^2) phases (at least one) and never evicts; a run
-whose phases recur but outnumber it, or whose phase does not cycle, is
-warned about, since then most steps refactorize.
+dt = eps/8 sweep rule). Only a key that recurs in the run is cached: the
+first LU_CACHE_BYTES // (16 n^2) of them (at least one), in order of first
+use, never evicted; a run whose recurring phases outnumber them, or whose
+phase does not cycle, is warned about, since then most steps refactorize.
 
-The cached factors live in one C-order (K, n, n) complex block per stepper,
-allocated at its first factorization: K is the smaller of the number of
-distinct phase keys and the cache capacity, and 1 without a potential. The
-implicit matrix A of the i-th distinct key is written into slot i row by
-row, in one contiguous pass over the row-major generator, and factorized
-there in place, so the cached factors of a run take one allocation. LAPACK
-reads the slot as its F-order view, which is A^T. So LU factorizes A^T,
+The factors live in one C-order (K, n, n) complex block per stepper,
+allocated at its first factorization: a slot per cached key (without a
+potential, every step has the key None) and, if some key is not cached, a
+last, spare slot in which such a key is factorized each time it comes
+round. The implicit matrix A of a key is written into its slot row by row,
+in one contiguous pass over the row-major generator, and factorized there
+in place, so the factors of a run take one allocation. LAPACK reads the
+slot as its F-order view, which is A^T. So LU factorizes A^T,
 P A^T = L U, whose row interchanges are column interchanges of A, and every
 LU solve is the transposed one, A x = U^T L^T P x = b. L D L^T factorizes
 the same view, which is A itself, since it is taken only for a symmetric A.
 Hence ``lu_solve(lu_factor(a), b)`` solves a x = b for a C-order a, of
-either kind. A phase that gets no slot is refactorized in a fresh (n, n)
-array each time.
+either kind.
 
 Brownian increments come from a counter-based generator (Philox) keyed by
 (seed, refinement level), so paths are reproducible and refinable in place:
@@ -70,6 +70,7 @@ parent increment exactly.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -78,7 +79,8 @@ import numpy as np
 from scipy.linalg.blas import ztrsv
 from scipy.linalg.lapack import zgetrf, zgetrs, zlaswp, zsytrf, zsytrf_lwork, zsytrs
 
-from .kernel import Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator
+from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
+                     row_blocks)
 from .effective import EffectiveCoefficients, assemble_effective_generator
 from .presets import FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta, get_v
 
@@ -342,8 +344,7 @@ class ThetaStepper:
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
         self._factors: dict[float | None, Factor] = {}  # phase key -> factor
-        self._capacity = max(1, LU_CACHE_BYTES // (16 * self.g_mat.shape[0] ** 2))
-        self._keys, self._distinct = None, 1
+        self._keys: list[float | None] = [None] * n_steps  # the phase key of each step
         # what every step needs, decided once; numpy divides a complex array
         # by a real scalar as a product with its reciprocal, so u * (1/theta)
         # is u / theta
@@ -358,59 +359,59 @@ class ThetaStepper:
         parts = (g.real, g.imag) if np.iscomplexobj(g) else (g,)
         self._g_finite = all(np.isfinite(theta_s * dt * float(e))
                              for p in parts for e in (p.max(), p.min()))
-        if not isinstance(system, Heterogeneous):
-            self.label = "effective system"
-            return
-        eps = system.epsilon
-        self.label = f"heterogeneous system at eps={eps:g}"
-        if cfg.v_spec.is_zero:
-            return
-        # frozen-coefficient diagonal, sampled at the theta point of the step
-        # (midpoint for theta = 1/2, which keeps second-order accuracy in
-        # time); the Ito left-point rule applies to the noise term only. The
-        # phase t/eps mod 1 is rounded to 12 digits into the key that V is
-        # sampled at, so a phase's factor is the same whichever step builds
-        # it; a phase that rounds to 1 is phase 0 and shares its factor
-        self._keys = [round(((k * dt + theta_s * dt) / eps) % 1.0, 12) % 1.0
-                      for k in range(n_steps)]
-        self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
-        self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
-        self._distinct = distinct = len(set(self._keys))
-        # with dt = eps/k the phase cycles every k steps, however few of
-        # those cycles fit into the run
-        steps_per_period = eps / dt
-        cycles = abs(steps_per_period - round(steps_per_period)) <= 1e-9 * steps_per_period
-        if n_steps >= PHASE_WARNING_MIN_STEPS and 2 * distinct > n_steps and not cycles:
-            warnings.warn(
-                f"{self.label}: the potential phase t/eps does not cycle within the run "
-                f"(dt/eps = {dt / eps:g}), so {distinct} of {n_steps} steps factorize the "
-                "implicit matrix; dt = eps/k with a small integer k reuses the factors")
-        if n_steps > distinct > self._capacity:
-            warnings.warn(
-                f"{self.label}: LU_CACHE_BYTES keeps the factors of {self._capacity} of the "
-                f"{distinct} potential phases, so the others refactorize whenever they recur")
+        eps = system.epsilon if isinstance(system, Heterogeneous) else None
+        self.label = ("effective system" if eps is None
+                      else f"heterogeneous system at eps={eps:g}")
+        if eps is not None and not cfg.v_spec.is_zero:
+            # frozen-coefficient diagonal, sampled at the theta point of the
+            # step (midpoint for theta = 1/2, which keeps second-order accuracy
+            # in time); the Ito left-point rule applies to the noise term only.
+            # The phase t/eps mod 1 is rounded to 12 digits into the key that V
+            # is sampled at, so a phase's factor is the same whichever step
+            # builds it; a phase that rounds to 1 is phase 0 and shares its factor
+            self._keys = [round(((k * dt + theta_s * dt) / eps) % 1.0, 12) % 1.0
+                          for k in range(n_steps)]
+            self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
+            self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
+            distinct = len(set(self._keys))
+            # with dt = eps/k the phase cycles every k steps, however few of
+            # those cycles fit into the run
+            steps_per_period = eps / dt
+            cycles = abs(steps_per_period - round(steps_per_period)) <= 1e-9 * steps_per_period
+            if n_steps >= PHASE_WARNING_MIN_STEPS and 2 * distinct > n_steps and not cycles:
+                warnings.warn(
+                    f"{self.label}: the potential phase t/eps does not cycle within the run "
+                    f"(dt/eps = {dt / eps:g}), so {distinct} of {n_steps} steps factorize the "
+                    "implicit matrix; dt = eps/k with a small integer k reuses the factors")
+        recurring = [key for key, uses in Counter(self._keys).items() if uses > 1]
+        capacity = max(1, LU_CACHE_BYTES // (16 * g.shape[0] ** 2))
+        self._slots = {key: slot for slot, key in enumerate(recurring[:capacity])}
+        if len(recurring) > capacity:
+            warnings.warn(f"{self.label}: LU_CACHE_BYTES keeps the factors of {capacity} of the "
+                          f"{len(recurring)} recurring potential phases, so the others "
+                          "refactorize whenever they recur")
 
     @cached_property
     def _ldl_lwork(self) -> int | None:
         """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
         g, n = self.g_mat, self.g_mat.shape[0]
-        if not all(np.array_equal(g[j:j + FILL_ROWS], g[:, j:j + FILL_ROWS].T)
-                   for j in range(0, n, FILL_ROWS)):
+        if not all(np.array_equal(g[b], g[:, b].T) for b in row_blocks(n, FILL_ROWS)):
             return None
         work, _ = zsytrf_lwork(n, lower=1)
         return int(work.real)
 
     @cached_property
     def _block(self) -> np.ndarray:
-        """The C-order (K, n, n) factor block: K = min(distinct phase keys,
-        cache capacity), each slot the C-order transpose of an F-order factor."""
-        n = self.g_mat.shape[0]
-        return np.empty((min(self._distinct, self._capacity), n, n), dtype=complex)
+        """The C-order (K, n, n) factor block: a slot per recurring key that
+        the cache holds, and a last, spare slot if some key has none; each
+        slot the C-order transpose of an F-order factor."""
+        n, slots = self.g_mat.shape[0], len(self._slots)
+        return np.empty((slots + (slots < len(set(self._keys))), n, n), dtype=complex)
 
     def _factors_at(self, k: int, columns: int = 1) -> Factor:
         """Factors of the implicit matrix of step k for a state of ``columns``
         columns, of the kind the module docstring states."""
-        key = None if self._keys is None else self._keys[k]
+        key = self._keys[k]
         entry = self._factors.get(key)
         if entry is not None:
             self.hits += 1
@@ -421,11 +422,9 @@ class ThetaStepper:
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
         v_diag = None if key is None else self._amp * self.cfg.v_spec.sample(self._y_frac, key)
         n, g, scale = self.g_mat.shape[0], self.g_mat, 1j * self.cfg.theta_scheme * self.dt
-        # I + i theta dt (G + diag(v)), written row by row into the C-order
-        # slot and factorized there in place; G is only read
-        cached = len(self._factors)
-        lhs = (self._block[cached] if cached < self._capacity
-               else np.empty((n, n), dtype=complex))
+        # I + i theta dt (G + diag(v)), written row by row into the key's
+        # C-order slot, or the spare, and factorized there in place; G is only read
+        lhs = self._block[self._slots.get(key, -1)]
         np.multiply(g, scale, out=lhs)
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + scale * v_diag
         if not np.isfinite(lhs.diagonal()).all():
@@ -445,7 +444,7 @@ class ThetaStepper:
                                    f"its {kind} factor ({block}[{zero}, {zero}]) is exactly "
                                    f"zero; a position after {swaps} interchanges, not a "
                                    "grid node")
-        if cached < self._capacity:
+        if key in self._slots:
             self._factors[key] = factor
         return factor
 

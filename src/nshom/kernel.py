@@ -280,10 +280,9 @@ def exterior_weight(x: float | np.ndarray, params: KernelParams,
         edge = 1.0 - margin
         ext = np.zeros(xs.size)
         # Q grows like 1/eps: node blocks bound each (nodes, Q) temporary
-        rows = max(1, EXTERIOR_BLOCK_ENTRIES // t.size)
         for dist, z in ((right.ravel(), edge + t), (left.ravel(), -edge - t)):
             eta_z = np.mod(z / eps, 1.0)
-            for block in (slice(i, i + rows) for i in range(0, xs.size, rows)):
+            for block in row_blocks(xs.size, max(1, EXTERIOR_BLOCK_ENTRIES // t.size)):
                 f = (dist[block, None] + t) ** (-1.0 - alpha)
                 f *= params.theta.sample(y[block], eta_z)
                 f *= w

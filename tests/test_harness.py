@@ -418,7 +418,7 @@ class TestFitAndEstimators:
         assert fit["degenerate"]
 
     def test_fit_degenerate_at_the_floor(self):
-        # errors of 1e-15 are rounding, below the default floor 1e-14
+        # errors of 1e-15 are rounding, below the floor 1e-14
         fit = fit_loglog([0.5, 0.25, 0.125], [1e-15, 1e-15, 1e-15])
         assert fit == {"slope": None, "intercept": None, "r2": None, "degenerate": True,
                        "reason": "errors at or below the tolerance floor 1e-14"}

@@ -3,6 +3,7 @@ under the theta scheme, Ito identity bookkeeping, and self-convergence."""
 
 import ast
 import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -372,7 +373,7 @@ class TestEnsembleStepper:
                      generator=frac_gen)
         assert [str(w.message) for w in caught] == [
             "heterogeneous system at eps=0.25: LU_CACHE_BYTES keeps the factors of 3 of the "
-            "8 potential phases, so the others refactorize whenever they recur"]
+            "8 recurring potential phases, so the others refactorize whenever they recur"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 8, generator=frac_gen)
@@ -461,6 +462,63 @@ class TestEnsembleStepper:
         factor = stepper._factors_at(0)
         assert stepper._block.shape == (1, grid.n, grid.n)
         assert np.shares_memory(factor.matrix, stepper._block)
+
+    def test_phases_that_never_recur_share_one_spare_slot(self, grid, frac_gen):
+        """eps = 0.3 under the default eps_over rule runs 27 steps of
+        dt = 1/27 (eps/dt = 8.1), whose 27 phase keys never recur: one
+        warning says the phase does not cycle, every step factorizes in the
+        one spare slot, nothing is cached, and the run's traced peak stays
+        below three slots."""
+        eps = 0.3
+        dt, n_steps = RunConfig.from_dict({}).resolve_dt(eps)
+        assert (dt, n_steps) == (1.0 / 27, 27)
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning) as caught:
+                stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=frac_gen)
+                u = cfg.initial_field().astype(complex)[:, None]
+                for k in range(n_steps):
+                    u = stepper.step(u, k, np.zeros(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(caught) == 1 and "does not cycle" in str(caught[0].message)
+        assert (stepper.misses, stepper.hits) == (27, 0)
+        assert stepper._slots == {} and stepper._factors == {}
+        assert stepper._block.shape == (1, grid.n, grid.n)
+        assert peak < 3 * 16 * grid.n ** 2
+
+    def test_only_recurring_phases_keep_a_slot(self, grid, frac_gen, monkeypatch):
+        """1.5 periods at dt = eps/8: of the 8 phases of 12 steps the first 4
+        recur. They take slots 0-3 in order of first use and the other 4 the
+        spare slot of a (5, n, n) block, so 8 misses and 4 hits; the
+        trajectory is bitwise that of a cache with one slot."""
+        eps, n_steps = 0.25, 12
+        dt = eps / 8.0
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, noise=NoiseModel("bounded", 0.5),
+                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        dw = brownian_increments(3, n_steps, dt).increments[:, None]
+        u0 = cfg.initial_field().astype(complex)[:, None]
+
+        def run():
+            stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=frac_gen)
+            return stepper, [u.copy() for _, (u,), _, _ in lockstep([stepper], u0, dw)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepper, states = run()
+        keys = stepper._keys
+        assert len(set(keys)) == 8 and keys[8:] == keys[:4]
+        assert list(stepper._slots) == list(stepper._factors) == keys[:4]
+        assert stepper._block.shape == (5, grid.n, grid.n)
+        assert (stepper.misses, stepper.hits) == (8, 4)
+        monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 16 * grid.n ** 2)
+        with pytest.warns(UserWarning, match="keeps the factors of 1 of the 4 recurring"):
+            one_slot, one_slot_states = run()
+        assert one_slot._block.shape == (2, grid.n, grid.n)
+        assert (one_slot.misses, one_slot.hits) == (11, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(states, one_slot_states, strict=True))
 
     def test_failed_factorization_is_wrapped_once(self, grid, frac_gen, monkeypatch):
         def singular(*args, **kwargs):
@@ -692,7 +750,7 @@ def column_major_step(self, u, k, dw):
     factorized by ``zsytrf`` of its lower triangle and solved by ``zsytrs``,
     else factorized by scipy's lu_factor and solved by its lu_solve. Each
     phase is factorized once, in the stepper's ``column_major`` dict."""
-    key = None if self._keys is None else self._keys[k]
+    key = self._keys[k]
     solves = self.__dict__.setdefault("column_major", {})
     if key not in solves:
         a, g = TestImplicitFill.whole_array_fill(self.g_mat, self, key), self.g_mat
@@ -820,7 +878,10 @@ class TestTransposedLayoutEquivalence:
         g = stepper.g_mat
         symmetric = system == "het" and 1 < columns <= integrator.LDL_MAX_COLUMNS
         assert np.array_equal(g, g.T) == (system == "het")
-        assert len(runs[0]) == n_steps and len(stepper.column_major) == stepper._distinct
+        # every phase recurs in 16 steps, so each has a slot: the reference
+        # factorized each phase once, in the order of the slots
+        assert len(runs[0]) == n_steps and list(stepper.column_major) == list(stepper._slots)
+        assert len(stepper._slots) == (8 if system == "het" else 1)
         for new, ref in zip(*runs):
             if symmetric:
                 assert np.array_equal(new, ref)
@@ -1041,10 +1102,11 @@ class TestImplicitFill:
         n, theta_dt = g_mat.shape[0], stepper.cfg.theta_scheme * stepper.dt
         lhs = np.empty((n, n), dtype=complex, order="F")
         np.multiply(g_mat, 1j * theta_dt, out=lhs)
-        if stepper._keys is None:
+        key = stepper._keys[0] if key is None else key
+        if key is None:  # no potential: every step has the key None
+            assert stepper._keys == [None] * len(stepper._keys)
             lhs[np.diag_indices(n)] += 1.0
         else:
-            key = stepper._keys[0] if key is None else key
             v = stepper._amp * stepper.cfg.v_spec.sample(stepper._y_frac, key)
             lhs[np.diag_indices(n)] += 1.0 + 1j * theta_dt * v
         return lhs
