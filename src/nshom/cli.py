@@ -4,8 +4,8 @@ Every subcommand takes ``--config`` and ``--out`` from one parent parser and
 writes into the directory ``_run_dir`` gives: a manifest (resolved config,
 content hash, seeds, timestamps, BLAS thread settings and library versions)
 next to its outputs. JSON outputs are rendered by ``_json`` alone; numeric
-series go to CSV with full-precision scientific notation so serial reruns
-reproduce files bitwise.
+series go to CSV in full-precision scientific notation and seconds only to
+the manifest's ``telemetry``, so serial reruns reproduce the rest bitwise.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 numerical failure.
 """
@@ -31,7 +31,7 @@ from .harness import (STRONG_ERROR_DEFINITION, SweepFailure, SweepReport, check_
                       corrector_residual, eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, TrajectoryBlowup,
                          brownian_increments, simulate)
-from .kernel import KernelParams, PVConvergenceError, assemble_heterogeneous_generator
+from .kernel import KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS, get_theta
 
 OUT_ROOT_ENV = "NSHOM_OUT"
@@ -213,10 +213,10 @@ def _cmd_simulate(args) -> int:
 def _write_sweep_outputs(out: Path, rc: RunConfig, report: SweepReport,
                          telemetry: dict) -> None:
     names = (["eps", "strong_err", "strong_se"]
-             + [f"weak_err_{j + 1}" for j in range(len(PSI_PRESETS))] + ["excluded", "wall_s"])
+             + [f"weak_err_{j + 1}" for j in range(len(PSI_PRESETS))] + ["excluded"])
     _write_csv(out / "sweep.csv", names,
                [report.eps_list, report.strong_err, report.strong_se,
-                *np.transpose(report.weak_err), report.excluded, report.wall_s])
+                *np.transpose(report.weak_err), report.excluded])
     fit = dict(report.fit)
     fit["definition"] = STRONG_ERROR_DEFINITION
     fit["psi"] = [name for name, _ in PSI_PRESETS]
@@ -232,13 +232,21 @@ def _cmd_sweep(args) -> int:
                                  if tok.strip()], args.paths)
     out = _run_dir(args, rc)
 
-    def progress(eps, kept, excluded, wall):
+    marks = [time.perf_counter()]
+
+    def lap() -> float:
+        """Seconds since the previous perf_counter mark, which it adds."""
+        marks.append(time.perf_counter())
+        return marks[-1] - marks[-2]
+
+    def progress(eps, kept, excluded):
+        wall = lap()
+        telemetry["wall_s"].append(wall)
         print(f"  eps={eps:<10g} kept={kept} excluded={excluded} wall={wall:.1f}s",
               flush=True)
 
-    start = time.perf_counter()
     prepared = prepare_experiment(rc)
-    telemetry = {"prepare_s": time.perf_counter() - start,
+    telemetry = {"prepare_s": lap(), "wall_s": [],
                  "cell_residual": prepared.cell_solution.residual}
     try:
         report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)
@@ -247,9 +255,8 @@ def _cmd_sweep(args) -> int:
             _write_sweep_outputs(out, rc, exc.report, telemetry)
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 3
-    start = time.perf_counter()
     corrector = corrector_residual(eps_list, rc, prepared)
-    telemetry["corrector_s"] = time.perf_counter() - start
+    telemetry["corrector_s"] = lap()
     _write_sweep_outputs(out, rc, report, telemetry)
     (out / "corrector.json").write_text(_json(corrector))
     print(f"{'eps':>10} {'strong_err':>14} {'se':>10} {'excluded':>9}")
@@ -373,8 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (TrajectoryBlowup, LinearSolveError, CellSolveError, PVConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    except (TrajectoryBlowup, LinearSolveError, CellSolveError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

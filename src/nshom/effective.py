@@ -45,7 +45,8 @@ from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_
 from .cell import CellSolution
 from .presets import VSpec, get_theta
 
-# rows B of one block of G_eff's T0^2 rows and zeta terms (512 KiB at n = 2048)
+# rows B of one block of G_eff's T0^2 rows and zeta terms (512 KiB at n = 2048);
+# 32 keep the build under the 1.5 n^2 peak of test_allocation_peak_has_no_dense_temporary
 EFFECTIVE_BLOCK_ROWS = 32
 
 

@@ -6,15 +6,15 @@ The strong-error surrogate for one path is the discrete space-time norm
     E_path = dt * h * sum_k sum_i |u_eps(t_k, x_i) - u_eff(t_k, x_i)|^2
 
 (time levels k = 1..N), both systems driven by the same Brownian increments.
-The generator of each eps is assembled once, and ``integrator.lockstep``, the
-loop of ``simulate``, steps both systems over all paths; the sweep's error
-integrals are reduced from its states step by step, so no trajectory is
-stored. The corrector diagnostic steps nothing: one resolvent solve per eps.
-``coupled_errors`` returns the reductions as arrays, one entry per path; a
-sweep reduces them over the paths it kept: mean, Monte Carlo standard error
-(NaN with fewer than 2 kept paths), weak errors against the ``PSI_PRESETS``
-test functions, exclusion counts for diverged paths, and a log-log slope fit
-of the mean strong error against eps (reported as data, not gated).
+``coupled_errors`` does one eps level: it assembles the level's generator
+once, ``integrator.lockstep`` steps both systems over all paths, and the error
+integrals are reduced step by step, one entry per path. The corrector
+diagnostic steps nothing: one resolvent solve per eps. A sweep reduces the
+arrays over the paths it kept: mean, Monte Carlo standard error (NaN with
+fewer than 2 kept paths), weak errors against the ``PSI_PRESETS`` test
+functions, exclusion counts for diverged paths, and a log-log slope fit of
+the mean strong error against eps (reported as data, not gated). The harness
+keeps no clock; the CLI times each level through ``progress``.
 
 Failure policy:
 
@@ -29,7 +29,6 @@ Failure policy:
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -81,7 +80,6 @@ class SweepReport:
     strong_se: list[float]
     weak_err: list[list[float]]  # per eps, per psi
     excluded: list[int]
-    wall_s: list[float]
     fit: dict
     seeds: list[int]
 
@@ -100,33 +98,27 @@ def prepare_experiment(rc: RunConfig) -> PreparedExperiment:
                               effective_generator=geff)
 
 
-def _coupled_steps(eps: float, rc: RunConfig, seeds: list[int],
-                   prepared: PreparedExperiment):
-    """``integrator.lockstep`` of the heterogeneous and the effective system
-    with one column per seed."""
+def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: PreparedExperiment
+                   ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryBlowup | None]]:
+    """Strong and weak error integrals of the coupled paths of ``seeds``, stepped
+    by ``integrator.lockstep`` with one column per seed, as ``(err, weak,
+    reasons)``: ``err`` is (P,), ``weak`` is (P, n_psi) against ``PSI_PRESETS``,
+    and ``reasons[j]`` is the TrajectoryBlowup of a column that diverged (NaN in
+    ``err`` and ``weak``, and warned) or None."""
     cfg = rc.sim
+    grid = cfg.grid
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
-    params = KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps)
-    g_het = assemble_heterogeneous_generator(cfg.grid, params)
+    g_het = assemble_heterogeneous_generator(
+        grid, KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps))
     steppers = [ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
                 ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,
                              generator=prepared.effective_generator)]
-    u0 = np.repeat(cfg.initial_field().astype(complex)[:, None], len(seeds), axis=1)
-    return lockstep(steppers, u0, dw)
-
-
-def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: PreparedExperiment
-                   ) -> tuple[np.ndarray, np.ndarray, list[TrajectoryBlowup | None]]:
-    """Strong and weak error integrals of the coupled paths of ``seeds``, as
-    ``(err, weak, reasons)``: ``err`` is (P,), ``weak`` is (P, n_psi) against
-    ``PSI_PRESETS``, and ``reasons[j]`` is the TrajectoryBlowup of a column
-    that diverged (NaN in ``err`` and ``weak``, and warned) or None."""
-    grid = rc.sim.grid
+    u0 = np.repeat(cfg.initial_field()[:, None], len(seeds), axis=1)
     psi_conj = np.conj(np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS]).T)
     err = np.zeros(len(seeds))
     weak = np.zeros((len(seeds), len(PSI_PRESETS)), dtype=complex)
-    for _, (u_het, u_eff), dead, reasons in _coupled_steps(eps, rc, seeds, prepared):
+    for _, (u_het, u_eff), dead, reasons in lockstep(steppers, u0, dw):
         diff = u_het - u_eff
         err += np.sum(diff.real ** 2 + diff.imag ** 2, axis=0)
         weak += diff.T @ psi_conj
@@ -134,7 +126,7 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: Prepar
     # NaN before scaling: a diverged column may hold inf, and complex inf * scale warns
     err[dead] = np.nan
     weak[dead] = np.nan
-    scale = rc.resolve_dt(eps)[0] * grid.h
+    scale = dt * grid.h
     err *= scale
     weak *= scale
     for j in np.flatnonzero(dead):
@@ -188,7 +180,8 @@ def check_sweep_args(eps_list: list[float], n_paths: int) -> list[float]:
 def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
               prepared: PreparedExperiment | None = None,
               progress=None) -> SweepReport:
-    """Monte Carlo sweep over decreasing eps on coupled paths.
+    """Monte Carlo sweep over decreasing eps on coupled paths; ``progress``, if
+    given, is called as ``progress(eps, kept, excluded)`` after each level.
 
     Raises SweepFailure (with the partial report attached) when any eps level
     excludes more than 20% of its paths, and lets LinearSolveError through.
@@ -198,18 +191,15 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
         prepared = prepare_experiment(rc)
 
     seeds = [rc.seed + i for i in range(n_paths)]
-    strong, ses, weaks, excludeds, walls = [], [], [], [], []
+    strong, ses, weaks, excludeds = [], [], [], []
     failure = None
     for eps in eps_arr:
-        t0 = time.perf_counter()
         err, weak, reasons = coupled_errors(eps, rc, seeds, prepared)
-        wall = time.perf_counter() - t0
         kept = np.array([r is None for r in reasons])
         n_excl = n_paths - int(kept.sum())
         if progress is not None:
-            progress(eps, n_paths - n_excl, n_excl, wall)
+            progress(eps, n_paths - n_excl, n_excl)
         excludeds.append(n_excl)
-        walls.append(wall)
         if kept.any():
             strong.append(float(err[kept].mean()))
             weaks.append([float(np.abs(weak[kept, j].mean())) for j in range(weak.shape[1])])
@@ -223,7 +213,7 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
 
     report = SweepReport(eps_list=eps_arr, n_paths=n_paths, strong_err=strong,
                          strong_se=ses, weak_err=weaks, excluded=excludeds,
-                         wall_s=walls, fit=fit_loglog(eps_arr, strong), seeds=seeds)
+                         fit=fit_loglog(eps_arr, strong), seeds=seeds)
     if failure is not None:
         raise SweepFailure(failure, report=report)
     return report

@@ -512,7 +512,7 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
         raise ValueError(f"path covers {n_steps * path.dt}, config horizon is {cfg.T}")
     stepper = ThetaStepper(system, cfg, path.dt, n_steps, generator)
 
-    u = cfg.initial_field().astype(complex)[:, None]
+    u = cfg.initial_field()[:, None]
     times = np.linspace(0.0, cfg.T, n_steps + 1)
     norm2 = np.empty(n_steps + 1)
     re_mass = np.empty(n_steps + 1)

@@ -41,7 +41,8 @@ from .presets import ThetaSpec, get_theta
 # 2 MiB of float64; n = 256 at eps = 1/16 fits in one block
 EXTERIOR_BLOCK_ENTRIES = 1 << 18
 # rows of one block of the sums that read a Theta sample (the cell
-# right-hand side and Theta's cell mean); 512 KiB of float64 at m = 1024
+# right-hand side and Theta's cell mean); 512 KiB of float64 at m = 1024.
+# It fixes Xi_1's summation order: 16 rows move Xi_1 and the eff run at m = 1024
 THETA_BLOCK_ROWS = 64
 
 

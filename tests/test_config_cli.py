@@ -340,7 +340,8 @@ class TestCliCommands:
 
     def test_coefficients_stdout_constant_theta(self, tmp_path, capsys):
         cfg = self._small_cfg(tmp_path)
-        assert main(["coefficients", "--config", str(cfg)]) == 0
+        assert main(["coefficients", "--config", str(cfg),
+                     "--out", str(tmp_path / "coefficients")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["xi1"] == 1.0
         assert abs(payload["xi2"]) < 1e-8
@@ -423,6 +424,30 @@ class TestCliCommands:
         assert manifest["parameters"]["n_steps"] == 64
         assert manifest["telemetry"] == {"factorizations": 8, "factor_hits": 56}
 
+    @pytest.mark.parametrize("argv, snap_every, steps", [
+        (["--snap-every", "3"], 3, [0, 3, 6]),
+        ([], 2, [0, 2, 4, 6, 8]),  # the default interval n_steps // 4 of 8 steps
+    ])
+    def test_simulate_writes_a_snapshot_every_interval(self, tmp_path, argv, snap_every,
+                                                       steps):
+        cfg = self._small_cfg(tmp_path)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--system", "eff", *argv,
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("snap_*.csv")) == [
+            f"snap_{k:06d}.csv" for k in steps]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["snap_every"] == snap_every
+
+    def test_run_dir_defaults_to_the_out_root_variable(self, tmp_path, monkeypatch):
+        cfg = self._small_cfg(tmp_path)
+        monkeypatch.setenv("NSHOM_OUT", str(tmp_path))
+        assert main(["simulate", "--system", "het", "--eps", "1/4", "--seed", "3",
+                     "--config", str(cfg)]) == 0
+        name = f"simulate-{load_config(str(cfg)).config_hash[:8]}-het-eps0.25-seed3"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", name]
+        assert (tmp_path / name / "manifest.json").exists()
+
     def test_simulate_effective_manifest_records_cell_residual(self, tmp_path):
         cfg = self._small_cfg(tmp_path, theta_preset={"name": "cosine_sum", "params": {}})
         out = tmp_path / "sim"
@@ -438,9 +463,10 @@ class TestCliCommands:
         assert main(["sweep", "--eps", "1/2", "--paths", "2",
                      "--config", str(cfg), "--out", str(out)]) == 0
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
-        assert set(telemetry) == {"cell_residual", "prepare_s", "corrector_s"}
+        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "corrector_s"}
         assert 0.0 <= telemetry["cell_residual"] <= 1e-8
         assert telemetry["prepare_s"] > 0.0
+        assert len(telemetry["wall_s"]) == 1 and telemetry["wall_s"][0] > 0.0
         assert telemetry["corrector_s"] > 0.0
 
     def test_manifest_records_blas_environment(self, tmp_path, monkeypatch):
@@ -527,6 +553,23 @@ class TestCliCommands:
         assert fit["definition"] == STRONG_ERROR_DEFINITION
         assert fit["psi"] == ["poly_bump", "fourier_bump"]
 
+    def test_sweep_outputs_reproduce_byte_for_byte(self, tmp_path):
+        # the seconds of each eps level go to the manifest, not to sweep.csv
+        cfg = self._small_cfg(tmp_path, theta_preset={"name": "cosine_sum", "params": {}},
+                              dt_rule={"kind": "eps_over", "factor": 8,
+                                       "default_dt": 0.0078125})
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main(["sweep", "--eps", "1/2,1/4,1/8", "--paths", "3",
+                         "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("sweep.csv", "fit.json", "corrector.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert (outs[0] / "sweep.csv").read_text().splitlines()[0] == (
+            "eps,strong_err,strong_se,weak_err_1,weak_err_2,excluded")
+        for out in outs:
+            walls = json.loads((out / "manifest.json").read_text())["telemetry"]["wall_s"]
+            assert len(walls) == 3 and all(w > 0.0 for w in walls)
+
     def test_sweep_multi_eps(self, tmp_path):
         cfg = self._small_cfg(tmp_path, dt_rule={"kind": "eps_over", "factor": 8,
                                                  "default_dt": 0.0078125})
@@ -582,10 +625,12 @@ class TestCliCommands:
                          "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert "excluded" in capsys.readouterr().err
-        # the partial report is still written for inspection, with the setup's telemetry
+        # the partial report is still written for inspection, with the seconds
+        # of the set-up and of each eps level that ran
         assert (out / "sweep.csv").exists()
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
-        assert set(telemetry) == {"cell_residual", "prepare_s"}
+        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s"}
+        assert len(telemetry["wall_s"]) == 2 and all(w > 0.0 for w in telemetry["wall_s"])
         assert not (out / "corrector.json").exists()
 
     def test_sweep_failed_factorization_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -68,15 +68,15 @@ class TestCoupledPair:
         assert e1 != e2
         assert 0.2 < e1 / e2 < 5.0
 
-    def test_strong_error_counts_the_imaginary_part(self, monkeypatch):
+    def test_strong_error_counts_the_imaginary_part(self, monkeypatch, prepared_default):
         # one time level whose differences are 2i (purely imaginary) and 3 - 4i
-        rc, eps = make_config(), 0.25
+        (rc, prepared), eps = prepared_default, 0.25
         n = rc.sim.grid.n
         u_het = np.zeros((n, 2), dtype=complex)
         u_het[:, 0], u_het[:, 1] = 2.0j, 3.0 - 4.0j
         steps = [(1, (u_het, np.zeros_like(u_het)), np.zeros(2, dtype=bool), [None, None])]
-        monkeypatch.setattr(harness, "_coupled_steps", lambda *args: iter(steps))
-        err, weak, _ = coupled_errors(eps, rc, [0, 1], None)
+        monkeypatch.setattr(harness, "lockstep", lambda *args: iter(steps))
+        err, weak, _ = coupled_errors(eps, rc, [0, 1], prepared)
         scale = rc.resolve_dt(eps)[0] * rc.sim.grid.h
         assert err == pytest.approx([4.0 * n * scale, 25.0 * n * scale], rel=1e-14)
         for j, (_, fn) in enumerate(PSI_PRESETS):
