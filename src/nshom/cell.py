@@ -291,13 +291,6 @@ def poisson_residual(xi: np.ndarray, v_spec: VSpec, alpha: float, grid: CellGrid
     return float(np.linalg.norm(res) / denom)
 
 
-def form_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
-    """(most negative, smallest mean-zero-subspace, largest) eigenvalues of the form."""
-    vals = np.linalg.eigvalsh(a)
-    return float(vals[0]), float(vals[1]), float(vals[-1])
-
-
-
 # Oracles of ``nshom validate`` and the tests, as in ``kernel``.
 
 def constant_corrector_error(alpha: float, m: int = 64) -> tuple[float, float]:

@@ -178,18 +178,15 @@ def check_sweep_args(eps_list: list[float], n_paths: int) -> list[float]:
 
 
 def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
-              prepared: PreparedExperiment | None = None,
-              progress=None) -> SweepReport:
-    """Monte Carlo sweep over decreasing eps on coupled paths; ``progress``, if
-    given, is called as ``progress(eps, kept, excluded)`` after each level.
+              prepared: PreparedExperiment, progress=None) -> SweepReport:
+    """Monte Carlo sweep over decreasing eps on coupled paths, from the set-up
+    ``prepare_experiment(rc)`` returned; ``progress``, if given, is called as
+    ``progress(eps, kept, excluded)`` after each level.
 
     Raises SweepFailure (with the partial report attached) when any eps level
     excludes more than 20% of its paths, and lets LinearSolveError through.
     """
     eps_arr = check_sweep_args(eps_list, n_paths)
-    if prepared is None:
-        prepared = prepare_experiment(rc)
-
     seeds = [rc.seed + i for i in range(n_paths)]
     strong, ses, weaks, excludeds = [], [], [], []
     failure = None

@@ -89,10 +89,10 @@ BLOWUP_LIMIT = 1e12
 LU_CACHE_BYTES = 1 << 30
 # shorter runs cannot tell a phase that never cycles from a long cycle
 PHASE_WARNING_MIN_STEPS = 16
-# rows of the generator that the symmetry scan compares with its columns per
-# block: the block reads 64 contiguous rows of the row-major generator
+# rows of the generator that ``_ldl_lwork``'s symmetry scan compares with the
+# matching columns per block: 64 contiguous rows of the row-major generator
 # (1 MiB at n = 2048)
-FILL_ROWS = 64
+SYMMETRY_SCAN_ROWS = 64
 # the most state columns factorized by L D L^T; zsytrs solves by one rank-1
 # update per column of L, so the two kinds tie at 8 columns and zgetrs'
 # level-3 solve wins from 16 on (n = 256, 32 columns: 0.94 ms against
@@ -326,8 +326,8 @@ class ThetaStepper:
     the cache rule and in the block slot the module docstring states, and
     each step makes one ``lu_solve`` with P right-hand sides. Symmetry is
     tested once, at the first factorization for 2 to LDL_MAX_COLUMNS columns,
-    by comparing blocks of FILL_ROWS rows with the matching columns and
-    stopping at the first block that differs; a NaN entry differs, so a
+    by comparing blocks of SYMMETRY_SCAN_ROWS rows with the matching columns
+    and stopping at the first block that differs; a NaN entry differs, so a
     non-finite G keeps LU. The implicit matrix is written into its slot and
     solved as the module docstring's layout states.
     The scaled generator is checked for finiteness once per stepper, from its
@@ -395,7 +395,7 @@ class ThetaStepper:
     def _ldl_lwork(self) -> int | None:
         """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
         g, n = self.g_mat, self.g_mat.shape[0]
-        if not all(np.array_equal(g[b], g[:, b].T) for b in row_blocks(n, FILL_ROWS)):
+        if not all(np.array_equal(g[b], g[:, b].T) for b in row_blocks(n, SYMMETRY_SCAN_ROWS)):
             return None
         work, _ = zsytrf_lwork(n, lower=1)
         return int(work.real)

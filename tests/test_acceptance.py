@@ -14,8 +14,8 @@ import time
 import numpy as np
 from scipy import integrate
 
-from nshom.cell import (CellGrid, assemble_cell_form, form_eigenvalues,
-                        poisson_residual, solve_cell_problem, solve_periodic_poisson)
+from nshom.cell import (CellGrid, assemble_cell_form, poisson_residual, solve_cell_problem,
+                        solve_periodic_poisson)
 from nshom.cli import main as cli_main
 from nshom.config import RunConfig
 from nshom.effective import (EffectiveCoefficients, assemble_effective_generator,
@@ -26,6 +26,7 @@ from nshom.integrator import (Effective, Heterogeneous, NoiseModel, SimConfig,
 from nshom.kernel import (Grid1D, KernelParams, assemble_heterogeneous_generator,
                           h_rho_norm_sq, rho)
 from nshom.presets import get_theta, get_v
+from references import form_eigenvalues
 
 ALPHAS = [1.25, 1.5, 1.75]
 UNIT = EffectiveCoefficients.from_values(1.0)

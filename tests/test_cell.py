@@ -12,13 +12,13 @@ from nshom.cell import (
     assemble_cell_rhs,
     apply_periodic_generator,
     fractional_symbol_factor,
-    form_eigenvalues,
     periodic_symbol,
     solve_cell_problem,
     solve_periodic_poisson,
 )
 from nshom.effective import compute_effective_coefficients
 from nshom.presets import ThetaSpec, VSpec, get_theta, get_v
+from references import form_eigenvalues
 
 ALPHA = 1.5
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,6 +470,20 @@ class TestCliCommands:
         assert len(telemetry["wall_s"]) == 1 and telemetry["wall_s"][0] > 0.0
         assert telemetry["corrector_s"] > 0.0
 
+    def test_sweep_telemetry_reads_the_interval_between_marks(self, tmp_path, monkeypatch):
+        # a fake clock at 0, 1, 3, 6, 10: set-up, two levels and the corrector
+        # diagnostic each get the interval since the previous mark, not since the start
+        clock = iter([0.0, 1.0, 3.0, 6.0, 10.0])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        cfg = self._small_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--eps", "1/2,1/4", "--paths", "2",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        assert telemetry["prepare_s"] == 1.0
+        assert telemetry["wall_s"] == [2.0, 3.0]
+        assert telemetry["corrector_s"] == 4.0
+
     def test_manifest_records_blas_environment(self, tmp_path, monkeypatch):
         import scipy
 
@@ -768,6 +783,28 @@ class TestCliCommands:
         mat = np.loadtxt(dump / "fractional_generator.csv", delimiter=",")
         assert mat.shape == (32, 32)
         assert np.max(np.abs(mat - mat.T)) < 1e-12
+
+    def test_validate_dumps_the_generators_bitwise(self, tmp_path, capsys):
+        # %.17e round-trips every double, so the CSVs read back bit for bit
+        from nshom.kernel import KernelParams, assemble_heterogeneous_generator
+        from nshom.presets import get_theta
+
+        cfg = self._small_cfg(tmp_path, grid={"n": 16},
+                              theta_preset={"name": "cosine_sum", "params": {}})
+        dump = tmp_path / "mats"
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v"),
+                     "--dump-matrices", str(dump)]) == 0
+        capsys.readouterr()
+        rc = load_config(str(cfg))
+        expected = {
+            "fractional_generator.csv": assemble_heterogeneous_generator(
+                rc.sim.grid, KernelParams(alpha=rc.sim.alpha, theta=get_theta("one"))),
+            "heterogeneous_generator.csv": assemble_heterogeneous_generator(
+                rc.sim.grid, KernelParams(alpha=rc.sim.alpha, theta=rc.sim.theta, epsilon=0.5)),
+        }
+        assert not np.array_equal(*expected.values())
+        for name, mat in expected.items():
+            assert np.array_equal(np.loadtxt(dump / name, delimiter=","), mat), name
 
     CLOSED_FORM_ROWS = ("L (1-x^2)^(alpha/2) vs Getoor closed form", "zeta(1-x^2) vs closed form")
 

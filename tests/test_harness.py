@@ -13,6 +13,7 @@ import pytest
 from nshom import cell, effective, harness, integrator, kernel
 from nshom.config import RunConfig
 from nshom.harness import (
+    FIT_FLOOR,
     SweepFailure,
     corrector_residual,
     coupled_errors,
@@ -115,7 +116,7 @@ class TestSweep:
 
     def test_degenerate_fit_flagged_for_identical_generators(self):
         rc = make_config(v_preset="zero", g={"kind": "zero", "sigma": 0.0})
-        report = eps_sweep([0.5, 0.25], 2, rc)
+        report = eps_sweep([0.5, 0.25], 2, rc, prepare_experiment(rc))
         assert report.fit["degenerate"]
         assert "floor" in report.fit["reason"]
 
@@ -131,21 +132,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("eps_list", [[float("nan")], [0.5, -0.25], [float("inf"), 0.5],
                                           [0.5, 0.0]])
-    def test_eps_levels_must_be_finite_positive_before_setup(self, eps_list, monkeypatch):
-        def no_setup(rc):
-            raise AssertionError("prepare_experiment ran before the eps levels were checked")
-
-        monkeypatch.setattr(harness, "prepare_experiment", no_setup)
+    def test_eps_levels_must_be_finite_positive_before_setup(self, eps_list, prepared_default):
+        # the CLI checks the levels before its set-up
+        # (test_sweep_rejects_bad_arguments_before_setup); here before the first level
+        rc, prepared = prepared_default
         with pytest.raises(ValueError, match="finite and positive"):
-            eps_sweep(eps_list, 2, make_config())
+            eps_sweep(eps_list, 2, rc, prepared)
 
     def test_excluded_path_policy_fails_sweep(self):
         # strong linear noise at a coarse fixed step blows up every path
         rc = make_config(g={"kind": "linear", "sigma": 200.0},
                          dt_rule={"kind": "fixed", "dt": 1.0 / 32.0})
+        prepared = prepare_experiment(rc)
         with pytest.warns(UserWarning, match="diverged"):
             with pytest.raises(SweepFailure) as excinfo:
-                eps_sweep([0.5, 0.25], 2, rc)
+                eps_sweep([0.5, 0.25], 2, rc, prepared)
         report = excinfo.value.report
         assert report is not None
         assert list(report.excluded) == [2, 2]
@@ -156,9 +157,10 @@ class TestSweep:
                                   "cell": {"m": 16, "m_tau": 2, "n_images": 2},
                                   "g": {"kind": "linear", "sigma": 17.0},
                                   "dt_rule": {"kind": "fixed", "dt": 1.0 / 32.0}})
+        prepared = prepare_experiment(rc)
         with pytest.warns(UserWarning, match="diverged"):
             with pytest.raises(SweepFailure) as excinfo:
-                eps_sweep([0.5, 0.25], 2, rc)
+                eps_sweep([0.5, 0.25], 2, rc, prepared)
         report = excinfo.value.report
         assert report.excluded == [1, 1]
         assert all(type(x) is int for x in report.excluded)
@@ -250,6 +252,28 @@ class TestEnsemble:
         kept = [0, 2]
         assert np.array_equal(err[kept], base_err[kept])
         assert np.array_equal(weak[kept], base_weak[kept])
+
+    def test_one_excluded_path_of_five_is_within_the_limit(self, prepared_default,
+                                                           monkeypatch):
+        # 1/5 is exactly the 20 % limit, and 0.2 * 5 == 1.0 in binary floating point
+        rc, prepared = prepared_default
+        seeds = [rc.seed + i for i in range(5)]
+        base_err, _, _ = coupled_errors(0.25, rc, seeds, prepared)
+        real_increments = harness.brownian_increments
+
+        def huge_for_second_seed(seed, n_steps, dt):
+            path = real_increments(seed, n_steps, dt)
+            if seed == rc.seed + 1:
+                path.increments = path.increments * 1e20
+            return path
+
+        monkeypatch.setattr(harness, "brownian_increments", huge_for_second_seed)
+        with pytest.warns(UserWarning, match="diverged"):
+            report = eps_sweep([0.25], 5, rc, prepared)
+        assert report.excluded == [1]
+        kept = base_err[[0, 2, 3, 4]]
+        assert report.strong_err == [float(kept.mean())]
+        assert report.strong_se == [monte_carlo_se(kept)]
 
 
 def perfbench_module(name, monkeypatch):
@@ -361,7 +385,7 @@ def test_perfbench_tracer_sees_the_sweep_counts():
     tracer = perfbench_tracer()
     tracer.install_nshom()
     try:
-        harness.eps_sweep(eps_list, n_paths, rc)
+        harness.eps_sweep(eps_list, n_paths, rc, harness.prepare_experiment(rc))
     finally:
         tracer.restore()
     n_steps = [rc.resolve_dt(eps)[1] for eps in eps_list]
@@ -420,6 +444,12 @@ class TestFitAndEstimators:
     def test_fit_degenerate_at_the_floor(self):
         # errors of 1e-15 are rounding, below the floor 1e-14
         fit = fit_loglog([0.5, 0.25, 0.125], [1e-15, 1e-15, 1e-15])
+        assert fit == {"slope": None, "intercept": None, "r2": None, "degenerate": True,
+                       "reason": "errors at or below the tolerance floor 1e-14"}
+
+    def test_fit_degenerate_with_one_error_at_the_floor(self):
+        # an error exactly at the floor is rounding too
+        fit = fit_loglog([0.5, 0.25], [FIT_FLOOR, 1e-3])
         assert fit == {"slope": None, "intercept": None, "r2": None, "degenerate": True,
                        "reason": "errors at or below the tolerance floor 1e-14"}
 

@@ -1243,7 +1243,7 @@ class TestFactorKind:
 
     def test_asymmetric_entry_in_last_partial_block_takes_lu(self, monkeypatch):
         n = 100
-        assert n % integrator.FILL_ROWS  # the last block holds rows 64..99
+        assert n % integrator.SYMMETRY_SCAN_ROWS  # the last block holds rows 64..99
         g_sym = assemble_heterogeneous_generator(
             Grid1D.make(n), KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
         assert np.array_equal(g_sym, g_sym.T)

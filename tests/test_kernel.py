@@ -17,16 +17,15 @@ from nshom.cell import CellGrid
 from nshom.kernel import (
     Grid1D,
     KernelParams,
-    PVConvergenceError,
     assemble_heterogeneous_generator,
     dstar_apply,
     exterior_weight,
     gamma,
     h_rho_norm_sq,
-    pv_oracle,
     rho,
 )
 from nshom.presets import ThetaSpec, get_theta
+from references import PVConvergenceError, pv_oracle
 
 ALPHAS = [1.25, 1.5, 1.75]
 
