@@ -251,8 +251,7 @@ def _cmd_sweep(args) -> int:
     try:
         report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)
     except SweepFailure as exc:
-        if exc.report is not None:
-            _write_sweep_outputs(out, rc, exc.report, telemetry)
+        _write_sweep_outputs(out, rc, exc.report, telemetry)
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 3
     corrector = corrector_residual(eps_list, rc, prepared)

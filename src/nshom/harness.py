@@ -39,8 +39,7 @@ from .config import RunConfig
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 # simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
-from .integrator import (Effective, Heterogeneous, ThetaStepper, TrajectoryBlowup,
-                         brownian_increments, lockstep, simulate)
+from .integrator import ThetaStepper, TrajectoryBlowup, brownian_increments, lockstep, simulate
 from .kernel import KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS
 
@@ -55,9 +54,10 @@ FIT_FLOOR = 1e-14  # errors at or below it are rounding, too small to fit a slop
 
 
 class SweepFailure(RuntimeError):
-    """Raised when an eps level loses more than the allowed fraction of paths."""
+    """Raised when an eps level loses more than the allowed fraction of paths;
+    ``report`` holds every level of the sweep."""
 
-    def __init__(self, message: str, report: "SweepReport | None" = None):
+    def __init__(self, message: str, report: "SweepReport"):
         super().__init__(message)
         self.report = report
 
@@ -111,9 +111,8 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: Prepar
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
     g_het = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps))
-    steppers = [ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=g_het),
-                ThetaStepper(Effective(prepared.coefficients), cfg, dt, n_steps,
-                             generator=prepared.effective_generator)]
+    steppers = [ThetaStepper(g_het, cfg, dt, n_steps, eps),
+                ThetaStepper(prepared.effective_generator, cfg, dt, n_steps)]
     u0 = np.repeat(cfg.initial_field()[:, None], len(seeds), axis=1)
     psi_conj = np.conj(np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS]).T)
     err = np.zeros(len(seeds))

@@ -39,13 +39,17 @@ not exactly symmetric. A phase keeps the kind it was first factorized with.
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
 system and checks it for divergence in one pass; ``simulate`` is its
-one-column case. The implicit matrix does not depend on the path, so its
-factorization is shared by all columns and cached on the fractional part of
-the sampling time over eps, which cycles when dt / eps is rational (e.g. the
-dt = eps/8 sweep rule). Only a key that recurs in the run is cached: the
-first LU_CACHE_BYTES // (16 n^2) of them (at least one), in order of first
-use, never evicted; a run whose recurring phases outnumber them, or whose
-phase does not cycle, is warned about, since then most steps refactorize.
+one-column case. A stepper is given a generator matrix, the config, dt, the
+step count, and eps for a heterogeneous system only; it assembles nothing.
+``simulate`` is the one place that turns a ``Heterogeneous`` or ``Effective``
+system into that matrix and eps. The implicit matrix does not depend on the
+path, so its factorization is shared by all columns and cached on the
+fractional part of the sampling time over eps, which cycles when dt / eps is
+rational (e.g. the dt = eps/8 sweep rule). Only a key that recurs in the run
+is cached: the first LU_CACHE_BYTES // (16 n^2) of them (at least one), in
+order of first use, never evicted; a run whose recurring phases outnumber
+them, or whose phase does not cycle, is warned about, since then most steps
+refactorize.
 
 The factors live in one C-order (K, n, n) complex block per stepper,
 allocated at its first factorization: a slot per cached key (without a
@@ -321,10 +325,16 @@ class ThetaStepper:
     """Theta-scheme steps of one system for an ensemble of paths held as the
     columns of an (n, P) complex array.
 
-    The implicit matrix depends on the system, dt and the potential's phase,
-    never on the path, so each phase is factorized once, of the kind, under
-    the cache rule and in the block slot the module docstring states, and
-    each step makes one ``lu_solve`` with P right-hand sides. Symmetry is
+    Its inputs: the (n, n) ``generator`` it steps, the config ``cfg``, the
+    step ``dt``, the step count ``n_steps``, and ``eps`` for a heterogeneous
+    system only, where it keys the potential's phase t/eps mod 1 and names
+    the system in errors and warnings; without ``eps`` the potential is not
+    applied and the system is named the effective one.
+
+    The implicit matrix depends on the generator, dt and the potential's
+    phase, never on the path, so each phase is factorized once, of the kind,
+    under the cache rule and in the block slot the module docstring states,
+    and each step makes one ``lu_solve`` with P right-hand sides. Symmetry is
     tested once, at the first factorization for 2 to LDL_MAX_COLUMNS columns,
     by comparing blocks of SYMMETRY_SCAN_ROWS rows with the matching columns
     and stopping at the first block that differs; a NaN entry differs, so a
@@ -337,10 +347,9 @@ class ThetaStepper:
     first factorization that meets it.
     """
 
-    def __init__(self, system: Heterogeneous | Effective, cfg: SimConfig, dt: float,
-                 n_steps: int, generator: np.ndarray | None = None):
-        self.g_mat = (_build_generator(system, cfg) if generator is None
-                      else np.asarray(generator))
+    def __init__(self, generator: np.ndarray, cfg: SimConfig, dt: float, n_steps: int,
+                 eps: float | None = None):
+        self.g_mat = np.asarray(generator)
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
         self._factors: dict[float | None, Factor] = {}  # phase key -> factor
@@ -359,7 +368,6 @@ class ThetaStepper:
         parts = (g.real, g.imag) if np.iscomplexobj(g) else (g,)
         self._g_finite = all(np.isfinite(theta_s * dt * float(e))
                              for p in parts for e in (p.max(), p.min()))
-        eps = system.epsilon if isinstance(system, Heterogeneous) else None
         self.label = ("effective system" if eps is None
                       else f"heterogeneous system at eps={eps:g}")
         if eps is not None and not cfg.v_spec.is_zero:
@@ -498,7 +506,9 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
 
     The (n_steps + 1) x n trajectory is stored only with ``store_trajectory``.
 
-    This is the one-column case of ``lockstep``. The heterogeneous system
+    This is the one-column case of ``lockstep``. The system gives the
+    stepper's eps (``Heterogeneous``) or none (``Effective``), and its
+    generator unless ``generator`` is passed. The heterogeneous system
     applies the eps^{(1-alpha)/2} potential amplification exactly as written
     (the factor grows as eps -> 0). Divergence raises the TrajectoryBlowup of
     ``lockstep``, which names the failing step and the system.
@@ -510,7 +520,10 @@ def simulate(system: Heterogeneous | Effective, cfg: SimConfig, path: BrownianPa
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if abs(n_steps * path.dt - cfg.T) > 1e-10 * max(1.0, cfg.T):
         raise ValueError(f"path covers {n_steps * path.dt}, config horizon is {cfg.T}")
-    stepper = ThetaStepper(system, cfg, path.dt, n_steps, generator)
+    if generator is None:
+        generator = _build_generator(system, cfg)
+    eps = system.epsilon if isinstance(system, Heterogeneous) else None
+    stepper = ThetaStepper(generator, cfg, path.dt, n_steps, eps)
 
     u = cfg.initial_field()[:, None]
     times = np.linspace(0.0, cfg.T, n_steps + 1)

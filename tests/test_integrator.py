@@ -3,6 +3,7 @@ under the theta scheme, Ito identity bookkeeping, and self-convergence."""
 
 import ast
 import dataclasses
+import inspect
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -146,7 +147,7 @@ class TestThetaScheme:
         u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=1e-2, noise=NoiseModel("linear", 0.4))
-        stepper = ThetaStepper(Effective(UNIT), cfg, 1e-2, 1, generator=frac_gen)
+        stepper = ThetaStepper(frac_gen, cfg, 1e-2, 1)
         out = stepper.step(np.stack([u + v, u, v], axis=1), 0, np.full(3, 0.03))
         assert np.max(np.abs(out[:, 0] - (out[:, 1] + out[:, 2]))) < 1e-12
 
@@ -162,8 +163,7 @@ class TestThetaScheme:
         from nshom.presets import FSpec
         f = FSpec("const", lambda t, x: np.ones_like(x, dtype=complex))
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.1, f_spec=f)
-        stepper = ThetaStepper(Effective(UNIT), cfg, 0.1, 1,
-                               generator=np.zeros((grid.n, grid.n)))
+        stepper = ThetaStepper(np.zeros((grid.n, grid.n)), cfg, 0.1, 1)
         out = stepper.step(np.zeros((grid.n, 1), dtype=complex), 0, np.zeros(1))
         assert np.allclose(out[:, 0], -0.1j * np.ones(grid.n))
 
@@ -336,7 +336,7 @@ class TestEnsembleStepper:
         dt = eps / 8.0
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt, theta_scheme=theta_s,
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
-        stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, 64, generator=frac_gen)
+        stepper = ThetaStepper(frac_gen, cfg, dt, 64, eps)
         u = cfg.initial_field().astype(complex)[:, None]
         for k in range(64):
             u = stepper.step(u, k, np.zeros(1))
@@ -354,7 +354,7 @@ class TestEnsembleStepper:
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, 64, generator=gen)
+            stepper = ThetaStepper(gen, cfg, dt, 64, eps)
             u = cfg.initial_field().astype(complex)[:, None]
             for k in range(64):
                 u = stepper.step(u, k, np.zeros(1))
@@ -376,9 +376,9 @@ class TestEnsembleStepper:
             "8 recurring potential phases, so the others refactorize whenever they recur"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 8, generator=frac_gen)
+            ThetaStepper(frac_gen, cfg, eps / 8.0, 8, eps)
             monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 8 * 16 * grid.n ** 2)
-            ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+            ThetaStepper(frac_gen, cfg, eps / 8.0, 16, eps)
 
     def test_cache_bound_refactorizes_without_changing_results(self, grid, frac_gen,
                                                                monkeypatch):
@@ -444,7 +444,7 @@ class TestEnsembleStepper:
         eps = 0.25
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         filled = self.filled_slots(monkeypatch)
-        stepper = ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+        stepper = ThetaStepper(frac_gen, cfg, eps / 8.0, 16, eps)
         u = np.ones((grid.n, columns), dtype=complex)
         for k in range(16):
             u = stepper.step(u, k, np.zeros(columns))
@@ -457,8 +457,7 @@ class TestEnsembleStepper:
             assert not np.shares_memory(factor.matrix, np.delete(block, i, axis=0))
 
     def test_one_phase_without_potential_takes_one_slot(self, grid, frac_gen):
-        stepper = ThetaStepper(Effective(UNIT), SimConfig(grid=grid, alpha=ALPHA, T=0.5),
-                               0.5 / 16, 16, generator=frac_gen)
+        stepper = ThetaStepper(frac_gen, SimConfig(grid=grid, alpha=ALPHA, T=0.5), 0.5 / 16, 16)
         factor = stepper._factors_at(0)
         assert stepper._block.shape == (1, grid.n, grid.n)
         assert np.shares_memory(factor.matrix, stepper._block)
@@ -476,7 +475,7 @@ class TestEnsembleStepper:
         tracemalloc.start()
         try:
             with pytest.warns(UserWarning) as caught:
-                stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=frac_gen)
+                stepper = ThetaStepper(frac_gen, cfg, dt, n_steps, eps)
                 u = cfg.initial_field().astype(complex)[:, None]
                 for k in range(n_steps):
                     u = stepper.step(u, k, np.zeros(1))
@@ -502,7 +501,7 @@ class TestEnsembleStepper:
         u0 = cfg.initial_field().astype(complex)[:, None]
 
         def run():
-            stepper = ThetaStepper(Heterogeneous(eps), cfg, dt, n_steps, generator=frac_gen)
+            stepper = ThetaStepper(frac_gen, cfg, dt, n_steps, eps)
             return stepper, [u.copy() for _, (u,), _, _ in lockstep([stepper], u0, dw)]
 
         with warnings.catch_warnings():
@@ -528,7 +527,7 @@ class TestEnsembleStepper:
         eps = 0.25
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5,
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
-        stepper = ThetaStepper(Heterogeneous(eps), cfg, eps / 8.0, 16, generator=frac_gen)
+        stepper = ThetaStepper(frac_gen, cfg, eps / 8.0, 16, eps)
         with pytest.raises(integrator.LinearSolveError) as excinfo:
             stepper.step(cfg.initial_field().astype(complex)[:, None], 0, np.zeros(1))
         # step 0 is frozen at the theta point dt / 2, phase 1/16
@@ -549,7 +548,9 @@ class TestEnsembleStepper:
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         eps, dt, n_steps = 0.25, 0.5 / 32, 32
         het = system == "het"
-        stepper = ThetaStepper(Heterogeneous(eps) if het else Effective(UNIT), cfg, dt, n_steps)
+        sim_system = Heterogeneous(eps) if het else Effective(UNIT)
+        stepper = ThetaStepper(integrator._build_generator(sim_system, cfg), cfg, dt, n_steps,
+                               eps if het else None)
         g_mat, n = stepper.g_mat, grid.n
         dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(3)], axis=1)
         u = cfg.initial_field()[:, None] * np.array([1.0, 0.5j, -0.8])
@@ -614,6 +615,25 @@ class TestEnsembleStepper:
             simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
 
 
+def package_call_sites(*names: str) -> dict[str, list[tuple[str, str | None]]]:
+    """For each name, the (module file, enclosing function) of every call of
+    it, by plain or attribute name, in the package's source."""
+    sites = {name: [] for name in names}
+    for path in sorted(Path(integrator.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        enclosing = {}
+        for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+            if isinstance(fn, ast.FunctionDef):
+                enclosing.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in sites:
+                    sites[name].append((path.name, enclosing.get(id(node))))
+    return sites
+
+
 class TestLockstep:
     def test_each_system_matches_its_stepper_alone(self, grid, frac_gen):
         """Three systems (het, eff, eff) on three columns: each state equals
@@ -628,12 +648,13 @@ class TestLockstep:
                             noise=NoiseModel("linear", 0.5))
         eff_cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, v_spec=v_spec,
                             noise=NoiseModel("bounded", 0.5))
+        g_other = integrator._build_generator(
+            Effective(EffectiveCoefficients.from_values(0.5, 0.1, 0.2)), eff_cfg)
 
         def steppers():
-            return [ThetaStepper(Heterogeneous(eps), het_cfg, dt, n_steps, generator=frac_gen),
-                    ThetaStepper(Effective(UNIT), eff_cfg, dt, n_steps, generator=frac_gen),
-                    ThetaStepper(Effective(EffectiveCoefficients.from_values(0.5, 0.1, 0.2)),
-                                 eff_cfg, dt, n_steps)]
+            return [ThetaStepper(frac_gen, het_cfg, dt, n_steps, eps),
+                    ThetaStepper(frac_gen, eff_cfg, dt, n_steps),
+                    ThetaStepper(g_other, eff_cfg, dt, n_steps)]
 
         dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in range(2)]
                       + [np.full(n_steps, 1e4)], axis=1)
@@ -696,21 +717,24 @@ class TestLockstep:
     def test_one_step_call_and_one_blowup_construction(self):
         """ThetaStepper.step is called, and TrajectoryBlowup built, only in
         integrator.lockstep, so divergence is checked in one place."""
-        sites = {"step": [], "TrajectoryBlowup": []}
-        for path in sorted(Path(integrator.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            enclosing = {}
-            for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
-                if isinstance(fn, ast.FunctionDef):
-                    enclosing.update((id(node), fn.name) for node in ast.walk(fn))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    if name in sites:
-                        sites[name].append((path.name, enclosing.get(id(node))))
+        sites = package_call_sites("step", "TrajectoryBlowup")
         assert sites == {"step": [("integrator.py", "lockstep")],
                          "TrajectoryBlowup": [("integrator.py", "lockstep")]}
+
+    def test_a_stepper_is_given_its_matrix(self):
+        """ThetaStepper takes (generator, cfg, dt, n_steps, eps) only, and
+        integrator.simulate is the one place that builds a generator from a
+        Heterogeneous or Effective system; the harness constructs neither."""
+        params = list(inspect.signature(ThetaStepper).parameters.values())
+        assert [p.name for p in params] == ["generator", "cfg", "dt", "n_steps", "eps"]
+        assert [p.default for p in params][-1] is None
+        sites = package_call_sites("_build_generator", "ThetaStepper", "Heterogeneous",
+                                   "Effective")
+        assert sites["_build_generator"] == [("integrator.py", "simulate")]
+        assert sorted(sites["ThetaStepper"]) == [("harness.py", "coupled_errors")] * 2 + [
+            ("integrator.py", "simulate")]
+        assert not [site for name in ("Heterogeneous", "Effective") for site in sites[name]
+                    if site[0] == "harness.py"]
 
 
 def reference_step(self, u, k, dw, solve):
@@ -798,7 +822,8 @@ class TestLinearity:
         u0 = cfg.initial_field()[:, None] * (1.0 + 0.5j * np.arange(columns))
         finals = []
         for scale in (1.0, 2.0):
-            stepper = ThetaStepper(sim_system, cfg, dt, n_steps)
+            stepper = ThetaStepper(integrator._build_generator(sim_system, cfg), cfg, dt,
+                                   n_steps, eps if system == "het" else None)
             for _, (u,), dead, _ in lockstep([stepper], scale * u0, dw):
                 assert not dead.any()
             finals.append(u)
@@ -806,6 +831,44 @@ class TestLinearity:
         assert all(f.symmetric == symmetric for f in stepper._factors.values())
         assert np.array_equal(finals[1], 2.0 * finals[0])
         assert not np.array_equal(finals[0], u0)
+
+
+class TestReflection:
+    """x -> -x maps the problem with Theta, V and u0 to the one with
+    Theta(-y, -eta), V(-y, tau) and u0(-x). Theta = cosine_sum is even in
+    (y, eta), V = sin 2pi y (1 + sin 2pi tau) is odd in y and u0 = 1 - x^2 is
+    even, so the mirror of (Theta, V) is (Theta, -V). Not bitwise: the grid
+    nodes are mirror images only to an ulp, and the mirrored sums run in
+    another order. Measured: 6.9e-15 of max|G| for G at n = 64, eps = 1/4,
+    and 4.8e-15 of max|u| over 8 noisy steps; the tolerance is 1e-13, and
+    comparing (Theta, V) with its own flip misses it by 2.0e-2."""
+
+    TOL = 1e-13
+
+    def test_generator_commutes_with_the_reflection(self, grid):
+        g = assemble_heterogeneous_generator(
+            grid, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
+        assert np.max(np.abs(g[::-1, ::-1] - g)) <= self.TOL * np.max(np.abs(g))
+
+    def test_trajectory_of_minus_v_is_the_flip(self, grid):
+        eps, n_steps = 0.25, 8
+        dt = eps / 8.0
+        v = get_v("sin2pi_y_one_plus_sin2pi_tau")
+        minus_v = VSpec("minus_sin2pi_y_one_plus_sin2pi_tau",
+                        lambda y, tau: -v.fn(y, tau))
+        path = brownian_increments(4, n_steps, dt)
+
+        def trajectory(v_spec):
+            cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt,
+                            theta=get_theta("cosine_sum"), v_spec=v_spec,
+                            noise=NoiseModel("linear", 0.5))
+            return simulate(Heterogeneous(eps), cfg, path, store_trajectory=True).trajectory
+
+        u, mirrored = trajectory(v), trajectory(minus_v)[:, ::-1]
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs(mirrored - u)) <= self.TOL * scale
+        # the relation needs V's sign flipped: V against its own flip is far off
+        assert np.max(np.abs(u[:, ::-1] - u)) > 1e3 * self.TOL * scale
 
 
 class TestFusedStepEquivalence:
@@ -873,7 +936,8 @@ class TestTransposedLayoutEquivalence:
         runs = []
         for step in (ThetaStepper.step, column_major_step):
             monkeypatch.setattr(ThetaStepper, "step", step)
-            stepper = ThetaStepper(sim_system, cfg, dt, n_steps)
+            stepper = ThetaStepper(integrator._build_generator(sim_system, cfg), cfg, dt,
+                                   n_steps, eps if system == "het" else None)
             runs.append([u.copy() for _, (u,), _, _ in lockstep([stepper], u0, dw)])
         g = stepper.g_mat
         symmetric = system == "het" and 1 < columns <= integrator.LDL_MAX_COLUMNS
@@ -1080,10 +1144,10 @@ class TestImplicitFill:
     DT = 0.25 / 8
 
     @classmethod
-    def stepper(cls, g_mat, system, v_spec, theta_s=0.5, dt=None):
+    def stepper(cls, g_mat, eps, v_spec, theta_s=0.5, dt=None):
         cfg = SimConfig(grid=Grid1D.make(g_mat.shape[0]), alpha=ALPHA, T=0.25, v_spec=v_spec,
                         theta_scheme=theta_s)
-        return ThetaStepper(system, cfg, dt or cls.DT, 8, generator=g_mat)
+        return ThetaStepper(g_mat, cfg, dt or cls.DT, 8, eps)
 
     @staticmethod
     def implicit_matrix(stepper, monkeypatch):
@@ -1118,15 +1182,15 @@ class TestImplicitFill:
         if kind == "effective":
             g_mat = assemble_effective_generator(EffectiveCoefficients.from_values(1.1, 0.3, -0.2),
                                                  g, ALPHA)
-            system, v_spec = Effective(UNIT), get_v("zero")
+            eps, v_spec = None, get_v("zero")
         elif kind == "heterogeneous":
             g_mat = assemble_heterogeneous_generator(
                 g, KernelParams(alpha=ALPHA, theta=get_theta("cosine_sum"), epsilon=0.25))
-            system, v_spec = Heterogeneous(0.25), get_v("cos2pi_y_times_cos2pi_tau")
+            eps, v_spec = 0.25, get_v("cos2pi_y_times_cos2pi_tau")
         else:
             # the zero-pivot generator: theta dt = 1/64 cancels the identity
-            g_mat, system, v_spec = 64j * np.eye(n), Effective(UNIT), get_v("zero")
-        stepper = self.stepper(g_mat, system, v_spec)
+            g_mat, eps, v_spec = 64j * np.eye(n), None, get_v("zero")
+        stepper = self.stepper(g_mat, eps, v_spec)
         got = self.implicit_matrix(stepper, monkeypatch)
         assert got.flags.c_contiguous
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
@@ -1136,7 +1200,7 @@ class TestImplicitFill:
         g_mat = Grid1D.make(n).h * np.eye(n)
         g_mat[n - 1, 3] = np.nan
         with pytest.raises(integrator.LinearSolveError) as excinfo:
-            self.stepper(g_mat, Effective(UNIT), get_v("zero"))._factors_at(0)
+            self.stepper(g_mat, None, get_v("zero"))._factors_at(0)
         assert str(excinfo.value) == ("effective system, phase None: "
                                       "implicit matrix is not finite")
 
@@ -1146,7 +1210,7 @@ class TestImplicitFill:
                       lambda y, tau: np.where(y < 0.1, np.nan, 0.0) + 0.0 * tau)
         g_mat = Grid1D.make(n).h * np.eye(n)
         with pytest.raises(integrator.LinearSolveError) as excinfo:
-            self.stepper(g_mat, Heterogeneous(0.25), v_nan)._factors_at(0)
+            self.stepper(g_mat, 0.25, v_nan)._factors_at(0)
         # step 0 is frozen at the theta point dt / 2, phase 1/16
         assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
                                       "implicit matrix is not finite")
@@ -1159,7 +1223,7 @@ class TestImplicitFill:
         still raise from the first factorization."""
         g_mat = np.eye(9, dtype=type(entry))
         g_mat[6, 2] = entry
-        stepper = self.stepper(g_mat, Effective(UNIT), get_v("zero"), theta_s=1.0, dt=2.0)
+        stepper = self.stepper(g_mat, None, get_v("zero"), theta_s=1.0, dt=2.0)
         assert np.isfinite(g_mat).all()
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(self.whole_array_fill(g_mat, stepper)).all()
@@ -1169,7 +1233,7 @@ class TestImplicitFill:
                                       "implicit matrix is not finite")
         # half that entry scales to a finite value and reaches the factorization
         g_mat[6, 2] = entry / 2.0
-        stepper = self.stepper(g_mat, Effective(UNIT), get_v("zero"), theta_s=1.0, dt=2.0)
+        stepper = self.stepper(g_mat, None, get_v("zero"), theta_s=1.0, dt=2.0)
         got = self.implicit_matrix(stepper, monkeypatch)
         assert np.isfinite(got).all()
         assert np.array_equal(got, self.whole_array_fill(g_mat, stepper))
@@ -1225,9 +1289,9 @@ class TestFactorKind:
     LDL_MAX_COLUMNS columns and G is exactly symmetric; otherwise by LU."""
 
     @staticmethod
-    def stepper(g_mat, system=None, v_name="zero"):
+    def stepper(g_mat, eps=None, v_name="zero"):
         # theta dt = 1/64
-        return TestImplicitFill.stepper(g_mat, system or Effective(UNIT), get_v(v_name))
+        return TestImplicitFill.stepper(g_mat, eps, get_v(v_name))
 
     @staticmethod
     def recorded(monkeypatch):
@@ -1250,9 +1314,9 @@ class TestFactorKind:
         g_asym = g_sym.copy()
         g_asym[n - 1, 3] = np.nextafter(g_sym[n - 1, 3], np.inf)
         calls = self.recorded(monkeypatch)
-        sym = self.stepper(g_sym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        sym = self.stepper(g_sym, 0.25, "cos2pi_y_times_cos2pi_tau")
         assert sym._factors_at(0, 2).symmetric
-        asym = self.stepper(g_asym, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        asym = self.stepper(g_asym, 0.25, "cos2pi_y_times_cos2pi_tau")
         lu = asym._factors_at(0, 2)
         assert asym._ldl_lwork is None and not lu.symmetric
         # the LU path is scipy's lu_factor of the filled matrix's transpose
@@ -1274,7 +1338,7 @@ class TestFactorKind:
     def test_more_than_ldl_max_columns_take_lu(self, frac_gen, monkeypatch):
         calls = self.recorded(monkeypatch)
         limit = integrator.LDL_MAX_COLUMNS
-        ldl, lu = (self.stepper(frac_gen, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        ldl, lu = (self.stepper(frac_gen, 0.25, "cos2pi_y_times_cos2pi_tau")
                    for _ in range(2))
         assert ldl._factors_at(0, limit).symmetric
         factor = lu._factors_at(0, limit + 1)
@@ -1286,7 +1350,7 @@ class TestFactorKind:
 
     def test_factor_shares_memory_with_the_filled_matrix(self, frac_gen, monkeypatch):
         calls = self.recorded(monkeypatch)
-        stepper = self.stepper(frac_gen, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        stepper = self.stepper(frac_gen, 0.25, "cos2pi_y_times_cos2pi_tau")
         factor = stepper._factors_at(0, 3)
         (filled, kwargs, _), = calls
         assert factor.symmetric and kwargs["ldl_lwork"] == stepper._ldl_lwork
@@ -1331,7 +1395,7 @@ class TestFactorKind:
     def test_nonfinite_generator_takes_lu_and_is_reported(self):
         g_mat = Grid1D.make(8).h * np.eye(8)
         g_mat[2, 3] = g_mat[3, 2] = np.nan
-        stepper = self.stepper(g_mat, Heterogeneous(0.25), "cos2pi_y_times_cos2pi_tau")
+        stepper = self.stepper(g_mat, 0.25, "cos2pi_y_times_cos2pi_tau")
         with pytest.raises(integrator.LinearSolveError) as excinfo:
             stepper.step(np.ones((8, 2), dtype=complex), 0, np.zeros(2))
         assert str(excinfo.value) == ("heterogeneous system at eps=0.25, phase 0.0625: "
