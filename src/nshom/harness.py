@@ -9,7 +9,9 @@ The strong-error surrogate for one path is the discrete space-time norm
 ``coupled_errors`` does one eps level: it assembles the level's generator
 once, ``integrator.lockstep`` steps both systems over all paths, and the error
 integrals are reduced step by step, one entry per path. The corrector
-diagnostic steps nothing: one resolvent solve per eps. A sweep reduces the
+diagnostic steps nothing: one resolvent solve per eps, and one gamma matrix
+per call (``kernel`` holds gamma's scalar and matrix forms), scaled by
+eps^{(1+alpha)/2} to each level's fast variable. A sweep reduces the
 arrays over the paths it kept: mean, Monte Carlo standard error (NaN with
 fewer than 2 kept paths), weak errors against the ``PSI_PRESETS`` test
 functions, exclusion counts for diverged paths, and a log-log slope fit of
@@ -40,7 +42,7 @@ from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 # simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
 from .integrator import ThetaStepper, TrajectoryBlowup, brownian_increments, lockstep, simulate
-from .kernel import KernelParams, assemble_heterogeneous_generator
+from .kernel import KernelParams, assemble_heterogeneous_generator, gamma_matrix
 from .presets import PSI_PRESETS
 
 STRONG_ERROR_DEFINITION = (
@@ -215,15 +217,6 @@ def eps_sweep(eps_list: list[float], n_paths: int, rc: RunConfig,
     return report
 
 
-def _gamma_matrix(nodes: np.ndarray, alpha: float, scale: float = 1.0) -> np.ndarray:
-    """gamma(x_i / scale, x_j / scale) with a zero diagonal."""
-    d = (nodes[None, :] - nodes[:, None]) / scale
-    out = np.zeros_like(d)
-    mask = d != 0.0
-    out[mask] = d[mask] * np.abs(d[mask]) ** (-(3.0 + alpha) / 2.0)
-    return out
-
-
 def _interp_periodic(cell: CellSolution, points: np.ndarray) -> np.ndarray:
     return np.interp(points, cell.grid.y, cell.chi, period=1.0)
 
@@ -239,6 +232,8 @@ def corrector_residual(eps_list: list[float], rc: RunConfig,
     gamma(x_i, x_j), d = r_eps - r_eff, is the gradient-level error, and
     F - zeta(r_eff)_i (chi(x_j/eps) - chi(x_i/eps)) gamma(x_i/eps, x_j/eps) the
     residual against the reconstruction D*_x r_eff + D*_y (-zeta(r_eff) chi(x/eps)).
+    ``kernel.gamma_matrix`` is built once per call: gamma is homogeneous of
+    degree -(1+alpha)/2, so gamma(x_i/eps, x_j/eps) = eps^{(1+alpha)/2} gamma(x_i, x_j).
     """
     grid, alpha = rc.sim.grid, rc.sim.alpha
     diag, f = np.diag_indices(grid.n), rc.sim.initial_field()
@@ -246,7 +241,7 @@ def corrector_residual(eps_list: list[float], rc: RunConfig,
     g = assemble_effective_generator(EffectiveCoefficients.from_values(xi1, xi2), grid, alpha)
     g[diag] += RESOLVENT_SHIFT
     r_eff = np.linalg.solve(g, f)
-    zeta, gam_x = zeta_matrix(grid, alpha) @ r_eff, _gamma_matrix(grid.nodes, alpha)
+    zeta, gam_x = zeta_matrix(grid, alpha) @ r_eff, gamma_matrix(grid.nodes, alpha)
     out = []
     for eps in eps_list:
         g = assemble_heterogeneous_generator(
@@ -256,8 +251,8 @@ def corrector_residual(eps_list: list[float], rc: RunConfig,
         chi = _interp_periodic(prepared.cell_solution, grid.nodes / eps)
         field = (d[:, None] - d[None, :]) * gam_x
         baseline = np.vdot(field, field).real
-        field -= zeta[:, None] * (chi[None, :] - chi[:, None]) * _gamma_matrix(
-            grid.nodes, alpha, scale=eps)
+        gam_y = eps ** ((1 + alpha) / 2) * gam_x
+        field -= zeta[:, None] * (chi[None, :] - chi[:, None]) * gam_y
         total = np.vdot(field, field).real
         out.append({"eps": eps, "residual": float(grid.h * np.sqrt(total)),
                     "gradient_error": float(grid.h * np.sqrt(baseline))})

@@ -4,7 +4,13 @@ D = (-1, 1) with the homogeneous exterior condition u = 0 on the complement.
 Conventions used throughout the package:
 
 * ``gamma(x, z) = (z - x) |z - x|^{-(3+alpha)/2}`` so that
-  ``gamma^2(x, z) = |z - x|^{-(1+alpha)}``.
+  ``gamma^2(x, z) = |z - x|^{-(1+alpha)}``. It has two forms, side by side
+  below: ``gamma`` at one pair (raises at x == z) and ``gamma_matrix`` at all
+  node pairs (zero diagonal). gamma is homogeneous of degree -(1+alpha)/2, so
+  the fast-scale matrix gamma(x_i/eps, x_j/eps) is
+  ``eps ** ((1 + alpha) / 2) * gamma_matrix(nodes, alpha)``.
+* The exterior weight int_{D^c} |z - x|^{-1-alpha} dz (Theta == 1) is
+  ``exterior_weight`` at margin 0 with the constant preset ``one``.
 * The assembled generator ``G`` is the *positive* operator
 
       (G u)(x) = -PV int_D Theta(x, z) (u(z) - u(x)) |z-x|^{-1-alpha} dz
@@ -65,13 +71,13 @@ def gamma(x: float, z: float, alpha: float) -> float:
     return r * abs(r) ** (-(3.0 + alpha) / 2.0)
 
 
-def rho(x: float, alpha: float) -> float:
-    """Exterior weight int_{D^c} |z - x|^{-1-alpha} dz for D = (-1, 1), closed form."""
-    _check_alpha(alpha)
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"rho is defined for x strictly inside (-1, 1), got {x}")
-    return float(_tail_power_sum(np.array([1.0 - x]), np.array([1.0 + x]), alpha)[0]) / alpha
+def gamma_matrix(nodes: np.ndarray, alpha: float) -> np.ndarray:
+    """gamma(x_i, x_j) at all pairs of ``nodes``, with a zero diagonal."""
+    d = nodes[None, :] - nodes[:, None]
+    out = np.zeros_like(d)
+    mask = d != 0.0
+    out[mask] = d[mask] * np.abs(d[mask]) ** (-(3.0 + alpha) / 2.0)
+    return out
 
 
 def dstar_apply(u: Callable[[float], complex], x: float, z: float, alpha: float) -> complex:
@@ -377,12 +383,14 @@ def point_value_error() -> tuple[float, float]:
 
 
 def exterior_weight_error(alpha: float, size: int = 20) -> tuple[float, float]:
-    """``rho`` against adaptive quadrature, at ``size`` random points."""
-    errors = []
+    """The Theta == 1 ``exterior_weight`` at margin 0, the closed form every
+    Theta == 1 assembly calls, against adaptive quadrature at ``size`` random points."""
+    params, errors = KernelParams(alpha=alpha, theta=get_theta("one")), []
     for x in np.random.default_rng(0).uniform(-0.99, 0.99, size=size):
         f = lambda z: abs(z - x) ** (-1.0 - alpha)
         quad = integrate.quad(f, -np.inf, -1.0)[0] + integrate.quad(f, 1.0, np.inf)[0]
-        errors.append(abs(quad - rho(x, alpha)) / rho(x, alpha))
+        weight = exterior_weight(x, params)
+        errors.append(abs(quad - weight) / weight)
     return float(np.max(errors)), 1e-8
 
 

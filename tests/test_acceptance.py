@@ -24,7 +24,7 @@ from nshom.harness import eps_sweep, prepare_experiment
 from nshom.integrator import (Effective, Heterogeneous, NoiseModel, SimConfig,
                               brownian_increments, simulate)
 from nshom.kernel import (Grid1D, KernelParams, assemble_heterogeneous_generator,
-                          h_rho_norm_sq, rho)
+                          exterior_weight, h_rho_norm_sq)
 from nshom.presets import get_theta, get_v
 from references import form_eigenvalues
 
@@ -104,7 +104,8 @@ def test_criterion_03_exterior_weight_quadrature():
                                          -np.inf, -1.0)
                 right, _ = integrate.quad(lambda z: abs(z - x) ** (-1 - alpha),
                                           1.0, np.inf)
-                worst = max(worst, abs(left + right - rho(x, alpha)) / rho(x, alpha))
+                rho = exterior_weight(x, KernelParams(alpha=alpha, theta=get_theta("one")))
+                worst = max(worst, abs(left + right - rho) / rho)
     ok = worst < 1e-8 and t.elapsed < 5.0
     report(3, ok, f"max rel error {worst:.2e} over 300 evaluations, {t.elapsed:.1f}s")
     assert worst < 1e-8

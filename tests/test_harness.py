@@ -502,6 +502,13 @@ class TestEffectiveDriftValidation:
         assert errors["full"] < errors["naive"]
 
 
+def gamma_at(d, alpha):
+    """gamma(x, z) as a function of d = z - x: sign(d) |d|^{-(1+alpha)/2},
+    0 where d = 0. At d = (x_j - x_i)/eps it is gamma(x_i/eps, x_j/eps),
+    without the cancellation of x_j/eps - x_i/eps."""
+    return np.sign(d) * np.abs(np.where(d == 0.0, 1.0, d)) ** (-(1.0 + alpha) / 2.0)
+
+
 def five_field_residual(eps_list, rc, prepared):
     """The corrector diagnostic as its definition reads, on the same resolvent
     solutions (G + lam) r = f, solved here: D* r_eps, D* r_eff and the
@@ -513,7 +520,8 @@ def five_field_residual(eps_list, rc, prepared):
     g_eff = effective.assemble_effective_generator(
         effective.EffectiveCoefficients.from_values(coeffs.xi1, coeffs.xi2), grid, alpha)
     r_eff = np.linalg.solve(g_eff + shift, f)
-    gam_x = harness._gamma_matrix(grid.nodes, alpha)
+    diffs = grid.nodes[None, :] - grid.nodes[:, None]
+    gam_x = gamma_at(diffs, alpha)
     dstar_eff = -(r_eff[None, :] - r_eff[:, None]) * gam_x
     zeta = effective.zeta_matrix(grid, alpha) @ r_eff
     out = []
@@ -523,7 +531,7 @@ def five_field_residual(eps_list, rc, prepared):
         r_eps = np.linalg.solve(g_het + shift, f)
         dstar_het = -(r_eps[None, :] - r_eps[:, None]) * gam_x
         chi_fast = harness._interp_periodic(prepared.cell_solution, grid.nodes / eps)
-        gam_y = harness._gamma_matrix(grid.nodes, alpha, scale=eps)
+        gam_y = gamma_at(diffs / eps, alpha)
         recon = dstar_eff + zeta[:, None] * (chi_fast[None, :] - chi_fast[:, None]) * gam_y
         out.append({"eps": eps,
                     "residual": grid.h * np.sqrt(np.sum(np.abs(dstar_het - recon) ** 2)),
@@ -543,6 +551,17 @@ class TestCorrectorDiagnostic:
                        kernel.Grid1D.make(256).nodes / 0.0625):
             assert np.array_equal(harness._interp_periodic(sol, points),
                                   np.interp(np.mod(points, 1.0), y, chi))
+
+    @pytest.mark.parametrize("eps", [1 / 2, 1 / 16, 0.3])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_fast_scale_gamma_is_the_scaled_gamma_matrix(self, n, alpha, eps):
+        # gamma is homogeneous of degree -(1+alpha)/2: the diagnostic builds
+        # gamma(x_i/eps, x_j/eps) as eps^{(1+alpha)/2} gamma(x_i, x_j)
+        nodes = kernel.Grid1D.make(n).nodes
+        want = gamma_at((nodes[None, :] - nodes[:, None]) / eps, alpha)
+        got = eps ** ((1 + alpha) / 2) * kernel.gamma_matrix(nodes, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("theta", ["cosine_shift", "cosine_sum"])
     def test_agrees_with_the_five_field_reduction(self, theta):

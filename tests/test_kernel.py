@@ -22,12 +22,16 @@ from nshom.kernel import (
     exterior_weight,
     gamma,
     h_rho_norm_sq,
-    rho,
 )
 from nshom.presets import ThetaSpec, get_theta
 from references import PVConvergenceError, pv_oracle
 
 ALPHAS = [1.25, 1.5, 1.75]
+
+
+def rho(x, alpha):
+    """The Theta == 1 exterior weight at margin 0: int_{D^c} |z - x|^{-1-alpha} dz."""
+    return exterior_weight(x, KernelParams(alpha=alpha, theta=get_theta("one")))
 
 
 def smooth_bump(z):
@@ -113,6 +117,14 @@ class TestRho:
     def test_against_adaptive_quadrature(self, alpha):
         err, tol = kernel.exterior_weight_error(alpha, size=30)
         assert err <= tol
+
+    def test_validate_row_reads_the_assembled_weight(self, monkeypatch):
+        # the quadrature row must see a fault in the function the assembly calls
+        weight = kernel.exterior_weight
+        monkeypatch.setattr(kernel, "exterior_weight",
+                            lambda *args, **kwargs: 1.001 * weight(*args, **kwargs))
+        err, tol = kernel.exterior_weight_error(1.5)
+        assert err > tol
 
 
 class TestDstar:
@@ -225,21 +237,6 @@ class TestGeneratorAssembly:
 
 
 class TestExteriorWeight:
-    def test_constant_theta_matches_rho(self):
-        params = KernelParams(alpha=1.5, theta=get_theta("one"))
-        for x in (-0.8, 0.0, 0.55):
-            assert exterior_weight(x, params, margin=0.0) == pytest.approx(
-                rho(x, 1.5), rel=1e-14)
-
-    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
-    @pytest.mark.parametrize("n", [4, 257])
-    def test_constant_theta_weight_is_rho_exactly(self, n, alpha):
-        # one closed form behind both, so the quadrature check of rho in
-        # ``nshom validate`` covers every Theta == 1 assembly
-        nodes = Grid1D.make(n).nodes
-        weights = exterior_weight(nodes, KernelParams(alpha=alpha, theta=get_theta("one")))
-        assert weights.tolist() == [rho(x, alpha) for x in nodes]
-
     def test_general_theta_between_bounds(self):
         theta = get_theta("cosine_product")
         params = KernelParams(alpha=1.5, theta=theta, epsilon=0.25)
