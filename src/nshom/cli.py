@@ -30,7 +30,7 @@ from .config import ConfigError, RunConfig, load_config
 from .harness import (STRONG_ERROR_DEFINITION, SweepFailure, SweepReport, check_sweep_args,
                       corrector_residual, eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, TrajectoryBlowup,
-                         brownian_increments, simulate)
+                         brownian_increments, effective_solve, simulate)
 from .kernel import KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS, get_theta
 
@@ -247,7 +247,8 @@ def _cmd_sweep(args) -> int:
 
     prepared = prepare_experiment(rc)
     telemetry = {"prepare_s": lap(), "wall_s": [],
-                 "cell_residual": prepared.cell_solution.residual}
+                 "cell_residual": prepared.cell_solution.residual,
+                 "effective_solve": effective_solve(prepared.effective_generator)}
     try:
         report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)
     except SweepFailure as exc:

@@ -55,6 +55,10 @@ DEFAULTS: dict = {
 _FREE_FORM = {("theta_preset", "params"), ("dt_rule",)}
 # the numeric keys each dt_rule kind requires
 _DT_RULE_KEYS = {"fixed": ("dt",), "eps_over": ("factor", "default_dt")}
+# how close k T/eps must come to a whole number for the eps_over rule to take
+# dt = eps/k: then n_steps dt lies within this fraction of T, inside the
+# 1e-10 relative coverage check of ``integrator.simulate``
+STEP_RULE_RTOL = 1e-10
 
 
 def _is_real(value) -> bool:
@@ -158,13 +162,25 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def resolve_dt(self, eps: float | None = None) -> tuple[float, int]:
-        """Time step and step count: dt divides T exactly and respects the rule
-        bound (dt <= eps / factor resolves the tau = t / eps oscillation)."""
+        """Time step and step count. The eps_over rule at eps takes dt = eps/k
+        for the smallest integer k from ceil(factor) to 2 ceil(factor) that
+        makes k T/eps a whole number of steps (to STEP_RULE_RTOL), so that the
+        potential's phase t/eps cycles every k steps and its factors are
+        reused. Without such a k, and for the other rules, dt is the largest
+        step within the rule's bound that divides T exactly (dt <= eps/factor
+        resolves the tau = t/eps oscillation)."""
         rule = self.data["dt_rule"]
         if rule["kind"] == "fixed":
             raw = float(rule["dt"])
+        elif eps is None:
+            raw = float(rule["default_dt"])
         else:
-            raw = float(rule["default_dt"]) if eps is None else eps / float(rule["factor"])
+            least = math.ceil(float(rule["factor"]))
+            for k in range(least, 2 * least + 1):
+                steps = k * self.sim.T / eps
+                if abs(steps - round(steps)) <= STEP_RULE_RTOL * steps:
+                    return eps / k, round(steps)
+            raw = eps / float(rule["factor"])
         n_steps = max(1, math.ceil(self.sim.T / raw - 1e-12))
         return self.sim.T / n_steps, n_steps
 

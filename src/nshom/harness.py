@@ -8,7 +8,11 @@ The strong-error surrogate for one path is the discrete space-time norm
 (time levels k = 1..N), both systems driven by the same Brownian increments.
 ``coupled_errors`` does one eps level: it assembles the level's generator
 once, ``integrator.lockstep`` steps both systems over all paths, and the error
-integrals are reduced step by step, one entry per path. The corrector
+integrals are reduced step by step, one entry per path. The effective system
+is stepped in G_eff's eigenbasis when ``integrator.effective_solve`` picks it;
+the first ``coupled_errors`` call of a set-up computes that basis and the
+``PreparedExperiment`` keeps it for every later level, so a direct call and a
+sweep take the same arithmetic. The corrector
 diagnostic steps nothing: one resolvent solve per eps, and one gamma matrix
 per call (``kernel`` holds gamma's scalar and matrix forms), scaled by
 eps^{(1+alpha)/2} to each level's fast variable. A sweep reduces the
@@ -20,9 +24,9 @@ keeps no clock; the CLI times each level through ``progress``.
 
 Failure policy:
 
-* A factorization is shared by every path at its (system, eps, phase), so a
-  ``LinearSolveError`` ends the sweep at once; the CLI reports it with exit
-  code 3.
+* A factorization is shared by every path at its (system, eps, phase), and
+  G_eff's eigenbasis by every level, so a ``LinearSolveError`` ends the sweep
+  at once; the CLI reports it with exit code 3.
 * A ``TrajectoryBlowup`` belongs to one path: that column is NaN in the
   error arrays, its reason is returned and warned, and the other columns are
   stepped with unchanged arithmetic. An eps level that excludes more than
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +46,8 @@ from .config import RunConfig
 from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 # simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
-from .integrator import ThetaStepper, TrajectoryBlowup, brownian_increments, lockstep, simulate
+from .integrator import (EigenBasis, ThetaStepper, TrajectoryBlowup, brownian_increments,
+                         effective_solve, eigenbasis, lockstep, simulate)
 from .kernel import KernelParams, assemble_heterogeneous_generator, gamma_matrix
 from .presets import PSI_PRESETS
 
@@ -67,11 +73,19 @@ class SweepFailure(RuntimeError):
 @dataclass
 class PreparedExperiment:
     """Epsilon-independent pieces shared across a sweep: cell solve, effective
-    coefficients and generator."""
+    coefficients and generator, and the generator's eigenbasis."""
 
     cell_solution: CellSolution
     coefficients: EffectiveCoefficients
     effective_generator: np.ndarray
+
+    @cached_property
+    def effective_basis(self) -> EigenBasis | None:
+        """G_eff's eigenbasis if ``integrator.effective_solve`` picks it, else
+        None; computed at first use, the first ``coupled_errors`` call, so that
+        ``prepare_experiment`` does not pay for it."""
+        g = self.effective_generator
+        return eigenbasis(g) if effective_solve(g) == "eigenbasis" else None
 
 
 @dataclass
@@ -114,7 +128,8 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: Prepar
     g_het = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps))
     steppers = [ThetaStepper(g_het, cfg, dt, n_steps, eps),
-                ThetaStepper(prepared.effective_generator, cfg, dt, n_steps)]
+                ThetaStepper(prepared.effective_generator, cfg, dt, n_steps,
+                             basis=prepared.effective_basis)]
     u0 = np.repeat(cfg.initial_field()[:, None], len(seeds), axis=1)
     psi_conj = np.conj(np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS]).T)
     err = np.zeros(len(seeds))

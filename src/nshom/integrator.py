@@ -36,6 +36,21 @@ arithmetic of LU, and solved by one ``zsytrs``. Every other case takes LU
 ``zgetrs`` is faster than ``zsytrs``' rank-1 updates; and a generator that is
 not exactly symmetric. A phase keeps the kind it was first factorized with.
 
+The third kind, the eigenbasis, serves the effective system of an
+eps-sweep. G_eff does not depend on eps, and when it is finite, exactly
+symmetric and has at most EIGENBASIS_MAX_NODES nodes (``effective_solve``
+decides this, from the symmetry scan the L D L^T kind uses), one LAPACK
+``dsyevd`` gives G_eff = Q diag(lambda) Q^T (``eigenbasis``) for every level,
+and a stepper given that basis factorizes nothing: it takes
+(I + i theta dt G_eff)^{-1} = Q diag(1/(1 + i theta dt lambda)) Q^T, whose
+diagonal costs O(n) per level, and ``lu_solve`` makes each solve two real
+(n, 2P) products with Q on the real view of the state. The basis is
+computed at the first ``harness.coupled_errors`` call of a set-up, not in
+``harness.prepare_experiment``. ``simulate`` never takes it: for one dt one
+``dsyevd`` costs about five factorizations and saves one. A heterogeneous
+system keeps the factor kinds, since its potential diagonal changes with
+the phase.
+
 Paths are stepped together: ``ThetaStepper`` advances P paths stored as the
 columns of an (n, P) array, and one loop, ``lockstep``, steps such a state per
 system and checks it for divergence in one pass; ``simulate`` is its
@@ -81,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import ztrsv
-from scipy.linalg.lapack import zgetrf, zgetrs, zlaswp, zsytrf, zsytrf_lwork, zsytrs
+from scipy.linalg.lapack import dsyevd, zgetrf, zgetrs, zlaswp, zsytrf, zsytrf_lwork, zsytrs
 
 from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
                      row_blocks)
@@ -111,6 +126,14 @@ LDL_MAX_COLUMNS = 4
 # n = 256, and were within 9 % either way at n = 1024 and 2048; three
 # columns by ztrsv lost by 14-32 % from n = 512 on
 TRSV_MAX_COLUMNS = 2
+# the most nodes at which a sweep steps an exactly symmetric effective
+# generator in its eigenbasis (``effective_solve``). One dsyevd costs about
+# five L D L^T factorizations, and a step's two real (n, n) x (n, 2P)
+# products read Q twice. At one BLAS thread the products took 2-3.5 times
+# longer once n^2 2P passed about 1e6: at n = 384 and 4 paths a step took
+# 0.25 ms, as long as zsytrs, against 0.11 ms at n = 352. Up to n = 352 the
+# eigenbasis was the cheaper solve at 1, 2, 4, 8 and 32 paths
+EIGENBASIS_MAX_NODES = 352
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -260,16 +283,56 @@ class SimResult:
 
 class Factor(NamedTuple):
     """A factorization of the implicit matrix (kinds and layout: module
-    docstring): LU of its transpose (``zgetrf``; L and U in ``matrix``,
-    0-based row swaps in ``piv``) or, if ``symmetric``, L D L^T (``zsytrf``;
-    L and D's 1 x 1 and 2 x 2 blocks in the lower triangle of ``matrix``,
-    LAPACK's 1-based ``piv``, negative for a 2 x 2 block). ``info`` = i > 0
-    when U(i, i) or D(i, i) is the first exactly zero pivot (1-based), else 0."""
+    docstring), by ``kind``: "LU" of its transpose (``zgetrf``; L and U in
+    ``matrix``, 0-based row swaps in ``piv``), "L D L^T" (``zsytrf``; L and
+    D's 1 x 1 and 2 x 2 blocks in the lower triangle of ``matrix``, LAPACK's
+    1-based ``piv``, negative for a 2 x 2 block) or "eigenbasis" (the real
+    orthogonal Q of G = Q diag(lambda) Q^T in ``matrix``, the (n, 1) inverse
+    diagonal 1/(1 + i theta dt lambda) in ``piv``). ``info`` = i > 0 when
+    U(i, i) or D(i, i) is the first exactly zero pivot (1-based), else 0."""
 
     matrix: np.ndarray
     piv: np.ndarray
     info: int
-    symmetric: bool
+    kind: str
+
+
+class EigenBasis(NamedTuple):
+    """G = Q diag(values) Q^T of an exactly symmetric real G; Q is
+    ``vectors``, orthogonal and in F order."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def _exactly_symmetric(g: np.ndarray) -> bool:
+    """G == G^T bit for bit, compared by blocks of SYMMETRY_SCAN_ROWS rows
+    with the matching columns and stopping at the first block that differs;
+    a NaN entry differs."""
+    return all(np.array_equal(g[b], g[:, b].T)
+               for b in row_blocks(g.shape[0], SYMMETRY_SCAN_ROWS))
+
+
+def effective_solve(generator: np.ndarray) -> str:
+    """How a sweep solves its effective system's steps: "eigenbasis" for a
+    finite, exactly symmetric real generator of at most EIGENBASIS_MAX_NODES
+    nodes, else "factor" (the factor kinds of the module docstring). A
+    non-finite generator keeps the factors, whose stepper reports it."""
+    g = np.asarray(generator)
+    return ("eigenbasis" if np.isrealobj(g) and g.shape[0] <= EIGENBASIS_MAX_NODES
+            and _exactly_symmetric(g) and np.isfinite(g.max()) and np.isfinite(g.min())
+            else "factor")
+
+
+def eigenbasis(generator: np.ndarray) -> EigenBasis:
+    """The eigendecomposition of the exactly symmetric real ``generator`` by
+    one LAPACK ``dsyevd``; LinearSolveError, naming the effective system, if
+    it fails."""
+    values, vectors, info = dsyevd(generator, compute_v=1, lower=1)
+    if info:
+        raise LinearSolveError(f"effective system: eigendecomposition failed "
+                               f"(dsyevd info {info})")
+    return EigenBasis(values, vectors)
 
 
 def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> Factor:
@@ -285,19 +348,28 @@ def lu_factor(a: np.ndarray, *, ldl_lwork: int | None = None) -> Factor:
         matrix, piv, info = zsytrf(a.T, lower=1, lwork=ldl_lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"factorization: illegal value in argument {-info}")
-    return Factor(matrix, piv, info, ldl_lwork is not None)
+    return Factor(matrix, piv, info, "LU" if ldl_lwork is None else "L D L^T")
 
 
 def lu_solve(factor: Factor, rhs: np.ndarray) -> np.ndarray:
     """Solve a x = rhs for an (n, P) complex right-hand side, given
-    ``lu_factor(a)``, which must have no zero pivot; ``rhs`` is not modified.
-    L D L^T takes one LAPACK ``zsytrs``. LU, a factor of a^T, takes the
-    transposed solve (module docstring). For up to TRSV_MAX_COLUMNS columns
-    it takes the steps of ``zgetrs`` column by column: two level-2 triangular
-    solves (``ztrsv``) with U^T and the unit L^T, then the row interchanges in
-    reverse order (``zlaswp``). For more it takes one direct ``zgetrs``,
-    without the per-call argument checks of scipy's ``lu_solve``."""
-    if factor.symmetric:
+    ``lu_factor(a)`` with no zero pivot, or the eigenbasis factor of a
+    stepper; ``rhs`` is not modified. The eigenbasis, with d its inverse
+    diagonal, takes Q (d * (Q^T rhs)) as two real (n, 2P) products on the
+    real view of ``rhs`` (of a C-order copy if ``rhs`` is not C-order).
+    L D L^T takes one LAPACK ``zsytrs``. LU, a factor of
+    a^T, takes the transposed solve (module docstring). For up to
+    TRSV_MAX_COLUMNS columns it takes the steps of ``zgetrs`` column by
+    column: two level-2 triangular solves (``ztrsv``) with U^T and the unit
+    L^T, then the row interchanges in reverse order (``zlaswp``). For more it
+    takes one direct ``zgetrs``, without the per-call argument checks of
+    scipy's ``lu_solve``."""
+    if factor.kind == "eigenbasis":
+        q = factor.matrix
+        y = (q.T @ np.ascontiguousarray(rhs, dtype=complex).view(float)).view(complex)
+        y *= factor.piv
+        return (q @ y.view(float)).view(complex)
+    if factor.kind == "L D L^T":
         x, info = zsytrs(factor.matrix, factor.piv, rhs, lower=1)
     elif rhs.shape[1] > TRSV_MAX_COLUMNS:
         x, info = zgetrs(factor.matrix, factor.piv, rhs, trans=1)
@@ -329,7 +401,10 @@ class ThetaStepper:
     step ``dt``, the step count ``n_steps``, and ``eps`` for a heterogeneous
     system only, where it keys the potential's phase t/eps mod 1 and names
     the system in errors and warnings; without ``eps`` the potential is not
-    applied and the system is named the effective one.
+    applied and the system is named the effective one. An effective system
+    may be given the generator's ``basis`` (``eigenbasis``), and then steps
+    in it instead of factorizing (module docstring); a heterogeneous one may
+    not, since its potential diagonal changes with the phase.
 
     The implicit matrix depends on the generator, dt and the potential's
     phase, never on the path, so each phase is factorized once, of the kind,
@@ -348,8 +423,11 @@ class ThetaStepper:
     """
 
     def __init__(self, generator: np.ndarray, cfg: SimConfig, dt: float, n_steps: int,
-                 eps: float | None = None):
+                 eps: float | None = None, basis: EigenBasis | None = None):
+        if basis is not None and eps is not None:
+            raise ValueError("an eigenbasis steps the effective system only")
         self.g_mat = np.asarray(generator)
+        self._basis = basis
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
         self._factors: dict[float | None, Factor] = {}  # phase key -> factor
@@ -402,10 +480,9 @@ class ThetaStepper:
     @cached_property
     def _ldl_lwork(self) -> int | None:
         """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
-        g, n = self.g_mat, self.g_mat.shape[0]
-        if not all(np.array_equal(g[b], g[:, b].T) for b in row_blocks(n, SYMMETRY_SCAN_ROWS)):
+        if not _exactly_symmetric(self.g_mat):
             return None
-        work, _ = zsytrf_lwork(n, lower=1)
+        work, _ = zsytrf_lwork(self.g_mat.shape[0], lower=1)
         return int(work.real)
 
     @cached_property
@@ -428,12 +505,24 @@ class ThetaStepper:
         where = f"{self.label}, phase {key}"
         if not self._g_finite:
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
+        scale = 1j * self.cfg.theta_scheme * self.dt
+        if self._basis is not None:
+            values, vectors = self._basis
+            factor = Factor(vectors, (1.0 / (1.0 + scale * values))[:, None], 0, "eigenbasis")
+        else:
+            factor = self._factorize(key, where, scale, columns)
+        if key in self._slots:
+            self._factors[key] = factor
+        return factor
+
+    def _factorize(self, key: float | None, where: str, scale: complex, columns: int) -> Factor:
+        """LU or L D L^T of I + i theta dt (G + diag(v)) at the phase ``key``,
+        written row by row into the key's C-order slot, or the spare, and
+        factorized there in place; G is only read."""
         v_diag = None if key is None else self._amp * self.cfg.v_spec.sample(self._y_frac, key)
-        n, g, scale = self.g_mat.shape[0], self.g_mat, 1j * self.cfg.theta_scheme * self.dt
-        # I + i theta dt (G + diag(v)), written row by row into the key's
-        # C-order slot, or the spare, and factorized there in place; G is only read
+        n = self.g_mat.shape[0]
         lhs = self._block[self._slots.get(key, -1)]
-        np.multiply(g, scale, out=lhs)
+        np.multiply(self.g_mat, scale, out=lhs)
         lhs[np.diag_indices(n)] += 1.0 if v_diag is None else 1.0 + scale * v_diag
         if not np.isfinite(lhs.diagonal()).all():
             raise LinearSolveError(f"{where}: implicit matrix is not finite")
@@ -445,15 +534,12 @@ class ThetaStepper:
         if factor.info:
             # LU factorizes the transpose, so its row interchanges are column
             # interchanges of the implicit matrix
-            kind, block, swaps = (("L D L^T", "D", "row") if factor.symmetric
-                                  else ("LU", "U", "column"))
+            block, swaps = ("D", "row") if factor.kind == "L D L^T" else ("U", "column")
             zero = factor.info - 1
             raise LinearSolveError(f"{where}: implicit matrix is singular, pivot {zero} of "
-                                   f"its {kind} factor ({block}[{zero}, {zero}]) is exactly "
-                                   f"zero; a position after {swaps} interchanges, not a "
-                                   "grid node")
-        if key in self._slots:
-            self._factors[key] = factor
+                                   f"its {factor.kind} factor ({block}[{zero}, {zero}]) is "
+                                   f"exactly zero; a position after {swaps} interchanges, "
+                                   "not a grid node")
         return factor
 
     def step(self, u: np.ndarray, k: int, dw: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ reproducibility of rerun outputs."""
 import argparse
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -136,6 +137,16 @@ class TestRunConfig:
         rc_fixed = RunConfig.from_dict({"dt_rule": {"kind": "fixed", "dt": 0.3}})
         dt, n_steps = rc_fixed.resolve_dt()
         assert n_steps == 4 and dt == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("eps", [1 / 2, 1 / 4, 1 / 8, 1 / 16])
+    def test_dyadic_eps_keep_their_step(self, eps):
+        # the benchmark's levels at T = 1 and factor 8: eps/8 divides T exactly
+        n_steps = round(8.0 / eps)
+        assert RunConfig.from_dict({}).resolve_dt(eps) == (1.0 / n_steps, n_steps)
+
+    def test_eps_without_a_whole_step_count_keeps_the_rounding(self):
+        # k/(pi^-1) = k pi is no whole number for any k in 8..16: ceil(8 pi) = 26 steps
+        assert RunConfig.from_dict({}).resolve_dt(1.0 / math.pi) == (1.0 / 26, 26)
 
     def test_dt_rule_variants_validated(self):
         with pytest.raises(ConfigError, match="dt_rule"):
@@ -464,7 +475,9 @@ class TestCliCommands:
         assert main(["sweep", "--eps", "1/2", "--paths", "2",
                      "--config", str(cfg), "--out", str(out)]) == 0
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
-        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "corrector_s"}
+        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "corrector_s",
+                                  "effective_solve"}
+        assert telemetry["effective_solve"] == "factor"
         assert 0.0 <= telemetry["cell_residual"] <= 1e-8
         assert telemetry["prepare_s"] > 0.0
         assert len(telemetry["wall_s"]) == 1 and telemetry["wall_s"][0] > 0.0
@@ -644,7 +657,8 @@ class TestCliCommands:
         # of the set-up and of each eps level that ran
         assert (out / "sweep.csv").exists()
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
-        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s"}
+        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "effective_solve"}
+        assert telemetry["effective_solve"] == "eigenbasis"
         assert len(telemetry["wall_s"]) == 2 and all(w > 0.0 for w in telemetry["wall_s"])
         assert not (out / "corrector.json").exists()
 
@@ -660,6 +674,19 @@ class TestCliCommands:
                      "--config", str(cfg), "--out", str(tmp_path / "singular")])
         assert code == 3
         assert "factorization failed" in capsys.readouterr().err
+
+    def test_sweep_failed_eigendecomposition_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Theta = 1: the symmetric G_eff is stepped in its eigenbasis
+        from nshom import integrator
+
+        monkeypatch.setattr(integrator, "dsyevd",
+                            lambda a, **kwargs: (np.zeros(len(a)), np.zeros_like(a), 5))
+        cfg = self._small_cfg(tmp_path)
+        code = main(["sweep", "--eps", "1/2", "--paths", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "failed")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: effective system: eigendecomposition failed (dsyevd info 5)\n")
 
     def test_sweep_singular_symmetric_implicit_matrix_exit_3(self, tmp_path, capsys,
                                                               monkeypatch):

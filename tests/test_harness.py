@@ -183,9 +183,13 @@ class TestEnsemble:
             weak = np.abs(np.mean([w[0] for _, w, _ in pairs], axis=0))
             np.testing.assert_allclose(report.weak_err[i], weak, rtol=1e-10)
 
-    def test_cyclic_sweep_factorizes_eight_plus_one_per_eps(self, prepared_default,
-                                                            monkeypatch):
-        rc, prepared = prepared_default  # dt = eps / 8: eight potential phases
+    @pytest.mark.parametrize("theta,effective_factors", [("one", 0), ("cosine_sum", 1)])
+    def test_cyclic_sweep_factorizes_eight_plus_one_per_eps(self, monkeypatch, theta,
+                                                            effective_factors):
+        # dt = eps / 8: eight potential phases; the symmetric G_eff of Theta = 1
+        # is stepped in its eigenbasis and factorizes nothing
+        rc = make_config(theta_preset={"name": theta, "params": {}})
+        prepared = prepare_experiment(rc)
         counts = {"factor": 0, "assemble": 0}
 
         def counting(name, fn):
@@ -200,7 +204,7 @@ class TestEnsemble:
         for eps in (0.5, 0.25, 0.125):
             counts.update(factor=0, assemble=0)
             coupled_errors(eps, rc, [0, 1, 2, 3], prepared)
-            assert counts == {"factor": 8 + 1, "assemble": 1}, eps
+            assert counts == {"factor": 8 + effective_factors, "assemble": 1}, eps
 
     def test_failed_factorization_ends_the_sweep(self, prepared_default, monkeypatch):
         rc, prepared = prepared_default
@@ -274,6 +278,48 @@ class TestEnsemble:
         kept = base_err[[0, 2, 3, 4]]
         assert report.strong_err == [float(kept.mean())]
         assert report.strong_se == [monte_carlo_se(kept)]
+
+
+class TestEffectiveEigenbasis:
+    """Theta = 1 gives an exactly symmetric G_eff, which a sweep steps in its
+    eigenbasis: one decomposition per set-up, at the first coupled_errors
+    call, shared by a direct call and the sweep."""
+
+    def test_one_decomposition_per_set_up(self, monkeypatch):
+        rc = make_config()
+        calls, real = [], integrator.dsyevd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "dsyevd", counted)
+        prepared = prepare_experiment(rc)
+        assert calls == []
+        err, weak, _ = coupled_errors(0.25, rc, [0, 1], prepared)
+        report = eps_sweep([0.5, 0.25, 0.125], 2, rc, prepared)
+        assert len(calls) == 1
+        assert report.strong_err[1] == float(err.mean())
+        assert report.weak_err[1] == [float(np.abs(w.mean())) for w in weak.T]
+
+    def test_failed_decomposition_ends_the_sweep(self, prepared_default, monkeypatch):
+        rc, prepared = prepared_default
+        monkeypatch.setattr(integrator, "dsyevd",
+                            lambda a, **kwargs: (np.zeros(len(a)), np.zeros_like(a), 2))
+        with pytest.raises(LinearSolveError, match="effective system: eigendecomposition "
+                                                   "failed"):
+            eps_sweep([0.5, 0.25], 2, rc, dataclasses.replace(prepared))
+
+    def test_nan_in_the_effective_generator_still_raises(self, prepared_default):
+        # NaN makes G_eff unequal to its transpose, so it keeps the factor path
+        rc, prepared = prepared_default
+        g_eff = prepared.effective_generator.copy()
+        g_eff[4, 9] = np.nan
+        broken = dataclasses.replace(prepared, effective_generator=g_eff)
+        assert broken.effective_basis is None
+        with pytest.raises(LinearSolveError, match="effective system, phase None: "
+                                                   "implicit matrix is not finite"):
+            coupled_errors(0.5, rc, [0, 1], broken)
 
 
 def perfbench_module(name, monkeypatch):
@@ -375,12 +421,13 @@ def test_perfbench_tracer_sees_each_setup_layer_once():
         assert tracer.calls[span] == 0, span
 
 
-def test_perfbench_tracer_sees_the_sweep_counts():
+@pytest.mark.parametrize("theta,effective_factors", [("one", 0), ("cosine_sum", 1)])
+def test_perfbench_tracer_sees_the_sweep_counts(theta, effective_factors):
     # the count identities of the benchmark's sweep workloads, on a small
     # sweep: one assembly per eps plus one in the set-up, eight potential
-    # phases plus the effective system factorized per eps, and one solve per
-    # step and system
-    rc = make_config()
+    # phases per eps plus, for an oscillating Theta, the effective system
+    # (Theta = 1 steps it in its eigenbasis), and one solve per step and system
+    rc = make_config(theta_preset={"name": theta, "params": {}})
     eps_list, n_paths = [0.5, 0.25], 2
     tracer = perfbench_tracer()
     tracer.install_nshom()
@@ -390,7 +437,7 @@ def test_perfbench_tracer_sees_the_sweep_counts():
         tracer.restore()
     n_steps = [rc.resolve_dt(eps)[1] for eps in eps_list]
     assert tracer.calls["kernel.assemble"] == len(eps_list) + 1
-    assert tracer.calls["integrator.lu_factor"] == len(eps_list) * (8 + 1)
+    assert tracer.calls["integrator.lu_factor"] == len(eps_list) * (8 + effective_factors)
     assert tracer.calls["integrator.lu_solve"] == 2 * sum(n_steps)
 
 

@@ -463,14 +463,11 @@ class TestEnsembleStepper:
         assert np.shares_memory(factor.matrix, stepper._block)
 
     def test_phases_that_never_recur_share_one_spare_slot(self, grid, frac_gen):
-        """eps = 0.3 under the default eps_over rule runs 27 steps of
-        dt = 1/27 (eps/dt = 8.1), whose 27 phase keys never recur: one
-        warning says the phase does not cycle, every step factorizes in the
-        one spare slot, nothing is cached, and the run's traced peak stays
-        below three slots."""
-        eps = 0.3
-        dt, n_steps = RunConfig.from_dict({}).resolve_dt(eps)
-        assert (dt, n_steps) == (1.0 / 27, 27)
+        """eps = 0.3 with 27 steps of dt = 1/27 (eps/dt = 8.1), whose 27
+        phase keys never recur: one warning says the phase does not cycle,
+        every step factorizes in the one spare slot, nothing is cached, and
+        the run's traced peak stays below three slots."""
+        eps, dt, n_steps = 0.3, 1.0 / 27, 27
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         tracemalloc.start()
         try:
@@ -487,6 +484,22 @@ class TestEnsembleStepper:
         assert stepper._slots == {} and stepper._factors == {}
         assert stepper._block.shape == (1, grid.n, grid.n)
         assert peak < 3 * 16 * grid.n ** 2
+
+    def test_eps_over_rule_lets_the_phases_of_eps_0_3_recur(self, grid, frac_gen):
+        """The default eps_over rule (factor 8, T = 1) gives eps = 0.3 the
+        step 0.3/9 = 1/30 and 30 steps, so the phase t/eps cycles every 9
+        steps: 9 factorizations and 21 hits, with no warning."""
+        eps = 0.3
+        dt, n_steps = RunConfig.from_dict({}).resolve_dt(eps)
+        assert (dt, n_steps) == (1.0 / 30, 30)
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=1.0, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepper = ThetaStepper(frac_gen, cfg, dt, n_steps, eps)
+            u = cfg.initial_field()[:, None]
+            for k in range(n_steps):
+                u = stepper.step(u, k, np.zeros(1))
+        assert (stepper.misses, stepper.hits) == (9, 21)
 
     def test_only_recurring_phases_keep_a_slot(self, grid, frac_gen, monkeypatch):
         """1.5 periods at dt = eps/8: of the 8 phases of 12 steps the first 4
@@ -722,12 +735,12 @@ class TestLockstep:
                          "TrajectoryBlowup": [("integrator.py", "lockstep")]}
 
     def test_a_stepper_is_given_its_matrix(self):
-        """ThetaStepper takes (generator, cfg, dt, n_steps, eps) only, and
-        integrator.simulate is the one place that builds a generator from a
+        """ThetaStepper takes (generator, cfg, dt, n_steps, eps, basis) only,
+        and integrator.simulate is the one place that builds a generator from a
         Heterogeneous or Effective system; the harness constructs neither."""
         params = list(inspect.signature(ThetaStepper).parameters.values())
-        assert [p.name for p in params] == ["generator", "cfg", "dt", "n_steps", "eps"]
-        assert [p.default for p in params][-1] is None
+        assert [p.name for p in params] == ["generator", "cfg", "dt", "n_steps", "eps", "basis"]
+        assert [p.default for p in params][-2:] == [None, None]
         sites = package_call_sites("_build_generator", "ThetaStepper", "Heterogeneous",
                                    "Effective")
         assert sites["_build_generator"] == [("integrator.py", "simulate")]
@@ -756,13 +769,13 @@ def unfused_step(self, u, k, dw):
     """``reference_step`` on the stepper's own factor, the reference for the
     fused step: solved with scipy's lu_solve of the transposed system for
     more than TRSV_MAX_COLUMNS columns, as zgetrs is. Up to that many
-    columns, and for an L D L^T factor, which scipy's lu_solve cannot take,
-    it is solved with integrator.lu_solve, so the glue around the solve is
-    still compared bit for bit."""
+    columns, and for an L D L^T or eigenbasis factor, which scipy's lu_solve
+    cannot take, it is solved with integrator.lu_solve, so the glue around
+    the solve is still compared bit for bit."""
     lu = self._factors_at(k, u.shape[1])
     return reference_step(self, u, k, dw, lambda rhs: (
         integrator.lu_solve(lu, rhs)
-        if rhs.shape[1] <= integrator.TRSV_MAX_COLUMNS or lu.symmetric
+        if rhs.shape[1] <= integrator.TRSV_MAX_COLUMNS or lu.kind != "LU"
         else linalg.lu_solve((lu.matrix, lu.piv), rhs, trans=1, check_finite=False)))
 
 
@@ -828,7 +841,7 @@ class TestLinearity:
                 assert not dead.any()
             finals.append(u)
         symmetric = system == "het" and 1 < columns <= integrator.LDL_MAX_COLUMNS
-        assert all(f.symmetric == symmetric for f in stepper._factors.values())
+        assert all((f.kind == "L D L^T") == symmetric for f in stepper._factors.values())
         assert np.array_equal(finals[1], 2.0 * finals[0])
         assert not np.array_equal(finals[0], u0)
 
@@ -995,7 +1008,7 @@ class TestFactorMatchesScipy:
         filled = np.array(a, dtype=complex, order="C")
         factor = integrator.lu_factor(filled)
         zeros = np.flatnonzero(scipy_lu.diagonal() == 0)
-        assert not factor.symmetric and np.shares_memory(factor.matrix, filled)
+        assert factor.kind == "LU" and np.shares_memory(factor.matrix, filled)
         assert np.array_equal(factor.matrix, scipy_lu) and np.array_equal(factor.piv, scipy_piv)
         assert factor.info == (1 + zeros[0] if zeros.size else 0)
         return factor
@@ -1315,10 +1328,10 @@ class TestFactorKind:
         g_asym[n - 1, 3] = np.nextafter(g_sym[n - 1, 3], np.inf)
         calls = self.recorded(monkeypatch)
         sym = self.stepper(g_sym, 0.25, "cos2pi_y_times_cos2pi_tau")
-        assert sym._factors_at(0, 2).symmetric
+        assert sym._factors_at(0, 2).kind == "L D L^T"
         asym = self.stepper(g_asym, 0.25, "cos2pi_y_times_cos2pi_tau")
         lu = asym._factors_at(0, 2)
-        assert asym._ldl_lwork is None and not lu.symmetric
+        assert asym._ldl_lwork is None and lu.kind == "LU"
         # the LU path is scipy's lu_factor of the filled matrix's transpose
         filled = TestImplicitFill.whole_array_fill(g_asym, asym)
         expected = linalg.lu_factor(filled.T)
@@ -1333,16 +1346,16 @@ class TestFactorKind:
                  generator=frac_gen)
         assert np.array_equal(frac_gen, frac_gen.T)
         assert len(calls) == 8
-        assert all(kw == {"ldl_lwork": None} and not f.symmetric for _, kw, f in calls)
+        assert all(kw == {"ldl_lwork": None} and f.kind == "LU" for _, kw, f in calls)
 
     def test_more_than_ldl_max_columns_take_lu(self, frac_gen, monkeypatch):
         calls = self.recorded(monkeypatch)
         limit = integrator.LDL_MAX_COLUMNS
         ldl, lu = (self.stepper(frac_gen, 0.25, "cos2pi_y_times_cos2pi_tau")
                    for _ in range(2))
-        assert ldl._factors_at(0, limit).symmetric
+        assert ldl._factors_at(0, limit).kind == "L D L^T"
         factor = lu._factors_at(0, limit + 1)
-        assert not factor.symmetric and calls[1][1] == {"ldl_lwork": None}
+        assert factor.kind == "LU" and calls[1][1] == {"ldl_lwork": None}
         # the LU path is scipy's lu_factor of the filled matrix's transpose
         expected = linalg.lu_factor(TestImplicitFill.whole_array_fill(frac_gen, lu).T)
         assert (np.array_equal(factor.matrix, expected[0])
@@ -1353,18 +1366,18 @@ class TestFactorKind:
         stepper = self.stepper(frac_gen, 0.25, "cos2pi_y_times_cos2pi_tau")
         factor = stepper._factors_at(0, 3)
         (filled, kwargs, _), = calls
-        assert factor.symmetric and kwargs["ldl_lwork"] == stepper._ldl_lwork
+        assert factor.kind == "L D L^T" and kwargs["ldl_lwork"] == stepper._ldl_lwork
         assert np.shares_memory(factor.matrix, filled)
 
     def test_cached_factor_keeps_its_kind(self, frac_gen):
         """A phase first factorized for one column keeps LU for several, and
         the reverse."""
         stepper = self.stepper(frac_gen)
-        assert not stepper._factors_at(0, 1).symmetric
-        assert not stepper._factors_at(1, 2).symmetric
+        assert stepper._factors_at(0, 1).kind == "LU"
+        assert stepper._factors_at(1, 2).kind == "LU"
         stepper = self.stepper(frac_gen)
-        assert stepper._factors_at(0, 2).symmetric
-        assert stepper._factors_at(1, 1).symmetric
+        assert stepper._factors_at(0, 2).kind == "L D L^T"
+        assert stepper._factors_at(1, 1).kind == "L D L^T"
         assert (stepper.misses, stepper.hits) == (1, 1)
 
     # theta dt = 1/64: G = 64i I + S with S real symmetric and zero on the
@@ -1421,12 +1434,86 @@ class TestSymmetricSweepEquivalence:
         prepared = prepared_by_theta[theta]
         calls = TestFactorKind.recorded(monkeypatch)
         ldl = eps_sweep([0.5, 0.25], 3, rc, prepared)
-        assert any(f.symmetric for _, _, f in calls)
+        assert any(f.kind == "L D L^T" for _, _, f in calls)
         calls.clear()
         monkeypatch.setattr(ThetaStepper, "_ldl_lwork", None)
         lu = eps_sweep([0.5, 0.25], 3, rc, prepared)
-        assert calls and not any(f.symmetric for _, _, f in calls)
+        assert calls and all(f.kind == "LU" for _, _, f in calls)
         np.testing.assert_allclose(ldl.strong_err, lu.strong_err, rtol=1e-9, atol=0.0)
         for row, ref in zip(ldl.weak_err, lu.weak_err):
             assert np.max(np.abs(np.subtract(row, ref))) <= 5e-9 * np.max(np.abs(ref))
         assert ldl.excluded == lu.excluded == [0, 0]
+
+
+class TestEigenbasis:
+    """The third solve kind: a stepper given the eigenbasis of a symmetric G
+    (``integrator.eigenbasis``) against the same stepper's L D L^T or LU
+    factors, and the rule that picks it (``integrator.effective_solve``)."""
+
+    TOL = 2e-12  # of max|u|; measured at most 4.9e-13 (3.5e-13 at one BLAS thread)
+
+    @staticmethod
+    def unit_generator(n: int) -> np.ndarray:
+        """G_eff of Theta = 1, Xi_1 L, which is exactly symmetric."""
+        return assemble_effective_generator(UNIT, Grid1D.make(n), ALPHA)
+
+    @pytest.mark.parametrize("eps", [1 / 2, 1 / 16])
+    @pytest.mark.parametrize("paths", [1, 4, 32])
+    @pytest.mark.parametrize("n", [48, 256, 512])
+    def test_steps_match_the_factor_steps(self, n, paths, eps):
+        g = self.unit_generator(n)
+        dt, n_steps = eps / 8.0, round(4.0 / eps)  # T = 1/2 at the sweep rule
+        cfg = SimConfig(grid=Grid1D.make(n), alpha=ALPHA, T=n_steps * dt,
+                        noise=NoiseModel("bounded", 0.5))
+        dw = np.stack([brownian_increments(s, n_steps, dt).increments
+                       for s in range(paths)], axis=1)
+        u0 = np.repeat(cfg.initial_field()[:, None], paths, axis=1)
+        eigen, factored = steppers = [
+            ThetaStepper(g, cfg, dt, n_steps, basis=integrator.eigenbasis(g)),
+            ThetaStepper(g, cfg, dt, n_steps)]
+        for _, (u_eigen, u_factored), dead, _ in lockstep(steppers, u0, dw):
+            assert np.max(np.abs(u_eigen - u_factored)) <= self.TOL * np.max(np.abs(u_factored))
+        assert not dead.any()
+        assert (eigen.misses, eigen.hits) == (factored.misses, factored.hits) == (1, n_steps - 1)
+        assert eigen._factors[None].kind == "eigenbasis"
+        assert factored._factors[None].kind in ("LU", "L D L^T")
+        assert "_block" not in eigen.__dict__  # no (n, n) complex factor block
+
+    def test_the_rule(self, prepared_by_theta):
+        """Finite, exactly symmetric, real and at most EIGENBASIS_MAX_NODES
+        nodes; anything else keeps the factors."""
+        g = self.unit_generator(integrator.EIGENBASIS_MAX_NODES)
+        assert integrator.effective_solve(g) == "eigenbasis"
+        assert integrator.effective_solve(
+            self.unit_generator(integrator.EIGENBASIS_MAX_NODES + 1)) == "factor"
+        assert integrator.effective_solve(prepared_by_theta["one"].effective_generator) == (
+            "eigenbasis")
+        assert integrator.effective_solve(
+            prepared_by_theta["cosine_sum"].effective_generator) == "factor"
+        for entry in (np.nan, np.inf):
+            bad = g.copy()
+            bad[3, 3] = entry
+            assert integrator.effective_solve(bad) == "factor", entry
+        asymmetric = g.copy()
+        asymmetric[-1, 0] = np.nextafter(g[-1, 0], 0.0)
+        assert integrator.effective_solve(asymmetric) == "factor"
+        assert integrator.effective_solve(g.astype(complex)) == "factor"
+
+    def test_a_heterogeneous_system_takes_no_basis(self, grid, frac_gen):
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        with pytest.raises(ValueError, match="effective system only"):
+            ThetaStepper(frac_gen, cfg, 1 / 32, 16, 0.25, basis=integrator.eigenbasis(frac_gen))
+
+    def test_basis_reconstructs_the_generator(self):
+        g = self.unit_generator(64)
+        values, vectors = integrator.eigenbasis(g)
+        assert np.max(np.abs((vectors * values) @ vectors.T - g)) <= 1e-12 * np.max(np.abs(g))
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(64))) <= 1e-13
+
+    def test_failed_decomposition_names_the_effective_system(self, monkeypatch):
+        monkeypatch.setattr(integrator, "dsyevd",
+                            lambda a, **kwargs: (np.zeros(len(a)), np.zeros_like(a), 7))
+        with pytest.raises(integrator.LinearSolveError,
+                           match=r"^effective system: eigendecomposition failed "
+                                 r"\(dsyevd info 7\)$"):
+            integrator.eigenbasis(self.unit_generator(16))
