@@ -30,7 +30,7 @@ from .config import ConfigError, RunConfig, load_config
 from .harness import (STRONG_ERROR_DEFINITION, SweepFailure, SweepReport, check_sweep_args,
                       corrector_residual, eps_sweep, prepare_experiment, solve_coefficients)
 from .integrator import (Effective, Heterogeneous, LinearSolveError, TrajectoryBlowup,
-                         brownian_increments, effective_solve, simulate)
+                         brownian_increments, simulate)
 from .kernel import KernelParams, assemble_heterogeneous_generator
 from .presets import PSI_PRESETS, get_theta
 
@@ -242,13 +242,15 @@ def _cmd_sweep(args) -> int:
     def progress(eps, kept, excluded):
         wall = lap()
         telemetry["wall_s"].append(wall)
+        reflection, solve = prepared.stepped[eps]
+        telemetry["reflection"].append(reflection)
+        telemetry["effective_solve"].append(solve)
         print(f"  eps={eps:<10g} kept={kept} excluded={excluded} wall={wall:.1f}s",
               flush=True)
 
     prepared = prepare_experiment(rc)
-    telemetry = {"prepare_s": lap(), "wall_s": [],
-                 "cell_residual": prepared.cell_solution.residual,
-                 "effective_solve": effective_solve(prepared.effective_generator)}
+    telemetry = {"prepare_s": lap(), "wall_s": [], "reflection": [], "effective_solve": [],
+                 "cell_residual": prepared.cell_solution.residual}
     try:
         report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)
     except SweepFailure as exc:

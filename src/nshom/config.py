@@ -162,24 +162,27 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def resolve_dt(self, eps: float | None = None) -> tuple[float, int]:
-        """Time step and step count. The eps_over rule at eps takes dt = eps/k
-        for the smallest integer k from ceil(factor) to 2 ceil(factor) that
-        makes k T/eps a whole number of steps (to STEP_RULE_RTOL), so that the
-        potential's phase t/eps cycles every k steps and its factors are
-        reused. Without such a k, and for the other rules, dt is the largest
-        step within the rule's bound that divides T exactly (dt <= eps/factor
-        resolves the tau = t/eps oscillation)."""
+        """Time step and step count. The eps_over rule at eps with T/eps >= 2
+        takes dt = eps/k for the smallest integer k from ceil(factor) to
+        2 ceil(factor) that makes k T/eps a whole number of steps (to
+        STEP_RULE_RTOL), so that the potential's phase t/eps cycles every k
+        steps and its factors are reused. Below two periods a phase recurs at
+        most once, so such a k could only add steps. Without such a k, and for
+        the other rules, dt is the largest step within the rule's bound that
+        divides T exactly (dt <= eps/factor resolves the tau = t/eps
+        oscillation)."""
         rule = self.data["dt_rule"]
         if rule["kind"] == "fixed":
             raw = float(rule["dt"])
         elif eps is None:
             raw = float(rule["default_dt"])
         else:
-            least = math.ceil(float(rule["factor"]))
-            for k in range(least, 2 * least + 1):
-                steps = k * self.sim.T / eps
-                if abs(steps - round(steps)) <= STEP_RULE_RTOL * steps:
-                    return eps / k, round(steps)
+            if self.sim.T >= 2.0 * eps:
+                least = math.ceil(float(rule["factor"]))
+                for k in range(least, 2 * least + 1):
+                    steps = k * self.sim.T / eps
+                    if abs(steps - round(steps)) <= STEP_RULE_RTOL * steps:
+                        return eps / k, round(steps)
             raw = eps / float(rule["factor"])
         n_steps = max(1, math.ceil(self.sim.T / raw - 1e-12))
         return self.sim.T / n_steps, n_steps

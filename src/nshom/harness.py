@@ -12,7 +12,21 @@ integrals are reduced step by step, one entry per path. The effective system
 is stepped in G_eff's eigenbasis when ``integrator.effective_solve`` picks it;
 the first ``coupled_errors`` call of a set-up computes that basis and the
 ``PreparedExperiment`` keeps it for every later level, so a direct call and a
-sweep take the same arithmetic. The corrector
+sweep take the same arithmetic.
+
+A level is reflection-even when V, h and f are even under x -> -x (their
+specs' ``even``, read first, so that odd inputs scan no matrix), G_eff is
+and the level's G_het is (J G J = G, J the reversal of the nodes, to
+``presets.REFLECTION_RTOL`` of max|G|). The noise is pointwise, so every
+path then stays even, and ``coupled_errors`` steps both systems on the first
+m = ceil(n/2) nodes: each gets ``reflection_fold`` of its first m rows, the
+mirrored column added to column i < n//2, its paired block made exactly
+symmetric when G is, and a ``SimConfig`` whose grid holds those nodes. The
+strong error weighs a paired node 2 and a middle node 1 (the fold of ones),
+and the weak errors take the folded psi. The folded G_eff and its eigenbasis
+are computed at the first ``coupled_errors`` call, beside the full basis, and
+``PreparedExperiment.stepped`` records how each level was stepped. Any other
+level, and ``simulate``, keeps the full grid. The corrector
 diagnostic steps nothing: one resolvent solve per eps, and one gamma matrix
 per call (``kernel`` holds gamma's scalar and matrix forms), scaled by
 eps^{(1+alpha)/2} to each level's fast variable. A sweep reduces the
@@ -26,7 +40,8 @@ Failure policy:
 
 * A factorization is shared by every path at its (system, eps, phase), and
   G_eff's eigenbasis by every level, so a ``LinearSolveError`` ends the sweep
-  at once; the CLI reports it with exit code 3.
+  at once; the CLI reports it with exit code 3. A non-finite G is not
+  reflection-even, so it reaches that error on the full grid.
 * A ``TrajectoryBlowup`` belongs to one path: that column is NaN in the
   error arrays, its reason is returned and warned, and the other columns are
   stepped with unchanged arithmetic. An eps level that excludes more than
@@ -35,8 +50,9 @@ Failure policy:
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,9 +63,9 @@ from .effective import (EffectiveCoefficients, assemble_effective_generator,
                         compute_effective_coefficients, zeta_matrix)
 # simulate is not called here; perfbench/tracer.py wraps harness.simulate by name
 from .integrator import (EigenBasis, ThetaStepper, TrajectoryBlowup, brownian_increments,
-                         effective_solve, eigenbasis, lockstep, simulate)
-from .kernel import KernelParams, assemble_heterogeneous_generator, gamma_matrix
-from .presets import PSI_PRESETS
+                         effective_solve, eigenbasis, exactly_symmetric, lockstep, simulate)
+from .kernel import Grid1D, KernelParams, assemble_heterogeneous_generator, gamma_matrix
+from .presets import PSI_PRESETS, mirror_matches
 
 STRONG_ERROR_DEFINITION = (
     "strong_err = mean over paths of dt*h*sum_{t,x} |u_eps - u_eff|^2 "
@@ -70,22 +86,67 @@ class SweepFailure(RuntimeError):
         self.report = report
 
 
+def reflection_fold(a: np.ndarray) -> np.ndarray:
+    """``a`` on the even half of its last axis of n entries: its first
+    m = ceil(n/2) entries, with entry n-1-i added to entry i for i < n//2 (a
+    middle entry, at odd n, counted once). For every u even under
+    i -> n-1-i, ``reflection_fold(a) @ u[:m]`` is ``a @ u``."""
+    n = a.shape[-1]
+    out = a[..., :(n + 1) // 2].copy()
+    out[..., :n // 2] += a[..., ::-1][..., :n // 2]
+    return out
+
+
+def _even_half(g: np.ndarray) -> np.ndarray | None:
+    """The (m, m) matrix that steps the even states of the (n, n) G on their
+    first m = ceil(n/2) nodes, ``reflection_fold`` of G's first m rows, or
+    None unless G is reflection-even (``presets.mirror_matches`` of those rows
+    against the rows of J G J, J the reversal), so a non-finite G is not.
+    When G is exactly symmetric the block of paired nodes is made exactly
+    symmetric as (F + F^T)/2, so that the L D L^T factors and the eigenbasis
+    apply to it; at odd n the middle row, counted twice against the middle
+    column's once, keeps the fold from being symmetric."""
+    m, pairs = (g.shape[0] + 1) // 2, g.shape[0] // 2
+    if not mirror_matches(g[:m], g[::-1, ::-1][:m]):
+        return None
+    f = reflection_fold(g[:m])
+    if exactly_symmetric(g):
+        block = f[:pairs, :pairs]
+        block[...] = (block + block.T) / 2.0
+    return f
+
+
 @dataclass
 class PreparedExperiment:
     """Epsilon-independent pieces shared across a sweep: cell solve, effective
-    coefficients and generator, and the generator's eigenbasis."""
+    coefficients and generator, the generator's eigenbasis and its even half;
+    and ``stepped``, which records how ``coupled_errors`` stepped each eps
+    level as ``(reflection, effective solve)``: "even half" or "full grid",
+    and "eigenbasis" or "factor"."""
 
     cell_solution: CellSolution
     coefficients: EffectiveCoefficients
     effective_generator: np.ndarray
+    stepped: dict[float, tuple[str, str]] = field(default_factory=dict, init=False,
+                                                  repr=False, compare=False)
 
     @cached_property
     def effective_basis(self) -> EigenBasis | None:
         """G_eff's eigenbasis if ``integrator.effective_solve`` picks it, else
-        None; computed at first use, the first ``coupled_errors`` call, so that
-        ``prepare_experiment`` does not pay for it."""
+        None; computed at first use, the first ``coupled_errors`` call of a
+        full-grid run, so that ``prepare_experiment`` does not pay for it."""
         g = self.effective_generator
         return eigenbasis(g) if effective_solve(g) == "eigenbasis" else None
+
+    @cached_property
+    def even_effective(self) -> tuple[np.ndarray, EigenBasis | None] | None:
+        """G_eff's even half (``_even_half``) and that matrix's eigenbasis if
+        ``effective_solve`` picks it, or None if G_eff is not reflection-even;
+        computed at first use, as ``effective_basis`` is."""
+        f = _even_half(self.effective_generator)
+        if f is None:
+            return None
+        return f, (eigenbasis(f) if effective_solve(f) == "eigenbasis" else None)
 
 
 @dataclass
@@ -120,23 +181,39 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: Prepar
     by ``integrator.lockstep`` with one column per seed, as ``(err, weak,
     reasons)``: ``err`` is (P,), ``weak`` is (P, n_psi) against ``PSI_PRESETS``,
     and ``reasons[j]`` is the TrajectoryBlowup of a column that diverged (NaN in
-    ``err`` and ``weak``, and warned) or None."""
+    ``err`` and ``weak``, and warned) or None. A reflection-even run (module
+    docstring) is stepped on the first ceil(n/2) nodes."""
     cfg = rc.sim
     grid = cfg.grid
     dt, n_steps = rc.resolve_dt(eps)
     dw = np.stack([brownian_increments(s, n_steps, dt).increments for s in seeds], axis=1)
     g_het = assemble_heterogeneous_generator(
         grid, KernelParams(alpha=cfg.alpha, theta=cfg.theta, epsilon=eps))
+    u0 = cfg.initial_field()
+    psi = np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS])
+    # the specs' cached parity first, so that odd inputs scan no matrix
+    even_inputs = cfg.v_spec.even and cfg.h_spec.even and cfg.f_spec.even
+    half = (_even_half(g_het) if even_inputs and prepared.even_effective is not None
+            else None)
+    if half is None:
+        g_eff, basis, weight = prepared.effective_generator, prepared.effective_basis, None
+    else:
+        g_het, (g_eff, basis) = half, prepared.even_effective
+        m = g_het.shape[0]
+        cfg = dataclasses.replace(cfg, grid=Grid1D(n=m, h=grid.h, nodes=grid.nodes[:m]))
+        u0, psi, weight = u0[:m], reflection_fold(psi), reflection_fold(np.ones(grid.n))
+    prepared.stepped[eps] = ("full grid" if weight is None else "even half",
+                             "factor" if basis is None else "eigenbasis")
     steppers = [ThetaStepper(g_het, cfg, dt, n_steps, eps),
-                ThetaStepper(prepared.effective_generator, cfg, dt, n_steps,
-                             basis=prepared.effective_basis)]
-    u0 = np.repeat(cfg.initial_field()[:, None], len(seeds), axis=1)
-    psi_conj = np.conj(np.stack([fn(grid.nodes) for _, fn in PSI_PRESETS]).T)
+                ThetaStepper(g_eff, cfg, dt, n_steps, basis=basis)]
+    u0 = np.repeat(u0[:, None], len(seeds), axis=1)
+    psi_conj = np.conj(psi.T)
     err = np.zeros(len(seeds))
     weak = np.zeros((len(seeds), len(PSI_PRESETS)), dtype=complex)
     for _, (u_het, u_eff), dead, reasons in lockstep(steppers, u0, dw):
         diff = u_het - u_eff
-        err += np.sum(diff.real ** 2 + diff.imag ** 2, axis=0)
+        squares = diff.real ** 2 + diff.imag ** 2
+        err += np.sum(squares, axis=0) if weight is None else weight @ squares
         weak += diff.T @ psi_conj
 
     # NaN before scaling: a diverged column may hold inf, and complex inf * scale warns

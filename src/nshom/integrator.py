@@ -305,7 +305,7 @@ class EigenBasis(NamedTuple):
     vectors: np.ndarray
 
 
-def _exactly_symmetric(g: np.ndarray) -> bool:
+def exactly_symmetric(g: np.ndarray) -> bool:
     """G == G^T bit for bit, compared by blocks of SYMMETRY_SCAN_ROWS rows
     with the matching columns and stopping at the first block that differs;
     a NaN entry differs."""
@@ -320,7 +320,7 @@ def effective_solve(generator: np.ndarray) -> str:
     non-finite generator keeps the factors, whose stepper reports it."""
     g = np.asarray(generator)
     return ("eigenbasis" if np.isrealobj(g) and g.shape[0] <= EIGENBASIS_MAX_NODES
-            and _exactly_symmetric(g) and np.isfinite(g.max()) and np.isfinite(g.min())
+            and exactly_symmetric(g) and np.isfinite(g.max()) and np.isfinite(g.min())
             else "factor")
 
 
@@ -480,7 +480,7 @@ class ThetaStepper:
     @cached_property
     def _ldl_lwork(self) -> int | None:
         """``zsytrf``'s workspace size if G is exactly symmetric, else None."""
-        if not _exactly_symmetric(self.g_mat):
+        if not exactly_symmetric(self.g_mat):
             return None
         work, _ = zsytrf_lwork(self.g_mat.shape[0], lower=1)
         return int(work.real)

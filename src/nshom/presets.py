@@ -4,12 +4,19 @@ initial datum, and weak-error test functions.
 All potentials are periodic in (y, tau) on the unit cell; ``VSpec`` checks
 their zero mean over y when built. ``one_plus_cos`` (mean 1) stays in the
 registry on purpose, so that ``get_v`` and the configuration reject it.
+
+``VSpec``, ``HSpec`` and ``FSpec`` each say, at first use of ``even``,
+whether they are even under the reflection x -> -x of D (y -> 1 - y in the
+cell): sampled on ``_PROBE`` against the mirrored sample to REFLECTION_RTOL
+(``mirror_matches``). The harness steps a run whose inputs and generators are
+all even on half the grid.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,6 +24,17 @@ import numpy as np
 # where ThetaSpec checks symmetry and VSpec checks zero y-mean (in tau) when
 # built: the points k/64 and three points off that grid
 _PROBE = np.concatenate((np.arange(64) / 64, [0.1, 1 / 3, 0.7]))
+# how close values must come to their mirror image under x -> -x, relative to
+# their largest modulus, to count as even. The generators of every Theta
+# preset meet it to 3.3e-15 (n = 255 and 256, eps = 1/2 and 1/16), and the
+# odd part of G_eff for cosine_sum with sin2pi_y_one_plus_sin2pi_tau is 5.6e-5
+REFLECTION_RTOL = 1e-12
+
+
+def mirror_matches(values: np.ndarray, mirrored: np.ndarray) -> bool:
+    """max|values - mirrored| <= REFLECTION_RTOL max|values|; NaN or inf fails."""
+    return bool(np.max(np.abs(values - mirrored))
+                <= REFLECTION_RTOL * np.max(np.abs(values)))
 
 
 @dataclass(frozen=True)
@@ -78,6 +96,13 @@ class VSpec:
                 raise ValueError(f"potential preset {self.name!r} has nonzero spatial mean "
                                  f"(max |mean over y| = {worst:.2e})")
 
+    @cached_property
+    def even(self) -> bool:
+        """V(1 - y, tau) = V(y, tau) on ``_PROBE`` x ``_PROBE``."""
+        y = _PROBE[:, None]
+        return self.is_zero or mirror_matches(self.sample(y, _PROBE),
+                                              self.sample(1.0 - y, _PROBE))
+
     def sample(self, y, tau) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         tau = np.asarray(tau, dtype=float)
@@ -94,6 +119,15 @@ class FSpec:
     name: str
     fn: Callable[[float, np.ndarray], np.ndarray] | None
 
+    @cached_property
+    def even(self) -> bool:
+        """f(t, -x) = f(t, x) at t and (x + 1)/2 on ``_PROBE``."""
+        if self.fn is None:
+            return True
+        x = 2.0 * _PROBE - 1.0
+        return mirror_matches(np.stack([self.sample(t, x) for t in _PROBE]),
+                              np.stack([self.sample(t, -x) for t in _PROBE]))
+
     def sample(self, t: float, x: np.ndarray) -> np.ndarray | None:
         if self.fn is None:
             return None
@@ -106,6 +140,13 @@ class HSpec:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+
+    @cached_property
+    def even(self) -> bool:
+        """h(-x) = h(x) at (x + 1)/2 on ``_PROBE``."""
+        x = 2.0 * _PROBE - 1.0
+        return mirror_matches(np.asarray(self.fn(x), dtype=complex),
+                              np.asarray(self.fn(-x), dtype=complex))
 
     def sample(self, nodes: np.ndarray, h_weight: float) -> np.ndarray:
         vals = np.asarray(self.fn(nodes), dtype=complex)

@@ -144,6 +144,12 @@ class TestRunConfig:
         n_steps = round(8.0 / eps)
         assert RunConfig.from_dict({}).resolve_dt(eps) == (1.0 / n_steps, n_steps)
 
+    @pytest.mark.parametrize("eps, step", [(0.7, (1.0 / 12, 12)), (0.3, (1.0 / 30, 30))])
+    def test_the_step_search_needs_two_periods(self, eps, step):
+        # T/eps = 1.43 < 2: the rounding's 12 steps, where k = 14 would take 20
+        # steps with 14 phases; T/eps = 3.33: k = 9 gives 30 steps of 9 phases
+        assert RunConfig.from_dict({}).resolve_dt(eps) == step
+
     def test_eps_without_a_whole_step_count_keeps_the_rounding(self):
         # k/(pi^-1) = k pi is no whole number for any k in 8..16: ceil(8 pi) = 26 steps
         assert RunConfig.from_dict({}).resolve_dt(1.0 / math.pi) == (1.0 / 26, 26)
@@ -476,12 +482,31 @@ class TestCliCommands:
                      "--config", str(cfg), "--out", str(out)]) == 0
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
         assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "corrector_s",
-                                  "effective_solve"}
-        assert telemetry["effective_solve"] == "factor"
+                                  "reflection", "effective_solve"}
+        assert telemetry["reflection"] == ["even half"]
+        assert telemetry["effective_solve"] == ["factor"]
         assert 0.0 <= telemetry["cell_residual"] <= 1e-8
         assert telemetry["prepare_s"] > 0.0
         assert len(telemetry["wall_s"]) == 1 and telemetry["wall_s"][0] > 0.0
         assert telemetry["corrector_s"] > 0.0
+
+    @pytest.mark.parametrize("overrides, reflection, solve", [
+        # the default inputs are even; the folded G_eff has 256 nodes, within
+        # EIGENBASIS_MAX_NODES, where the full 512 would take the factors
+        ({}, "even half", "eigenbasis"),
+        ({"theta_preset": {"name": "cosine_sum", "params": {}},
+          "v_preset": "sin2pi_y_one_plus_sin2pi_tau"}, "full grid", "factor"),
+    ])
+    def test_sweep_telemetry_records_the_stepped_systems(self, tmp_path, overrides,
+                                                         reflection, solve):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 512}, **overrides}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--eps", "1/2", "--paths", "2",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        assert telemetry["reflection"] == [reflection]
+        assert telemetry["effective_solve"] == [solve]
 
     def test_sweep_telemetry_reads_the_interval_between_marks(self, tmp_path, monkeypatch):
         # a fake clock at 0, 1, 3, 6, 10: set-up, two levels and the corrector
@@ -657,8 +682,10 @@ class TestCliCommands:
         # of the set-up and of each eps level that ran
         assert (out / "sweep.csv").exists()
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
-        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "effective_solve"}
-        assert telemetry["effective_solve"] == "eigenbasis"
+        assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "reflection",
+                                  "effective_solve"}
+        assert telemetry["reflection"] == ["even half"] * 2
+        assert telemetry["effective_solve"] == ["eigenbasis"] * 2
         assert len(telemetry["wall_s"]) == 2 and all(w > 0.0 for w in telemetry["wall_s"])
         assert not (out / "corrector.json").exists()
 

@@ -23,7 +23,8 @@ from nshom.harness import (
     prepare_experiment,
 )
 from nshom.integrator import LinearSolveError, TrajectoryBlowup
-from nshom.presets import PSI_PRESETS, get_theta, get_v
+from nshom.presets import (F_PRESETS, H_PRESETS, PSI_PRESETS, REFLECTION_RTOL, THETA_PRESETS,
+                           FSpec, HSpec, get_f, get_h, get_theta, get_v)
 
 SMALL = {
     "alpha": 1.5,
@@ -69,21 +70,49 @@ class TestCoupledPair:
         assert e1 != e2
         assert 0.2 < e1 / e2 < 5.0
 
-    def test_strong_error_counts_the_imaginary_part(self, monkeypatch, prepared_default):
-        # one time level whose differences are 2i (purely imaginary) and 3 - 4i
-        (rc, prepared), eps = prepared_default, 0.25
+    def test_strong_error_counts_the_imaginary_part(self, monkeypatch):
+        # one time level whose differences are 2i (purely imaginary) and 3 - 4i;
+        # the potential is odd in y, so the run keeps the full grid
+        rc, eps = make_config(v_preset="sin2pi_y_one_plus_sin2pi_tau"), 0.25
+        prepared = prepare_experiment(rc)
         n = rc.sim.grid.n
         u_het = np.zeros((n, 2), dtype=complex)
         u_het[:, 0], u_het[:, 1] = 2.0j, 3.0 - 4.0j
         steps = [(1, (u_het, np.zeros_like(u_het)), np.zeros(2, dtype=bool), [None, None])]
         monkeypatch.setattr(harness, "lockstep", lambda *args: iter(steps))
         err, weak, _ = coupled_errors(eps, rc, [0, 1], prepared)
+        assert prepared.stepped[eps] == ("full grid", "eigenbasis")
         scale = rc.resolve_dt(eps)[0] * rc.sim.grid.h
         assert err == pytest.approx([4.0 * n * scale, 25.0 * n * scale], rel=1e-14)
         for j, (_, fn) in enumerate(PSI_PRESETS):
             psi_sum = np.sum(fn(rc.sim.grid.nodes))
             assert weak[:, j] == pytest.approx([2.0j * psi_sum * scale,
                                                 (3.0 - 4.0j) * psi_sum * scale], rel=1e-13)
+
+    @pytest.mark.parametrize("n", [48, 47])
+    def test_even_half_weighs_paired_nodes_twice(self, monkeypatch, n):
+        # the default inputs are even, so the run steps the first ceil(n/2)
+        # nodes; one time level of differences that vary over them reduces as
+        # the full grid reduces their mirrored extension: weight 2 on a
+        # paired node and 1 on the middle node of odd n, and psi folded
+        rc, eps = make_config(grid={"n": n}), 0.25
+        prepared = prepare_experiment(rc)
+        m, pairs = (n + 1) // 2, n // 2
+        u_het = np.zeros((m, 2), dtype=complex)
+        u_het[:, 0] = 2.0j * (1.0 + np.arange(m))
+        u_het[:, 1] = (3.0 - 4.0j) * np.cos(np.arange(m))
+        steps = [(1, (u_het, np.zeros_like(u_het)), np.zeros(2, dtype=bool), [None, None])]
+        monkeypatch.setattr(harness, "lockstep", lambda *args: iter(steps))
+        err, weak, _ = coupled_errors(eps, rc, [0, 1], prepared)
+        assert prepared.stepped[eps] == ("even half", "eigenbasis" if n % 2 == 0 else "factor")
+        scale = rc.resolve_dt(eps)[0] * rc.sim.grid.h
+        full = np.concatenate([u_het, u_het[:pairs][::-1]])
+        squares = np.abs(u_het) ** 2
+        assert err == pytest.approx(scale * np.sum(np.abs(full) ** 2, axis=0), rel=1e-14)
+        assert err == pytest.approx(
+            scale * (2.0 * squares[:pairs].sum(axis=0) + squares[pairs:].sum(axis=0)), rel=1e-14)
+        psi = np.stack([fn(rc.sim.grid.nodes) for _, fn in PSI_PRESETS], axis=1)
+        np.testing.assert_allclose(weak, scale * full.T @ psi, rtol=1e-13)
 
     def test_error_decreases_between_eps_levels(self, prepared_default):
         rc, prepared = prepared_default
@@ -295,7 +324,7 @@ class TestEffectiveEigenbasis:
 
         monkeypatch.setattr(integrator, "dsyevd", counted)
         prepared = prepare_experiment(rc)
-        assert calls == []
+        assert calls == [] and "even_effective" not in vars(prepared)
         err, weak, _ = coupled_errors(0.25, rc, [0, 1], prepared)
         report = eps_sweep([0.5, 0.25, 0.125], 2, rc, prepared)
         assert len(calls) == 1
@@ -320,6 +349,155 @@ class TestEffectiveEigenbasis:
         with pytest.raises(LinearSolveError, match="effective system, phase None: "
                                                    "implicit matrix is not finite"):
             coupled_errors(0.5, rc, [0, 1], broken)
+
+
+class TestReflectionRule:
+    """The inputs of the rule that steps a run on the even half of the grid:
+    the specs' parity and ``harness._even_half``'s check of G against J G J
+    to presets.REFLECTION_RTOL of max|G|, as a metamorphic table."""
+
+    THETAS = sorted(THETA_PRESETS)
+    EVEN_V = ["zero", "cos2pi_y", "cos2pi_y_times_cos2pi_tau"]
+
+    @staticmethod
+    def passes(g) -> bool:
+        return harness._even_half(g) is not None
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_every_theta_gives_an_even_g_het(self, theta):
+        # and the fold of the exactly symmetric G_het is exactly symmetric at
+        # even n, in its block of paired nodes at odd n
+        for n in (64, 63):
+            grid = kernel.Grid1D.make(n)
+            for eps in (0.5, 1.0 / 16):
+                g = kernel.assemble_heterogeneous_generator(
+                    grid, kernel.KernelParams(alpha=1.5, theta=get_theta(theta), epsilon=eps))
+                f = harness._even_half(g)
+                assert f is not None, (n, eps)
+                paired = f[:n // 2, :n // 2]
+                assert np.array_equal(paired, paired.T) and (
+                    np.array_equal(f, f.T) == (n % 2 == 0)), (n, eps)
+
+    @pytest.mark.parametrize("v", EVEN_V)
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_every_theta_and_even_v_give_an_even_g_eff(self, theta, v):
+        rc = make_config(grid={"n": 64}, cell={"m": 32, "m_tau": 4, "n_images": 4},
+                         theta_preset={"name": theta, "params": {}}, v_preset=v)
+        assert rc.sim.v_spec.even
+        assert self.passes(prepare_experiment(rc).effective_generator)
+
+    def test_the_specs_know_their_parity(self):
+        assert [get_v(name).even for name in self.EVEN_V] == [True] * 3
+        assert not get_v("sin2pi_y_one_plus_sin2pi_tau").even
+        assert all(get_h(name).even for name in H_PRESETS)
+        assert all(get_f(name).even for name in F_PRESETS)
+        assert not HSpec("odd", lambda x: x).even
+        assert not FSpec("odd", lambda t, x: np.cos(t) * x).even
+
+    def test_the_odd_potential_gives_an_odd_g_eff(self):
+        # Xi_3 reads V's tau-mean, which sin 2pi y gives an odd part, 5.6e-5 of max|G_eff|
+        rc = make_config(grid={"n": 64}, cell={"m": 32, "m_tau": 4, "n_images": 4},
+                         theta_preset={"name": "cosine_sum", "params": {}},
+                         v_preset="sin2pi_y_one_plus_sin2pi_tau")
+        assert not self.passes(prepare_experiment(rc).effective_generator)
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_nan_and_odd_perturbations(self, n):
+        g = kernel.assemble_heterogeneous_generator(
+            kernel.Grid1D.make(n), kernel.KernelParams(alpha=1.5, theta=get_theta("one")))
+        assert self.passes(g)
+        broken = g.copy()
+        broken[4, 9] = np.nan
+        assert not self.passes(broken)
+        # a symmetric perturbation of one pair, without its mirror image
+        for factor, passes in ((10.0, False), (0.1, True)):
+            bumped = g.copy()
+            bumped[1, 2] += factor * REFLECTION_RTOL * np.max(np.abs(g))
+            bumped[2, 1] = bumped[1, 2]
+            assert self.passes(bumped) == passes, factor
+
+    @pytest.mark.parametrize("odd", ["v", "h", "f"])
+    def test_odd_inputs_scan_no_matrix(self, monkeypatch, odd):
+        # the specs' parity is read first: an odd V, h or f checks neither generator
+        rc = make_config(v_preset="sin2pi_y_one_plus_sin2pi_tau" if odd == "v" else "zero")
+        specs = {"h": {"h_spec": HSpec("odd", lambda x: x * (1.0 - x ** 2))},
+                 "f": {"f_spec": FSpec("odd", lambda t, x: np.cos(t) * x)}}
+        rc = dataclasses.replace(rc, sim=dataclasses.replace(rc.sim, **specs.get(odd, {})))
+        prepared = prepare_experiment(rc)
+        calls = []
+        monkeypatch.setattr(harness, "mirror_matches", lambda *a: calls.append(a) or True)
+        coupled_errors(0.25, rc, [0, 1], prepared)
+        assert calls == [] and "even_effective" not in vars(prepared)
+        assert prepared.stepped == {0.25: ("full grid", "eigenbasis")}
+
+    def test_an_odd_g_het_keeps_the_full_grid(self, monkeypatch):
+        # even inputs and G_eff, but a level's G_het perturbed by an odd part
+        # of 10 REFLECTION_RTOL max|G|
+        rc, real = make_config(), harness.assemble_heterogeneous_generator
+
+        def odd_part(*args):
+            g = real(*args)
+            g[1, 2] = g[2, 1] = g[1, 2] + 10.0 * REFLECTION_RTOL * np.max(np.abs(g))
+            return g
+
+        monkeypatch.setattr(harness, "assemble_heterogeneous_generator", odd_part)
+        prepared = prepare_experiment(rc)
+        coupled_errors(0.25, rc, [0, 1], prepared)
+        assert prepared.even_effective is not None
+        assert prepared.stepped == {0.25: ("full grid", "eigenbasis")}
+
+
+class TestEvenHalfEquivalence:
+    """A reflection-even run stepped on the even half against the same run
+    forced onto the full grid (``_even_half`` patched to None): Theta one,
+    whose G_eff is stepped in its eigenbasis at even n, and cosine_sum, both
+    with the default potential cos 2pi y cos 2pi tau, at n = 64 and 63, 4
+    paths. The mirrored sums and the (F + F^T)/2 symmetrization change the
+    rounding, and Theta one's strong error (about 2e-6 at eps = 1/8) is a
+    difference of nearly equal fields, which amplifies it. Measured at most,
+    over both Theta, both n and eps = 1/2 and 1/8, at one and two BLAS
+    threads: strong errors 1.2e-12 relative, weak errors 5.2e-10 of their
+    row's maximum, states 3.2e-14 of max|u|. The same comparison at the
+    default T = 1 with n = 256 and 1024 and eps = 1/2 and 1/16 read 6.3e-10,
+    3.3e-9 and 1.0e-12. Tolerances: 1e-10, 1e-8 and 1e-12."""
+
+    STRONG_RTOL, WEAK_RTOL, STATE_RTOL = 1e-10, 1e-8, 1e-12
+
+    @staticmethod
+    def run(monkeypatch, rc, eps, full):
+        states, real = [], harness.lockstep
+
+        def recording(steppers, u0, dw):
+            for item in real(steppers, u0, dw):
+                states.append([u.copy() for u in item[1]])
+                yield item
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "lockstep", recording)
+            if full:
+                m.setattr(harness, "_even_half", lambda g: None)
+            prepared = prepare_experiment(rc)
+            err, weak, reasons = coupled_errors(eps, rc, [0, 1, 2, 3], prepared)
+        assert reasons == [None] * 4
+        assert prepared.stepped[eps][0] == ("full grid" if full else "even half")
+        return err, weak, states
+
+    @pytest.mark.parametrize("n", [64, 63])
+    @pytest.mark.parametrize("theta", ["one", "cosine_sum"])
+    def test_even_half_matches_the_full_grid(self, monkeypatch, theta, n):
+        rc = make_config(grid={"n": n}, theta_preset={"name": theta, "params": {}})
+        for eps in (0.5, 0.125):
+            err, weak, half = self.run(monkeypatch, rc, eps, full=False)
+            ref_err, ref_weak, full = self.run(monkeypatch, rc, eps, full=True)
+            np.testing.assert_allclose(err, ref_err, rtol=self.STRONG_RTOL, atol=0)
+            assert np.all(np.abs(weak - ref_weak)
+                          <= self.WEAK_RTOL * np.max(np.abs(ref_weak), axis=0))
+            assert len(half) == len(full) == rc.resolve_dt(eps)[1]
+            for level, reference in zip(half, full):
+                for u, u_ref in zip(level, reference):
+                    mirrored = np.concatenate([u, u[:n // 2][::-1]])
+                    scale = np.max(np.abs(u_ref))
+                    assert np.max(np.abs(mirrored - u_ref)) <= self.STATE_RTOL * scale
 
 
 def perfbench_module(name, monkeypatch):
@@ -359,6 +537,24 @@ def test_perfbench_workload_configs_parse_to_their_hashes(monkeypatch):
         assert rc.sim_config() is rc.sim
         hashes[name] = rc.config_hash
     assert hashes == WORKLOAD_HASHES
+
+
+def test_perfbench_has_a_workload_on_each_side_of_the_reflection_rule(monkeypatch):
+    # sweep_theta_one is even in every input and steps the even half;
+    # sweep_theta_osc's sin potential, which simulate_eff_fine shares, is odd
+    workloads = perfbench_module("workloads", monkeypatch)
+    even = {}
+    for name, w in workloads.WORKLOADS.items():
+        sim = RunConfig.from_dict({**w.config, "seed": 0}).sim
+        even[name] = sim.v_spec.even and sim.h_spec.even and sim.f_spec.even
+    assert even == {"sweep_theta_one": True, "sweep_theta_osc": False,
+                    "simulate_eff_fine": False}
+    for name, stepped in (("sweep_theta_one", "even half"), ("sweep_theta_osc", "full grid")):
+        rc = RunConfig.from_dict({**workloads.WORKLOADS[name].config, "seed": 0})
+        prepared = prepare_experiment(rc)
+        eps = workloads.EPS_LIST[0]
+        coupled_errors(eps, rc, [0, 1], prepared)
+        assert prepared.stepped[eps][0] == stepped, name
 
 
 @pytest.mark.parametrize("name", ["sweep_theta_one", "sweep_theta_osc"])
