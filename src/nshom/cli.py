@@ -245,11 +245,15 @@ def _cmd_sweep(args) -> int:
         reflection, solve = prepared.stepped[eps]
         telemetry["reflection"].append(reflection)
         telemetry["effective_solve"].append(solve)
+        factorizations, hits = prepared.factor_counts[eps]
+        telemetry["factorizations"].append(factorizations)
+        telemetry["factor_hits"].append(hits)
         print(f"  eps={eps:<10g} kept={kept} excluded={excluded} wall={wall:.1f}s",
               flush=True)
 
     prepared = prepare_experiment(rc)
     telemetry = {"prepare_s": lap(), "wall_s": [], "reflection": [], "effective_solve": [],
+                 "factorizations": [], "factor_hits": [],
                  "cell_residual": prepared.cell_solution.residual}
     try:
         report = eps_sweep(eps_list, args.paths, rc, prepared=prepared, progress=progress)

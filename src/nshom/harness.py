@@ -25,7 +25,8 @@ symmetric when G is, and a ``SimConfig`` whose grid holds those nodes. The
 strong error weighs a paired node 2 and a middle node 1 (the fold of ones),
 and the weak errors take the folded psi. The folded G_eff and its eigenbasis
 are computed at the first ``coupled_errors`` call, beside the full basis, and
-``PreparedExperiment.stepped`` records how each level was stepped. Any other
+``PreparedExperiment.stepped`` records how each level was stepped and
+``factor_counts`` its steppers' factorizations and hits. Any other
 level, and ``simulate``, keeps the full grid. The corrector
 diagnostic steps nothing: one resolvent solve per eps, and one gamma matrix
 per call (``kernel`` holds gamma's scalar and matrix forms), scaled by
@@ -38,10 +39,11 @@ keeps no clock; the CLI times each level through ``progress``.
 
 Failure policy:
 
-* A factorization is shared by every path at its (system, eps, phase), and
-  G_eff's eigenbasis by every level, so a ``LinearSolveError`` ends the sweep
-  at once; the CLI reports it with exit code 3. A non-finite G is not
-  reflection-even, so it reaches that error on the full grid.
+* A factorization is shared by every path at its (system, eps, potential
+  diagonal), and G_eff's eigenbasis by every level, so a
+  ``LinearSolveError`` ends the sweep at once; the CLI reports it with exit
+  code 3. A non-finite G is not reflection-even, so it reaches that error
+  on the full grid.
 * A ``TrajectoryBlowup`` belongs to one path: that column is NaN in the
   error arrays, its reason is returned and warned, and the other columns are
   stepped with unchanged arithmetic. An eps level that excludes more than
@@ -120,15 +122,20 @@ def _even_half(g: np.ndarray) -> np.ndarray | None:
 class PreparedExperiment:
     """Epsilon-independent pieces shared across a sweep: cell solve, effective
     coefficients and generator, the generator's eigenbasis and its even half;
-    and ``stepped``, which records how ``coupled_errors`` stepped each eps
+    ``stepped``, which records how ``coupled_errors`` stepped each eps
     level as ``(reflection, effective solve)``: "even half" or "full grid",
-    and "eigenbasis" or "factor"."""
+    and "eigenbasis" or "factor"; and ``factor_counts``, each level's
+    ``(factorizations, factor_hits)`` read from its two steppers, each as
+    ``[het, eff]`` (an eigenbasis stepper's one factorization is its inverse
+    diagonal)."""
 
     cell_solution: CellSolution
     coefficients: EffectiveCoefficients
     effective_generator: np.ndarray
     stepped: dict[float, tuple[str, str]] = field(default_factory=dict, init=False,
                                                   repr=False, compare=False)
+    factor_counts: dict[float, tuple[list[int], list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def effective_basis(self) -> EigenBasis | None:
@@ -215,6 +222,7 @@ def coupled_errors(eps: float, rc: RunConfig, seeds: list[int], prepared: Prepar
         squares = diff.real ** 2 + diff.imag ** 2
         err += np.sum(squares, axis=0) if weight is None else weight @ squares
         weak += diff.T @ psi_conj
+    prepared.factor_counts[eps] = ([s.misses for s in steppers], [s.hits for s in steppers])
 
     # NaN before scaling: a diverged column may hold inf, and complex inf * scale warns
     err[dead] = np.nan

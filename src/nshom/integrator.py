@@ -34,7 +34,7 @@ arithmetic of LU, and solved by one ``zsytrs``. Every other case takes LU
 (``zgetrf``): one column, whose two ``ztrsv`` calls are faster than
 ``zsytrs`` there; more than LDL_MAX_COLUMNS columns, where the level-3
 ``zgetrs`` is faster than ``zsytrs``' rank-1 updates; and a generator that is
-not exactly symmetric. A phase keeps the kind it was first factorized with.
+not exactly symmetric. A key keeps the kind it was first factorized with.
 
 The third kind, the eigenbasis, serves the effective system of an
 eps-sweep. G_eff does not depend on eps, and when it is finite, exactly
@@ -58,12 +58,22 @@ one-column case. A stepper is given a generator matrix, the config, dt, the
 step count, and eps for a heterogeneous system only; it assembles nothing.
 ``simulate`` is the one place that turns a ``Heterogeneous`` or ``Effective``
 system into that matrix and eps. The implicit matrix does not depend on the
-path, so its factorization is shared by all columns and cached on the
-fractional part of the sampling time over eps, which cycles when dt / eps is
-rational (e.g. the dt = eps/8 sweep rule). Only a key that recurs in the run
-is cached: the first LU_CACHE_BYTES // (16 n^2) of them (at least one), in
-order of first use, never evicted; a run whose recurring phases outnumber
-them, or whose phase does not cycle, is warned about, since then most steps
+path, so its factorization is shared by all columns, and it depends on the
+step only through the potential diagonal, so the factor cache is keyed by
+that diagonal, not by the phase. The phase, the fractional part of the
+sampling time over eps, cycles when dt / eps is rational (e.g. the
+dt = eps/8 sweep rule), and the stepper samples the diagonal once per
+distinct phase when it is built. Phases whose diagonals agree under
+``presets.mirror_matches`` (to REFLECTION_RTOL of their largest entry)
+share one key, the phase among them used first, whose diagonal the factor
+is built from (``first_matches``, O(K) comparisons for K phases that are
+all distinct or all equal): cos(2 pi tau) takes one value at tau and
+1 - tau, 1 + sin(2 pi tau) at tau and 1/2 - tau, so the eight phases of
+dt = eps/8 share four factors, and a V without tau one. Only a key that
+recurs in the run is cached: the first LU_CACHE_BYTES // (16 n^2) of them
+(at least one), in order of first use, never evicted; a run whose
+recurring keys outnumber them, or whose phase does not cycle and whose
+keys are mostly distinct, is warned about, since then most steps
 refactorize.
 
 The factors live in one C-order (K, n, n) complex block per stepper,
@@ -89,6 +99,7 @@ parent increment exactly.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -101,7 +112,8 @@ from scipy.linalg.lapack import dsyevd, zgetrf, zgetrs, zlaswp, zsytrf, zsytrf_l
 from .kernel import (Grid1D, KernelParams, _check_alpha, assemble_heterogeneous_generator,
                      row_blocks)
 from .effective import EffectiveCoefficients, assemble_effective_generator
-from .presets import FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta, get_v
+from .presets import (REFLECTION_RTOL, FSpec, HSpec, ThetaSpec, VSpec, get_f, get_h, get_theta,
+                      get_v, mirror_matches)
 
 BLOWUP_LIMIT = 1e12
 # bytes of factors one stepper keeps, 16 n^2 per phase (64 phases at n = 1024)
@@ -313,6 +325,45 @@ def exactly_symmetric(g: np.ndarray) -> bool:
                for b in row_blocks(g.shape[0], SYMMETRY_SCAN_ROWS))
 
 
+def first_matches(diagonals: np.ndarray) -> list[int]:
+    """For each row i of the (K, n) real ``diagonals``, the first row r <= i
+    that stands for it: the first earlier representative r with
+    ``presets.mirror_matches(diagonals[r], diagonals[i])``, else i itself,
+    which then represents. A non-finite row represents itself.
+
+    Only representatives whose projection on fixed pseudo-random weights w
+    lies in the window a match allows are compared, found by bisection in a
+    list sorted by projection: a match moves w . v by at most
+    REFLECTION_RTOL |w|_1 max|v|, and rounding moves each projection by
+    less than n eps |w|_1 max|v| (eps the machine epsilon). So rows that
+    are all distinct, or all equal, take O(K) comparisons, not O(K^2). The
+    plain row sum would not do as the projection: V has zero y-mean."""
+    k, n = diagonals.shape
+    weights = np.random.default_rng(0).standard_normal(n)
+    finite = np.isfinite(diagonals).all(axis=1)
+    finite_rows = diagonals[finite]
+    window = (np.abs(weights).sum() * float(np.abs(finite_rows).max(initial=0.0))
+              * (REFLECTION_RTOL + 2.0 * n * np.finfo(float).eps))
+    projections = np.zeros(k)
+    projections[finite] = finite_rows @ weights
+    sorted_projections: list[float] = []  # of the representatives, ascending
+    sorted_rows: list[int] = []           # the representatives, in the same order
+    first = []
+    for i, p in enumerate(projections.tolist()):
+        rep = i
+        if finite[i]:
+            lo = bisect_left(sorted_projections, p - window)
+            hi = bisect_right(sorted_projections, p + window)
+            rep = next((r for r in sorted(sorted_rows[lo:hi])
+                        if mirror_matches(diagonals[r], diagonals[i])), i)
+            if rep == i:
+                at = bisect_left(sorted_projections, p)
+                sorted_projections.insert(at, p)
+                sorted_rows.insert(at, i)
+        first.append(rep)
+    return first
+
+
 def effective_solve(generator: np.ndarray) -> str:
     """How a sweep solves its effective system's steps: "eigenbasis" for a
     finite, exactly symmetric real generator of at most EIGENBASIS_MAX_NODES
@@ -399,7 +450,7 @@ class ThetaStepper:
 
     Its inputs: the (n, n) ``generator`` it steps, the config ``cfg``, the
     step ``dt``, the step count ``n_steps``, and ``eps`` for a heterogeneous
-    system only, where it keys the potential's phase t/eps mod 1 and names
+    system only, where it sets the potential's phase t/eps mod 1 and names
     the system in errors and warnings; without ``eps`` the potential is not
     applied and the system is named the effective one. An effective system
     may be given the generator's ``basis`` (``eigenbasis``), and then steps
@@ -407,8 +458,9 @@ class ThetaStepper:
     not, since its potential diagonal changes with the phase.
 
     The implicit matrix depends on the generator, dt and the potential's
-    phase, never on the path, so each phase is factorized once, of the kind,
-    under the cache rule and in the block slot the module docstring states,
+    diagonal, never on the path, so each key, the first-used of the phases
+    that share a diagonal, is factorized once, of the kind, under the cache
+    rule and in the block slot the module docstring states,
     and each step makes one ``lu_solve`` with P right-hand sides. Symmetry is
     tested once, at the first factorization for 2 to LDL_MAX_COLUMNS columns,
     by comparing blocks of SYMMETRY_SCAN_ROWS rows with the matching columns
@@ -416,7 +468,7 @@ class ThetaStepper:
     non-finite G keeps LU. The implicit matrix is written into its slot and
     solved as the module docstring's layout states.
     The scaled generator is checked for finiteness once per stepper, from its
-    extremes, and the potential diagonal once per phase; ``hits`` and
+    extremes, and the potential diagonal once per key; ``hits`` and
     ``misses`` count the cache lookups. A factorization that fails, a
     non-finite implicit matrix or a zero pivot raises LinearSolveError at the
     first factorization that meets it.
@@ -431,7 +483,8 @@ class ThetaStepper:
         self.cfg, self.dt = cfg, dt
         self.hits = self.misses = 0
         self._factors: dict[float | None, Factor] = {}  # phase key -> factor
-        self._keys: list[float | None] = [None] * n_steps  # the phase key of each step
+        # the key of each step: the first-used phase with the step's diagonal
+        self._keys: list[float | None] = [None] * n_steps
         # what every step needs, decided once; numpy divides a complex array
         # by a real scalar as a product with its reciprocal, so u * (1/theta)
         # is u / theta
@@ -452,14 +505,21 @@ class ThetaStepper:
             # frozen-coefficient diagonal, sampled at the theta point of the
             # step (midpoint for theta = 1/2, which keeps second-order accuracy
             # in time); the Ito left-point rule applies to the noise term only.
-            # The phase t/eps mod 1 is rounded to 12 digits into the key that V
-            # is sampled at, so a phase's factor is the same whichever step
-            # builds it; a phase that rounds to 1 is phase 0 and shares its factor
-            self._keys = [round(((k * dt + theta_s * dt) / eps) % 1.0, 12) % 1.0
-                          for k in range(n_steps)]
+            # The phase t/eps mod 1 is rounded to 12 digits into a key that V
+            # can be sampled at; a phase that rounds to 1 is phase 0. Each key
+            # is then replaced by the first-used key whose diagonal matches its
+            # own (``first_matches``), so a factor is the same whichever step
+            # builds it, and phases with one diagonal share it
+            phases = [round(((k * dt + theta_s * dt) / eps) % 1.0, 12) % 1.0
+                      for k in range(n_steps)]
             self._amp = eps ** ((1.0 - cfg.alpha) / 2.0)
             self._y_frac = np.mod(cfg.grid.nodes / eps, 1.0)
-            distinct = len(set(self._keys))
+            used = list(dict.fromkeys(phases))  # distinct keys in order of first use
+            diagonals = self._amp * cfg.v_spec.sample(self._y_frac, np.array(used)[:, None])
+            first = first_matches(np.broadcast_to(diagonals, (len(used), g.shape[0])))
+            representative = {key: used[i] for key, i in zip(used, first)}
+            self._keys = [representative[key] for key in phases]
+            distinct = len(set(first))
             # with dt = eps/k the phase cycles every k steps, however few of
             # those cycles fit into the run
             steps_per_period = eps / dt
@@ -474,7 +534,7 @@ class ThetaStepper:
         self._slots = {key: slot for slot, key in enumerate(recurring[:capacity])}
         if len(recurring) > capacity:
             warnings.warn(f"{self.label}: LU_CACHE_BYTES keeps the factors of {capacity} of the "
-                          f"{len(recurring)} recurring potential phases, so the others "
+                          f"{len(recurring)} recurring potential diagonals, so the others "
                           "refactorize whenever they recur")
 
     @cached_property

@@ -32,9 +32,11 @@ REFLECTION_RTOL = 1e-12
 
 
 def mirror_matches(values: np.ndarray, mirrored: np.ndarray) -> bool:
-    """max|values - mirrored| <= REFLECTION_RTOL max|values|; NaN or inf fails."""
-    return bool(np.max(np.abs(values - mirrored))
-                <= REFLECTION_RTOL * np.max(np.abs(values)))
+    """max|values - mirrored| <= REFLECTION_RTOL max|values|; NaN or inf fails
+    (an infinite ``values`` entry too, whose bound would be infinite)."""
+    largest = np.max(np.abs(values))
+    return bool(np.isfinite(largest)
+                and np.max(np.abs(values - mirrored)) <= REFLECTION_RTOL * largest)
 
 
 @dataclass(frozen=True)

@@ -433,14 +433,16 @@ class TestCliCommands:
             "numerical failure: constrained cell solve failed: Singular matrix\n")
 
     def test_simulate_manifest_records_factor_counts(self, tmp_path):
-        # dt = eps/8 over 64 steps: eight phases factorized, each reused seven times
+        # dt = eps/8 over 64 steps: the eight phases share four diagonals
+        # (cos(2 pi tau) at tau and 1 - tau), each factorized once and reused
+        # fifteen times
         cfg = self._small_cfg(tmp_path, T=2.0)
         out = tmp_path / "sim"
         assert main(["simulate", "--system", "het", "--eps", "1/4",
                      "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["n_steps"] == 64
-        assert manifest["telemetry"] == {"factorizations": 8, "factor_hits": 56}
+        assert manifest["telemetry"] == {"factorizations": 4, "factor_hits": 60}
 
     @pytest.mark.parametrize("argv, snap_every, steps", [
         (["--snap-every", "3"], 3, [0, 3, 6]),
@@ -482,9 +484,14 @@ class TestCliCommands:
                      "--config", str(cfg), "--out", str(out)]) == 0
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
         assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "corrector_s",
-                                  "reflection", "effective_solve"}
+                                  "reflection", "effective_solve", "factorizations",
+                                  "factor_hits"}
         assert telemetry["reflection"] == ["even half"]
         assert telemetry["effective_solve"] == ["factor"]
+        # 8 steps of dt = eps/16 take the phases (2k + 1)/32 < 1/2, whose
+        # diagonals all differ; the effective system factorizes once
+        assert telemetry["factorizations"] == [[8, 1]]
+        assert telemetry["factor_hits"] == [[0, 7]]
         assert 0.0 <= telemetry["cell_residual"] <= 1e-8
         assert telemetry["prepare_s"] > 0.0
         assert len(telemetry["wall_s"]) == 1 and telemetry["wall_s"][0] > 0.0
@@ -507,6 +514,27 @@ class TestCliCommands:
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
         assert telemetry["reflection"] == [reflection]
         assert telemetry["effective_solve"] == [solve]
+
+    def test_sweep_telemetry_counts_the_heterogeneous_factorizations(self, tmp_path,
+                                                                     monkeypatch):
+        # Theta = 1 steps the effective system in its eigenbasis, so every
+        # integrator.lu_factor call is a heterogeneous factorization
+        from nshom import integrator
+
+        calls, real = [], integrator.lu_factor
+        monkeypatch.setattr(integrator, "lu_factor",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        cfg = self._small_cfg(tmp_path, T=1.0)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--eps", "1/2,1/4,1/8", "--paths", "2",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        assert telemetry["effective_solve"] == ["eigenbasis"] * 3
+        het = [level[0] for level in telemetry["factorizations"]]
+        assert sum(het) == len(calls) > 0
+        # each system looks a factor up once per step: 32 steps of dt = 1/32
+        assert [[m + h for m, h in zip(misses, hits)] for misses, hits in zip(
+            telemetry["factorizations"], telemetry["factor_hits"])] == [[32, 32]] * 3
 
     def test_sweep_telemetry_reads_the_interval_between_marks(self, tmp_path, monkeypatch):
         # a fake clock at 0, 1, 3, 6, 10: set-up, two levels and the corrector
@@ -683,9 +711,13 @@ class TestCliCommands:
         assert (out / "sweep.csv").exists()
         telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
         assert set(telemetry) == {"cell_residual", "prepare_s", "wall_s", "reflection",
-                                  "effective_solve"}
+                                  "effective_solve", "factorizations", "factor_hits"}
         assert telemetry["reflection"] == ["even half"] * 2
         assert telemetry["effective_solve"] == ["eigenbasis"] * 2
+        # 16 steps, one period at eps = 1/2 (eight diagonals) and two at
+        # eps = 1/4 (four); the eigenbasis stepper's one miss is its diagonal
+        assert telemetry["factorizations"] == [[8, 1], [4, 1]]
+        assert telemetry["factor_hits"] == [[8, 15], [12, 15]]
         assert len(telemetry["wall_s"]) == 2 and all(w > 0.0 for w in telemetry["wall_s"])
         assert not (out / "corrector.json").exists()
 

@@ -213,10 +213,11 @@ class TestEnsemble:
             np.testing.assert_allclose(report.weak_err[i], weak, rtol=1e-10)
 
     @pytest.mark.parametrize("theta,effective_factors", [("one", 0), ("cosine_sum", 1)])
-    def test_cyclic_sweep_factorizes_eight_plus_one_per_eps(self, monkeypatch, theta,
-                                                            effective_factors):
-        # dt = eps / 8: eight potential phases; the symmetric G_eff of Theta = 1
-        # is stepped in its eigenbasis and factorizes nothing
+    def test_cyclic_sweep_factorizes_four_plus_one_per_eps(self, monkeypatch, theta,
+                                                           effective_factors):
+        # dt = eps / 8: eight potential phases, which cos(2 pi tau) pairs into
+        # four diagonals; the symmetric G_eff of Theta = 1 is stepped in its
+        # eigenbasis and factorizes nothing
         rc = make_config(theta_preset={"name": theta, "params": {}})
         prepared = prepare_experiment(rc)
         counts = {"factor": 0, "assemble": 0}
@@ -233,7 +234,7 @@ class TestEnsemble:
         for eps in (0.5, 0.25, 0.125):
             counts.update(factor=0, assemble=0)
             coupled_errors(eps, rc, [0, 1, 2, 3], prepared)
-            assert counts == {"factor": 8 + effective_factors, "assemble": 1}, eps
+            assert counts == {"factor": 4 + effective_factors, "assemble": 1}, eps
 
     def test_failed_factorization_ends_the_sweep(self, prepared_default, monkeypatch):
         rc, prepared = prepared_default
@@ -406,9 +407,10 @@ class TestReflectionRule:
         g = kernel.assemble_heterogeneous_generator(
             kernel.Grid1D.make(n), kernel.KernelParams(alpha=1.5, theta=get_theta("one")))
         assert self.passes(g)
-        broken = g.copy()
-        broken[4, 9] = np.nan
-        assert not self.passes(broken)
+        for bad in (np.nan, np.inf):
+            broken = g.copy()
+            broken[4, 9] = bad
+            assert not self.passes(broken), bad
         # a symmetric perturbation of one pair, without its mirror image
         for factor, passes in ((10.0, False), (0.1, True)):
             bumped = g.copy()
@@ -617,11 +619,37 @@ def test_perfbench_tracer_sees_each_setup_layer_once():
         assert tracer.calls[span] == 0, span
 
 
+@pytest.mark.parametrize("overrides, effective", [
+    ({}, 0),
+    ({"theta_preset": {"name": "cosine_sum", "params": {}},
+      "v_preset": "sin2pi_y_one_plus_sin2pi_tau"}, 1),
+], ids=["criterion_9", "oscillating"])
+def test_sweep_factorizes_four_potential_diagonals_per_level(monkeypatch, overrides, effective):
+    """The factorizations of the benchmark's two sweeps, on 2 paths: the
+    criterion-9 inputs (n = 256, Theta = 1, the cos potential, dt = eps/8)
+    and the oscillating Theta with the sin potential. Each level's eight
+    phases share four diagonals (cos: tau and 1 - tau; 1 + sin: tau and
+    1/2 - tau), so the heterogeneous system factorizes 4 matrices per
+    level; the effective system factorizes nothing with Theta = 1, whose
+    G_eff is stepped in its eigenbasis, and once otherwise."""
+    calls, real = [], integrator.lu_factor
+    monkeypatch.setattr(integrator, "lu_factor",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    rc = RunConfig.from_dict(overrides)
+    prepared = prepare_experiment(rc)
+    per_level = []
+    eps_sweep([0.5, 0.25, 0.125, 0.0625], 2, rc, prepared,
+              progress=lambda eps, kept, excluded: per_level.append(len(calls)))
+    assert np.diff([0] + per_level).tolist() == [4 + effective] * 4
+    for eps, (factorizations, _) in prepared.factor_counts.items():
+        assert factorizations == [4, 1], eps
+
+
 @pytest.mark.parametrize("theta,effective_factors", [("one", 0), ("cosine_sum", 1)])
 def test_perfbench_tracer_sees_the_sweep_counts(theta, effective_factors):
     # the count identities of the benchmark's sweep workloads, on a small
-    # sweep: one assembly per eps plus one in the set-up, eight potential
-    # phases per eps plus, for an oscillating Theta, the effective system
+    # sweep: one assembly per eps plus one in the set-up, four potential
+    # diagonals per eps plus, for an oscillating Theta, the effective system
     # (Theta = 1 steps it in its eigenbasis), and one solve per step and system
     rc = make_config(theta_preset={"name": theta, "params": {}})
     eps_list, n_paths = [0.5, 0.25], 2
@@ -633,7 +661,7 @@ def test_perfbench_tracer_sees_the_sweep_counts(theta, effective_factors):
         tracer.restore()
     n_steps = [rc.resolve_dt(eps)[1] for eps in eps_list]
     assert tracer.calls["kernel.assemble"] == len(eps_list) + 1
-    assert tracer.calls["integrator.lu_factor"] == len(eps_list) * (8 + effective_factors)
+    assert tracer.calls["integrator.lu_factor"] == len(eps_list) * (4 + effective_factors)
     assert tracer.calls["integrator.lu_solve"] == 2 * sum(n_steps)
 
 

@@ -30,10 +30,16 @@ from nshom.integrator import (
     simulate,
 )
 from nshom.kernel import Grid1D, KernelParams, assemble_heterogeneous_generator
-from nshom.presets import FSpec, HSpec, VSpec, get_theta, get_v
+from nshom.presets import REFLECTION_RTOL, FSpec, HSpec, VSpec, get_theta, get_v, mirror_matches
 
 ALPHA = 1.5
 UNIT = EffectiveCoefficients.from_values(1.0)
+# a potential whose tau-profile sin(2 pi tau) + cos(6 pi tau) has no
+# reflection tau -> c - tau (sin needs c = 1/2, cos(6 pi tau) c in {0, 1/3,
+# 2/3}), so the eight phases (2k + 1)/16 of dt = eps/8 keep eight diagonals;
+# sin(2 pi tau) + cos(4 pi tau) would not do, since it is even about 1/4
+NO_TAU_SYMMETRY = VSpec("sin2pi_y_sin2pi_tau_plus_cos6pi_tau", lambda y, tau: np.sin(
+    2 * np.pi * y) * (np.sin(2 * np.pi * tau) + np.cos(6 * np.pi * tau)))
 
 
 @pytest.fixture(scope="module")
@@ -313,12 +319,17 @@ def reference_run(g_mat, cfg, path, eps=None):
 
 
 class TestEnsembleStepper:
-    @pytest.mark.parametrize("system", ["het", "eff"])
-    def test_simulate_matches_single_path_reference(self, grid, frac_gen, system):
+    # two periods of dt = eps/32: each preset potential pairs the 32 phases
+    # into 16 diagonals (cos: tau and 1 - tau; 1 + sin: tau and 1/2 - tau),
+    # which the reference factorizes once per phase
+    @pytest.mark.parametrize("system, v_name", [("het", "cos2pi_y_times_cos2pi_tau"),
+                                                ("het", "sin2pi_y_one_plus_sin2pi_tau"),
+                                                ("eff", "zero")])
+    def test_simulate_matches_single_path_reference(self, grid, frac_gen, system, v_name):
         if system == "het":
             eps = 0.25
             cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, noise=NoiseModel("bounded", 0.5),
-                            v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+                            v_spec=get_v(v_name))
             sim_system = Heterogeneous(eps)
         else:
             eps = None
@@ -327,20 +338,31 @@ class TestEnsembleStepper:
         path = brownian_increments(6, 64, 0.5 / 64)
         res = simulate(sim_system, cfg, path, generator=frac_gen, store_trajectory=False)
         norms, final = reference_run(frac_gen, cfg, path, eps)
+        assert res.factorizations == (16 if system == "het" else 1)
         np.testing.assert_allclose(res.norm2, norms, rtol=1e-12)
         np.testing.assert_allclose(res.final, final, rtol=1e-12)
 
-    # at theta = 1 and eps = 0.1 the eighth phase rounds to 1.0, which is phase 0
-    @pytest.mark.parametrize("eps, theta_s", [(0.25, 0.5), (0.1, 1.0)])
-    def test_cyclic_phase_factorizes_once_per_phase(self, grid, frac_gen, eps, theta_s):
+    # cos(2 pi tau) takes one value at tau and 1 - tau, so the eight phases
+    # (2k + 1)/16 of theta = 1/2 share four diagonals. At theta = 1 and
+    # eps = 0.1 the phases are k/8 (the eighth rounds to 1.0, which is phase
+    # 0): 1/8 and 7/8, and 3/8 and 5/8, pair; 0 and 1/2 stand alone, and so
+    # do 1/4 and 3/4, whose diagonals are rounding (cos = 6e-17 and -1.8e-16)
+    # and differ by more than REFLECTION_RTOL of their own size. A potential
+    # without tau-symmetry keeps one factor per phase
+    @pytest.mark.parametrize("eps, theta_s, v_spec, groups", [
+        (0.25, 0.5, get_v("cos2pi_y_times_cos2pi_tau"), 4),
+        (0.1, 1.0, get_v("cos2pi_y_times_cos2pi_tau"), 6),
+        (0.25, 0.5, NO_TAU_SYMMETRY, 8)], ids=["cos-0.25-0.5", "cos-0.1-1.0", "no-symmetry"])
+    def test_cyclic_phase_factorizes_once_per_phase(self, grid, frac_gen, eps, theta_s,
+                                                    v_spec, groups):
         dt = eps / 8.0
-        cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt, theta_scheme=theta_s,
-                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=64 * dt, theta_scheme=theta_s, v_spec=v_spec)
         stepper = ThetaStepper(frac_gen, cfg, dt, 64, eps)
         u = cfg.initial_field().astype(complex)[:, None]
         for k in range(64):
             u = stepper.step(u, k, np.zeros(1))
-        assert (stepper.misses, stepper.hits) == (8, 56)
+        assert len(set(stepper._keys)) == groups
+        assert (stepper.misses, stepper.hits) == (groups, 64 - groups)
 
     def test_phase_keys_keep_twelve_digits(self):
         """At dt = eps/8 (1 + 1e-6) the phases of steps k and k + 8 differ by
@@ -362,9 +384,9 @@ class TestEnsembleStepper:
         assert "does not cycle" in str(caught[0].message)
 
     def test_cache_smaller_than_the_cycle_warns_once(self, grid, frac_gen, monkeypatch):
-        """Eight phases at dt = eps/8 against room for three: one warning per
-        run once a phase recurs, none for a single cycle or a cache that
-        holds all eight."""
+        """Eight phases at dt = eps/8, sharing four diagonals, against room
+        for three: one warning per run once a diagonal recurs, none for half
+        a cycle (each diagonal used once) or a cache that holds all four."""
         eps = 0.25
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
@@ -373,11 +395,11 @@ class TestEnsembleStepper:
                      generator=frac_gen)
         assert [str(w.message) for w in caught] == [
             "heterogeneous system at eps=0.25: LU_CACHE_BYTES keeps the factors of 3 of the "
-            "8 recurring potential phases, so the others refactorize whenever they recur"]
+            "4 recurring potential diagonals, so the others refactorize whenever they recur"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ThetaStepper(frac_gen, cfg, eps / 8.0, 8, eps)
-            monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 8 * 16 * grid.n ** 2)
+            ThetaStepper(frac_gen, cfg, eps / 8.0, 4, eps)
+            monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 4 * 16 * grid.n ** 2)
             ThetaStepper(frac_gen, cfg, eps / 8.0, 16, eps)
 
     def test_cache_bound_refactorizes_without_changing_results(self, grid, frac_gen,
@@ -392,14 +414,15 @@ class TestEnsembleStepper:
         real_factor = integrator.lu_factor
         monkeypatch.setattr(integrator, "lu_factor",
                             lambda *args, **kwargs: calls.append(1) or real_factor(*args, **kwargs))
-        # room for three of the eight phases: the first cycle factorizes all
-        # eight, the second hits the three cached phases
+        # room for three of the four diagonals, used in the order
+        # a b c d d c b a twice: a, b and c factorize once, and d at each of
+        # its four uses
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
-        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
+        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 4"):
             bounded = simulate(Heterogeneous(eps), cfg, path, generator=frac_gen,
                                store_trajectory=True)
-        assert len(calls) == 13
-        assert (bounded.factorizations, bounded.factor_hits) == (13, 3)
+        assert len(calls) == 7
+        assert (bounded.factorizations, bounded.factor_hits) == (7, 9)
         assert np.array_equal(bounded.trajectory, unbounded.trajectory)
 
     @pytest.mark.parametrize("slots", [3, 1])
@@ -410,8 +433,13 @@ class TestEnsembleStepper:
         steps differ in their last bits, so a factor must be built from the
         phase key, not from the step that happens to build it: a capped cache
         that refactorizes recurring phases then gives bitwise the uncapped
-        trajectory. With one slot every phase but the first is refactorized
-        each time it recurs."""
+        trajectory. cos(2 pi tau) pairs the phases tau and 1 - tau, so each
+        cycle has six diagonals: at eps/10 four pairs and the rounding-sized
+        diagonals of 1/4 and 3/4 (test_cyclic_phase_factorizes_once_per_phase),
+        at eps/12 six pairs. Over three cycles a pair is used six times and
+        a single phase three. The capped cache keeps the first ``slots``
+        diagonals in order of first use, 0.05, 0.15, 0.25 at eps/10, and every
+        other diagonal is refactorized each time it recurs."""
         grid, eps = Grid1D.make(32), 0.25
         gen = assemble_heterogeneous_generator(
             grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
@@ -420,13 +448,14 @@ class TestEnsembleStepper:
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         path = brownian_increments(4, n_steps, dt)
         uncapped = simulate(Heterogeneous(eps), cfg, path, generator=gen, store_trajectory=True)
-        assert uncapped.factorizations == steps_per_period
+        assert uncapped.factorizations == 6
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", slots * 16 * grid.n ** 2)
-        with pytest.warns(UserWarning, match=f"keeps the factors of {slots} of the "
-                                             f"{steps_per_period} "):
+        with pytest.warns(UserWarning, match=f"keeps the factors of {slots} of the 6 "):
             capped = simulate(Heterogeneous(eps), cfg, path, generator=gen,
                               store_trajectory=True)
-        assert (capped.factorizations, capped.factor_hits) == (n_steps - 2 * slots, 2 * slots)
+        hits = {(10, 3): 5 + 5 + 2, (10, 1): 5, (12, 3): 5 + 5 + 5, (12, 1): 5}
+        expected = hits[steps_per_period, slots]
+        assert (capped.factorizations, capped.factor_hits) == (n_steps - expected, expected)
         assert np.array_equal(capped.trajectory, uncapped.trajectory)
 
     @staticmethod
@@ -439,8 +468,9 @@ class TestEnsembleStepper:
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_cached_factors_live_in_the_block(self, grid, frac_gen, monkeypatch, columns):
-        """Eight phases at dt = eps/8: one C-order (8, n, n) block, the i-th
-        distinct key written into slot i and factorized there in place."""
+        """Eight phases at dt = eps/8 with four diagonals: one C-order
+        (4, n, n) block, the i-th distinct key written into slot i and
+        factorized there in place."""
         eps = 0.25
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=0.5, v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
         filled = self.filled_slots(monkeypatch)
@@ -449,8 +479,8 @@ class TestEnsembleStepper:
         for k in range(16):
             u = stepper.step(u, k, np.zeros(columns))
         block = stepper._block
-        assert block.shape == (8, grid.n, grid.n) and block.flags.c_contiguous
-        assert list(stepper._factors) == stepper._keys[:8] and len(filled) == 8
+        assert block.shape == (4, grid.n, grid.n) and block.flags.c_contiguous
+        assert list(stepper._factors) == stepper._keys[:4] and len(filled) == 4
         for i, (a, factor) in enumerate(zip(filled, stepper._factors.values())):
             assert a.base is block and a.__array_interface__ == block[i].__array_interface__
             assert np.shares_memory(factor.matrix, block[i])
@@ -488,7 +518,9 @@ class TestEnsembleStepper:
     def test_eps_over_rule_lets_the_phases_of_eps_0_3_recur(self, grid, frac_gen):
         """The default eps_over rule (factor 8, T = 1) gives eps = 0.3 the
         step 0.3/9 = 1/30 and 30 steps, so the phase t/eps cycles every 9
-        steps: 9 factorizations and 21 hits, with no warning."""
+        steps, through (2k + 1)/18. cos(2 pi tau) pairs them into four
+        diagonals and the phase 1/2: 5 factorizations and 25 hits, with no
+        warning."""
         eps = 0.3
         dt, n_steps = RunConfig.from_dict({}).resolve_dt(eps)
         assert (dt, n_steps) == (1.0 / 30, 30)
@@ -499,17 +531,18 @@ class TestEnsembleStepper:
             u = cfg.initial_field()[:, None]
             for k in range(n_steps):
                 u = stepper.step(u, k, np.zeros(1))
-        assert (stepper.misses, stepper.hits) == (9, 21)
+        assert (stepper.misses, stepper.hits) == (5, 25)
 
     def test_only_recurring_phases_keep_a_slot(self, grid, frac_gen, monkeypatch):
-        """1.5 periods at dt = eps/8: of the 8 phases of 12 steps the first 4
-        recur. They take slots 0-3 in order of first use and the other 4 the
-        spare slot of a (5, n, n) block, so 8 misses and 4 hits; the
-        trajectory is bitwise that of a cache with one slot."""
+        """1.5 periods at dt = eps/8 of a potential whose 8 phases keep 8
+        diagonals: of the 8 phases of 12 steps the first 4 recur. They take
+        slots 0-3 in order of first use and the other 4 the spare slot of a
+        (5, n, n) block, so 8 misses and 4 hits; the trajectory is bitwise
+        that of a cache with one slot."""
         eps, n_steps = 0.25, 12
         dt = eps / 8.0
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, noise=NoiseModel("bounded", 0.5),
-                        v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
+                        v_spec=NO_TAU_SYMMETRY)
         dw = brownian_increments(3, n_steps, dt).increments[:, None]
         u0 = cfg.initial_field().astype(complex)[:, None]
 
@@ -600,9 +633,9 @@ class TestEnsembleStepper:
         frozen.flags.writeable = False
         unbounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen,
                              store_trajectory=True)
-        # room for three of the eight phases: the other five refactorize
+        # room for three of the four diagonals: the fourth refactorizes
         monkeypatch.setattr(integrator, "LU_CACHE_BYTES", 3 * 16 * grid.n ** 2)
-        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 8"):
+        with pytest.warns(UserWarning, match="keeps the factors of 3 of the 4"):
             bounded = simulate(Heterogeneous(eps), cfg, path, generator=frozen,
                                store_trajectory=True)
         assert frozen.tobytes() == frac_gen.tobytes()
@@ -618,7 +651,8 @@ class TestEnsembleStepper:
         assert sum("does not cycle" in str(w.message) for w in caught) == 1
 
     def test_short_cycling_run_does_not_warn(self, grid, frac_gen):
-        # dt = eps/16 over 16 steps: one full period, every phase distinct
+        # dt = eps/16 over 16 steps: one full period, sixteen phases on eight
+        # diagonals
         eps = 0.25
         cfg = SimConfig(grid=grid, alpha=ALPHA, T=eps,
                         v_spec=get_v("cos2pi_y_times_cos2pi_tau"))
@@ -626,6 +660,78 @@ class TestEnsembleStepper:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(Heterogeneous(eps), cfg, path, generator=frac_gen)
+
+
+def quadratic_first_matches(diagonals: np.ndarray) -> list[int]:
+    """The rule of ``integrator.first_matches`` by comparing each row with
+    every earlier representative, in row order."""
+    reps, first = [], []
+    for i, row in enumerate(diagonals):
+        rep = next((r for r in reps if mirror_matches(diagonals[r], row)), i)
+        if rep == i:
+            reps.append(i)
+        first.append(rep)
+    return first
+
+
+class TestDiagonalKeys:
+    """Phases whose potential diagonals agree under ``mirror_matches`` share
+    one key, the first-used of them, and so one factor."""
+
+    @pytest.mark.parametrize("v_name, groups", [("sin2pi_y_one_plus_sin2pi_tau", 1000),
+                                                ("cos2pi_y", 1)])
+    def test_noncycling_keys_take_linear_comparisons(self, monkeypatch, v_name, groups):
+        """1000 steps at dt/eps = (1 + 1e-6)/8, whose 1000 phases never
+        recur: with a tau-dependent V every diagonal differs and the
+        stepper warns that it refactorizes; with V = cos2pi_y every step
+        shares the first phase's diagonal, and nothing is warned about.
+        Either way the grouping compares at most K = 1000 pairs of diagonals,
+        where comparing each phase with every earlier key takes
+        K (K - 1) / 2. At n = 63 and eps = 1/4 the nodes sample y = k/8, on
+        which sin(2 pi y) sums to rounding, so a projection by the plain row
+        sum would put every phase in one window."""
+        compared = []
+        monkeypatch.setattr(integrator, "mirror_matches",
+                            lambda a, b: compared.append(1) or mirror_matches(a, b))
+        grid, eps, n_steps = Grid1D.make(63), 0.25, 1000
+        gen = assemble_heterogeneous_generator(
+            grid, KernelParams(alpha=ALPHA, theta=get_theta("one")))
+        dt = eps / 8.0 * (1.0 + 1e-6)
+        cfg = SimConfig(grid=grid, alpha=ALPHA, T=n_steps * dt, v_spec=get_v(v_name))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stepper = ThetaStepper(gen, cfg, dt, n_steps, eps)
+        assert len(set(stepper._keys)) == groups
+        assert len(compared) <= n_steps
+        assert [str(w.message) for w in caught] == ([] if groups == 1 else [
+            "heterogeneous system at eps=0.25: the potential phase t/eps does not cycle within "
+            "the run (dt/eps = 0.125), so 1000 of 1000 steps factorize the implicit matrix; "
+            "dt = eps/k with a small integer k reuses the factors"])
+        if groups == 1:
+            assert stepper._factors_at(0) is stepper._factors_at(n_steps - 1)
+            assert stepper._keys == [stepper._keys[0]] * n_steps
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_first_matches_agrees_with_the_quadratic_scan(self, n):
+        """Rows that match or miss by 0.1 and 10 times REFLECTION_RTOL,
+        rescaled rows, rounding-sized rows, zero rows and non-finite rows:
+        the windowed search finds exactly the representatives that
+        comparing with every earlier one finds."""
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((4, n))
+        rows = [base[0], base[1], 1e-16 * base[2], np.zeros(n)]
+        for scale in (0.1, 10.0):
+            for b in base:
+                rows.append(b + scale * REFLECTION_RTOL * np.max(np.abs(b))
+                            * rng.uniform(-1.0, 1.0, n))
+        rows += [np.full(n, np.nan), np.where(np.arange(n) == 0, np.inf, base[0]),
+                 base[3], -base[0], np.zeros(n), 3.0 * base[1]]
+        diagonals = np.array([rows[i] for i in rng.permutation(len(rows))])
+        first = integrator.first_matches(diagonals)
+        assert first == quadratic_first_matches(diagonals)
+        # base rows 0, 1 and 3 matched their 0.1 x RTOL copies, and the zero
+        # rows each other; nothing else matched
+        assert len(set(first)) == len(rows) - 4
 
 
 def package_call_sites(*names: str) -> dict[str, list[tuple[str, str | None]]]:
@@ -955,10 +1061,11 @@ class TestTransposedLayoutEquivalence:
         g = stepper.g_mat
         symmetric = system == "het" and 1 < columns <= integrator.LDL_MAX_COLUMNS
         assert np.array_equal(g, g.T) == (system == "het")
-        # every phase recurs in 16 steps, so each has a slot: the reference
-        # factorized each phase once, in the order of the slots
+        # every diagonal recurs in 16 steps, so each has a slot: the reference
+        # factorized each representative phase once, in the order of the
+        # slots; sin(2 pi tau) pairs the eight phases tau and 1/2 - tau
         assert len(runs[0]) == n_steps and list(stepper.column_major) == list(stepper._slots)
-        assert len(stepper._slots) == (8 if system == "het" else 1)
+        assert len(stepper._slots) == (4 if system == "het" else 1)
         for new, ref in zip(*runs):
             if symmetric:
                 assert np.array_equal(new, ref)
@@ -1345,7 +1452,7 @@ class TestFactorKind:
         simulate(Heterogeneous(0.25), cfg, brownian_increments(1, 16, 0.5 / 16),
                  generator=frac_gen)
         assert np.array_equal(frac_gen, frac_gen.T)
-        assert len(calls) == 8
+        assert len(calls) == 4
         assert all(kw == {"ldl_lwork": None} and f.kind == "LU" for _, kw, f in calls)
 
     def test_more_than_ldl_max_columns_take_lu(self, frac_gen, monkeypatch):
